@@ -5,7 +5,9 @@ split-step spectral wave solver with exact adjoint gradients, a smooth
 2D-design-to-3D-lens mapping, the loss stack and Adam loop that optimize
 lens geometry end to end, phase-map baselines (gradient phase retrieval,
 time reversal), and the evaluation suite (focal metrics, cross-domain
-PSNR, bioheat thermal simulation, robustness sweeps).
+PSNR, bioheat thermal simulation, the fabrication-error model). The
+robustness sweeps over materials and fabrication errors run through
+`sonolens sweep`.
 """
 
 from .grid import (
@@ -74,8 +76,8 @@ from .analysis import (
     cross_domain_psnr,
     focal_metrics,
     perturb_lens,
+    focal_report,
     segment_foci,
-    sweep_material,
 )
 
 __version__ = "0.1.0"
@@ -96,6 +98,6 @@ __all__ = [
     "optimize_phase_map", "phase_to_thickness", "thickness_to_phase",
     "time_reversal",
     "PSNR_CAP_DB", "FocalReport", "FocusMetrics", "ThermalConfig",
-    "bioheat_simulate", "cross_domain_psnr", "focal_metrics", "perturb_lens",
-    "segment_foci", "sweep_material",
+    "bioheat_simulate", "cross_domain_psnr", "focal_metrics", "focal_report",
+    "perturb_lens", "segment_foci",
 ]

@@ -1,17 +1,16 @@
-"""Quantitative field evaluation, thermal post-processing, robustness sweeps."""
+"""Quantitative field evaluation, thermal post-processing, fabrication errors."""
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy import ndimage
 
-from .grid import GridSpec, MaterialProperties
-from .medium import AcousticMedium, embed_lens
+from .medium import AcousticMedium
 from .lensmap import LensVolume, binarize
-from .solver import ComplexField, SolverConfig, propagate
+from .solver import ComplexField
 
 PSNR_CAP_DB = 300.0
 
@@ -50,15 +49,6 @@ class FocalReport:
                 fh.write(text)
         return text
 
-    def to_csv_rows(self) -> list:
-        rows = []
-        for f in self.foci:
-            rows.append(
-                [f.label, f.peak_pressure, f.fwhm_lateral_x, f.fwhm_lateral_y,
-                 f.fwhm_axial, f.volume_m3]
-            )
-        return rows
-
 
 def cross_domain_psnr(p_opt, p_fab) -> float:
     """PSNR (dB) between peak-normalized amplitude volumes.
@@ -83,39 +73,26 @@ def cross_domain_psnr(p_opt, p_fab) -> float:
 
 
 def segment_foci(p, seeds, threshold_db: float = -6.0) -> list[np.ndarray]:
-    """-6 dB region growing from each seed.
+    """-6 dB connected regions around each seed.
 
-    The amplitude volume is thresholded relative to its global peak and a
-    6-connected flood fill is grown from every seed. Seeds falling below
-    threshold yield an empty mask. Overlapping growth naturally produces
-    the same component under several labels. Returns one boolean mask per
-    seed; the result is invariant to global field scaling.
+    The amplitude volume is thresholded relative to its global peak and
+    split into 6-connected components; each seed gets the component that
+    contains it. Seeds falling below threshold yield an empty mask, and
+    seeds in one component share the same mask. Returns one boolean mask
+    per seed; the result is invariant to global field scaling.
     """
     amp = np.abs(p.values if isinstance(p, ComplexField) else p)
     shape = amp.shape
     thr = amp.max() * 10.0 ** (threshold_db / 20.0)
-    above = amp >= thr
-    neighbors = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    labels, _ = ndimage.label(amp >= thr)
 
     masks = []
     for seed in seeds:
         seed = tuple(int(v) for v in seed)
         if any(not 0 <= s < n for s, n in zip(seed, shape)):
             raise ValueError(f"seed {seed} is outside the grid")
-        mask = np.zeros(shape, dtype=bool)
-        if above[seed]:
-            queue = deque([seed])
-            mask[seed] = True
-            while queue:
-                i, j, k = queue.popleft()
-                for di, dj, dk in neighbors:
-                    ni, nj, nk = i + di, j + dj, k + dk
-                    if (0 <= ni < shape[0] and 0 <= nj < shape[1]
-                            and 0 <= nk < shape[2] and above[ni, nj, nk]
-                            and not mask[ni, nj, nk]):
-                        mask[ni, nj, nk] = True
-                        queue.append((ni, nj, nk))
-        masks.append(mask)
+        label = labels[seed]
+        masks.append(labels == label if label else np.zeros(shape, dtype=bool))
     return masks
 
 
@@ -186,6 +163,18 @@ def focal_metrics(
     leakage = float(outside_mean / inside_mean) if inside_mean > 0 else np.inf
     uniformity = float(min(peaks) / max(peaks))
     return FocalReport(foci, leakage, uniformity, n_components=len(foci))
+
+
+def focal_report(p: ComplexField, seeds) -> FocalReport:
+    """Segment the foci around `seeds` and measure them.
+
+    Returns an empty report (no foci, leakage and uniformity None) when
+    no seed reaches the -6 dB level.
+    """
+    segments = segment_foci(p, seeds)
+    if not any(m.any() for m in segments):
+        return FocalReport([], None, None, 0)
+    return focal_metrics(p, segments)
 
 
 @dataclass
@@ -300,23 +289,3 @@ def perturb_lens(
     )
     noisy = np.clip(noisy, lens.v_min, lens.v_max)
     return binarize(LensVolume(lens.occupancy, noisy, lens.v_min, lens.v_max))
-
-
-def sweep_material(
-    lens: LensVolume,
-    src,
-    base_medium: AcousticMedium,
-    materials: list[MaterialProperties],
-    seeds,
-    z_offset: int = 0,
-    cfg: SolverConfig | None = None,
-    threshold: float = 0.9,
-) -> list[FocalReport]:
-    """Re-embed a fixed lens with each candidate material and re-evaluate."""
-    reports = []
-    for mat in materials:
-        med = embed_lens(base_medium, lens.occupancy, mat, z_offset, threshold)
-        field_, _ = propagate(src, med, cfg)
-        segments = segment_foci(field_, seeds)
-        reports.append(focal_metrics(field_, segments))
-    return reports

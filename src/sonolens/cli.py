@@ -235,10 +235,14 @@ def build_target(cfg: dict, grid: GridSpec) -> TargetSpec:
 
 def build_solver(cfg: dict) -> SolverConfig:
     sec = _section(cfg, "solver", required=False)
+    for key in sec:
+        if key not in ("reflection_order", "angular_cutoff"):
+            raise ConfigError(f"solver: unknown key '{key}' (known: "
+                              "reflection_order, angular_cutoff; evanescent "
+                              "content is kept up to angular_cutoff*k0)")
     try:
         return SolverConfig(
             reflection_order=int(sec.get("reflection_order", 4)),
-            evanescent_mode=sec.get("evanescent_mode", "decay"),
             angular_cutoff=float(sec.get("angular_cutoff", 1.0)),
         )
     except ValueError as exc:
@@ -325,17 +329,20 @@ def _apply_precision(medium, precision: str):
     return med
 
 
+def _load_input(load, prefix, context: str):
+    """Read an input file; a missing or malformed one is a config error."""
+    try:
+        return load(prefix)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _focus_seeds(target: TargetSpec):
     return [tuple(c) for c in target.focus_centers]
 
 
 def _write_report(out: Path, field_, seeds, psnr=None, name="report.json"):
-    segments = analysis.segment_foci(field_, seeds)
-    if any(m.any() for m in segments):
-        report = analysis.focal_metrics(field_, segments)
-    else:
-        # no seed reached the -6 dB level; report an empty focal pattern
-        report = analysis.FocalReport([], None, None, 0)
+    report = analysis.focal_report(field_, seeds)
     report.psnr_cross_domain = psnr
     report.to_json(out / name)
     rows = []
@@ -437,7 +444,7 @@ def cmd_evaluate(args) -> int:
     target = build_target(cfg, grid)
     if args.field is None:
         raise ConfigError("evaluate: --field is required")
-    p = io.load_field(args.field)
+    p = _load_input(io.load_field, args.field, "evaluate")
     if p.grid.shape != grid.shape or not np.allclose(
         (p.grid.dx, p.grid.dy, p.grid.dz), (grid.dx, grid.dy, grid.dz)
     ):
@@ -445,7 +452,7 @@ def cmd_evaluate(args) -> int:
 
     psnr = None
     if args.field2 is not None:
-        p2 = io.load_field(args.field2)
+        p2 = _load_input(io.load_field, args.field2, "evaluate")
         if p2.grid.shape != p.grid.shape:
             raise ConfigError("evaluate: field headers do not match")
         psnr = analysis.cross_domain_psnr(p, p2)
@@ -504,10 +511,9 @@ def _sweep_case(payload):
     from .medium import embed_lens
     embedded = embed_lens(medium, lens.occupancy, mat, z_offset)
     field_, _ = propagate(src, embedded, solver)
-    segments = analysis.segment_foci(field_, seeds)
-    if not any(m.any() for m in segments):
+    report = analysis.focal_report(field_, seeds)
+    if not report.foci:
         return [float(np.abs(field_.values).max()), np.nan, np.nan, 0]
-    report = analysis.focal_metrics(field_, segments)
     peak = max(f.peak_pressure for f in report.foci)
     return [peak, report.leakage_ratio, report.uniformity, report.n_components]
 
@@ -583,10 +589,7 @@ def cmd_backproject(args) -> int:
     grid = build_grid(cfg)
     if args.plane is None:
         raise ConfigError("backproject: --plane is required")
-    try:
-        header, plane = io.load_plane(args.plane)
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"backproject: {exc}") from exc
+    _, plane = _load_input(io.load_plane, args.plane, "backproject")
 
     sec = _section(cfg, "backproject", required=False)
     if args.distances is not None:
@@ -612,15 +615,7 @@ def cmd_backproject(args) -> int:
     vol_header = io._header(grid, ["backprojection"], "complex64_interleaved",
                             {"config_hash": h,
                              "distances_m": list(map(float, distances))})
-    vol_header["dims"] = [grid.nx, grid.ny, int(np.size(distances))]
-    inter = np.empty(volume.size * 2, dtype="<f4")
-    inter[0::2] = volume.real.ravel()
-    inter[1::2] = volume.imag.ravel()
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "backprojection.json", "w") as fh:
-        json.dump(vol_header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    inter.tofile(out / "backprojection.raw")
+    io._write_complex(out / "backprojection", vol_header, volume)
     return EXIT_OK
 
 
@@ -702,8 +697,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweeps")
         p.add_argument("--precision", choices=("f32", "f64"), default="f64",
                        help="medium property precision")
 
@@ -718,6 +711,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=("material", "perturbation"),
                    required=True)
     p.add_argument("--lens", help="base design thickness CSV")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the sweep cases")
     p = sub.add_parser("backproject", help="reconstruct a volume from a plane")
     common(p)
     p.add_argument("--plane", help="complex plane file prefix")

@@ -10,7 +10,6 @@ CLI, the hash of the creating configuration.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -99,55 +98,50 @@ def load_hu_volume(prefix) -> tuple[GridSpec, np.ndarray]:
     return grid, data.astype(np.int64).reshape(grid.shape)
 
 
-def save_field(prefix, field: ComplexField, extra: dict | None = None) -> None:
-    header = _header(field.grid, ["pressure"], "complex64_interleaved", extra)
-    inter = np.empty(field.values.size * 2, dtype="<f4")
-    inter[0::2] = field.values.real.ravel()
-    inter[1::2] = field.values.imag.ravel()
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(prefix.with_suffix(".json"), "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    inter.tofile(prefix.with_suffix(".raw"))
+def _write_complex(prefix, header: dict, values: np.ndarray) -> None:
+    """Interleaved (re, im) float32 payload; header dims follow the array."""
+    values = np.asarray(values)
+    header["dims"] = list(values.shape)
+    inter = np.empty(values.size * 2, dtype="<f4")
+    inter[0::2] = np.real(values).ravel()
+    inter[1::2] = np.imag(values).ravel()
+    _write(prefix, header, inter)
 
 
-def load_field(prefix) -> ComplexField:
+def _read_complex(prefix) -> tuple[dict, np.ndarray]:
     prefix = Path(prefix)
     with open(prefix.with_suffix(".json")) as fh:
         header = json.load(fh)
-    grid = _grid_from_header(header)
+    dims = [int(n) for n in header["dims"]]
     inter = np.fromfile(prefix.with_suffix(".raw"), dtype="<f4")
+    if inter.size != 2 * int(np.prod(dims)):
+        raise ValueError(f"{prefix}: raw payload size does not match the header")
     values = (inter[0::2] + 1j * inter[1::2]).astype(np.complex128)
-    return ComplexField(values.reshape(grid.shape), grid)
+    return header, values.reshape(dims)
+
+
+def save_field(prefix, field: ComplexField, extra: dict | None = None) -> None:
+    header = _header(field.grid, ["pressure"], "complex64_interleaved", extra)
+    _write_complex(prefix, header, field.values)
+
+
+def load_field(prefix) -> ComplexField:
+    header, values = _read_complex(prefix)
+    return ComplexField(values, _grid_from_header(header))
 
 
 def save_plane(prefix, plane: np.ndarray, grid: GridSpec,
                extra: dict | None = None) -> None:
     """2D complex plane (e.g. a measured hydrophone scan)."""
     header = _header(grid, ["plane"], "complex64_interleaved", extra)
-    header["dims"] = [grid.nx, grid.ny]
-    inter = np.empty(plane.size * 2, dtype="<f4")
-    inter[0::2] = np.real(plane).ravel()
-    inter[1::2] = np.imag(plane).ravel()
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(prefix.with_suffix(".json"), "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    inter.tofile(prefix.with_suffix(".raw"))
+    _write_complex(prefix, header, plane)
 
 
 def load_plane(prefix):
-    prefix = Path(prefix)
-    with open(prefix.with_suffix(".json")) as fh:
-        header = json.load(fh)
-    nx, ny = header["dims"]
-    inter = np.fromfile(prefix.with_suffix(".raw"), dtype="<f4")
-    if inter.size != nx * ny * 2:
-        raise ValueError("malformed plane file: payload size mismatch")
-    plane = (inter[0::2] + 1j * inter[1::2]).astype(np.complex128)
-    return header, plane.reshape(nx, ny)
+    header, plane = _read_complex(prefix)
+    if plane.ndim != 2:
+        raise ValueError(f"{prefix}: a plane file must have 2 dims")
+    return header, plane
 
 
 def plane_to_csv(path, plane_2d: np.ndarray) -> None:
@@ -169,46 +163,48 @@ def thickness_to_pgm(path, thickness_vox: np.ndarray, v_min: float,
         fh.write(img.tobytes())
 
 
+# Corner k of a column prism: x from (x0, x1, x1, x0), y from (y0, y0, y1, y1),
+# z = 0 for k < 4 and z = h for k >= 4. Each face is a quad (a, b, c, d)
+# split into (a, b, c) and (a, c, d): bottom, top, then walls y0, x1, y1, x0.
+_PRISM_QUADS = ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
+                (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7))
+_PRISM_TRIANGLES = np.array(
+    [tri for a, b, c, d in _PRISM_QUADS for tri in ((a, b, c), (a, c, d))]
+)
+_STL_TRIANGLE = np.dtype(
+    [("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attribute", "<u2")]
+)
+
+
 def thickness_to_stl(path, thickness_vox: np.ndarray, dx: float, dz: float,
                      min_thickness_vox: float = 0.0) -> None:
     """Binary STL of the lens as a heightmap of column prisms.
 
-    Each lateral cell becomes a rectangular prism of height thickness*dz;
-    columns at or below min_thickness_vox are skipped.
+    Each lateral cell becomes a rectangular prism of height thickness*dz
+    (12 triangles, columns in C order); columns at or below
+    min_thickness_vox are skipped.
     """
     t = np.asarray(thickness_vox)
-    nx, ny = t.shape
-    tris = []
+    h = t * dz
+    i, j = np.nonzero(~((t <= min_thickness_vox) | (h <= 0)))
+    h = h[i, j]
+    x0, x1 = i * dx, (i + 1) * dx
+    y0, y1 = j * dx, (j + 1) * dx
+    zero = np.zeros_like(h)
+    corners = np.stack([
+        np.stack([x0, x1, x1, x0] * 2, axis=1),
+        np.stack([y0, y0, y1, y1] * 2, axis=1),
+        np.stack([zero] * 4 + [h] * 4, axis=1),
+    ], axis=-1)
+    tris = corners[:, _PRISM_TRIANGLES].reshape(-1, 3, 3)
+    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    norm = np.linalg.norm(n, axis=1, keepdims=True)
+    np.divide(n, norm, out=n, where=norm > 0)
 
-    def quad(a, b, c, d):
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-
-    for i in range(nx):
-        for j in range(ny):
-            h = t[i, j] * dz
-            if t[i, j] <= min_thickness_vox or h <= 0:
-                continue
-            x0, x1 = i * dx, (i + 1) * dx
-            y0, y1 = j * dx, (j + 1) * dx
-            # bottom (z=0), top (z=h), four walls
-            quad((x0, y0, 0), (x0, y1, 0), (x1, y1, 0), (x1, y0, 0))
-            quad((x0, y0, h), (x1, y0, h), (x1, y1, h), (x0, y1, h))
-            quad((x0, y0, 0), (x1, y0, 0), (x1, y0, h), (x0, y0, h))
-            quad((x1, y0, 0), (x1, y1, 0), (x1, y1, h), (x1, y0, h))
-            quad((x1, y1, 0), (x0, y1, 0), (x0, y1, h), (x1, y1, h))
-            quad((x0, y1, 0), (x0, y0, 0), (x0, y0, h), (x0, y1, h))
-
+    records = np.zeros(len(tris), dtype=_STL_TRIANGLE)
+    records["normal"] = n
+    records["vertices"] = tris
     with open(path, "wb") as fh:
         fh.write(b"\0" * 80)
-        fh.write(struct.pack("<I", len(tris)))
-        for a, b, c in tris:
-            u = np.subtract(b, a)
-            v = np.subtract(c, a)
-            n = np.cross(u, v)
-            norm = np.linalg.norm(n)
-            n = n / norm if norm > 0 else n
-            fh.write(struct.pack("<3f", *n))
-            for p in (a, b, c):
-                fh.write(struct.pack("<3f", *p))
-            fh.write(b"\0\0")
+        fh.write(len(records).to_bytes(4, "little"))
+        fh.write(records.tobytes())

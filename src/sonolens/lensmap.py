@@ -30,10 +30,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid_scalar_safe(x):
-    return sigmoid(np.asarray(x, dtype=np.float64))
-
-
 @dataclass
 class DesignField:
     """Continuous 2D lens parameterization.

@@ -1,7 +1,9 @@
 """Steady-state single-frequency propagation through voxelized media.
 
 Split-step spatial marching: for each axial step the field is advanced by
-a spectral diffraction kernel exp(i*kz*dz) with kz = sqrt(k0^2 - kx^2 - ky^2),
+a spectral diffraction kernel exp(i*kz*dz) with kz = sqrt(k0^2 - kx^2 - ky^2)
+(evanescent bins decay as exp(-|kz|*dz); bins beyond angular_cutoff*k0 are
+zeroed, so the default cutoff of 1 keeps propagating content only),
 then corrected in the spatial domain by a heterogeneity phase screen
 exp(i*k0*(c_ref/c - 1)*dz), an absorption screen exp(-a*dz) (a in Np/m),
 and a pressure transmission factor 2*Z2/(Z1+Z2) wherever the impedance
@@ -34,14 +36,11 @@ from .medium import AcousticMedium
 @dataclass
 class SolverConfig:
     reflection_order: int = 4
-    evanescent_mode: str = "decay"  # "decay" | "truncate"
-    angular_cutoff: float = 1.0     # fraction of k0
+    angular_cutoff: float = 1.0     # fraction of k0; > 1 keeps evanescent bins
 
     def __post_init__(self):
         if not 0 <= self.reflection_order <= 8:
             raise ValueError("reflection_order must lie in [0, 8]")
-        if self.evanescent_mode not in ("decay", "truncate"):
-            raise ValueError("evanescent_mode must be 'decay' or 'truncate'")
         if self.angular_cutoff <= 0:
             raise ValueError("angular_cutoff must be positive")
 
@@ -63,8 +62,15 @@ class ComplexField:
         return np.abs(self.values)
 
 
-def _diffraction_kernel(grid: GridSpec, cfg: SolverConfig) -> np.ndarray:
-    """Per-step angular-spectrum transfer function on the FFT grid."""
+def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
+                        distance: float) -> np.ndarray:
+    """Angular-spectrum transfer function over `distance` on the FFT grid.
+
+    Propagating bins get exp(i*kz*distance); evanescent bins decay as
+    exp(-|kz|*|distance|) in either direction; every bin with transverse
+    wavenumber above angular_cutoff*k0 is zeroed, so at a cutoff <= 1 no
+    evanescent content survives.
+    """
     k0 = grid.k0
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
     ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
@@ -72,11 +78,9 @@ def _diffraction_kernel(grid: GridSpec, cfg: SolverConfig) -> np.ndarray:
     kz2 = k0**2 - kt2
     prop = kz2 >= 0
     H = np.zeros(kt2.shape, dtype=np.complex128)
-    H[prop] = np.exp(1j * np.sqrt(kz2[prop]) * grid.dz)
-    if cfg.evanescent_mode == "decay":
-        H[~prop] = np.exp(-np.sqrt(-kz2[~prop]) * grid.dz)
-    # hard angular cutoff (evanescent content is removed whenever cutoff <= 1)
-    H[kt2 > (cfg.angular_cutoff * k0) ** 2] = 0.0
+    H[prop] = np.exp(1j * np.sqrt(kz2[prop]) * distance)
+    H[~prop] = np.exp(-np.sqrt(-kz2[~prop]) * abs(distance))
+    H[kt2 > (angular_cutoff * k0) ** 2] = 0.0
     return H
 
 
@@ -219,7 +223,7 @@ def _propagate_arrays(
     source_slice: int = 0,
     initial_direction: int = 1,
 ) -> SliceCache:
-    H = _diffraction_kernel(grid, cfg)
+    H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen = _screens(grid, c, att_np)
     Z = rho * c
     cache = SliceCache(grid, cfg, H, c, rho, att_np)
@@ -434,8 +438,8 @@ def backproject(
 ) -> np.ndarray:
     """Angular-spectrum backprojection of a measured complex plane.
 
-    Propagates `plane` by the conjugate kernel over each requested
-    distance (positive = toward the source) assuming homogeneous water.
+    Applies the diffraction kernel over minus each requested distance
+    (positive = toward the source) assuming homogeneous water.
     Returns an (nx, ny, len(distances)) complex volume.
     """
     if cfg is None:
@@ -450,20 +454,8 @@ def backproject(
     if np.any(np.abs(distances) > domain):
         raise ValueError("backprojection distance exceeds the domain depth")
 
-    k0 = grid.k0
-    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
-    kt2 = kx[:, None] ** 2 + ky[None, :] ** 2
-    kz2 = k0**2 - kt2
-    prop = kz2 >= 0
-    kz = np.sqrt(np.abs(kz2))
     spec = fft2(plane)
     out = np.zeros((grid.nx, grid.ny, distances.size), dtype=np.complex128)
     for i, d in enumerate(distances):
-        Hb = np.zeros(kt2.shape, dtype=np.complex128)
-        Hb[prop] = np.exp(-1j * kz[prop] * d)
-        if cfg.evanescent_mode == "decay":
-            Hb[~prop] = np.exp(-kz[~prop] * abs(d))
-        Hb[kt2 > (cfg.angular_cutoff * k0) ** 2] = 0.0
-        out[:, :, i] = ifft2(Hb * spec)
+        out[:, :, i] = ifft2(_diffraction_kernel(grid, cfg.angular_cutoff, -d) * spec)
     return out

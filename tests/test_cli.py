@@ -12,6 +12,7 @@ from sonolens.cli import (
     strip_comments,
 )
 from sonolens.grid import GridSpec
+from sonolens.solver import ComplexField
 
 
 def base_config(**overrides):
@@ -136,6 +137,22 @@ class TestDesignCommand:
         assert run(["design"]) == 2
         assert "config" in capsys.readouterr().err
 
+    def test_removed_solver_key_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(
+            solver={"reflection_order": 0, "evanescent_mode": "truncate"}))
+        assert run(["design", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "evanescent_mode" in err and "angular_cutoff" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_jobs_is_a_sweep_flag(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            run(["design", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_f32_precision_runs(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         assert run(["design", "--config", cfg, "--out",
@@ -176,6 +193,36 @@ class TestEvaluateCommand:
                     str(tmp_path / "ev"), "--field",
                     str(out / "field_fabrication")]) == 2
         assert "does not match" in capsys.readouterr().err
+
+    def write_field(self, tmp_path):
+        g = cli.build_grid(base_config())
+        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
+        return tmp_path / "f"
+
+    @pytest.mark.parametrize("flag", ["--field", "--field2"])
+    def test_missing_field_exit_2(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, base_config())
+        field = str(self.write_field(tmp_path))
+        args = {"--field": field, "--field2": field, flag: str(tmp_path / "nope")}
+        assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev"),
+                    *(x for kv in args.items() for x in kv)]) == 2
+        assert "nope" in capsys.readouterr().err
+
+    def test_truncated_field_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        prefix = self.write_field(tmp_path)
+        raw = prefix.with_suffix(".raw")
+        raw.write_bytes(raw.read_bytes()[:-8])
+        assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev"),
+                    "--field", str(prefix)]) == 2
+        assert "size" in capsys.readouterr().err
+
+    def test_malformed_field_header_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        prefix = self.write_field(tmp_path)
+        prefix.with_suffix(".json").write_text("{\"dims\": ")
+        assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev"),
+                    "--field", str(prefix)]) == 2
 
     def test_thermal_export(self, tmp_path):
         cfg_dict = base_config(thermal={"n_cycles": 1, "heat_time_ms": 1,
@@ -220,6 +267,33 @@ class TestSweepCommand:
         assert len(lines) == 1 + len(cli.CLEAR_RESIN_VARIANTS)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["axis"] == "material"
+
+    def write_flat_lens(self, tmp_path):
+        path = tmp_path / "flat_lens.csv"
+        np.savetxt(path, np.full((24, 24), 4 * 125e-6), delimiter=",")
+        return str(path)
+
+    def material_sweep(self, tmp_path, materials):
+        cfg = write_config(tmp_path, base_config(sweep={"materials": materials}),
+                           "sw.json")
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "material",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 0
+        return (out / "sweep.csv").read_text().strip().splitlines()
+
+    def test_material_axis_identical_materials_identical_rows(self, tmp_path):
+        lines = self.material_sweep(tmp_path, ["form_clear", "form_clear"])
+        assert len(lines) == 3
+        assert lines[1] == lines[2]
+        # label "c=..,rho=.." then peak, leakage, uniformity, n_components
+        values = [float(v) for v in lines[1].split(",")[2:]]
+        assert values[0] > 0.0 and values[3] == 1.0
+
+    def test_material_axis_empty_list_header_only(self, tmp_path):
+        lines = self.material_sweep(tmp_path, [])
+        assert lines == ["case,peak_pressure,leakage_ratio,uniformity,"
+                         "n_components"]
 
     def test_zero_realizations_header_only(self, tmp_path):
         cfg, lens = self.design_lens(tmp_path)

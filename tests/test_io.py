@@ -14,6 +14,42 @@ def make_grid(nx=8, ny=8, nz=12, d=125e-6):
     return GridSpec(nx, ny, nz, d, d, d, 2e6, 1500.0)
 
 
+def loop_stl(path, t, dx, dz, min_thickness_vox=0.0):
+    """Reference STL writer: one column and one struct-packed triangle at a time."""
+    nx, ny = t.shape
+    tris = []
+
+    def quad(a, b, c, d):
+        tris.append((a, b, c))
+        tris.append((a, c, d))
+
+    for i in range(nx):
+        for j in range(ny):
+            h = t[i, j] * dz
+            if t[i, j] <= min_thickness_vox or h <= 0:
+                continue
+            x0, x1 = i * dx, (i + 1) * dx
+            y0, y1 = j * dx, (j + 1) * dx
+            quad((x0, y0, 0), (x0, y1, 0), (x1, y1, 0), (x1, y0, 0))
+            quad((x0, y0, h), (x1, y0, h), (x1, y1, h), (x0, y1, h))
+            quad((x0, y0, 0), (x1, y0, 0), (x1, y0, h), (x0, y0, h))
+            quad((x1, y0, 0), (x1, y1, 0), (x1, y1, h), (x1, y0, h))
+            quad((x1, y1, 0), (x0, y1, 0), (x0, y1, h), (x1, y1, h))
+            quad((x0, y1, 0), (x0, y0, 0), (x0, y0, h), (x0, y1, h))
+
+    with open(path, "wb") as fh:
+        fh.write(b"\0" * 80)
+        fh.write(struct.pack("<I", len(tris)))
+        for a, b, c in tris:
+            n = np.cross(np.subtract(b, a), np.subtract(c, a))
+            norm = np.linalg.norm(n)
+            n = n / norm if norm > 0 else n
+            fh.write(struct.pack("<3f", *n))
+            for p in (a, b, c):
+                fh.write(struct.pack("<3f", *p))
+            fh.write(b"\0\0")
+
+
 class TestMediumRoundTrip:
     def test_heterogeneous_round_trip(self, tmp_path):
         g = make_grid(16, 16, 16)
@@ -80,6 +116,22 @@ class TestFieldRoundTrip:
         words = np.fromfile(tmp_path / "f.raw", dtype="<f4", count=2)
         assert words[0] == 3.0 and words[1] == -4.0
 
+    def test_header_dims_from_shape(self, tmp_path):
+        g = make_grid(8, 6, 4)
+        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
+        header = json.loads((tmp_path / "f.json").read_text())
+        assert header["dims"] == [8, 6, 4]
+        assert (tmp_path / "f.raw").stat().st_size == 8 * 6 * 4 * 2 * 4
+
+    @pytest.mark.parametrize("cut", [8, 4])
+    def test_truncated_payload_rejected(self, tmp_path, cut):
+        g = make_grid()
+        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
+        raw = (tmp_path / "f.raw").read_bytes()
+        (tmp_path / "f.raw").write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match="size"):
+            io.load_field(tmp_path / "f")
+
 
 class TestPlaneRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -98,6 +150,12 @@ class TestPlaneRoundTrip:
         (tmp_path / "p.raw").write_bytes(raw[:-4])
         with pytest.raises(ValueError, match="size"):
             io.load_plane(tmp_path / "p")
+
+    def test_volume_file_is_not_a_plane(self, tmp_path):
+        g = make_grid()
+        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
+        with pytest.raises(ValueError, match="2 dims"):
+            io.load_plane(tmp_path / "f")
 
 
 class TestThicknessExports:
@@ -127,6 +185,28 @@ class TestThicknessExports:
         n_cols = 3  # zero-thickness column skipped
         assert struct.unpack("<I", data[80:84])[0] == 12 * n_cols
         assert len(data) == 84 + 50 * 12 * n_cols
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stl_matches_loop_writer(self, tmp_path, seed):
+        # random maps with zero columns and columns at or below the
+        # minimum-thickness filter; files must be byte-identical
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 12, size=2))
+        t = rng.uniform(0.0, 16.0, size=shape)
+        t[rng.random(shape) < 0.2] = 0.0
+        t[rng.random(shape) < 0.1] = 3.0
+        dx, dz = rng.uniform(5e-5, 2e-4, size=2)
+        for min_vox in (0.0, 3.0):
+            io.thickness_to_stl(tmp_path / "vec.stl", t, dx, dz, min_vox)
+            loop_stl(tmp_path / "loop.stl", t, dx, dz, min_vox)
+            assert ((tmp_path / "vec.stl").read_bytes()
+                    == (tmp_path / "loop.stl").read_bytes())
+
+    def test_stl_empty_map_header_only(self, tmp_path):
+        io.thickness_to_stl(tmp_path / "l.stl", np.zeros((3, 4)), 1e-4, 1e-4)
+        data = (tmp_path / "l.stl").read_bytes()
+        assert len(data) == 84
+        assert struct.unpack("<I", data[80:84])[0] == 0
 
     def test_stl_min_thickness_filter(self, tmp_path):
         t = np.array([[2.0, 3.0]])

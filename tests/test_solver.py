@@ -11,6 +11,7 @@ from sonolens.grid import (
 from sonolens.medium import make_homogeneous
 from sonolens.solver import (
     SolverConfig,
+    _diffraction_kernel,
     _propagate_arrays,
     _total_field,
     apply_phase_delays,
@@ -25,14 +26,51 @@ def make_grid(nx=16, ny=16, nz=24, d=125e-6):
     return GridSpec(nx, ny, nz, d, d, d, 2e6, 1500.0)
 
 
+class TestDiffractionKernel:
+    def wavenumbers(self, g):
+        kx = 2 * np.pi * np.fft.fftfreq(g.nx, g.dx)
+        ky = 2 * np.pi * np.fft.fftfreq(g.ny, g.dy)
+        return np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
+
+    def test_cutoff_above_one_keeps_decaying_evanescent_bins(self):
+        # oracle: k0 < kt <= 1.5*k0 decays as exp(-sqrt(kt^2 - k0^2)*dz),
+        # kt > 1.5*k0 is removed, kt <= k0 advances by exp(i*kz*dz)
+        g = make_grid(32, 32, 8)
+        k0, kt = g.k0, self.wavenumbers(g)
+        H = _diffraction_kernel(g, 1.5, g.dz)
+        prop = kt <= k0
+        evan = (kt > k0) & (kt <= 1.5 * k0)
+        beyond = kt > 1.5 * k0
+        assert evan.any() and beyond.any()
+        assert np.allclose(H[evan], np.exp(-np.sqrt(kt[evan] ** 2 - k0**2) * g.dz),
+                           rtol=1e-12, atol=0.0)
+        assert np.all(H[beyond] == 0.0)
+        assert np.allclose(H[prop], np.exp(1j * np.sqrt(k0**2 - kt[prop] ** 2) * g.dz),
+                           rtol=1e-12, atol=0.0)
+
+    def test_default_cutoff_removes_all_evanescent_bins(self):
+        g = make_grid(32, 32, 8)
+        H = _diffraction_kernel(g, 1.0, g.dz)
+        assert np.all(H[self.wavenumbers(g) > g.k0] == 0.0)
+
+    def test_negative_distance_conjugates_and_still_decays(self):
+        g = make_grid(32, 32, 8)
+        d = 3 * g.dz
+        prop = self.wavenumbers(g) <= g.k0
+        forward = _diffraction_kernel(g, 1.5, d)
+        back = _diffraction_kernel(g, 1.5, -d)
+        assert np.allclose(back[prop], np.conj(forward[prop]), rtol=1e-12, atol=0.0)
+        assert np.array_equal(back[~prop], forward[~prop])
+        assert np.all(np.abs(back[~prop]) < 1.0)
+
+
 class TestPropagate:
     def test_plane_wave_invariance(self):
         # unit plane wave is an eigenfunction of the periodic spectral step
         g = make_grid()
         med = make_homogeneous(g, WATER)
         src = SourceSpec.full_plane(g)
-        cfg = SolverConfig(evanescent_mode="truncate")
-        p, _ = propagate(src, med, cfg)
+        p, _ = propagate(src, med, SolverConfig())
         assert np.max(np.abs(np.abs(p.values) - 1.0)) < 1e-9
 
     def test_slab_attenuation_closed_form(self):
@@ -63,7 +101,7 @@ class TestPropagate:
         rng = np.random.default_rng(0)
         plane = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         src = SourceSpec.full_plane(g)
-        cfg = SolverConfig(reflection_order=0, evanescent_mode="truncate")
+        cfg = SolverConfig(reflection_order=0)
         p, _ = propagate(src, med, cfg, source_plane=plane)
         energy = np.sum(np.abs(p.values) ** 2, axis=(0, 1))
         # slice 0 still carries evanescent content; compare the rest
@@ -217,7 +255,7 @@ class TestBackproject:
         g = make_grid(32, 32, 32)
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 2.5e-3)
-        cfg = SolverConfig(reflection_order=0, evanescent_mode="truncate")
+        cfg = SolverConfig(reflection_order=0)
         p, _ = propagate(src, med, cfg)
         m = 20
         recovered = backproject(p.values[:, :, m], g, [m * g.dz], cfg)[:, :, 0]
