@@ -140,6 +140,20 @@ def _section(cfg: dict, name: str, required=True) -> dict:
     return sec
 
 
+def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
+    """Reject keys of section `name` that are neither in `known` nor a
+    quantity of `quantities` (bare SI or with a unit suffix)."""
+    for key in sec:
+        if key in known or key in quantities:
+            continue
+        base, _, suffix = key.rpartition("_")
+        if base in quantities and suffix.lower() in _UNIT_SCALE:
+            continue
+        names = sorted(set(known) | {q + "_<unit>" for q in quantities})
+        raise ConfigError(f"{name}: unknown key '{key}' "
+                          f"(known: {', '.join(names)})")
+
+
 def _material(name_or_obj, context: str) -> MaterialProperties:
     if isinstance(name_or_obj, str):
         key = name_or_obj.lower()
@@ -235,11 +249,7 @@ def build_target(cfg: dict, grid: GridSpec) -> TargetSpec:
 
 def build_solver(cfg: dict) -> SolverConfig:
     sec = _section(cfg, "solver", required=False)
-    for key in sec:
-        if key not in ("reflection_order", "angular_cutoff"):
-            raise ConfigError(f"solver: unknown key '{key}' (known: "
-                              "reflection_order, angular_cutoff; evanescent "
-                              "content is kept up to angular_cutoff*k0)")
+    _check_keys(sec, "solver", ("reflection_order", "angular_cutoff"))
     try:
         return SolverConfig(
             reflection_order=int(sec.get("reflection_order", 4)),
@@ -251,6 +261,9 @@ def build_solver(cfg: dict) -> SolverConfig:
 
 def build_optim(cfg: dict, solver: SolverConfig, seed) -> OptimConfig:
     sec = _section(cfg, "optim", required=False)
+    _check_keys(sec, "optim", ("beta_start", "beta_end", "iterations",
+                               "learning_rate", "lambda_energy",
+                               "lambda_balance"))
     try:
         schedule = lensmap.BetaSchedule(
             float(sec.get("beta_start", 1.0)),
@@ -272,6 +285,9 @@ def build_optim(cfg: dict, solver: SolverConfig, seed) -> OptimConfig:
 
 def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
     sec = _section(cfg, "lens", required=False)
+    _check_keys(sec, "lens", ("material", "alpha", "v_min", "v_max",
+                              "z_offset", "kernel_size", "smooth_sigma"),
+                quantities=("t_min", "t_max", "fab_cutoff"))
     material = _material(sec.get("material", "form_clear"), "lens")
     t_min = get_quantity(sec, "t_min", 250e-6)
     t_max = get_quantity(sec, "t_max", 1.9e-3)
@@ -290,6 +306,14 @@ def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
     }
     if params["v_min"] >= params["v_max"]:
         raise ConfigError("lens: v_min must be smaller than v_max")
+    depth = int(np.ceil(params["v_max"]))
+    if params["z_offset"] < 0 or params["z_offset"] + depth > grid.nz:
+        raise ConfigError(
+            f"lens: z_offset {params['z_offset']} with a depth of {depth} "
+            f"voxels (ceil of v_max) does not fit the {grid.nz} grid slices"
+        )
+    if params["kernel_size"] < 1 or params["kernel_size"] % 2 == 0:
+        raise ConfigError("lens: kernel_size must be a positive odd integer")
     return params
 
 

@@ -12,11 +12,18 @@ Z = rho*c changes between slices. Interface reflections with coefficient
 recursively up to the configured reflection order; the total field is the
 coherent sum over all sweeps.
 
+Slice pairs whose impedance is the same across the whole plane have
+t = 1 and r = 0 exactly, so both sweeps skip the transmission and
+reflection work there; the pairs where Z changes are found once per
+forward run.
+
 Every operation in the chain is complex-linear in the field, so the exact
 reverse-mode gradient is obtained by transposing each step. The adjoint
-returns gradients with respect to the per-voxel properties (and, when the
-forward run embedded a lens with linearly interpolated properties, with
-respect to the lens occupancy) plus the source-plane cotangent.
+always returns the source-plane cotangent. When the forward run embedded a
+lens with linearly interpolated properties, it also returns the gradients
+with respect to the per-voxel properties on the lens slab and, through
+them, with respect to the lens occupancy; property gradients outside the
+slab are not computed.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -111,6 +118,8 @@ class SliceCache:
     c: np.ndarray
     rho: np.ndarray
     att_np: np.ndarray
+    # iface[k]: the impedance differs somewhere between slices k and k+1
+    iface: np.ndarray
     sweeps: list = field(default_factory=list)
     # lens embedding for d/d occupancy (None when no lens was embedded)
     lens_z_offset: int | None = None
@@ -125,7 +134,9 @@ class AdjointResult:
 
     occupancy: dL/d(lens occupancy), present only for lens-embedded runs
     source_plane: holomorphic cotangent of the complex source plane
-    c, rho, att_np: full-grid gradients w.r.t. the raw properties
+    c, rho, att_np: (nx, ny, n_v) gradients w.r.t. the raw properties on
+        the lens slab (slices z_offset .. z_offset + n_v - 1); (nx, ny, 0)
+        for a run without a lens
     """
 
     source_plane: np.ndarray
@@ -146,6 +157,7 @@ def _march(
     H: np.ndarray,
     screen: np.ndarray,
     Z: np.ndarray,
+    iface: np.ndarray,
     direction: int,
     inject: dict,
     collect_reflections: bool,
@@ -168,13 +180,14 @@ def _march(
             continue
         v = _diffract(u, H)
         v_list[s] = v
-        Z1, Z2 = Z[:, :, prev], Z[:, :, s]
-        t = 2.0 * Z2 / (Z1 + Z2)
-        if collect_reflections:
-            r = (Z2 - Z1) / (Z1 + Z2)
-            if np.any(r != 0.0):
-                refl[prev] = r * v
-        u = t * v * screen[:, :, s]
+        if iface[min(prev, s)]:
+            Z1, Z2 = Z[:, :, prev], Z[:, :, s]
+            t = 2.0 * Z2 / (Z1 + Z2)
+            if collect_reflections:
+                refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
+            u = t * v * screen[:, :, s]
+        else:
+            u = v * screen[:, :, s]
         if src is not None:
             u = u + src
         u_list[s] = u
@@ -226,13 +239,15 @@ def _propagate_arrays(
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen = _screens(grid, c, att_np)
     Z = rho * c
-    cache = SliceCache(grid, cfg, H, c, rho, att_np)
+    iface = np.any(Z[:, :, 1:] != Z[:, :, :-1], axis=(0, 1))
+    cache = SliceCache(grid, cfg, H, c, rho, att_np, iface)
 
     inject = {source_slice: source_plane}
     direction = initial_direction
     for order in range(cfg.reflection_order + 1):
         collect = order < cfg.reflection_order
-        sweep, refl = _march(grid, H, screen, Z, direction, inject, collect)
+        sweep, refl = _march(grid, H, screen, Z, iface, direction, inject,
+                             collect)
         cache.sweeps.append(sweep)
         if not refl:
             break
@@ -255,20 +270,18 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     """Exact reverse-mode sweep through the cached forward chain.
 
     upstream is dL/dP over the full grid in the pairing dL = Re(sum(g*dP)).
+    Property gradients cover the lens slab only (empty without a lens).
     """
-    grid, cfg = cache.grid, cache.cfg
+    grid = cache.grid
     if upstream.shape != grid.shape:
         raise ValueError("upstream gradient shape does not match the cached grid")
-    nz = grid.nz
-    H = cache.H
-    c, rho, att_np = cache.c, cache.rho, cache.att_np
-    screen = _screens(grid, c, att_np)
-    Z = rho * c
-    k0, dz = grid.k0, grid.dz
+    screen = _screens(grid, cache.c, cache.att_np)
+    lensed = cache.lens_z_offset is not None
+    z0 = cache.lens_z_offset if lensed else 0
+    n_v = cache.lens_dc.shape[2] if lensed else 0
 
-    gc = np.zeros(grid.shape)
-    grho = np.zeros(grid.shape)
-    gatt = np.zeros(grid.shape)
+    slab = (grid.nx, grid.ny, n_v)
+    gc, grho, gatt = np.zeros(slab), np.zeros(slab), np.zeros(slab)
     source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
 
     # cotangents of the reflections a sweep emitted, filled in while
@@ -276,8 +289,7 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     refl_cot: dict = {}
     for sweep in reversed(cache.sweeps):
         inject_cot = _sweep_adjoint(
-            grid, cfg, H, screen, Z, c, rho, sweep, upstream, refl_cot,
-            gc, grho, gatt,
+            cache, screen, sweep, upstream, refl_cot, z0, gc, grho, gatt,
         )
         refl_cot = inject_cot
     # whatever remains feeds the original source plane
@@ -285,25 +297,27 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
         source_cot += g
 
     result = AdjointResult(source_cot, gc, grho, gatt)
-    if cache.lens_z_offset is not None:
-        z0 = cache.lens_z_offset
-        n_v = cache.lens_dc.shape[2]
-        sl = np.s_[:, :, z0 : z0 + n_v]
+    if lensed:
         result.occupancy = (
-            gc[sl] * cache.lens_dc
-            + grho[sl] * cache.lens_drho
-            + gatt[sl] * cache.lens_datt
+            gc * cache.lens_dc + grho * cache.lens_drho + gatt * cache.lens_datt
         )
     return result
 
 
 def _sweep_adjoint(
-    grid, cfg, H, screen, Z, c, rho, sweep: _Sweep, upstream, refl_cot,
-    gc, grho, gatt,
+    cache, screen, sweep: _Sweep, upstream, refl_cot, z0, gc, grho, gatt,
 ):
-    """Reverse one sweep; returns cotangents of its consumed injections."""
+    """Reverse one sweep; returns cotangents of its consumed injections.
+
+    The field cotangent is carried through every pair. Property gradients
+    are accumulated into the slab arrays gc/grho/gatt, whose slice k holds
+    grid slice z0 + k; pairs with neither slice on the slab skip that work.
+    """
+    grid = cache.grid
     nz = grid.nz
     k0, dz = grid.k0, grid.dz
+    H, c, rho, iface = cache.H, cache.c, cache.rho, cache.iface
+    n_v = gc.shape[2]
     direction = sweep.direction
     order = list(range(nz)) if direction > 0 else list(range(nz - 1, -1, -1))
     # restrict to the part of the march where the field was live
@@ -326,40 +340,51 @@ def _sweep_adjoint(
             # march had not started yet at this slice (pure injection)
             carry = np.zeros_like(carry)
             continue
-        Z1, Z2 = Z[:, :, prev], Z[:, :, s]
+        scr = screen[:, :, s]
+        ks, kp = s - z0, prev - z0          # slab indices
+        grad_s, grad_prev = 0 <= ks < n_v, 0 <= kp < n_v
+        if not (iface[min(prev, s)] or grad_s or grad_prev):
+            # t = 1, r = 0 and no property gradient wanted
+            carry = _diffract_transpose(ub * scr, H)
+            continue
+
+        Z1 = rho[:, :, prev] * c[:, :, prev]
+        Z2 = rho[:, :, s] * c[:, :, s]
         denom = Z1 + Z2
         t = 2.0 * Z2 / denom
-        scr = screen[:, :, s]
 
         vbar = ub * t * scr
-        gt = np.real(ub * v * scr)
-        gr = None
         if prev in refl_cot:
             r = (Z2 - Z1) / denom
             vbar = vbar + refl_cot[prev] * r
-            gr = np.real(refl_cot[prev] * v)
+        carry = _diffract_transpose(vbar, H)
+        if not (grad_s or grad_prev):
+            continue
 
-        # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
-        #                    d screen/da = -dz * screen
-        gscr = ub * t * v
-        gc[:, :, s] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
-            c[:, :, s] ** 2
-        )
-        gatt[:, :, s] += np.real(gscr * scr) * (-dz)
+        gt = np.real(ub * v * scr)
+        if grad_s:
+            # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
+            #                    d screen/da = -dz * screen
+            gscr = ub * t * v
+            gc[:, :, ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
+                c[:, :, s] ** 2
+            )
+            gatt[:, :, ks] += np.real(gscr * scr) * (-dz)
 
         # impedance chain: dt/dZ1 = -2*Z2/denom^2, dt/dZ2 = 2*Z1/denom^2
         #                  dr/dZ1 = -2*Z2/denom^2, dr/dZ2 = 2*Z1/denom^2
         gZ1 = gt * (-2.0 * Z2 / denom**2)
         gZ2 = gt * (2.0 * Z1 / denom**2)
-        if gr is not None:
+        if prev in refl_cot:
+            gr = np.real(refl_cot[prev] * v)
             gZ1 += gr * (-2.0 * Z2 / denom**2)
             gZ2 += gr * (2.0 * Z1 / denom**2)
-        gc[:, :, prev] += gZ1 * rho[:, :, prev]
-        grho[:, :, prev] += gZ1 * c[:, :, prev]
-        gc[:, :, s] += gZ2 * rho[:, :, s]
-        grho[:, :, s] += gZ2 * c[:, :, s]
-
-        carry = _diffract_transpose(vbar, H)
+        if grad_prev:
+            gc[:, :, kp] += gZ1 * rho[:, :, prev]
+            grho[:, :, kp] += gZ1 * c[:, :, prev]
+        if grad_s:
+            gc[:, :, ks] += gZ2 * rho[:, :, s]
+            grho[:, :, ks] += gZ2 * c[:, :, s]
 
     s0 = order[0]
     ub0 = carry + upstream[:, :, s0]

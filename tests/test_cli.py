@@ -146,6 +146,45 @@ class TestDesignCommand:
         assert "evanescent_mode" in err and "angular_cutoff" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("optim", "iteration"),
+        ("lens", "kernel"),
+        ("lens", "t_min_inch"),
+    ])
+    def test_unknown_section_key_exit_2(self, tmp_path, capsys, section, key):
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), key: 1}
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}: unknown key '{key}' (known: " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_lens_quantity_with_unit_suffix_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(
+            optim={"iterations": 1},
+            lens={"material": "form_clear", "t_min_um": 250, "t_max_mm": 1.5}))
+        assert run(["design", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("lens, message", [
+        ({"z_offset": 60}, "z_offset"),
+        ({"z_offset": -1}, "z_offset"),
+        ({"v_max": 200}, "z_offset"),
+        ({"kernel_size": 0}, "kernel_size"),
+    ])
+    def test_bad_lens_geometry_exit_2(self, tmp_path, capsys, lens, message):
+        # the shipped water demo has 64 slices and a 16-voxel lens
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "demos" / "single_focus_water.cfg")
+        cfg["lens"].update(lens)
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"lens: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_is_a_sweep_flag(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import full_grid_adjoint
 from sonolens.grid import (
+    BONE,
     FORM_CLEAR,
     WATER,
     GridSpec,
@@ -248,6 +253,123 @@ class TestAdjoint:
         _, cache = propagate(SourceSpec.full_plane(g), med)
         with pytest.raises(ValueError, match="shape"):
             propagate_adjoint(cache, np.zeros((8, 8, 8), dtype=np.complex128))
+
+
+def bone_layers(g, *slabs):
+    """Water with full-plane bone layers on the given slice ranges."""
+    med = make_homogeneous(g, WATER)
+    for sl in slabs:
+        med.c[:, :, sl] = BONE.sound_speed
+        med.rho[:, :, sl] = BONE.density
+        med.att[:, :, sl] = BONE.attenuation_coeff
+        med.att_power[:, :, sl] = BONE.attenuation_power
+    return med
+
+
+class TestLeanAdjoint:
+    """Slab-only property gradients against the full-grid adjoint oracle."""
+
+    GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+    N_V = 3
+
+    @pytest.mark.parametrize("layers, order, z_offset", [
+        ((), 0, 8),
+        ((slice(2, 4), slice(20, 23)), 4, 0),
+        ((slice(2, 4), slice(20, 23)), 4, 14),
+        ((slice(2, 4), slice(20, 23)), 4, 29),   # z_offset = nz - n_v
+    ])
+    def test_matches_full_grid_oracle(self, layers, order, z_offset):
+        g = self.GRID
+        med = bone_layers(g, *layers)
+        src = SourceSpec.disk(g, 1.2e-3)
+        rng = np.random.default_rng(z_offset)
+        occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        _, cache = propagate_with_lens(src, med, occ, FORM_CLEAR, z_offset,
+                                       SolverConfig(reflection_order=order))
+        adj = propagate_adjoint(cache, upstream)
+        source, gc, grho, gatt, occupancy = full_grid_adjoint(cache, upstream)
+        sl = np.s_[:, :, z_offset : z_offset + self.N_V]
+        assert np.array_equal(adj.occupancy, occupancy)
+        assert np.array_equal(adj.source_plane, source)
+        assert np.array_equal(adj.c, gc[sl])
+        assert np.array_equal(adj.rho, grho[sl])
+        assert np.array_equal(adj.att_np, gatt[sl])
+
+    def test_without_lens_only_source_cotangent(self):
+        g = self.GRID
+        med = bone_layers(g, slice(2, 4), slice(20, 23))
+        upstream = np.random.default_rng(3).normal(size=g.shape) + 0j
+        _, cache = propagate(SourceSpec.disk(g, 1.2e-3), med, SolverConfig())
+        adj = propagate_adjoint(cache, upstream)
+        source, *_ = full_grid_adjoint(cache, upstream)
+        assert np.array_equal(adj.source_plane, source)
+        assert adj.occupancy is None
+        for grad in (adj.c, adj.rho, adj.att_np):
+            assert grad.shape == (16, 16, 0)
+
+    def test_interface_mask_marks_impedance_changes(self):
+        g = self.GRID
+        med = bone_layers(g, slice(2, 4), slice(20, 23))
+        _, cache = propagate(SourceSpec.full_plane(g), med)
+        assert np.flatnonzero(cache.iface).tolist() == [1, 3, 19, 22]
+
+    @pytest.mark.parametrize("z_offset", [0, 8, 29])
+    def test_occupancy_dot_product_through_bone_order_4(self, z_offset):
+        # directional central difference with bone layers on both sides of
+        # the lens: interface pairs off the slab still carry t and r
+        g = self.GRID
+        med = bone_layers(g, slice(2, 4), slice(20, 23))
+        src = SourceSpec.full_plane(g)
+        cfg = SolverConfig(reflection_order=4)
+        rng = np.random.default_rng(11)
+        occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
+        delta = rng.normal(size=occ.shape)
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+
+        _, cache = propagate_with_lens(src, med, occ, FORM_CLEAR, z_offset, cfg)
+        rhs = np.sum(propagate_adjoint(cache, upstream).occupancy * delta)
+        eps = 1e-6
+        pp, _ = propagate_with_lens(src, med, occ + eps * delta, FORM_CLEAR,
+                                    z_offset, cfg)
+        pm, _ = propagate_with_lens(src, med, occ - eps * delta, FORM_CLEAR,
+                                    z_offset, cfg)
+        lhs = np.real(np.sum(upstream * (pp.values - pm.values))) / (2 * eps)
+        assert abs(lhs - rhs) / abs(rhs) < 1e-7
+
+
+def load_benchmark_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracerContract:
+    def test_solver_probes_read_forward_and_adjoint_results(self):
+        # the benchmark's probes read SliceCache, _Sweep and AdjointResult
+        # fields; a solver change that breaks them must fail here
+        tracer_mod = load_benchmark_tracer()
+        tracer = tracer_mod.Tracer("contract")
+        forward = tracer.wrap("solver.forward", propagate_with_lens,
+                              tracer_mod._probe_forward, True)
+        adjoint = tracer.wrap("solver.adjoint", propagate_adjoint,
+                              tracer_mod._probe_adjoint, True)
+        g = make_grid(16, 16, 16)
+        med = bone_layers(g, slice(10, 12))
+        occ = np.full((16, 16, 2), 0.5)
+        p, cache = forward(SourceSpec.full_plane(g), med, occ, FORM_CLEAR, 3,
+                           SolverConfig(reflection_order=2))
+        adjoint(cache, np.conj(p.values))
+
+        counters = tracer.counters
+        assert counters["solver.fft_pairs"][0] > 0
+        assert counters["solver.cache_bytes"][0] > 0
+        assert 0.0 < counters["solver.grad_useful_frac"][0] <= 1.0
+        metrics = tracer_mod.layer_metrics(tracer.record())
+        assert metrics["solver.forward_calls"] == 1
+        assert metrics["solver.adjoint_calls"] == 1
 
 
 class TestBackproject:
