@@ -2,9 +2,10 @@
 
 The package covers the full pipeline: heterogeneous voxel media, a
 split-step spectral wave solver with exact adjoint gradients, a smooth
-2D-design-to-3D-lens mapping, the loss stack and Adam loop that optimize
-lens geometry end to end, phase-map baselines (gradient phase retrieval,
-time reversal), and the evaluation suite (focal metrics, cross-domain
+2D-design-to-3D-lens mapping, the loss stack, the lens design objective
+and the one Adam descent loop that optimize lens geometry end to end,
+phase-map baselines (gradient phase retrieval on the same loop, time
+reversal), and the evaluation suite (focal metrics, cross-domain
 PSNR, bioheat thermal simulation, the fabrication-error model). The
 robustness sweeps over materials and fabrication errors run through
 `sonolens sweep`.
@@ -52,6 +53,7 @@ from .optim import (
     OptimConfig,
     TargetSpec,
     gradcheck,
+    lens_objective,
     loss_acc,
     loss_and_gradient,
     loss_balance,
@@ -92,8 +94,8 @@ __all__ = [
     "ComplexField", "SolverConfig", "apply_phase_delays", "backproject",
     "propagate", "propagate_adjoint", "propagate_with_lens",
     "Adam", "DesignResult", "LossReport", "OptimConfig", "TargetSpec",
-    "gradcheck", "loss_acc", "loss_and_gradient", "loss_balance",
-    "loss_energy", "optimize_lens_geometry",
+    "gradcheck", "lens_objective", "loss_acc", "loss_and_gradient",
+    "loss_balance", "loss_energy", "optimize_lens_geometry",
     "PhaseMap", "fabricate_and_simulate", "full_cycle_thickness",
     "optimize_phase_map", "phase_to_thickness", "thickness_to_phase",
     "time_reversal",

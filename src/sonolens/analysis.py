@@ -116,14 +116,11 @@ def _fwhm_1d(profile: np.ndarray, spacing: float) -> float:
     return (crossing(-1) + crossing(+1)) * spacing
 
 
-def focal_metrics(
-    p: ComplexField, segments: list[np.ndarray], exterior_mask: np.ndarray | None = None
-) -> FocalReport:
+def focal_metrics(p: ComplexField, segments: list[np.ndarray]) -> FocalReport:
     """Per-focus size/pressure metrics and global confinement metrics.
 
     leakage = mean amplitude outside all segments / mean inside;
-    uniformity = min/max of per-focus peak intensities. The exterior
-    defaults to the whole volume minus the segments.
+    uniformity = min/max of per-focus peak intensities.
     """
     amp = p.amplitude()
     grid = p.grid
@@ -157,7 +154,7 @@ def focal_metrics(
             )
         )
 
-    outside = ~union if exterior_mask is None else exterior_mask & ~union
+    outside = ~union
     inside_mean = amp[union].mean()
     outside_mean = amp[outside].mean() if outside.any() else 0.0
     leakage = float(outside_mean / inside_mean) if inside_mean > 0 else np.inf

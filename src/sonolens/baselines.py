@@ -24,9 +24,8 @@ from .solver import (
     _total_field,
     apply_phase_delays,
     propagate,
-    propagate_adjoint,
 )
-from .optim import Adam, LossReport, OptimConfig, TargetSpec, loss_and_gradient
+from .optim import LossReport, OptimConfig, TargetSpec, descend, loss_and_adjoint
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,35 +47,26 @@ def optimize_phase_map(
     medium: AcousticMedium,
     target: TargetSpec,
     cfg: OptimConfig,
-    init: np.ndarray | None = None,
 ) -> tuple[PhaseMap, LossReport]:
     """Gradient phase retrieval: optimize phi through the wave solver.
 
     No lens volume is embedded; the phase acts directly on the source
-    plane (the phase-only optimization domain). Uses the same loss stack
-    and Adam settings as the geometry optimization.
+    plane (the phase-only optimization domain). Starts from a flat phase
+    and runs the same loss stack and descent loop (`optim.descend`) as the
+    geometry optimization.
     """
     grid = medium.grid
-    phi = (np.zeros((grid.nx, grid.ny)) if init is None
-           else np.asarray(init, dtype=np.float64).copy())
-    adam = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    report = LossReport(cfg.lambda_energy, cfg.lambda_balance)
     mask = src.amplitude * src.aperture_mask
 
-    for it in range(cfg.iterations):
+    def objective(phi: np.ndarray, it: int):
         plane = apply_phase_delays(src, phi, grid)
         p, cache = propagate(src, medium, cfg.solver, source_plane=plane)
-        l_acc, l_en, l_bal, upstream = loss_and_gradient(
-            p.values, target, cfg.lambda_energy, cfg.lambda_balance
-        )
-        total = report.append(l_acc, l_en, l_bal)
-        if not np.isfinite(total):
-            raise RuntimeError(f"phase optimization diverged at iteration {it}")
-        adj = propagate_adjoint(cache, upstream)
+        total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
         # d plane / d phi = i * A * exp(i*phi) on the aperture
         g_phi = np.real(adj.source_plane * 1j * mask * np.exp(1j * phi))
-        phi = adam.step(phi, g_phi)
+        return total, g_phi, terms, p
 
+    phi, report, _ = descend(objective, np.zeros((grid.nx, grid.ny)), cfg)
     return PhaseMap(phi), report
 
 
@@ -132,13 +122,19 @@ def thickness_to_phase(
     return np.mod(frac * TWO_PI, TWO_PI)
 
 
-def _aperture_field_from_foci(
+def time_reversal(
     src: SourceSpec,
     medium: AcousticMedium,
     foci,
     cfg: SolverConfig | None = None,
-) -> np.ndarray:
-    """Sum of point-source fields back-propagated to the source plane."""
+) -> PhaseMap:
+    """Aberration-corrected phases by back-propagation from the targets.
+
+    A point source at each focus is marched backward through the
+    heterogeneous medium to the source plane; the aperture phase is the
+    conjugate of the summed field's phase. Multi-focus patterns combine
+    by complex summation.
+    """
     if cfg is None:
         cfg = SolverConfig()
     grid = medium.grid
@@ -157,24 +153,7 @@ def _aperture_field_from_foci(
             source_slice=iz, initial_direction=-1,
         )
         total += _total_field(cache).values[:, :, 0]
-    return total
-
-
-def time_reversal(
-    src: SourceSpec,
-    medium: AcousticMedium,
-    foci,
-    cfg: SolverConfig | None = None,
-) -> PhaseMap:
-    """Aberration-corrected phases by back-propagation from the targets.
-
-    A point source at each focus is marched backward through the
-    heterogeneous medium to the source plane; the aperture phase is the
-    conjugate of the summed field's phase. Multi-focus patterns combine
-    by complex summation.
-    """
-    field_at_aperture = _aperture_field_from_foci(src, medium, foci, cfg)
-    return PhaseMap(-np.angle(field_at_aperture))
+    return PhaseMap(-np.angle(total))
 
 
 def fabricate_and_simulate(
@@ -186,9 +165,7 @@ def fabricate_and_simulate(
     z_offset: int = 0,
     t_min: float = 250e-6,
     t_max: float | None = None,
-    n_v: int | None = None,
     fab_cutoff: float | None = None,
-    threshold: float = 0.9,
 ) -> tuple[ComplexField, LensVolume]:
     """Fabrication-domain field of any hologram design.
 
@@ -208,7 +185,7 @@ def fabricate_and_simulate(
             design, grid.frequency, grid.c_ref, lens_mat.sound_speed, t_min, t_max
         )
         t_vox = thickness_m / dz
-        depth = n_v if n_v is not None else int(np.ceil(t_vox.max()))
+        depth = int(np.ceil(t_vox.max()))
         lens = LensVolume(
             np.zeros((grid.nx, grid.ny, depth)), t_vox,
             v_min=float(t_vox.min()), v_max=float(depth),
@@ -221,6 +198,6 @@ def fabricate_and_simulate(
 
     cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
     lens = lensmap.fabrication_filter(lens, cutoff, grid.dx)
-    embedded = embed_lens(medium, lens.occupancy, lens_mat, z_offset, threshold)
+    embedded = embed_lens(medium, lens.occupancy, lens_mat, z_offset)
     field_, _ = propagate(src, embedded, cfg)
     return field_, lens

@@ -57,6 +57,14 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
+class _Section(dict):
+    """A config section that knows its name, for error messages."""
+
+    def __init__(self, name: str, items=()):
+        super().__init__(items)
+        self.name = name
+
+
 # ------------------------------------------------------------------ config
 
 _UNIT_SCALE = {
@@ -95,16 +103,32 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
 
+def _number(section: dict, key: str, default=None, kind=float):
+    """`kind` of `section[key]` (or `default`); a value that is not a
+    number is a config error naming the section and the key."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        where = f"{section.name}: " if isinstance(section, _Section) else ""
+        raise ConfigError(f"{where}{key}: expected a number, "
+                          f"got {value!r}") from None
+
+
+def _unit_keys(section: dict, base: str):
+    """(key, SI scale) of each key of `section` that names `base`."""
+    for key in section:
+        suffix = key[len(base) + 1 :].lower()
+        if key == base:
+            yield key, 1.0
+        elif key.startswith(base + "_") and suffix in _UNIT_SCALE:
+            yield key, _UNIT_SCALE[suffix]
+
+
 def get_quantity(section: dict, base: str, default=None, required=False):
     """Fetch `base` with any recognized unit suffix, converted to SI."""
-    hits = []
-    for key, value in section.items():
-        if key == base:
-            hits.append((key, float(value)))
-        elif key.startswith(base + "_"):
-            suffix = key[len(base) + 1 :].lower()
-            if suffix in _UNIT_SCALE:
-                hits.append((key, float(value) * _UNIT_SCALE[suffix]))
+    hits = [(key, _number(section, key) * scale)
+            for key, scale in _unit_keys(section, base)]
     if len(hits) > 1:
         names = ", ".join(k for k, _ in hits)
         raise ConfigError(f"conflicting keys for '{base}': {names}")
@@ -117,27 +141,23 @@ def get_quantity(section: dict, base: str, default=None, required=False):
 
 def _vector_quantity(section: dict, base: str, required=False):
     """Like get_quantity but for lists (or lists of lists) of numbers."""
-    for key, value in section.items():
-        if key == base:
-            return np.asarray(value, dtype=np.float64)
-        if key.startswith(base + "_"):
-            suffix = key[len(base) + 1 :].lower()
-            if suffix in _UNIT_SCALE:
-                return np.asarray(value, dtype=np.float64) * _UNIT_SCALE[suffix]
+    for key, scale in _unit_keys(section, base):
+        return _number(section, key,
+                       kind=lambda v: np.asarray(v, dtype=np.float64)) * scale
     if required:
         raise ConfigError(f"{base}: required")
     return None
 
 
-def _section(cfg: dict, name: str, required=True) -> dict:
+def _section(cfg: dict, name: str, required=True) -> _Section:
     sec = cfg.get(name)
     if sec is None:
         if required:
             raise ConfigError(f"{name}: required")
-        return {}
+        return _Section(name)
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be an object")
-    return sec
+    return _Section(name, sec)
 
 
 def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
@@ -177,10 +197,10 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
 
 def build_grid(cfg: dict) -> GridSpec:
     sec = _section(cfg, "grid")
-    try:
-        nx, ny, nz = (int(sec[k]) for k in ("nx", "ny", "nz"))
-    except KeyError as exc:
-        raise ConfigError(f"grid: missing {exc.args[0]}") from exc
+    for k in ("nx", "ny", "nz"):
+        if k not in sec:
+            raise ConfigError(f"grid: missing {k}")
+    nx, ny, nz = (_number(sec, k, kind=int) for k in ("nx", "ny", "nz"))
     spacing = get_quantity(sec, "spacing")
     dx = get_quantity(sec, "dx", spacing)
     dy = get_quantity(sec, "dy", spacing)
@@ -197,11 +217,12 @@ def build_grid(cfg: dict) -> GridSpec:
 
 def build_source(cfg: dict, grid: GridSpec) -> SourceSpec:
     sec = _section(cfg, "source")
+    amplitude = _number(sec, "amplitude", 1.0)
     if sec.get("full_plane", False):
-        return SourceSpec.full_plane(grid, float(sec.get("amplitude", 1.0)))
+        return SourceSpec.full_plane(grid, amplitude)
     diameter = get_quantity(sec, "aperture_diameter", required=True)
     try:
-        return SourceSpec.disk(grid, diameter, float(sec.get("amplitude", 1.0)))
+        return SourceSpec.disk(grid, diameter, amplitude)
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from exc
 
@@ -252,31 +273,31 @@ def build_solver(cfg: dict) -> SolverConfig:
     _check_keys(sec, "solver", ("reflection_order", "angular_cutoff"))
     try:
         return SolverConfig(
-            reflection_order=int(sec.get("reflection_order", 4)),
-            angular_cutoff=float(sec.get("angular_cutoff", 1.0)),
+            reflection_order=_number(sec, "reflection_order", 4, int),
+            angular_cutoff=_number(sec, "angular_cutoff", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
 
-def build_optim(cfg: dict, solver: SolverConfig, seed) -> OptimConfig:
+def build_optim(cfg: dict, solver: SolverConfig) -> OptimConfig:
     sec = _section(cfg, "optim", required=False)
     _check_keys(sec, "optim", ("beta_start", "beta_end", "iterations",
                                "learning_rate", "lambda_energy",
                                "lambda_balance"))
     try:
+        iterations = _number(sec, "iterations", 200, int)
         schedule = lensmap.BetaSchedule(
-            float(sec.get("beta_start", 1.0)),
-            float(sec.get("beta_end", 20.0)),
-            max(int(sec.get("iterations", 200)), 1),
+            _number(sec, "beta_start", 1.0),
+            _number(sec, "beta_end", 20.0),
+            max(iterations, 1),
         )
         return OptimConfig(
-            learning_rate=float(sec.get("learning_rate", 1.0)),
-            iterations=int(sec.get("iterations", 200)),
-            lambda_energy=float(sec.get("lambda_energy", 0.2)),
-            lambda_balance=float(sec.get("lambda_balance", 0.5)),
+            learning_rate=_number(sec, "learning_rate", 1.0),
+            iterations=iterations,
+            lambda_energy=_number(sec, "lambda_energy", 0.2),
+            lambda_balance=_number(sec, "lambda_balance", 0.5),
             beta_schedule=schedule,
-            seed=seed,
             solver=solver,
         )
     except ValueError as exc:
@@ -291,17 +312,16 @@ def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
     material = _material(sec.get("material", "form_clear"), "lens")
     t_min = get_quantity(sec, "t_min", 250e-6)
     t_max = get_quantity(sec, "t_max", 1.9e-3)
-    v_max = sec.get("v_max", t_max / grid.dz)
     params = {
         "material": material,
-        "alpha": float(sec.get("alpha", 0.1)),
-        "v_min": float(sec.get("v_min", max(t_min / grid.dz, 1.0))),
-        "v_max": float(v_max),
-        "z_offset": int(sec.get("z_offset", 0)),
+        "alpha": _number(sec, "alpha", 0.1),
+        "v_min": _number(sec, "v_min", max(t_min / grid.dz, 1.0)),
+        "v_max": _number(sec, "v_max", t_max / grid.dz),
+        "z_offset": _number(sec, "z_offset", 0, int),
         "t_min": t_min,
         "t_max": t_max,
-        "kernel_size": int(sec.get("kernel_size", 9)),
-        "smooth_sigma": float(sec.get("smooth_sigma", 1.5)),
+        "kernel_size": _number(sec, "kernel_size", 9, int),
+        "smooth_sigma": _number(sec, "smooth_sigma", 1.5),
         "fab_cutoff": get_quantity(sec, "fab_cutoff"),
     }
     if params["v_min"] >= params["v_max"]:
@@ -317,8 +337,9 @@ def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
     return params
 
 
-def resolved_config(cfg: dict, grid: GridSpec, seed, precision: str) -> dict:
-    """Pure-SI snapshot of the effective run configuration."""
+def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
+    """Write the pure-SI snapshot of the effective run configuration to
+    `out/resolved_config.json`; returns its hash."""
     snap = json.loads(json.dumps(cfg))  # deep copy
     snap["grid"] = {
         "nx": grid.nx, "ny": grid.ny, "nz": grid.nz,
@@ -326,31 +347,17 @@ def resolved_config(cfg: dict, grid: GridSpec, seed, precision: str) -> dict:
         "frequency_hz": grid.frequency, "c_ref": grid.c_ref,
     }
     snap["seed"] = seed
-    snap["precision"] = precision
-    return snap
-
-
-def config_hash(snapshot: dict) -> str:
-    blob = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def write_snapshot(out: Path, snapshot: dict) -> str:
+    blob = json.dumps(snap, sort_keys=True).encode()
+    h = hashlib.sha256(blob).hexdigest()[:16]
     out.mkdir(parents=True, exist_ok=True)
-    h = config_hash(snapshot)
     with open(out / "resolved_config.json", "w") as fh:
-        json.dump({"config_hash": h, **snapshot}, fh, indent=2, sort_keys=True)
+        json.dump({"config_hash": h, **snap}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return h
 
 
-def _apply_precision(medium, precision: str):
-    if precision == "f64":
-        return medium
-    med = medium.copy()
-    for name in ("c", "rho", "att", "att_power"):
-        setattr(med, name, getattr(med, name).astype(np.float32).astype(np.float64))
-    return med
+def _seed(args, cfg: dict) -> int:
+    return args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
 
 
 def _load_input(load, prefix, context: str):
@@ -398,12 +405,12 @@ def _export_lens(out: Path, lens: LensVolume, grid: GridSpec):
 def cmd_design(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     src = build_source(cfg, grid)
-    medium = _apply_precision(build_medium(cfg, grid), args.precision)
+    medium = build_medium(cfg, grid)
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
-    ocfg = build_optim(cfg, solver, seed)
+    ocfg = build_optim(cfg, solver)
     lens_params = build_lens_params(cfg, grid)
     method = cfg.get("method", "thickness")
     if method not in ("thickness", "phase", "time_reversal"):
@@ -411,9 +418,7 @@ def cmd_design(args) -> int:
                           "(use thickness | phase | time_reversal)")
 
     out = Path(args.out)
-    snapshot = resolved_config(cfg, grid, seed, args.precision)
-    h = write_snapshot(out, snapshot)
-    extra = {"config_hash": h}
+    extra = {"config_hash": write_snapshot(out, cfg, grid, seed)}
     mat = lens_params["material"]
 
     if method == "thickness":
@@ -429,7 +434,7 @@ def cmd_design(args) -> int:
             fab_cutoff=lens_params["fab_cutoff"],
         )
         result.report.to_csv(out / "loss_history.csv")
-        lens = result.lens
+        design_obj = result.lens
         p_opt = result.field_optimization
     else:
         if method == "phase":
@@ -442,9 +447,8 @@ def cmd_design(args) -> int:
         np.savetxt(out / "phase_map.csv", phase.phi, delimiter=",")
         plane = apply_phase_delays(src, phase.phi, grid)
         p_opt, _ = propagate(src, medium, solver, source_plane=plane)
-        lens = None
+        design_obj = phase
 
-    design_obj = lens if method == "thickness" else phase
     p_fab, lens = baselines.fabricate_and_simulate(
         design_obj, src, medium, mat, solver,
         z_offset=lens_params["z_offset"],
@@ -482,23 +486,21 @@ def cmd_evaluate(args) -> int:
         psnr = analysis.cross_domain_psnr(p, p2)
 
     out = Path(args.out)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    snapshot = resolved_config(cfg, grid, seed, args.precision)
-    write_snapshot(out, snapshot)
+    write_snapshot(out, cfg, grid, _seed(args, cfg))
     _write_report(out, p, _focus_seeds(target), psnr)
 
-    thermal_sec = cfg.get("thermal")
-    if thermal_sec is not None:
+    if "thermal" in cfg:
+        thermal_sec = _section(cfg, "thermal")
         medium = build_medium(cfg, grid)
         try:
             tcfg = analysis.ThermalConfig(
                 heat_time=get_quantity(thermal_sec, "heat_time", 10e-3),
                 cool_time=get_quantity(thermal_sec, "cool_time", 190e-3),
-                n_cycles=int(thermal_sec.get("n_cycles", 5)),
+                n_cycles=_number(thermal_sec, "n_cycles", 5, int),
                 reference_peak_pressure=get_quantity(
                     thermal_sec, "reference_peak_pressure", 1e6
                 ),
-                perfusion_rate=float(thermal_sec.get("perfusion_rate", 0.0)),
+                perfusion_rate=_number(thermal_sec, "perfusion_rate", 0.0),
             )
         except ValueError as exc:
             raise ConfigError(f"thermal: {exc}") from exc
@@ -545,9 +547,9 @@ def _sweep_case(payload):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     src = build_source(cfg, grid)
-    medium = _apply_precision(build_medium(cfg, grid), args.precision)
+    medium = build_medium(cfg, grid)
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
     lens_params = build_lens_params(cfg, grid)
@@ -573,7 +575,7 @@ def cmd_sweep(args) -> int:
         labels = [f"c={m.sound_speed:g},rho={m.density:g}" for m in mats]
     elif args.axis == "perturbation":
         sigma = get_quantity(sec, "sigma", 50e-6)
-        n = int(sec.get("realizations", 50))
+        n = _number(sec, "realizations", 50, int)
         if n < 0:
             raise ConfigError("sweep: realizations must be non-negative")
         mat = lens_params["material"]
@@ -593,8 +595,7 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_case(c) for c in cases]
 
     out = Path(args.out)
-    snapshot = resolved_config(cfg, grid, seed, args.precision)
-    write_snapshot(out, snapshot)
+    write_snapshot(out, cfg, grid, seed)
     with open(out / "sweep.csv", "w") as fh:
         fh.write("case,peak_pressure,leakage_ratio,uniformity,n_components\n")
         for label, row in zip(labels, rows):
@@ -617,9 +618,12 @@ def cmd_backproject(args) -> int:
 
     sec = _section(cfg, "backproject", required=False)
     if args.distances is not None:
-        distances = np.asarray(
-            [float(v) for v in args.distances.split(",") if v.strip()]
-        ) * 1e-3
+        try:
+            distances = np.asarray(
+                [float(v) for v in args.distances.split(",") if v.strip()]
+            ) * 1e-3
+        except ValueError as exc:
+            raise ConfigError(f"backproject: --distances: {exc}") from exc
     else:
         distances = _vector_quantity(sec, "distances")
     if distances is None or np.size(distances) == 0:
@@ -633,9 +637,7 @@ def cmd_backproject(args) -> int:
         raise ConfigError(f"backproject: {exc}") from exc
 
     out = Path(args.out)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    snapshot = resolved_config(cfg, grid, seed, args.precision)
-    h = write_snapshot(out, snapshot)
+    h = write_snapshot(out, cfg, grid, _seed(args, cfg))
     vol_header = io._header(grid, ["backprojection"], "complex64_interleaved",
                             {"config_hash": h,
                              "distances_m": list(map(float, distances))})
@@ -652,7 +654,7 @@ def cmd_gradcheck(args) -> int:
         grid = build_grid(cfg)
     else:
         grid = GridSpec(16, 16, 24, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     medium = (build_medium(cfg, grid) if "medium" in cfg
               else make_homogeneous(grid, WATER))
     src = (build_source(cfg, grid) if "source" in cfg
@@ -667,36 +669,26 @@ def cmd_gradcheck(args) -> int:
             1.5 * grid.dx,
         )
     solver = build_solver(cfg)
+    ocfg = build_optim(cfg, solver)
     lens_params = build_lens_params(cfg, grid)
-    mat = lens_params["material"]
-    beta = float(sec.get("beta", 5.0))
-    n_v = int(np.ceil(lens_params["v_max"]))
-    tolerance = float(sec.get("tolerance",
-                              1e-5 if solver.reflection_order == 0 else 1e-3))
-    step = float(sec.get("step", 1e-4))
-    n_coords = int(sec.get("n_coords", 32))
+    beta = _number(sec, "beta", 5.0)
+    tolerance = _number(sec, "tolerance",
+                        1e-5 if solver.reflection_order == 0 else 1e-3)
+    step = _number(sec, "step", 1e-4)
+    n_coords = _number(sec, "n_coords", 32, int)
 
-    def chain(theta):
-        d = DesignField(theta, lens_params["alpha"],
-                        lens_params["v_min"], lens_params["v_max"])
-        lens = lensmap.forward(d, beta, n_v, lens_params["kernel_size"],
-                               lens_params["smooth_sigma"])
-        from .solver import propagate_adjoint, propagate_with_lens
-        p, cache = propagate_with_lens(src, medium, lens.occupancy, mat,
-                                       lens_params["z_offset"], solver)
-        l_acc, l_en, l_bal, upstream = optim.loss_and_gradient(
-            p.values, target, 0.2, 0.5
-        )
-        total = l_acc + 0.2 * l_en + 0.5 * l_bal
-        adj = propagate_adjoint(cache, upstream)
-        g = lensmap.backward(d, beta, adj.occupancy,
-                             lens_params["kernel_size"],
-                             lens_params["smooth_sigma"])
-        return total, g
-
-    rng = np.random.default_rng(seed)
-    theta0 = rng.uniform(-1.0, 1.0, size=(grid.nx, grid.ny))
-    err = optim.gradcheck(chain, theta0, step, n_coords=n_coords, seed=seed)
+    design = DesignField.random(
+        grid.nx, grid.ny, lens_params["alpha"], lens_params["v_min"],
+        lens_params["v_max"], seed=seed,
+    )
+    objective = optim.lens_objective(
+        src, medium, target, design, ocfg, lens_params["material"],
+        z_offset=lens_params["z_offset"],
+        kernel_size=lens_params["kernel_size"],
+        smooth_sigma=lens_params["smooth_sigma"],
+    )
+    err = optim.gradcheck(lambda theta: objective(theta, beta)[:2],
+                          design.theta, step, n_coords=n_coords, seed=seed)
     print(f"gradcheck: max relative error {err:.3e} "
           f"(tolerance {tolerance:.1e}, reflection order "
           f"{solver.reflection_order})")
@@ -721,8 +713,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--precision", choices=("f32", "f64"), default="f64",
-                       help="medium property precision")
 
     p = sub.add_parser("design", help="run a hologram design end to end")
     common(p)

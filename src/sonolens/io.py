@@ -144,10 +144,6 @@ def load_plane(prefix):
     return header, plane
 
 
-def plane_to_csv(path, plane_2d: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(plane_2d), delimiter=",")
-
-
 def thickness_to_csv(path, thickness_vox: np.ndarray, dz: float) -> None:
     """Thickness map exported in meters."""
     np.savetxt(path, np.asarray(thickness_vox) * dz, delimiter=",")

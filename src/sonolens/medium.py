@@ -177,9 +177,8 @@ def embed_lens(
     occupancy: np.ndarray,
     mat: MaterialProperties,
     z_offset: int = 0,
-    threshold: float = 0.9,
 ) -> AcousticMedium:
-    """Replace voxels where lens occupancy exceeds `threshold` with `mat`.
+    """Replace voxels where lens occupancy exceeds 0.9 with `mat`.
 
     `occupancy` is a quasi-binary (nx, ny, n_v) volume; it is placed at
     axial slices [z_offset, z_offset + n_v). Returns a new medium.
@@ -197,7 +196,7 @@ def embed_lens(
         raise ValueError("lens exceeds the axial extent of the grid")
 
     out = base.copy()
-    solid = occupancy > threshold
+    solid = occupancy > 0.9
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     out.c[sl] = np.where(solid, mat.sound_speed, out.c[sl])
     out.rho[sl] = np.where(solid, mat.density, out.rho[sl])

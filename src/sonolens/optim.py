@@ -10,6 +10,9 @@ pressure amplitude over the target support, and L_balance is the
 population standard deviation of intensity over the active target set.
 Each term comes with its exact gradient with respect to the complex
 field, expressed in the pairing dL = Re(sum(g * dP)).
+
+`lens_objective` is the lens design chain; `descend` is the Adam loop
+that the lens and phase-map optimizations share.
 """
 
 from __future__ import annotations
@@ -78,11 +81,7 @@ class OptimConfig:
     iterations: int = 200
     lambda_energy: float = 0.2
     lambda_balance: float = 0.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     beta_schedule: BetaSchedule | None = None
-    seed: int | None = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -231,6 +230,69 @@ class Adam:
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def loss_and_adjoint(p: ComplexField, cache, target: TargetSpec,
+                     cfg: OptimConfig):
+    """Total loss, its (acc, energy, balance) terms, and the adjoint run."""
+    l_acc, l_en, l_bal, upstream = loss_and_gradient(
+        p.values, target, cfg.lambda_energy, cfg.lambda_balance
+    )
+    total = l_acc + cfg.lambda_energy * l_en + cfg.lambda_balance * l_bal
+    return total, (l_acc, l_en, l_bal), propagate_adjoint(cache, upstream)
+
+
+def descend(objective, x0: np.ndarray, cfg: OptimConfig):
+    """Adam on `objective(x, iteration) -> (total, grad, terms, field)`.
+
+    Returns the final x, the loss history and the last field (or None).
+    """
+    x = np.array(x0, dtype=np.float64)
+    adam = Adam(cfg.learning_rate)
+    report = LossReport(cfg.lambda_energy, cfg.lambda_balance)
+    field_ = None
+    for it in range(cfg.iterations):
+        total, grad, terms, field_ = objective(x, it)
+        report.append(*terms)
+        if not np.isfinite(total):
+            raise RuntimeError(
+                f"optimization diverged at iteration {it}: loss = {total}"
+            )
+        x = adam.step(x, grad)
+    return x, report, field_
+
+
+def lens_objective(
+    src: SourceSpec,
+    base_medium: AcousticMedium,
+    target: TargetSpec,
+    design: DesignField,
+    cfg: OptimConfig,
+    lens_mat: MaterialProperties,
+    z_offset: int = 0,
+    kernel_size: int = 9,
+    smooth_sigma: float = 1.5,
+):
+    """The chain theta -> lens -> field -> loss -> dL/dtheta as
+    `objective(theta, beta) -> (total, grad, terms, field)`.
+
+    Uses the loss weights and solver of `cfg` and the alpha, v_min and
+    v_max of `design`; `objective(theta, beta)[:2]` suits `gradcheck`.
+    """
+    n_v = int(np.ceil(design.v_max))
+
+    def objective(theta: np.ndarray, beta: float):
+        d = DesignField(theta, design.alpha, design.v_min, design.v_max)
+        lens = lensmap.forward(d, beta, n_v, kernel_size, smooth_sigma)
+        p, cache = propagate_with_lens(
+            src, base_medium, lens.occupancy, lens_mat, z_offset, cfg.solver
+        )
+        total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
+        g_theta = lensmap.backward(d, beta, adj.occupancy, kernel_size,
+                                   smooth_sigma)
+        return total, g_theta, terms, p
+
+    return objective
+
+
 @dataclass
 class DesignResult:
     design: DesignField
@@ -250,53 +312,26 @@ def optimize_lens_geometry(
     kernel_size: int = 9,
     smooth_sigma: float = 1.5,
     fab_cutoff: float | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_fn=None,
 ) -> DesignResult:
     """End-to-end geometry optimization of a thickness-modulated lens.
 
-    Each iteration maps theta to a quasi-binary lens, relaxes it into the
-    medium, simulates the field, and updates theta by Adam on the exact
-    adjoint gradient. Returns the final design, the binarized and
-    fabrication-filtered lens, and the loss history.
+    Runs `descend` on `lens_objective` with beta following the schedule.
+    Returns the final design, the binarized and fabrication-filtered lens,
+    the loss history and the field of the last iteration.
     """
     grid = base_medium.grid
-    theta = design.theta.copy()
-    n_v = int(np.ceil(design.v_max))
-    adam = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    report = LossReport(cfg.lambda_energy, cfg.lambda_balance)
-    beta = cfg.beta_schedule.value(0)
-    p_opt = None
-
-    for it in range(cfg.iterations):
-        beta = cfg.beta_schedule.value(it)
-        d = DesignField(theta, design.alpha, design.v_min, design.v_max)
-        lens = lensmap.forward(d, beta, n_v, kernel_size, smooth_sigma)
-        p, cache = propagate_with_lens(
-            src, base_medium, lens.occupancy, lens_mat, z_offset, cfg.solver
-        )
-        l_acc, l_en, l_bal, upstream = loss_and_gradient(
-            p.values, target, cfg.lambda_energy, cfg.lambda_balance
-        )
-        total = report.append(l_acc, l_en, l_bal)
-        if not np.isfinite(total):
-            raise RuntimeError(
-                f"optimization diverged at iteration {it}: loss = {total}"
-            )
-        adj = propagate_adjoint(cache, upstream)
-        g_theta = lensmap.backward(d, beta, adj.occupancy, kernel_size, smooth_sigma)
-        theta = adam.step(theta, g_theta)
-        p_opt = p
-        if checkpoint_every and checkpoint_fn and (it + 1) % checkpoint_every == 0:
-            checkpoint_fn(it, theta)
-
+    schedule = cfg.beta_schedule
+    objective = lens_objective(src, base_medium, target, design, cfg, lens_mat,
+                               z_offset, kernel_size, smooth_sigma)
+    theta, report, p_opt = descend(
+        lambda th, it: objective(th, schedule.value(it)), design.theta, cfg
+    )
+    beta = schedule.value(max(cfg.iterations - 1, 0))
+    if p_opt is None:  # zero iterations: the field of the initial design
+        p_opt = objective(theta, beta)[3]
     final = DesignField(theta, design.alpha, design.v_min, design.v_max)
-    lens = lensmap.forward(final, beta, n_v, kernel_size, smooth_sigma)
-    if p_opt is None:
-        # zero-iteration run: report the initial configuration's field
-        p_opt, _ = propagate_with_lens(
-            src, base_medium, lens.occupancy, lens_mat, z_offset, cfg.solver
-        )
+    lens = lensmap.forward(final, beta, int(np.ceil(design.v_max)),
+                           kernel_size, smooth_sigma)
     cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
     fab_lens = lensmap.fabrication_filter(lens, cutoff, grid.dx)
     return DesignResult(final, fab_lens, report, p_opt)

@@ -199,7 +199,6 @@ def propagate(
     medium: AcousticMedium,
     cfg: SolverConfig | None = None,
     source_plane: np.ndarray | None = None,
-    source_slice: int = 0,
 ) -> tuple[ComplexField, SliceCache]:
     """Forward simulation from a planar source.
 
@@ -221,7 +220,7 @@ def propagate(
             raise ValueError("source plane shape does not match grid")
     att_np = medium.attenuation_np_per_m()
     cache = _propagate_arrays(
-        grid, cfg, medium.c, medium.rho, att_np, source_plane, source_slice
+        grid, cfg, medium.c, medium.rho, att_np, source_plane
     )
     return _total_field(cache), cache
 
@@ -400,7 +399,6 @@ def propagate_with_lens(
     lens_mat: MaterialProperties,
     z_offset: int = 0,
     cfg: SolverConfig | None = None,
-    source_plane: np.ndarray | None = None,
 ) -> tuple[ComplexField, SliceCache]:
     """Differentiable forward run with a lens relaxed into the medium.
 
@@ -418,9 +416,6 @@ def propagate_with_lens(
     n_v = occupancy.shape[2]
     if z_offset < 0 or z_offset + n_v > grid.nz:
         raise ValueError("lens exceeds the axial extent of the grid")
-    if source_plane is None:
-        source_plane = src.source_plane(grid)
-
     att_np = base.attenuation_np_per_m()
     lens_att_np = lens_mat.attenuation_np_per_m(grid.frequency)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
@@ -435,8 +430,7 @@ def propagate_with_lens(
     rho[sl] += occupancy * drho
     att[sl] += occupancy * datt
 
-    cache = _propagate_arrays(grid, cfg, c, rho, att,
-                              np.asarray(source_plane, dtype=np.complex128))
+    cache = _propagate_arrays(grid, cfg, c, rho, att, src.source_plane(grid))
     cache.lens_z_offset = z_offset
     cache.lens_dc = dc
     cache.lens_drho = drho

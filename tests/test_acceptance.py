@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import bfs_segment
 
-from sonolens import analysis, baselines, cli, lensmap, optim
+from sonolens import analysis, baselines, cli, optim
 from sonolens.analysis import ThermalConfig, _fwhm_1d
 from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
 from sonolens.lensmap import BetaSchedule, DesignField
@@ -20,7 +20,6 @@ from sonolens.optim import (
     TargetSpec,
     gradcheck,
     loss_acc,
-    loss_and_gradient,
     loss_balance,
     loss_energy,
 )
@@ -28,8 +27,6 @@ from sonolens.solver import (
     SolverConfig,
     apply_phase_delays,
     propagate,
-    propagate_adjoint,
-    propagate_with_lens,
 )
 
 
@@ -39,18 +36,11 @@ def verdict(n: int, ok: bool, detail: str = "") -> None:
 
 
 def full_chain_fn(grid, src, medium, target, solver, mat, beta=5.0, n_v=16):
-    def chain(theta):
-        d = DesignField(theta, v_max=float(n_v))
-        lens = lensmap.forward(d, beta, n_v)
-        p, cache = propagate_with_lens(src, medium, lens.occupancy, mat, 0,
-                                       solver)
-        l_acc, l_en, l_bal, upstream = loss_and_gradient(p.values, target,
-                                                         0.2, 0.5)
-        adj = propagate_adjoint(cache, upstream)
-        grad = lensmap.backward(d, beta, adj.occupancy)
-        return l_acc + 0.2 * l_en + 0.5 * l_bal, grad
-
-    return chain
+    """The design loop's lens objective at a fixed beta, as (loss, gradient)."""
+    template = DesignField(np.zeros((grid.nx, grid.ny)), v_max=float(n_v))
+    objective = optim.lens_objective(src, medium, target, template,
+                                     OptimConfig(solver=solver), mat)
+    return lambda theta: objective(theta, beta)[:2]
 
 
 @pytest.fixture(scope="module")

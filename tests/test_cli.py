@@ -192,10 +192,30 @@ class TestDesignCommand:
                  "--jobs", "2"])
         assert exc.value.code == 2
 
-    def test_f32_precision_runs(self, tmp_path):
+    def test_precision_flag_removed(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
-        assert run(["design", "--config", cfg, "--out",
-                    str(tmp_path / "o"), "--precision", "f32"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["design", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--precision", "f32"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("lens", "alpha", "x"),
+        ("grid", "nx", "x"),
+        ("grid", "spacing_um", "x"),
+        ("source", "amplitude", "x"),
+        ("target", "radius_um", "x"),
+    ])
+    def test_non_numeric_value_exit_2(self, tmp_path, capsys, section, key,
+                                      value):
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), key: value}
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"{section}: {key}: expected a number, got 'x'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluateCommand:
@@ -404,6 +424,10 @@ class TestBackprojectCommand:
                     "--out", str(tmp_path / "bp"), "--plane", plane,
                     "--distances", ""]) == 2
         assert "distance" in capsys.readouterr().err
+        assert run(["backproject", "--config", cfg,
+                    "--out", str(tmp_path / "bp"), "--plane", plane,
+                    "--distances", "1,x"]) == 2
+        assert "backproject: --distances" in capsys.readouterr().err
 
     def test_missing_plane_exit_2(self, tmp_path):
         cfg = self.cfg64(tmp_path)
@@ -421,3 +445,20 @@ class TestGradcheckCommand:
                                                     "n_coords": 4}})
         assert run(["gradcheck", "--config", cfg]) == 3
         assert "FAIL" in capsys.readouterr().err
+
+    def test_loss_weights_come_from_the_optim_section(self, tmp_path,
+                                                      monkeypatch):
+        from sonolens import optim
+
+        seen = []
+        inner = optim.loss_and_gradient
+
+        def spy(values, target, lambda_energy, lambda_balance):
+            seen.append((lambda_energy, lambda_balance))
+            return inner(values, target, lambda_energy, lambda_balance)
+
+        monkeypatch.setattr(optim, "loss_and_gradient", spy)
+        cfg = write_config(tmp_path, {"optim": {"lambda_balance": 2},
+                                      "gradcheck": {"n_coords": 1}})
+        assert run(["gradcheck", "--config", cfg]) == 0
+        assert seen and set(seen) == {(0.2, 2.0)}

@@ -9,7 +9,9 @@ from sonolens.optim import (
     LossReport,
     OptimConfig,
     TargetSpec,
+    descend,
     gradcheck,
+    lens_objective,
     loss_acc,
     loss_and_gradient,
     loss_balance,
@@ -214,30 +216,50 @@ class TestGradcheck:
             gradcheck(lambda x: (0.0, x), np.ones(3), step=0.0)
 
     def test_full_chain_small(self):
-        # DHLA -> embed -> propagate -> loss on 16x16x24, reflection order 0
+        # the design loop's lens objective on 16x16x24, reflection order 0
         g = make_grid()
         med = make_homogeneous(g, WATER)
         src = SourceSpec.full_plane(g)
-        cfg = SolverConfig(reflection_order=0)
+        cfg = OptimConfig(solver=SolverConfig(reflection_order=0))
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
-
-        from sonolens import lensmap
-        from sonolens.solver import propagate_adjoint, propagate_with_lens
-        from sonolens.optim import loss_and_gradient
-
-        def chain(theta):
-            d = DesignField(theta, v_max=6.0)
-            lens = lensmap.forward(d, 5.0, 6)
-            p, cache = propagate_with_lens(src, med, lens.occupancy,
-                                           FORM_CLEAR, 0, cfg)
-            la, le_, lb, upstream = loss_and_gradient(p.values, t, 0.2, 0.5)
-            adj = propagate_adjoint(cache, upstream)
-            grad = lensmap.backward(d, 5.0, adj.occupancy)
-            return la + 0.2 * le_ + 0.5 * lb, grad
-
         theta0 = np.random.default_rng(0).uniform(-1, 1, size=(16, 16))
-        assert gradcheck(chain, theta0, step=1e-4, n_coords=16) < 1e-5
+        objective = lens_objective(src, med, t, DesignField(theta0, v_max=6.0),
+                                   cfg, FORM_CLEAR)
+        assert gradcheck(lambda th: objective(th, 5.0)[:2], theta0,
+                         step=1e-4, n_coords=16) < 1e-5
+
+
+class TestLensObjective:
+    def test_total_is_the_weighted_sum_the_loop_records(self):
+        g = make_grid()
+        med = make_homogeneous(g, WATER)
+        src = SourceSpec.full_plane(g)
+        t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
+                                    1.5 * g.dx)
+        design = DesignField.random(16, 16, v_max=6.0, seed=2)
+        cfg = OptimConfig(iterations=1, lambda_energy=0.0, lambda_balance=2.0,
+                          solver=SolverConfig(reflection_order=0))
+        beta = cfg.beta_schedule.value(0)
+        total, _, terms, p = lens_objective(src, med, t, design, cfg,
+                                            FORM_CLEAR)(design.theta, beta)
+        direct = (loss_acc(p, t) + 0.0 * loss_energy(p, t)
+                  + 2.0 * loss_balance(p, t))
+        assert total == pytest.approx(direct, rel=1e-12)
+        assert terms[2] > 0.0  # the balance weight is exercised
+        result = optimize_lens_geometry(src, med, t, design, cfg, FORM_CLEAR)
+        assert result.report.total[0] == total
+        assert np.array_equal(result.field_optimization.values, p.values)
+
+    def test_descend_stops_on_non_finite_loss(self):
+        cfg = OptimConfig(iterations=3)
+
+        def objective(x, it):
+            total = np.nan if it == 1 else 1.0
+            return total, np.ones_like(x), (total, 0.0, 0.0), None
+
+        with pytest.raises(RuntimeError, match="iteration 1"):
+            descend(objective, np.zeros(2), cfg)
 
 
 class TestOptimizeLensGeometry:
