@@ -1,7 +1,7 @@
 """Robustness and heating analysis of a finished lens design.
 
-Takes the lens from a quick single-focus optimization and asks two
-questions a fabrication engineer would: how sensitive is the focus to
+Fabricates the lens of a quick single-focus optimization (binarize and
+printer filter, via `fabricate_and_simulate`) and asks two questions a fabrication engineer would: how sensitive is the focus to
 per-column thickness errors of the printer, and how hot does the medium
 get under a pulsed exposure normalized to 1 MPa at the focus?
 
@@ -23,6 +23,7 @@ from sonolens import (
     WATER,
     bioheat_simulate,
     embed_lens,
+    fabricate_and_simulate,
     focal_metrics,
     make_homogeneous,
     optimize_lens_geometry,
@@ -43,7 +44,8 @@ ocfg = OptimConfig(iterations=80, beta_schedule=BetaSchedule(1.0, 20.0, 80),
                    solver=solver)
 design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
 result = optimize_lens_geometry(src, medium, target, design, ocfg, FORM_CLEAR)
-lens = result.lens
+field, lens = fabricate_and_simulate(result.lens, src, medium, FORM_CLEAR,
+                                     solver)
 
 # --- thickness-noise ensemble ---------------------------------------------
 sigma = 50e-6  # printer thickness error, one sigma, meters
@@ -51,8 +53,8 @@ peaks = []
 for i in range(20):
     noisy = perturb_lens(lens, sigma, grid.dz, seed=i)
     embedded = embed_lens(medium, noisy.occupancy, FORM_CLEAR)
-    field, _ = propagate(src, embedded, solver)
-    peaks.append(float(np.abs(field.values).max()))
+    noisy_field, _ = propagate(src, embedded, solver)
+    peaks.append(float(np.abs(noisy_field.values).max()))
 peaks = np.asarray(peaks)
 print(f"peak pressure under {sigma * 1e6:.0f} um thickness noise "
       f"(20 seeds): {peaks.mean():.3f} +/- {peaks.std():.3f} "
@@ -60,7 +62,6 @@ print(f"peak pressure under {sigma * 1e6:.0f} um thickness noise "
 
 # --- pulsed heating at 1 MPa focal pressure -------------------------------
 embedded = embed_lens(medium, lens.occupancy, FORM_CLEAR)
-field, _ = propagate(src, embedded, solver)
 segments = segment_foci(field, [seed_voxel])
 report = focal_metrics(field, segments)
 print(f"focus: peak index {report.foci[0].peak_index}, "

@@ -13,6 +13,7 @@ from .lensmap import LensVolume, binarize
 from .solver import ComplexField
 
 PSNR_CAP_DB = 300.0
+FOCUS_THRESHOLD_DB = -6.0  # focal-region level relative to the global peak
 
 
 @dataclass
@@ -72,7 +73,7 @@ def cross_domain_psnr(p_opt, p_fab) -> float:
     return float(min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
-def segment_foci(p, seeds, threshold_db: float = -6.0) -> list[np.ndarray]:
+def segment_foci(p, seeds) -> list[np.ndarray]:
     """-6 dB connected regions around each seed.
 
     The amplitude volume is thresholded relative to its global peak and
@@ -83,7 +84,7 @@ def segment_foci(p, seeds, threshold_db: float = -6.0) -> list[np.ndarray]:
     """
     amp = np.abs(p.values if isinstance(p, ComplexField) else p)
     shape = amp.shape
-    thr = amp.max() * 10.0 ** (threshold_db / 20.0)
+    thr = amp.max() * 10.0 ** (FOCUS_THRESHOLD_DB / 20.0)
     labels, _ = ndimage.label(amp >= thr)
 
     masks = []

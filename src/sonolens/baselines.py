@@ -5,6 +5,11 @@ idealized optimization domain where the phase map acts directly on the
 source plane. For physical evaluation they are converted into a
 thickness-modulated lens, hard-voxelized, fabrication-filtered, embedded
 in the medium, and re-simulated ("fabrication domain").
+
+`fabricate_and_simulate` is that fabrication step for both methods: a
+thickness design arrives as the binarized, unfiltered lens of
+`optim.optimize_lens_geometry` and is filtered here, once, like a phase
+design.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ def phase_to_thickness(
     The result is clamped to [t_min, t_max]; t_max defaults to
     t_min + T_2pi.
     """
-    phi = np.mod(np.asarray(getattr(phi, "phi", phi), dtype=np.float64), TWO_PI)
+    phi = np.mod(np.asarray(phi, dtype=np.float64), TWO_PI)
     t_2pi = full_cycle_thickness(frequency, c0, c_lens)
     if c_lens > c0:
         frac = np.mod(TWO_PI - phi, TWO_PI) / TWO_PI
@@ -167,37 +172,35 @@ def fabricate_and_simulate(
     t_max: float | None = None,
     fab_cutoff: float | None = None,
 ) -> tuple[ComplexField, LensVolume]:
-    """Fabrication-domain field of any hologram design.
+    """Fabrication-domain field of a PhaseMap or LensVolume design.
 
-    A PhaseMap is first converted to a thickness profile; a LensVolume is
-    used as-is. Either way the lens is hard-binarized, low-pass filtered
-    to emulate printer resolution, embedded at the 0.9 occupancy
-    threshold, and propagated.
+    A PhaseMap is first converted to a thickness profile; a LensVolume
+    (such as the binarized, unfiltered lens of `optimize_lens_geometry`)
+    is used as-is. Either way the lens is hard-binarized and low-pass
+    filtered once to emulate printer resolution (cutoff 2*dx by default),
+    embedded at the 0.9 occupancy threshold, and propagated.
     """
     grid = medium.grid
     if cfg is None:
         cfg = SolverConfig()
-    dz = grid.dz
-    if isinstance(design, PhaseMap) or (
-        isinstance(design, np.ndarray) and design.ndim == 2
-    ):
+    if isinstance(design, PhaseMap):
         thickness_m = phase_to_thickness(
-            design, grid.frequency, grid.c_ref, lens_mat.sound_speed, t_min, t_max
+            design.phi, grid.frequency, grid.c_ref, lens_mat.sound_speed,
+            t_min, t_max,
         )
-        t_vox = thickness_m / dz
+        t_vox = thickness_m / grid.dz
         depth = int(np.ceil(t_vox.max()))
         lens = LensVolume(
             np.zeros((grid.nx, grid.ny, depth)), t_vox,
             v_min=float(t_vox.min()), v_max=float(depth),
         )
-        lens = lensmap.binarize(lens)
     elif isinstance(design, LensVolume):
-        lens = lensmap.binarize(design)
+        lens = design
     else:
-        raise TypeError("design must be a PhaseMap, phase array, or LensVolume")
+        raise TypeError("design must be a PhaseMap or LensVolume")
 
     cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
-    lens = lensmap.fabrication_filter(lens, cutoff, grid.dx)
+    lens = lensmap.fabrication_filter(lensmap.binarize(lens), cutoff, grid.dx)
     embedded = embed_lens(medium, lens.occupancy, lens_mat, z_offset)
     field_, _ = propagate(src, embedded, cfg)
     return field_, lens

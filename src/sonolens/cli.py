@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -75,22 +76,14 @@ _UNIT_SCALE = {
 }
 
 
+# a JSON string token (escapes included) or a // comment to the end of line
+_STRING_OR_COMMENT = re.compile(r'"(?:[^"\\\n]|\\.)*"|//[^\n]*')
+
+
 def strip_comments(text: str) -> str:
     """Remove // line comments outside of string literals."""
-    out = []
-    for line in text.splitlines():
-        in_str = False
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-                in_str = not in_str
-            elif not in_str and ch == "/" and line[i : i + 2] == "//":
-                line = line[:i]
-                break
-            i += 1
-        out.append(line)
-    return "\n".join(out)
+    return _STRING_OR_COMMENT.sub(
+        lambda m: "" if m.group().startswith("//") else m.group(), text)
 
 
 def load_config(path) -> dict:
@@ -190,7 +183,7 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
                 float(name_or_obj.get("attenuation_coeff", 0.0)),
                 float(name_or_obj.get("attenuation_power", 1.0)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{context}: bad material spec: {exc}") from exc
     raise ConfigError(f"{context}: material must be a name or an object")
 
@@ -324,8 +317,11 @@ def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
         "smooth_sigma": _number(sec, "smooth_sigma", 1.5),
         "fab_cutoff": get_quantity(sec, "fab_cutoff"),
     }
-    if params["v_min"] >= params["v_max"]:
-        raise ConfigError("lens: v_min must be smaller than v_max")
+    try:  # DesignField's own checks of alpha, v_min and v_max
+        DesignField(np.zeros((1, 1)), params["alpha"], params["v_min"],
+                    params["v_max"])
+    except ValueError as exc:
+        raise ConfigError(f"lens: {exc}") from exc
     depth = int(np.ceil(params["v_max"]))
     if params["z_offset"] < 0 or params["z_offset"] + depth > grid.nz:
         raise ConfigError(
@@ -431,7 +427,6 @@ def cmd_design(args) -> int:
             z_offset=lens_params["z_offset"],
             kernel_size=lens_params["kernel_size"],
             smooth_sigma=lens_params["smooth_sigma"],
-            fab_cutoff=lens_params["fab_cutoff"],
         )
         result.report.to_csv(out / "loss_history.csv")
         design_obj = result.lens
@@ -647,27 +642,26 @@ def cmd_backproject(args) -> int:
 
 # --------------------------------------------------------------- gradcheck
 
+# The problem `sonolens gradcheck` checks; a section of the user's config
+# replaces the one of the same name.
+GRADCHECK_PROBLEM = {
+    "grid": {"nx": 16, "ny": 16, "nz": 24, "spacing": 125e-6,
+             "frequency": 2e6},
+    "source": {"full_plane": True},
+    "medium": {},
+    "target": {"focus_centers": [[1e-3, 1e-3, 2.25e-3]], "radius": 1.875e-4},
+}
+
+
 def cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = {**GRADCHECK_PROBLEM,
+           **(load_config(args.config) if args.config else {})}
     sec = _section(cfg, "gradcheck", required=False)
-    if "grid" in cfg:
-        grid = build_grid(cfg)
-    else:
-        grid = GridSpec(16, 16, 24, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+    grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    medium = (build_medium(cfg, grid) if "medium" in cfg
-              else make_homogeneous(grid, WATER))
-    src = (build_source(cfg, grid) if "source" in cfg
-           else SourceSpec.full_plane(grid))
-    if "target" in cfg:
-        target = build_target(cfg, grid)
-    else:
-        target = TargetSpec.from_spheres(
-            grid,
-            [(grid.nx // 2 * grid.dx, grid.ny // 2 * grid.dy,
-              (grid.nz * 3 // 4) * grid.dz)],
-            1.5 * grid.dx,
-        )
+    medium = build_medium(cfg, grid)
+    src = build_source(cfg, grid)
+    target = build_target(cfg, grid)
     solver = build_solver(cfg)
     ocfg = build_optim(cfg, solver)
     lens_params = build_lens_params(cfg, grid)

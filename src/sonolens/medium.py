@@ -184,8 +184,7 @@ def embed_lens(
     axial slices [z_offset, z_offset + n_v). Returns a new medium.
     """
     grid = base.grid
-    # accept a LensVolume or a bare occupancy array
-    occupancy = np.asarray(getattr(occupancy, "occupancy", occupancy))
+    occupancy = np.asarray(occupancy)
     if occupancy.ndim != 3 or occupancy.shape[:2] != (grid.nx, grid.ny):
         raise ValueError(
             f"lens lateral shape {occupancy.shape[:2]} does not match grid "

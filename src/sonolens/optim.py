@@ -209,11 +209,12 @@ def loss_and_gradient(
 class Adam:
     """Adaptive-moment gradient descent on a single parameter array."""
 
-    def __init__(self, lr=1.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr=1.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = None
         self.v = None
         self.t = 0
@@ -223,11 +224,11 @@ class Adam:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1**self.t)
+        v_hat = self.v / (1.0 - self.BETA2**self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def loss_and_adjoint(p: ComplexField, cache, target: TargetSpec,
@@ -311,15 +312,15 @@ def optimize_lens_geometry(
     z_offset: int = 0,
     kernel_size: int = 9,
     smooth_sigma: float = 1.5,
-    fab_cutoff: float | None = None,
 ) -> DesignResult:
     """End-to-end geometry optimization of a thickness-modulated lens.
 
     Runs `descend` on `lens_objective` with beta following the schedule.
-    Returns the final design, the binarized and fabrication-filtered lens,
-    the loss history and the field of the last iteration.
+    Returns the final design, its lens at the final beta binarized but not
+    fabrication-filtered, the loss history and the field of the last
+    iteration. Printer-resolution filtering is the step of
+    `baselines.fabricate_and_simulate`, as for phase designs.
     """
-    grid = base_medium.grid
     schedule = cfg.beta_schedule
     objective = lens_objective(src, base_medium, target, design, cfg, lens_mat,
                                z_offset, kernel_size, smooth_sigma)
@@ -330,11 +331,9 @@ def optimize_lens_geometry(
     if p_opt is None:  # zero iterations: the field of the initial design
         p_opt = objective(theta, beta)[3]
     final = DesignField(theta, design.alpha, design.v_min, design.v_max)
-    lens = lensmap.forward(final, beta, int(np.ceil(design.v_max)),
-                           kernel_size, smooth_sigma)
-    cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
-    fab_lens = lensmap.fabrication_filter(lens, cutoff, grid.dx)
-    return DesignResult(final, fab_lens, report, p_opt)
+    lens = lensmap.binarize(lensmap.forward(
+        final, beta, int(np.ceil(design.v_max)), kernel_size, smooth_sigma))
+    return DesignResult(final, lens, report, p_opt)
 
 
 def gradcheck(fn, point: np.ndarray, step: float, n_coords: int = 32,

@@ -410,7 +410,7 @@ def propagate_with_lens(
     if cfg is None:
         cfg = SolverConfig()
     grid = base.grid
-    occupancy = np.asarray(getattr(occupancy, "occupancy", occupancy), dtype=np.float64)
+    occupancy = np.asarray(occupancy, dtype=np.float64)
     if occupancy.shape[:2] != (grid.nx, grid.ny):
         raise ValueError("lens lateral shape does not match grid")
     n_v = occupancy.shape[2]

@@ -50,6 +50,13 @@ class TestConfigParsing:
         parsed = json.loads(strip_comments(text))
         assert parsed["url"] == "http://example//x"
 
+    def test_string_ending_in_escaped_backslash(self):
+        # the closing quote of "C:\\data\\" ends the string, so the
+        # comment after it is stripped
+        text = r'{"path": "C:\\data\\", "n": 1 // note' + '\n}'
+        parsed = json.loads(strip_comments(text))
+        assert parsed == {"path": "C:\\data\\", "n": 1}
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.json")
@@ -173,6 +180,8 @@ class TestDesignCommand:
         ({"z_offset": -1}, "z_offset"),
         ({"v_max": 200}, "z_offset"),
         ({"kernel_size": 0}, "kernel_size"),
+        ({"alpha": 0}, "alpha must be positive"),
+        ({"v_min": 0.5}, "v_min must be at least 1 voxel"),
     ])
     def test_bad_lens_geometry_exit_2(self, tmp_path, capsys, lens, message):
         # the shipped water demo has 64 slices and a 16-voxel lens
@@ -183,6 +192,20 @@ class TestDesignCommand:
         assert run(["design", "--config", path,
                     "--out", str(tmp_path / "o")]) == 2
         assert f"lens: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, material", [
+        ("medium", {"sound_speed": None, "density": 1000}),
+        ("lens", {"sound_speed": 2500, "density": [1100]}),
+    ])
+    def test_material_field_not_a_number_exit_2(self, tmp_path, capsys,
+                                                section, material):
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), "material": material}
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}: bad material spec" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_jobs_is_a_sweep_flag(self, tmp_path):
@@ -349,6 +372,14 @@ class TestSweepCommand:
         values = [float(v) for v in lines[1].split(",")[2:]]
         assert values[0] > 0.0 and values[3] == 1.0
 
+    def test_material_field_not_a_number_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(sweep={"materials": [
+            {"sound_speed": 2500, "density": None}]}), "sw.json")
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                    "--axis", "material",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 2
+        assert "sweep: bad material spec" in capsys.readouterr().err
+
     def test_material_axis_empty_list_header_only(self, tmp_path):
         lines = self.material_sweep(tmp_path, [])
         assert lines == ["case,peak_pressure,leakage_ratio,uniformity,"
@@ -439,6 +470,32 @@ class TestGradcheckCommand:
     def test_default_passes(self, capsys):
         assert run(["gradcheck"]) == 0
         assert "gradcheck" in capsys.readouterr().out
+
+    def test_config_sections_replace_the_built_in_problem(self, tmp_path,
+                                                           monkeypatch):
+        # the built-in problem goes through the same build_* readers as a
+        # user config; a user section replaces only its own section
+        from sonolens import optim
+
+        seen = []
+        inner = optim.lens_objective
+
+        def spy(src, medium, target, *rest, **kw):
+            seen.append((medium, target))
+            return inner(src, medium, target, *rest, **kw)
+
+        monkeypatch.setattr(optim, "lens_objective", spy)
+        assert run(["gradcheck", "--config", write_config(tmp_path, {
+            "gradcheck": {"n_coords": 1}})]) == 0
+        medium, target = seen[-1]
+        assert medium.grid.shape == (16, 16, 24)
+        assert target.focus_centers == [(8, 8, 18)]
+        # a grid without a target keeps the built-in focus (not the centre)
+        assert run(["gradcheck", "--config", write_config(tmp_path, {
+            "grid": base_config()["grid"], "gradcheck": {"n_coords": 1}})]) == 0
+        medium, target = seen[-1]
+        assert medium.grid.shape == (24, 24, 32)
+        assert target.focus_centers == [(8, 8, 18)]
 
     def test_impossible_tolerance_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"gradcheck": {"tolerance": 1e-16,

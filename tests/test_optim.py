@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sonolens import lensmap
+from sonolens.baselines import fabricate_and_simulate
 from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
 from sonolens.lensmap import BetaSchedule, DesignField
 from sonolens.medium import make_homogeneous
@@ -292,6 +294,28 @@ class TestOptimizeLensGeometry:
         assert result.lens.occupancy.shape[:2] == (24, 24)
         # final lens is hard-binarized
         assert set(np.unique(result.lens.occupancy)) <= {0.0, 1.0}
+
+    def test_lens_is_binarized_here_and_filtered_once_at_fabrication(self):
+        g = make_grid()
+        med = make_homogeneous(g, WATER)
+        src = SourceSpec.full_plane(g)
+        t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
+                                    1.5 * g.dx)
+        design = DesignField.random(16, 16, alpha=5.0, v_max=6.0, seed=4)
+        cfg = OptimConfig(iterations=3, beta_schedule=BetaSchedule(1.0, 20.0, 3),
+                          solver=SolverConfig(reflection_order=0))
+        result = optimize_lens_geometry(src, med, t, design, cfg, FORM_CLEAR)
+        final = lensmap.binarize(lensmap.forward(result.design, 20.0, 6))
+        assert np.array_equal(result.lens.thickness_map, final.thickness_map)
+        assert np.array_equal(result.lens.occupancy, final.occupancy)
+
+        _, fab = fabricate_and_simulate(result.lens, src, med, FORM_CLEAR,
+                                        cfg.solver)
+        once = lensmap.fabrication_filter(result.lens, 2 * g.dx, g.dx)
+        assert np.array_equal(fab.thickness_map, once.thickness_map)
+        assert np.array_equal(fab.occupancy, once.occupancy)
+        # the filter moves columns of this lens, so a second pass would show
+        assert not np.array_equal(once.thickness_map, final.thickness_map)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
