@@ -42,6 +42,8 @@ from .solver import (
     SolverConfig,
     apply_phase_delays,
     backproject,
+    PreparedMedium,
+    prepare,
     propagate,
     propagate_adjoint,
     propagate_with_lens,
@@ -92,7 +94,8 @@ __all__ = [
     "BetaSchedule", "DesignField", "LensVolume", "binarize",
     "fabrication_filter",
     "ComplexField", "SolverConfig", "apply_phase_delays", "backproject",
-    "propagate", "propagate_adjoint", "propagate_with_lens",
+    "PreparedMedium", "prepare", "propagate", "propagate_adjoint",
+    "propagate_with_lens",
     "Adam", "DesignResult", "LossReport", "OptimConfig", "TargetSpec",
     "gradcheck", "lens_objective", "loss_acc", "loss_and_gradient",
     "loss_balance", "loss_energy", "optimize_lens_geometry",

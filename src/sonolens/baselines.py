@@ -25,9 +25,8 @@ from .lensmap import LensVolume
 from .solver import (
     ComplexField,
     SolverConfig,
-    _propagate_arrays,
-    _total_field,
     apply_phase_delays,
+    prepare,
     propagate,
 )
 from .optim import LossReport, OptimConfig, TargetSpec, descend, loss_and_adjoint
@@ -140,10 +139,8 @@ def time_reversal(
     conjugate of the summed field's phase. Multi-focus patterns combine
     by complex summation.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     grid = medium.grid
-    att_np = medium.attenuation_np_per_m()
+    prepared = prepare(src, medium, cfg)
     total = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     for ix, iy, iz in foci:
         ix, iy, iz = int(ix), int(iy), int(iz)
@@ -153,11 +150,9 @@ def time_reversal(
             )
         delta = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
         delta[ix, iy] = 1.0
-        cache = _propagate_arrays(
-            grid, cfg, medium.c, medium.rho, att_np, delta,
-            source_slice=iz, initial_direction=-1,
-        )
-        total += _total_field(cache).values[:, :, 0]
+        field_, _ = prepared.run(source_plane=delta, source_slice=iz,
+                                 direction=-1)
+        total += field_.values[:, :, 0]
     return PhaseMap(-np.angle(total))
 
 

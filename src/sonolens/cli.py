@@ -330,6 +330,11 @@ def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
         )
     if params["kernel_size"] < 1 or params["kernel_size"] % 2 == 0:
         raise ConfigError("lens: kernel_size must be a positive odd integer")
+    if params["fab_cutoff"] is not None and params["fab_cutoff"] < grid.dx:
+        raise ConfigError(
+            f"lens: fab_cutoff {params['fab_cutoff']:g} m is below the grid "
+            f"spacing {grid.dx:g} m"
+        )
     return params
 
 

@@ -1,9 +1,7 @@
 """File formats: raw voxel arrays with JSON sidecar headers, CSV, PGM, STL.
 
-Raw files are little-endian, C-order. A medium is stored as its three
-float32 property volumes concatenated in header field order; a complex
-field is stored as interleaved (re, im) float32 pairs; CT volumes are
-int16. Every header carries a schema_version and, when produced by the
+Raw files are little-endian, C-order. A complex field is stored as
+interleaved (re, im) float32 pairs; CT volumes are int16. Every header carries a schema_version and, when produced by the
 CLI, the hash of the creating configuration.
 """
 
@@ -15,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridSpec
-from .medium import AcousticMedium
 from .solver import ComplexField
 
 SCHEMA_VERSION = 1
@@ -59,32 +56,6 @@ def _grid_from_header(header: dict) -> GridSpec:
     dx, dy, dz = header["spacing_m"]
     return GridSpec(nx, ny, nz, dx, dy, dz, header["frequency_hz"],
                     header.get("c_ref", 1500.0))
-
-
-def save_medium(prefix, medium: AcousticMedium, extra: dict | None = None) -> None:
-    grid = medium.grid
-    header = _header(grid, ["c", "rho", "att", "att_power"], "float32", extra)
-    payload = np.concatenate(
-        [medium.c, medium.rho, medium.att, medium.att_power], axis=None
-    ).astype("<f4")
-    _write(prefix, header, payload)
-
-
-def load_medium(prefix) -> AcousticMedium:
-    header, data = _read(prefix)
-    grid = _grid_from_header(header)
-    n = grid.nx * grid.ny * grid.nz
-    fields = header["fields"]
-    if len(data) != n * len(fields):
-        raise ValueError("raw payload size does not match the header")
-    arrays = {
-        name: data[i * n : (i + 1) * n].astype(np.float64).reshape(grid.shape)
-        for i, name in enumerate(fields)
-    }
-    if "att_power" not in arrays:
-        arrays["att_power"] = np.ones(grid.shape)
-    return AcousticMedium(grid, arrays["c"], arrays["rho"], arrays["att"],
-                          arrays["att_power"])
 
 
 def save_hu_volume(prefix, grid: GridSpec, hu: np.ndarray) -> None:

@@ -101,13 +101,6 @@ class HUCalibration:
             1.0,
         )
 
-    def invert_sound_speed(self, c: np.ndarray) -> np.ndarray:
-        """Recover CT numbers from sound speed inside the linear range."""
-        frac = (c - self.water.sound_speed) / (
-            self.bone.sound_speed - self.water.sound_speed
-        )
-        return self.hu_water + frac * (self.hu_bone - self.hu_water)
-
 
 def ingest_hu_volume(
     grid: GridSpec, hu: np.ndarray, calib: HUCalibration | None = None

@@ -26,16 +26,32 @@ from .grid import GridSpec, MaterialProperties, SourceSpec
 from .medium import AcousticMedium
 from .lensmap import BetaSchedule, DesignField, LensVolume
 from . import lensmap
-from .solver import ComplexField, SolverConfig, propagate_adjoint, propagate_with_lens
+from .solver import (
+    ComplexField,
+    SolverConfig,
+    prepare,
+    propagate_adjoint,
+    propagate_with_lens,
+)
 
 
 @dataclass
 class TargetSpec:
-    """Amplitude-only target with its active focal-region set."""
+    """Amplitude-only target with its active focal-region set.
+
+    The loss constants are computed once here: the flat indices of the
+    support (a > 0) and of the active set (a == 1), a on the support,
+    sum a^4 and sum a. `a_target` is not to be changed afterwards.
+    """
 
     a_target: np.ndarray                 # 3D, values in [0, 1]
     focus_centers: list                  # voxel-index triples, one per focus
     focus_labels: np.ndarray | None = None
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+    a_support: np.ndarray = field(init=False, repr=False, compare=False)
+    omega_index: np.ndarray = field(init=False, repr=False, compare=False)
+    s4a: float = field(init=False, repr=False, compare=False)
+    a_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a_target = np.asarray(self.a_target, dtype=np.float64)
@@ -47,6 +63,12 @@ class TargetSpec:
             raise ValueError("at least one focus center is required")
         if self.focus_labels is None:
             self.focus_labels, _ = ndimage.label(self.a_target == 1.0)
+        a = self.a_target.reshape(-1)
+        self.support = np.flatnonzero(a)
+        self.a_support = a[self.support]
+        self.omega_index = np.flatnonzero(a == 1.0)
+        self.s4a = np.sum((a**2) ** 2)
+        self.a_sum = np.sum(a)
 
     @property
     def omega(self) -> np.ndarray:
@@ -163,47 +185,51 @@ def loss_and_gradient(
     lambda_energy: float,
     lambda_balance: float,
 ) -> tuple[float, float, float, np.ndarray]:
-    """All three loss terms plus the exact upstream field cotangent."""
-    intensity = np.abs(values) ** 2
-    a = target.a_target
+    """All three loss terms plus the exact upstream field cotangent.
+
+    Only |P|, sum |P|^4 and the terms proportional to |P|^2 or conj(P)
+    span the grid; the terms weighted by the target run on its support.
+    """
+    shape = values.shape
+    values = values.reshape(-1)
+    sup, a = target.support, target.a_support
     a2 = a**2
-    omega = target.omega
-    conj = np.conj(values)
+    amp = np.abs(values)
+    intensity = amp**2
+    amp_s, int_s = amp[sup], intensity[sup]
 
     # accuracy term and d/d(intensity)
-    num = np.sum(a2 * intensity)
-    s4a = np.sum(a2**2)
+    num = np.sum(a2 * int_s)
     s4p = np.sum(intensity**2)
-    w_int = np.zeros_like(intensity)
     if s4p > 0.0:
-        denom = np.sqrt(s4a * s4p)
+        denom = np.sqrt(target.s4a * s4p)
         l_acc = 1.0 - num / denom
-        w_int += -a2 / denom + num * intensity / (np.sqrt(s4a) * s4p**1.5)
+        w_int = num * intensity / (np.sqrt(target.s4a) * s4p**1.5)
+        w_int[sup] += -a2 / denom
     else:
         l_acc = 1.0
+        w_int = np.zeros_like(intensity)
 
     # balance term
+    omega = target.omega_index
     vals = intensity[omega]
     mean = vals.mean()
     std = float(np.std(vals))
     l_bal = std
     if std > 0.0:
-        w_bal = np.zeros_like(intensity)
-        w_bal[omega] = (vals - mean) / (vals.size * std)
-        w_int += lambda_balance * w_bal
+        w_int[omega] += lambda_balance * ((vals - mean) / (vals.size * std))
 
-    upstream = 2.0 * w_int * conj
+    upstream = np.conj(values)
+    upstream *= 2.0 * w_int
 
     # energy term, gradient through |P|
-    a_sum = np.sum(a)
-    l_en = float(-np.sum(a * np.abs(values)) / a_sum)
-    amp = np.abs(values)
-    nz = amp > 0
-    g_en = np.zeros_like(values)
-    g_en[nz] = (-a[nz] / a_sum) * conj[nz] / amp[nz]
-    upstream = upstream + lambda_energy * g_en
-
-    return l_acc, l_en, l_bal, upstream
+    l_en = float(-np.sum(a * amp_s) / target.a_sum)
+    nz = amp_s > 0
+    idx = sup[nz]
+    upstream[idx] += lambda_energy * (
+        (-a[nz] / target.a_sum) * np.conj(values[idx]) / amp_s[nz]
+    )
+    return l_acc, l_en, l_bal, upstream.reshape(shape)
 
 
 class Adam:
@@ -279,13 +305,12 @@ def lens_objective(
     v_max of `design`; `objective(theta, beta)[:2]` suits `gradcheck`.
     """
     n_v = int(np.ceil(design.v_max))
+    prepared = prepare(src, base_medium, cfg.solver, lens_mat, z_offset, n_v)
 
     def objective(theta: np.ndarray, beta: float):
         d = DesignField(theta, design.alpha, design.v_min, design.v_max)
         lens = lensmap.forward(d, beta, n_v, kernel_size, smooth_sigma)
-        p, cache = propagate_with_lens(
-            src, base_medium, lens.occupancy, lens_mat, z_offset, cfg.solver
-        )
+        p, cache = propagate_with_lens(prepared, lens.occupancy)
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
         g_theta = lensmap.backward(d, beta, adj.occupancy, kernel_size,
                                    smooth_sigma)

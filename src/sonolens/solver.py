@@ -14,8 +14,15 @@ coherent sum over all sweeps.
 
 Slice pairs whose impedance is the same across the whole plane have
 t = 1 and r = 0 exactly, so both sweeps skip the transmission and
-reflection work there; the pairs where Z changes are found once per
-forward run.
+reflection work there.
+
+`prepare` builds a `PreparedMedium` once per medium: the diffraction
+kernel, the source plane, the per-slice screens, the impedance and the
+interface mask. With a lens slab, a run (`propagate_with_lens`) redoes
+only the slab's properties, screens and impedance and the interface
+entries that touch it; the base medium is never copied. `propagate` is a
+run on a medium prepared without a slab. The returned cache carries the
+run's screens and impedance, so the adjoint recomputes neither.
 
 Every operation in the chain is complex-linear in the field, so the exact
 reverse-mode gradient is obtained by transposing each step. The adjoint
@@ -110,7 +117,13 @@ class _Sweep:
 
 @dataclass
 class SliceCache:
-    """Forward-run state retained for the adjoint sweep."""
+    """Forward-run state retained for the adjoint sweep.
+
+    screen and Z hold one (nx, ny) array per slice: the prepared medium's
+    own, except on the lens slab, where this run's replace them. c, rho
+    and att_np are this run's properties on the lens slab only (nx, ny,
+    n_v); (nx, ny, 0) without a lens.
+    """
 
     grid: GridSpec
     cfg: SolverConfig
@@ -118,6 +131,8 @@ class SliceCache:
     c: np.ndarray
     rho: np.ndarray
     att_np: np.ndarray
+    screen: list
+    Z: list
     # iface[k]: the impedance differs somewhere between slices k and k+1
     iface: np.ndarray
     sweeps: list = field(default_factory=list)
@@ -152,11 +167,165 @@ def _screens(grid: GridSpec, c: np.ndarray, att_np: np.ndarray) -> np.ndarray:
     return np.exp(1j * k0 * (grid.c_ref / c - 1.0) * dz - att_np * dz)
 
 
+def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
+               att_np: np.ndarray) -> tuple[list, list]:
+    """Screens and impedances of (nx, ny, k) properties, one contiguous
+    (nx, ny) array per slice (the sweeps read them slice by slice)."""
+    cuts = [np.s_[:, :, s] for s in range(c.shape[2])]
+    return ([_screens(grid, c[cut], att_np[cut]) for cut in cuts],
+            [rho[cut] * c[cut] for cut in cuts])
+
+
+@dataclass
+class PreparedMedium:
+    """A medium set up once for any number of forward runs.
+
+    Holds the diffraction kernel, the default source plane and the
+    per-slice screens, impedance and interface mask of the base medium.
+    With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
+    the base properties there and the lens-minus-base deltas, so that a
+    run with a lens recomputes only the slab. Built by `prepare`; nothing
+    it holds is modified by a run.
+    """
+
+    grid: GridSpec
+    cfg: SolverConfig
+    H: np.ndarray
+    source_plane: np.ndarray
+    screen: list
+    Z: list
+    iface: np.ndarray
+    z_offset: int
+    c: np.ndarray                       # base properties on the slab
+    rho: np.ndarray
+    att_np: np.ndarray
+    dc: np.ndarray | None = None        # lens minus base on the slab;
+    drho: np.ndarray | None = None      # None without a lens material
+    datt: np.ndarray | None = None
+
+    def run(
+        self,
+        occupancy: np.ndarray | None = None,
+        source_plane: np.ndarray | None = None,
+        source_slice: int = 0,
+        direction: int = 1,
+    ) -> tuple[ComplexField, SliceCache]:
+        """One forward run: the total field and the cache for the adjoint.
+
+        occupancy (nx, ny, n_v) relaxes the lens into the slab and is
+        required exactly when the medium was prepared with a lens
+        material. source_plane overrides the prepared plane; it is
+        injected at slice source_slice and marched toward +z (direction
+        +1) or -z (-1).
+        """
+        grid = self.grid
+        if (occupancy is None) != (self.dc is None):
+            raise ValueError("pass a lens occupancy exactly when the medium "
+                             "was prepared with a lens material")
+        if source_plane is None:
+            source_plane = self.source_plane
+        else:
+            source_plane = np.asarray(source_plane, dtype=np.complex128)
+            if source_plane.shape != (grid.nx, grid.ny):
+                raise ValueError("source plane shape does not match grid")
+
+        screen, Z, iface = self.screen, self.Z, self.iface
+        c, rho, att = self.c, self.rho, self.att_np
+        if occupancy is not None:
+            occupancy = np.asarray(occupancy, dtype=np.float64)
+            if occupancy.shape != self.dc.shape:
+                raise ValueError(
+                    f"lens occupancy shape {occupancy.shape} does not match "
+                    f"the prepared slab {self.dc.shape}"
+                )
+            z0, n_v = self.z_offset, occupancy.shape[2]
+            c = c + occupancy * self.dc
+            rho = rho + occupancy * self.drho
+            att = att + occupancy * self.datt
+            screen, Z, iface = list(screen), list(Z), iface.copy()
+            screen[z0 : z0 + n_v], Z[z0 : z0 + n_v] = _per_slice(grid, c, rho,
+                                                                 att)
+            for k in range(max(z0 - 1, 0), min(z0 + n_v, grid.nz - 1)):
+                iface[k] = np.any(Z[k + 1] != Z[k])
+        cache = SliceCache(grid, self.cfg, self.H, c, rho, att, screen, Z, iface)
+        if occupancy is not None:
+            cache.lens_z_offset = self.z_offset
+            cache.lens_dc, cache.lens_drho, cache.lens_datt = (
+                self.dc, self.drho, self.datt)
+
+        inject = {source_slice: source_plane}
+        for order in range(self.cfg.reflection_order + 1):
+            collect = order < self.cfg.reflection_order
+            sweep, refl = _march(grid, self.H, screen, Z, iface, direction,
+                                 inject, collect)
+            cache.sweeps.append(sweep)
+            if not refl:
+                break
+            inject = refl
+            direction = -direction
+
+        # sweeps summed slice by slice: each strided slice is written once
+        total = np.empty(grid.shape, dtype=np.complex128)
+        for s in range(grid.nz):
+            total[:, :, s] = sum(
+                (sw.u[s] for sw in cache.sweeps if sw.u[s] is not None), 0.0)
+        return ComplexField(total, grid), cache
+
+
+def prepare(
+    src: SourceSpec,
+    medium: AcousticMedium,
+    cfg: SolverConfig | None = None,
+    lens_mat: MaterialProperties | None = None,
+    z_offset: int = 0,
+    n_v: int = 0,
+) -> PreparedMedium:
+    """Set up `medium` for repeated forward runs from `src`.
+
+    With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
+    medium (see `propagate_with_lens`); the full-grid screens, impedance
+    and interface mask are computed here once, and each run redoes only
+    the slab.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    grid = medium.grid
+    for arr in (medium.c, medium.rho, medium.att):
+        if np.any(~np.isfinite(arr)):
+            raise ValueError("medium contains non-finite values")
+    if lens_mat is None:
+        n_v = 0
+    elif z_offset < 0 or z_offset + n_v > grid.nz:
+        raise ValueError("lens exceeds the axial extent of the grid")
+    att_np = medium.attenuation_np_per_m()
+    screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
+    sl = np.s_[:, :, z_offset : z_offset + n_v]
+    prepared = PreparedMedium(
+        grid, cfg,
+        H=_diffraction_kernel(grid, cfg.angular_cutoff, grid.dz),
+        source_plane=src.source_plane(grid),
+        screen=screen,
+        Z=Z,
+        iface=np.array([np.any(a != b) for a, b in zip(Z[:-1], Z[1:])],
+                       dtype=bool),
+        z_offset=z_offset,
+        c=medium.c[sl].copy(),
+        rho=medium.rho[sl].copy(),
+        att_np=att_np[sl].copy(),
+    )
+    if lens_mat is not None:
+        prepared.dc = lens_mat.sound_speed - prepared.c
+        prepared.drho = lens_mat.density - prepared.rho
+        prepared.datt = (lens_mat.attenuation_np_per_m(grid.frequency)
+                         - prepared.att_np)
+    return prepared
+
+
 def _march(
     grid: GridSpec,
     H: np.ndarray,
-    screen: np.ndarray,
-    Z: np.ndarray,
+    screen: list,
+    Z: list,
     iface: np.ndarray,
     direction: int,
     inject: dict,
@@ -181,13 +350,13 @@ def _march(
         v = _diffract(u, H)
         v_list[s] = v
         if iface[min(prev, s)]:
-            Z1, Z2 = Z[:, :, prev], Z[:, :, s]
+            Z1, Z2 = Z[prev], Z[s]
             t = 2.0 * Z2 / (Z1 + Z2)
             if collect_reflections:
                 refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
-            u = t * v * screen[:, :, s]
+            u = t * v * screen[s]
         else:
-            u = v * screen[:, :, s]
+            u = v * screen[s]
         if src is not None:
             u = u + src
         u_list[s] = u
@@ -206,63 +375,7 @@ def propagate(
     phase-modulated sources). Returns the total field and the cache needed
     by `propagate_adjoint`.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    grid = medium.grid
-    for arr in (medium.c, medium.rho, medium.att):
-        if np.any(~np.isfinite(arr)):
-            raise ValueError("medium contains non-finite values")
-    if source_plane is None:
-        source_plane = src.source_plane(grid)
-    else:
-        source_plane = np.asarray(source_plane, dtype=np.complex128)
-        if source_plane.shape != (grid.nx, grid.ny):
-            raise ValueError("source plane shape does not match grid")
-    att_np = medium.attenuation_np_per_m()
-    cache = _propagate_arrays(
-        grid, cfg, medium.c, medium.rho, att_np, source_plane
-    )
-    return _total_field(cache), cache
-
-
-def _propagate_arrays(
-    grid: GridSpec,
-    cfg: SolverConfig,
-    c: np.ndarray,
-    rho: np.ndarray,
-    att_np: np.ndarray,
-    source_plane: np.ndarray,
-    source_slice: int = 0,
-    initial_direction: int = 1,
-) -> SliceCache:
-    H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
-    screen = _screens(grid, c, att_np)
-    Z = rho * c
-    iface = np.any(Z[:, :, 1:] != Z[:, :, :-1], axis=(0, 1))
-    cache = SliceCache(grid, cfg, H, c, rho, att_np, iface)
-
-    inject = {source_slice: source_plane}
-    direction = initial_direction
-    for order in range(cfg.reflection_order + 1):
-        collect = order < cfg.reflection_order
-        sweep, refl = _march(grid, H, screen, Z, iface, direction, inject,
-                             collect)
-        cache.sweeps.append(sweep)
-        if not refl:
-            break
-        inject = refl
-        direction = -direction
-    return cache
-
-
-def _total_field(cache: SliceCache) -> ComplexField:
-    grid = cache.grid
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for sweep in cache.sweeps:
-        for s, u in enumerate(sweep.u):
-            if u is not None:
-                total[:, :, s] += u
-    return ComplexField(total, grid)
+    return prepare(src, medium, cfg).run(source_plane=source_plane)
 
 
 def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
@@ -270,16 +383,15 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
 
     upstream is dL/dP over the full grid in the pairing dL = Re(sum(g*dP)).
     Property gradients cover the lens slab only (empty without a lens).
+    The screens and impedances are the forward run's, read from the cache.
     """
     grid = cache.grid
     if upstream.shape != grid.shape:
         raise ValueError("upstream gradient shape does not match the cached grid")
-    screen = _screens(grid, cache.c, cache.att_np)
     lensed = cache.lens_z_offset is not None
     z0 = cache.lens_z_offset if lensed else 0
-    n_v = cache.lens_dc.shape[2] if lensed else 0
 
-    slab = (grid.nx, grid.ny, n_v)
+    slab = cache.c.shape
     gc, grho, gatt = np.zeros(slab), np.zeros(slab), np.zeros(slab)
     source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
 
@@ -288,7 +400,7 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     refl_cot: dict = {}
     for sweep in reversed(cache.sweeps):
         inject_cot = _sweep_adjoint(
-            cache, screen, sweep, upstream, refl_cot, z0, gc, grho, gatt,
+            cache, sweep, upstream, refl_cot, z0, gc, grho, gatt,
         )
         refl_cot = inject_cot
     # whatever remains feeds the original source plane
@@ -303,9 +415,7 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     return result
 
 
-def _sweep_adjoint(
-    cache, screen, sweep: _Sweep, upstream, refl_cot, z0, gc, grho, gatt,
-):
+def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, gc, grho, gatt):
     """Reverse one sweep; returns cotangents of its consumed injections.
 
     The field cotangent is carried through every pair. Property gradients
@@ -316,6 +426,7 @@ def _sweep_adjoint(
     nz = grid.nz
     k0, dz = grid.k0, grid.dz
     H, c, rho, iface = cache.H, cache.c, cache.rho, cache.iface
+    screen, Z = cache.screen, cache.Z
     n_v = gc.shape[2]
     direction = sweep.direction
     order = list(range(nz)) if direction > 0 else list(range(nz - 1, -1, -1))
@@ -339,7 +450,7 @@ def _sweep_adjoint(
             # march had not started yet at this slice (pure injection)
             carry = np.zeros_like(carry)
             continue
-        scr = screen[:, :, s]
+        scr = screen[s]
         ks, kp = s - z0, prev - z0          # slab indices
         grad_s, grad_prev = 0 <= ks < n_v, 0 <= kp < n_v
         if not (iface[min(prev, s)] or grad_s or grad_prev):
@@ -347,8 +458,7 @@ def _sweep_adjoint(
             carry = _diffract_transpose(ub * scr, H)
             continue
 
-        Z1 = rho[:, :, prev] * c[:, :, prev]
-        Z2 = rho[:, :, s] * c[:, :, s]
+        Z1, Z2 = Z[prev], Z[s]
         denom = Z1 + Z2
         t = 2.0 * Z2 / denom
 
@@ -366,7 +476,7 @@ def _sweep_adjoint(
             #                    d screen/da = -dz * screen
             gscr = ub * t * v
             gc[:, :, ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
-                c[:, :, s] ** 2
+                c[:, :, ks] ** 2
             )
             gatt[:, :, ks] += np.real(gscr * scr) * (-dz)
 
@@ -379,11 +489,11 @@ def _sweep_adjoint(
             gZ1 += gr * (-2.0 * Z2 / denom**2)
             gZ2 += gr * (2.0 * Z1 / denom**2)
         if grad_prev:
-            gc[:, :, kp] += gZ1 * rho[:, :, prev]
-            grho[:, :, kp] += gZ1 * c[:, :, prev]
+            gc[:, :, kp] += gZ1 * rho[:, :, kp]
+            grho[:, :, kp] += gZ1 * c[:, :, kp]
         if grad_s:
-            gc[:, :, ks] += gZ2 * rho[:, :, s]
-            grho[:, :, ks] += gZ2 * c[:, :, s]
+            gc[:, :, ks] += gZ2 * rho[:, :, ks]
+            grho[:, :, ks] += gZ2 * c[:, :, ks]
 
     s0 = order[0]
     ub0 = carry + upstream[:, :, s0]
@@ -393,49 +503,17 @@ def _sweep_adjoint(
 
 
 def propagate_with_lens(
-    src: SourceSpec,
-    base: AcousticMedium,
-    occupancy: np.ndarray,
-    lens_mat: MaterialProperties,
-    z_offset: int = 0,
-    cfg: SolverConfig | None = None,
+    prepared: PreparedMedium, occupancy: np.ndarray
 ) -> tuple[ComplexField, SliceCache]:
     """Differentiable forward run with a lens relaxed into the medium.
 
-    Properties inside the lens slab interpolate linearly in occupancy
-    between the background and the lens material (a straight-through
-    relaxation of the hard embedding threshold), so the returned cache
-    yields exact occupancy gradients via `propagate_adjoint`.
+    Properties inside the lens slab of `prepared` interpolate linearly in
+    occupancy between the background and the lens material (a
+    straight-through relaxation of the hard embedding threshold), so the
+    returned cache yields exact occupancy gradients via
+    `propagate_adjoint`.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    grid = base.grid
-    occupancy = np.asarray(occupancy, dtype=np.float64)
-    if occupancy.shape[:2] != (grid.nx, grid.ny):
-        raise ValueError("lens lateral shape does not match grid")
-    n_v = occupancy.shape[2]
-    if z_offset < 0 or z_offset + n_v > grid.nz:
-        raise ValueError("lens exceeds the axial extent of the grid")
-    att_np = base.attenuation_np_per_m()
-    lens_att_np = lens_mat.attenuation_np_per_m(grid.frequency)
-    sl = np.s_[:, :, z_offset : z_offset + n_v]
-    dc = lens_mat.sound_speed - base.c[sl]
-    drho = lens_mat.density - base.rho[sl]
-    datt = lens_att_np - att_np[sl]
-
-    c = base.c.copy()
-    rho = base.rho.copy()
-    att = att_np.copy()
-    c[sl] += occupancy * dc
-    rho[sl] += occupancy * drho
-    att[sl] += occupancy * datt
-
-    cache = _propagate_arrays(grid, cfg, c, rho, att, src.source_plane(grid))
-    cache.lens_z_offset = z_offset
-    cache.lens_dc = dc
-    cache.lens_drho = drho
-    cache.lens_datt = datt
-    return _total_field(cache), cache
+    return prepared.run(occupancy)
 
 
 def apply_phase_delays(

@@ -4,7 +4,12 @@ from collections import deque
 
 import numpy as np
 
-from sonolens.solver import _diffract_transpose, _screens
+from sonolens.solver import (
+    _diffract,
+    _diffract_transpose,
+    _diffraction_kernel,
+    _screens,
+)
 
 NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
@@ -35,18 +40,81 @@ def bfs_segment(amp, seed, threshold_db=-6.0):
     return mask
 
 
-def full_grid_adjoint(cache, upstream):
+def embedded_arrays(base, occupancy, lens_mat, z_offset):
+    """Full-grid c, rho and attenuation (Np/m) with a relaxed lens embedded.
+
+    Fresh copies of the base medium whose slab [z_offset, z_offset + n_v)
+    moves linearly in occupancy toward `lens_mat`: the formulation that
+    `solver.prepare` and `propagate_with_lens` compute slab by slab.
+    """
+    att = base.attenuation_np_per_m()
+    sl = np.s_[:, :, z_offset : z_offset + occupancy.shape[2]]
+    c, rho, att = base.c.copy(), base.rho.copy(), att.copy()
+    c[sl] += occupancy * (lens_mat.sound_speed - base.c[sl])
+    rho[sl] += occupancy * (lens_mat.density - base.rho[sl])
+    att[sl] += occupancy * (
+        lens_mat.attenuation_np_per_m(base.grid.frequency) - att[sl])
+    return c, rho, att
+
+
+def full_grid_forward(grid, cfg, c, rho, att_np, source_plane,
+                      source_slice=0, direction=1):
+    """Forward sweeps on full property arrays, everything rebuilt per call.
+
+    Reference for `solver.PreparedMedium.run`: the kernel, the screens,
+    the impedance and the interface mask are computed over the whole grid.
+    Returns the total field.
+    """
+    H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
+    screen = _screens(grid, c, att_np)
+    Z = rho * c
+    iface = np.any(Z[:, :, 1:] != Z[:, :, :-1], axis=(0, 1))
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    inject = {source_slice: source_plane}
+    for order in range(cfg.reflection_order + 1):
+        steps = list(range(grid.nz) if direction > 0
+                     else range(grid.nz - 1, -1, -1))
+        refl = {}
+        u = inject.get(steps[0])
+        if u is not None:
+            total[:, :, steps[0]] += u
+        for prev, s in zip(steps[:-1], steps[1:]):
+            src = inject.get(s)
+            if u is None:
+                u = src
+            else:
+                v = _diffract(u, H)
+                if iface[min(prev, s)]:
+                    Z1, Z2 = Z[:, :, prev], Z[:, :, s]
+                    if order < cfg.reflection_order:
+                        refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
+                    u = 2.0 * Z2 / (Z1 + Z2) * v * screen[:, :, s]
+                else:
+                    u = v * screen[:, :, s]
+                if src is not None:
+                    u = u + src
+            if u is not None:
+                total[:, :, s] += u
+        if not refl:
+            break
+        inject = refl
+        direction = -direction
+    return total
+
+
+def full_grid_adjoint(cache, upstream, c, rho, att_np):
     """Reverse sweep with full-grid property gradients at every slice pair.
 
-    Reference for the slab-only `solver.propagate_adjoint`: the transmission
-    factor, the impedance chain and the screen derivative run on every
-    pair, whether or not the impedance changes there or a gradient is
-    used. Returns (source_plane, gc, grho, gatt, occupancy); occupancy is
-    None without a lens.
+    Reference for the slab-only `solver.propagate_adjoint`: the screens and
+    the impedance come from the full-grid properties c, rho and att_np
+    (Np/m) of the run that made `cache`, and the transmission factor, the
+    impedance chain and the screen derivative run on every pair, whether
+    or not the impedance changes there or a gradient is used. Returns
+    (source_plane, gc, grho, gatt, occupancy); occupancy is None without a
+    lens.
     """
     grid = cache.grid
-    c, rho = cache.c, cache.rho
-    screen = _screens(grid, c, cache.att_np)
+    screen = _screens(grid, c, att_np)
     Z = rho * c
     gc = np.zeros(grid.shape)
     grho = np.zeros(grid.shape)
@@ -131,3 +199,56 @@ def _full_grid_sweep_adjoint(grid, H, screen, Z, c, rho, sweep, upstream,
     if s0 in sweep.inject:
         inject_cot[s0] = ub0
     return inject_cot
+
+
+def loss_and_gradient(
+    values: np.ndarray,
+    target,
+    lambda_energy: float,
+    lambda_balance: float,
+) -> tuple[float, float, float, np.ndarray]:
+    """All three loss terms plus the exact upstream field cotangent.
+
+    Reference for `optim.loss_and_gradient`: every term is evaluated over
+    the full grid with the target constants rebuilt on each call.
+    """
+    intensity = np.abs(values) ** 2
+    a = target.a_target
+    a2 = a**2
+    omega = target.omega
+    conj = np.conj(values)
+
+    # accuracy term and d/d(intensity)
+    num = np.sum(a2 * intensity)
+    s4a = np.sum(a2**2)
+    s4p = np.sum(intensity**2)
+    w_int = np.zeros_like(intensity)
+    if s4p > 0.0:
+        denom = np.sqrt(s4a * s4p)
+        l_acc = 1.0 - num / denom
+        w_int += -a2 / denom + num * intensity / (np.sqrt(s4a) * s4p**1.5)
+    else:
+        l_acc = 1.0
+
+    # balance term
+    vals = intensity[omega]
+    mean = vals.mean()
+    std = float(np.std(vals))
+    l_bal = std
+    if std > 0.0:
+        w_bal = np.zeros_like(intensity)
+        w_bal[omega] = (vals - mean) / (vals.size * std)
+        w_int += lambda_balance * w_bal
+
+    upstream = 2.0 * w_int * conj
+
+    # energy term, gradient through |P|
+    a_sum = np.sum(a)
+    l_en = float(-np.sum(a * np.abs(values)) / a_sum)
+    amp = np.abs(values)
+    nz = amp > 0
+    g_en = np.zeros_like(values)
+    g_en[nz] = (-a[nz] / a_sum) * conj[nz] / amp[nz]
+    upstream = upstream + lambda_energy * g_en
+
+    return l_acc, l_en, l_bal, upstream

@@ -182,6 +182,7 @@ class TestDesignCommand:
         ({"kernel_size": 0}, "kernel_size"),
         ({"alpha": 0}, "alpha must be positive"),
         ({"v_min": 0.5}, "v_min must be at least 1 voxel"),
+        ({"fab_cutoff_um": 50}, "fab_cutoff 5e-05 m is below the grid spacing"),
     ])
     def test_bad_lens_geometry_exit_2(self, tmp_path, capsys, lens, message):
         # the shipped water demo has 64 slices and a 16-voxel lens

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from sonolens import io
-from sonolens.grid import FORM_CLEAR, GridSpec
-from sonolens.medium import make_homogeneous, make_skull_phantom
+from sonolens.grid import GridSpec
 from sonolens.solver import ComplexField
 
 
@@ -48,37 +47,6 @@ def loop_stl(path, t, dx, dz, min_thickness_vox=0.0):
             for p in (a, b, c):
                 fh.write(struct.pack("<3f", *p))
             fh.write(b"\0\0")
-
-
-class TestMediumRoundTrip:
-    def test_heterogeneous_round_trip(self, tmp_path):
-        g = make_grid(16, 16, 16)
-        med = make_skull_phantom(g, (8 * g.dx,) * 3, 0.5e-3, 0.3e-3)
-        io.save_medium(tmp_path / "med", med)
-        back = io.load_medium(tmp_path / "med")
-        assert np.allclose(back.c, med.c, rtol=1e-6)
-        assert np.allclose(back.rho, med.rho, rtol=1e-6)
-        assert np.allclose(back.att, med.att, rtol=1e-6)
-        assert np.allclose(back.att_power, med.att_power, rtol=1e-6)
-        assert back.grid.shape == g.shape
-        assert back.grid.dx == g.dx
-
-    def test_header_contents(self, tmp_path):
-        g = make_grid()
-        io.save_medium(tmp_path / "m", make_homogeneous(g, FORM_CLEAR))
-        header = json.loads((tmp_path / "m.json").read_text())
-        assert header["schema_version"] == io.SCHEMA_VERSION
-        assert header["dims"] == [8, 8, 12]
-        assert header["fields"] == ["c", "rho", "att", "att_power"]
-        assert header["dtype"] == "float32"
-
-    def test_payload_size_mismatch_rejected(self, tmp_path):
-        g = make_grid()
-        io.save_medium(tmp_path / "m", make_homogeneous(g, FORM_CLEAR))
-        raw = (tmp_path / "m.raw").read_bytes()
-        (tmp_path / "m.raw").write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="size"):
-            io.load_medium(tmp_path / "m")
 
 
 class TestHuRoundTrip:

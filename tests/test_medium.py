@@ -77,15 +77,6 @@ class TestIngestHU:
         with pytest.raises(ValueError, match="monotone"):
             HUCalibration(hu_water=1000.0, hu_bone=0.0)
 
-    def test_inverse_calibration_roundtrip(self):
-        g = make_grid()
-        rng = np.random.default_rng(0)
-        hu = rng.integers(0, 1001, size=g.shape)
-        calib = HUCalibration()
-        med = ingest_hu_volume(g, hu, calib)
-        recovered = calib.invert_sound_speed(med.c)
-        assert np.allclose(recovered, hu, atol=1e-9)
-
 
 class TestSkullPhantom:
     def test_zero_thickness_is_water(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sonolens import lensmap
 from sonolens.baselines import fabricate_and_simulate
 from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
@@ -152,6 +153,40 @@ class TestLossGradient:
                 # pairing dL = Re(g * dP)
                 analytic = np.real(upstream[idx] * direction)
                 assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-9)
+
+    @staticmethod
+    def loss_case(kind):
+        rng = np.random.default_rng(9)
+        shape = (6, 5, 7)
+        a = np.zeros(shape)
+        a[1:3, 1:4, 2:5] = 1.0
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if kind == "fractional":
+            a[4, 0:3, 1:6] = rng.uniform(0.05, 0.95, size=(3, 5))
+        elif kind == "zero_on_support":
+            a[4, 1, 1:4] = 0.5
+            values[1, 2, 2:5] = 0.0
+            values[4, 1, 2] = 0.0
+        elif kind == "zero_field":            # sum |P|^4 == 0
+            values[:] = 0.0
+        elif kind == "uniform_on_active_set":  # std == 0
+            values[a == 1.0] = -2.0j
+        return target_from_array(a), values
+
+    @pytest.mark.parametrize("kind", ["fractional", "zero_on_support",
+                                      "zero_field", "uniform_on_active_set"])
+    def test_matches_full_grid_oracle(self, kind):
+        t, values = self.loss_case(kind)
+        got = loss_and_gradient(values, t, 0.2, 0.5)
+        ref = oracles.loss_and_gradient(values, t, 0.2, 0.5)
+        for x, y in zip(got[:3], ref[:3]):
+            assert abs(x - y) <= 1e-12 * abs(y)
+        scale = np.abs(ref[3]).max()
+        assert np.abs(got[3] - ref[3]).max() <= 1e-12 * scale
+        if kind == "zero_field":
+            assert got[0] == 1.0 and not np.any(got[3])
+        if kind == "uniform_on_active_set":
+            assert got[2] == 0.0
 
     def test_report_recombines_exactly(self):
         report = LossReport(0.2, 0.5)

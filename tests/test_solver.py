@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import full_grid_adjoint
+from oracles import embedded_arrays, full_grid_adjoint, full_grid_forward
 from sonolens.grid import (
     BONE,
     FORM_CLEAR,
@@ -17,10 +17,9 @@ from sonolens.medium import make_homogeneous
 from sonolens.solver import (
     SolverConfig,
     _diffraction_kernel,
-    _propagate_arrays,
-    _total_field,
     apply_phase_delays,
     backproject,
+    prepare,
     propagate,
     propagate_adjoint,
     propagate_with_lens,
@@ -29,6 +28,12 @@ from sonolens.solver import (
 
 def make_grid(nx=16, ny=16, nz=24, d=125e-6):
     return GridSpec(nx, ny, nz, d, d, d, 2e6, 1500.0)
+
+
+def lens_run(src, med, occ, mat, z_offset, cfg=None):
+    """One forward run with a lens, on a medium prepared for it alone."""
+    return propagate_with_lens(
+        prepare(src, med, cfg, mat, z_offset, occ.shape[2]), occ)
 
 
 class TestDiffractionKernel:
@@ -116,16 +121,16 @@ class TestPropagate:
     def test_reciprocity(self):
         g = make_grid(24, 24, 24)
         med = make_homogeneous(g, WATER)
-        cfg = SolverConfig(reflection_order=0)
-        att = med.attenuation_np_per_m()
+        prepared = prepare(SourceSpec.full_plane(g), med,
+                           SolverConfig(reflection_order=0))
         a, b = (5, 7, 3), (16, 12, 20)
 
         def point_field(source_xy, source_slice, direction):
             plane = np.zeros((24, 24), dtype=np.complex128)
             plane[source_xy] = 1.0
-            cache = _propagate_arrays(g, cfg, med.c, med.rho, att, plane,
-                                      source_slice, direction)
-            return _total_field(cache).values
+            p, _ = prepared.run(source_plane=plane, source_slice=source_slice,
+                                direction=direction)
+            return p.values
 
         p_ab = point_field(a[:2], a[2], +1)[b]
         p_ba = point_field(b[:2], b[2], -1)[a]
@@ -167,7 +172,7 @@ class TestAdjoint:
         g = make_grid()
         med = make_homogeneous(g, WATER)
         occ = np.full((16, 16, 2), 0.5)
-        _, cache = propagate_with_lens(SourceSpec.full_plane(g), med, occ,
+        _, cache = lens_run(SourceSpec.full_plane(g), med, occ,
                                        FORM_CLEAR, 4)
         adj = propagate_adjoint(cache, np.zeros(g.shape, dtype=np.complex128))
         assert np.all(adj.occupancy == 0.0)
@@ -205,13 +210,13 @@ class TestAdjoint:
         delta = rng.normal(size=occ.shape)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
 
-        _, cache = propagate_with_lens(src, med, occ, FORM_CLEAR, 6, cfg)
+        _, cache = lens_run(src, med, occ, FORM_CLEAR, 6, cfg)
         adj = propagate_adjoint(cache, upstream)
         rhs = np.sum(adj.occupancy * delta)
 
         eps = 1e-6
-        pp, _ = propagate_with_lens(src, med, occ + eps * delta, FORM_CLEAR, 6, cfg)
-        pm, _ = propagate_with_lens(src, med, occ - eps * delta, FORM_CLEAR, 6, cfg)
+        pp, _ = lens_run(src, med, occ + eps * delta, FORM_CLEAR, 6, cfg)
+        pm, _ = lens_run(src, med, occ - eps * delta, FORM_CLEAR, 6, cfg)
         lhs = np.real(np.sum(upstream * (pp.values - pm.values))) / (2 * eps)
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
 
@@ -227,7 +232,7 @@ class TestAdjoint:
         def adjoint_and_fd(mat):
             occ = np.zeros((16, 16, 1))
             occ[8, 8, 0] = 0.5
-            p, cache = propagate_with_lens(src, med, occ, mat, 5, cfg)
+            p, cache = lens_run(src, med, occ, mat, 5, cfg)
             upstream = np.zeros(g.shape, dtype=np.complex128)
             upstream[focus] = 2.0 * np.conj(p.values[focus])
             adj = propagate_adjoint(cache, upstream)
@@ -235,7 +240,7 @@ class TestAdjoint:
             def loss(v):
                 o = np.zeros((16, 16, 1))
                 o[8, 8, 0] = v
-                q, _ = propagate_with_lens(src, med, o, mat, 5, cfg)
+                q, _ = lens_run(src, med, o, mat, 5, cfg)
                 return abs(q.values[focus]) ** 2
 
             fd = (loss(0.5 + 1e-6) - loss(0.5 - 1e-6)) / 2e-6
@@ -277,24 +282,37 @@ class TestLeanAdjoint:
         ((slice(2, 4), slice(20, 23)), 4, 0),
         ((slice(2, 4), slice(20, 23)), 4, 14),
         ((slice(2, 4), slice(20, 23)), 4, 29),   # z_offset = nz - n_v
+        ((slice(2, 4), slice(20, 23)), 0, 0),
+        ((slice(2, 4), slice(20, 23)), 0, 14),
+        ((slice(2, 4), slice(20, 23)), 0, 29),
     ])
     def test_matches_full_grid_oracle(self, layers, order, z_offset):
+        # one prepared medium, reused for several occupancies; each run
+        # against a fresh forward and adjoint on embedded full-grid arrays
         g = self.GRID
         med = bone_layers(g, *layers)
         src = SourceSpec.disk(g, 1.2e-3)
+        cfg = SolverConfig(reflection_order=order)
+        prepared = prepare(src, med, cfg, FORM_CLEAR, z_offset, self.N_V)
         rng = np.random.default_rng(z_offset)
-        occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-        _, cache = propagate_with_lens(src, med, occ, FORM_CLEAR, z_offset,
-                                       SolverConfig(reflection_order=order))
-        adj = propagate_adjoint(cache, upstream)
-        source, gc, grho, gatt, occupancy = full_grid_adjoint(cache, upstream)
         sl = np.s_[:, :, z_offset : z_offset + self.N_V]
-        assert np.array_equal(adj.occupancy, occupancy)
-        assert np.array_equal(adj.source_plane, source)
-        assert np.array_equal(adj.c, gc[sl])
-        assert np.array_equal(adj.rho, grho[sl])
-        assert np.array_equal(adj.att_np, gatt[sl])
+        for _ in range(3):
+            occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
+            occ[:4] = rng.integers(0, 2, size=(4, 16, self.N_V))
+            p, cache = propagate_with_lens(prepared, occ)
+            adj = propagate_adjoint(cache, upstream)
+            c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
+            assert np.array_equal(
+                p.values, full_grid_forward(g, cfg, c, rho, att,
+                                            src.source_plane(g)))
+            source, gc, grho, gatt, occupancy = full_grid_adjoint(
+                cache, upstream, c, rho, att)
+            assert np.array_equal(adj.occupancy, occupancy)
+            assert np.array_equal(adj.source_plane, source)
+            assert np.array_equal(adj.c, gc[sl])
+            assert np.array_equal(adj.rho, grho[sl])
+            assert np.array_equal(adj.att_np, gatt[sl])
 
     def test_without_lens_only_source_cotangent(self):
         g = self.GRID
@@ -302,7 +320,8 @@ class TestLeanAdjoint:
         upstream = np.random.default_rng(3).normal(size=g.shape) + 0j
         _, cache = propagate(SourceSpec.disk(g, 1.2e-3), med, SolverConfig())
         adj = propagate_adjoint(cache, upstream)
-        source, *_ = full_grid_adjoint(cache, upstream)
+        source, *_ = full_grid_adjoint(cache, upstream, med.c, med.rho,
+                                       med.attenuation_np_per_m())
         assert np.array_equal(adj.source_plane, source)
         assert adj.occupancy is None
         for grad in (adj.c, adj.rho, adj.att_np):
@@ -327,15 +346,82 @@ class TestLeanAdjoint:
         delta = rng.normal(size=occ.shape)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
 
-        _, cache = propagate_with_lens(src, med, occ, FORM_CLEAR, z_offset, cfg)
+        _, cache = lens_run(src, med, occ, FORM_CLEAR, z_offset, cfg)
         rhs = np.sum(propagate_adjoint(cache, upstream).occupancy * delta)
         eps = 1e-6
-        pp, _ = propagate_with_lens(src, med, occ + eps * delta, FORM_CLEAR,
+        pp, _ = lens_run(src, med, occ + eps * delta, FORM_CLEAR,
                                     z_offset, cfg)
-        pm, _ = propagate_with_lens(src, med, occ - eps * delta, FORM_CLEAR,
+        pm, _ = lens_run(src, med, occ - eps * delta, FORM_CLEAR,
                                     z_offset, cfg)
         lhs = np.real(np.sum(upstream * (pp.values - pm.values))) / (2 * eps)
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
+
+
+class TestPreparedMedium:
+    """Runs of one prepared medium are independent of each other."""
+
+    GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+    N_V = 3
+
+    def test_later_run_leaves_earlier_field_and_cache_unchanged(self):
+        g = self.GRID
+        prepared = prepare(SourceSpec.disk(g, 1.2e-3),
+                           bone_layers(g, slice(2, 4), slice(20, 23)),
+                           SolverConfig(reflection_order=4), FORM_CLEAR, 14,
+                           self.N_V)
+        rng = np.random.default_rng(5)
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        p1, cache1 = propagate_with_lens(
+            prepared, rng.uniform(0.1, 0.9, size=(16, 16, self.N_V)))
+        adj1 = propagate_adjoint(cache1, upstream)
+
+        def state():
+            arrays = [p1.values, cache1.c, cache1.rho, cache1.att_np,
+                      cache1.iface, *cache1.screen, *cache1.Z]
+            for sw in cache1.sweeps:
+                arrays += [u for u in sw.u + sw.v if u is not None]
+            return [a.copy() for a in arrays]
+
+        before = state()
+        p2, _ = propagate_with_lens(prepared, np.ones((16, 16, self.N_V)))
+        assert not np.array_equal(p2.values, p1.values)
+        after = state()
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        again = propagate_adjoint(cache1, upstream)
+        assert np.array_equal(again.occupancy, adj1.occupancy)
+        assert np.array_equal(again.source_plane, adj1.source_plane)
+
+    def test_run_without_lens_matches_full_grid_run(self):
+        g = self.GRID
+        med = bone_layers(g, slice(2, 4), slice(20, 23))
+        cfg = SolverConfig(reflection_order=4)
+        plane = np.zeros((16, 16), dtype=np.complex128)
+        plane[5, 9] = 1.0
+        p, _ = prepare(SourceSpec.full_plane(g), med, cfg).run(
+            source_plane=plane, source_slice=25, direction=-1)
+        fresh = full_grid_forward(g, cfg, med.c, med.rho,
+                                  med.attenuation_np_per_m(), plane, 25, -1)
+        assert np.array_equal(p.values, fresh)
+
+    @pytest.mark.parametrize("lens_mat, occupancy, message", [
+        (FORM_CLEAR, None, "exactly when"),
+        (None, np.zeros((16, 16, 3)), "exactly when"),
+        (FORM_CLEAR, np.zeros((16, 16, 2)), "prepared slab"),
+    ])
+    def test_occupancy_must_fit_the_prepared_slab(self, lens_mat, occupancy,
+                                                  message):
+        g = self.GRID
+        prepared = prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+                           None, lens_mat, 4, self.N_V)
+        with pytest.raises(ValueError, match=message):
+            prepared.run(occupancy)
+
+    def test_slab_beyond_grid_rejected(self):
+        g = self.GRID
+        with pytest.raises(ValueError, match="axial extent"):
+            prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+                    None, FORM_CLEAR, 30, self.N_V)
 
 
 def load_benchmark_tracer():
@@ -359,8 +445,9 @@ class TestBenchmarkTracerContract:
         g = make_grid(16, 16, 16)
         med = bone_layers(g, slice(10, 12))
         occ = np.full((16, 16, 2), 0.5)
-        p, cache = forward(SourceSpec.full_plane(g), med, occ, FORM_CLEAR, 3,
-                           SolverConfig(reflection_order=2))
+        prepared = prepare(SourceSpec.full_plane(g), med,
+                           SolverConfig(reflection_order=2), FORM_CLEAR, 3, 2)
+        p, cache = forward(prepared, occ)
         adjoint(cache, np.conj(p.values))
 
         counters = tracer.counters
