@@ -56,10 +56,7 @@ from .optim import (
     TargetSpec,
     gradcheck,
     lens_objective,
-    loss_acc,
     loss_and_gradient,
-    loss_balance,
-    loss_energy,
     optimize_lens_geometry,
 )
 from .baselines import (
@@ -68,7 +65,6 @@ from .baselines import (
     full_cycle_thickness,
     optimize_phase_map,
     phase_to_thickness,
-    thickness_to_phase,
     time_reversal,
 )
 from .analysis import (
@@ -97,11 +93,10 @@ __all__ = [
     "PreparedMedium", "prepare", "propagate", "propagate_adjoint",
     "propagate_with_lens",
     "Adam", "DesignResult", "LossReport", "OptimConfig", "TargetSpec",
-    "gradcheck", "lens_objective", "loss_acc", "loss_and_gradient",
-    "loss_balance", "loss_energy", "optimize_lens_geometry",
+    "gradcheck", "lens_objective", "loss_and_gradient",
+    "optimize_lens_geometry",
     "PhaseMap", "fabricate_and_simulate", "full_cycle_thickness",
-    "optimize_phase_map", "phase_to_thickness", "thickness_to_phase",
-    "time_reversal",
+    "optimize_phase_map", "phase_to_thickness", "time_reversal",
     "PSNR_CAP_DB", "FocalReport", "FocusMetrics", "ThermalConfig",
     "bioheat_simulate", "cross_domain_psnr", "focal_metrics", "focal_report",
     "perturb_lens", "segment_foci",

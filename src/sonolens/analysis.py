@@ -1,4 +1,9 @@
-"""Quantitative field evaluation, thermal post-processing, fabrication errors."""
+"""Quantitative field evaluation, thermal post-processing, fabrication errors.
+
+The bioheat model splits the medium into bone (sound speed at or above
+BONE_SPEED_THRESHOLD) and soft tissue, each with a fixed conductivity and
+heat capacity; `ThermalConfig` holds only the pulse protocol.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,13 @@ from .solver import ComplexField
 
 PSNR_CAP_DB = 300.0
 FOCUS_THRESHOLD_DB = -6.0  # focal-region level relative to the global peak
+
+# per-tissue thermal properties of the bioheat model
+K_BONE = 0.32                 # W/(m C)
+HEAT_CAPACITY_BONE = 1313.0   # J/(kg C)
+K_SOFT = 0.51
+HEAT_CAPACITY_SOFT = 3630.0
+BONE_SPEED_THRESHOLD = 2000.0  # m/s, classifies voxels as bone
 
 
 @dataclass
@@ -177,22 +189,16 @@ def focal_report(p: ComplexField, seeds) -> FocalReport:
 
 @dataclass
 class ThermalConfig:
-    """Pulsed heating/cooling protocol and per-tissue thermal properties."""
+    """Pulsed heating/cooling protocol."""
 
-    k_bone: float = 0.32          # W/(m C)
-    heat_capacity_bone: float = 1313.0    # J/(kg C)
-    k_soft: float = 0.51
-    heat_capacity_soft: float = 3630.0
     heat_time: float = 10e-3      # s at peak pressure
     cool_time: float = 190e-3
     n_cycles: int = 5
     reference_peak_pressure: float = 1e6  # Pa
     perfusion_rate: float = 0.0   # 1/s, hook only; ex vivo default 0
-    bone_speed_threshold: float = 2000.0  # m/s, classifies voxels as bone
 
     def __post_init__(self):
-        for name in ("k_bone", "heat_capacity_bone", "k_soft",
-                     "heat_capacity_soft", "heat_time", "cool_time"):
+        for name in ("heat_time", "cool_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_cycles < 1:
@@ -208,7 +214,8 @@ def bioheat_simulate(
     """Temperature rise from pulsed absorption heating (explicit FD).
 
     The volumetric source during heat phases is Q = a_np * |P|^2 / (rho*c)
-    with a_np the attenuation in Np/m. Boundaries are insulated
+    with a_np the attenuation in Np/m; conductivity and heat capacity are
+    the bone or soft-tissue constants of each voxel. Boundaries are insulated
     (zero flux); perfusion defaults to zero. When normalize_mask is
     given, the field is scaled so its peak amplitude inside the mask
     equals the reference peak pressure. Returns dT in degrees C.
@@ -221,9 +228,9 @@ def bioheat_simulate(
             raise ValueError("field is zero inside the normalization mask")
         amp = amp * (cfg.reference_peak_pressure / peak)
 
-    bone = medium.c >= cfg.bone_speed_threshold
-    k = np.where(bone, cfg.k_bone, cfg.k_soft)
-    heat_cap = np.where(bone, cfg.heat_capacity_bone, cfg.heat_capacity_soft)
+    bone = medium.c >= BONE_SPEED_THRESHOLD
+    k = np.where(bone, K_BONE, K_SOFT)
+    heat_cap = np.where(bone, HEAT_CAPACITY_BONE, HEAT_CAPACITY_SOFT)
     rho = medium.rho
     rho_cap = rho * heat_cap
 

@@ -57,14 +57,15 @@ def optimize_phase_map(
     No lens volume is embedded; the phase acts directly on the source
     plane (the phase-only optimization domain). Starts from a flat phase
     and runs the same loss stack and descent loop (`optim.descend`) as the
-    geometry optimization.
+    geometry optimization; the medium is prepared once for all iterations.
     """
     grid = medium.grid
     mask = src.amplitude * src.aperture_mask
+    prepared = prepare(src, medium, cfg.solver)
 
     def objective(phi: np.ndarray, it: int):
         plane = apply_phase_delays(src, phi, grid)
-        p, cache = propagate(src, medium, cfg.solver, source_plane=plane)
+        p, cache = prepared.run(source_plane=plane)
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
         # d plane / d phi = i * A * exp(i*phi) on the aperture
         g_phi = np.real(adj.source_plane * 1j * mask * np.exp(1j * phi))
@@ -109,21 +110,6 @@ def phase_to_thickness(
     thickness = t_min + frac * t_2pi
     hi = t_min + t_2pi if t_max is None else t_max
     return np.clip(thickness, t_min, hi)
-
-
-def thickness_to_phase(
-    thickness: np.ndarray,
-    frequency: float,
-    c0: float,
-    c_lens: float,
-    t_min: float = 250e-6,
-) -> np.ndarray:
-    """Relative transmission phase of a thickness map, inverse of the above."""
-    t_2pi = full_cycle_thickness(frequency, c0, c_lens)
-    frac = (np.asarray(thickness) - t_min) / t_2pi
-    if c_lens > c0:
-        return np.mod(TWO_PI - frac * TWO_PI, TWO_PI)
-    return np.mod(frac * TWO_PI, TWO_PI)
 
 
 def time_reversal(

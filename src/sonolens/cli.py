@@ -3,15 +3,17 @@
 Subcommands: design, evaluate, sweep, backproject, gradcheck.
 Configs are JSON with ``//`` line comments allowed; every physical
 quantity carries its unit as a key suffix (``spacing_um``,
-``radius_mm``, ``frequency_mhz``). Each run writes a resolved-config
-snapshot (pure SI, comment-free) whose hash is embedded in the headers
-of all exported arrays. Exit codes: 0 success, 2 configuration error,
-3 numeric failure.
+``radius_mm``, ``frequency_mhz``). A key that no section knows is a
+configuration error, in every section and at the top level. Each run
+writes a resolved-config snapshot (pure SI, comment-free) whose hash is
+embedded in the headers of all exported arrays. Exit codes: 0 success,
+2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import re
@@ -87,13 +89,16 @@ def strip_comments(text: str) -> str:
 
 
 def load_config(path) -> dict:
+    """Parse a config file and check its keys (see `check_config`)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(strip_comments(path.read_text()))
+        cfg = json.loads(strip_comments(path.read_text()))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    check_config(cfg)
+    return cfg
 
 
 def _number(section: dict, key: str, default=None, kind=float):
@@ -163,8 +168,56 @@ def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
         if base in quantities and suffix.lower() in _UNIT_SCALE:
             continue
         names = sorted(set(known) | {q + "_<unit>" for q in quantities})
+        spelled = [*known, *quantities,
+                   *(f"{q}_{u}" for q in quantities for u in _UNIT_SCALE)]
+        hint = difflib.get_close_matches(key, spelled, n=1)
         raise ConfigError(f"{name}: unknown key '{key}' "
-                          f"(known: {', '.join(names)})")
+                          f"(known: {', '.join(names)})"
+                          + (f"; did you mean '{hint[0]}'?" if hint else ""))
+
+
+# section -> (plain keys, quantities); a quantity takes a unit suffix
+_SECTION_KEYS = {
+    "grid": (("nx", "ny", "nz"),
+             ("spacing", "dx", "dy", "dz", "frequency", "c_ref")),
+    "source": (("amplitude", "full_plane"), ("aperture_diameter",)),
+    "target": ((), ("focus_centers", "radius")),
+    "solver": (("reflection_order", "angular_cutoff"), ()),
+    "optim": (("beta_start", "beta_end", "iterations", "learning_rate",
+               "lambda_energy", "lambda_balance"), ()),
+    "lens": (("material", "alpha", "z_offset"),
+             ("t_min", "t_max", "fab_cutoff")),
+    "sweep": (("lens", "materials", "realizations"), ("sigma",)),
+    "gradcheck": (("beta", "tolerance", "step", "n_coords"), ()),
+    "thermal": (("n_cycles", "perfusion_rate"),
+                ("heat_time", "cool_time", "reference_peak_pressure")),
+    "backproject": ((), ("distances",)),
+}
+# medium kind -> (plain keys, quantities), "kind" itself aside
+_MEDIUM_KEYS = {
+    "homogeneous": (("material",), ()),
+    "phantom": (("bone_material", "background_material"),
+                ("center", "inner_radius", "thickness")),
+    "hu_file": (("path",), ()),
+}
+
+
+def check_config(cfg: dict) -> None:
+    """Reject a key that no reader of its section knows, at the top level,
+    in every section, and in `medium` against the keys of its kind."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: must be an object")
+    _check_keys(cfg, "config", (*_SECTION_KEYS, "medium", "method", "seed"))
+    for name, (known, quantities) in _SECTION_KEYS.items():
+        if isinstance(cfg.get(name), dict):
+            _check_keys(cfg[name], name, known, quantities)
+    medium = cfg.get("medium")
+    if isinstance(medium, dict):
+        kind = medium.get("kind", "homogeneous")
+        if kind in _MEDIUM_KEYS:
+            known, quantities = _MEDIUM_KEYS[kind]
+            _check_keys(medium, f"medium (kind {kind})", ("kind", *known),
+                        quantities)
 
 
 def _material(name_or_obj, context: str) -> MaterialProperties:
@@ -176,6 +229,9 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
                               f"(known: {known})")
         return MATERIALS[key]
     if isinstance(name_or_obj, dict):
+        _check_keys(name_or_obj, f"{context} material",
+                    ("sound_speed", "density", "attenuation_coeff",
+                     "attenuation_power"))
         try:
             return MaterialProperties(
                 float(name_or_obj["sound_speed"]),
@@ -263,7 +319,6 @@ def build_target(cfg: dict, grid: GridSpec) -> TargetSpec:
 
 def build_solver(cfg: dict) -> SolverConfig:
     sec = _section(cfg, "solver", required=False)
-    _check_keys(sec, "solver", ("reflection_order", "angular_cutoff"))
     try:
         return SolverConfig(
             reflection_order=_number(sec, "reflection_order", 4, int),
@@ -275,9 +330,6 @@ def build_solver(cfg: dict) -> SolverConfig:
 
 def build_optim(cfg: dict, solver: SolverConfig) -> OptimConfig:
     sec = _section(cfg, "optim", required=False)
-    _check_keys(sec, "optim", ("beta_start", "beta_end", "iterations",
-                               "learning_rate", "lambda_energy",
-                               "lambda_balance"))
     try:
         iterations = _number(sec, "iterations", 200, int)
         schedule = lensmap.BetaSchedule(
@@ -297,45 +349,34 @@ def build_optim(cfg: dict, solver: SolverConfig) -> OptimConfig:
         raise ConfigError(f"optim: {exc}") from exc
 
 
-def build_lens_params(cfg: dict, grid: GridSpec) -> dict:
+def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
+    """The lens section: material, slab offset, thickness bounds t_min and
+    t_max in meters, fabrication cutoff, and the seeded initial design
+    ("design"), whose voxel bounds are max(t_min/dz, 1) and t_max/dz."""
     sec = _section(cfg, "lens", required=False)
-    _check_keys(sec, "lens", ("material", "alpha", "v_min", "v_max",
-                              "z_offset", "kernel_size", "smooth_sigma"),
-                quantities=("t_min", "t_max", "fab_cutoff"))
     material = _material(sec.get("material", "form_clear"), "lens")
     t_min = get_quantity(sec, "t_min", 250e-6)
     t_max = get_quantity(sec, "t_max", 1.9e-3)
-    params = {
-        "material": material,
-        "alpha": _number(sec, "alpha", 0.1),
-        "v_min": _number(sec, "v_min", max(t_min / grid.dz, 1.0)),
-        "v_max": _number(sec, "v_max", t_max / grid.dz),
-        "z_offset": _number(sec, "z_offset", 0, int),
-        "t_min": t_min,
-        "t_max": t_max,
-        "kernel_size": _number(sec, "kernel_size", 9, int),
-        "smooth_sigma": _number(sec, "smooth_sigma", 1.5),
-        "fab_cutoff": get_quantity(sec, "fab_cutoff"),
-    }
-    try:  # DesignField's own checks of alpha, v_min and v_max
-        DesignField(np.zeros((1, 1)), params["alpha"], params["v_min"],
-                    params["v_max"])
+    try:  # DesignField's own checks of alpha and the bounds
+        design = DesignField.random(
+            grid.nx, grid.ny, _number(sec, "alpha", 0.1),
+            max(t_min / grid.dz, 1.0), t_max / grid.dz, seed=seed,
+        )
     except ValueError as exc:
-        raise ConfigError(f"lens: {exc}") from exc
-    depth = int(np.ceil(params["v_max"]))
-    if params["z_offset"] < 0 or params["z_offset"] + depth > grid.nz:
+        raise ConfigError(f"lens: {exc} (v_min = max(t_min/dz, 1), "
+                          f"v_max = t_max/dz)") from exc
+    z_offset = _number(sec, "z_offset", 0, int)
+    if z_offset < 0 or z_offset + design.n_v > grid.nz:
         raise ConfigError(
-            f"lens: z_offset {params['z_offset']} with a depth of {depth} "
-            f"voxels (ceil of v_max) does not fit the {grid.nz} grid slices"
+            f"lens: z_offset {z_offset} with a depth of {design.n_v} voxels "
+            f"(ceil of t_max/dz) does not fit the {grid.nz} grid slices"
         )
-    if params["kernel_size"] < 1 or params["kernel_size"] % 2 == 0:
-        raise ConfigError("lens: kernel_size must be a positive odd integer")
-    if params["fab_cutoff"] is not None and params["fab_cutoff"] < grid.dx:
-        raise ConfigError(
-            f"lens: fab_cutoff {params['fab_cutoff']:g} m is below the grid "
-            f"spacing {grid.dx:g} m"
-        )
-    return params
+    fab_cutoff = get_quantity(sec, "fab_cutoff")
+    if fab_cutoff is not None and fab_cutoff < grid.dx:
+        raise ConfigError(f"lens: fab_cutoff {fab_cutoff:g} m is below the "
+                          f"grid spacing {grid.dx:g} m")
+    return {"material": material, "design": design, "z_offset": z_offset,
+            "t_min": t_min, "t_max": t_max, "fab_cutoff": fab_cutoff}
 
 
 def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
@@ -412,7 +453,7 @@ def cmd_design(args) -> int:
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
     ocfg = build_optim(cfg, solver)
-    lens_params = build_lens_params(cfg, grid)
+    lens_params = build_lens_params(cfg, grid, seed)
     method = cfg.get("method", "thickness")
     if method not in ("thickness", "phase", "time_reversal"):
         raise ConfigError(f"method: unknown '{method}' "
@@ -423,15 +464,9 @@ def cmd_design(args) -> int:
     mat = lens_params["material"]
 
     if method == "thickness":
-        design = DesignField.random(
-            grid.nx, grid.ny, lens_params["alpha"],
-            lens_params["v_min"], lens_params["v_max"], seed=seed,
-        )
         result = optim.optimize_lens_geometry(
-            src, medium, target, design, ocfg, mat,
+            src, medium, target, lens_params["design"], ocfg, mat,
             z_offset=lens_params["z_offset"],
-            kernel_size=lens_params["kernel_size"],
-            smooth_sigma=lens_params["smooth_sigma"],
         )
         result.report.to_csv(out / "loss_history.csv")
         design_obj = result.lens
@@ -514,7 +549,9 @@ def cmd_evaluate(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
+def _load_lens(prefix_or_csv, grid: GridSpec,
+               design: DesignField) -> LensVolume:
+    """A thickness CSV (meters) as a binarized lens of design.n_v slices."""
     path = Path(prefix_or_csv)
     if not path.exists():
         raise ConfigError(f"sweep: lens file not found: {path}")
@@ -522,9 +559,8 @@ def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
     t_vox = np.atleast_2d(thickness_m) / grid.dz
     if t_vox.shape != (grid.nx, grid.ny):
         raise ConfigError("sweep: lens thickness map does not match the grid")
-    depth = int(np.ceil(lens_params["v_max"]))
-    lens = LensVolume(np.zeros((grid.nx, grid.ny, depth)), t_vox,
-                      v_min=lens_params["v_min"], v_max=float(depth))
+    lens = LensVolume(np.zeros((grid.nx, grid.ny, design.n_v)), t_vox,
+                      v_min=design.v_min, v_max=float(design.n_v))
     return lensmap.binarize(lens)
 
 
@@ -552,14 +588,14 @@ def cmd_sweep(args) -> int:
     medium = build_medium(cfg, grid)
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
-    lens_params = build_lens_params(cfg, grid)
+    lens_params = build_lens_params(cfg, grid, seed)
     sec = _section(cfg, "sweep", required=False)
 
     lens_path = args.lens or sec.get("lens")
     if lens_path is None:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
-    lens = _load_lens(lens_path, grid, lens_params)
+    lens = _load_lens(lens_path, grid, lens_params["design"])
     seeds = _focus_seeds(target)
     z_offset = lens_params["z_offset"]
 
@@ -669,22 +705,17 @@ def cmd_gradcheck(args) -> int:
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
     ocfg = build_optim(cfg, solver)
-    lens_params = build_lens_params(cfg, grid)
+    lens_params = build_lens_params(cfg, grid, seed)
+    design = lens_params["design"]
     beta = _number(sec, "beta", 5.0)
     tolerance = _number(sec, "tolerance",
                         1e-5 if solver.reflection_order == 0 else 1e-3)
     step = _number(sec, "step", 1e-4)
     n_coords = _number(sec, "n_coords", 32, int)
 
-    design = DesignField.random(
-        grid.nx, grid.ny, lens_params["alpha"], lens_params["v_min"],
-        lens_params["v_max"], seed=seed,
-    )
     objective = optim.lens_objective(
         src, medium, target, design, ocfg, lens_params["material"],
         z_offset=lens_params["z_offset"],
-        kernel_size=lens_params["kernel_size"],
-        smooth_sigma=lens_params["smooth_sigma"],
     )
     err = optim.gradcheck(lambda theta: objective(theta, beta)[:2],
                           design.theta, step, n_coords=n_coords, seed=seed)

@@ -143,17 +143,16 @@ _STL_TRIANGLE = np.dtype(
 )
 
 
-def thickness_to_stl(path, thickness_vox: np.ndarray, dx: float, dz: float,
-                     min_thickness_vox: float = 0.0) -> None:
+def thickness_to_stl(path, thickness_vox: np.ndarray, dx: float,
+                     dz: float) -> None:
     """Binary STL of the lens as a heightmap of column prisms.
 
     Each lateral cell becomes a rectangular prism of height thickness*dz
-    (12 triangles, columns in C order); columns at or below
-    min_thickness_vox are skipped.
+    (12 triangles, columns in C order); columns of zero or negative
+    height are skipped.
     """
-    t = np.asarray(thickness_vox)
-    h = t * dz
-    i, j = np.nonzero(~((t <= min_thickness_vox) | (h <= 0)))
+    h = np.asarray(thickness_vox) * dz
+    i, j = np.nonzero(h > 0)
     h = h[i, j]
     x0, x1 = i * dx, (i + 1) * dx
     y0, y1 = j * dx, (j + 1) * dx

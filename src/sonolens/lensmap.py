@@ -10,14 +10,22 @@ gradient (`backward`), verified against finite differences in the tests.
 Thickness is measured in voxels throughout; a column is "solid" below its
 thickness value, i.e. occupancy(k) = sigmoid(beta * (t - z_k)) with
 z_k = k + 0.5 for zero-based k.
+
+The blur is fixed: a KERNEL_SIZE x KERNEL_SIZE Gaussian of standard
+deviation SMOOTH_SIGMA voxels. The lens has `DesignField.n_v` =
+ceil(v_max) slices, the one rounding of v_max in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
+
+# the DHLA smoothing step: odd kernel width (voxels) and its sigma (voxels)
+KERNEL_SIZE = 9
+SMOOTH_SIGMA = 1.5
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -36,7 +44,7 @@ class DesignField:
 
     theta: unconstrained real map (nx, ny)
     alpha: steepness of the thickness sigmoid
-    v_min, v_max: thickness bounds in voxels
+    v_min, v_max: thickness bounds in voxels; the lens spans n_v slices
     """
 
     theta: np.ndarray
@@ -60,6 +68,11 @@ class DesignField:
         """theta ~ i.i.d. uniform[-1, 1]."""
         rng = np.random.default_rng(seed)
         return cls(rng.uniform(-1.0, 1.0, size=(nx, ny)), alpha, v_min, v_max)
+
+    @property
+    def n_v(self) -> int:
+        """Lens depth in slices: ceil(v_max)."""
+        return int(np.ceil(self.v_max))
 
 
 @dataclass
@@ -101,7 +114,7 @@ class BetaSchedule:
         return float(self.beta_start * (self.beta_end / self.beta_start) ** frac)
 
 
-def gaussian_kernel(size: int = 9, sigma: float = 1.5) -> np.ndarray:
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Unit-sum 2D Gaussian kernel of odd size."""
     if size % 2 == 0:
         raise ValueError("kernel size must be odd")
@@ -116,9 +129,8 @@ def map_thickness(design: DesignField) -> np.ndarray:
     return s * (design.v_max - design.v_min) + design.v_min
 
 
-def smooth_thickness(
-    t: np.ndarray, kernel_size: int = 9, sigma: float = 1.5
-) -> np.ndarray:
+def smooth_thickness(t: np.ndarray, kernel_size: int,
+                     sigma: float) -> np.ndarray:
     """Blur the thickness map with a unit-sum Gaussian, reflective edges."""
     g = gaussian_kernel(kernel_size, sigma)
     pad = kernel_size // 2
@@ -154,47 +166,35 @@ def voxelize(t_smooth: np.ndarray, beta: float, n_v: int) -> LensVolume:
     return LensVolume(occ, t_smooth.copy())
 
 
-def forward(
-    design: DesignField,
-    beta: float,
-    n_v: int | None = None,
-    kernel_size: int = 9,
-    sigma: float = 1.5,
-) -> LensVolume:
-    """Full design-field -> lens-volume mapping."""
-    if n_v is None:
-        n_v = int(np.ceil(design.v_max))
+def forward(design: DesignField, beta: float) -> LensVolume:
+    """Full design-field -> lens-volume mapping, n_v = design.n_v slices."""
     t = map_thickness(design)
-    ts = smooth_thickness(t, kernel_size, sigma)
-    lens = voxelize(ts, beta, n_v)
+    ts = smooth_thickness(t, KERNEL_SIZE, SMOOTH_SIGMA)
+    lens = voxelize(ts, beta, design.n_v)
     lens.v_min, lens.v_max = design.v_min, design.v_max
     return lens
 
 
 def backward(
-    design: DesignField,
-    beta: float,
-    grad_occupancy: np.ndarray,
-    kernel_size: int = 9,
-    sigma: float = 1.5,
+    design: DesignField, beta: float, grad_occupancy: np.ndarray
 ) -> np.ndarray:
     """Reverse-mode gradient of `forward` w.r.t. theta.
 
     grad_occupancy is dL/d(occupancy) with the same shape as the forward
-    occupancy. Only (theta, beta, smoothing params) are needed; the chain
-    is re-evaluated here rather than cached.
+    occupancy. Only theta and beta are needed; the chain is re-evaluated
+    here rather than cached.
     """
-    n_v = grad_occupancy.shape[2]
+    n_v = design.n_v
     t = map_thickness(design)
-    ts = smooth_thickness(t, kernel_size, sigma)
-    if grad_occupancy.shape[:2] != ts.shape:
+    ts = smooth_thickness(t, KERNEL_SIZE, SMOOTH_SIGMA)
+    if grad_occupancy.shape != (*ts.shape, n_v):
         raise ValueError("upstream gradient shape does not match the forward pass")
 
     z = np.arange(n_v) + 0.5
     occ = sigmoid(beta * (ts[:, :, None] - z[None, None, :]))
     # d occ / d t_smooth = beta * occ * (1 - occ)
     grad_ts = np.sum(grad_occupancy * beta * occ * (1.0 - occ), axis=2)
-    grad_t = _smooth_transpose(grad_ts, t.shape, kernel_size, sigma)
+    grad_t = _smooth_transpose(grad_ts, t.shape, KERNEL_SIZE, SMOOTH_SIGMA)
     s = sigmoid(design.alpha * design.theta)
     return grad_t * (design.v_max - design.v_min) * s * (1.0 - s) * design.alpha
 

@@ -48,9 +48,6 @@ class AcousticMedium:
             self.att.copy(), self.att_power.copy(),
         )
 
-    def impedance(self) -> np.ndarray:
-        return self.rho * self.c
-
     def attenuation_np_per_m(self) -> np.ndarray:
         """Voxelwise power-law attenuation at the grid frequency, Np/m."""
         f_mhz = self.grid.frequency / 1e6

@@ -11,8 +11,11 @@ population standard deviation of intensity over the active target set.
 Each term comes with its exact gradient with respect to the complex
 field, expressed in the pairing dL = Re(sum(g * dP)).
 
-`lens_objective` is the lens design chain; `descend` is the Adam loop
-that the lens and phase-map optimizations share.
+`loss_and_gradient` evaluates all three terms and their cotangent in
+one pass. `lens_objective` is the lens design chain (theta through the
+fixed-smoothing `lensmap.forward` and the `design.n_v`-slice lens slab to
+the loss and back); `descend` is the Adam loop that the lens and
+phase-map optimizations share.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridSpec, MaterialProperties, SourceSpec
 from .medium import AcousticMedium
@@ -46,7 +48,6 @@ class TargetSpec:
 
     a_target: np.ndarray                 # 3D, values in [0, 1]
     focus_centers: list                  # voxel-index triples, one per focus
-    focus_labels: np.ndarray | None = None
     support: np.ndarray = field(init=False, repr=False, compare=False)
     a_support: np.ndarray = field(init=False, repr=False, compare=False)
     omega_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -61,8 +62,6 @@ class TargetSpec:
             raise ValueError("target must contain at least one active voxel")
         if not self.focus_centers:
             raise ValueError("at least one focus center is required")
-        if self.focus_labels is None:
-            self.focus_labels, _ = ndimage.label(self.a_target == 1.0)
         a = self.a_target.reshape(-1)
         self.support = np.flatnonzero(a)
         self.a_support = a[self.support]
@@ -143,40 +142,6 @@ class LossReport:
             path, rows, delimiter=",",
             header="iteration,total,acc,energy,balance", comments="",
         )
-
-
-def _field_values(p) -> np.ndarray:
-    return p.values if isinstance(p, ComplexField) else np.asarray(p)
-
-
-def loss_acc(p, target: TargetSpec) -> float:
-    """1 - cosine similarity between target and simulated intensity."""
-    values = _field_values(p)
-    if values.shape != target.a_target.shape:
-        raise ValueError("field and target shapes differ")
-    intensity = np.abs(values) ** 2
-    a2 = target.a_target**2
-    num = np.sum(a2 * intensity)
-    denom = np.sqrt(np.sum(a2**2) * np.sum(intensity**2))
-    if denom == 0.0:
-        return 1.0
-    return float(1.0 - num / denom)
-
-
-def loss_energy(p, target: TargetSpec) -> float:
-    """Negative mean pressure amplitude over the target support."""
-    values = _field_values(p)
-    a_sum = np.sum(target.a_target)
-    if a_sum == 0:
-        raise ValueError("target support is empty")
-    return float(-np.sum(target.a_target * np.abs(values)) / a_sum)
-
-
-def loss_balance(p, target: TargetSpec) -> float:
-    """Population standard deviation of intensity over the active set."""
-    values = _field_values(p)
-    omega = target.omega
-    return float(np.std(np.abs(values[omega]) ** 2))
 
 
 def loss_and_gradient(
@@ -295,26 +260,24 @@ def lens_objective(
     cfg: OptimConfig,
     lens_mat: MaterialProperties,
     z_offset: int = 0,
-    kernel_size: int = 9,
-    smooth_sigma: float = 1.5,
 ):
     """The chain theta -> lens -> field -> loss -> dL/dtheta as
     `objective(theta, beta) -> (total, grad, terms, field)`.
 
     Uses the loss weights and solver of `cfg` and the alpha, v_min and
-    v_max of `design`; `objective(theta, beta)[:2]` suits `gradcheck`.
+    v_max of `design`; the lens occupies slices z_offset ..
+    z_offset + design.n_v - 1. `objective(theta, beta)[:2]` suits
+    `gradcheck`.
     """
-    n_v = int(np.ceil(design.v_max))
-    prepared = prepare(src, base_medium, cfg.solver, lens_mat, z_offset, n_v)
+    prepared = prepare(src, base_medium, cfg.solver, lens_mat, z_offset,
+                       design.n_v)
 
     def objective(theta: np.ndarray, beta: float):
         d = DesignField(theta, design.alpha, design.v_min, design.v_max)
-        lens = lensmap.forward(d, beta, n_v, kernel_size, smooth_sigma)
+        lens = lensmap.forward(d, beta)
         p, cache = propagate_with_lens(prepared, lens.occupancy)
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
-        g_theta = lensmap.backward(d, beta, adj.occupancy, kernel_size,
-                                   smooth_sigma)
-        return total, g_theta, terms, p
+        return total, lensmap.backward(d, beta, adj.occupancy), terms, p
 
     return objective
 
@@ -335,8 +298,6 @@ def optimize_lens_geometry(
     cfg: OptimConfig,
     lens_mat: MaterialProperties,
     z_offset: int = 0,
-    kernel_size: int = 9,
-    smooth_sigma: float = 1.5,
 ) -> DesignResult:
     """End-to-end geometry optimization of a thickness-modulated lens.
 
@@ -348,7 +309,7 @@ def optimize_lens_geometry(
     """
     schedule = cfg.beta_schedule
     objective = lens_objective(src, base_medium, target, design, cfg, lens_mat,
-                               z_offset, kernel_size, smooth_sigma)
+                               z_offset)
     theta, report, p_opt = descend(
         lambda th, it: objective(th, schedule.value(it)), design.theta, cfg
     )
@@ -356,8 +317,7 @@ def optimize_lens_geometry(
     if p_opt is None:  # zero iterations: the field of the initial design
         p_opt = objective(theta, beta)[3]
     final = DesignField(theta, design.alpha, design.v_min, design.v_max)
-    lens = lensmap.binarize(lensmap.forward(
-        final, beta, int(np.ceil(design.v_max)), kernel_size, smooth_sigma))
+    lens = lensmap.binarize(lensmap.forward(final, beta))
     return DesignResult(final, lens, report, p_opt)
 
 

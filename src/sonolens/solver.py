@@ -126,7 +126,6 @@ class SliceCache:
     """
 
     grid: GridSpec
-    cfg: SolverConfig
     H: np.ndarray
     c: np.ndarray
     rho: np.ndarray
@@ -247,7 +246,7 @@ class PreparedMedium:
                                                                  att)
             for k in range(max(z0 - 1, 0), min(z0 + n_v, grid.nz - 1)):
                 iface[k] = np.any(Z[k + 1] != Z[k])
-        cache = SliceCache(grid, self.cfg, self.H, c, rho, att, screen, Z, iface)
+        cache = SliceCache(grid, self.H, c, rho, att, screen, Z, iface)
         if occupancy is not None:
             cache.lens_z_offset = self.z_offset
             cache.lens_dc, cache.lens_drho, cache.lens_datt = (

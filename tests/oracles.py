@@ -4,7 +4,10 @@ from collections import deque
 
 import numpy as np
 
+from sonolens.baselines import TWO_PI, full_cycle_thickness
+from sonolens.optim import TargetSpec
 from sonolens.solver import (
+    ComplexField,
     _diffract,
     _diffract_transpose,
     _diffraction_kernel,
@@ -252,3 +255,57 @@ def loss_and_gradient(
     upstream = upstream + lambda_energy * g_en
 
     return l_acc, l_en, l_bal, upstream
+
+
+# The three loss terms one at a time, as the paper defines them; the
+# library evaluates them together in `optim.loss_and_gradient`.
+
+def _field_values(p) -> np.ndarray:
+    return p.values if isinstance(p, ComplexField) else np.asarray(p)
+
+
+def loss_acc(p, target: TargetSpec) -> float:
+    """1 - cosine similarity between target and simulated intensity."""
+    values = _field_values(p)
+    if values.shape != target.a_target.shape:
+        raise ValueError("field and target shapes differ")
+    intensity = np.abs(values) ** 2
+    a2 = target.a_target**2
+    num = np.sum(a2 * intensity)
+    denom = np.sqrt(np.sum(a2**2) * np.sum(intensity**2))
+    if denom == 0.0:
+        return 1.0
+    return float(1.0 - num / denom)
+
+
+def loss_energy(p, target: TargetSpec) -> float:
+    """Negative mean pressure amplitude over the target support."""
+    values = _field_values(p)
+    a_sum = np.sum(target.a_target)
+    if a_sum == 0:
+        raise ValueError("target support is empty")
+    return float(-np.sum(target.a_target * np.abs(values)) / a_sum)
+
+
+def loss_balance(p, target: TargetSpec) -> float:
+    """Population standard deviation of intensity over the active set."""
+    values = _field_values(p)
+    omega = target.omega
+    return float(np.std(np.abs(values[omega]) ** 2))
+
+
+# Inverse of `baselines.phase_to_thickness`.
+
+def thickness_to_phase(
+    thickness: np.ndarray,
+    frequency: float,
+    c0: float,
+    c_lens: float,
+    t_min: float = 250e-6,
+) -> np.ndarray:
+    """Relative transmission phase of a thickness map, inverse of the above."""
+    t_2pi = full_cycle_thickness(frequency, c0, c_lens)
+    frac = (np.asarray(thickness) - t_min) / t_2pi
+    if c_lens > c0:
+        return np.mod(TWO_PI - frac * TWO_PI, TWO_PI)
+    return np.mod(frac * TWO_PI, TWO_PI)

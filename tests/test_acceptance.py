@@ -8,10 +8,16 @@ import time
 
 import numpy as np
 import pytest
-from oracles import bfs_segment
+from oracles import (
+    bfs_segment,
+    loss_acc,
+    loss_balance,
+    loss_energy,
+    thickness_to_phase,
+)
 
 from sonolens import analysis, baselines, cli, optim
-from sonolens.analysis import ThermalConfig, _fwhm_1d
+from sonolens.analysis import HEAT_CAPACITY_BONE, ThermalConfig, _fwhm_1d
 from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
 from sonolens.lensmap import BetaSchedule, DesignField
 from sonolens.medium import make_homogeneous, make_skull_phantom
@@ -19,9 +25,6 @@ from sonolens.optim import (
     OptimConfig,
     TargetSpec,
     gradcheck,
-    loss_acc,
-    loss_balance,
-    loss_energy,
 )
 from sonolens.solver import (
     SolverConfig,
@@ -121,8 +124,8 @@ def test_criterion_03_analytic_focusing():
     phi = np.mod(-g.k0 * (np.sqrt(r2 + F**2) - F), 2 * np.pi)
     thickness = baselines.phase_to_thickness(phi, g.frequency, g.c_ref,
                                              FORM_CLEAR.sound_speed)
-    phi_lens = baselines.thickness_to_phase(thickness, g.frequency, g.c_ref,
-                                            FORM_CLEAR.sound_speed)
+    phi_lens = thickness_to_phase(thickness, g.frequency, g.c_ref,
+                                  FORM_CLEAR.sound_speed)
     plane = apply_phase_delays(src, phi_lens, g)
     p, _ = propagate(src, med, SolverConfig(reflection_order=0),
                      source_plane=plane)
@@ -256,7 +259,7 @@ def test_criterion_09_thermal_conservation(trifocal_phantom):
     q = BONE.attenuation_np_per_m(2e6) * amp**2 / (BONE.density
                                                    * BONE.sound_speed)
     expected = q * cfg.heat_time * cfg.n_cycles / (BONE.density
-                                                   * cfg.heat_capacity_bone)
+                                                   * HEAT_CAPACITY_BONE)
     uniform_ok = bool(np.allclose(dT, expected, rtol=0.01))
 
     # ordering on the shared tri-focal phantom designs at 1 MPa target peak

@@ -3,6 +3,7 @@ import pytest
 from oracles import bfs_segment
 
 from sonolens.analysis import (
+    HEAT_CAPACITY_BONE,
     PSNR_CAP_DB,
     FocalReport,
     ThermalConfig,
@@ -193,7 +194,7 @@ class TestBioheat:
         att_np = BONE.attenuation_np_per_m(2e6)
         q = att_np * amp**2 / (BONE.density * BONE.sound_speed)
         expected = q * cfg.heat_time * cfg.n_cycles / (
-            BONE.density * cfg.heat_capacity_bone)
+            BONE.density * HEAT_CAPACITY_BONE)
         assert np.allclose(dT, expected, rtol=0.01)
 
     def test_energy_conservation(self):
@@ -208,7 +209,7 @@ class TestBioheat:
         dT = bioheat_simulate(p, med, cfg)
         att_np = BONE.attenuation_np_per_m(2e6)
         q = att_np * amp**2 / (BONE.density * BONE.sound_speed)
-        rho_cap = BONE.density * cfg.heat_capacity_bone
+        rho_cap = BONE.density * HEAT_CAPACITY_BONE
         enthalpy = np.sum(rho_cap * dT) * g.voxel_volume
         deposited = np.sum(q) * g.voxel_volume * cfg.heat_time * cfg.n_cycles
         assert enthalpy == pytest.approx(deposited, rel=0.005)

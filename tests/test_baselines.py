@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import loss_acc, loss_balance, loss_energy, thickness_to_phase
 
 from sonolens import baselines, lensmap
 from sonolens.baselines import (
@@ -8,20 +9,19 @@ from sonolens.baselines import (
     full_cycle_thickness,
     optimize_phase_map,
     phase_to_thickness,
-    thickness_to_phase,
     time_reversal,
 )
-from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
+from sonolens.grid import BONE, FORM_CLEAR, WATER, GridSpec, SourceSpec
 from sonolens.lensmap import LensVolume
-from sonolens.medium import make_homogeneous
-from sonolens.optim import (
-    OptimConfig,
-    TargetSpec,
-    loss_acc,
-    loss_balance,
-    loss_energy,
+from sonolens.medium import embed_lens, make_homogeneous
+from sonolens.optim import OptimConfig, TargetSpec
+from sonolens.solver import (
+    SolverConfig,
+    apply_phase_delays,
+    backproject,
+    prepare,
+    propagate,
 )
-from sonolens.solver import SolverConfig, apply_phase_delays, backproject, propagate
 from sonolens.analysis import cross_domain_psnr
 
 
@@ -251,3 +251,27 @@ class TestFabricateAndSimulate:
         src = SourceSpec.disk(g, 3e-3)
         with pytest.raises(TypeError):
             fabricate_and_simulate("lens", src, med, FORM_CLEAR)
+
+
+class TestFabricationRunsTheDesignOperator:
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_embedded_binary_lens_equals_the_prepared_lens_run(self, order):
+        # fabrication embeds the binary lens (embed_lens, then propagate);
+        # the design path relaxes it into a prepared slab. The two fields
+        # must agree to the bit, which also needs the medium's and the
+        # material's attenuation formulas to agree to the bit.
+        g = make_grid(16, 16, 32)
+        med = make_homogeneous(g, WATER)
+        bone = np.s_[:, :, 14:17]  # a bone layer behind the lens
+        med.c[bone], med.rho[bone] = BONE.sound_speed, BONE.density
+        med.att[bone], med.att_power[bone] = (BONE.attenuation_coeff,
+                                              BONE.attenuation_power)
+        src = SourceSpec.disk(g, 1.5e-3)
+        z0, n_v = 3, 6
+        t = np.random.default_rng(order).integers(0, n_v + 1, size=(16, 16))
+        occ = (np.arange(n_v)[None, None, :] < t[:, :, None]).astype(float)
+        cfg = SolverConfig(reflection_order=order)
+
+        fab, _ = propagate(src, embed_lens(med, occ, FORM_CLEAR, z0), cfg)
+        design, _ = prepare(src, med, cfg, FORM_CLEAR, z0, n_v).run(occ)
+        assert np.array_equal(fab.values, design.values)

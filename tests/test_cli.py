@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sonolens import cli, io
+from sonolens import cli, io, optim
 from sonolens.cli import (
     ConfigError,
     get_quantity,
@@ -38,6 +39,62 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def run(args):
     return cli.main(args)
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted([*REPO.glob("demos/*.cfg"),
+                          *REPO.glob("perfbench/*.cfg")])
+
+
+def header_commands(path):
+    """The `sonolens <command>` names in a config's leading comment."""
+    header = []
+    for line in path.read_text().splitlines():
+        if not line.startswith("//"):
+            break
+        header.append(line)
+    return sorted(set(re.findall(r"sonolens\s+(\w+)", "\n".join(header))))
+
+
+class ConfigRead(Exception):
+    """Raised by the first step after a command has read its config."""
+
+
+def _config_read(*args, **kwargs):
+    raise ConfigRead
+
+
+# command -> (owner, name of its first step after reading the config,
+#             extra arguments)
+FIRST_STEP = {
+    "design": (cli, "write_snapshot", []),
+    "sweep": (cli, "_sweep_case",
+              ["--axis", "perturbation", "--lens",
+               str(REPO / "perfbench" / "base_lens.csv")]),
+    "gradcheck": (optim, "gradcheck", []),
+}
+
+
+class TestShippedConfigs:
+    def test_every_shipped_config_names_its_commands(self):
+        assert SHIPPED_CONFIGS
+        for path in SHIPPED_CONFIGS:
+            commands = header_commands(path)
+            assert commands and set(commands) <= set(FIRST_STEP), path
+
+    @pytest.mark.parametrize("path, command", [
+        (path, command) for path in SHIPPED_CONFIGS
+        for command in header_commands(path)
+    ], ids=lambda v: v.name if isinstance(v, Path) else v)
+    def test_every_section_is_accepted(self, tmp_path, monkeypatch, path,
+                                       command):
+        # the command reads and builds every section it uses, then stops at
+        # its first step after that; nothing may be rejected on the way
+        owner, name, extra = FIRST_STEP[command]
+        monkeypatch.setattr(owner, name, _config_read)
+        with pytest.raises(ConfigRead):
+            run([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                 *extra])
 
 
 class TestConfigParsing:
@@ -157,8 +214,22 @@ class TestDesignCommand:
         ("optim", "iteration"),
         ("lens", "kernel"),
         ("lens", "t_min_inch"),
+        # lens settings that are fixed or derived from t_min/t_max
+        ("lens", "kernel_size"),
+        ("lens", "smooth_sigma"),
+        ("lens", "v_min"),
+        ("lens", "v_max"),
+        ("grid", "spacing_umm"),
+        ("source", "aperture_diam_mm"),
+        ("target", "radius_mmm"),
+        ("sweep", "realisations"),
+        ("gradcheck", "n_coord"),
+        ("thermal", "n_cycle"),
+        ("backproject", "distance_mm"),
     ])
     def test_unknown_section_key_exit_2(self, tmp_path, capsys, section, key):
+        # every section is checked when the config is loaded, whichever
+        # command reads it
         cfg = base_config()
         cfg[section] = {**cfg.get(section, {}), key: 1}
         path = write_config(tmp_path, cfg)
@@ -166,6 +237,52 @@ class TestDesignCommand:
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{section}: unknown key '{key}' (known: " in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, hint", [
+        ("optim", "iteration", "iterations"),
+        ("lens", "t_min_inch", "t_min_nm"),
+        ("lens", "v_max", "t_max"),
+        ("grid", "spacing_umm", "spacing_um"),
+        ("source", "aperture_diam_mm", "aperture_diameter_mm"),
+        ("target", "radius_mmm", "radius_mm"),
+        ("sweep", "realisations", "realizations"),
+        ("thermal", "n_cycle", "n_cycles"),
+        ("backproject", "distance_mm", "distances_mm"),
+    ])
+    def test_unknown_key_names_the_closest_known_key(self, tmp_path, capsys,
+                                                     section, key, hint):
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), key: 1}
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"did you mean '{hint}'?" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("medium, key", [
+        ({"kind": "homogeneous", "material": "water"}, "center_mm"),
+        ({"kind": "phantom", "center_mm": [1.5, 1.5, 2.0],
+          "inner_radius_mm": 1.0, "thickness_mm": 0.25}, "material"),
+        ({"kind": "hu_file", "path": "ct"}, "material"),
+    ])
+    def test_medium_keys_checked_against_its_kind(self, tmp_path, capsys,
+                                                  medium, key):
+        cfg = base_config(medium={**medium, key: 1})
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"medium (kind {medium['kind']}): unknown key '{key}'"
+                in err)
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys):
+        cfg = base_config(optimm={"iterations": 1})
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config: unknown key 'optimm' (known: " in err
+        assert "did you mean 'optim'?" in err
         assert not (tmp_path / "o").exists()
 
     def test_lens_quantity_with_unit_suffix_accepted(self, tmp_path):
@@ -178,10 +295,11 @@ class TestDesignCommand:
     @pytest.mark.parametrize("lens, message", [
         ({"z_offset": 60}, "z_offset"),
         ({"z_offset": -1}, "z_offset"),
-        ({"v_max": 200}, "z_offset"),
-        ({"kernel_size": 0}, "kernel_size"),
+        ({"t_max_mm": 25}, "z_offset"),  # a 200-voxel lens
+        ({"t_min_mm": 1.0, "t_max_mm": 0.5}, "v_min must be smaller"),
         ({"alpha": 0}, "alpha must be positive"),
-        ({"v_min": 0.5}, "v_min must be at least 1 voxel"),
+        # thinner than one voxel: v_min = 1 > v_max = 0.8
+        ({"t_min_um": 50, "t_max_um": 100}, "v_min must be smaller"),
         ({"fab_cutoff_um": 50}, "fab_cutoff 5e-05 m is below the grid spacing"),
     ])
     def test_bad_lens_geometry_exit_2(self, tmp_path, capsys, lens, message):
@@ -207,6 +325,24 @@ class TestDesignCommand:
         assert run(["design", "--config", path,
                     "--out", str(tmp_path / "o")]) == 2
         assert f"{section}: bad material spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("medium", "material"),
+        ("lens", "material"),
+    ])
+    def test_unknown_material_key_exit_2(self, tmp_path, capsys, section,
+                                         key):
+        # a misspelled attenuation_coeff must not become zero attenuation
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), key: {
+            "sound_speed": 2591, "density": 1178, "attenuation_coef": 2.9}}
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{section} material: unknown key 'attenuation_coef'" in err
+        assert "did you mean 'attenuation_coeff'?" in err
         assert not (tmp_path / "o").exists()
 
     def test_jobs_is_a_sweep_flag(self, tmp_path):

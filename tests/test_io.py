@@ -13,7 +13,7 @@ def make_grid(nx=8, ny=8, nz=12, d=125e-6):
     return GridSpec(nx, ny, nz, d, d, d, 2e6, 1500.0)
 
 
-def loop_stl(path, t, dx, dz, min_thickness_vox=0.0):
+def loop_stl(path, t, dx, dz):
     """Reference STL writer: one column and one struct-packed triangle at a time."""
     nx, ny = t.shape
     tris = []
@@ -25,7 +25,7 @@ def loop_stl(path, t, dx, dz, min_thickness_vox=0.0):
     for i in range(nx):
         for j in range(ny):
             h = t[i, j] * dz
-            if t[i, j] <= min_thickness_vox or h <= 0:
+            if h <= 0:
                 continue
             x0, x1 = i * dx, (i + 1) * dx
             y0, y1 = j * dx, (j + 1) * dx
@@ -156,29 +156,21 @@ class TestThicknessExports:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_stl_matches_loop_writer(self, tmp_path, seed):
-        # random maps with zero columns and columns at or below the
-        # minimum-thickness filter; files must be byte-identical
+        # random maps with zero and negative columns; files must be
+        # byte-identical
         rng = np.random.default_rng(seed)
         shape = tuple(rng.integers(1, 12, size=2))
         t = rng.uniform(0.0, 16.0, size=shape)
         t[rng.random(shape) < 0.2] = 0.0
-        t[rng.random(shape) < 0.1] = 3.0
+        t[rng.random(shape) < 0.1] = -3.0
         dx, dz = rng.uniform(5e-5, 2e-4, size=2)
-        for min_vox in (0.0, 3.0):
-            io.thickness_to_stl(tmp_path / "vec.stl", t, dx, dz, min_vox)
-            loop_stl(tmp_path / "loop.stl", t, dx, dz, min_vox)
-            assert ((tmp_path / "vec.stl").read_bytes()
-                    == (tmp_path / "loop.stl").read_bytes())
+        io.thickness_to_stl(tmp_path / "vec.stl", t, dx, dz)
+        loop_stl(tmp_path / "loop.stl", t, dx, dz)
+        assert ((tmp_path / "vec.stl").read_bytes()
+                == (tmp_path / "loop.stl").read_bytes())
 
     def test_stl_empty_map_header_only(self, tmp_path):
         io.thickness_to_stl(tmp_path / "l.stl", np.zeros((3, 4)), 1e-4, 1e-4)
         data = (tmp_path / "l.stl").read_bytes()
         assert len(data) == 84
         assert struct.unpack("<I", data[80:84])[0] == 0
-
-    def test_stl_min_thickness_filter(self, tmp_path):
-        t = np.array([[2.0, 3.0]])
-        io.thickness_to_stl(tmp_path / "l.stl", t, dx=1e-4, dz=1e-4,
-                            min_thickness_vox=2.5)
-        data = (tmp_path / "l.stl").read_bytes()
-        assert struct.unpack("<I", data[80:84])[0] == 12

@@ -38,6 +38,12 @@ class TestMapThickness:
         t = map_thickness(d)
         assert np.all(t > d.v_min) and np.all(t < d.v_max)
 
+    def test_depth_is_ceil_of_v_max(self):
+        assert DesignField(np.zeros((2, 2)), v_max=12.0).n_v == 12
+        assert DesignField(np.zeros((2, 2)), v_max=15.2).n_v == 16
+        assert lensmap.forward(DesignField(np.zeros((2, 2)), v_max=15.2),
+                               5.0).occupancy.shape == (2, 2, 16)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             DesignField(np.zeros((4, 4)), v_min=0.5)
@@ -50,7 +56,7 @@ class TestMapThickness:
 class TestSmoothThickness:
     def test_constant_unchanged(self):
         t = np.full((12, 12), 3.7)
-        assert np.allclose(smooth_thickness(t), 3.7)
+        assert np.allclose(smooth_thickness(t, 9, 1.5), 3.7)
 
     def test_impulse_center_weight(self):
         # oracle: independently normalized 9x9 Gaussian center weight
@@ -59,24 +65,33 @@ class TestSmoothThickness:
         center = g[4, 4] / g.sum()
         t = np.zeros((21, 21))
         t[10, 10] = 5.0
-        out = smooth_thickness(t)
+        out = smooth_thickness(t, 9, 1.5)
         assert out[10, 10] == pytest.approx(5.0 * center, rel=1e-12)
 
     def test_linear_ramp_interior_unchanged(self):
         x = np.arange(24, dtype=float)
         t = np.broadcast_to(x, (24, 24)).copy()
-        out = smooth_thickness(t)
+        out = smooth_thickness(t, 9, 1.5)
         assert np.allclose(out[4:-4, 4:-4], t[4:-4, 4:-4], atol=1e-10)
 
     def test_range_preserved(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(1.0, 9.0, size=(16, 16))
-        out = smooth_thickness(t)
+        out = smooth_thickness(t, 9, 1.5)
         assert out.min() >= t.min() - 1e-12 and out.max() <= t.max() + 1e-12
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             gaussian_kernel(8, 1.5)
+
+    def test_design_smoothing_is_the_fixed_9x9_sigma_1p5_kernel(self):
+        # forward applies smooth_thickness(KERNEL_SIZE, SMOOTH_SIGMA); the
+        # oracle tests above pin those values to 9 and 1.5
+        assert (lensmap.KERNEL_SIZE, lensmap.SMOOTH_SIGMA) == (9, 1.5)
+        d = DesignField.random(12, 12, seed=4)
+        lens = lensmap.forward(d, 5.0)
+        assert np.array_equal(lens.thickness_map,
+                              smooth_thickness(map_thickness(d), 9, 1.5))
 
 
 class TestVoxelize:
@@ -110,7 +125,8 @@ class TestVoxelize:
 class TestForward:
     def test_constant_theta_flat_slab(self):
         d = DesignField(np.zeros((8, 8)), v_min=2.0, v_max=10.0)
-        lens = lensmap.forward(d, beta=100.0, n_v=12)
+        lens = lensmap.forward(d, beta=100.0)
+        assert lens.occupancy.shape == (8, 8, 10)
         assert np.allclose(lens.thickness_map, 6.0)
         assert np.allclose(lens.occupancy[:, :, :6], 1.0, atol=1e-10)
         assert np.allclose(lens.occupancy[:, :, 6:], 0.0, atol=1e-10)
@@ -131,17 +147,17 @@ class TestForward:
 class TestBackward:
     @staticmethod
     def loss_fn(design, beta, weights):
-        lens = lensmap.forward(design, beta, weights.shape[2])
+        lens = lensmap.forward(design, beta)
         return float(np.sum(weights * lens.occupancy))
 
     def test_zero_upstream_zero_gradient(self):
         d = DesignField.random(8, 8, seed=0)
-        g = lensmap.backward(d, 5.0, np.zeros((8, 8, 8)))
+        g = lensmap.backward(d, 5.0, np.zeros((8, 8, d.n_v)))
         assert np.all(g == 0.0)
 
     def test_locality_of_kernel_footprint(self):
         d = DesignField.random(16, 16, seed=1)
-        up = np.zeros((16, 16, 8))
+        up = np.zeros((16, 16, d.n_v))
         up[8, 8, 2] = 1.0
         g = lensmap.backward(d, 5.0, up)
         mask = np.zeros((16, 16), dtype=bool)
@@ -157,15 +173,14 @@ class TestBackward:
             theta = rng.uniform(-1, 1, size=(8, 8))
             weights = rng.normal(size=(8, 8, 8))
             beta = rng.uniform(1.0, 20.0)
-            d = DesignField(theta)
-            lens = lensmap.forward(d, beta, 8)
+            d = DesignField(theta, v_max=8.0)
             grad = lensmap.backward(d, beta, weights)
             i, j = rng.integers(0, 8, size=2)
             tp = theta.copy(); tp[i, j] += step
             tm = theta.copy(); tm[i, j] -= step
             fd = (
-                self.loss_fn(DesignField(tp), beta, weights)
-                - self.loss_fn(DesignField(tm), beta, weights)
+                self.loss_fn(DesignField(tp, v_max=8.0), beta, weights)
+                - self.loss_fn(DesignField(tm, v_max=8.0), beta, weights)
             ) / (2 * step)
             denom = max(abs(fd), abs(grad[i, j]), 1e-6 * np.abs(grad).max())
             worst = max(worst, abs(fd - grad[i, j]) / denom)
@@ -183,7 +198,9 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         d = DesignField.random(8, 8, seed=0)
         with pytest.raises(ValueError):
-            lensmap.backward(d, 5.0, np.zeros((4, 4, 8)))
+            lensmap.backward(d, 5.0, np.zeros((4, 4, d.n_v)))
+        with pytest.raises(ValueError):  # depth other than n_v = ceil(v_max)
+            lensmap.backward(d, 5.0, np.zeros((8, 8, 8)))
 
 
 class TestBinarize:
