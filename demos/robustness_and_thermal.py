@@ -28,7 +28,7 @@ from sonolens import (
     make_homogeneous,
     optimize_lens_geometry,
     perturb_lens,
-    propagate,
+    prepare,
     segment_foci,
 )
 
@@ -48,12 +48,13 @@ field, lens = fabricate_and_simulate(result.lens, src, medium, FORM_CLEAR,
                                      solver)
 
 # --- thickness-noise ensemble ---------------------------------------------
+# one prepared medium; each seed relaxes its noisy lens into the slab
 sigma = 50e-6  # printer thickness error, one sigma, meters
+prepared = prepare(src, medium, solver, FORM_CLEAR, 0, lens.n_v)
 peaks = []
 for i in range(20):
     noisy = perturb_lens(lens, sigma, grid.dz, seed=i)
-    embedded = embed_lens(medium, noisy.occupancy, FORM_CLEAR)
-    noisy_field, _ = propagate(src, embedded, solver)
+    noisy_field, _ = prepared.run(noisy.occupancy)
     peaks.append(float(np.abs(noisy_field.values).max()))
 peaks = np.asarray(peaks)
 print(f"peak pressure under {sigma * 1e6:.0f} um thickness noise "
@@ -61,6 +62,7 @@ print(f"peak pressure under {sigma * 1e6:.0f} um thickness noise "
       f"(min {peaks.min():.3f})")
 
 # --- pulsed heating at 1 MPa focal pressure -------------------------------
+# bioheat needs the medium itself, so the lens is embedded here
 embedded = embed_lens(medium, lens.occupancy, FORM_CLEAR)
 segments = segment_foci(field, [seed_voxel])
 report = focal_metrics(field, segments)

@@ -8,6 +8,11 @@ configuration error, in every section and at the top level. Each run
 writes a resolved-config snapshot (pure SI, comment-free) whose hash is
 embedded in the headers of all exported arrays. Exit codes: 0 success,
 2 configuration error, 3 numeric failure.
+
+`sweep` runs a fixed lens the way the design loop does: the medium is
+prepared once per lens material (`solver.prepare`), and each case, a
+material variant or a thickness-noise realization, is one
+`PreparedMedium.run` of the lens slab.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .grid import (
 from .lensmap import DesignField, LensVolume
 from .medium import make_homogeneous, make_skull_phantom, ingest_hu_volume
 from .optim import OptimConfig, TargetSpec
-from .solver import SolverConfig, apply_phase_delays, backproject, propagate
+from .solver import (
+    SolverConfig, apply_phase_delays, backproject, prepare, propagate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -549,30 +556,36 @@ def cmd_evaluate(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-def _load_lens(prefix_or_csv, grid: GridSpec,
-               design: DesignField) -> LensVolume:
-    """A thickness CSV (meters) as a binarized lens of design.n_v slices."""
+def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
+    """A thickness CSV (meters) as a binarized lens of design.n_v slices;
+    a negative thickness, or one that rounds to more slices than t_max
+    gives, is a config error."""
     path = Path(prefix_or_csv)
     if not path.exists():
         raise ConfigError(f"sweep: lens file not found: {path}")
-    thickness_m = np.loadtxt(path, delimiter=",")
-    t_vox = np.atleast_2d(thickness_m) / grid.dz
-    if t_vox.shape != (grid.nx, grid.ny):
+    thickness_m = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    if thickness_m.shape != (grid.nx, grid.ny):
         raise ConfigError("sweep: lens thickness map does not match the grid")
-    lens = LensVolume(np.zeros((grid.nx, grid.ny, design.n_v)), t_vox,
-                      v_min=design.v_min, v_max=float(design.n_v))
-    return lensmap.binarize(lens)
+    if not np.all(thickness_m >= 0):
+        raise ConfigError(f"sweep: lens thickness {np.min(thickness_m):g} m "
+                          "is not a non-negative number")
+    design = lens_params["design"]
+    lens = lensmap.binarize(LensVolume(
+        np.zeros((grid.nx, grid.ny, design.n_v)), thickness_m / grid.dz,
+        v_min=design.v_min, v_max=float(design.n_v)))
+    if lens.thickness_map.max() > design.n_v:
+        raise ConfigError(
+            f"sweep: lens thickness {thickness_m.max():g} m is more than the "
+            f"{design.n_v} slices of t_max {lens_params['t_max']:g} m")
+    return lens
 
 
-def _sweep_case(payload):
-    """One sweep realization; shared-nothing worker for the process pool."""
-    (lens, src, medium, mat, z_offset, solver, seeds, axis, sigma, case_seed
-     ) = payload
-    if axis == "perturbation":
-        lens = analysis.perturb_lens(lens, sigma, medium.grid.dz, seed=case_seed)
-    from .medium import embed_lens
-    embedded = embed_lens(medium, lens.occupancy, mat, z_offset)
-    field_, _ = propagate(src, embedded, solver)
+def _sweep_case(prepared, lens: LensVolume, seeds, sigma: float, case_seed):
+    """One sweep case: the lens with thickness noise sigma (meters, none
+    at 0) relaxed into the slab of the material's prepared medium; one
+    `PreparedMedium.run`, then the focal figures of the field."""
+    lens = analysis.perturb_lens(lens, sigma, prepared.grid.dz, seed=case_seed)
+    field_, _ = prepared.run(lens.occupancy)
     report = analysis.focal_report(field_, seeds)
     if not report.foci:
         return [float(np.abs(field_.values).max()), np.nan, np.nan, 0]
@@ -595,40 +608,36 @@ def cmd_sweep(args) -> int:
     if lens_path is None:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
-    lens = _load_lens(lens_path, grid, lens_params["design"])
+    lens = _load_lens(lens_path, grid, lens_params)
     seeds = _focus_seeds(target)
-    z_offset = lens_params["z_offset"]
 
+    # a case is (material, thickness noise sigma, noise seed)
     if args.axis == "material":
         if "materials" in sec:
             mats = [_material(m, "sweep") for m in sec["materials"]]
         else:
             mats = list(CLEAR_RESIN_VARIANTS)
-        cases = [
-            (lens, src, medium, m, z_offset, solver, seeds, "material", 0.0, None)
-            for m in mats
-        ]
+        cases = [(m, 0.0, None) for m in mats]
         labels = [f"c={m.sound_speed:g},rho={m.density:g}" for m in mats]
-    elif args.axis == "perturbation":
+    else:
         sigma = get_quantity(sec, "sigma", 50e-6)
+        if sigma < 0:
+            raise ConfigError(f"sweep: sigma {sigma:g} m must be non-negative")
         n = _number(sec, "realizations", 50, int)
         if n < 0:
             raise ConfigError("sweep: realizations must be non-negative")
-        mat = lens_params["material"]
-        cases = [
-            (lens, src, medium, mat, z_offset, solver, seeds, "perturbation",
-             sigma, seed + i)
-            for i in range(n)
-        ]
+        cases = [(lens_params["material"], sigma, seed + i) for i in range(n)]
         labels = [f"seed={seed + i}" for i in range(n)]
-    else:
-        raise ConfigError(f"sweep: unknown axis '{args.axis}'")
 
-    if args.jobs > 1 and len(cases) > 1:
+    prepared = {m: prepare(src, medium, solver, m, lens_params["z_offset"],
+                           lens.n_v)
+                for m in {m for m, _, _ in cases}}
+    work = [(prepared[m], lens, seeds, *noise) for m, *noise in cases]
+    if args.jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_case, cases))
+            rows = list(pool.map(_sweep_case, *zip(*work)))
     else:
-        rows = [_sweep_case(c) for c in cases]
+        rows = [_sweep_case(*w) for w in work]
 
     out = Path(args.out)
     write_snapshot(out, cfg, grid, seed)

@@ -15,6 +15,12 @@ import numpy as np
 NEPER_PER_DB = np.log(10.0) / 20.0
 
 
+def power_law_attenuation(coeff, power, frequency: float):
+    """Attenuation in Np/m at `frequency` (Hz) of a coefficient in
+    dB/(MHz^y cm) with exponent y; scalars or per-voxel arrays."""
+    return coeff * (frequency / 1e6) ** power * NEPER_PER_DB * 100.0
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform voxel grid for single-frequency field simulation.
@@ -109,13 +115,8 @@ class MaterialProperties:
 
     def attenuation_np_per_m(self, frequency: float) -> float:
         """Power-law attenuation at `frequency` (Hz), in Np/m."""
-        f_mhz = frequency / 1e6
-        return (
-            self.attenuation_coeff
-            * f_mhz**self.attenuation_power
-            * NEPER_PER_DB
-            * 100.0
-        )
+        return power_law_attenuation(self.attenuation_coeff,
+                                     self.attenuation_power, frequency)
 
 
 # Measured properties of common coupling media and SLA printing resins.

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BONE, GridSpec, MaterialProperties, WATER
+from .grid import (
+    BONE, GridSpec, MaterialProperties, WATER, power_law_attenuation,
+)
 
 
 @dataclass
@@ -50,8 +52,8 @@ class AcousticMedium:
 
     def attenuation_np_per_m(self) -> np.ndarray:
         """Voxelwise power-law attenuation at the grid frequency, Np/m."""
-        f_mhz = self.grid.frequency / 1e6
-        return self.att * f_mhz**self.att_power * (np.log(10.0) / 20.0) * 100.0
+        return power_law_attenuation(self.att, self.att_power,
+                                     self.grid.frequency)
 
 
 def make_homogeneous(grid: GridSpec, mat: MaterialProperties) -> AcousticMedium:

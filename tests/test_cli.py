@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonolens import cli, io, optim
+from sonolens import analysis, cli, io, lensmap, optim, solver
 from sonolens.cli import (
     ConfigError,
     get_quantity,
@@ -13,6 +13,7 @@ from sonolens.cli import (
     strip_comments,
 )
 from sonolens.grid import GridSpec
+from sonolens.medium import embed_lens
 from sonolens.solver import ComplexField
 
 
@@ -538,6 +539,135 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                     "--axis", "perturbation"]) == 2
         assert "base design" in capsys.readouterr().err
+
+    def test_negative_sigma_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(sweep={"sigma_um": -5}))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "perturbation",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 2
+        assert "sweep: sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("voxels, code, message", [
+        (16, 0, None),  # 2 mm fills the 16 slices of t_max 1.9 mm
+        (24, 2, "lens thickness 0.003 m is more than the 16 slices of "
+                "t_max 0.0019 m"),
+        (-1, 2, "lens thickness -0.000125 m"),
+    ])
+    def test_lens_must_fit_the_slab(self, tmp_path, capsys, voxels, code,
+                                    message):
+        thickness = np.full((24, 24), 4 * 125e-6)
+        thickness[3, 5] = voxels * 125e-6
+        lens = tmp_path / "lens.csv"
+        np.savetxt(lens, thickness, delimiter=",")
+        cfg = write_config(tmp_path, base_config(sweep={"realizations": 1}))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                    "--axis", "perturbation", "--lens", str(lens)]) == code
+        if message is not None:
+            assert f"sweep: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, sweep, prepares", [
+        ("perturbation", {"realizations": 3}, 1),
+        ("material", {"materials": ["form_clear", "form_clear", "veroclear"]},
+         2),
+    ])
+    def test_one_prepared_medium_per_material(self, tmp_path, monkeypatch,
+                                              axis, sweep, prepares):
+        calls = []
+
+        def counting_prepare(*args, **kwargs):
+            calls.append(args)
+            return solver.prepare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "prepare", counting_prepare)
+        cfg = write_config(tmp_path, base_config(sweep=sweep))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", axis,
+                    "--lens", self.write_flat_lens(tmp_path)]) == 0
+        assert len(calls) == prepares
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+def embedded_lens_rows(cfg_path, lens_csv, cases):
+    """sweep.csv rows computed the way the sweep once did: each case
+    embeds its (perturbed) lens into a copy of the medium and propagates
+    the whole medium from scratch. cases: (label, material, sigma, seed),
+    seed None for an unperturbed lens."""
+    cfg = load_config(cfg_path)
+    grid = cli.build_grid(cfg)
+    src, medium = cli.build_source(cfg, grid), cli.build_medium(cfg, grid)
+    seeds = [tuple(c) for c in cli.build_target(cfg, grid).focus_centers]
+    params = cli.build_lens_params(cfg, grid, 0)
+    n_v = params["design"].n_v
+    lens = lensmap.binarize(lensmap.LensVolume(
+        np.zeros((grid.nx, grid.ny, n_v)),
+        np.loadtxt(lens_csv, delimiter=",") / grid.dz,
+        params["design"].v_min, float(n_v)))
+    rows = []
+    for label, mat, sigma, seed in cases:
+        case_lens = lens if seed is None else analysis.perturb_lens(
+            lens, sigma, grid.dz, seed=seed)
+        embedded = embed_lens(medium, case_lens.occupancy, mat,
+                              params["z_offset"])
+        field_, _ = solver.propagate(src, embedded, cli.build_solver(cfg))
+        report = analysis.focal_report(field_, seeds)
+        if report.foci:
+            values = [max(f.peak_pressure for f in report.foci),
+                      report.leakage_ratio, report.uniformity,
+                      report.n_components]
+        else:
+            values = [float(np.abs(field_.values).max()), np.nan, np.nan, 0]
+        rows.append(f"{label}," + ",".join(f"{v:.9g}" for v in values))
+    return rows
+
+
+class TestSweepMatchesTheEmbeddedLens:
+    # a 16 x 16 x 32 grid at reflection order 4; the lens slab (8 slices
+    # of t_max 1 mm) is water and a bone shell lies behind it. The concave
+    # lens below puts a focus at the target in every case, so the rows
+    # carry focal metrics, not the no-focus fallback.
+    CONFIG = {
+        "grid": {"nx": 16, "ny": 16, "nz": 32, "spacing_um": 125,
+                 "frequency_mhz": 2},
+        "source": {"full_plane": True},
+        "medium": {"kind": "phantom", "center_mm": [1.0, 1.0, 2.6],
+                   "inner_radius_mm": 0.8, "thickness_mm": 0.25},
+        "target": {"focus_centers_mm": [[1.0, 1.0, 3.375]],
+                   "radius_um": 200},
+        "solver": {"reflection_order": 4},
+        "lens": {"t_max_mm": 1.0},
+        "sweep": {"sigma_um": 100, "realizations": 3,
+                  "materials": ["form_clear", "veroclear",
+                                {"sound_speed": 2200, "density": 1100,
+                                 "attenuation_coeff": 5.0,
+                                 "attenuation_power": 1.1}]},
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("axis", ["perturbation", "material"])
+    def test_rows_equal_the_embedded_lens_rows(self, tmp_path, axis, jobs):
+        cfg = write_config(tmp_path, self.CONFIG)
+        lens = tmp_path / "lens.csv"
+        r2 = ((np.arange(16) - 7.5) ** 2)[:, None] + (np.arange(16) - 7.5) ** 2
+        voxels = np.round(1 + 7 * r2 / r2.max())
+        np.savetxt(lens, voxels * 125e-6, delimiter=",")
+        if axis == "perturbation":
+            mat = cli.FORM_CLEAR
+            cases = [(f"seed={i}", mat, 100e-6, i) for i in range(3)]
+        else:
+            mats = [cli._material(m, "sweep")
+                    for m in self.CONFIG["sweep"]["materials"]]
+            cases = [(f"c={m.sound_speed:g},rho={m.density:g}", m, 0.0, None)
+                     for m in mats]
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", axis, "--lens", str(lens), "--seed", "0",
+                    "--jobs", str(jobs)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",1,1") for row in rows)  # one focus found
+        assert rows == embedded_lens_rows(cfg, str(lens), cases)
 
 
 class TestBackprojectCommand:
