@@ -12,7 +12,8 @@ embedded in the headers of all exported arrays. Exit codes: 0 success,
 `sweep` runs a fixed lens the way the design loop does: the medium is
 prepared once per lens material (`solver.prepare`), and each case, a
 material variant or a thickness-noise realization, is one
-`PreparedMedium.run` of the lens slab.
+`PreparedMedium.run` of the lens slab. The materials run one after
+another, so one prepared medium is held at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -629,15 +631,21 @@ def cmd_sweep(args) -> int:
         cases = [(lens_params["material"], sigma, seed + i) for i in range(n)]
         labels = [f"seed={seed + i}" for i in range(n)]
 
-    prepared = {m: prepare(src, medium, solver, m, lens_params["z_offset"],
-                           lens.n_v)
-                for m in {m for m, _, _ in cases}}
-    work = [(prepared[m], lens, seeds, *noise) for m, *noise in cases]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_case, *zip(*work)))
-    else:
-        rows = [_sweep_case(*w) for w in work]
+    # one material at a time, in order of first use: its medium is
+    # prepared, runs the material's cases and is released before the next
+    rows = [None] * len(cases)
+    parallel = args.jobs > 1 and len(cases) > 1
+    with (ProcessPoolExecutor(max_workers=args.jobs) if parallel
+          else nullcontext()) as pool:
+        map_cases = pool.map if pool else map
+        for mat in dict.fromkeys(m for m, _, _ in cases):
+            idx = [i for i, (m, _, _) in enumerate(cases) if m == mat]
+            prepared = prepare(src, medium, solver, mat,
+                               lens_params["z_offset"], lens.n_v)
+            work = [(prepared, lens, seeds, *cases[i][1:]) for i in idx]
+            for i, row in zip(idx, map_cases(_sweep_case, *zip(*work))):
+                rows[i] = row
+            del prepared, work
 
     out = Path(args.out)
     write_snapshot(out, cfg, grid, seed)

@@ -24,6 +24,14 @@ entries that touch it; the base medium is never copied. `propagate` is a
 run on a medium prepared without a slab. The returned cache carries the
 run's screens and impedance, so the adjoint recomputes neither.
 
+A sweep writes its slice contributions and post-diffraction fields into
+one (nz, 2, nx, ny) plane stack, with in-place FFTs and products. When
+the run's cache is garbage-collected, the prepared medium takes the
+stack back and hands it to sweep k of its next run. The lifetime rule
+follows: a cache's planes are valid while the cache is referenced; a
+plane kept past its cache may be overwritten by a later run. The
+returned field is always a fresh array.
+
 Every operation in the chain is complex-linear in the field, so the exact
 reverse-mode gradient is obtained by transposing each step. The adjoint
 always returns the source-plane cotangent. When the forward run embedded a
@@ -38,10 +46,11 @@ dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import fft2, ifft2
+from numpy.fft import fft2, fftn, ifft2, ifftn
 
 from .grid import GridSpec, MaterialProperties, SourceSpec
 from .medium import AcousticMedium
@@ -98,10 +107,6 @@ def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
     return H
 
 
-def _diffract(u: np.ndarray, H: np.ndarray) -> np.ndarray:
-    return ifft2(H * fft2(u, axes=(0, 1)), axes=(0, 1))
-
-
 def _diffract_transpose(ubar: np.ndarray, H: np.ndarray) -> np.ndarray:
     # transpose (not conjugate-transpose) of the diffraction operator
     return fft2(H * ifft2(ubar, axes=(0, 1)), axes=(0, 1))
@@ -118,6 +123,10 @@ class _Sweep:
 @dataclass
 class SliceCache:
     """Forward-run state retained for the adjoint sweep.
+
+    The sweeps' u and v planes are views of plane stacks that the prepared
+    medium reuses once this cache is garbage-collected: they are valid
+    while the cache is referenced.
 
     screen and Z hold one (nx, ny) array per slice: the prepared medium's
     own, except on the lens slab, where this run's replace them. c, rho
@@ -184,7 +193,9 @@ class PreparedMedium:
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
     the base properties there and the lens-minus-base deltas, so that a
     run with a lens recomputes only the slab. Built by `prepare`; nothing
-    it holds is modified by a run.
+    it holds is modified by a run, except the spare plane stacks that the
+    caches of earlier runs gave back (`_spare[k]` serves sweep k; a pickle
+    carries none).
     """
 
     grid: GridSpec
@@ -201,6 +212,11 @@ class PreparedMedium:
     dc: np.ndarray | None = None        # lens minus base on the slab;
     drho: np.ndarray | None = None      # None without a lens material
     datt: np.ndarray | None = None
+    _spare: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_spare": {}}
 
     def run(
         self,
@@ -253,15 +269,22 @@ class PreparedMedium:
                 self.dc, self.drho, self.datt)
 
         inject = {source_slice: source_plane}
+        stacks = {}
         for order in range(self.cfg.reflection_order + 1):
             collect = order < self.cfg.reflection_order
+            stack = self._spare.pop(order, None)
+            if stack is None:
+                stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
+                                 dtype=np.complex128)
+            stacks[order] = stack
             sweep, refl = _march(grid, self.H, screen, Z, iface, direction,
-                                 inject, collect)
+                                 inject, collect, stack)
             cache.sweeps.append(sweep)
             if not refl:
                 break
             inject = refl
             direction = -direction
+        weakref.finalize(cache, self._spare.update, stacks)
 
         # sweeps summed slice by slice: each strided slice is written once
         total = np.empty(grid.shape, dtype=np.complex128)
@@ -329,8 +352,14 @@ def _march(
     direction: int,
     inject: dict,
     collect_reflections: bool,
+    stack: np.ndarray,
 ) -> tuple[_Sweep, dict]:
-    """One directional sweep; returns the sweep record and reflected sources."""
+    """One directional sweep; returns the sweep record and reflected sources.
+
+    Slice s's contribution goes to stack[s, 0] and its post-diffraction
+    field to stack[s, 1], and the record holds views of them. Slice-major,
+    the planes a sweep touches are one contiguous block of memory.
+    """
     nz = grid.nz
     order = range(nz) if direction > 0 else range(nz - 1, -1, -1)
     order = list(order)
@@ -346,18 +375,22 @@ def _march(
             u_list[s] = src
             u = src
             continue
-        v = _diffract(u, H)
+        # v = ifft2(H * fft2(u)) in place; ifftn, as numpy's ifft2
+        # ignores out=
+        v = fftn(u, axes=(0, 1), out=stack[s, 1])
+        np.multiply(H, v, out=v)
+        ifftn(v, axes=(0, 1), out=v)
         v_list[s] = v
+        u, tv = stack[s, 0], v
         if iface[min(prev, s)]:
             Z1, Z2 = Z[prev], Z[s]
             t = 2.0 * Z2 / (Z1 + Z2)
             if collect_reflections:
                 refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
-            u = t * v * screen[s]
-        else:
-            u = v * screen[s]
+            tv = np.multiply(t, v, out=u)
+        np.multiply(tv, screen[s], out=u)
         if src is not None:
-            u = u + src
+            np.add(u, src, out=u)
         u_list[s] = u
     return _Sweep(direction, u_list, v_list, dict(inject)), refl
 

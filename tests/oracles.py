@@ -3,12 +3,12 @@
 from collections import deque
 
 import numpy as np
+from numpy.fft import fft2, ifft2
 
 from sonolens.baselines import TWO_PI, full_cycle_thickness
 from sonolens.optim import TargetSpec
 from sonolens.solver import (
     ComplexField,
-    _diffract,
     _diffract_transpose,
     _diffraction_kernel,
     _screens,
@@ -58,6 +58,12 @@ def embedded_arrays(base, occupancy, lens_mat, z_offset):
     att[sl] += occupancy * (
         lens_mat.attenuation_np_per_m(base.grid.frequency) - att[sl])
     return c, rho, att
+
+
+def _diffract(u, H):
+    """One angular-spectrum step on fresh arrays: the allocating reference
+    of the in-place step in `solver._march`."""
+    return ifft2(H * fft2(u, axes=(0, 1)), axes=(0, 1))
 
 
 def full_grid_forward(grid, cfg, c, rho, att_np, source_plane,

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +590,27 @@ class TestSweepCommand:
         assert len(calls) == prepares
         assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_prepared_medium_alive_at_a_time(self, tmp_path, monkeypatch,
+                                                 jobs):
+        # each material's prepared medium is released before the next one
+        # is prepared; counted at every prepare call
+        made, alive = [], []
+
+        def tracking_prepare(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            prepared = solver.prepare(*args, **kwargs)
+            made.append(weakref.ref(prepared))
+            return prepared
+
+        monkeypatch.setattr(cli, "prepare", tracking_prepare)
+        cfg = write_config(tmp_path,
+                           base_config(solver={"reflection_order": 2}))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                    "--axis", "material", "--jobs", jobs,
+                    "--lens", self.write_flat_lens(tmp_path)]) == 0
+        assert alive == [0] * len(cli.CLEAR_RESIN_VARIANTS)
+
 
 def embedded_lens_rows(cfg_path, lens_csv, cases):
     """sweep.csv rows computed the way the sweep once did: each case
@@ -638,11 +660,12 @@ class TestSweepMatchesTheEmbeddedLens:
                    "radius_um": 200},
         "solver": {"reflection_order": 4},
         "lens": {"t_max_mm": 1.0},
+        # form_clear twice: its rows stay in case order around the others
         "sweep": {"sigma_um": 100, "realizations": 3,
                   "materials": ["form_clear", "veroclear",
                                 {"sound_speed": 2200, "density": 1100,
                                  "attenuation_coeff": 5.0,
-                                 "attenuation_power": 1.1}]},
+                                 "attenuation_power": 1.1}, "form_clear"]},
     }
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,4 +1,6 @@
 import importlib.util
+import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +405,54 @@ class TestPreparedMedium:
         fresh = full_grid_forward(g, cfg, med.c, med.rho,
                                   med.attenuation_np_per_m(), plane, 25, -1)
         assert np.array_equal(p.values, fresh)
+
+    def lens_medium(self):
+        g = self.GRID
+        return prepare(SourceSpec.disk(g, 1.2e-3),
+                       bone_layers(g, slice(2, 4), slice(20, 23)),
+                       SolverConfig(reflection_order=4), FORM_CLEAR, 14,
+                       self.N_V)
+
+    def test_second_run_reuses_the_dropped_cache_planes(self):
+        prepared = self.lens_medium()
+        occ = np.random.default_rng(2).uniform(0.1, 0.9,
+                                               size=(16, 16, self.N_V))
+        _, cache = prepared.run(occ)
+        cache_bytes = sum(a.nbytes for sw in cache.sweeps
+                          for a in sw.u + sw.v if a is not None)
+        del cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p, cache = prepared.run(occ)
+            allocated = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache.sweeps) == 5
+        # besides its fresh field, the run allocates its reflected sources
+        # and small per-slice temporaries, but no u or v plane
+        assert allocated - p.values.nbytes < cache_bytes / 4
+
+    def test_field_outlives_its_cache_and_later_runs(self):
+        prepared = self.lens_medium()
+        rng = np.random.default_rng(3)
+        p1, cache1 = prepared.run(rng.uniform(0.1, 0.9, size=(16, 16, self.N_V)))
+        kept = p1.values.copy()
+        del cache1
+        for _ in range(2):
+            p, _ = prepared.run(rng.uniform(0.1, 0.9, size=(16, 16, self.N_V)))
+            assert not np.array_equal(p.values, kept)
+        assert np.array_equal(p1.values, kept)
+
+    def test_pickle_carries_no_spare_stacks(self):
+        prepared = self.lens_medium()
+        occ = np.full((16, 16, self.N_V), 0.5)
+        size = len(pickle.dumps(prepared))
+        p, cache = prepared.run(occ)
+        del cache
+        assert len(pickle.dumps(prepared)) == size
+        p2, _ = pickle.loads(pickle.dumps(prepared)).run(occ)
+        assert np.array_equal(p2.values, p.values)
 
     @pytest.mark.parametrize("lens_mat, occupancy, message", [
         (FORM_CLEAR, None, "exactly when"),
