@@ -14,6 +14,12 @@ z_k = k + 0.5 for zero-based k.
 The blur is fixed: a KERNEL_SIZE x KERNEL_SIZE Gaussian of standard
 deviation SMOOTH_SIGMA voxels. The lens has `DesignField.n_v` =
 ceil(v_max) slices, the one rounding of v_max in the package.
+
+Both blurs (this one and `fabrication_filter`'s) are `scipy.ndimage.correlate`
+of the map padded first with `np.pad(mode="symmetric")`, cropped to the valid
+region, so no kept sample depends on ndimage's boundary modes: its
+`mode="reflect"` on the unpadded map returns garbage (SciPy 1.17) once the
+kernel is many times wider than the map, as a large fabrication cutoff makes.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import ndimage
 
 # the DHLA smoothing step: odd kernel width (voxels) and its sigma (voxels)
 KERNEL_SIZE = 9
@@ -135,7 +141,7 @@ def smooth_thickness(t: np.ndarray, kernel_size: int,
     g = gaussian_kernel(kernel_size, sigma)
     pad = kernel_size // 2
     tp = np.pad(t, pad, mode="symmetric")
-    return signal.convolve2d(tp, g, mode="valid")
+    return ndimage.correlate(tp, g)[pad:pad + t.shape[0], pad:pad + t.shape[1]]
 
 
 def _smooth_transpose(
@@ -145,7 +151,8 @@ def _smooth_transpose(
     g = gaussian_kernel(kernel_size, sigma)
     pad = kernel_size // 2
     # transpose of "valid" convolution is "full" convolution (kernel symmetric)
-    full = signal.convolve2d(gbar, g, mode="full")
+    full_region = np.s_[pad:gbar.shape[0] + 3 * pad, pad:gbar.shape[1] + 3 * pad]
+    full = ndimage.correlate(np.pad(gbar, 2 * pad), g)[full_region]
     # fold padded contributions back onto their source cells
     idx = np.arange(shape[0] * shape[1]).reshape(shape)
     idx_pad = np.pad(idx, pad, mode="symmetric")

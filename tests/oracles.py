@@ -4,8 +4,10 @@ from collections import deque
 
 import numpy as np
 from numpy.fft import fft2, ifft2
+from scipy import signal
 
 from sonolens.baselines import TWO_PI, full_cycle_thickness
+from sonolens.lensmap import gaussian_kernel
 from sonolens.optim import TargetSpec
 from sonolens.solver import (
     ComplexField,
@@ -315,3 +317,26 @@ def thickness_to_phase(
     if c_lens > c0:
         return np.mod(TWO_PI - frac * TWO_PI, TWO_PI)
     return np.mod(frac * TWO_PI, TWO_PI)
+
+
+# Reference of the DHLA blur in `lensmap`: direct 2D convolution.
+
+def smooth_thickness(t, kernel_size, sigma):
+    """Symmetric-padded map convolved with the Gaussian, "valid" region."""
+    g = gaussian_kernel(kernel_size, sigma)
+    pad = kernel_size // 2
+    tp = np.pad(t, pad, mode="symmetric")
+    return signal.convolve2d(tp, g, mode="valid")
+
+
+def smooth_transpose(gbar, shape, kernel_size, sigma):
+    """Transpose of `smooth_thickness`: "full" convolution, then each padded
+    cell's contribution added back onto the cell it was copied from."""
+    g = gaussian_kernel(kernel_size, sigma)
+    pad = kernel_size // 2
+    full = signal.convolve2d(gbar, g, mode="full")
+    idx = np.pad(np.arange(shape[0] * shape[1]).reshape(shape), pad,
+                 mode="symmetric")
+    out = np.zeros(shape[0] * shape[1])
+    np.add.at(out, idx.ravel(), full.ravel())
+    return out.reshape(shape)

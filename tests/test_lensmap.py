@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sonolens import lensmap
 from sonolens.lensmap import (
     BetaSchedule,
@@ -11,6 +12,7 @@ from sonolens.lensmap import (
     gaussian_kernel,
     map_thickness,
     smooth_thickness,
+    _smooth_transpose,
     voxelize,
 )
 
@@ -92,6 +94,51 @@ class TestSmoothThickness:
         lens = lensmap.forward(d, 5.0)
         assert np.array_equal(lens.thickness_map,
                               smooth_thickness(map_thickness(d), 9, 1.5))
+
+
+# (map shape, kernel size, sigma): the design blur on the two design grids,
+# a kernel far wider than a 3x7 map, and fabrication_filter's kernel for a
+# cutoff of 20 grid spacings (sigma 10 voxels, 61 taps) on a 4x4 lens
+BLUR_CASES = [((48, 48), 9, 1.5), ((64, 64), 9, 1.5), ((3, 7), 25, 4.0),
+              ((4, 4), 61, 10.0)]
+
+
+def max_rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestSmoothAgainstConvolution:
+    """ndimage blur and its transpose against direct 2D convolution."""
+
+    @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
+    def test_blur_matches_oracle(self, shape, size, sigma):
+        t = np.random.default_rng(5).uniform(1.0, 12.0, size=shape)
+        assert max_rel_err(smooth_thickness(t, size, sigma),
+                           oracles.smooth_thickness(t, size, sigma)) <= 1e-12
+
+    @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
+    def test_transpose_matches_oracle(self, shape, size, sigma):
+        gbar = np.random.default_rng(6).normal(size=shape)
+        assert max_rel_err(_smooth_transpose(gbar, shape, size, sigma),
+                           oracles.smooth_transpose(gbar, shape, size, sigma)
+                           ) <= 1e-12
+
+    @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
+    def test_dot_product_identity(self, shape, size, sigma):
+        # <A t, g> = <t, A^T g>
+        rng = np.random.default_rng(7)
+        t, gbar = rng.normal(size=shape), rng.normal(size=shape)
+        lhs = np.vdot(smooth_thickness(t, size, sigma), gbar)
+        rhs = np.vdot(t, _smooth_transpose(gbar, shape, size, sigma))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_wide_fabrication_cutoff_matches_oracle(self):
+        dx, cutoff = 125e-6, 20 * 125e-6
+        t = np.random.default_rng(8).uniform(1.0, 7.0, size=(4, 4))
+        out = fabrication_filter(LensVolume(np.zeros((4, 4, 8)), t), cutoff, dx)
+        assert np.array_equal(
+            out.thickness_map,
+            np.floor(oracles.smooth_thickness(t, 61, 10.0) + 0.5))
 
 
 class TestVoxelize:
