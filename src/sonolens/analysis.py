@@ -85,16 +85,18 @@ def cross_domain_psnr(p_opt, p_fab) -> float:
     return float(min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
-def segment_foci(p, seeds) -> list[np.ndarray]:
+def segment_foci(p, seeds, *, amp=None) -> list[np.ndarray]:
     """-6 dB connected regions around each seed.
 
     The amplitude volume is thresholded relative to its global peak and
     split into 6-connected components; each seed gets the component that
     contains it. Seeds falling below threshold yield an empty mask, and
     seeds in one component share the same mask. Returns one boolean mask
-    per seed; the result is invariant to global field scaling.
+    per seed; the result is invariant to global field scaling. amp is |p|,
+    passed by a caller that has it already.
     """
-    amp = np.abs(p.values if isinstance(p, ComplexField) else p)
+    if amp is None:
+        amp = np.abs(p.values if isinstance(p, ComplexField) else p)
     shape = amp.shape
     thr = amp.max() * 10.0 ** (FOCUS_THRESHOLD_DB / 20.0)
     labels, _ = ndimage.label(amp >= thr)
@@ -129,13 +131,16 @@ def _fwhm_1d(profile: np.ndarray, spacing: float) -> float:
     return (crossing(-1) + crossing(+1)) * spacing
 
 
-def focal_metrics(p: ComplexField, segments: list[np.ndarray]) -> FocalReport:
+def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,
+                  amp=None) -> FocalReport:
     """Per-focus size/pressure metrics and global confinement metrics.
 
     leakage = mean amplitude outside all segments / mean inside;
-    uniformity = min/max of per-focus peak intensities.
+    uniformity = min/max of per-focus peak intensities. amp is |p|, passed
+    by a caller that has it already.
     """
-    amp = p.amplitude()
+    if amp is None:
+        amp = p.amplitude()
     grid = p.grid
     if not segments or all(not m.any() for m in segments):
         raise ValueError("no non-empty segments supplied")
@@ -147,10 +152,10 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray]) -> FocalReport:
         if not mask.any():
             continue
         union |= mask
-        masked = np.where(mask, amp, -np.inf)
-        peak_idx = tuple(
-            int(v) for v in np.unravel_index(np.argmax(masked), amp.shape)
-        )
+        # first maximum in C order, as argmax over the whole grid finds it
+        idx = np.flatnonzero(mask)
+        peak_idx = tuple(int(v) for v in np.unravel_index(
+            idx[np.argmax(amp.take(idx))], amp.shape))
         peak = amp[peak_idx]
         peaks.append(peak**2)
         px, py, pz = peak_idx
@@ -162,8 +167,8 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray]) -> FocalReport:
                 fwhm_lateral_x=_fwhm_1d(amp[:, py, pz], grid.dx),
                 fwhm_lateral_y=_fwhm_1d(amp[px, :, pz], grid.dy),
                 fwhm_axial=_fwhm_1d(amp[px, py, :], grid.dz),
-                volume_m3=float(mask.sum() * grid.voxel_volume),
-                voxel_count=int(mask.sum()),
+                volume_m3=float(idx.size * grid.voxel_volume),
+                voxel_count=idx.size,
             )
         )
 
@@ -179,12 +184,13 @@ def focal_report(p: ComplexField, seeds) -> FocalReport:
     """Segment the foci around `seeds` and measure them.
 
     Returns an empty report (no foci, leakage and uniformity None) when
-    no seed reaches the -6 dB level.
+    no seed reaches the -6 dB level. |p| is computed once, for both steps.
     """
-    segments = segment_foci(p, seeds)
+    amp = p.amplitude()
+    segments = segment_foci(p, seeds, amp=amp)
     if not any(m.any() for m in segments):
         return FocalReport([], None, None, 0)
-    return focal_metrics(p, segments)
+    return focal_metrics(p, segments, amp=amp)
 
 
 @dataclass

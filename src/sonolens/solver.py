@@ -12,17 +12,22 @@ Z = rho*c changes between slices. Interface reflections with coefficient
 recursively up to the configured reflection order; the total field is the
 coherent sum over all sweeps.
 
-Slice pairs whose impedance is the same across the whole plane have
-t = 1 and r = 0 exactly, so both sweeps skip the transmission and
-reflection work there.
+Each interface (slice pair k, k+1 whose impedance differs somewhere)
+gets its coefficients once: t toward +z, t toward -z and r toward +z
+(r toward -z is -r). Slice pairs whose impedance is the same across the
+whole plane have t = 1 and r = 0 exactly, so both sweeps skip the
+transmission and reflection work there.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
-kernel, the source plane, the per-slice screens, the impedance and the
-interface mask. With a lens slab, a run (`propagate_with_lens`) redoes
-only the slab's properties, screens and impedance and the interface
-entries that touch it; the base medium is never copied. `propagate` is a
-run on a medium prepared without a slab. The returned cache carries the
-run's screens and impedance, so the adjoint recomputes neither.
+kernel, the source plane, the per-slice screens and the interface
+coefficients. With a lens slab, a run (`propagate_with_lens`) redoes
+only the slab's properties, screens and impedance and the coefficients
+of the pairs that touch it; the base medium is never copied. The
+impedance is kept only on the slab and the slice on either side of it
+(z0-1 .. z0+n_v), the slices those pairs and the slab gradients read.
+`propagate` is a run on a medium prepared without a slab. The returned
+cache carries the run's screens and coefficients, so the adjoint
+recomputes neither.
 
 A sweep writes its slice contributions and post-diffraction fields into
 one (nz, 2, nx, ny) plane stack, with in-place FFTs and products. When
@@ -38,7 +43,10 @@ always returns the source-plane cotangent. When the forward run embedded a
 lens with linearly interpolated properties, it also returns the gradients
 with respect to the per-voxel properties on the lens slab and, through
 them, with respect to the lens occupancy; property gradients outside the
-slab are not computed.
+slab are not computed. The reverse sweeps only sum, per slab pair
+(prev, s), the products ub*v and, where a reflection cotangent exists,
+Re(refl_cot[prev]*v); one pass after the last sweep applies the screen
+derivative and dt/dZ, dr/dZ to the sums, once per pair and direction.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -107,11 +115,6 @@ def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
     return H
 
 
-def _diffract_transpose(ubar: np.ndarray, H: np.ndarray) -> np.ndarray:
-    # transpose (not conjugate-transpose) of the diffraction operator
-    return fft2(H * ifft2(ubar, axes=(0, 1)), axes=(0, 1))
-
-
 @dataclass
 class _Sweep:
     direction: int                      # +1 or -1 along z
@@ -128,10 +131,15 @@ class SliceCache:
     medium reuses once this cache is garbage-collected: they are valid
     while the cache is referenced.
 
-    screen and Z hold one (nx, ny) array per slice: the prepared medium's
-    own, except on the lens slab, where this run's replace them. c, rho
-    and att_np are this run's properties on the lens slab only (nx, ny,
-    n_v); (nx, ny, 0) without a lens.
+    screen holds one (nx, ny) array per slice and coeff one entry per
+    slice pair k, k+1: (t toward +z, t toward -z, r toward +z), or None
+    where the impedance does not change. Both are the prepared medium's,
+    except on the lens slab and the pairs that touch it, where this run's
+    replace them. Z maps the slab's slices and the slice on either side
+    (z0-1 .. z0+n_v) to this run's impedance, which the slab gradients
+    read; it is empty without a lens. c, rho and att_np are this run's
+    properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) without a
+    lens.
     """
 
     grid: GridSpec
@@ -140,9 +148,8 @@ class SliceCache:
     rho: np.ndarray
     att_np: np.ndarray
     screen: list
-    Z: list
-    # iface[k]: the impedance differs somewhere between slices k and k+1
-    iface: np.ndarray
+    coeff: list
+    Z: dict
     sweeps: list = field(default_factory=list)
     # lens embedding for d/d occupancy (None when no lens was embedded)
     lens_z_offset: int | None = None
@@ -184,15 +191,32 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
             [rho[cut] * c[cut] for cut in cuts])
 
 
+def _interface(Z1: np.ndarray, Z2: np.ndarray) -> tuple | None:
+    """(t toward +z, t toward -z, r toward +z) between impedance planes Z1
+    (slice k) and Z2 (slice k+1); None where the impedance is the same
+    across the whole plane (t = 1, r = 0)."""
+    if not np.any(Z2 != Z1):
+        return None
+    denom = Z1 + Z2
+    return 2.0 * Z2 / denom, 2.0 * Z1 / denom, (Z2 - Z1) / denom
+
+
+def _slab_pairs(z0: int, n_v: int, nz: int) -> range:
+    """Slice pairs k, k+1 with at least one slice on the slab z0 .. z0+n_v-1."""
+    return range(max(z0 - 1, 0), min(z0 + n_v, nz - 1)) if n_v else range(0)
+
+
 @dataclass
 class PreparedMedium:
     """A medium set up once for any number of forward runs.
 
     Holds the diffraction kernel, the default source plane and the
-    per-slice screens, impedance and interface mask of the base medium.
+    per-slice screens and interface coefficients of the base medium.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
-    the base properties there and the lens-minus-base deltas, so that a
-    run with a lens recomputes only the slab. Built by `prepare`; nothing
+    the base properties there, the lens-minus-base deltas and the
+    impedance of the slices just outside the slab, so that a run with a
+    lens recomputes only the slab and the pairs that touch it (their
+    entries in coeff are left None here). Built by `prepare`; nothing
     it holds is modified by a run, except the spare plane stacks that the
     caches of earlier runs gave back (`_spare[k]` serves sweep k; a pickle
     carries none).
@@ -203,8 +227,8 @@ class PreparedMedium:
     H: np.ndarray
     source_plane: np.ndarray
     screen: list
-    Z: list
-    iface: np.ndarray
+    coeff: list                         # see SliceCache
+    Z: dict                             # slices z_offset-1, z_offset+n_v
     z_offset: int
     c: np.ndarray                       # base properties on the slab
     rho: np.ndarray
@@ -244,7 +268,7 @@ class PreparedMedium:
             if source_plane.shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
-        screen, Z, iface = self.screen, self.Z, self.iface
+        screen, coeff, Z = self.screen, self.coeff, {}
         c, rho, att = self.c, self.rho, self.att_np
         if occupancy is not None:
             occupancy = np.asarray(occupancy, dtype=np.float64)
@@ -257,12 +281,12 @@ class PreparedMedium:
             c = c + occupancy * self.dc
             rho = rho + occupancy * self.drho
             att = att + occupancy * self.datt
-            screen, Z, iface = list(screen), list(Z), iface.copy()
-            screen[z0 : z0 + n_v], Z[z0 : z0 + n_v] = _per_slice(grid, c, rho,
-                                                                 att)
-            for k in range(max(z0 - 1, 0), min(z0 + n_v, grid.nz - 1)):
-                iface[k] = np.any(Z[k + 1] != Z[k])
-        cache = SliceCache(grid, self.H, c, rho, att, screen, Z, iface)
+            screen, coeff = list(screen), list(coeff)
+            screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
+            Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
+            for k in _slab_pairs(z0, n_v, grid.nz):
+                coeff[k] = _interface(Z[k], Z[k + 1])
+        cache = SliceCache(grid, self.H, c, rho, att, screen, coeff, Z)
         if occupancy is not None:
             cache.lens_z_offset = self.z_offset
             cache.lens_dc, cache.lens_drho, cache.lens_datt = (
@@ -277,7 +301,7 @@ class PreparedMedium:
                 stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
                                  dtype=np.complex128)
             stacks[order] = stack
-            sweep, refl = _march(grid, self.H, screen, Z, iface, direction,
+            sweep, refl = _march(grid, self.H, screen, coeff, direction,
                                  inject, collect, stack)
             cache.sweeps.append(sweep)
             if not refl:
@@ -305,9 +329,9 @@ def prepare(
     """Set up `medium` for repeated forward runs from `src`.
 
     With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
-    medium (see `propagate_with_lens`); the full-grid screens, impedance
-    and interface mask are computed here once, and each run redoes only
-    the slab.
+    medium (see `propagate_with_lens`); the full-grid screens and the
+    interface coefficients off the slab are computed here once, and each
+    run redoes only the slab.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -321,15 +345,17 @@ def prepare(
         raise ValueError("lens exceeds the axial extent of the grid")
     att_np = medium.attenuation_np_per_m()
     screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
+    redone = _slab_pairs(z_offset, n_v, grid.nz)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     prepared = PreparedMedium(
         grid, cfg,
         H=_diffraction_kernel(grid, cfg.angular_cutoff, grid.dz),
         source_plane=src.source_plane(grid),
         screen=screen,
-        Z=Z,
-        iface=np.array([np.any(a != b) for a, b in zip(Z[:-1], Z[1:])],
-                       dtype=bool),
+        coeff=[None if k in redone else _interface(Z[k], Z[k + 1])
+               for k in range(grid.nz - 1)],
+        Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
+           if n_v and 0 <= s < grid.nz},
         z_offset=z_offset,
         c=medium.c[sl].copy(),
         rho=medium.rho[sl].copy(),
@@ -347,8 +373,7 @@ def _march(
     grid: GridSpec,
     H: np.ndarray,
     screen: list,
-    Z: list,
-    iface: np.ndarray,
+    coeff: list,
     direction: int,
     inject: dict,
     collect_reflections: bool,
@@ -361,8 +386,8 @@ def _march(
     the planes a sweep touches are one contiguous block of memory.
     """
     nz = grid.nz
-    order = range(nz) if direction > 0 else range(nz - 1, -1, -1)
-    order = list(order)
+    down = direction < 0
+    order = list(range(nz - 1, -1, -1) if down else range(nz))
     u_list: list = [None] * nz
     v_list: list = [None] * nz
     refl: dict = {}
@@ -382,12 +407,12 @@ def _march(
         ifftn(v, axes=(0, 1), out=v)
         v_list[s] = v
         u, tv = stack[s, 0], v
-        if iface[min(prev, s)]:
-            Z1, Z2 = Z[prev], Z[s]
-            t = 2.0 * Z2 / (Z1 + Z2)
+        pair = coeff[min(prev, s)]
+        if pair is not None:
             if collect_reflections:
-                refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
-            tv = np.multiply(t, v, out=u)
+                rv = pair[2] * v
+                refl[prev] = np.negative(rv, out=rv) if down else rv
+            tv = np.multiply(pair[1] if down else pair[0], v, out=u)
         np.multiply(tv, screen[s], out=u)
         if src is not None:
             np.add(u, src, out=u)
@@ -415,7 +440,10 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
 
     upstream is dL/dP over the full grid in the pairing dL = Re(sum(g*dP)).
     Property gradients cover the lens slab only (empty without a lens).
-    The screens and impedances are the forward run's, read from the cache.
+    The screens and interface coefficients are the forward run's, read
+    from the cache. The sweeps fill per-pair sums keyed by (prev, s),
+    which also fixes the direction; `_slab_gradients` turns them into
+    property gradients after the last sweep, reading the cached Z.
     """
     grid = cache.grid
     if upstream.shape != grid.shape:
@@ -423,22 +451,21 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     lensed = cache.lens_z_offset is not None
     z0 = cache.lens_z_offset if lensed else 0
 
-    slab = cache.c.shape
-    gc, grho, gatt = np.zeros(slab), np.zeros(slab), np.zeros(slab)
-    source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
-
+    # two scratch planes: the field cotangent ub and the carry
+    scratch = np.empty((2, grid.nx, grid.ny), dtype=np.complex128)
+    sums: dict = {}
     # cotangents of the reflections a sweep emitted, filled in while
     # processing the consuming (later) sweep
     refl_cot: dict = {}
     for sweep in reversed(cache.sweeps):
-        inject_cot = _sweep_adjoint(
-            cache, sweep, upstream, refl_cot, z0, gc, grho, gatt,
-        )
-        refl_cot = inject_cot
+        refl_cot = _sweep_adjoint(cache, sweep, upstream, refl_cot, z0, sums,
+                                  scratch)
     # whatever remains feeds the original source plane
-    for s, g in refl_cot.items():
+    source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
+    for g in refl_cot.values():
         source_cot += g
 
+    gc, grho, gatt = _slab_gradients(cache, sums, z0)
     result = AdjointResult(source_cot, gc, grho, gatt)
     if lensed:
         result.occupancy = (
@@ -447,91 +474,118 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     return result
 
 
-def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, gc, grho, gatt):
+def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
+                   scratch):
     """Reverse one sweep; returns cotangents of its consumed injections.
 
-    The field cotangent is carried through every pair. Property gradients
-    are accumulated into the slab arrays gc/grho/gatt, whose slice k holds
-    grid slice z0 + k; pairs with neither slice on the slab skip that work.
+    The field cotangent is carried through every pair. On pairs with a
+    slice on the slab (slab index k holds grid slice z0 + k) it adds
+    ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent exists,
+    to sums[(prev, s)]; other pairs skip that work. Each entry of
+    refl_cot is dropped once used, so that it is freed while the
+    returned cotangents fill up.
     """
-    grid = cache.grid
-    nz = grid.nz
-    k0, dz = grid.k0, grid.dz
-    H, c, rho, iface = cache.H, cache.c, cache.rho, cache.iface
-    screen, Z = cache.screen, cache.Z
-    n_v = gc.shape[2]
-    direction = sweep.direction
-    order = list(range(nz)) if direction > 0 else list(range(nz - 1, -1, -1))
+    nz = cache.grid.nz
+    H, screen, coeff = cache.H, cache.screen, cache.coeff
+    n_v = cache.c.shape[2]
+    down = sweep.direction < 0
+    order = list(range(nz - 1, -1, -1) if down else range(nz))
     # restrict to the part of the march where the field was live
     live = [s for s in order if sweep.u[s] is not None]
     if not live:
         return {}
-    start = order.index(live[0])
-    order = order[start:]
+    order = order[order.index(live[0]):]
 
     inject_cot: dict = {}
-    carry = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
+    ub, carry = scratch
+    carry.fill(0.0)
     for prev, s in zip(reversed(order[:-1]), reversed(order[1:])):
         if sweep.u[s] is None:
             continue
-        ub = carry + upstream[:, :, s]
+        np.add(carry, upstream[:, :, s], out=ub)
         if s in sweep.inject:
             inject_cot[s] = ub.copy()
         v = sweep.v[s]
         if v is None:
             # march had not started yet at this slice (pure injection)
-            carry = np.zeros_like(carry)
+            carry.fill(0.0)
             continue
-        scr = screen[s]
-        ks, kp = s - z0, prev - z0          # slab indices
-        grad_s, grad_prev = 0 <= ks < n_v, 0 <= kp < n_v
-        if not (iface[min(prev, s)] or grad_s or grad_prev):
-            # t = 1, r = 0 and no property gradient wanted
-            carry = _diffract_transpose(ub * scr, H)
-            continue
+        rc = refl_cot.pop(prev, None)
+        if 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v:
+            acc = sums.get((prev, s))
+            if acc is None:
+                acc = sums[prev, s] = [ub * v, None]
+            else:
+                acc[0] += ub * v
+            if rc is not None:
+                rv = np.real(rc * v)
+                acc[1] = rv if acc[1] is None else acc[1] + rv
 
-        Z1, Z2 = Z[prev], Z[s]
-        denom = Z1 + Z2
-        t = 2.0 * Z2 / denom
-
-        vbar = ub * t * scr
-        if prev in refl_cot:
-            r = (Z2 - Z1) / denom
-            vbar = vbar + refl_cot[prev] * r
-        carry = _diffract_transpose(vbar, H)
-        if not (grad_s or grad_prev):
-            continue
-
-        gt = np.real(ub * v * scr)
-        if grad_s:
-            # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
-            #                    d screen/da = -dz * screen
-            gscr = ub * t * v
-            gc[:, :, ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
-                c[:, :, ks] ** 2
-            )
-            gatt[:, :, ks] += np.real(gscr * scr) * (-dz)
-
-        # impedance chain: dt/dZ1 = -2*Z2/denom^2, dt/dZ2 = 2*Z1/denom^2
-        #                  dr/dZ1 = -2*Z2/denom^2, dr/dZ2 = 2*Z1/denom^2
-        gZ1 = gt * (-2.0 * Z2 / denom**2)
-        gZ2 = gt * (2.0 * Z1 / denom**2)
-        if prev in refl_cot:
-            gr = np.real(refl_cot[prev] * v)
-            gZ1 += gr * (-2.0 * Z2 / denom**2)
-            gZ2 += gr * (2.0 * Z1 / denom**2)
-        if grad_prev:
-            gc[:, :, kp] += gZ1 * rho[:, :, kp]
-            grho[:, :, kp] += gZ1 * c[:, :, kp]
-        if grad_s:
-            gc[:, :, ks] += gZ2 * rho[:, :, ks]
-            grho[:, :, ks] += gZ2 * c[:, :, ks]
+        # vbar = ub * t * screen + refl_cot[prev] * r, in the carry plane
+        pair = coeff[min(prev, s)]
+        if pair is None:
+            np.multiply(ub, screen[s], out=carry)
+        else:
+            np.multiply(ub, pair[1] if down else pair[0], out=carry)
+            np.multiply(carry, screen[s], out=carry)
+            if rc is not None:
+                # r toward -z is -r
+                (np.subtract if down else np.add)(carry, rc * pair[2],
+                                                  out=carry)
+        # carry = fft2(H * ifft2(vbar)): the transpose (not the conjugate
+        # transpose) of the diffraction step, in place
+        ifftn(carry, axes=(0, 1), out=carry)
+        np.multiply(H, carry, out=carry)
+        fftn(carry, axes=(0, 1), out=carry)
 
     s0 = order[0]
     ub0 = carry + upstream[:, :, s0]
     if s0 in sweep.inject:
         inject_cot[s0] = ub0
     return inject_cot
+
+
+def _slab_gradients(cache, sums, z0):
+    """gc, grho, gatt on the slab from the per-pair sums of the sweeps.
+
+    With S = sum of ub*v and R = sum of Re(refl_cot[prev]*v) over the
+    sweeps that crossed pair (prev, s), the pair adds the screen
+    derivative Re(t*S*dscreen) at s and the impedance chain
+    (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ = dt/dZ).
+    """
+    grid = cache.grid
+    k0, dz = grid.k0, grid.dz
+    c, rho, Z = cache.c, cache.rho, cache.Z
+    n_v = c.shape[2]
+    gc, grho, gatt = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
+    for (prev, s), (uv, rv) in sums.items():
+        ks, kp = s - z0, prev - z0          # slab indices
+        scr = cache.screen[s]
+        g = np.real(uv * scr)
+        if 0 <= ks < n_v:
+            # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
+            #                    d screen/da = -dz * screen
+            pair = cache.coeff[min(prev, s)]
+            gscr = uv if pair is None else pair[0 if s > prev else 1] * uv
+            gc[:, :, ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
+                c[:, :, ks] ** 2
+            )
+            gatt[:, :, ks] += np.real(gscr * scr) * (-dz)
+        if rv is not None:
+            g = g + rv
+        # impedance chain: dt/dZ1 = dr/dZ1 = -2*Z2/denom^2,
+        #                  dt/dZ2 = dr/dZ2 = 2*Z1/denom^2
+        Z1, Z2 = Z[prev], Z[s]
+        denom = Z1 + Z2
+        gZ1 = g * (-2.0 * Z2 / denom**2)
+        gZ2 = g * (2.0 * Z1 / denom**2)
+        if 0 <= kp < n_v:
+            gc[:, :, kp] += gZ1 * rho[:, :, kp]
+            grho[:, :, kp] += gZ1 * c[:, :, kp]
+        if 0 <= ks < n_v:
+            gc[:, :, ks] += gZ2 * rho[:, :, ks]
+            grho[:, :, ks] += gZ2 * c[:, :, ks]
+    return gc, grho, gatt
 
 
 def propagate_with_lens(

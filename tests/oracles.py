@@ -9,12 +9,7 @@ from scipy import signal
 from sonolens.baselines import TWO_PI, full_cycle_thickness
 from sonolens.lensmap import gaussian_kernel
 from sonolens.optim import TargetSpec
-from sonolens.solver import (
-    ComplexField,
-    _diffract_transpose,
-    _diffraction_kernel,
-    _screens,
-)
+from sonolens.solver import ComplexField, _diffraction_kernel, _screens
 
 NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
@@ -66,6 +61,13 @@ def _diffract(u, H):
     """One angular-spectrum step on fresh arrays: the allocating reference
     of the in-place step in `solver._march`."""
     return ifft2(H * fft2(u, axes=(0, 1)), axes=(0, 1))
+
+
+def _diffract_transpose(ubar, H):
+    """Transpose (not conjugate transpose) of `_diffract` on fresh arrays:
+    the allocating reference of the in-place step in
+    `solver._sweep_adjoint`."""
+    return fft2(H * ifft2(ubar, axes=(0, 1)), axes=(0, 1))
 
 
 def full_grid_forward(grid, cfg, c, rho, att_np, source_plane,

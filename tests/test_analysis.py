@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from oracles import bfs_segment
@@ -10,6 +12,7 @@ from sonolens.analysis import (
     bioheat_simulate,
     cross_domain_psnr,
     focal_metrics,
+    focal_report,
     perturb_lens,
     segment_foci,
 )
@@ -172,6 +175,30 @@ class TestFocalMetrics:
         payload = json.loads(rep.to_json())
         assert payload["n_components"] == 1
         assert payload["foci"][0]["peak_index"] == [4, 4, 4]
+
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 3])
+    def test_report_equals_segment_then_metrics(self, n_seeds):
+        # focal_report shares one |p| between both steps; the figures must
+        # be those of the two public calls, and each peak the first
+        # maximum over the whole grid with everything outside masked away
+        g = make_grid(12, 12, 12)
+        rng = np.random.default_rng(n_seeds)
+        p = as_field(rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape),
+                     g)
+        amp = p.amplitude()
+        order = np.argsort(amp, axis=None)[::-1]
+        top, second, low = (np.unravel_index(order[i], g.shape)
+                            for i in (0, 1, -1))
+        seeds = [top, low, second][:n_seeds]
+        segments = segment_foci(p, seeds)
+        assert n_seeds == 1 or not segments[1].any()
+        report = focal_report(p, seeds)
+        assert asdict(report) == asdict(focal_metrics(p, segments))
+        for focus in report.foci:
+            masked = np.where(segments[focus.label], amp, -np.inf)
+            assert focus.peak_index == np.unravel_index(np.argmax(masked),
+                                                        g.shape)
 
 
 class TestBioheat:

@@ -287,10 +287,14 @@ class TestLeanAdjoint:
         ((slice(2, 4), slice(20, 23)), 0, 0),
         ((slice(2, 4), slice(20, 23)), 0, 14),
         ((slice(2, 4), slice(20, 23)), 0, 29),
+        ((slice(2, 4), slice(20, 23)), 8, 8),    # bone on both sides
     ])
     def test_matches_full_grid_oracle(self, layers, order, z_offset):
         # one prepared medium, reused for several occupancies; each run
-        # against a fresh forward and adjoint on embedded full-grid arrays
+        # against a fresh forward and adjoint on embedded full-grid arrays.
+        # The field and the source-plane cotangent are bitwise equal. The
+        # slab gradients sum each pair's products over the sweeps before
+        # applying its formulas, so they agree to rounding only.
         g = self.GRID
         med = bone_layers(g, *layers)
         src = SourceSpec.disk(g, 1.2e-3)
@@ -299,9 +303,21 @@ class TestLeanAdjoint:
         rng = np.random.default_rng(z_offset)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         sl = np.s_[:, :, z_offset : z_offset + self.N_V]
+        occs = []
         for _ in range(3):
             occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
             occ[:4] = rng.integers(0, 2, size=(4, 16, self.N_V))
+            occs.append(occ)
+        # whole slices at 1, 1 and 0: slab pairs with no impedance change
+        # (t = 1, no reflection) next to pairs with one
+        occs.append(np.zeros((16, 16, self.N_V)))
+        occs[-1][:, :, :2] = 1.0
+
+        def assert_close(grad, oracle):
+            err = np.max(np.abs(grad - oracle), initial=0.0)
+            assert err <= 1e-12 * np.max(np.abs(oracle), initial=0.0)
+
+        for occ in occs:
             p, cache = propagate_with_lens(prepared, occ)
             adj = propagate_adjoint(cache, upstream)
             c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
@@ -310,11 +326,11 @@ class TestLeanAdjoint:
                                             src.source_plane(g)))
             source, gc, grho, gatt, occupancy = full_grid_adjoint(
                 cache, upstream, c, rho, att)
-            assert np.array_equal(adj.occupancy, occupancy)
             assert np.array_equal(adj.source_plane, source)
-            assert np.array_equal(adj.c, gc[sl])
-            assert np.array_equal(adj.rho, grho[sl])
-            assert np.array_equal(adj.att_np, gatt[sl])
+            assert_close(adj.occupancy, occupancy)
+            assert_close(adj.c, gc[sl])
+            assert_close(adj.rho, grho[sl])
+            assert_close(adj.att_np, gatt[sl])
 
     def test_without_lens_only_source_cotangent(self):
         g = self.GRID
@@ -333,16 +349,24 @@ class TestLeanAdjoint:
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
         _, cache = propagate(SourceSpec.full_plane(g), med)
-        assert np.flatnonzero(cache.iface).tolist() == [1, 3, 19, 22]
+        assert [k for k, pair in enumerate(cache.coeff)
+                if pair is not None] == [1, 3, 19, 22]
 
-    @pytest.mark.parametrize("z_offset", [0, 8, 29])
-    def test_occupancy_dot_product_through_bone_order_4(self, z_offset):
+    @pytest.mark.parametrize("z_offset, order", [
+        pytest.param(0, 4, id="0"),
+        pytest.param(8, 4, id="8"),
+        pytest.param(29, 4, id="29"),
+        pytest.param(0, 8, id="0-order8"),
+        pytest.param(8, 8, id="8-order8"),
+        pytest.param(29, 8, id="29-order8"),
+    ])
+    def test_occupancy_dot_product_through_bone_order_4(self, z_offset, order):
         # directional central difference with bone layers on both sides of
         # the lens: interface pairs off the slab still carry t and r
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
         src = SourceSpec.full_plane(g)
-        cfg = SolverConfig(reflection_order=4)
+        cfg = SolverConfig(reflection_order=order)
         rng = np.random.default_rng(11)
         occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
         delta = rng.normal(size=occ.shape)
@@ -379,7 +403,9 @@ class TestPreparedMedium:
 
         def state():
             arrays = [p1.values, cache1.c, cache1.rho, cache1.att_np,
-                      cache1.iface, *cache1.screen, *cache1.Z]
+                      *cache1.screen, *cache1.Z.values()]
+            for pair in cache1.coeff:
+                arrays += pair or ()
             for sw in cache1.sweeps:
                 arrays += [u for u in sw.u + sw.v if u is not None]
             return [a.copy() for a in arrays]
