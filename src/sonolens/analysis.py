@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import ndimage
 
 from .medium import AcousticMedium
 from .lensmap import LensVolume, binarize
@@ -85,29 +84,71 @@ def cross_domain_psnr(p_opt, p_fab) -> float:
     return float(min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
+def _component_labels(idx: np.ndarray, shape: tuple) -> np.ndarray:
+    """6-connected component of each voxel of a sorted flat-index set.
+
+    Returns, for each position in idx, the position of the smallest voxel
+    of its component. Neighbour pairs are found along each axis by
+    searchsorted; the roots of every pair's trees hook onto the smaller
+    one and pointer jumping flattens the trees, until no pair joins two
+    trees. Work and memory scale with idx.size, not with the grid.
+    """
+    coords = np.unravel_index(idx, shape)
+    pairs_a, pairs_b = [], []
+    stride = 1
+    for axis in reversed(range(len(shape))):
+        a = np.flatnonzero(coords[axis] < shape[axis] - 1)
+        nb = idx[a] + stride
+        b = np.minimum(np.searchsorted(idx, nb), idx.size - 1)
+        hit = idx[b] == nb
+        pairs_a.append(a[hit])
+        pairs_b.append(b[hit])
+        stride *= shape[axis]
+    a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
+
+    label = np.arange(idx.size)
+    while a.size:
+        la, lb = label[a], label[b]
+        joins = la != lb  # pairs already in one tree stay so
+        a, b, la, lb = a[joins], b[joins], la[joins], lb[joins]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
+
+
 def segment_foci(p, seeds, *, amp=None) -> list[np.ndarray]:
     """-6 dB connected regions around each seed.
 
     The amplitude volume is thresholded relative to its global peak and
-    split into 6-connected components; each seed gets the component that
-    contains it. Seeds falling below threshold yield an empty mask, and
-    seeds in one component share the same mask. Returns one boolean mask
-    per seed; the result is invariant to global field scaling. amp is |p|,
-    passed by a caller that has it already.
+    the voxels above it are split into 6-connected components
+    (`_component_labels`, which works on their flat indices only); each
+    seed gets the component that contains it. Seeds falling below
+    threshold yield an empty mask, and seeds in one component get equal
+    masks. Returns one boolean mask per seed; the result is invariant to
+    global field scaling. amp is |p|, passed by a caller that has it
+    already.
     """
     if amp is None:
         amp = np.abs(p.values if isinstance(p, ComplexField) else p)
     shape = amp.shape
     thr = amp.max() * 10.0 ** (FOCUS_THRESHOLD_DB / 20.0)
-    labels, _ = ndimage.label(amp >= thr)
+    idx = np.flatnonzero(amp >= thr)
+    label = _component_labels(idx, shape)
 
     masks = []
     for seed in seeds:
         seed = tuple(int(v) for v in seed)
         if any(not 0 <= s < n for s, n in zip(seed, shape)):
             raise ValueError(f"seed {seed} is outside the grid")
-        label = labels[seed]
-        masks.append(labels == label if label else np.zeros(shape, dtype=bool))
+        flat = np.ravel_multi_index(seed, shape)
+        pos = np.searchsorted(idx, flat)
+        mask = np.zeros(shape, dtype=bool)
+        if pos < idx.size and idx[pos] == flat:
+            mask.flat[idx[label == label[pos]]] = True
+        masks.append(mask)
     return masks
 
 

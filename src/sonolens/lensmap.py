@@ -15,11 +15,12 @@ The blur is fixed: a KERNEL_SIZE x KERNEL_SIZE Gaussian of standard
 deviation SMOOTH_SIGMA voxels. The lens has `DesignField.n_v` =
 ceil(v_max) slices, the one rounding of v_max in the package.
 
-Both blurs (this one and `fabrication_filter`'s) are `scipy.ndimage.correlate`
-of the map padded first with `np.pad(mode="symmetric")`, cropped to the valid
-region, so no kept sample depends on ndimage's boundary modes: its
-`mode="reflect"` on the unpadded map returns garbage (SciPy 1.17) once the
-kernel is many times wider than the map, as a large fabrication cutoff makes.
+Both blurs (this one and `fabrication_filter`'s) are separable: the unit-sum
+2D Gaussian is the outer product of a 1D one, so the blur of an (nx, ny) map
+is `Bx @ t @ By.T`. Each `B` is the (n, n) matrix of the 1D blur with the
+symmetric edge (`np.pad(mode="symmetric")`) folded in, so a kernel wider than
+the map, as a large fabrication cutoff makes, needs no special case, and the
+exact transpose used by `backward` is `Bx.T @ g @ By`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 # the DHLA smoothing step: odd kernel width (voxels) and its sigma (voxels)
 KERNEL_SIZE = 9
@@ -121,11 +122,11 @@ class BetaSchedule:
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Unit-sum 2D Gaussian kernel of odd size."""
+    """Unit-sum 1D Gaussian taps of odd size; the 2D blur is their outer product."""
     if size % 2 == 0:
         raise ValueError("kernel size must be odd")
     r = np.arange(size) - size // 2
-    g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma**2))
+    g = np.exp(-(r**2) / (2.0 * sigma**2))
     return g / g.sum()
 
 
@@ -135,30 +136,29 @@ def map_thickness(design: DesignField) -> np.ndarray:
     return s * (design.v_max - design.v_min) + design.v_min
 
 
+def _blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
+    """(n, n) matrix of the 1D Gaussian blur of a symmetric-padded signal."""
+    g = gaussian_kernel(kernel_size, sigma)
+    pad = kernel_size // 2
+    eye = np.pad(np.eye(n), ((pad, pad), (0, 0)), mode="symmetric")
+    # row i holds sum_k g[k] * eye[i + k]: the taps landing on each source cell
+    return sliding_window_view(eye, kernel_size, axis=0) @ g
+
+
 def smooth_thickness(t: np.ndarray, kernel_size: int,
                      sigma: float) -> np.ndarray:
     """Blur the thickness map with a unit-sum Gaussian, reflective edges."""
-    g = gaussian_kernel(kernel_size, sigma)
-    pad = kernel_size // 2
-    tp = np.pad(t, pad, mode="symmetric")
-    return ndimage.correlate(tp, g)[pad:pad + t.shape[0], pad:pad + t.shape[1]]
+    bx = _blur_matrix(t.shape[0], kernel_size, sigma)
+    by = _blur_matrix(t.shape[1], kernel_size, sigma)
+    return bx @ t @ by.T
 
 
-def _smooth_transpose(
-    gbar: np.ndarray, shape: tuple[int, int], kernel_size: int, sigma: float
-) -> np.ndarray:
-    """Exact transpose of smooth_thickness (pad + valid convolution)."""
-    g = gaussian_kernel(kernel_size, sigma)
-    pad = kernel_size // 2
-    # transpose of "valid" convolution is "full" convolution (kernel symmetric)
-    full_region = np.s_[pad:gbar.shape[0] + 3 * pad, pad:gbar.shape[1] + 3 * pad]
-    full = ndimage.correlate(np.pad(gbar, 2 * pad), g)[full_region]
-    # fold padded contributions back onto their source cells
-    idx = np.arange(shape[0] * shape[1]).reshape(shape)
-    idx_pad = np.pad(idx, pad, mode="symmetric")
-    out = np.zeros(shape[0] * shape[1])
-    np.add.at(out, idx_pad.ravel(), full.ravel())
-    return out.reshape(shape)
+def _smooth_transpose(gbar: np.ndarray, kernel_size: int,
+                      sigma: float) -> np.ndarray:
+    """Exact transpose of smooth_thickness."""
+    bx = _blur_matrix(gbar.shape[0], kernel_size, sigma)
+    by = _blur_matrix(gbar.shape[1], kernel_size, sigma)
+    return bx.T @ gbar @ by
 
 
 def voxelize(t_smooth: np.ndarray, beta: float, n_v: int) -> LensVolume:
@@ -201,7 +201,7 @@ def backward(
     occ = sigmoid(beta * (ts[:, :, None] - z[None, None, :]))
     # d occ / d t_smooth = beta * occ * (1 - occ)
     grad_ts = np.sum(grad_occupancy * beta * occ * (1.0 - occ), axis=2)
-    grad_t = _smooth_transpose(grad_ts, t.shape, KERNEL_SIZE, SMOOTH_SIGMA)
+    grad_t = _smooth_transpose(grad_ts, KERNEL_SIZE, SMOOTH_SIGMA)
     s = sigmoid(design.alpha * design.theta)
     return grad_t * (design.v_max - design.v_min) * s * (1.0 - s) * design.alpha
 

@@ -4,10 +4,9 @@ from collections import deque
 
 import numpy as np
 from numpy.fft import fft2, ifft2
-from scipy import signal
+from scipy import ndimage, signal
 
 from sonolens.baselines import TWO_PI, full_cycle_thickness
-from sonolens.lensmap import gaussian_kernel
 from sonolens.optim import TargetSpec
 from sonolens.solver import ComplexField, _diffraction_kernel, _screens
 
@@ -38,6 +37,18 @@ def bfs_segment(amp, seed, threshold_db=-6.0):
                 mask[n] = True
                 queue.append(n)
     return mask
+
+
+def label_segment(amp, seeds, threshold_db=-6.0):
+    """`scipy.ndimage.label` of the above-threshold mask, then one mask per
+    seed: its component, or an empty mask below the threshold."""
+    amp = np.asarray(amp)
+    labels, _ = ndimage.label(amp >= amp.max() * 10.0 ** (threshold_db / 20.0))
+    out = []
+    for seed in seeds:
+        label = labels[tuple(int(v) for v in seed)]
+        out.append(labels == label if label else np.zeros(amp.shape, bool))
+    return out
 
 
 def embedded_arrays(base, occupancy, lens_mat, z_offset):
@@ -321,11 +332,19 @@ def thickness_to_phase(
     return np.mod(frac * TWO_PI, TWO_PI)
 
 
-# Reference of the DHLA blur in `lensmap`: direct 2D convolution.
+# Reference of the DHLA blur in `lensmap`: direct 2D convolution with the
+# full 2D kernel, not the library's separable 1D taps.
+
+def gaussian_kernel_2d(kernel_size, sigma):
+    """Unit-sum 2D Gaussian of odd size, normalized over all its taps."""
+    r = np.arange(kernel_size) - kernel_size // 2
+    g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma**2))
+    return g / g.sum()
+
 
 def smooth_thickness(t, kernel_size, sigma):
     """Symmetric-padded map convolved with the Gaussian, "valid" region."""
-    g = gaussian_kernel(kernel_size, sigma)
+    g = gaussian_kernel_2d(kernel_size, sigma)
     pad = kernel_size // 2
     tp = np.pad(t, pad, mode="symmetric")
     return signal.convolve2d(tp, g, mode="valid")
@@ -334,7 +353,7 @@ def smooth_thickness(t, kernel_size, sigma):
 def smooth_transpose(gbar, shape, kernel_size, sigma):
     """Transpose of `smooth_thickness`: "full" convolution, then each padded
     cell's contribution added back onto the cell it was copied from."""
-    g = gaussian_kernel(kernel_size, sigma)
+    g = gaussian_kernel_2d(kernel_size, sigma)
     pad = kernel_size // 2
     full = signal.convolve2d(gbar, g, mode="full")
     idx = np.pad(np.arange(shape[0] * shape[1]).reshape(shape), pad,

@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from oracles import bfs_segment
+from oracles import bfs_segment, label_segment
 
 from sonolens.analysis import (
     HEAT_CAPACITY_BONE,
@@ -99,6 +99,102 @@ class TestSegmentFoci:
     def test_outside_seed_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             segment_foci(np.ones((4, 4, 4)), [(4, 0, 0)])
+
+
+def assert_segments_match_oracles(amp, seeds):
+    masks = segment_foci(amp, seeds)
+    assert len(masks) == len(seeds)
+    for seed, mask, labelled in zip(seeds, masks, label_segment(amp, seeds)):
+        assert mask.dtype == bool and mask.shape == amp.shape
+        assert np.array_equal(mask, labelled), seed
+        assert np.array_equal(mask, bfs_segment(amp, seed)), seed
+    return masks
+
+
+class TestSegmentFociAgainstLabel:
+    """segment_foci against scipy.ndimage.label plus a seed lookup and
+    against the breadth-first flood fill."""
+
+    @pytest.mark.parametrize("shape", [(7, 11, 13), (9, 5, 15), (13, 3, 9),
+                                       (1, 9, 7), (5, 1, 1)])
+    def test_random_masks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(12):
+            density = rng.uniform(0.15, 0.7)
+            amp = (rng.random(shape) < density).astype(float)
+            amp.flat[rng.integers(amp.size)] = 1.0
+            seeds = [tuple(int(rng.integers(n)) for n in shape)
+                     for _ in range(int(rng.integers(1, 4)))]
+            assert_segments_match_oracles(amp, seeds)
+
+    @pytest.mark.parametrize("shape", [(7, 11, 13), (9, 5, 15)])
+    def test_random_amplitudes(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        for _ in range(12):
+            amp = rng.random(shape) ** rng.uniform(0.5, 3.0)
+            seeds = [tuple(int(rng.integers(n)) for n in shape)
+                     for _ in range(int(rng.integers(1, 4)))]
+            assert_segments_match_oracles(amp, seeds)
+
+    def test_component_touching_all_six_faces(self):
+        # three centre lines through (3, 4, 5) reach every face of the grid
+        amp = np.zeros((7, 9, 11))
+        amp[:, 4, 5] = amp[3, :, 5] = amp[3, 4, :] = 1.0
+        seeds = [(0, 4, 5), (3, 0, 5), (3, 4, 10)]
+        masks = assert_segments_match_oracles(amp, seeds)
+        assert masks[0].sum() == 7 + 9 + 11 - 2
+
+    def test_one_voxel_components_at_the_first_and_last_index(self):
+        amp = np.zeros((5, 7, 9))
+        amp[0, 0, 0] = amp[4, 6, 8] = amp[2, 3, 4] = 1.0
+        masks = assert_segments_match_oracles(
+            amp, [(0, 0, 0), (4, 6, 8), (2, 3, 4)])
+        assert [m.sum() for m in masks] == [1, 1, 1]
+
+    def test_flat_index_neighbours_across_a_row_end_are_not_joined(self):
+        # (0, 0, 8) and (0, 1, 0) are adjacent in flat index; (0, 6, 4)
+        # and (1, 0, 4) are one y-stride apart: neither pair touches
+        amp = np.zeros((5, 7, 9))
+        amp[0, 0, 8] = amp[0, 1, 0] = amp[0, 6, 4] = amp[1, 0, 4] = 1.0
+        seeds = [(0, 0, 8), (0, 1, 0), (0, 6, 4), (1, 0, 4)]
+        masks = assert_segments_match_oracles(amp, seeds)
+        assert [m.sum() for m in masks] == [1, 1, 1, 1]
+
+    def test_serpentine_component(self):
+        # one snake through three 2D boustrophedons joined at alternating
+        # corners: a winding path of 215 voxels, so a label that moved one
+        # neighbour per round would need about 200 rounds to reach its end
+        n = 11
+        layer = np.zeros((n, n), dtype=bool)
+        layer[::2, :] = True
+        layer[1::4, -1] = True
+        layer[3::4, 0] = True
+        amp = np.zeros((n, n, 5))
+        amp[:, :, 0] = amp[:, :, 2] = amp[:, :, 4] = layer
+        amp[n - 1, n - 1, 1] = amp[0, 0, 3] = 1.0
+        seeds = [(0, 0, 0), (n - 1, 0, 4)]
+        masks = assert_segments_match_oracles(amp, seeds)
+        assert masks[0].sum() == 3 * layer.sum() + 2
+        assert np.array_equal(masks[0], masks[1])
+
+    def test_two_seeds_in_one_component_get_equal_masks(self):
+        amp = np.zeros((9, 9, 9))
+        amp[2:7, 4, 4] = 1.0
+        amp[0, 0, 0] = 1.0
+        masks = assert_segments_match_oracles(amp, [(2, 4, 4), (6, 4, 4)])
+        assert np.array_equal(masks[0], masks[1]) and masks[0].sum() == 5
+        assert masks[0] is not masks[1]
+
+    def test_seed_below_threshold_next_to_a_component(self):
+        amp = np.full((7, 7, 7), 0.4)
+        amp[3, 3, 2:5] = 1.0
+        masks = assert_segments_match_oracles(amp, [(3, 3, 1), (3, 3, 3)])
+        assert not masks[0].any() and masks[1].sum() == 3
+
+    def test_all_true_mask(self):
+        amp = np.ones((5, 7, 9))
+        masks = assert_segments_match_oracles(amp, [(0, 0, 0), (4, 6, 8)])
+        assert masks[0].all() and masks[1].all()
 
 
 class TestFocalMetrics:

@@ -97,10 +97,12 @@ class TestSmoothThickness:
 
 
 # (map shape, kernel size, sigma): the design blur on the two design grids,
-# a kernel far wider than a 3x7 map, and fabrication_filter's kernel for a
-# cutoff of 20 grid spacings (sigma 10 voxels, 61 taps) on a 4x4 lens
+# a kernel far wider than a 3x7 map, fabrication_filter's kernel for a
+# cutoff of 20 grid spacings (sigma 10 voxels, 61 taps) on a 4x4 lens, and
+# non-square maps where the kernel is wider than one dimension only
 BLUR_CASES = [((48, 48), 9, 1.5), ((64, 64), 9, 1.5), ((3, 7), 25, 4.0),
-              ((4, 4), 61, 10.0)]
+              ((4, 4), 61, 10.0), ((5, 40), 61, 10.0), ((40, 5), 61, 10.0),
+              ((6, 33), 9, 1.5)]
 
 
 def max_rel_err(a, b):
@@ -108,7 +110,8 @@ def max_rel_err(a, b):
 
 
 class TestSmoothAgainstConvolution:
-    """ndimage blur and its transpose against direct 2D convolution."""
+    """Separable blur matrices and their transpose against direct 2D
+    convolution with the full 2D kernel."""
 
     @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
     def test_blur_matches_oracle(self, shape, size, sigma):
@@ -119,7 +122,7 @@ class TestSmoothAgainstConvolution:
     @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
     def test_transpose_matches_oracle(self, shape, size, sigma):
         gbar = np.random.default_rng(6).normal(size=shape)
-        assert max_rel_err(_smooth_transpose(gbar, shape, size, sigma),
+        assert max_rel_err(_smooth_transpose(gbar, size, sigma),
                            oracles.smooth_transpose(gbar, shape, size, sigma)
                            ) <= 1e-12
 
@@ -129,8 +132,16 @@ class TestSmoothAgainstConvolution:
         rng = np.random.default_rng(7)
         t, gbar = rng.normal(size=shape), rng.normal(size=shape)
         lhs = np.vdot(smooth_thickness(t, size, sigma), gbar)
-        rhs = np.vdot(t, _smooth_transpose(gbar, shape, size, sigma))
+        rhs = np.vdot(t, _smooth_transpose(gbar, size, sigma))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("size", [8, 60])
+    def test_even_kernel_size_raises(self, size):
+        t = np.ones((5, 40))
+        with pytest.raises(ValueError, match="odd"):
+            smooth_thickness(t, size, 10.0)
+        with pytest.raises(ValueError, match="odd"):
+            _smooth_transpose(t, size, 10.0)
 
     def test_wide_fabrication_cutoff_matches_oracle(self):
         dx, cutoff = 125e-6, 20 * 125e-6
