@@ -18,6 +18,20 @@ gets its coefficients once: t toward +z, t toward -z and r toward +z
 whole plane have t = 1 and r = 0 exactly, so both sweeps skip the
 transmission and reflection work there.
 
+A homogeneous run is a maximal run of steps into slices whose screen is
+one scalar sigma across the plane, whose pair has no interface and where
+nothing is injected. There the step u_s = sigma_s * ifft2(H * fft2(u_prev))
+is diagonal in the spectral domain and exact over any number of slices
+(angular-spectrum propagation through a homogeneous layer; Zeng and
+McGough, J. Acoust. Soc. Am. 123, 2008), so the march transforms once on
+entry, multiplies spectra by H * sigma slice by slice and returns all of
+the run's planes to space in one batched ifftn. The adjoint reverses the
+same runs, except for any pair that touches the lens slab, whose per-pair
+sums need the spatial planes. The scalars come from the actual screens
+(`prepare` for the base medium, each lens run for its slab slices), so a
+lens embedded into the medium and the same lens run on a prepared slab
+march the same runs.
+
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
 coefficients. With a lens slab, a run (`propagate_with_lens`) redoes
@@ -56,6 +70,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from numpy.fft import fft2, fftn, ifft2, ifftn
@@ -131,9 +146,11 @@ class SliceCache:
     medium reuses once this cache is garbage-collected: they are valid
     while the cache is referenced.
 
-    screen holds one (nx, ny) array per slice and coeff one entry per
-    slice pair k, k+1: (t toward +z, t toward -z, r toward +z), or None
-    where the impedance does not change. Both are the prepared medium's,
+    screen holds one (nx, ny) array per slice, sigma the screen's one
+    value where it is the same across the plane (None where it varies;
+    these slices can join homogeneous runs) and coeff one entry per slice
+    pair k, k+1: (t toward +z, t toward -z, r toward +z), or None where
+    the impedance does not change. All three are the prepared medium's,
     except on the lens slab and the pairs that touch it, where this run's
     replace them. Z maps the slab's slices and the slice on either side
     (z0-1 .. z0+n_v) to this run's impedance, which the slab gradients
@@ -148,6 +165,7 @@ class SliceCache:
     rho: np.ndarray
     att_np: np.ndarray
     screen: list
+    sigma: list
     coeff: list
     Z: dict
     sweeps: list = field(default_factory=list)
@@ -183,12 +201,16 @@ def _screens(grid: GridSpec, c: np.ndarray, att_np: np.ndarray) -> np.ndarray:
 
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
-               att_np: np.ndarray) -> tuple[list, list]:
-    """Screens and impedances of (nx, ny, k) properties, one contiguous
-    (nx, ny) array per slice (the sweeps read them slice by slice)."""
+               att_np: np.ndarray) -> tuple[list, list, list]:
+    """Screens, their scalar values and impedances of (nx, ny, k)
+    properties, one contiguous (nx, ny) array per slice (the sweeps read
+    them slice by slice). A slice's scalar is the one value its screen
+    takes across the whole plane, or None where the screen varies."""
     cuts = [np.s_[:, :, s] for s in range(c.shape[2])]
-    return ([_screens(grid, c[cut], att_np[cut]) for cut in cuts],
-            [rho[cut] * c[cut] for cut in cuts])
+    screen = [_screens(grid, c[cut], att_np[cut]) for cut in cuts]
+    sigma = [scr.flat[0] if np.all(scr == scr.flat[0]) else None
+             for scr in screen]
+    return screen, sigma, [rho[cut] * c[cut] for cut in cuts]
 
 
 def _interface(Z1: np.ndarray, Z2: np.ndarray) -> tuple | None:
@@ -211,7 +233,9 @@ class PreparedMedium:
     """A medium set up once for any number of forward runs.
 
     Holds the diffraction kernel, the default source plane and the
-    per-slice screens and interface coefficients of the base medium.
+    per-slice screens, their scalars (see SliceCache) and interface
+    coefficients of the base medium; a lens run recomputes the scalars of
+    the slab slices from its own screens.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
     the base properties there, the lens-minus-base deltas and the
     impedance of the slices just outside the slab, so that a run with a
@@ -226,8 +250,9 @@ class PreparedMedium:
     cfg: SolverConfig
     H: np.ndarray
     source_plane: np.ndarray
-    screen: list
-    coeff: list                         # see SliceCache
+    screen: list                        # screen, sigma, coeff: see SliceCache
+    sigma: list
+    coeff: list
     Z: dict                             # slices z_offset-1, z_offset+n_v
     z_offset: int
     c: np.ndarray                       # base properties on the slab
@@ -268,7 +293,7 @@ class PreparedMedium:
             if source_plane.shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
-        screen, coeff, Z = self.screen, self.coeff, {}
+        screen, sigma, coeff, Z = self.screen, self.sigma, self.coeff, {}
         c, rho, att = self.c, self.rho, self.att_np
         if occupancy is not None:
             occupancy = np.asarray(occupancy, dtype=np.float64)
@@ -281,12 +306,14 @@ class PreparedMedium:
             c = c + occupancy * self.dc
             rho = rho + occupancy * self.drho
             att = att + occupancy * self.datt
-            screen, coeff = list(screen), list(coeff)
-            screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
+            screen, sigma, coeff = list(screen), list(sigma), list(coeff)
+            slab = np.s_[z0 : z0 + n_v]
+            screen[slab], sigma[slab], slab_Z = _per_slice(grid, c, rho, att)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
             for k in _slab_pairs(z0, n_v, grid.nz):
                 coeff[k] = _interface(Z[k], Z[k + 1])
-        cache = SliceCache(grid, self.H, c, rho, att, screen, coeff, Z)
+        cache = SliceCache(grid, self.H, c, rho, att, screen, sigma, coeff,
+                           Z)
         if occupancy is not None:
             cache.lens_z_offset = self.z_offset
             cache.lens_dc, cache.lens_drho, cache.lens_datt = (
@@ -301,8 +328,8 @@ class PreparedMedium:
                 stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
                                  dtype=np.complex128)
             stacks[order] = stack
-            sweep, refl = _march(grid, self.H, screen, coeff, direction,
-                                 inject, collect, stack)
+            sweep, refl = _march(grid, self.H, screen, sigma, coeff,
+                                 direction, inject, collect, stack)
             cache.sweeps.append(sweep)
             if not refl:
                 break
@@ -344,7 +371,7 @@ def prepare(
     elif z_offset < 0 or z_offset + n_v > grid.nz:
         raise ValueError("lens exceeds the axial extent of the grid")
     att_np = medium.attenuation_np_per_m()
-    screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
+    screen, sigma, Z = _per_slice(grid, medium.c, medium.rho, att_np)
     redone = _slab_pairs(z_offset, n_v, grid.nz)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     prepared = PreparedMedium(
@@ -352,6 +379,7 @@ def prepare(
         H=_diffraction_kernel(grid, cfg.angular_cutoff, grid.dz),
         source_plane=src.source_plane(grid),
         screen=screen,
+        sigma=sigma,
         coeff=[None if k in redone else _interface(Z[k], Z[k + 1])
                for k in range(grid.nz - 1)],
         Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
@@ -369,10 +397,20 @@ def prepare(
     return prepared
 
 
+def _homogeneous(sigma: list, coeff: list, inject: dict, prev: int,
+                 s: int) -> bool:
+    """Whether the step prev -> s lies in a homogeneous run: slice s has a
+    scalar screen, the pair has no interface and nothing is injected at s.
+    Across such steps, u_s = sigma_s * diffract(u_prev) in every bin."""
+    return (sigma[s] is not None and coeff[min(prev, s)] is None
+            and s not in inject)
+
+
 def _march(
     grid: GridSpec,
     H: np.ndarray,
     screen: list,
+    sigma: list,
     coeff: list,
     direction: int,
     inject: dict,
@@ -384,6 +422,12 @@ def _march(
     Slice s's contribution goes to stack[s, 0] and its post-diffraction
     field to stack[s, 1], and the record holds views of them. Slice-major,
     the planes a sweep touches are one contiguous block of memory.
+
+    A homogeneous run (maximal steps that pass `_homogeneous`) is marched
+    in the spectral domain: one fft of the field entering it, every slice's
+    spectrum H * sigma_prev * (previous spectrum) written to stack[s, 1],
+    one batched in-place ifftn over those planes, then u = sigma * v.
+    Every other step diffracts with its own fft/ifft pair.
     """
     nz = grid.nz
     down = direction < 0
@@ -394,30 +438,56 @@ def _march(
 
     u = inject.get(order[0])
     u_list[order[0]] = u
-    for prev, s in zip(order[:-1], order[1:]):
-        src = inject.get(s)
-        if u is None:
-            u_list[s] = src
-            u = src
+    steps = zip(order[:-1], order[1:])
+    for homogeneous, run in groupby(
+            steps, lambda p: _homogeneous(sigma, coeff, inject, *p)):
+        run = list(run)
+        if homogeneous:
+            if u is not None:
+                u = _march_run(H, sigma, [p[1] for p in run], u, stack)
+                for _, s in run:
+                    u_list[s], v_list[s] = stack[s]
             continue
-        # v = ifft2(H * fft2(u)) in place; ifftn, as numpy's ifft2
-        # ignores out=
-        v = fftn(u, axes=(0, 1), out=stack[s, 1])
-        np.multiply(H, v, out=v)
-        ifftn(v, axes=(0, 1), out=v)
-        v_list[s] = v
-        u, tv = stack[s, 0], v
-        pair = coeff[min(prev, s)]
-        if pair is not None:
-            if collect_reflections:
-                rv = pair[2] * v
-                refl[prev] = np.negative(rv, out=rv) if down else rv
-            tv = np.multiply(pair[1] if down else pair[0], v, out=u)
-        np.multiply(tv, screen[s], out=u)
-        if src is not None:
-            np.add(u, src, out=u)
-        u_list[s] = u
+        for prev, s in run:
+            src = inject.get(s)
+            if u is None:
+                u_list[s] = src
+                u = src
+                continue
+            # v = ifft2(H * fft2(u)) in place; ifftn, as numpy's ifft2
+            # ignores out=
+            v = fftn(u, axes=(0, 1), out=stack[s, 1])
+            np.multiply(H, v, out=v)
+            ifftn(v, axes=(0, 1), out=v)
+            v_list[s] = v
+            u, tv = stack[s, 0], v
+            pair = coeff[min(prev, s)]
+            if pair is not None:
+                if collect_reflections:
+                    rv = pair[2] * v
+                    refl[prev] = np.negative(rv, out=rv) if down else rv
+                tv = np.multiply(pair[1] if down else pair[0], v, out=u)
+            np.multiply(tv, screen[s], out=u)
+            if src is not None:
+                np.add(u, src, out=u)
+            u_list[s] = u
     return _Sweep(direction, u_list, v_list, dict(inject)), refl
+
+
+def _march_run(H, sigma, run, u, stack):
+    """March the homogeneous run of slices `run` (in march order) from the
+    field u on the slice before it; returns the field on its last slice."""
+    spec = fftn(u, axes=(0, 1), out=stack[run[0], 1])
+    np.multiply(spec, H, out=spec)
+    for prev, s in zip(run[:-1], run[1:]):
+        np.multiply(stack[prev, 1], sigma[prev], out=stack[s, 1])
+        np.multiply(stack[s, 1], H, out=stack[s, 1])
+    lo, hi = min(run), max(run) + 1
+    planes = stack[lo:hi]
+    ifftn(planes[:, 1], axes=(1, 2), out=planes[:, 1])
+    np.multiply(planes[:, 1], np.array(sigma[lo:hi])[:, None, None],
+                out=planes[:, 0])
+    return stack[run[-1], 0]
 
 
 def propagate(
@@ -483,66 +553,96 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent exists,
     to sums[(prev, s)]; other pairs skip that work. Each entry of
     refl_cot is dropped once used, so that it is freed while the
-    returned cotangents fill up.
+    returned cotangents fill up. Homogeneous runs of the forward march
+    (`_homogeneous`) that touch no slab slice are reversed by
+    `_adjoint_run`.
     """
     nz = cache.grid.nz
-    H, screen, coeff = cache.H, cache.screen, cache.coeff
+    H, screen, sigma, coeff = cache.H, cache.screen, cache.sigma, cache.coeff
     n_v = cache.c.shape[2]
     down = sweep.direction < 0
     order = list(range(nz - 1, -1, -1) if down else range(nz))
-    # restrict to the part of the march where the field was live
+    # restrict to the part of the march where the field was live: from
+    # there on every slice has its u and v
     live = [s for s in order if sweep.u[s] is not None]
     if not live:
         return {}
     order = order[order.index(live[0]):]
 
+    def on_slab(prev, s):
+        return 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v
+
+    def homogeneous(pair):
+        return (_homogeneous(sigma, coeff, sweep.inject, *pair)
+                and not on_slab(*pair))
+
     inject_cot: dict = {}
     ub, carry = scratch
     carry.fill(0.0)
-    for prev, s in zip(reversed(order[:-1]), reversed(order[1:])):
-        if sweep.u[s] is None:
+    steps = zip(reversed(order[:-1]), reversed(order[1:]))
+    for in_run, run in groupby(steps, homogeneous):
+        if in_run:
+            _adjoint_run(H, sigma, [s for _, s in run], upstream, carry)
             continue
-        np.add(carry, upstream[:, :, s], out=ub)
-        if s in sweep.inject:
-            inject_cot[s] = ub.copy()
-        v = sweep.v[s]
-        if v is None:
-            # march had not started yet at this slice (pure injection)
-            carry.fill(0.0)
-            continue
-        rc = refl_cot.pop(prev, None)
-        if 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v:
-            acc = sums.get((prev, s))
-            if acc is None:
-                acc = sums[prev, s] = [ub * v, None]
-            else:
-                acc[0] += ub * v
-            if rc is not None:
-                rv = np.real(rc * v)
-                acc[1] = rv if acc[1] is None else acc[1] + rv
+        for prev, s in run:
+            np.add(carry, upstream[:, :, s], out=ub)
+            if s in sweep.inject:
+                inject_cot[s] = ub.copy()
+            v = sweep.v[s]
+            rc = refl_cot.pop(prev, None)
+            if on_slab(prev, s):
+                acc = sums.get((prev, s))
+                if acc is None:
+                    acc = sums[prev, s] = [ub * v, None]
+                else:
+                    acc[0] += ub * v
+                if rc is not None:
+                    rv = np.real(rc * v)
+                    acc[1] = rv if acc[1] is None else acc[1] + rv
 
-        # vbar = ub * t * screen + refl_cot[prev] * r, in the carry plane
-        pair = coeff[min(prev, s)]
-        if pair is None:
-            np.multiply(ub, screen[s], out=carry)
-        else:
-            np.multiply(ub, pair[1] if down else pair[0], out=carry)
-            np.multiply(carry, screen[s], out=carry)
-            if rc is not None:
-                # r toward -z is -r
-                (np.subtract if down else np.add)(carry, rc * pair[2],
-                                                  out=carry)
-        # carry = fft2(H * ifft2(vbar)): the transpose (not the conjugate
-        # transpose) of the diffraction step, in place
-        ifftn(carry, axes=(0, 1), out=carry)
-        np.multiply(H, carry, out=carry)
-        fftn(carry, axes=(0, 1), out=carry)
+            # vbar = ub * t * screen + refl_cot[prev] * r, in the carry plane
+            pair = coeff[min(prev, s)]
+            if pair is None:
+                np.multiply(ub, screen[s], out=carry)
+            else:
+                np.multiply(ub, pair[1] if down else pair[0], out=carry)
+                np.multiply(carry, screen[s], out=carry)
+                if rc is not None:
+                    # r toward -z is -r
+                    (np.subtract if down else np.add)(carry, rc * pair[2],
+                                                      out=carry)
+            # carry = fft2(H * ifft2(vbar)): the transpose (not the
+            # conjugate transpose) of the diffraction step, in place
+            ifftn(carry, axes=(0, 1), out=carry)
+            np.multiply(H, carry, out=carry)
+            fftn(carry, axes=(0, 1), out=carry)
 
     s0 = order[0]
     ub0 = carry + upstream[:, :, s0]
     if s0 in sweep.inject:
         inject_cot[s0] = ub0
     return inject_cot
+
+
+def _adjoint_run(H, sigma, run, upstream, carry):
+    """Transpose of `_march_run` over the slices `run` (reverse march
+    order), in place: carry enters as the cotangent of the field on run[0]
+    from the slices after it and leaves as that of the field on the slice
+    before the run.
+
+    With K = ifft2(carry), each slice s gives K <- H * sigma_s *
+    (K + ifft2(upstream_s)); the run's upstream planes go through one
+    batched ifftn into a scratch of one plane per slice of the run.
+    """
+    lo, hi = min(run), max(run) + 1
+    up = ifftn(np.moveaxis(upstream[:, :, lo:hi], 2, 0), axes=(1, 2),
+               out=np.empty((hi - lo, *carry.shape), dtype=np.complex128))
+    K = ifftn(carry, axes=(0, 1), out=carry)
+    for s in run:
+        np.add(K, up[s - lo], out=K)
+        np.multiply(K, sigma[s], out=K)
+        np.multiply(K, H, out=K)
+    fftn(K, axes=(0, 1), out=carry)
 
 
 def _slab_gradients(cache, sums, z0):

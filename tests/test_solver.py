@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import embedded_arrays, full_grid_adjoint, full_grid_forward
+from sonolens import solver
 from sonolens.grid import (
     BONE,
     FORM_CLEAR,
@@ -262,15 +263,30 @@ class TestAdjoint:
             propagate_adjoint(cache, np.zeros((8, 8, 8), dtype=np.complex128))
 
 
-def bone_layers(g, *slabs):
-    """Water with full-plane bone layers on the given slice ranges."""
+def assert_close(value, oracle):
+    """Agreement to 1e-12 of the oracle's largest magnitude: the solver
+    reorders the oracle's arithmetic (homogeneous runs march in the
+    spectral domain; the slab gradients sum over sweeps first)."""
+    err = np.max(np.abs(value - oracle), initial=0.0)
+    assert err <= 1e-12 * np.max(np.abs(oracle), initial=0.0)
+
+
+def bone_layers(g, *slabs, mat=BONE):
+    """Water with full-plane layers of `mat` on the given slice ranges."""
     med = make_homogeneous(g, WATER)
     for sl in slabs:
-        med.c[:, :, sl] = BONE.sound_speed
-        med.rho[:, :, sl] = BONE.density
-        med.att[:, :, sl] = BONE.attenuation_coeff
-        med.att_power[:, :, sl] = BONE.attenuation_power
+        med.c[:, :, sl] = mat.sound_speed
+        med.rho[:, :, sl] = mat.density
+        med.att[:, :, sl] = mat.attenuation_coeff
+        med.att_power[:, :, sl] = mat.attenuation_power
     return med
+
+
+# a soft-tissue-like fluid: its whole-plane screen is a scalar other than 1
+TISSUE = MaterialProperties(1540.0, 1040.0, 0.6, 1.1)
+# absorbing water: no interface with water, so one homogeneous run crosses
+# from a screen of 1 into its scalar and back
+ABSORBING_WATER = MaterialProperties(1500.0, 1000.0, 0.6, 1.1)
 
 
 class TestLeanAdjoint:
@@ -291,10 +307,7 @@ class TestLeanAdjoint:
     ])
     def test_matches_full_grid_oracle(self, layers, order, z_offset):
         # one prepared medium, reused for several occupancies; each run
-        # against a fresh forward and adjoint on embedded full-grid arrays.
-        # The field and the source-plane cotangent are bitwise equal. The
-        # slab gradients sum each pair's products over the sweeps before
-        # applying its formulas, so they agree to rounding only.
+        # against a fresh forward and adjoint on embedded full-grid arrays
         g = self.GRID
         med = bone_layers(g, *layers)
         src = SourceSpec.disk(g, 1.2e-3)
@@ -313,20 +326,15 @@ class TestLeanAdjoint:
         occs.append(np.zeros((16, 16, self.N_V)))
         occs[-1][:, :, :2] = 1.0
 
-        def assert_close(grad, oracle):
-            err = np.max(np.abs(grad - oracle), initial=0.0)
-            assert err <= 1e-12 * np.max(np.abs(oracle), initial=0.0)
-
         for occ in occs:
             p, cache = propagate_with_lens(prepared, occ)
             adj = propagate_adjoint(cache, upstream)
             c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
-            assert np.array_equal(
-                p.values, full_grid_forward(g, cfg, c, rho, att,
-                                            src.source_plane(g)))
+            assert_close(p.values, full_grid_forward(g, cfg, c, rho, att,
+                                                     src.source_plane(g)))
             source, gc, grho, gatt, occupancy = full_grid_adjoint(
                 cache, upstream, c, rho, att)
-            assert np.array_equal(adj.source_plane, source)
+            assert_close(adj.source_plane, source)
             assert_close(adj.occupancy, occupancy)
             assert_close(adj.c, gc[sl])
             assert_close(adj.rho, grho[sl])
@@ -340,7 +348,7 @@ class TestLeanAdjoint:
         adj = propagate_adjoint(cache, upstream)
         source, *_ = full_grid_adjoint(cache, upstream, med.c, med.rho,
                                        med.attenuation_np_per_m())
-        assert np.array_equal(adj.source_plane, source)
+        assert_close(adj.source_plane, source)
         assert adj.occupancy is None
         for grad in (adj.c, adj.rho, adj.att_np):
             assert grad.shape == (16, 16, 0)
@@ -374,13 +382,132 @@ class TestLeanAdjoint:
 
         _, cache = lens_run(src, med, occ, FORM_CLEAR, z_offset, cfg)
         rhs = np.sum(propagate_adjoint(cache, upstream).occupancy * delta)
-        eps = 1e-6
+        # at 1e-6 the quotient's rounding noise reaches 1e-7 on 29-order8
+        eps = 1e-5
         pp, _ = lens_run(src, med, occ + eps * delta, FORM_CLEAR,
                                     z_offset, cfg)
         pm, _ = lens_run(src, med, occ - eps * delta, FORM_CLEAR,
                                     z_offset, cfg)
         lhs = np.real(np.sum(upstream * (pp.values - pm.values))) / (2 * eps)
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
+
+
+# (layers, layer material, z_offset, source_slice, direction, order, a slab
+# slice set to occupancy 0 across the plane, or None)
+HOMOGENEOUS_CASES = [
+    pytest.param((slice(3, 12),), TISSUE, 16, 0, 1, 4, None,
+                 id="fluid-layer"),
+    pytest.param((slice(3, 12),), ABSORBING_WATER, 16, 0, 1, 4, None,
+                 id="absorbing-water-layer"),
+    pytest.param((slice(2, 4),), BONE, 8, 25, -1, 4, None,
+                 id="mid-grid-source-down"),
+    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 0, 0,
+                 id="empty-slab-slice-order0"),
+    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 4, 0,
+                 id="empty-slab-slice-order4"),
+]
+
+
+class TestHomogeneousRuns:
+    """Cases that march homogeneous runs (scalar screen, no interface, no
+    injection) in the spectral domain: a long run with a scalar other than
+    1, a run whose scalar changes without an interface, a run marched
+    toward -z from a mid-grid source, and a slab slice that is uniform for
+    one run."""
+
+    GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+    N_V = 3
+
+    def setup_case(self, layers, mat, z_offset, source_slice, direction,
+                   order, empty_slice):
+        g = self.GRID
+        med = bone_layers(g, *layers, mat=mat)
+        cfg = SolverConfig(reflection_order=order)
+        prepared = prepare(SourceSpec.full_plane(g), med, cfg, FORM_CLEAR,
+                           z_offset, self.N_V)
+        rng = np.random.default_rng(17)
+        plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
+        if empty_slice is not None:
+            occ[:, :, empty_slice] = 0.0
+        delta = rng.normal(size=occ.shape)
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+
+        def run(o):
+            return prepared.run(o, source_plane=plane,
+                                source_slice=source_slice, direction=direction)
+
+        return med, cfg, plane, run, occ, delta, upstream
+
+    @pytest.mark.parametrize("layers, mat, z_offset, source_slice, "
+                             "direction, order, empty_slice",
+                             HOMOGENEOUS_CASES)
+    def test_matches_full_grid_oracles(self, layers, mat, z_offset,
+                                       source_slice, direction, order,
+                                       empty_slice):
+        g = self.GRID
+        med, cfg, plane, run, occ, _, upstream = self.setup_case(
+            layers, mat, z_offset, source_slice, direction, order,
+            empty_slice)
+        p, cache = run(occ)
+        if mat is not BONE:
+            assert cache.sigma[7] not in (None, 1.0)
+        if empty_slice is not None:
+            assert cache.sigma[z_offset + empty_slice] == 1.0
+        c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
+        assert_close(p.values, full_grid_forward(
+            g, cfg, c, rho, att, plane, source_slice, direction))
+        adj = propagate_adjoint(cache, upstream)
+        source, gc, grho, gatt, occupancy = full_grid_adjoint(
+            cache, upstream, c, rho, att)
+        sl = np.s_[:, :, z_offset : z_offset + self.N_V]
+        assert_close(adj.source_plane, source)
+        assert_close(adj.occupancy, occupancy)
+        assert_close(adj.c, gc[sl])
+        assert_close(adj.rho, grho[sl])
+        assert_close(adj.att_np, gatt[sl])
+
+    @pytest.mark.parametrize("layers, mat, z_offset, source_slice, "
+                             "direction, order, empty_slice", [
+        *HOMOGENEOUS_CASES[:-1],
+        pytest.param(*HOMOGENEOUS_CASES[-1].values, marks=pytest.mark.xfail(
+            strict=True,
+            reason="a slab pair whose impedance is equal across the plane "
+                   "emits no reflection, so the adjoint has no reflection "
+                   "cotangent there and drops dr/dZ"),
+            id=HOMOGENEOUS_CASES[-1].id),
+    ])
+    def test_occupancy_dot_product(self, layers, mat, z_offset, source_slice,
+                                   direction, order, empty_slice):
+        _, _, _, run, occ, delta, upstream = self.setup_case(
+            layers, mat, z_offset, source_slice, direction, order,
+            empty_slice)
+        _, cache = run(occ)
+        rhs = np.sum(propagate_adjoint(cache, upstream).occupancy * delta)
+        eps = 1e-5
+        pp, _ = run(occ + eps * delta)
+        pm, _ = run(occ - eps * delta)
+        lhs = np.real(np.sum(upstream * (pp.values - pm.values))) / (2 * eps)
+        assert abs(lhs - rhs) / abs(rhs) < 1e-7
+
+    def test_water_march_makes_fewer_transforms_than_steps(self, monkeypatch):
+        # through water every step after the source is homogeneous: one
+        # fft on entry and one batched ifftn forward; the adjoint adds one
+        # batched ifftn of the upstream planes to its entry and exit pair
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _fn=getattr(solver, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        g = self.GRID
+        src = SourceSpec.disk(g, 1.2e-3)
+        p, cache = propagate(src, make_homogeneous(g, WATER),
+                             SolverConfig(reflection_order=0))
+        forward = len(calls)
+        assert forward < 2 * (g.nz - 1)
+        propagate_adjoint(cache, np.conj(p.values))
+        assert len(calls) - forward < 2 * (g.nz - 1)
 
 
 class TestPreparedMedium:
@@ -430,7 +557,7 @@ class TestPreparedMedium:
             source_plane=plane, source_slice=25, direction=-1)
         fresh = full_grid_forward(g, cfg, med.c, med.rho,
                                   med.attenuation_np_per_m(), plane, 25, -1)
-        assert np.array_equal(p.values, fresh)
+        assert_close(p.values, fresh)
 
     def lens_medium(self):
         g = self.GRID
