@@ -291,27 +291,21 @@ def bioheat_simulate(
     )
 
     T = np.zeros(grid.shape)
-    inv_d2 = (1.0 / grid.dx**2, 1.0 / grid.dy**2, 1.0 / grid.dz**2)
+    # conservative flux form: arithmetic-mean conductivity on the faces
+    # between neighbours along each axis, with that axis's 1/d^2
+    spacing = (grid.dx, grid.dy, grid.dz)
+    faces = [(0.5 * (np.take(k, range(1, n), axis=axis)
+                     + np.take(k, range(n - 1), axis=axis)),
+              1.0 / spacing[axis] ** 2) for axis, n in enumerate(k.shape)]
 
     def diffuse(T, dt, heating):
-        div = np.zeros_like(T)
-        for axis, inv in enumerate(inv_d2):
-            # conservative flux form, arithmetic-mean face conductivity
-            k_face = 0.5 * (
-                np.take(k, range(1, k.shape[axis]), axis=axis)
-                + np.take(k, range(0, k.shape[axis] - 1), axis=axis)
-            )
-            flux = k_face * np.diff(T, axis=axis) * inv
-            pad = [(0, 0)] * 3
-            pad[axis] = (1, 0)
-            up = np.pad(flux, pad)
-            pad[axis] = (0, 1)
-            down = np.pad(flux, pad)
-            div += up - down
-        # up - down gives flux-in minus flux-out with insulated boundaries
-        out = T + dt * (-(div) + (q if heating else 0.0)
-                        - cfg.perfusion_rate * rho_cap * T) / rho_cap
-        return out
+        # net inflow per voxel; the zero flux padded on at both ends of
+        # each axis makes the walls insulated
+        inflow = sum(np.diff(k_face * np.diff(T, axis=axis) * inv, axis=axis,
+                             prepend=0.0, append=0.0)
+                     for axis, (k_face, inv) in enumerate(faces))
+        return T + dt * (inflow + (q if heating else 0.0)
+                         - cfg.perfusion_rate * rho_cap * T) / rho_cap
 
     for _ in range(cfg.n_cycles):
         for phase_len, heating in ((cfg.heat_time, True), (cfg.cool_time, False)):

@@ -302,12 +302,11 @@ def build_medium(cfg: dict, grid: GridSpec):
         if kind == "hu_file":
             if "path" not in sec:
                 raise ConfigError("medium: path required for kind hu_file")
-            hu_grid, hu = io.load_hu_volume(sec["path"])
+            hu_grid, hu = _load_input(io.load_hu_volume, sec["path"],
+                                      "medium")
             if hu_grid.shape != grid.shape:
                 raise ConfigError("medium: HU volume grid does not match config grid")
             return ingest_hu_volume(grid, hu)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"medium: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"medium: {exc}") from exc
     raise ConfigError(f"medium: unknown kind '{kind}'")
@@ -562,10 +561,8 @@ def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
     """A thickness CSV (meters) as a binarized lens of design.n_v slices;
     a negative thickness, or one that rounds to more slices than t_max
     gives, is a config error."""
-    path = Path(prefix_or_csv)
-    if not path.exists():
-        raise ConfigError(f"sweep: lens file not found: {path}")
-    thickness_m = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    thickness_m = np.atleast_2d(_load_input(
+        lambda path: np.loadtxt(path, delimiter=","), prefix_or_csv, "sweep"))
     if thickness_m.shape != (grid.nx, grid.ny):
         raise ConfigError("sweep: lens thickness map does not match the grid")
     if not np.all(thickness_m >= 0):
@@ -637,15 +634,19 @@ def cmd_sweep(args) -> int:
     parallel = args.jobs > 1 and len(cases) > 1
     with (ProcessPoolExecutor(max_workers=args.jobs) if parallel
           else nullcontext()) as pool:
-        map_cases = pool.map if pool else map
         for mat in dict.fromkeys(m for m, _, _ in cases):
             idx = [i for i, (m, _, _) in enumerate(cases) if m == mat]
             prepared = prepare(src, medium, solver, mat,
                                lens_params["z_offset"], lens.n_v)
             work = [(prepared, lens, seeds, *cases[i][1:]) for i in idx]
-            for i, row in zip(idx, map_cases(_sweep_case, *zip(*work))):
+            # one chunk of cases per worker: the prepared medium is
+            # pickled once per chunk, not once per case
+            rows_of = (pool.map(_sweep_case, *zip(*work),
+                                chunksize=-(-len(idx) // args.jobs))
+                       if pool else map(_sweep_case, *zip(*work)))
+            for i, row in zip(idx, rows_of):
                 rows[i] = row
-            del prepared, work
+            del prepared, work, rows_of
 
     out = Path(args.out)
     write_snapshot(out, cfg, grid, seed)

@@ -18,19 +18,22 @@ gets its coefficients once: t toward +z, t toward -z and r toward +z
 whole plane have t = 1 and r = 0 exactly, so both sweeps skip the
 transmission and reflection work there.
 
-A homogeneous run is a maximal run of steps into slices whose screen is
-one scalar sigma across the plane, whose pair has no interface and where
-nothing is injected. There the step u_s = sigma_s * ifft2(H * fft2(u_prev))
-is diagonal in the spectral domain and exact over any number of slices
+A screen that takes one value across the plane is stored as that
+scalar, every other one as its (nx, ny) plane; the products broadcast
+either. A homogeneous run is a maximal run of steps into slices with a
+scalar screen, whose pair has no interface and where nothing is
+injected. There the step u_s = screen_s * ifft2(H * fft2(u_prev)) is
+diagonal in the spectral domain and exact over any number of slices
 (angular-spectrum propagation through a homogeneous layer; Zeng and
 McGough, J. Acoust. Soc. Am. 123, 2008), so the march transforms once on
-entry, multiplies spectra by H * sigma slice by slice and returns all of
-the run's planes to space in one batched ifftn. The adjoint reverses the
-same runs, except for any pair that touches the lens slab, whose per-pair
-sums need the spatial planes. The scalars come from the actual screens
-(`prepare` for the base medium, each lens run for its slab slices), so a
-lens embedded into the medium and the same lens run on a prepared slab
-march the same runs.
+entry, multiplies spectra by H * screen_s slice by slice and returns all
+of the run's planes to space in one batched ifftn. The adjoint reverses
+the same runs, except for any pair that touches the lens slab, whose
+per-pair sums need the spatial planes. The scalars are found on the
+actual screens (`prepare` for the base medium, each lens run for its slab
+slices), so a lens embedded into the medium and the same lens run on a
+prepared slab march the same runs. A sweep and its adjoint start at the
+sweep's first injected slice: the field is zero before it.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
@@ -146,15 +149,15 @@ class SliceCache:
     medium reuses once this cache is garbage-collected: they are valid
     while the cache is referenced.
 
-    screen holds one (nx, ny) array per slice, sigma the screen's one
-    value where it is the same across the plane (None where it varies;
-    these slices can join homogeneous runs) and coeff one entry per slice
-    pair k, k+1: (t toward +z, t toward -z, r toward +z), or None where
-    the impedance does not change. All three are the prepared medium's,
-    except on the lens slab and the pairs that touch it, where this run's
-    replace them. Z maps the slab's slices and the slice on either side
-    (z0-1 .. z0+n_v) to this run's impedance, which the slab gradients
-    read; it is empty without a lens. c, rho and att_np are this run's
+    screen holds one entry per slice: the screen's one value (a NumPy
+    scalar) where it is the same across the plane, so that the slice can
+    join homogeneous runs, and its (nx, ny) array elsewhere. coeff holds
+    one entry per slice pair k, k+1: (t toward +z, t toward -z, r toward
+    +z), or None where the impedance does not change. Both are the
+    prepared medium's, except on the lens slab and the pairs that touch
+    it, where this run's replace them. Z maps the slab's slices and the
+    slice on either side (z0-1 .. z0+n_v) to this run's impedance, which
+    the slab gradients read; it is empty without a lens. c, rho and att_np are this run's
     properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) without a
     lens.
     """
@@ -165,7 +168,6 @@ class SliceCache:
     rho: np.ndarray
     att_np: np.ndarray
     screen: list
-    sigma: list
     coeff: list
     Z: dict
     sweeps: list = field(default_factory=list)
@@ -201,16 +203,16 @@ def _screens(grid: GridSpec, c: np.ndarray, att_np: np.ndarray) -> np.ndarray:
 
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
-               att_np: np.ndarray) -> tuple[list, list, list]:
-    """Screens, their scalar values and impedances of (nx, ny, k)
-    properties, one contiguous (nx, ny) array per slice (the sweeps read
-    them slice by slice). A slice's scalar is the one value its screen
-    takes across the whole plane, or None where the screen varies."""
+               att_np: np.ndarray) -> tuple[list, list]:
+    """Screens and impedances of (nx, ny, k) properties, one per slice
+    (the sweeps read them slice by slice). The impedances are contiguous
+    (nx, ny) arrays; a screen is the one value it takes across the whole
+    plane, or its contiguous (nx, ny) array where it varies."""
     cuts = [np.s_[:, :, s] for s in range(c.shape[2])]
     screen = [_screens(grid, c[cut], att_np[cut]) for cut in cuts]
-    sigma = [scr.flat[0] if np.all(scr == scr.flat[0]) else None
-             for scr in screen]
-    return screen, sigma, [rho[cut] * c[cut] for cut in cuts]
+    screen = [scr.flat[0] if np.all(scr == scr.flat[0]) else scr
+              for scr in screen]
+    return screen, [rho[cut] * c[cut] for cut in cuts]
 
 
 def _interface(Z1: np.ndarray, Z2: np.ndarray) -> tuple | None:
@@ -233,9 +235,10 @@ class PreparedMedium:
     """A medium set up once for any number of forward runs.
 
     Holds the diffraction kernel, the default source plane and the
-    per-slice screens, their scalars (see SliceCache) and interface
-    coefficients of the base medium; a lens run recomputes the scalars of
-    the slab slices from its own screens.
+    per-slice screens (a scalar where a screen is uniform; see SliceCache)
+    and interface coefficients of the base medium; a lens run recomputes
+    the screens of the slab slices, so a slab slice may be a scalar in one
+    run and a plane in the next.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
     the base properties there, the lens-minus-base deltas and the
     impedance of the slices just outside the slab, so that a run with a
@@ -250,8 +253,7 @@ class PreparedMedium:
     cfg: SolverConfig
     H: np.ndarray
     source_plane: np.ndarray
-    screen: list                        # screen, sigma, coeff: see SliceCache
-    sigma: list
+    screen: list                        # screen, coeff: see SliceCache
     coeff: list
     Z: dict                             # slices z_offset-1, z_offset+n_v
     z_offset: int
@@ -286,6 +288,8 @@ class PreparedMedium:
         if (occupancy is None) != (self.dc is None):
             raise ValueError("pass a lens occupancy exactly when the medium "
                              "was prepared with a lens material")
+        if not 0 <= source_slice < grid.nz:
+            raise ValueError(f"source slice {source_slice} is outside the grid")
         if source_plane is None:
             source_plane = self.source_plane
         else:
@@ -293,8 +297,9 @@ class PreparedMedium:
             if source_plane.shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
-        screen, sigma, coeff, Z = self.screen, self.sigma, self.coeff, {}
+        screen, coeff, Z = self.screen, self.coeff, {}
         c, rho, att = self.c, self.rho, self.att_np
+        lens = {}
         if occupancy is not None:
             occupancy = np.asarray(occupancy, dtype=np.float64)
             if occupancy.shape != self.dc.shape:
@@ -306,18 +311,15 @@ class PreparedMedium:
             c = c + occupancy * self.dc
             rho = rho + occupancy * self.drho
             att = att + occupancy * self.datt
-            screen, sigma, coeff = list(screen), list(sigma), list(coeff)
-            slab = np.s_[z0 : z0 + n_v]
-            screen[slab], sigma[slab], slab_Z = _per_slice(grid, c, rho, att)
+            screen, coeff = list(screen), list(coeff)
+            screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
             for k in _slab_pairs(z0, n_v, grid.nz):
                 coeff[k] = _interface(Z[k], Z[k + 1])
-        cache = SliceCache(grid, self.H, c, rho, att, screen, sigma, coeff,
-                           Z)
-        if occupancy is not None:
-            cache.lens_z_offset = self.z_offset
-            cache.lens_dc, cache.lens_drho, cache.lens_datt = (
-                self.dc, self.drho, self.datt)
+            lens = dict(lens_z_offset=z0, lens_dc=self.dc,
+                        lens_drho=self.drho, lens_datt=self.datt)
+        cache = SliceCache(grid, self.H, c, rho, att, screen, coeff, Z,
+                           **lens)
 
         inject = {source_slice: source_plane}
         stacks = {}
@@ -328,8 +330,8 @@ class PreparedMedium:
                 stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
                                  dtype=np.complex128)
             stacks[order] = stack
-            sweep, refl = _march(grid, self.H, screen, sigma, coeff,
-                                 direction, inject, collect, stack)
+            sweep, refl = _march(grid, self.H, screen, coeff, direction,
+                                 inject, collect, stack)
             cache.sweeps.append(sweep)
             if not refl:
                 break
@@ -371,7 +373,7 @@ def prepare(
     elif z_offset < 0 or z_offset + n_v > grid.nz:
         raise ValueError("lens exceeds the axial extent of the grid")
     att_np = medium.attenuation_np_per_m()
-    screen, sigma, Z = _per_slice(grid, medium.c, medium.rho, att_np)
+    screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
     redone = _slab_pairs(z_offset, n_v, grid.nz)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     prepared = PreparedMedium(
@@ -379,7 +381,6 @@ def prepare(
         H=_diffraction_kernel(grid, cfg.angular_cutoff, grid.dz),
         source_plane=src.source_plane(grid),
         screen=screen,
-        sigma=sigma,
         coeff=[None if k in redone else _interface(Z[k], Z[k + 1])
                for k in range(grid.nz - 1)],
         Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
@@ -397,20 +398,27 @@ def prepare(
     return prepared
 
 
-def _homogeneous(sigma: list, coeff: list, inject: dict, prev: int,
+def _homogeneous(screen: list, coeff: list, inject: dict, prev: int,
                  s: int) -> bool:
     """Whether the step prev -> s lies in a homogeneous run: slice s has a
     scalar screen, the pair has no interface and nothing is injected at s.
-    Across such steps, u_s = sigma_s * diffract(u_prev) in every bin."""
-    return (sigma[s] is not None and coeff[min(prev, s)] is None
+    Across such steps, u_s = screen_s * diffract(u_prev) in every bin."""
+    return (np.ndim(screen[s]) == 0 and coeff[min(prev, s)] is None
             and s not in inject)
+
+
+def _visits(nz: int, direction: int, inject: dict) -> list:
+    """The slices a sweep visits, in march order: from its first injected
+    slice (the highest toward -z, the lowest toward +z) to the grid's end."""
+    if direction < 0:
+        return list(range(max(inject), -1, -1))
+    return list(range(min(inject), nz))
 
 
 def _march(
     grid: GridSpec,
     H: np.ndarray,
     screen: list,
-    sigma: list,
     coeff: list,
     direction: int,
     inject: dict,
@@ -423,37 +431,31 @@ def _march(
     field to stack[s, 1], and the record holds views of them. Slice-major,
     the planes a sweep touches are one contiguous block of memory.
 
-    A homogeneous run (maximal steps that pass `_homogeneous`) is marched
-    in the spectral domain: one fft of the field entering it, every slice's
-    spectrum H * sigma_prev * (previous spectrum) written to stack[s, 1],
-    one batched in-place ifftn over those planes, then u = sigma * v.
-    Every other step diffracts with its own fft/ifft pair.
+    The sweep starts at its first injected slice (`_visits`); the slices
+    before it keep None for u and v. A homogeneous run (maximal steps that
+    pass `_homogeneous`) is marched in the spectral domain: one fft of the
+    field entering it, every slice's spectrum H * screen_prev * (previous
+    spectrum) written to stack[s, 1], one batched in-place ifftn over
+    those planes, then u = screen * v. Every other step diffracts with its
+    own fft/ifft pair.
     """
-    nz = grid.nz
     down = direction < 0
-    order = list(range(nz - 1, -1, -1) if down else range(nz))
-    u_list: list = [None] * nz
-    v_list: list = [None] * nz
+    order = _visits(grid.nz, direction, inject)
+    u_list: list = [None] * grid.nz
+    v_list: list = [None] * grid.nz
     refl: dict = {}
 
-    u = inject.get(order[0])
-    u_list[order[0]] = u
+    u = u_list[order[0]] = inject[order[0]]
     steps = zip(order[:-1], order[1:])
     for homogeneous, run in groupby(
-            steps, lambda p: _homogeneous(sigma, coeff, inject, *p)):
+            steps, lambda p: _homogeneous(screen, coeff, inject, *p)):
         run = list(run)
         if homogeneous:
-            if u is not None:
-                u = _march_run(H, sigma, [p[1] for p in run], u, stack)
-                for _, s in run:
-                    u_list[s], v_list[s] = stack[s]
+            u = _march_run(H, screen, [p[1] for p in run], u, stack)
+            for _, s in run:
+                u_list[s], v_list[s] = stack[s]
             continue
         for prev, s in run:
-            src = inject.get(s)
-            if u is None:
-                u_list[s] = src
-                u = src
-                continue
             # v = ifft2(H * fft2(u)) in place; ifftn, as numpy's ifft2
             # ignores out=
             v = fftn(u, axes=(0, 1), out=stack[s, 1])
@@ -468,24 +470,24 @@ def _march(
                     refl[prev] = np.negative(rv, out=rv) if down else rv
                 tv = np.multiply(pair[1] if down else pair[0], v, out=u)
             np.multiply(tv, screen[s], out=u)
-            if src is not None:
-                np.add(u, src, out=u)
+            if s in inject:
+                np.add(u, inject[s], out=u)
             u_list[s] = u
     return _Sweep(direction, u_list, v_list, dict(inject)), refl
 
 
-def _march_run(H, sigma, run, u, stack):
+def _march_run(H, screen, run, u, stack):
     """March the homogeneous run of slices `run` (in march order) from the
     field u on the slice before it; returns the field on its last slice."""
     spec = fftn(u, axes=(0, 1), out=stack[run[0], 1])
     np.multiply(spec, H, out=spec)
     for prev, s in zip(run[:-1], run[1:]):
-        np.multiply(stack[prev, 1], sigma[prev], out=stack[s, 1])
+        np.multiply(stack[prev, 1], screen[prev], out=stack[s, 1])
         np.multiply(stack[s, 1], H, out=stack[s, 1])
     lo, hi = min(run), max(run) + 1
     planes = stack[lo:hi]
     ifftn(planes[:, 1], axes=(1, 2), out=planes[:, 1])
-    np.multiply(planes[:, 1], np.array(sigma[lo:hi])[:, None, None],
+    np.multiply(planes[:, 1], np.array(screen[lo:hi])[:, None, None],
                 out=planes[:, 0])
     return stack[run[-1], 0]
 
@@ -557,23 +559,16 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     (`_homogeneous`) that touch no slab slice are reversed by
     `_adjoint_run`.
     """
-    nz = cache.grid.nz
-    H, screen, sigma, coeff = cache.H, cache.screen, cache.sigma, cache.coeff
+    H, screen, coeff = cache.H, cache.screen, cache.coeff
     n_v = cache.c.shape[2]
     down = sweep.direction < 0
-    order = list(range(nz - 1, -1, -1) if down else range(nz))
-    # restrict to the part of the march where the field was live: from
-    # there on every slice has its u and v
-    live = [s for s in order if sweep.u[s] is not None]
-    if not live:
-        return {}
-    order = order[order.index(live[0]):]
+    order = _visits(cache.grid.nz, sweep.direction, sweep.inject)
 
     def on_slab(prev, s):
         return 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v
 
     def homogeneous(pair):
-        return (_homogeneous(sigma, coeff, sweep.inject, *pair)
+        return (_homogeneous(screen, coeff, sweep.inject, *pair)
                 and not on_slab(*pair))
 
     inject_cot: dict = {}
@@ -582,7 +577,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     steps = zip(reversed(order[:-1]), reversed(order[1:]))
     for in_run, run in groupby(steps, homogeneous):
         if in_run:
-            _adjoint_run(H, sigma, [s for _, s in run], upstream, carry)
+            _adjoint_run(H, screen, [s for _, s in run], upstream, carry)
             continue
         for prev, s in run:
             np.add(carry, upstream[:, :, s], out=ub)
@@ -617,20 +612,18 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
             np.multiply(H, carry, out=carry)
             fftn(carry, axes=(0, 1), out=carry)
 
-    s0 = order[0]
-    ub0 = carry + upstream[:, :, s0]
-    if s0 in sweep.inject:
-        inject_cot[s0] = ub0
+    # the sweep starts at an injected slice
+    inject_cot[order[0]] = carry + upstream[:, :, order[0]]
     return inject_cot
 
 
-def _adjoint_run(H, sigma, run, upstream, carry):
+def _adjoint_run(H, screen, run, upstream, carry):
     """Transpose of `_march_run` over the slices `run` (reverse march
     order), in place: carry enters as the cotangent of the field on run[0]
     from the slices after it and leaves as that of the field on the slice
     before the run.
 
-    With K = ifft2(carry), each slice s gives K <- H * sigma_s *
+    With K = ifft2(carry), each slice s gives K <- H * screen_s *
     (K + ifft2(upstream_s)); the run's upstream planes go through one
     batched ifftn into a scratch of one plane per slice of the run.
     """
@@ -640,7 +633,7 @@ def _adjoint_run(H, sigma, run, upstream, carry):
     K = ifftn(carry, axes=(0, 1), out=carry)
     for s in run:
         np.add(K, up[s - lo], out=K)
-        np.multiply(K, sigma[s], out=K)
+        np.multiply(K, screen[s], out=K)
         np.multiply(K, H, out=K)
     fftn(K, axes=(0, 1), out=carry)
 

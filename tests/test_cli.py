@@ -379,6 +379,20 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_hu_header_without_dims_exit_2(self, tmp_path, capsys):
+        grid = cli.build_grid(base_config())
+        io.save_hu_volume(tmp_path / "ct", grid, np.zeros(grid.shape, int))
+        header = tmp_path / "ct.json"
+        fields = json.loads(header.read_text())
+        del fields["dims"]
+        header.write_text(json.dumps(fields))
+        cfg = base_config(medium={"kind": "hu_file",
+                                  "path": str(tmp_path / "ct")})
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "medium: 'dims'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluateCommand:
     def test_same_field_psnr_cap(self, tmp_path):
@@ -541,6 +555,20 @@ class TestSweepCommand:
                     "--axis", "perturbation"]) == 2
         assert "base design" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lens", ["non-numeric", "directory"])
+    def test_unreadable_lens_exit_2(self, tmp_path, capsys, lens):
+        path = tmp_path / "lens.csv"
+        if lens == "directory":
+            path.mkdir()
+        else:
+            path.write_text("0.1,0.2\nx,0.3\n")
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "perturbation", "--lens", str(path)]) == 2
+        assert "error: sweep: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_sigma_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(sweep={"sigma_um": -5}))
         out = tmp_path / "sw"
@@ -610,6 +638,27 @@ class TestSweepCommand:
                     "--axis", "material", "--jobs", jobs,
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
         assert alive == [0] * len(cli.CLEAR_RESIN_VARIANTS)
+
+    def test_jobs_pickle_the_prepared_medium_once_per_chunk(self, tmp_path,
+                                                            monkeypatch):
+        # 6 cases on 2 workers are 2 chunks of 3: the prepared medium is
+        # sent to the workers twice, not once per case
+        pickled = []
+        getstate = solver.PreparedMedium.__getstate__
+
+        def counting_getstate(prepared):
+            pickled.append(1)
+            return getstate(prepared)
+
+        monkeypatch.setattr(solver.PreparedMedium, "__getstate__",
+                            counting_getstate)
+        cfg = write_config(tmp_path, base_config(sweep={"realizations": 6}))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "perturbation", "--jobs", "2",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 7
+        assert len(pickled) == 2
 
 
 def embedded_lens_rows(cfg_path, lens_csv, cases):

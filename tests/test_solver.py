@@ -451,9 +451,9 @@ class TestHomogeneousRuns:
             empty_slice)
         p, cache = run(occ)
         if mat is not BONE:
-            assert cache.sigma[7] not in (None, 1.0)
+            assert np.ndim(cache.screen[7]) == 0 and cache.screen[7] != 1.0
         if empty_slice is not None:
-            assert cache.sigma[z_offset + empty_slice] == 1.0
+            assert cache.screen[z_offset + empty_slice] == 1.0
         c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
         assert_close(p.values, full_grid_forward(
             g, cfg, c, rho, att, plane, source_slice, direction))
@@ -606,6 +606,23 @@ class TestPreparedMedium:
         assert len(pickle.dumps(prepared)) == size
         p2, _ = pickle.loads(pickle.dumps(prepared)).run(occ)
         assert np.array_equal(p2.values, p.values)
+
+    def test_uniform_screens_are_stored_as_scalars(self):
+        # each slice of a water medium has one screen value across the
+        # plane: the prepared medium keeps that value, not a plane, so its
+        # pickle is smaller than one screen plane per slice
+        g = self.GRID
+        prepared = prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER))
+        assert all(np.ndim(scr) == 0 for scr in prepared.screen)
+        plane_bytes = g.nx * g.ny * np.dtype(np.complex128).itemsize
+        assert len(pickle.dumps(prepared)) < g.nz * plane_bytes
+
+    @pytest.mark.parametrize("source_slice", [-1, 32])
+    def test_source_slice_outside_grid_rejected(self, source_slice):
+        prepared = prepare(SourceSpec.full_plane(self.GRID),
+                           make_homogeneous(self.GRID, WATER))
+        with pytest.raises(ValueError, match="outside the grid"):
+            prepared.run(source_slice=source_slice)
 
     @pytest.mark.parametrize("lens_mat, occupancy, message", [
         (FORM_CLEAR, None, "exactly when"),
