@@ -132,9 +132,11 @@ def _unit_keys(section: dict, base: str):
             yield key, _UNIT_SCALE[suffix]
 
 
-def get_quantity(section: dict, base: str, default=None, required=False):
-    """Fetch `base` with any recognized unit suffix, converted to SI."""
-    hits = [(key, _number(section, key) * scale)
+def get_quantity(section: dict, base: str, default=None, required=False,
+                 kind=float):
+    """Fetch `base` with any recognized unit suffix, converted to SI; `kind`
+    reads the value (`_floats` for lists, or lists of lists, of numbers)."""
+    hits = [(key, _number(section, key, kind=kind) * scale)
             for key, scale in _unit_keys(section, base)]
     if len(hits) > 1:
         names = ", ".join(k for k, _ in hits)
@@ -146,14 +148,8 @@ def get_quantity(section: dict, base: str, default=None, required=False):
     return default
 
 
-def _vector_quantity(section: dict, base: str, required=False):
-    """Like get_quantity but for lists (or lists of lists) of numbers."""
-    for key, scale in _unit_keys(section, base):
-        return _number(section, key,
-                       kind=lambda v: np.asarray(v, dtype=np.float64)) * scale
-    if required:
-        raise ConfigError(f"{base}: required")
-    return None
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 def _section(cfg: dict, name: str, required=True) -> _Section:
@@ -293,7 +289,7 @@ def build_medium(cfg: dict, grid: GridSpec):
             return make_homogeneous(grid, _material(sec.get("material", "water"),
                                                     "medium"))
         if kind == "phantom":
-            center = _vector_quantity(sec, "center", required=True)
+            center = get_quantity(sec, "center", required=True, kind=_floats)
             inner = get_quantity(sec, "inner_radius", required=True)
             thick = get_quantity(sec, "thickness", required=True)
             bone = _material(sec.get("bone_material", "bone"), "medium")
@@ -314,7 +310,8 @@ def build_medium(cfg: dict, grid: GridSpec):
 
 def build_target(cfg: dict, grid: GridSpec) -> TargetSpec:
     sec = _section(cfg, "target")
-    centers = _vector_quantity(sec, "focus_centers", required=True)
+    centers = get_quantity(sec, "focus_centers", required=True,
+                           kind=_floats)
     centers = np.atleast_2d(centers)
     if centers.shape[1] != 3:
         raise ConfigError("target: focus centers must be (x, y, z) triples")
@@ -631,8 +628,8 @@ def cmd_sweep(args) -> int:
     # one material at a time, in order of first use: its medium is
     # prepared, runs the material's cases and is released before the next
     rows = [None] * len(cases)
-    parallel = args.jobs > 1 and len(cases) > 1
-    with (ProcessPoolExecutor(max_workers=args.jobs) if parallel
+    workers = min(args.jobs, len(cases))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for mat in dict.fromkeys(m for m, _, _ in cases):
             idx = [i for i, (m, _, _) in enumerate(cases) if m == mat]
@@ -642,7 +639,7 @@ def cmd_sweep(args) -> int:
             # one chunk of cases per worker: the prepared medium is
             # pickled once per chunk, not once per case
             rows_of = (pool.map(_sweep_case, *zip(*work),
-                                chunksize=-(-len(idx) // args.jobs))
+                                chunksize=-(-len(idx) // workers))
                        if pool else map(_sweep_case, *zip(*work)))
             for i, row in zip(idx, rows_of):
                 rows[i] = row
@@ -679,7 +676,7 @@ def cmd_backproject(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"backproject: --distances: {exc}") from exc
     else:
-        distances = _vector_quantity(sec, "distances")
+        distances = get_quantity(sec, "distances", kind=_floats)
     if distances is None or np.size(distances) == 0:
         raise ConfigError("backproject: at least one distance is required "
                           "(--distances in mm or backproject.distances_mm)")

@@ -71,12 +71,9 @@ def load_hu_volume(prefix) -> tuple[GridSpec, np.ndarray]:
 
 def _write_complex(prefix, header: dict, values: np.ndarray) -> None:
     """Interleaved (re, im) float32 payload; header dims follow the array."""
-    values = np.asarray(values)
+    values = np.asarray(values, dtype="<c8")
     header["dims"] = list(values.shape)
-    inter = np.empty(values.size * 2, dtype="<f4")
-    inter[0::2] = np.real(values).ravel()
-    inter[1::2] = np.imag(values).ravel()
-    _write(prefix, header, inter)
+    _write(prefix, header, values)
 
 
 def _read_complex(prefix) -> tuple[dict, np.ndarray]:
@@ -84,11 +81,11 @@ def _read_complex(prefix) -> tuple[dict, np.ndarray]:
     with open(prefix.with_suffix(".json")) as fh:
         header = json.load(fh)
     dims = [int(n) for n in header["dims"]]
-    inter = np.fromfile(prefix.with_suffix(".raw"), dtype="<f4")
-    if inter.size != 2 * int(np.prod(dims)):
+    raw = prefix.with_suffix(".raw")
+    if raw.stat().st_size != 8 * int(np.prod(dims)):
         raise ValueError(f"{prefix}: raw payload size does not match the header")
-    values = (inter[0::2] + 1j * inter[1::2]).astype(np.complex128)
-    return header, values.reshape(dims)
+    values = np.fromfile(raw, dtype="<c8")
+    return header, values.astype(np.complex128).reshape(dims)
 
 
 def save_field(prefix, field: ComplexField, extra: dict | None = None) -> None:

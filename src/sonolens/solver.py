@@ -20,20 +20,22 @@ transmission and reflection work there.
 
 A screen that takes one value across the plane is stored as that
 scalar, every other one as its (nx, ny) plane; the products broadcast
-either. A homogeneous run is a maximal run of steps into slices with a
-scalar screen, whose pair has no interface and where nothing is
-injected. There the step u_s = screen_s * ifft2(H * fft2(u_prev)) is
-diagonal in the spectral domain and exact over any number of slices
-(angular-spectrum propagation through a homogeneous layer; Zeng and
-McGough, J. Acoust. Soc. Am. 123, 2008), so the march transforms once on
-entry, multiplies spectra by H * screen_s slice by slice and returns all
-of the run's planes to space in one batched ifftn. The adjoint reverses
-the same runs, except for any pair that touches the lens slab, whose
+either. A step into a slice with a scalar screen, with no interface and
+nothing injected, is homogeneous: u_s = screen_s * ifft2(H *
+fft2(u_prev)) is diagonal in the spectral domain and exact over any
+number of such slices (angular-spectrum propagation through a
+homogeneous layer; Zeng and McGough, J. Acoust. Soc. Am. 123, 2008).
+So every diffraction goes through segments, each ending at a step that
+is not homogeneous or at the sweep's last slice: one fft on entry, one
+spectrum product by H * screen per slice, one batched ifftn of all its
+planes, and its last slice's interface in space. A step that is not
+homogeneous is a one-slice segment. The adjoint reverses the same
+segments, also ending one at any pair that touches the lens slab, whose
 per-pair sums need the spatial planes. The scalars are found on the
 actual screens (`prepare` for the base medium, each lens run for its slab
 slices), so a lens embedded into the medium and the same lens run on a
-prepared slab march the same runs. A sweep and its adjoint start at the
-sweep's first injected slice: the field is zero before it.
+prepared slab march the same segments. A sweep and its adjoint start at
+the sweep's first injected slice: the field is zero before it.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
@@ -73,7 +75,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 from numpy.fft import fft2, fftn, ifft2, ifftn
@@ -150,8 +151,8 @@ class SliceCache:
     while the cache is referenced.
 
     screen holds one entry per slice: the screen's one value (a NumPy
-    scalar) where it is the same across the plane, so that the slice can
-    join homogeneous runs, and its (nx, ny) array elsewhere. coeff holds
+    scalar) where it is the same across the plane, so that a step into
+    the slice can be homogeneous, and its (nx, ny) array elsewhere. coeff holds
     one entry per slice pair k, k+1: (t toward +z, t toward -z, r toward
     +z), or None where the impedance does not change. Both are the
     prepared medium's, except on the lens slab and the pairs that touch
@@ -400,9 +401,10 @@ def prepare(
 
 def _homogeneous(screen: list, coeff: list, inject: dict, prev: int,
                  s: int) -> bool:
-    """Whether the step prev -> s lies in a homogeneous run: slice s has a
-    scalar screen, the pair has no interface and nothing is injected at s.
-    Across such steps, u_s = screen_s * diffract(u_prev) in every bin."""
+    """Whether the step prev -> s is homogeneous: slice s has a scalar
+    screen, the pair has no interface and nothing is injected at s. Across
+    such steps, u_s = screen_s * diffract(u_prev) in every bin, so a
+    segment of the march continues through them."""
     return (np.ndim(screen[s]) == 0 and coeff[min(prev, s)] is None
             and s not in inject)
 
@@ -432,12 +434,13 @@ def _march(
     the planes a sweep touches are one contiguous block of memory.
 
     The sweep starts at its first injected slice (`_visits`); the slices
-    before it keep None for u and v. A homogeneous run (maximal steps that
-    pass `_homogeneous`) is marched in the spectral domain: one fft of the
-    field entering it, every slice's spectrum H * screen_prev * (previous
-    spectrum) written to stack[s, 1], one batched in-place ifftn over
-    those planes, then u = screen * v. Every other step diffracts with its
-    own fft/ifft pair.
+    before it keep None for u and v. A segment ends at each step that
+    fails `_homogeneous` and at the sweep's last slice. It takes one fft
+    of the field entering it, writes each slice's spectrum H * screen_prev
+    * (previous spectrum) to stack[s, 1], returns those planes to space in
+    one batched in-place ifftn, sets u = screen * v on its homogeneous
+    slices and applies its last slice's interface, reflection, screen and
+    injection in space.
     """
     down = direction < 0
     order = _visits(grid.nz, direction, inject)
@@ -446,50 +449,38 @@ def _march(
     refl: dict = {}
 
     u = u_list[order[0]] = inject[order[0]]
-    steps = zip(order[:-1], order[1:])
-    for homogeneous, run in groupby(
-            steps, lambda p: _homogeneous(screen, coeff, inject, *p)):
-        run = list(run)
-        if homogeneous:
-            u = _march_run(H, screen, [p[1] for p in run], u, stack)
-            for _, s in run:
-                u_list[s], v_list[s] = stack[s]
+    first = 1                       # the open segment starts at order[first]
+    for i in range(1, len(order)):
+        prev, s = order[i - 1], order[i]
+        u_list[s] = stack[s, 0]
+        v = v_list[s] = stack[s, 1]
+        if i == first:
+            fftn(u, axes=(0, 1), out=v)
+        else:
+            np.multiply(stack[prev, 1], screen[prev], out=v)
+        np.multiply(v, H, out=v)
+        if i + 1 < len(order) and _homogeneous(screen, coeff, inject, prev, s):
             continue
-        for prev, s in run:
-            # v = ifft2(H * fft2(u)) in place; ifftn, as numpy's ifft2
-            # ignores out=
-            v = fftn(u, axes=(0, 1), out=stack[s, 1])
-            np.multiply(H, v, out=v)
-            ifftn(v, axes=(0, 1), out=v)
-            v_list[s] = v
-            u, tv = stack[s, 0], v
-            pair = coeff[min(prev, s)]
-            if pair is not None:
-                if collect_reflections:
-                    rv = pair[2] * v
-                    refl[prev] = np.negative(rv, out=rv) if down else rv
-                tv = np.multiply(pair[1] if down else pair[0], v, out=u)
-            np.multiply(tv, screen[s], out=u)
-            if s in inject:
-                np.add(u, inject[s], out=u)
-            u_list[s] = u
+
+        # the segment order[first .. i] ends at s
+        seg = stack[min(order[first], s) : max(order[first], s) + 1, 1]
+        ifftn(seg, axes=(1, 2), out=seg)
+        if i > first:
+            hom = slice(min(order[first], prev), max(order[first], prev) + 1)
+            np.multiply(stack[hom, 1], np.array(screen[hom])[:, None, None],
+                        out=stack[hom, 0])
+        u, tv = u_list[s], v
+        pair = coeff[min(prev, s)]
+        if pair is not None:
+            if collect_reflections:
+                rv = pair[2] * v
+                refl[prev] = np.negative(rv, out=rv) if down else rv
+            tv = np.multiply(pair[1] if down else pair[0], v, out=u)
+        np.multiply(tv, screen[s], out=u)
+        if s in inject:
+            np.add(u, inject[s], out=u)
+        first = i + 1
     return _Sweep(direction, u_list, v_list, dict(inject)), refl
-
-
-def _march_run(H, screen, run, u, stack):
-    """March the homogeneous run of slices `run` (in march order) from the
-    field u on the slice before it; returns the field on its last slice."""
-    spec = fftn(u, axes=(0, 1), out=stack[run[0], 1])
-    np.multiply(spec, H, out=spec)
-    for prev, s in zip(run[:-1], run[1:]):
-        np.multiply(stack[prev, 1], screen[prev], out=stack[s, 1])
-        np.multiply(stack[s, 1], H, out=stack[s, 1])
-    lo, hi = min(run), max(run) + 1
-    planes = stack[lo:hi]
-    ifftn(planes[:, 1], axes=(1, 2), out=planes[:, 1])
-    np.multiply(planes[:, 1], np.array(screen[lo:hi])[:, None, None],
-                out=planes[:, 0])
-    return stack[run[-1], 0]
 
 
 def propagate(
@@ -555,9 +546,14 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent exists,
     to sums[(prev, s)]; other pairs skip that work. Each entry of
     refl_cot is dropped once used, so that it is freed while the
-    returned cotangents fill up. Homogeneous runs of the forward march
-    (`_homogeneous`) that touch no slab slice are reversed by
-    `_adjoint_run`.
+    returned cotangents fill up.
+
+    The march's segments, also ended at every slab pair, are reversed in
+    turn: the last slice is transposed in space, K = H * ifft2(vbar), each
+    homogeneous slice s back from it gives K <- H * screen_s * (K +
+    ifft2(upstream_s)) with one batched ifftn of their upstream planes,
+    and one fft2 returns K to space. That is the transpose (not the
+    conjugate transpose) of the segment.
     """
     H, screen, coeff = cache.H, cache.screen, cache.coeff
     n_v = cache.c.shape[2]
@@ -567,75 +563,71 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     def on_slab(prev, s):
         return 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v
 
-    def homogeneous(pair):
-        return (_homogeneous(screen, coeff, sweep.inject, *pair)
-                and not on_slab(*pair))
+    def inside(i):
+        # whether step order[i-1] -> order[i] lies inside a segment
+        return (0 < i < len(order) - 1
+                and not on_slab(order[i - 1], order[i])
+                and _homogeneous(screen, coeff, sweep.inject, order[i - 1],
+                                 order[i]))
 
     inject_cot: dict = {}
     ub, carry = scratch
     carry.fill(0.0)
-    steps = zip(reversed(order[:-1]), reversed(order[1:]))
-    for in_run, run in groupby(steps, homogeneous):
-        if in_run:
-            _adjoint_run(H, screen, [s for _, s in run], upstream, carry)
+    last = len(order)               # the open segment ends at order[last]
+    for i in range(len(order) - 1, -1, -1):
+        if inside(i):
             continue
-        for prev, s in run:
-            np.add(carry, upstream[:, :, s], out=ub)
-            if s in sweep.inject:
-                inject_cot[s] = ub.copy()
-            v = sweep.v[s]
-            rc = refl_cot.pop(prev, None)
-            if on_slab(prev, s):
-                acc = sums.get((prev, s))
-                if acc is None:
-                    acc = sums[prev, s] = [ub * v, None]
-                else:
-                    acc[0] += ub * v
-                if rc is not None:
-                    rv = np.real(rc * v)
-                    acc[1] = rv if acc[1] is None else acc[1] + rv
-
-            # vbar = ub * t * screen + refl_cot[prev] * r, in the carry plane
-            pair = coeff[min(prev, s)]
-            if pair is None:
-                np.multiply(ub, screen[s], out=carry)
-            else:
-                np.multiply(ub, pair[1] if down else pair[0], out=carry)
+        # close the open segment: carry holds K
+        if last - i > 1:
+            hom = order[i + 1 : last]   # its homogeneous slices
+            lo, hi = min(hom), max(hom) + 1
+            up = ifftn(np.moveaxis(upstream[:, :, lo:hi], 2, 0), axes=(1, 2),
+                       out=np.empty((hi - lo, *carry.shape),
+                                    dtype=np.complex128))
+            for s in reversed(hom):
+                np.add(carry, up[s - lo], out=carry)
                 np.multiply(carry, screen[s], out=carry)
-                if rc is not None:
-                    # r toward -z is -r
-                    (np.subtract if down else np.add)(carry, rc * pair[2],
-                                                      out=carry)
-            # carry = fft2(H * ifft2(vbar)): the transpose (not the
-            # conjugate transpose) of the diffraction step, in place
-            ifftn(carry, axes=(0, 1), out=carry)
-            np.multiply(H, carry, out=carry)
+                np.multiply(carry, H, out=carry)
+        if last < len(order):
             fftn(carry, axes=(0, 1), out=carry)
+        if i == 0:
+            break
+
+        prev, s = order[i - 1], order[i]
+        np.add(carry, upstream[:, :, s], out=ub)
+        if s in sweep.inject:
+            inject_cot[s] = ub.copy()
+        v = sweep.v[s]
+        rc = refl_cot.pop(prev, None)
+        if on_slab(prev, s):
+            acc = sums.get((prev, s))
+            if acc is None:
+                acc = sums[prev, s] = [ub * v, None]
+            else:
+                acc[0] += ub * v
+            if rc is not None:
+                rv = np.real(rc * v)
+                acc[1] = rv if acc[1] is None else acc[1] + rv
+
+        # vbar = ub * t * screen + refl_cot[prev] * r, in the carry plane
+        pair = coeff[min(prev, s)]
+        if pair is None:
+            np.multiply(ub, screen[s], out=carry)
+        else:
+            np.multiply(ub, pair[1] if down else pair[0], out=carry)
+            np.multiply(carry, screen[s], out=carry)
+            if rc is not None:
+                # r toward -z is -r
+                (np.subtract if down else np.add)(carry, rc * pair[2],
+                                                  out=carry)
+        # K = H * ifft2(vbar) in place; ifftn, as numpy's ifft2 ignores out=
+        ifftn(carry, axes=(0, 1), out=carry)
+        np.multiply(H, carry, out=carry)
+        last = i
 
     # the sweep starts at an injected slice
     inject_cot[order[0]] = carry + upstream[:, :, order[0]]
     return inject_cot
-
-
-def _adjoint_run(H, screen, run, upstream, carry):
-    """Transpose of `_march_run` over the slices `run` (reverse march
-    order), in place: carry enters as the cotangent of the field on run[0]
-    from the slices after it and leaves as that of the field on the slice
-    before the run.
-
-    With K = ifft2(carry), each slice s gives K <- H * screen_s *
-    (K + ifft2(upstream_s)); the run's upstream planes go through one
-    batched ifftn into a scratch of one plane per slice of the run.
-    """
-    lo, hi = min(run), max(run) + 1
-    up = ifftn(np.moveaxis(upstream[:, :, lo:hi], 2, 0), axes=(1, 2),
-               out=np.empty((hi - lo, *carry.shape), dtype=np.complex128))
-    K = ifftn(carry, axes=(0, 1), out=carry)
-    for s in run:
-        np.add(K, up[s - lo], out=K)
-        np.multiply(K, screen[s], out=K)
-        np.multiply(K, H, out=K)
-    fftn(K, axes=(0, 1), out=carry)
 
 
 def _slab_gradients(cache, sums, z0):

@@ -379,6 +379,25 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, base, keys", [
+        ("target", "focus_centers",
+         {"focus_centers_mm": [[1.5, 1.5, 3.0]],
+          "focus_centers_um": [[1500, 1500, 3000]], "radius_um": 200}),
+        ("medium", "center",
+         {"kind": "phantom", "center_mm": [1.5, 1.5, 2.0],
+          "center_um": [1500, 1500, 2000], "inner_radius_mm": 1.0,
+          "thickness_mm": 0.25}),
+    ])
+    def test_conflicting_list_keys_exit_2(self, tmp_path, capsys, section,
+                                          base, keys):
+        # a list quantity given in two units is as ambiguous as a scalar
+        path = write_config(tmp_path, base_config(**{section: keys}))
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"conflicting keys for '{base}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_hu_header_without_dims_exit_2(self, tmp_path, capsys):
         grid = cli.build_grid(base_config())
         io.save_hu_volume(tmp_path / "ct", grid, np.zeros(grid.shape, int))
@@ -660,6 +679,26 @@ class TestSweepCommand:
         assert len((out / "sweep.csv").read_text().splitlines()) == 7
         assert len(pickled) == 2
 
+    def test_jobs_start_no_more_workers_than_cases(self, tmp_path,
+                                                   monkeypatch):
+        # with the fork start method the executor starts all of its
+        # workers at the first submit: 2 cases at --jobs 6 start 2
+        started = []
+
+        class CountingExecutor(cli.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingExecutor)
+        cfg = write_config(tmp_path, base_config(sweep={"realizations": 2}))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "perturbation", "--jobs", "6",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        assert len(started) == 1 and 0 < started[0] <= 2
+
 
 def embedded_lens_rows(cfg_path, lens_csv, cases):
     """sweep.csv rows computed the way the sweep once did: each case
@@ -798,6 +837,16 @@ class TestBackprojectCommand:
                     "--out", str(tmp_path / "bp"), "--plane", plane,
                     "--distances", "1,x"]) == 2
         assert "backproject: --distances" in capsys.readouterr().err
+
+    def test_conflicting_distance_keys_exit_2(self, tmp_path, capsys):
+        g = self.grid64()
+        cfg = self.cfg64(tmp_path, backproject={"distances_mm": [1, 2],
+                                                "distances_um": [1000]})
+        plane = self.make_plane(tmp_path, g, np.ones((64, 64), complex))
+        assert run(["backproject", "--config", cfg,
+                    "--out", str(tmp_path / "bp"), "--plane", plane]) == 2
+        assert ("conflicting keys for 'distances'"
+                in capsys.readouterr().err)
 
     def test_missing_plane_exit_2(self, tmp_path):
         cfg = self.cfg64(tmp_path)

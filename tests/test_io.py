@@ -100,6 +100,16 @@ class TestFieldRoundTrip:
         with pytest.raises(ValueError, match="size"):
             io.load_field(tmp_path / "f")
 
+    def test_payload_with_a_trailing_word_rejected(self, tmp_path):
+        # half a complex value past the header's dims is a size mismatch,
+        # not a payload to read up to its last whole value
+        g = make_grid()
+        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
+        with open(tmp_path / "f.raw", "ab") as fh:
+            fh.write(np.float32(1.0).tobytes())
+        with pytest.raises(ValueError, match="size"):
+            io.load_field(tmp_path / "f")
+
 
 class TestPlaneRoundTrip:
     def test_round_trip(self, tmp_path):

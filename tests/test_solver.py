@@ -509,6 +509,17 @@ class TestHomogeneousRuns:
         propagate_adjoint(cache, np.conj(p.values))
         assert len(calls) - forward < 2 * (g.nz - 1)
 
+        # a bone layer on slices 20-22 cuts the sweep into three segments,
+        # ending at slice 20, at slice 23 and at the last slice: each is
+        # one fft and one batched ifftn forward, and one ifftn of vbar,
+        # one batched ifftn of its upstream planes and one fft adjoint
+        calls.clear()
+        p, cache = propagate(src, bone_layers(g, slice(20, 23)),
+                             SolverConfig(reflection_order=0))
+        assert len(calls) == 6
+        propagate_adjoint(cache, np.conj(p.values))
+        assert len(calls) == 6 + 9
+
 
 class TestPreparedMedium:
     """Runs of one prepared medium are independent of each other."""
