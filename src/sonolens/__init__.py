@@ -11,6 +11,8 @@ robustness sweeps over materials and fabrication errors run through
 `sonolens sweep`.
 """
 
+from types import ModuleType as _ModuleType
+
 from .grid import (
     AGILUS30,
     BONE,
@@ -82,22 +84,6 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AGILUS30", "BONE", "FORM_CLEAR", "NEPER_PER_DB", "VEROCLEAR", "WATER",
-    "GridSpec", "MaterialProperties", "SourceSpec",
-    "AcousticMedium", "HUCalibration", "embed_lens", "ingest_hu_volume",
-    "make_homogeneous", "make_skull_phantom",
-    "BetaSchedule", "DesignField", "LensVolume", "binarize",
-    "fabrication_filter",
-    "ComplexField", "SolverConfig", "apply_phase_delays", "backproject",
-    "PreparedMedium", "prepare", "propagate", "propagate_adjoint",
-    "propagate_with_lens",
-    "Adam", "DesignResult", "LossReport", "OptimConfig", "TargetSpec",
-    "gradcheck", "lens_objective", "loss_and_gradient",
-    "optimize_lens_geometry",
-    "PhaseMap", "fabricate_and_simulate", "full_cycle_thickness",
-    "optimize_phase_map", "phase_to_thickness", "time_reversal",
-    "PSNR_CAP_DB", "FocalReport", "FocusMetrics", "ThermalConfig",
-    "bioheat_simulate", "cross_domain_psnr", "focal_metrics", "focal_report",
-    "perturb_lens", "segment_foci",
-]
+# every public name imported above; the submodules are not exports
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

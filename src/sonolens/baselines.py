@@ -136,9 +136,8 @@ def time_reversal(
             )
         delta = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
         delta[ix, iy] = 1.0
-        # the cache is dropped at once, so the next focus reuses its planes
-        field_ = prepared.run(source_plane=delta, source_slice=iz,
-                              direction=-1)[0]
+        field_ = prepared.field_only(source_plane=delta, source_slice=iz,
+                                     direction=-1)
         total += field_.values[:, :, 0]
     return PhaseMap(-np.angle(total))
 

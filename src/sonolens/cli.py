@@ -12,8 +12,9 @@ embedded in the headers of all exported arrays. Exit codes: 0 success,
 `sweep` runs a fixed lens the way the design loop does: the medium is
 prepared once per lens material (`solver.prepare`), and each case, a
 material variant or a thickness-noise realization, is one
-`PreparedMedium.run` of the lens slab. The materials run one after
-another, so one prepared medium is held at a time.
+`PreparedMedium.field_only` run of the lens slab: no adjoint follows, so
+no cache is kept. The materials run one after another, so one prepared
+medium is held at a time.
 """
 
 from __future__ import annotations
@@ -579,9 +580,9 @@ def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
 def _sweep_case(prepared, lens: LensVolume, seeds, sigma: float, case_seed):
     """One sweep case: the lens with thickness noise sigma (meters, none
     at 0) relaxed into the slab of the material's prepared medium; one
-    `PreparedMedium.run`, then the focal figures of the field."""
+    `PreparedMedium.field_only`, then the focal figures of the field."""
     lens = analysis.perturb_lens(lens, sigma, prepared.grid.dz, seed=case_seed)
-    field_, _ = prepared.run(lens.occupancy)
+    field_ = prepared.field_only(lens.occupancy)
     report = analysis.focal_report(field_, seeds)
     if not report.foci:
         return [float(np.abs(field_.values).max()), np.nan, np.nan, 0]

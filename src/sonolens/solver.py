@@ -49,12 +49,17 @@ cache carries the run's screens and coefficients, so the adjoint
 recomputes neither.
 
 A sweep writes its slice contributions and post-diffraction fields into
-one (nz, 2, nx, ny) plane stack, with in-place FFTs and products. When
-the run's cache is garbage-collected, the prepared medium takes the
-stack back and hands it to sweep k of its next run. The lifetime rule
-follows: a cache's planes are valid while the cache is referenced; a
-plane kept past its cache may be overwritten by a later run. The
-returned field is always a fresh array.
+one (nz, 2, nx, ny) plane stack, with in-place FFTs and products, and
+its contributions are added into the total field before the next sweep
+marches. `PreparedMedium.run` gives each sweep its own stack and keeps
+them in the returned cache; when the cache is garbage-collected, the
+prepared medium takes the stacks back and hands stack k to sweep k of
+its next run. The lifetime rule follows: a cache's planes are valid
+while the cache is referenced; a plane kept past its cache may be
+overwritten by a later run. `PreparedMedium.field_only` returns the same
+field without a cache: all its sweeps march through one stack, which
+goes back to the prepared medium when the run ends. The returned field
+is always a fresh array.
 
 Every operation in the chain is complex-linear in the field, so the exact
 reverse-mode gradient is obtained by transposing each step. The adjoint
@@ -146,9 +151,10 @@ class _Sweep:
 class SliceCache:
     """Forward-run state retained for the adjoint sweep.
 
-    The sweeps' u and v planes are views of plane stacks that the prepared
-    medium reuses once this cache is garbage-collected: they are valid
-    while the cache is referenced.
+    Only `PreparedMedium.run` makes one. The sweeps' u and v planes are
+    views of plane stacks, one per sweep, that the prepared medium reuses
+    once this cache is garbage-collected: they are valid while the cache
+    is referenced.
 
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
@@ -245,9 +251,11 @@ class PreparedMedium:
     impedance of the slices just outside the slab, so that a run with a
     lens recomputes only the slab and the pairs that touch it (their
     entries in coeff are left None here). Built by `prepare`; nothing
-    it holds is modified by a run, except the spare plane stacks that the
-    caches of earlier runs gave back (`_spare[k]` serves sweep k; a pickle
-    carries none).
+    it holds is modified by a run, except the spare plane stacks
+    (`_spare[k]` serves sweep k of `run`; a pickle carries none). A `run`
+    takes its stacks from there and its cache gives them back when it is
+    garbage-collected; a `field_only` run takes `_spare[0]` for all its
+    sweeps and puts it back as it returns.
     """
 
     grid: GridSpec
@@ -283,14 +291,40 @@ class PreparedMedium:
         required exactly when the medium was prepared with a lens
         material. source_plane overrides the prepared plane; it is
         injected at slice source_slice and marched toward +z (direction
-        +1) or -z (-1).
+        +1) or -z (-1). Sweep k writes into its own plane stack, which
+        the cache holds until it is garbage-collected.
         """
+        return self._forward(occupancy, source_plane, source_slice,
+                             direction, keep=True)
+
+    def field_only(
+        self,
+        occupancy: np.ndarray | None = None,
+        source_plane: np.ndarray | None = None,
+        source_slice: int = 0,
+        direction: int = 1,
+    ) -> ComplexField:
+        """The field of `run` with the same arguments, bitwise, without a
+        cache: every sweep marches through one plane stack, which goes
+        back to the prepared medium as soon as the run ends. For runs
+        that take no adjoint (fabrication sweeps, time reversal)."""
+        return self._forward(occupancy, source_plane, source_slice,
+                             direction, keep=False)[0]
+
+    def _forward(self, occupancy, source_plane, source_slice, direction,
+                 keep: bool) -> tuple[ComplexField, SliceCache | None]:
+        """The sweeps of `run` (keep: one stack per sweep, and the cache)
+        or of `field_only` (one stack for all sweeps, no cache). Each
+        sweep's u planes are added into the total before the next sweep
+        marches, in sweep order."""
         grid = self.grid
         if (occupancy is None) != (self.dc is None):
             raise ValueError("pass a lens occupancy exactly when the medium "
                              "was prepared with a lens material")
         if not 0 <= source_slice < grid.nz:
             raise ValueError(f"source slice {source_slice} is outside the grid")
+        if direction not in (1, -1):
+            raise ValueError(f"direction {direction} is neither +1 nor -1")
         if source_plane is None:
             source_plane = self.source_plane
         else:
@@ -319,32 +353,35 @@ class PreparedMedium:
                 coeff[k] = _interface(Z[k], Z[k + 1])
             lens = dict(lens_z_offset=z0, lens_dc=self.dc,
                         lens_drho=self.drho, lens_datt=self.datt)
-        cache = SliceCache(grid, self.H, c, rho, att, screen, coeff, Z,
-                           **lens)
+        cache = (SliceCache(grid, self.H, c, rho, att, screen, coeff, Z,
+                            **lens) if keep else None)
 
-        inject = {source_slice: source_plane}
-        stacks = {}
+        total = np.zeros(grid.shape, dtype=np.complex128)
+        inject, stacks = {source_slice: source_plane}, {}
         for order in range(self.cfg.reflection_order + 1):
-            collect = order < self.cfg.reflection_order
-            stack = self._spare.pop(order, None)
-            if stack is None:
-                stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
-                                 dtype=np.complex128)
-            stacks[order] = stack
+            key = order if keep else 0
+            if key not in stacks:
+                spare = self._spare.pop(key, None)
+                stacks[key] = spare if spare is not None else np.empty(
+                    (grid.nz, 2, grid.nx, grid.ny), dtype=np.complex128)
             sweep, refl = _march(grid, self.H, screen, coeff, direction,
-                                 inject, collect, stack)
-            cache.sweeps.append(sweep)
+                                 inject, order < self.cfg.reflection_order,
+                                 stacks[key])
+            # slice by slice: a whole-stack add into the strided slices of
+            # total would go through a ufunc buffer
+            for s, u in enumerate(sweep.u):
+                if u is not None:
+                    total[:, :, s] += u
+            if keep:
+                cache.sweeps.append(sweep)
             if not refl:
                 break
             inject = refl
             direction = -direction
-        weakref.finalize(cache, self._spare.update, stacks)
-
-        # sweeps summed slice by slice: each strided slice is written once
-        total = np.empty(grid.shape, dtype=np.complex128)
-        for s in range(grid.nz):
-            total[:, :, s] = sum(
-                (sw.u[s] for sw in cache.sweeps if sw.u[s] is not None), 0.0)
+        if keep:
+            weakref.finalize(cache, self._spare.update, stacks)
+        else:
+            self._spare.update(stacks)
         return ComplexField(total, grid), cache
 
 
@@ -465,10 +502,10 @@ def _march(
         # the segment order[first .. i] ends at s
         seg = stack[min(order[first], s) : max(order[first], s) + 1, 1]
         ifftn(seg, axes=(1, 2), out=seg)
-        if i > first:
-            hom = slice(min(order[first], prev), max(order[first], prev) + 1)
-            np.multiply(stack[hom, 1], np.array(screen[hom])[:, None, None],
-                        out=stack[hom, 0])
+        # plane by plane: one product over the segment's strided planes
+        # with the screens broadcast would go through a ufunc buffer
+        for h in order[first:i]:
+            np.multiply(stack[h, 1], screen[h], out=stack[h, 0])
         u, tv = u_list[s], v
         pair = coeff[min(prev, s)]
         if pair is not None:

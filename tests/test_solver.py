@@ -628,6 +628,90 @@ class TestPreparedMedium:
         plane_bytes = g.nx * g.ny * np.dtype(np.complex128).itemsize
         assert len(pickle.dumps(prepared)) < g.nz * plane_bytes
 
+    def field_only_case(self, case):
+        """(prepared medium, keyword arguments of one run) for `case`."""
+        g = self.GRID
+        layers = bone_layers(g, slice(2, 4), slice(20, 23))
+        occ = np.random.default_rng(7).uniform(0.1, 0.9,
+                                               size=(16, 16, self.N_V))
+        if case == "lens":
+            return self.lens_medium(), dict(occupancy=occ)
+        if case == "order0":
+            return prepare(SourceSpec.disk(g, 1.2e-3), layers,
+                           SolverConfig(reflection_order=0), FORM_CLEAR, 14,
+                           self.N_V), dict(occupancy=occ)
+        if case == "delta_toward_minus_z":
+            # the time-reversal run: a point source marched back to slice 0
+            plane = np.zeros((16, 16), dtype=np.complex128)
+            plane[6, 9] = 1.0
+            return prepare(SourceSpec.full_plane(g), layers,
+                           SolverConfig(reflection_order=4)), dict(
+                source_plane=plane, source_slice=17, direction=-1)
+        return prepare(SourceSpec.disk(g, 1.2e-3),
+                       make_homogeneous(g, WATER)), {}
+
+    @pytest.mark.parametrize("case", ["lens", "order0",
+                                      "delta_toward_minus_z", "water"])
+    def test_field_only_is_the_run_field_bitwise(self, case):
+        prepared, kwargs = self.field_only_case(case)
+        first = prepared.field_only(**kwargs)
+        p, cache = prepared.run(**kwargs)
+        again = prepared.field_only(**kwargs)
+        assert np.any(p.values != 0)
+        assert first.values.tobytes() == p.values.tobytes()
+        assert again.values.tobytes() == p.values.tobytes()
+
+    def test_second_field_only_run_reuses_its_plane_stack(self):
+        g = self.GRID
+        prepared = self.lens_medium()
+        occ = np.random.default_rng(2).uniform(0.1, 0.9,
+                                               size=(16, 16, self.N_V))
+        prepared.field_only(occ)
+        stack_bytes = g.nz * 2 * g.nx * g.ny * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = prepared.field_only(occ)
+            allocated = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # besides its fresh field, the run allocates its reflected sources
+        # and small per-slice temporaries, which take less than the one
+        # plane stack a run without reuse would allocate
+        assert allocated - p.values.nbytes < stack_bytes
+
+    def test_field_only_leaves_a_live_cache_unchanged(self):
+        prepared = self.lens_medium()
+        rng = np.random.default_rng(5)
+        upstream = (rng.normal(size=self.GRID.shape)
+                    + 1j * rng.normal(size=self.GRID.shape))
+        p1, cache1 = prepared.run(rng.uniform(0.1, 0.9,
+                                              size=(16, 16, self.N_V)))
+        adj1 = propagate_adjoint(cache1, upstream)
+        planes = [u.copy() for sw in cache1.sweeps for u in sw.u + sw.v
+                  if u is not None]
+        p2 = prepared.field_only(np.ones((16, 16, self.N_V)))
+        assert not np.array_equal(p2.values, p1.values)
+        after = [u for sw in cache1.sweeps for u in sw.u + sw.v
+                 if u is not None]
+        assert len(after) == len(planes)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, planes))
+        again = propagate_adjoint(cache1, upstream)
+        assert again.occupancy.tobytes() == adj1.occupancy.tobytes()
+        assert again.source_plane.tobytes() == adj1.source_plane.tobytes()
+
+    @pytest.mark.parametrize("entry", ["run", "field_only"])
+    @pytest.mark.parametrize("direction", [0, 2, -2])
+    def test_direction_other_than_plus_or_minus_one_rejected(self, entry,
+                                                             direction):
+        # direction 0 used to march every sweep toward +z (-0 == 0)
+        g = self.GRID
+        prepared = prepare(SourceSpec.full_plane(g),
+                           bone_layers(g, slice(2, 4), slice(20, 23)),
+                           SolverConfig(reflection_order=2))
+        with pytest.raises(ValueError, match="direction"):
+            getattr(prepared, entry)(source_slice=20, direction=direction)
+
     @pytest.mark.parametrize("source_slice", [-1, 32])
     def test_source_slice_outside_grid_rejected(self, source_slice):
         prepared = prepare(SourceSpec.full_plane(self.GRID),
