@@ -113,12 +113,18 @@ def load_config(path) -> dict:
 
 def _number(section: dict, key: str, default=None, kind=float):
     """`kind` of `section[key]` (or `default`); a value that is not a
-    number is a config error naming the section and the key."""
+    number, or for `int` a boolean or a number with a fraction (NaN and
+    infinities included), is a config error naming the section and the
+    key."""
     value = section.get(key, default)
+    where = f"{section.name}: " if isinstance(section, _Section) else ""
+    if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                        and not value.is_integer()):
+        raise ConfigError(f"{where}{key}: expected an integer, "
+                          f"got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
-        where = f"{section.name}: " if isinstance(section, _Section) else ""
         raise ConfigError(f"{where}{key}: expected a number, "
                           f"got {value!r}") from None
 

@@ -51,15 +51,14 @@ recomputes neither.
 A sweep writes its slice contributions and post-diffraction fields into
 one (nz, 2, nx, ny) plane stack, with in-place FFTs and products, and
 its contributions are added into the total field before the next sweep
-marches. `PreparedMedium.run` gives each sweep its own stack and keeps
-them in the returned cache; when the cache is garbage-collected, the
-prepared medium takes the stacks back and hands stack k to sweep k of
-its next run. The lifetime rule follows: a cache's planes are valid
-while the cache is referenced; a plane kept past its cache may be
-overwritten by a later run. `PreparedMedium.field_only` returns the same
-field without a cache: all its sweeps march through one stack, which
-goes back to the prepared medium when the run ends. The returned field
-is always a fresh array.
+marches. Every run marches all its sweeps through one stack, which it
+takes from the prepared medium and gives back as it returns.
+`PreparedMedium.run` copies out of the stack, after each sweep, only
+what the adjoint reads: the post-diffraction fields at the slab's slices
+and the slice on either side of it (none without a lens). So a cache
+owns its planes, and a later run changes none of them.
+`PreparedMedium.field_only` returns the same field without a cache. The
+returned field is always a fresh array.
 
 Every operation in the chain is complex-linear in the field, so the exact
 reverse-mode gradient is obtained by transposing each step. The adjoint
@@ -78,7 +77,6 @@ dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +94,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.reflection_order <= 8:
             raise ValueError("reflection_order must lie in [0, 8]")
-        if self.angular_cutoff <= 0:
+        if not self.angular_cutoff > 0:     # NaN fails too
             raise ValueError("angular_cutoff must be positive")
 
 
@@ -141,20 +139,26 @@ def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
 
 @dataclass
 class _Sweep:
+    """One sweep of a run. `_march` returns every visited slice's planes,
+    views of the plane stack except u at the first visited slice, which
+    is the injected plane; inject keeps the injected slices, not their
+    planes. A cache keeps u only at that first slice and v only at the
+    slab's slices and the slice on either side (`_kept`)."""
+
     direction: int                      # +1 or -1 along z
     u: list                             # per-slice contribution (None where zero)
     v: list                             # post-diffraction field per visited slice
-    inject: dict                        # slice -> injected source (consumed)
+    inject: dict                        # injected slices (values None)
 
 
 @dataclass
 class SliceCache:
     """Forward-run state retained for the adjoint sweep.
 
-    Only `PreparedMedium.run` makes one. The sweeps' u and v planes are
-    views of plane stacks, one per sweep, that the prepared medium reuses
-    once this cache is garbage-collected: they are valid while the cache
-    is referenced.
+    Only `PreparedMedium.run` makes one. Its sweeps (see `_Sweep`) hold
+    what `propagate_adjoint` reads: the inject keys and the v planes at
+    the keys of Z, copies that the cache owns. Each also keeps u at its
+    first visited slice, its injected plane.
 
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
@@ -251,11 +255,9 @@ class PreparedMedium:
     impedance of the slices just outside the slab, so that a run with a
     lens recomputes only the slab and the pairs that touch it (their
     entries in coeff are left None here). Built by `prepare`; nothing
-    it holds is modified by a run, except the spare plane stacks
-    (`_spare[k]` serves sweep k of `run`; a pickle carries none). A `run`
-    takes its stacks from there and its cache gives them back when it is
-    garbage-collected; a `field_only` run takes `_spare[0]` for all its
-    sweeps and puts it back as it returns.
+    it holds is modified by a run, except the spare plane stack
+    (`_spare`, None until the first run; a pickle carries none), which
+    each run takes for all its sweeps and puts back as it returns.
     """
 
     grid: GridSpec
@@ -272,11 +274,11 @@ class PreparedMedium:
     dc: np.ndarray | None = None        # lens minus base on the slab;
     drho: np.ndarray | None = None      # None without a lens material
     datt: np.ndarray | None = None
-    _spare: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _spare: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "_spare": {}}
+        return {**self.__dict__, "_spare": None}
 
     def run(
         self,
@@ -291,8 +293,8 @@ class PreparedMedium:
         required exactly when the medium was prepared with a lens
         material. source_plane overrides the prepared plane; it is
         injected at slice source_slice and marched toward +z (direction
-        +1) or -z (-1). Sweep k writes into its own plane stack, which
-        the cache holds until it is garbage-collected.
+        +1) or -z (-1). The cache owns its planes: later runs leave it
+        unchanged.
         """
         return self._forward(occupancy, source_plane, source_slice,
                              direction, keep=True)
@@ -305,18 +307,18 @@ class PreparedMedium:
         direction: int = 1,
     ) -> ComplexField:
         """The field of `run` with the same arguments, bitwise, without a
-        cache: every sweep marches through one plane stack, which goes
-        back to the prepared medium as soon as the run ends. For runs
-        that take no adjoint (fabrication sweeps, time reversal)."""
+        cache. For runs that take no adjoint (fabrication sweeps, time
+        reversal)."""
         return self._forward(occupancy, source_plane, source_slice,
                              direction, keep=False)[0]
 
     def _forward(self, occupancy, source_plane, source_slice, direction,
                  keep: bool) -> tuple[ComplexField, SliceCache | None]:
-        """The sweeps of `run` (keep: one stack per sweep, and the cache)
-        or of `field_only` (one stack for all sweeps, no cache). Each
-        sweep's u planes are added into the total before the next sweep
-        marches, in sweep order."""
+        """The sweeps of `run` (keep: the cache too) or of `field_only`,
+        all through the prepared medium's spare stack. Each sweep's u
+        planes are added into the total before the next sweep marches, in
+        sweep order; with keep, the planes the adjoint reads are then
+        copied into the cache."""
         grid = self.grid
         if (occupancy is None) != (self.dc is None):
             raise ValueError("pass a lens occupancy exactly when the medium "
@@ -357,32 +359,45 @@ class PreparedMedium:
                             **lens) if keep else None)
 
         total = np.zeros(grid.shape, dtype=np.complex128)
-        inject, stacks = {source_slice: source_plane}, {}
+        stack, self._spare = self._spare, None
+        if stack is None:
+            stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
+                             dtype=np.complex128)
+        inject = {source_slice: source_plane}
         for order in range(self.cfg.reflection_order + 1):
-            key = order if keep else 0
-            if key not in stacks:
-                spare = self._spare.pop(key, None)
-                stacks[key] = spare if spare is not None else np.empty(
-                    (grid.nz, 2, grid.nx, grid.ny), dtype=np.complex128)
             sweep, refl = _march(grid, self.H, screen, coeff, direction,
                                  inject, order < self.cfg.reflection_order,
-                                 stacks[key])
+                                 stack)
             # slice by slice: a whole-stack add into the strided slices of
             # total would go through a ufunc buffer
             for s, u in enumerate(sweep.u):
                 if u is not None:
                     total[:, :, s] += u
             if keep:
-                cache.sweeps.append(sweep)
+                cache.sweeps.append(_kept(sweep, Z))
             if not refl:
                 break
             inject = refl
             direction = -direction
-        if keep:
-            weakref.finalize(cache, self._spare.update, stacks)
-        else:
-            self._spare.update(stacks)
+        self._spare = stack
         return ComplexField(total, grid), cache
+
+
+def _kept(sweep: _Sweep, slices) -> _Sweep:
+    """What the adjoint reads of `sweep`: the v planes at `slices`, copied
+    out of the stack, and the injected slices. u stays at the first
+    visited slice only, the injected plane, which no run writes."""
+    n = len(sweep.u)
+    u, v = [None] * n, [None] * n
+    first = _visits(n, sweep.direction, sweep.inject)[0]
+    u[first] = sweep.u[first]
+    kept = [s for s in slices if sweep.v[s] is not None]
+    if kept:
+        # one block: a copy per plane is a small heap allocation each,
+        # and those left the water design's peak RSS 0.7 MB higher
+        for s, plane in zip(kept, np.stack([sweep.v[s] for s in kept])):
+            v[s] = plane
+    return _Sweep(sweep.direction, u, v, sweep.inject)
 
 
 def prepare(
@@ -467,8 +482,9 @@ def _march(
     """One directional sweep; returns the sweep record and reflected sources.
 
     Slice s's contribution goes to stack[s, 0] and its post-diffraction
-    field to stack[s, 1], and the record holds views of them. Slice-major,
-    the planes a sweep touches are one contiguous block of memory.
+    field to stack[s, 1], and the record holds views of them (see
+    `_Sweep`). Slice-major, the planes a sweep touches are one contiguous
+    block of memory.
 
     The sweep starts at its first injected slice (`_visits`); the slices
     before it keep None for u and v. A segment ends at each step that
@@ -517,7 +533,7 @@ def _march(
         if s in inject:
             np.add(u, inject[s], out=u)
         first = i + 1
-    return _Sweep(direction, u_list, v_list, dict(inject)), refl
+    return _Sweep(direction, u_list, v_list, dict.fromkeys(inject)), refl
 
 
 def propagate(
@@ -634,9 +650,9 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
         np.add(carry, upstream[:, :, s], out=ub)
         if s in sweep.inject:
             inject_cot[s] = ub.copy()
-        v = sweep.v[s]
         rc = refl_cot.pop(prev, None)
         if on_slab(prev, s):
+            v = sweep.v[s]
             acc = sums.get((prev, s))
             if acc is None:
                 acc = sums[prev, s] = [ub * v, None]

@@ -1,6 +1,6 @@
 """Independent reference implementations that the library code is checked against."""
 
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 from numpy.fft import fft2, ifft2
@@ -81,33 +81,39 @@ def _diffract_transpose(ubar, H):
     return fft2(H * ifft2(ubar, axes=(0, 1)), axes=(0, 1))
 
 
-def full_grid_forward(grid, cfg, c, rho, att_np, source_plane,
-                      source_slice=0, direction=1):
+# one sweep of the oracle forward: its direction, the slices it injects
+# at, and per slice its contribution u and post-diffraction field v (None
+# where zero)
+SweepRecord = namedtuple("SweepRecord", "direction inject u v")
+
+
+def full_grid_sweeps(grid, cfg, c, rho, att_np, source_plane,
+                     source_slice=0, direction=1):
     """Forward sweeps on full property arrays, everything rebuilt per call.
 
     Reference for `solver.PreparedMedium.run`: the kernel, the screens,
     the impedance and the interface mask are computed over the whole grid.
-    Returns the total field.
+    Returns one `SweepRecord` per sweep, every plane kept.
     """
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen = _screens(grid, c, att_np)
     Z = rho * c
     iface = np.any(Z[:, :, 1:] != Z[:, :, :-1], axis=(0, 1))
-    total = np.zeros(grid.shape, dtype=np.complex128)
+    sweeps = []
     inject = {source_slice: source_plane}
     for order in range(cfg.reflection_order + 1):
         steps = list(range(grid.nz) if direction > 0
                      else range(grid.nz - 1, -1, -1))
+        record = SweepRecord(direction, frozenset(inject),
+                             [None] * grid.nz, [None] * grid.nz)
         refl = {}
-        u = inject.get(steps[0])
-        if u is not None:
-            total[:, :, steps[0]] += u
+        u = record.u[steps[0]] = inject.get(steps[0])
         for prev, s in zip(steps[:-1], steps[1:]):
             src = inject.get(s)
             if u is None:
                 u = src
             else:
-                v = _diffract(u, H)
+                v = record.v[s] = _diffract(u, H)
                 if iface[min(prev, s)]:
                     Z1, Z2 = Z[:, :, prev], Z[:, :, s]
                     if order < cfg.reflection_order:
@@ -117,21 +123,36 @@ def full_grid_forward(grid, cfg, c, rho, att_np, source_plane,
                     u = v * screen[:, :, s]
                 if src is not None:
                     u = u + src
-            if u is not None:
-                total[:, :, s] += u
+            record.u[s] = u
+        sweeps.append(record)
         if not refl:
             break
         inject = refl
         direction = -direction
+    return sweeps
+
+
+def full_grid_forward(grid, cfg, c, rho, att_np, source_plane,
+                      source_slice=0, direction=1):
+    """The total field of `full_grid_sweeps`: every sweep's contributions
+    added in sweep order."""
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    for sweep in full_grid_sweeps(grid, cfg, c, rho, att_np, source_plane,
+                                  source_slice, direction):
+        for s, u in enumerate(sweep.u):
+            if u is not None:
+                total[:, :, s] += u
     return total
 
 
-def full_grid_adjoint(cache, upstream, c, rho, att_np):
+def full_grid_adjoint(cache, sweeps, upstream, c, rho, att_np):
     """Reverse sweep with full-grid property gradients at every slice pair.
 
-    Reference for the slab-only `solver.propagate_adjoint`: the screens and
-    the impedance come from the full-grid properties c, rho and att_np
-    (Np/m) of the run that made `cache`, and the transmission factor, the
+    Reference for the slab-only `solver.propagate_adjoint`: the sweeps are
+    `full_grid_sweeps` records of the run that made `cache` (which gives
+    the grid, the kernel and the lens deltas), the screens and the
+    impedance come from its full-grid properties c, rho and att_np (Np/m),
+    and the transmission factor, the
     impedance chain and the screen derivative run on every pair, whether
     or not the impedance changes there or a gradient is used. Returns
     (source_plane, gc, grho, gatt, occupancy); occupancy is None without a
@@ -145,7 +166,7 @@ def full_grid_adjoint(cache, upstream, c, rho, att_np):
     gatt = np.zeros(grid.shape)
     source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     refl_cot: dict = {}
-    for sweep in reversed(cache.sweeps):
+    for sweep in reversed(sweeps):
         refl_cot = _full_grid_sweep_adjoint(
             grid, cache.H, screen, Z, c, rho, sweep, upstream, refl_cot,
             gc, grho, gatt,

@@ -379,6 +379,42 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "reflection_order", 2.5),
+        ("optim", "iterations", 2.7),
+        ("grid", "nx", 24.5),
+        ("lens", "z_offset", 1.5),
+        ("solver", "reflection_order", True),
+        ("optim", "iterations", float("inf")),
+    ])
+    def test_non_integral_integer_key_exit_2(self, tmp_path, capsys, section,
+                                             key, value):
+        # int() used to truncate these: order 2.5 ran at order 2
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), key: value}
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"{section}: {key}: expected an integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_for_integer_key_accepted(self):
+        sec = cli._Section("optim", {"iterations": 3.0})
+        assert cli._number(sec, "iterations", kind=int) == 3
+
+    def test_nan_angular_cutoff_exit_2(self, tmp_path, capsys):
+        # JSON's NaN used to pass and disable the angular cutoff
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(
+            solver={"reflection_order": 0, "angular_cutoff": float("nan")})))
+        assert "NaN" in path.read_text()
+        assert run(["design", "--config", str(path),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert ("solver: angular_cutoff must be positive"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, base, keys", [
         ("target", "focus_centers",
          {"focus_centers_mm": [[1.5, 1.5, 3.0]],

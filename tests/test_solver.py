@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import embedded_arrays, full_grid_adjoint, full_grid_forward
+from oracles import (
+    embedded_arrays,
+    full_grid_adjoint,
+    full_grid_forward,
+    full_grid_sweeps,
+)
 from sonolens import solver
 from sonolens.grid import (
     BONE,
@@ -168,6 +173,12 @@ class TestPropagate:
     def test_cost_guard(self):
         with pytest.raises(ValueError):
             SolverConfig(reflection_order=9)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
+    def test_cutoff_must_be_positive(self, cutoff):
+        # a NaN cutoff used to pass and zero no bin of the kernel
+        with pytest.raises(ValueError, match="angular_cutoff"):
+            SolverConfig(angular_cutoff=cutoff)
 
 
 class TestAdjoint:
@@ -333,7 +344,9 @@ class TestLeanAdjoint:
             assert_close(p.values, full_grid_forward(g, cfg, c, rho, att,
                                                      src.source_plane(g)))
             source, gc, grho, gatt, occupancy = full_grid_adjoint(
-                cache, upstream, c, rho, att)
+                cache, full_grid_sweeps(g, cfg, c, rho, att,
+                                        src.source_plane(g)),
+                upstream, c, rho, att)
             assert_close(adj.source_plane, source)
             assert_close(adj.occupancy, occupancy)
             assert_close(adj.c, gc[sl])
@@ -344,10 +357,14 @@ class TestLeanAdjoint:
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
         upstream = np.random.default_rng(3).normal(size=g.shape) + 0j
-        _, cache = propagate(SourceSpec.disk(g, 1.2e-3), med, SolverConfig())
+        src, cfg = SourceSpec.disk(g, 1.2e-3), SolverConfig()
+        _, cache = propagate(src, med, cfg)
         adj = propagate_adjoint(cache, upstream)
-        source, *_ = full_grid_adjoint(cache, upstream, med.c, med.rho,
-                                       med.attenuation_np_per_m())
+        att = med.attenuation_np_per_m()
+        source, *_ = full_grid_adjoint(
+            cache, full_grid_sweeps(g, cfg, med.c, med.rho, att,
+                                    src.source_plane(g)),
+            upstream, med.c, med.rho, att)
         assert_close(adj.source_plane, source)
         assert adj.occupancy is None
         for grad in (adj.c, adj.rho, adj.att_np):
@@ -459,7 +476,9 @@ class TestHomogeneousRuns:
             g, cfg, c, rho, att, plane, source_slice, direction))
         adj = propagate_adjoint(cache, upstream)
         source, gc, grho, gatt, occupancy = full_grid_adjoint(
-            cache, upstream, c, rho, att)
+            cache, full_grid_sweeps(g, cfg, c, rho, att, plane, source_slice,
+                                    direction),
+            upstream, c, rho, att)
         sl = np.s_[:, :, z_offset : z_offset + self.N_V]
         assert_close(adj.source_plane, source)
         assert_close(adj.occupancy, occupancy)
@@ -577,14 +596,39 @@ class TestPreparedMedium:
                        SolverConfig(reflection_order=4), FORM_CLEAR, 14,
                        self.N_V)
 
-    def test_second_run_reuses_the_dropped_cache_planes(self):
+    def cache_planes(self, cache):
+        """The distinct planes held by the sweeps of `cache`."""
+        planes = {}
+        for sw in cache.sweeps:
+            for a in sw.u + sw.v + list(sw.inject.values()):
+                if a is not None:
+                    planes[id(a)] = a
+        return list(planes.values())
+
+    def test_cache_keeps_slab_v_planes_and_one_injection_per_sweep(self):
+        # the adjoint reads v only on the slab pairs, z0-1 .. z0+n_v, and
+        # of the injections only their slices
         prepared = self.lens_medium()
         occ = np.random.default_rng(2).uniform(0.1, 0.9,
                                                size=(16, 16, self.N_V))
         _, cache = prepared.run(occ)
-        cache_bytes = sum(a.nbytes for sw in cache.sweeps
-                          for a in sw.u + sw.v if a is not None)
-        del cache
+        n = len(cache.sweeps)
+        assert n == 5
+        v_planes = [v for sw in cache.sweeps for v in sw.v if v is not None]
+        planes = self.cache_planes(cache)
+        assert 0 < len(v_planes) <= n * (self.N_V + 2)
+        assert len(planes) <= len(v_planes) + n
+        # the kept planes are the cache's own, not views of the stack that
+        # the next run marches through
+        assert not any(np.shares_memory(a, prepared._spare) for a in planes)
+
+    def test_second_run_reuses_the_plane_stack(self):
+        g = self.GRID
+        prepared = self.lens_medium()
+        occ = np.random.default_rng(2).uniform(0.1, 0.9,
+                                               size=(16, 16, self.N_V))
+        prepared.run(occ)
+        stack_bytes = g.nz * 2 * g.nx * g.ny * np.dtype(np.complex128).itemsize
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -592,10 +636,12 @@ class TestPreparedMedium:
             allocated = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(cache.sweeps) == 5
-        # besides its fresh field, the run allocates its reflected sources
-        # and small per-slice temporaries, but no u or v plane
-        assert allocated - p.values.nbytes < cache_bytes / 4
+        kept = sum(a.nbytes for a in self.cache_planes(cache))
+        # besides its fresh field and the planes its cache keeps, the run
+        # allocates its reflected sources, the slab's screens and
+        # coefficients and small per-slice temporaries, which take less
+        # than the plane stack a run without reuse would allocate
+        assert allocated - p.values.nbytes - kept < stack_bytes
 
     def test_field_outlives_its_cache_and_later_runs(self):
         prepared = self.lens_medium()
