@@ -245,9 +245,11 @@ class ThermalConfig:
     perfusion_rate: float = 0.0   # 1/s, hook only; ex vivo default 0
 
     def __post_init__(self):
-        for name in ("heat_time", "cool_time"):
-            if getattr(self, name) <= 0:
+        for name in ("heat_time", "cool_time", "reference_peak_pressure"):
+            if not getattr(self, name) > 0:     # NaN fails too
                 raise ValueError(f"{name} must be positive")
+        if not self.perfusion_rate >= 0:      # NaN fails too
+            raise ValueError("perfusion_rate must be non-negative")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be at least 1")
 

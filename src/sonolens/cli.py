@@ -111,17 +111,24 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _has_bool(value) -> bool:
+    """Whether `value`, or an item of any list nested in it, is a boolean."""
+    if isinstance(value, list):
+        return any(_has_bool(item) for item in value)
+    return isinstance(value, bool)
+
+
 def _number(section: dict, key: str, default=None, kind=float):
     """`kind` of `section[key]` (or `default`); a value that is not a
-    number, or for `int` a boolean or a number with a fraction (NaN and
-    infinities included), is a config error naming the section and the
-    key."""
+    number, holds a boolean (in a list too) or, for `int`, has a fraction
+    (NaN and infinities included) is a config error naming the section
+    and the key."""
     value = section.get(key, default)
     where = f"{section.name}: " if isinstance(section, _Section) else ""
-    if kind is int and (isinstance(value, bool) or isinstance(value, float)
-                        and not value.is_integer()):
-        raise ConfigError(f"{where}{key}: expected an integer, "
-                          f"got {value!r}")
+    if _has_bool(value) or (kind is int and isinstance(value, float)
+                            and not value.is_integer()):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}{key}: expected {expected}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -246,12 +253,12 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
                      "attenuation_power"))
         try:
             return MaterialProperties(
-                float(name_or_obj["sound_speed"]),
-                float(name_or_obj["density"]),
-                float(name_or_obj.get("attenuation_coeff", 0.0)),
-                float(name_or_obj.get("attenuation_power", 1.0)),
+                _number(name_or_obj, "sound_speed"),
+                _number(name_or_obj, "density"),
+                _number(name_or_obj, "attenuation_coeff", 0.0),
+                _number(name_or_obj, "attenuation_power", 1.0),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{context}: bad material spec: {exc}") from exc
     raise ConfigError(f"{context}: material must be a name or an object")
 

@@ -103,7 +103,7 @@ class MaterialProperties:
             raise ValueError("sound_speed must be positive")
         if not self.density > 0:
             raise ValueError("density must be positive")
-        if self.attenuation_coeff < 0:
+        if not self.attenuation_coeff >= 0:     # NaN fails too
             raise ValueError("attenuation_coeff must be non-negative")
         if not 0.5 <= self.attenuation_power <= 2.0:
             raise ValueError("attenuation_power must lie in [0.5, 2]")

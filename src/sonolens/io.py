@@ -1,8 +1,9 @@
 """File formats: raw voxel arrays with JSON sidecar headers, CSV, PGM, STL.
 
-Raw files are little-endian, C-order. A complex field is stored as
-interleaved (re, im) float32 pairs; CT volumes are int16. Every header carries a schema_version and, when produced by the
-CLI, the hash of the creating configuration.
+Raw files are little-endian, C-order, and hold exactly the header's dims.
+A complex field is stored as interleaved (re, im) float32 pairs; CT
+volumes are int16. Every header carries a schema_version and, when
+produced by the CLI, the hash of the creating configuration.
 """
 
 from __future__ import annotations
@@ -43,12 +44,18 @@ def _write(prefix, header: dict, payload: np.ndarray) -> None:
 
 
 def _read(prefix) -> tuple[dict, np.ndarray]:
+    """The header and the payload, shaped by the header's dims; a .raw
+    file whose size is not dims times the item size is a ValueError."""
     prefix = Path(prefix)
     with open(prefix.with_suffix(".json")) as fh:
         header = json.load(fh)
-    dtype = np.dtype(header["dtype"]).newbyteorder("<")
-    data = np.fromfile(prefix.with_suffix(".raw"), dtype=dtype)
-    return header, data
+    dims = [int(n) for n in header["dims"]]
+    name = {"complex64_interleaved": "<c8"}.get(header["dtype"], header["dtype"])
+    dtype = np.dtype(name).newbyteorder("<")
+    raw = prefix.with_suffix(".raw")
+    if raw.stat().st_size != dtype.itemsize * int(np.prod(dims)):
+        raise ValueError(f"{prefix}: raw payload size does not match the header")
+    return header, np.fromfile(raw, dtype=dtype).reshape(dims)
 
 
 def _grid_from_header(header: dict) -> GridSpec:
@@ -65,8 +72,7 @@ def save_hu_volume(prefix, grid: GridSpec, hu: np.ndarray) -> None:
 
 def load_hu_volume(prefix) -> tuple[GridSpec, np.ndarray]:
     header, data = _read(prefix)
-    grid = _grid_from_header(header)
-    return grid, data.astype(np.int64).reshape(grid.shape)
+    return _grid_from_header(header), data.astype(np.int64)
 
 
 def _write_complex(prefix, header: dict, values: np.ndarray) -> None:
@@ -76,26 +82,14 @@ def _write_complex(prefix, header: dict, values: np.ndarray) -> None:
     _write(prefix, header, values)
 
 
-def _read_complex(prefix) -> tuple[dict, np.ndarray]:
-    prefix = Path(prefix)
-    with open(prefix.with_suffix(".json")) as fh:
-        header = json.load(fh)
-    dims = [int(n) for n in header["dims"]]
-    raw = prefix.with_suffix(".raw")
-    if raw.stat().st_size != 8 * int(np.prod(dims)):
-        raise ValueError(f"{prefix}: raw payload size does not match the header")
-    values = np.fromfile(raw, dtype="<c8")
-    return header, values.astype(np.complex128).reshape(dims)
-
-
 def save_field(prefix, field: ComplexField, extra: dict | None = None) -> None:
     header = _header(field.grid, ["pressure"], "complex64_interleaved", extra)
     _write_complex(prefix, header, field.values)
 
 
 def load_field(prefix) -> ComplexField:
-    header, values = _read_complex(prefix)
-    return ComplexField(values, _grid_from_header(header))
+    header, values = _read(prefix)
+    return ComplexField(values.astype(np.complex128), _grid_from_header(header))
 
 
 def save_plane(prefix, plane: np.ndarray, grid: GridSpec,
@@ -106,10 +100,10 @@ def save_plane(prefix, plane: np.ndarray, grid: GridSpec,
 
 
 def load_plane(prefix):
-    header, plane = _read_complex(prefix)
+    header, plane = _read(prefix)
     if plane.ndim != 2:
         raise ValueError(f"{prefix}: a plane file must have 2 dims")
-    return header, plane
+    return header, plane.astype(np.complex128)
 
 
 def thickness_to_csv(path, thickness_vox: np.ndarray, dz: float) -> None:

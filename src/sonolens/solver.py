@@ -48,15 +48,15 @@ impedance is kept only on the slab and the slice on either side of it
 cache carries the run's screens and coefficients, so the adjoint
 recomputes neither.
 
-A sweep writes its slice contributions and post-diffraction fields into
-one (nz, 2, nx, ny) plane stack, with in-place FFTs and products, and
-its contributions are added into the total field before the next sweep
-marches. Every run marches all its sweeps through one stack, which it
-takes from the prepared medium and gives back as it returns.
-`PreparedMedium.run` copies out of the stack, after each sweep, only
-what the adjoint reads: the post-diffraction fields at the slab's slices
-and the slice on either side of it (none without a lens). So a cache
-owns its planes, and a later run changes none of them.
+A sweep writes each slice's post-diffraction field into its plane of
+one (nz + 1, nx, ny) plane stack with in-place FFTs and products, and
+adds each slice's contribution into the total field as it goes, through
+the stack's last plane. Every run marches all its sweeps through one
+stack, which it takes from the prepared medium and gives back as it
+returns. `PreparedMedium.run` copies out of the stack, after each sweep,
+only what the adjoint reads: the post-diffraction fields at the slab's
+slices and the slice on either side of it (none without a lens). So a
+cache owns its planes, and a later run changes none of them.
 `PreparedMedium.field_only` returns the same field without a cache. The
 returned field is always a fresh array.
 
@@ -139,15 +139,15 @@ def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
 
 @dataclass
 class _Sweep:
-    """One sweep of a run. `_march` returns every visited slice's planes,
-    views of the plane stack except u at the first visited slice, which
-    is the injected plane; inject keeps the injected slices, not their
-    planes. A cache keeps u only at that first slice and v only at the
-    slab's slices and the slice on either side (`_kept`)."""
+    """One sweep of a cached run, built by `_kept` from the plane stack:
+    u holds only the first visited slice's contribution, its injected
+    plane, and v only the post-diffraction fields at the slab's slices
+    and the slice on either side; inject keeps the injected slices, not
+    their planes."""
 
     direction: int                      # +1 or -1 along z
-    u: list                             # per-slice contribution (None where zero)
-    v: list                             # post-diffraction field per visited slice
+    u: list                             # per-slice contribution (None but one)
+    v: list                             # post-diffraction field near the slab
     inject: dict                        # injected slices (values None)
 
 
@@ -157,8 +157,8 @@ class SliceCache:
 
     Only `PreparedMedium.run` makes one. Its sweeps (see `_Sweep`) hold
     what `propagate_adjoint` reads: the inject keys and the v planes at
-    the keys of Z, copies that the cache owns. Each also keeps u at its
-    first visited slice, its injected plane.
+    the keys of Z, one block per sweep that the cache owns. Each also
+    keeps u at its first visited slice, its injected plane.
 
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
@@ -255,9 +255,9 @@ class PreparedMedium:
     impedance of the slices just outside the slab, so that a run with a
     lens recomputes only the slab and the pairs that touch it (their
     entries in coeff are left None here). Built by `prepare`; nothing
-    it holds is modified by a run, except the spare plane stack
-    (`_spare`, None until the first run; a pickle carries none), which
-    each run takes for all its sweeps and puts back as it returns.
+    it holds is modified by a run, except the spare plane stack of nz + 1
+    planes (`_spare`, None until the first run; a pickle carries none),
+    which each run takes for all its sweeps and puts back as it returns.
     """
 
     grid: GridSpec
@@ -315,10 +315,9 @@ class PreparedMedium:
     def _forward(self, occupancy, source_plane, source_slice, direction,
                  keep: bool) -> tuple[ComplexField, SliceCache | None]:
         """The sweeps of `run` (keep: the cache too) or of `field_only`,
-        all through the prepared medium's spare stack. Each sweep's u
-        planes are added into the total before the next sweep marches, in
-        sweep order; with keep, the planes the adjoint reads are then
-        copied into the cache."""
+        all through the prepared medium's spare stack. Each sweep adds
+        its slices into the total as it marches; with keep, the planes
+        the adjoint reads are copied into the cache after each sweep."""
         grid = self.grid
         if (occupancy is None) != (self.dc is None):
             raise ValueError("pass a lens occupancy exactly when the medium "
@@ -361,20 +360,14 @@ class PreparedMedium:
         total = np.zeros(grid.shape, dtype=np.complex128)
         stack, self._spare = self._spare, None
         if stack is None:
-            stack = np.empty((grid.nz, 2, grid.nx, grid.ny),
+            stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
                              dtype=np.complex128)
         inject = {source_slice: source_plane}
         for order in range(self.cfg.reflection_order + 1):
-            sweep, refl = _march(grid, self.H, screen, coeff, direction,
-                                 inject, order < self.cfg.reflection_order,
-                                 stack)
-            # slice by slice: a whole-stack add into the strided slices of
-            # total would go through a ufunc buffer
-            for s, u in enumerate(sweep.u):
-                if u is not None:
-                    total[:, :, s] += u
+            refl = _march(grid, self.H, screen, coeff, direction, inject,
+                          order < self.cfg.reflection_order, stack, total)
             if keep:
-                cache.sweeps.append(_kept(sweep, Z))
+                cache.sweeps.append(_kept(stack, direction, inject, Z))
             if not refl:
                 break
             inject = refl
@@ -383,21 +376,21 @@ class PreparedMedium:
         return ComplexField(total, grid), cache
 
 
-def _kept(sweep: _Sweep, slices) -> _Sweep:
-    """What the adjoint reads of `sweep`: the v planes at `slices`, copied
-    out of the stack, and the injected slices. u stays at the first
-    visited slice only, the injected plane, which no run writes."""
-    n = len(sweep.u)
-    u, v = [None] * n, [None] * n
-    first = _visits(n, sweep.direction, sweep.inject)[0]
-    u[first] = sweep.u[first]
-    kept = [s for s in slices if sweep.v[s] is not None]
+def _kept(stack: np.ndarray, direction: int, inject: dict, slices) -> _Sweep:
+    """What the adjoint reads of the sweep just marched through `stack`:
+    the v planes at the consecutive `slices` that it marched past its
+    first slice, copied out as one block, and the injected slices. u
+    stays at the first slice only, its injected plane, which no run
+    writes."""
+    nz = len(stack) - 1
+    order = _visits(nz, direction, inject)
+    u, v = [None] * nz, [None] * nz
+    u[order[0]] = inject[order[0]]
+    kept = [s for s in slices if s in order[1:]]
     if kept:
-        # one block: a copy per plane is a small heap allocation each,
-        # and those left the water design's peak RSS 0.7 MB higher
-        for s, plane in zip(kept, np.stack([sweep.v[s] for s in kept])):
-            v[s] = plane
-    return _Sweep(sweep.direction, u, v, sweep.inject)
+        block = slice(min(kept), max(kept) + 1)
+        v[block] = stack[block].copy()      # each entry a view of the copy
+    return _Sweep(direction, u, v, dict.fromkeys(inject))
 
 
 def prepare(
@@ -461,12 +454,12 @@ def _homogeneous(screen: list, coeff: list, inject: dict, prev: int,
             and s not in inject)
 
 
-def _visits(nz: int, direction: int, inject: dict) -> list:
+def _visits(nz: int, direction: int, inject: dict) -> range:
     """The slices a sweep visits, in march order: from its first injected
     slice (the highest toward -z, the lowest toward +z) to the grid's end."""
     if direction < 0:
-        return list(range(max(inject), -1, -1))
-    return list(range(min(inject), nz))
+        return range(max(inject), -1, -1)
+    return range(min(inject), nz)
 
 
 def _march(
@@ -478,51 +471,50 @@ def _march(
     inject: dict,
     collect_reflections: bool,
     stack: np.ndarray,
-) -> tuple[_Sweep, dict]:
-    """One directional sweep; returns the sweep record and reflected sources.
+    total: np.ndarray,
+) -> dict:
+    """One directional sweep, added into `total`; returns its reflected
+    sources.
 
-    Slice s's contribution goes to stack[s, 0] and its post-diffraction
-    field to stack[s, 1], and the record holds views of them (see
-    `_Sweep`). Slice-major, the planes a sweep touches are one contiguous
-    block of memory.
+    Slice s's post-diffraction field goes to stack[s], and its
+    contribution is added into total[:, :, s] as soon as it is formed in
+    the work plane stack[nz]. Each injected plane but the first, which
+    the first visited slice contributes, is set to None in `inject` once
+    added, so that it is freed while the sweep goes on.
 
-    The sweep starts at its first injected slice (`_visits`); the slices
-    before it keep None for u and v. A segment ends at each step that
-    fails `_homogeneous` and at the sweep's last slice. It takes one fft
-    of the field entering it, writes each slice's spectrum H * screen_prev
-    * (previous spectrum) to stack[s, 1], returns those planes to space in
-    one batched in-place ifftn, sets u = screen * v on its homogeneous
-    slices and applies its last slice's interface, reflection, screen and
-    injection in space.
+    The sweep starts at its first injected slice (`_visits`). A segment
+    ends at each step that fails `_homogeneous` and at the sweep's last
+    slice. It takes one fft of the field entering it, writes each slice's
+    spectrum H * screen_prev * (previous spectrum) to stack[s], returns
+    those planes to space in one batched in-place ifftn, adds screen * v
+    on its homogeneous slices, and applies its last slice's interface,
+    reflection, screen and injection in space before adding that slice.
     """
     down = direction < 0
     order = _visits(grid.nz, direction, inject)
-    u_list: list = [None] * grid.nz
-    v_list: list = [None] * grid.nz
+    work = stack[grid.nz]
     refl: dict = {}
 
-    u = u_list[order[0]] = inject[order[0]]
+    u = inject[order[0]]
+    total[:, :, order[0]] += u
     first = 1                       # the open segment starts at order[first]
     for i in range(1, len(order)):
         prev, s = order[i - 1], order[i]
-        u_list[s] = stack[s, 0]
-        v = v_list[s] = stack[s, 1]
+        v = stack[s]
         if i == first:
             fftn(u, axes=(0, 1), out=v)
         else:
-            np.multiply(stack[prev, 1], screen[prev], out=v)
+            np.multiply(stack[prev], screen[prev], out=v)
         np.multiply(v, H, out=v)
         if i + 1 < len(order) and _homogeneous(screen, coeff, inject, prev, s):
             continue
 
         # the segment order[first .. i] ends at s
-        seg = stack[min(order[first], s) : max(order[first], s) + 1, 1]
+        seg = stack[min(order[first], s) : max(order[first], s) + 1]
         ifftn(seg, axes=(1, 2), out=seg)
-        # plane by plane: one product over the segment's strided planes
-        # with the screens broadcast would go through a ufunc buffer
         for h in order[first:i]:
-            np.multiply(stack[h, 1], screen[h], out=stack[h, 0])
-        u, tv = u_list[s], v
+            total[:, :, h] += np.multiply(stack[h], screen[h], out=work)
+        u, tv = work, v
         pair = coeff[min(prev, s)]
         if pair is not None:
             if collect_reflections:
@@ -532,8 +524,10 @@ def _march(
         np.multiply(tv, screen[s], out=u)
         if s in inject:
             np.add(u, inject[s], out=u)
+            inject[s] = None
+        total[:, :, s] += u
         first = i + 1
-    return _Sweep(direction, u_list, v_list, dict.fromkeys(inject)), refl
+    return refl
 
 
 def propagate(
@@ -772,8 +766,8 @@ def backproject(
     if distances.size == 0:
         raise ValueError("at least one backprojection distance is required")
     domain = grid.nz * grid.dz
-    if np.any(np.abs(distances) > domain):
-        raise ValueError("backprojection distance exceeds the domain depth")
+    if not np.all(np.abs(distances) <= domain):     # NaN fails too
+        raise ValueError("distance is NaN or beyond the domain depth")
 
     spec = fft2(plane)
     out = np.zeros((grid.nx, grid.ny, distances.size), dtype=np.complex128)

@@ -318,6 +318,11 @@ class TestDesignCommand:
     @pytest.mark.parametrize("section, material", [
         ("medium", {"sound_speed": None, "density": 1000}),
         ("lens", {"sound_speed": 2500, "density": [1100]}),
+        # float(True) is 1.0: this used to run at a density of 1 kg/m^3
+        ("lens", {"sound_speed": 2500, "density": True}),
+        # a NaN attenuation used to pass and die with a traceback
+        ("medium", {"sound_speed": 1500, "density": 1000,
+                    "attenuation_coeff": float("nan")}),
     ])
     def test_material_field_not_a_number_exit_2(self, tmp_path, capsys,
                                                 section, material):
@@ -415,6 +420,24 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        # float(True) is 1.0: these used to run at learning rate 1.0 and a
+        # 1 um target radius
+        ("optim", "learning_rate", True),
+        ("target", "radius_um", True),
+        ("target", "focus_centers_mm", [[1.5, 1.5, True]]),
+    ])
+    def test_boolean_for_number_key_exit_2(self, tmp_path, capsys, section,
+                                           key, value):
+        cfg = base_config()
+        cfg[section] = {**cfg[section], key: value}
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"{section}: {key}: expected a number, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, base, keys", [
         ("target", "focus_centers",
          {"focus_centers_mm": [[1.5, 1.5, 3.0]],
@@ -446,6 +469,20 @@ class TestDesignCommand:
         assert run(["design", "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path / "o")]) == 2
         assert "medium: 'dims'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_hu_payload_with_a_stray_byte_exit_2(self, tmp_path, capsys):
+        # the payload used to be read up to its last whole voxel
+        grid = cli.build_grid(base_config())
+        io.save_hu_volume(tmp_path / "ct", grid, np.zeros(grid.shape, int))
+        raw = tmp_path / "ct.raw"
+        raw.write_bytes(raw.read_bytes() + b"\0")
+        cfg = base_config(medium={"kind": "hu_file",
+                                  "path": str(tmp_path / "ct")})
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert ("raw payload size does not match the header"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
 
@@ -513,6 +550,27 @@ class TestEvaluateCommand:
         prefix.with_suffix(".json").write_text("{\"dims\": ")
         assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev"),
                     "--field", str(prefix)]) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("heat_time_ms", float("nan"), "heat_time must be positive"),
+        ("cool_time_ms", float("nan"), "cool_time must be positive"),
+        ("reference_peak_pressure_mpa", float("nan"),
+         "reference_peak_pressure must be positive"),
+        ("reference_peak_pressure", 0, "reference_peak_pressure must be positive"),
+        ("perfusion_rate", float("nan"), "perfusion_rate must be non-negative"),
+        ("perfusion_rate", -0.5, "perfusion_rate must be non-negative"),
+    ])
+    def test_bad_thermal_value_exit_2(self, tmp_path, capsys, key, value,
+                                      message):
+        # NaN passed the `<= 0` checks: a NaN heat time died with a
+        # traceback, a NaN reference pressure wrote an all-NaN rise
+        cfg = write_config(tmp_path, base_config(
+            thermal={"n_cycles": 1, "heat_time_ms": 1, "cool_time_ms": 1,
+                     key: value}))
+        assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev"),
+                    "--field", str(self.write_field(tmp_path))]) == 2
+        assert f"thermal: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "thermal.raw").exists()
 
     def test_thermal_export(self, tmp_path):
         cfg_dict = base_config(thermal={"n_cycles": 1, "heat_time_ms": 1,
@@ -873,6 +931,19 @@ class TestBackprojectCommand:
                     "--out", str(tmp_path / "bp"), "--plane", plane,
                     "--distances", "1,x"]) == 2
         assert "backproject: --distances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distances", [["--distances", "1,nan"], []])
+    def test_nan_distance_exit_2(self, tmp_path, capsys, distances):
+        # a NaN distance used to write an all-NaN volume
+        g = self.grid64()
+        cfg = self.cfg64(tmp_path, backproject={"distances_mm": [float("nan")]})
+        plane = self.make_plane(tmp_path, g, np.ones((64, 64), complex))
+        assert run(["backproject", "--config", cfg,
+                    "--out", str(tmp_path / "bp"), "--plane", plane,
+                    *distances]) == 2
+        assert ("backproject: distance is NaN or beyond the domain depth"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "bp").exists()
 
     def test_conflicting_distance_keys_exit_2(self, tmp_path, capsys):
         g = self.grid64()

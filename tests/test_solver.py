@@ -628,7 +628,7 @@ class TestPreparedMedium:
         occ = np.random.default_rng(2).uniform(0.1, 0.9,
                                                size=(16, 16, self.N_V))
         prepared.run(occ)
-        stack_bytes = g.nz * 2 * g.nx * g.ny * np.dtype(np.complex128).itemsize
+        stack_bytes = (g.nz + 1) * g.nx * g.ny * np.dtype(np.complex128).itemsize
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -713,7 +713,7 @@ class TestPreparedMedium:
         occ = np.random.default_rng(2).uniform(0.1, 0.9,
                                                size=(16, 16, self.N_V))
         prepared.field_only(occ)
-        stack_bytes = g.nz * 2 * g.nx * g.ny * np.dtype(np.complex128).itemsize
+        stack_bytes = (g.nz + 1) * g.nx * g.ny * np.dtype(np.complex128).itemsize
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -725,6 +725,29 @@ class TestPreparedMedium:
         # and small per-slice temporaries, which take less than the one
         # plane stack a run without reuse would allocate
         assert allocated - p.values.nbytes < stack_bytes
+
+    def test_first_field_only_run_allocates_one_plane_per_slice(self):
+        # the plane stack holds a v plane per slice and one work plane:
+        # no contribution planes, and no per-slice add after the sweep
+        g = self.GRID
+        prepared = prepare(SourceSpec.disk(g, 1.2e-3),
+                           bone_layers(g, slice(2, 4), slice(20, 23)),
+                           SolverConfig(reflection_order=4))
+        interfaces = sum(pair is not None for pair in prepared.coeff)
+        assert interfaces == 4
+        plane_bytes = g.nx * g.ny * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = prepared.field_only()
+            allocated = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # besides its field: nz + 1 stack planes, the reflected sources of
+        # at most two sweeps (one per interface each) and small
+        # temporaries, under one plane here
+        planes = g.nz + 1 + 2 * interfaces + 1
+        assert allocated - p.values.nbytes < planes * plane_bytes
 
     def test_field_only_leaves_a_live_cache_unchanged(self):
         prepared = self.lens_medium()
