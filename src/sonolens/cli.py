@@ -539,11 +539,7 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("evaluate: field headers do not match")
         psnr = analysis.cross_domain_psnr(p, p2)
 
-    out = Path(args.out)
-    write_snapshot(out, cfg, grid, _seed(args, cfg))
-    _write_report(out, p, _focus_seeds(target), psnr)
-
-    if "thermal" in cfg:
+    if "thermal" in cfg:        # read before anything is written
         thermal_sec = _section(cfg, "thermal")
         medium = build_medium(cfg, grid)
         try:
@@ -558,6 +554,11 @@ def cmd_evaluate(args) -> int:
             )
         except ValueError as exc:
             raise ConfigError(f"thermal: {exc}") from exc
+
+    out = Path(args.out)
+    write_snapshot(out, cfg, grid, _seed(args, cfg))
+    _write_report(out, p, _focus_seeds(target), psnr)
+    if "thermal" in cfg:
         dT = analysis.bioheat_simulate(p, medium, tcfg,
                                        normalize_mask=target.omega)
         header = io._header(grid, ["temperature_rise"], "float32",

@@ -6,17 +6,17 @@ a spectral diffraction kernel exp(i*kz*dz) with kz = sqrt(k0^2 - kx^2 - ky^2)
 zeroed, so the default cutoff of 1 keeps propagating content only),
 then corrected in the spatial domain by a heterogeneity phase screen
 exp(i*k0*(c_ref/c - 1)*dz), an absorption screen exp(-a*dz) (a in Np/m),
-and a pressure transmission factor 2*Z2/(Z1+Z2) wherever the impedance
-Z = rho*c changes between slices. Interface reflections with coefficient
-(Z2-Z1)/(Z2+Z1) are recorded and swept in the opposite direction,
-recursively up to the configured reflection order; the total field is the
-coherent sum over all sweeps.
+and a pressure transmission factor t wherever the impedance Z = rho*c
+changes between slices. Interface reflections are recorded and swept in
+the opposite direction, recursively up to the configured reflection
+order; the total field is the coherent sum over all sweeps.
 
-Each interface (slice pair k, k+1 whose impedance differs somewhere)
-gets its coefficients once: t toward +z, t toward -z and r toward +z
-(r toward -z is -r). Slice pairs whose impedance is the same across the
-whole plane have t = 1 and r = 0 exactly, so both sweeps skip the
-transmission and reflection work there.
+Each interface (slice pair k, k+1 whose impedance differs somewhere) is
+one plane, r = (Z2-Z1)/(Z1+Z2) toward +z: -r toward -z, and t = 1 + r
+toward +z, 1 - r toward -z (Brekhovskikh, Waves in Layered Media). Pairs
+of equal impedance across the whole plane have no plane and skip the
+interface work, except in a lens run: every pair touching the slab keeps
+its plane, zero or not, so that the adjoint applies dr/dZ there.
 
 A screen that takes one value across the plane is stored as that
 scalar, every other one as its (nx, ny) plane; the products broadcast
@@ -30,8 +30,8 @@ is not homogeneous or at the sweep's last slice: one fft on entry, one
 spectrum product by H * screen per slice, one batched ifftn of all its
 planes, and its last slice's interface in space. A step that is not
 homogeneous is a one-slice segment. The adjoint reverses the same
-segments, also ending one at any pair that touches the lens slab, whose
-per-pair sums need the spatial planes. The scalars are found on the
+segments; a slab pair has its plane and so ends one, as its per-pair
+sums need the spatial planes. The scalars are found on the
 actual screens (`prepare` for the base medium, each lens run for its slab
 slices), so a lens embedded into the medium and the same lens run on a
 prepared slab march the same segments. A sweep and its adjoint start at
@@ -163,10 +163,10 @@ class SliceCache:
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
     the slice can be homogeneous, and its (nx, ny) array elsewhere. coeff holds
-    one entry per slice pair k, k+1: (t toward +z, t toward -z, r toward
-    +z), or None where the impedance does not change. Both are the
-    prepared medium's, except on the lens slab and the pairs that touch
-    it, where this run's replace them. Z maps the slab's slices and the
+    one entry per slice pair k, k+1: its plane of r (`_interface`), or
+    None where the impedance does not change. Both are the prepared
+    medium's, except on the lens slab and the pairs that touch it, where
+    this run's (always planes) replace them. Z maps the slab's slices and the
     slice on either side (z0-1 .. z0+n_v) to this run's impedance, which
     the slab gradients read; it is empty without a lens. c, rho and att_np are this run's
     properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) without a
@@ -226,14 +226,14 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
     return screen, [rho[cut] * c[cut] for cut in cuts]
 
 
-def _interface(Z1: np.ndarray, Z2: np.ndarray) -> tuple | None:
-    """(t toward +z, t toward -z, r toward +z) between impedance planes Z1
-    (slice k) and Z2 (slice k+1); None where the impedance is the same
-    across the whole plane (t = 1, r = 0)."""
-    if not np.any(Z2 != Z1):
+def _interface(Z1: np.ndarray, Z2: np.ndarray,
+               slab: bool = False) -> np.ndarray | None:
+    """r = (Z2-Z1)/(Z1+Z2) toward +z between impedance planes Z1 (slice k)
+    and Z2 (slice k+1); None where the impedance is the same across the
+    whole plane (r = 0), unless `slab`: a lens-slab pair keeps its plane."""
+    if not slab and not np.any(Z2 != Z1):
         return None
-    denom = Z1 + Z2
-    return 2.0 * Z2 / denom, 2.0 * Z1 / denom, (Z2 - Z1) / denom
+    return (Z2 - Z1) / (Z1 + Z2)
 
 
 def _slab_pairs(z0: int, n_v: int, nz: int) -> range:
@@ -351,7 +351,7 @@ class PreparedMedium:
             screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
             for k in _slab_pairs(z0, n_v, grid.nz):
-                coeff[k] = _interface(Z[k], Z[k + 1])
+                coeff[k] = _interface(Z[k], Z[k + 1], slab=True)
             lens = dict(lens_z_offset=z0, lens_dc=self.dc,
                         lens_drho=self.drho, lens_datt=self.datt)
         cache = (SliceCache(grid, self.H, c, rho, att, screen, coeff, Z,
@@ -487,8 +487,9 @@ def _march(
     slice. It takes one fft of the field entering it, writes each slice's
     spectrum H * screen_prev * (previous spectrum) to stack[s], returns
     those planes to space in one batched in-place ifftn, adds screen * v
-    on its homogeneous slices, and applies its last slice's interface,
-    reflection, screen and injection in space before adding that slice.
+    on its homogeneous slices, and applies its last slice's interface
+    (rv = +-r*v, the reflected source, and v + rv transmitted), screen
+    and injection in space before adding that slice.
     """
     down = direction < 0
     order = _visits(grid.nz, direction, inject)
@@ -515,12 +516,14 @@ def _march(
         for h in order[first:i]:
             total[:, :, h] += np.multiply(stack[h], screen[h], out=work)
         u, tv = work, v
-        pair = coeff[min(prev, s)]
-        if pair is not None:
+        r = coeff[min(prev, s)]
+        if r is not None:
+            rv = np.multiply(r, v, out=None if collect_reflections else u)
+            if down:                # r toward -z is -r
+                np.negative(rv, out=rv)
             if collect_reflections:
-                rv = pair[2] * v
-                refl[prev] = np.negative(rv, out=rv) if down else rv
-            tv = np.multiply(pair[1] if down else pair[0], v, out=u)
+                refl[prev] = rv
+            tv = np.add(v, rv, out=u)
         np.multiply(tv, screen[s], out=u)
         if s in inject:
             np.add(u, inject[s], out=u)
@@ -595,8 +598,8 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     refl_cot is dropped once used, so that it is freed while the
     returned cotangents fill up.
 
-    The march's segments, also ended at every slab pair, are reversed in
-    turn: the last slice is transposed in space, K = H * ifft2(vbar), each
+    The march's segments (`_homogeneous` cuts both) are reversed in turn:
+    the last slice is transposed in space, K = H * ifft2(vbar), each
     homogeneous slice s back from it gives K <- H * screen_s * (K +
     ifft2(upstream_s)) with one batched ifftn of their upstream planes,
     and one fft2 returns K to space. That is the transpose (not the
@@ -607,13 +610,9 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
     down = sweep.direction < 0
     order = _visits(cache.grid.nz, sweep.direction, sweep.inject)
 
-    def on_slab(prev, s):
-        return 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v
-
     def inside(i):
         # whether step order[i-1] -> order[i] lies inside a segment
         return (0 < i < len(order) - 1
-                and not on_slab(order[i - 1], order[i])
                 and _homogeneous(screen, coeff, sweep.inject, order[i - 1],
                                  order[i]))
 
@@ -645,7 +644,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
         if s in sweep.inject:
             inject_cot[s] = ub.copy()
         rc = refl_cot.pop(prev, None)
-        if on_slab(prev, s):
+        if 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v:      # a slab pair
             v = sweep.v[s]
             acc = sums.get((prev, s))
             if acc is None:
@@ -656,17 +655,14 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
                 rv = np.real(rc * v)
                 acc[1] = rv if acc[1] is None else acc[1] + rv
 
-        # vbar = ub * t * screen + refl_cot[prev] * r, in the carry plane
-        pair = coeff[min(prev, s)]
-        if pair is None:
-            np.multiply(ub, screen[s], out=carry)
-        else:
-            np.multiply(ub, pair[1] if down else pair[0], out=carry)
-            np.multiply(carry, screen[s], out=carry)
-            if rc is not None:
-                # r toward -z is -r
-                (np.subtract if down else np.add)(carry, rc * pair[2],
-                                                  out=carry)
+        # vbar = w +- r * (w + refl_cot[prev]), w = ub * screen, in the carry
+        # plane (r toward -z is -r); ub, read no more, holds r * (...)
+        np.multiply(ub, screen[s], out=carry)
+        r = coeff[min(prev, s)]
+        if r is not None:
+            np.multiply(carry if rc is None else np.add(carry, rc, out=ub), r,
+                        out=ub)
+            (np.subtract if down else np.add)(carry, ub, out=carry)
         # K = H * ifft2(vbar) in place; ifftn, as numpy's ifft2 ignores out=
         ifftn(carry, axes=(0, 1), out=carry)
         np.multiply(H, carry, out=carry)
@@ -682,7 +678,7 @@ def _slab_gradients(cache, sums, z0):
 
     With S = sum of ub*v and R = sum of Re(refl_cot[prev]*v) over the
     sweeps that crossed pair (prev, s), the pair adds the screen
-    derivative Re(t*S*dscreen) at s and the impedance chain
+    derivative Re(t*S*dscreen) at s, t = 1 +- r, and the impedance chain
     (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ = dt/dZ).
     """
     grid = cache.grid
@@ -697,8 +693,8 @@ def _slab_gradients(cache, sums, z0):
         if 0 <= ks < n_v:
             # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
             #                    d screen/da = -dz * screen
-            pair = cache.coeff[min(prev, s)]
-            gscr = uv if pair is None else pair[0 if s > prev else 1] * uv
+            r = cache.coeff[min(prev, s)]
+            gscr = uv * (1.0 + r if s > prev else 1.0 - r)
             gc[:, :, ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
                 c[:, :, ks] ** 2
             )

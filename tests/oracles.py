@@ -91,14 +91,15 @@ def full_grid_sweeps(grid, cfg, c, rho, att_np, source_plane,
                      source_slice=0, direction=1):
     """Forward sweeps on full property arrays, everything rebuilt per call.
 
-    Reference for `solver.PreparedMedium.run`: the kernel, the screens,
-    the impedance and the interface mask are computed over the whole grid.
-    Returns one `SweepRecord` per sweep, every plane kept.
+    Reference for `solver.PreparedMedium.run`: the kernel, the screens
+    and the impedance are computed over the whole grid, and every slice
+    pair transmits by 2*Z2/(Z1+Z2) and reflects (Z2-Z1)/(Z1+Z2), zero
+    where the impedance is equal. Returns one `SweepRecord` per sweep,
+    every plane kept.
     """
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen = _screens(grid, c, att_np)
     Z = rho * c
-    iface = np.any(Z[:, :, 1:] != Z[:, :, :-1], axis=(0, 1))
     sweeps = []
     inject = {source_slice: source_plane}
     for order in range(cfg.reflection_order + 1):
@@ -114,13 +115,10 @@ def full_grid_sweeps(grid, cfg, c, rho, att_np, source_plane,
                 u = src
             else:
                 v = record.v[s] = _diffract(u, H)
-                if iface[min(prev, s)]:
-                    Z1, Z2 = Z[:, :, prev], Z[:, :, s]
-                    if order < cfg.reflection_order:
-                        refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
-                    u = 2.0 * Z2 / (Z1 + Z2) * v * screen[:, :, s]
-                else:
-                    u = v * screen[:, :, s]
+                Z1, Z2 = Z[:, :, prev], Z[:, :, s]
+                if order < cfg.reflection_order:
+                    refl[prev] = (Z2 - Z1) / (Z1 + Z2) * v
+                u = 2.0 * Z2 / (Z1 + Z2) * v * screen[:, :, s]
                 if src is not None:
                     u = u + src
             record.u[s] = u

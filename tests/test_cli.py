@@ -570,7 +570,7 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev"),
                     "--field", str(self.write_field(tmp_path))]) == 2
         assert f"thermal: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "ev" / "thermal.raw").exists()
+        assert not (tmp_path / "ev").exists()
 
     def test_thermal_export(self, tmp_path):
         cfg_dict = base_config(thermal={"n_cycles": 1, "heat_time_ms": 1,

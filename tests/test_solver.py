@@ -374,8 +374,30 @@ class TestLeanAdjoint:
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
         _, cache = propagate(SourceSpec.full_plane(g), med)
-        assert [k for k, pair in enumerate(cache.coeff)
-                if pair is not None] == [1, 3, 19, 22]
+        assert [k for k, r in enumerate(cache.coeff)
+                if r is not None] == [1, 3, 19, 22]
+
+    def test_every_slab_pair_carries_one_reflection_plane(self):
+        # slab slices at occupancy 1, 1 and 0 at z0 = 14: pairs 13-16 touch
+        # the slab; 14 (lens on both sides) and 16 (water on both sides)
+        # have equal impedance and keep a zero plane
+        g = self.GRID
+        med = bone_layers(g, slice(2, 4), slice(20, 23))
+        occ = np.zeros((16, 16, self.N_V))
+        occ[:, :, :2] = 1.0
+        _, cache = lens_run(SourceSpec.full_plane(g), med, occ, FORM_CLEAR, 14)
+        assert [k for k, r in enumerate(cache.coeff)
+                if r is not None] == [1, 3, 13, 14, 15, 16, 19, 22]
+        c, rho, _ = embedded_arrays(med, occ, FORM_CLEAR, 14)
+        Z = rho * c
+        for k in range(13, 17):
+            r = cache.coeff[k]
+            assert isinstance(r, np.ndarray) and r.dtype == np.float64
+            assert r.shape == (16, 16)
+            Z1, Z2 = Z[:, :, k], Z[:, :, k + 1]
+            np.testing.assert_allclose(r, (Z2 - Z1) / (Z1 + Z2), rtol=1e-15,
+                                       atol=0.0)
+        assert not cache.coeff[14].any() and not cache.coeff[16].any()
 
     @pytest.mark.parametrize("z_offset, order", [
         pytest.param(0, 4, id="0"),
@@ -409,19 +431,23 @@ class TestLeanAdjoint:
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
 
 
-# (layers, layer material, z_offset, source_slice, direction, order, a slab
-# slice set to occupancy 0 across the plane, or None)
+# (layers, layer material, z_offset, source_slice, direction, order, slab
+# slices set to one occupancy across the plane, as {slab index: occupancy})
 HOMOGENEOUS_CASES = [
-    pytest.param((slice(3, 12),), TISSUE, 16, 0, 1, 4, None,
+    pytest.param((slice(3, 12),), TISSUE, 16, 0, 1, 4, {},
                  id="fluid-layer"),
-    pytest.param((slice(3, 12),), ABSORBING_WATER, 16, 0, 1, 4, None,
+    pytest.param((slice(3, 12),), ABSORBING_WATER, 16, 0, 1, 4, {},
                  id="absorbing-water-layer"),
-    pytest.param((slice(2, 4),), BONE, 8, 25, -1, 4, None,
+    pytest.param((slice(2, 4),), BONE, 8, 25, -1, 4, {},
                  id="mid-grid-source-down"),
-    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 0, 0,
+    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 0, {0: 0.0},
                  id="empty-slab-slice-order0"),
-    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 4, 0,
+    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 4, {0: 0.0},
                  id="empty-slab-slice-order4"),
+    # two lens slices next to each other: a slab pair with the lens
+    # material on both sides, so r = 0 there and dr/dZ is not
+    pytest.param((slice(20, 23),), BONE, 8, 0, 1, 4, {0: 1.0, 1: 1.0},
+                 id="full-slab-slices-order4"),
 ]
 
 
@@ -429,14 +455,14 @@ class TestHomogeneousRuns:
     """Cases that march homogeneous runs (scalar screen, no interface, no
     injection) in the spectral domain: a long run with a scalar other than
     1, a run whose scalar changes without an interface, a run marched
-    toward -z from a mid-grid source, and a slab slice that is uniform for
+    toward -z from a mid-grid source, and slab slices that are uniform for
     one run."""
 
     GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
     N_V = 3
 
     def setup_case(self, layers, mat, z_offset, source_slice, direction,
-                   order, empty_slice):
+                   order, uniform):
         g = self.GRID
         med = bone_layers(g, *layers, mat=mat)
         cfg = SolverConfig(reflection_order=order)
@@ -445,8 +471,8 @@ class TestHomogeneousRuns:
         rng = np.random.default_rng(17)
         plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
-        if empty_slice is not None:
-            occ[:, :, empty_slice] = 0.0
+        for k, value in uniform.items():
+            occ[:, :, k] = value
         delta = rng.normal(size=occ.shape)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
 
@@ -457,20 +483,19 @@ class TestHomogeneousRuns:
         return med, cfg, plane, run, occ, delta, upstream
 
     @pytest.mark.parametrize("layers, mat, z_offset, source_slice, "
-                             "direction, order, empty_slice",
-                             HOMOGENEOUS_CASES)
+                             "direction, order, uniform", HOMOGENEOUS_CASES)
     def test_matches_full_grid_oracles(self, layers, mat, z_offset,
                                        source_slice, direction, order,
-                                       empty_slice):
+                                       uniform):
         g = self.GRID
         med, cfg, plane, run, occ, _, upstream = self.setup_case(
-            layers, mat, z_offset, source_slice, direction, order,
-            empty_slice)
+            layers, mat, z_offset, source_slice, direction, order, uniform)
         p, cache = run(occ)
         if mat is not BONE:
             assert np.ndim(cache.screen[7]) == 0 and cache.screen[7] != 1.0
-        if empty_slice is not None:
-            assert cache.screen[z_offset + empty_slice] == 1.0
+        for k, value in uniform.items():
+            assert np.ndim(cache.screen[z_offset + k]) == 0
+            assert (cache.screen[z_offset + k] == 1.0) == (value == 0.0)
         c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
         assert_close(p.values, full_grid_forward(
             g, cfg, c, rho, att, plane, source_slice, direction))
@@ -487,20 +512,13 @@ class TestHomogeneousRuns:
         assert_close(adj.att_np, gatt[sl])
 
     @pytest.mark.parametrize("layers, mat, z_offset, source_slice, "
-                             "direction, order, empty_slice", [
-        *HOMOGENEOUS_CASES[:-1],
-        pytest.param(*HOMOGENEOUS_CASES[-1].values, marks=pytest.mark.xfail(
-            strict=True,
-            reason="a slab pair whose impedance is equal across the plane "
-                   "emits no reflection, so the adjoint has no reflection "
-                   "cotangent there and drops dr/dZ"),
-            id=HOMOGENEOUS_CASES[-1].id),
-    ])
+                             "direction, order, uniform", HOMOGENEOUS_CASES)
     def test_occupancy_dot_product(self, layers, mat, z_offset, source_slice,
-                                   direction, order, empty_slice):
+                                   direction, order, uniform):
+        # a slab pair whose impedance is equal across the plane still
+        # moves r at first order: the adjoint must apply dr/dZ there
         _, _, _, run, occ, delta, upstream = self.setup_case(
-            layers, mat, z_offset, source_slice, direction, order,
-            empty_slice)
+            layers, mat, z_offset, source_slice, direction, order, uniform)
         _, cache = run(occ)
         rhs = np.sum(propagate_adjoint(cache, upstream).occupancy * delta)
         eps = 1e-5
@@ -561,8 +579,7 @@ class TestPreparedMedium:
         def state():
             arrays = [p1.values, cache1.c, cache1.rho, cache1.att_np,
                       *cache1.screen, *cache1.Z.values()]
-            for pair in cache1.coeff:
-                arrays += pair or ()
+            arrays += [r for r in cache1.coeff if r is not None]
             for sw in cache1.sweeps:
                 arrays += [u for u in sw.u + sw.v if u is not None]
             return [a.copy() for a in arrays]
