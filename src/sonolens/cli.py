@@ -10,11 +10,12 @@ embedded in the headers of all exported arrays. Exit codes: 0 success,
 2 configuration error, 3 numeric failure.
 
 `sweep` runs a fixed lens the way the design loop does: the medium is
-prepared once per lens material (`solver.prepare`), and each case, a
-material variant or a thickness-noise realization, is one
-`PreparedMedium.field_only` run of the lens slab: no adjoint follows, so
-no cache is kept. The materials run one after another, so one prepared
-medium is held at a time.
+prepared once per sweep (`solver.prepare`) and released, with the
+target, before the first case. Each case, a material variant or a
+thickness-noise realization, is one `PreparedMedium.field_only` run of
+the lens slab: no adjoint follows, so no cache is kept. The materials
+run one after another, each on its `PreparedMedium.with_lens` copy of
+the prepared slab, so one copy is held at a time.
 """
 
 from __future__ import annotations
@@ -610,7 +611,7 @@ def cmd_sweep(args) -> int:
     seed = _seed(args, cfg)
     src = build_source(cfg, grid)
     medium = build_medium(cfg, grid)
-    target = build_target(cfg, grid)
+    seeds = _focus_seeds(build_target(cfg, grid))
     solver = build_solver(cfg)
     lens_params = build_lens_params(cfg, grid, seed)
     sec = _section(cfg, "sweep", required=False)
@@ -620,7 +621,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
     lens = _load_lens(lens_path, grid, lens_params)
-    seeds = _focus_seeds(target)
 
     # a case is (material, thickness noise sigma, noise seed)
     if args.axis == "material":
@@ -640,16 +640,20 @@ def cmd_sweep(args) -> int:
         cases = [(lens_params["material"], sigma, seed + i) for i in range(n)]
         labels = [f"seed={seed + i}" for i in range(n)]
 
-    # one material at a time, in order of first use: its medium is
-    # prepared, runs the material's cases and is released before the next
+    # the slab is prepared once and the base medium released before any
+    # case runs; then one material at a time, in order of first use: its
+    # copy of the prepared slab (`with_lens`, sharing all but the lens
+    # deltas) runs the material's cases and replaces the previous one
+    prepared = prepare(src, medium, solver, lens_params["material"],
+                       lens_params["z_offset"], lens.n_v)
+    del medium
     rows = [None] * len(cases)
     workers = min(args.jobs, len(cases))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for mat in dict.fromkeys(m for m, _, _ in cases):
             idx = [i for i, (m, _, _) in enumerate(cases) if m == mat]
-            prepared = prepare(src, medium, solver, mat,
-                               lens_params["z_offset"], lens.n_v)
+            prepared = prepared.with_lens(mat)
             work = [(prepared, lens, seeds, *cases[i][1:]) for i in idx]
             # one chunk of cases per worker: the prepared medium is
             # pickled once per chunk, not once per case
@@ -658,7 +662,7 @@ def cmd_sweep(args) -> int:
                        if pool else map(_sweep_case, *zip(*work)))
             for i, row in zip(idx, rows_of):
                 rows[i] = row
-            del prepared, work, rows_of
+            del work, rows_of
 
     out = Path(args.out)
     write_snapshot(out, cfg, grid, seed)

@@ -152,40 +152,47 @@ def loss_and_gradient(
 ) -> tuple[float, float, float, np.ndarray]:
     """All three loss terms plus the exact upstream field cotangent.
 
-    Only |P|, sum |P|^4 and the terms proportional to |P|^2 or conj(P)
+    Only |P|^2, sum |P|^4 and the terms proportional to |P|^2 or conj(P)
     span the grid; the terms weighted by the target run on its support.
+    Besides the field, the full-grid arrays alive at once are the
+    intensity (turned in place into d/d(intensity); its square too while
+    sum |P|^4 is taken) and, from the end of the accuracy and balance
+    terms, the returned cotangent.
     """
     shape = values.shape
     values = values.reshape(-1)
     sup, a = target.support, target.a_support
     a2 = a**2
-    amp = np.abs(values)
-    intensity = amp**2
-    amp_s, int_s = amp[sup], intensity[sup]
+    amp_s = np.abs(values[sup])
+    intensity = np.abs(values)
+    intensity **= 2
+    omega = target.omega_index
+    vals = intensity[omega]
 
-    # accuracy term and d/d(intensity)
-    num = np.sum(a2 * int_s)
+    # accuracy term and d/d(intensity), in the intensity's buffer
+    num = np.sum(a2 * intensity[sup])
     s4p = np.sum(intensity**2)
+    w_int = intensity
     if s4p > 0.0:
         denom = np.sqrt(target.s4a * s4p)
         l_acc = 1.0 - num / denom
-        w_int = num * intensity / (np.sqrt(target.s4a) * s4p**1.5)
+        w_int *= num
+        w_int /= np.sqrt(target.s4a) * s4p**1.5
         w_int[sup] += -a2 / denom
     else:
         l_acc = 1.0
-        w_int = np.zeros_like(intensity)
+        w_int.fill(0.0)
 
     # balance term
-    omega = target.omega_index
-    vals = intensity[omega]
     mean = vals.mean()
     std = float(np.std(vals))
     l_bal = std
     if std > 0.0:
         w_int[omega] += lambda_balance * ((vals - mean) / (vals.size * std))
 
+    w_int *= 2.0
     upstream = np.conj(values)
-    upstream *= 2.0 * w_int
+    upstream *= w_int
 
     # energy term, gradient through |P|
     l_en = float(-np.sum(a * amp_s) / target.a_sum)
@@ -236,12 +243,15 @@ def descend(objective, x0: np.ndarray, cfg: OptimConfig):
     """Adam on `objective(x, iteration) -> (total, grad, terms, field)`.
 
     Returns the final x, the loss history and the last field (or None).
+    Each iterate's field is released before the next objective call, so
+    at most one field returned by the objective is alive.
     """
     x = np.array(x0, dtype=np.float64)
     adam = Adam(cfg.learning_rate)
     report = LossReport(cfg.lambda_energy, cfg.lambda_balance)
     field_ = None
     for it in range(cfg.iterations):
+        field_ = None
         total, grad, terms, field_ = objective(x, it)
         report.append(*terms)
         if not np.isfinite(total):

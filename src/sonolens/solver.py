@@ -77,7 +77,7 @@ dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.fft import fft2, fftn, ifft2, ifftn
@@ -254,7 +254,10 @@ class PreparedMedium:
     the base properties there, the lens-minus-base deltas and the
     impedance of the slices just outside the slab, so that a run with a
     lens recomputes only the slab and the pairs that touch it (their
-    entries in coeff are left None here). Built by `prepare`; nothing
+    entries in coeff are left None here). Built by `prepare`, whose
+    deltas come from `with_lens`; `with_lens` also gives the copy for
+    another lens material, which shares every array but the deltas, so
+    a sweep over materials prepares the medium once. Nothing
     it holds is modified by a run, except the spare plane stack of nz + 1
     planes (`_spare`, None until the first run; a pickle carries none),
     which each run takes for all its sweeps and puts back as it returns.
@@ -279,6 +282,18 @@ class PreparedMedium:
 
     def __getstate__(self):
         return {**self.__dict__, "_spare": None}
+
+    def with_lens(self, lens_mat: MaterialProperties) -> "PreparedMedium":
+        """A copy whose runs relax a lens of `lens_mat` into the slab: only
+        the lens-minus-base deltas are new, every other array is shared
+        with this medium (the spare plane stack is not carried over)."""
+        return replace(
+            self,
+            dc=lens_mat.sound_speed - self.c,
+            drho=lens_mat.density - self.rho,
+            datt=(lens_mat.attenuation_np_per_m(self.grid.frequency)
+                  - self.att_np),
+        )
 
     def run(
         self,
@@ -406,7 +421,9 @@ def prepare(
     With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
     medium (see `propagate_with_lens`); the full-grid screens and the
     interface coefficients off the slab are computed here once, and each
-    run redoes only the slab.
+    run redoes only the slab. The result keeps no reference to `medium`:
+    a caller that needs only runs can release it, and gets a slab for
+    another lens material from `PreparedMedium.with_lens`.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -436,12 +453,7 @@ def prepare(
         rho=medium.rho[sl].copy(),
         att_np=att_np[sl].copy(),
     )
-    if lens_mat is not None:
-        prepared.dc = lens_mat.sound_speed - prepared.c
-        prepared.drho = lens_mat.density - prepared.rho
-        prepared.datt = (lens_mat.attenuation_np_per_m(grid.frequency)
-                         - prepared.att_np)
-    return prepared
+    return prepared if lens_mat is None else prepared.with_lens(lens_mat)
 
 
 def _homogeneous(screen: list, coeff: list, inject: dict, prev: int,

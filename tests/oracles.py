@@ -297,6 +297,60 @@ def loss_and_gradient(
     return l_acc, l_en, l_bal, upstream
 
 
+def loss_and_gradient_on_support(
+    values: np.ndarray,
+    target,
+    lambda_energy: float,
+    lambda_balance: float,
+) -> tuple[float, float, float, np.ndarray]:
+    """The support-indexed loss of `optim.loss_and_gradient`, with a new
+    full-grid array for |P|, |P|^2 and each step of d/d(intensity).
+
+    `optim.loss_and_gradient` does the same arithmetic in one reused
+    buffer and must equal this bit for bit.
+    """
+    shape = values.shape
+    values = values.reshape(-1)
+    sup, a = target.support, target.a_support
+    a2 = a**2
+    amp = np.abs(values)
+    intensity = amp**2
+    amp_s, int_s = amp[sup], intensity[sup]
+
+    # accuracy term and d/d(intensity)
+    num = np.sum(a2 * int_s)
+    s4p = np.sum(intensity**2)
+    if s4p > 0.0:
+        denom = np.sqrt(target.s4a * s4p)
+        l_acc = 1.0 - num / denom
+        w_int = num * intensity / (np.sqrt(target.s4a) * s4p**1.5)
+        w_int[sup] += -a2 / denom
+    else:
+        l_acc = 1.0
+        w_int = np.zeros_like(intensity)
+
+    # balance term
+    omega = target.omega_index
+    vals = intensity[omega]
+    mean = vals.mean()
+    std = float(np.std(vals))
+    l_bal = std
+    if std > 0.0:
+        w_int[omega] += lambda_balance * ((vals - mean) / (vals.size * std))
+
+    upstream = np.conj(values)
+    upstream *= 2.0 * w_int
+
+    # energy term, gradient through |P|
+    l_en = float(-np.sum(a * amp_s) / target.a_sum)
+    nz = amp_s > 0
+    idx = sup[nz]
+    upstream[idx] += lambda_energy * (
+        (-a[nz] / target.a_sum) * np.conj(values[idx]) / amp_s[nz]
+    )
+    return l_acc, l_en, l_bal, upstream.reshape(shape)
+
+
 # The three loss terms one at a time, as the paper defines them; the
 # library evaluates them together in `optim.loss_and_gradient`.
 

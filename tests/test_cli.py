@@ -14,7 +14,7 @@ from sonolens.cli import (
     strip_comments,
 )
 from sonolens.grid import GridSpec
-from sonolens.medium import embed_lens
+from sonolens.medium import AcousticMedium, embed_lens
 from sonolens.solver import ComplexField
 
 
@@ -709,48 +709,107 @@ class TestSweepCommand:
         if message is not None:
             assert f"sweep: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("axis, sweep, prepares", [
-        ("perturbation", {"realizations": 3}, 1),
-        ("material", {"materials": ["form_clear", "form_clear", "veroclear"]},
-         2),
+    @pytest.mark.parametrize("axis, sweep", [
+        ("perturbation", {"realizations": 3}),
+        ("material", {"materials": ["form_clear", "form_clear", "veroclear"]}),
     ])
-    def test_one_prepared_medium_per_material(self, tmp_path, monkeypatch,
-                                              axis, sweep, prepares):
-        calls = []
+    def test_one_prepared_slab_per_sweep(self, tmp_path, monkeypatch, axis,
+                                         sweep):
+        # the medium is prepared once per sweep call; each material's copy
+        # of it shares the prepared kernel, screens and coefficients
+        prepared, copies = [], []
+        with_lens = solver.PreparedMedium.with_lens
 
         def counting_prepare(*args, **kwargs):
-            calls.append(args)
-            return solver.prepare(*args, **kwargs)
+            prepared.append(solver.prepare(*args, **kwargs))
+            return prepared[-1]
+
+        def recording_with_lens(self, lens_mat):
+            copies.append(with_lens(self, lens_mat))
+            return copies[-1]
 
         monkeypatch.setattr(cli, "prepare", counting_prepare)
+        monkeypatch.setattr(solver.PreparedMedium, "with_lens",
+                            recording_with_lens)
         cfg = write_config(tmp_path, base_config(sweep=sweep))
         out = tmp_path / "sw"
         assert run(["sweep", "--config", cfg, "--out", str(out),
                     "--axis", axis,
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
-        assert len(calls) == prepares
+        assert len(prepared) == 1
         assert len((out / "sweep.csv").read_text().splitlines()) == 4
+        assert copies
+        for copy in copies:
+            assert copy.H is prepared[0].H
+            assert copy.screen is prepared[0].screen
+            assert copy.coeff is prepared[0].coeff
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_prepared_medium_alive_at_a_time(self, tmp_path, monkeypatch,
                                                  jobs):
-        # each material's prepared medium is released before the next one
-        # is prepared; counted at every prepare call
+        # each material's copy of the prepared slab is released once the
+        # next one is made: at every `with_lens` call at most the copy it
+        # is called on is alive
         made, alive = [], []
+        with_lens = solver.PreparedMedium.with_lens
 
-        def tracking_prepare(*args, **kwargs):
+        def tracking_with_lens(self, lens_mat):
             alive.append(sum(ref() is not None for ref in made))
-            prepared = solver.prepare(*args, **kwargs)
-            made.append(weakref.ref(prepared))
-            return prepared
+            copy = with_lens(self, lens_mat)
+            made.append(weakref.ref(copy))
+            return copy
 
-        monkeypatch.setattr(cli, "prepare", tracking_prepare)
+        monkeypatch.setattr(solver.PreparedMedium, "with_lens",
+                            tracking_with_lens)
         cfg = write_config(tmp_path,
                            base_config(solver={"reflection_order": 2}))
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                     "--axis", "material", "--jobs", jobs,
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
-        assert alive == [0] * len(cli.CLEAR_RESIN_VARIANTS)
+        assert len(alive) >= len(cli.CLEAR_RESIN_VARIANTS)
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("medium", [
+        {"kind": "homogeneous", "material": "water"},
+        {"kind": "phantom", "center_mm": [1.5, 1.5, 3.0],
+         "inner_radius_mm": 0.8, "thickness_mm": 0.25},
+    ])
+    @pytest.mark.parametrize("axis", ["perturbation", "material"])
+    def test_cases_run_without_the_base_medium_and_target(
+            self, tmp_path, monkeypatch, axis, medium):
+        # the sweep reads only the focus centres of the target and only the
+        # prepared slab of the medium: both, and their full-grid arrays,
+        # are released before the first case runs
+        built = []
+
+        def recording(build):
+            def wrapped(*args, **kwargs):
+                obj = build(*args, **kwargs)
+                arrays = ((obj.c, obj.rho, obj.att, obj.att_power)
+                          if isinstance(obj, AcousticMedium)
+                          else (obj.a_target,))
+                built.extend(weakref.ref(x) for x in (obj, *arrays))
+                return obj
+            return wrapped
+
+        for name in ("make_homogeneous", "make_skull_phantom", "build_target"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        alive = []
+        sweep_case = cli._sweep_case
+
+        def checking_case(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            return sweep_case(*args)
+
+        monkeypatch.setattr(cli, "_sweep_case", checking_case)
+        cfg = write_config(tmp_path, base_config(
+            medium=medium, sweep={"realizations": 2,
+                                  "materials": ["form_clear", "veroclear"]}))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                    "--axis", axis, "--jobs", "1",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 0
+        assert len(built) == 7          # the medium, the target, their arrays
+        assert alive == [0, 0]
 
     def test_jobs_pickle_the_prepared_medium_once_per_chunk(self, tmp_path,
                                                             monkeypatch):

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,54 @@ class TestLossGradient:
         if kind == "uniform_on_active_set":
             assert got[2] == 0.0
 
+    @staticmethod
+    def assert_bitwise_equal(got, ref):
+        assert all(x == y for x, y in zip(got[:3], ref[:3]))
+        assert got[3].shape == ref[3].shape
+        assert np.array_equal(got[3], ref[3])
+
+    @pytest.mark.parametrize("kind", ["fractional", "zero_on_support",
+                                      "zero_field", "uniform_on_active_set"])
+    def test_bitwise_equal_to_the_support_oracle(self, kind):
+        t, values = self.loss_case(kind)
+        before = values.copy()
+        self.assert_bitwise_equal(
+            loss_and_gradient(values, t, 0.2, 0.5),
+            oracles.loss_and_gradient_on_support(values, t, 0.2, 0.5))
+        assert np.array_equal(values, before)
+
+    @staticmethod
+    def skull_sized_case():
+        # a random field on the skull benchmark's 64 x 64 x 96 grid, three
+        # foci and a half-amplitude block on the support
+        rng = np.random.default_rng(21)
+        shape = (64, 64, 96)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = np.zeros(shape)
+        for x in (20, 32, 44):
+            a[x - 2 : x + 3, 30:35, 60:66] = 1.0
+        a[30:34, 10:14, 20:24] = 0.5
+        return TargetSpec(a, [(20, 32, 62), (32, 32, 62), (44, 32, 62)]), values
+
+    def test_bitwise_equal_to_the_support_oracle_at_64x64x96(self):
+        t, values = self.skull_sized_case()
+        self.assert_bitwise_equal(
+            loss_and_gradient(values, t, 0.2, 0.5),
+            oracles.loss_and_gradient_on_support(values, t, 0.2, 0.5))
+
+    def test_one_float_array_and_the_cotangent_at_the_peak(self):
+        # besides the field, at most one full-grid float array (8 bytes a
+        # voxel) and the complex cotangent (16) are allocated at once;
+        # spare |P|, |P|^2 and 2 w copies took 48 bytes a voxel
+        t, values = self.skull_sized_case()
+        tracemalloc.start()
+        try:
+            loss_and_gradient(values, t, 0.2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 24 * values.size
+
     def test_report_recombines_exactly(self):
         report = LossReport(0.2, 0.5)
         total = report.append(0.3, -1.0, 0.25)
@@ -287,6 +338,21 @@ class TestLensObjective:
 
         with pytest.raises(RuntimeError, match="iteration 1"):
             descend(objective, np.zeros(2), cfg)
+
+
+    def test_descend_releases_each_field_before_the_next_call(self):
+        fields = []
+
+        def objective(x, it):
+            assert all(ref() is None for ref in fields)
+            field_ = np.full(4, float(it))
+            fields.append(weakref.ref(field_))
+            return 1.0, np.ones_like(x), (1.0, 0.0, 0.0), field_
+
+        _, report, last = descend(objective, np.zeros(2),
+                                  OptimConfig(iterations=3))
+        assert len(report.total) == 3 and np.all(last == 2.0)
+        assert last is fields[-1]()
 
 
 class TestOptimizeLensGeometry:
