@@ -3,8 +3,9 @@
 Phase-domain designs (gradient phase retrieval, time reversal) live in an
 idealized optimization domain where the phase map acts directly on the
 source plane. For physical evaluation they are converted into a
-thickness-modulated lens, hard-voxelized, fabrication-filtered, embedded
-in the medium, and re-simulated ("fabrication domain").
+thickness-modulated lens, hard-voxelized, fabrication-filtered and
+re-simulated as a slab run of the prepared medium ("fabrication domain"),
+the operator the design loop differentiates.
 
 `fabricate_and_simulate` is that fabrication step for both methods: a
 thickness design arrives as the binarized, unfiltered lens of
@@ -19,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, MaterialProperties, SourceSpec
-from .medium import AcousticMedium, embed_lens
+from .medium import AcousticMedium
 from . import lensmap
 from .lensmap import LensVolume
-from .solver import (
-    ComplexField,
-    SolverConfig,
-    apply_phase_delays,
-    prepare,
-    propagate,
-)
+from .solver import ComplexField, SolverConfig, apply_phase_delays, prepare
+# unused here: bound only for perfbench/tracer.py until ROADMAP item 5(e)
+from .medium import embed_lens
+from .solver import propagate
 from .optim import LossReport, OptimConfig, TargetSpec, descend, loss_and_adjoint
 
 TWO_PI = 2.0 * np.pi
@@ -159,11 +157,12 @@ def fabricate_and_simulate(
     (such as the binarized, unfiltered lens of `optimize_lens_geometry`)
     is used as-is. Either way the lens is hard-binarized and low-pass
     filtered once to emulate printer resolution (cutoff 2*dx by default),
-    embedded at the 0.9 occupancy threshold, and propagated.
+    then run as the occupancy of the lens slab of the prepared medium
+    (`PreparedMedium.field_only`). That is the design loop's operator; on
+    a binary lens it is the hard embedding of `medium.embed_lens`. No copy
+    of the medium is made and no adjoint cache kept.
     """
     grid = medium.grid
-    if cfg is None:
-        cfg = SolverConfig()
     if isinstance(design, PhaseMap):
         thickness_m = phase_to_thickness(
             design.phi, grid.frequency, grid.c_ref, lens_mat.sound_speed,
@@ -182,6 +181,5 @@ def fabricate_and_simulate(
 
     cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
     lens = lensmap.fabrication_filter(lensmap.binarize(lens), cutoff, grid.dx)
-    embedded = embed_lens(medium, lens.occupancy, lens_mat, z_offset)
-    field_, _ = propagate(src, embedded, cfg)
-    return field_, lens
+    prepared = prepare(src, medium, cfg, lens_mat, z_offset, lens.n_v)
+    return prepared.field_only(lens.occupancy), lens

@@ -121,9 +121,9 @@ def _has_bool(value) -> bool:
 
 def _number(section: dict, key: str, default=None, kind=float):
     """`kind` of `section[key]` (or `default`); a value that is not a
-    number, holds a boolean (in a list too) or, for `int`, has a fraction
-    (NaN and infinities included) is a config error naming the section
-    and the key."""
+    number, holds a boolean, a NaN or an infinity (in a list too; JSON's
+    NaN and Infinity parse) or, for `int`, has a fraction is a config
+    error naming the section and the key."""
     value = section.get(key, default)
     where = f"{section.name}: " if isinstance(section, _Section) else ""
     if _has_bool(value) or (kind is int and isinstance(value, float)
@@ -131,10 +131,14 @@ def _number(section: dict, key: str, default=None, kind=float):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where}{key}: expected {expected}, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}{key}: expected a number, "
                           f"got {value!r}") from None
+    if not np.all(np.isfinite(number)):
+        raise ConfigError(f"{where}{key}: expected a finite number, "
+                          f"got {value!r}")
+    return number
 
 
 def _unit_keys(section: dict, base: str):
@@ -557,14 +561,13 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"thermal: {exc}") from exc
 
     out = Path(args.out)
-    write_snapshot(out, cfg, grid, _seed(args, cfg))
+    h = write_snapshot(out, cfg, grid, _seed(args, cfg))
     _write_report(out, p, _focus_seeds(target), psnr)
     if "thermal" in cfg:
         dT = analysis.bioheat_simulate(p, medium, tcfg,
                                        normalize_mask=target.omega)
-        header = io._header(grid, ["temperature_rise"], "float32",
-                            {"units": "degC"})
-        io._write(out / "thermal", header, dT.astype("<f4"))
+        io.save_raw(out / "thermal", grid, dT.astype("<f4"),
+                    ["temperature_rise"], {"config_hash": h, "units": "degC"})
     return EXIT_OK
 
 
@@ -708,10 +711,8 @@ def cmd_backproject(args) -> int:
 
     out = Path(args.out)
     h = write_snapshot(out, cfg, grid, _seed(args, cfg))
-    vol_header = io._header(grid, ["backprojection"], "complex64_interleaved",
-                            {"config_hash": h,
-                             "distances_m": list(map(float, distances))})
-    io._write_complex(out / "backprojection", vol_header, volume)
+    io.save_raw(out / "backprojection", grid, volume, ["backprojection"],
+                {"config_hash": h, "distances_m": list(map(float, distances))})
     return EXIT_OK
 
 
@@ -746,6 +747,11 @@ def cmd_gradcheck(args) -> int:
                         1e-5 if solver.reflection_order == 0 else 1e-3)
     step = _number(sec, "step", 1e-4)
     n_coords = _number(sec, "n_coords", 32, int)
+    if n_coords < 1:
+        raise ConfigError(f"gradcheck: n_coords {n_coords} must be at least 1")
+    for key, value in (("step", step), ("beta", beta), ("tolerance", tolerance)):
+        if not value > 0:
+            raise ConfigError(f"gradcheck: {key} {value:g} must be positive")
 
     objective = optim.lens_objective(
         src, medium, target, design, ocfg, lens_params["material"],

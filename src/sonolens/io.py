@@ -19,28 +19,37 @@ from .solver import ComplexField
 SCHEMA_VERSION = 1
 
 
-def _header(grid: GridSpec, fields, dtype: str, extra: dict | None = None) -> dict:
-    h = {
+def save_raw(prefix, grid: GridSpec, values: np.ndarray, fields,
+             extra: dict | None = None) -> None:
+    """Write `values` to prefix.raw and its header to prefix.json.
+
+    The header's dims are the array's shape and its dtype the array's
+    type: a complex array is stored as interleaved (re, im) float32 pairs
+    ("complex64_interleaved"), any other array little-endian in its own
+    type. `extra` (such as the creating config's hash) joins the header.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        values, dtype = values.astype("<c8"), "complex64_interleaved"
+    else:
+        values = values.astype(values.dtype.newbyteorder("<"), copy=False)
+        dtype = values.dtype.name
+    header = {
         "schema_version": SCHEMA_VERSION,
-        "dims": [grid.nx, grid.ny, grid.nz],
+        "dims": list(values.shape),
         "spacing_m": [grid.dx, grid.dy, grid.dz],
         "frequency_hz": grid.frequency,
         "c_ref": grid.c_ref,
         "fields": list(fields),
         "dtype": dtype,
+        **(extra or {}),
     }
-    if extra:
-        h.update(extra)
-    return h
-
-
-def _write(prefix, header: dict, payload: np.ndarray) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     with open(prefix.with_suffix(".json"), "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    payload.tofile(prefix.with_suffix(".raw"))
+    values.tofile(prefix.with_suffix(".raw"))
 
 
 def _read(prefix) -> tuple[dict, np.ndarray]:
@@ -66,8 +75,7 @@ def _grid_from_header(header: dict) -> GridSpec:
 
 
 def save_hu_volume(prefix, grid: GridSpec, hu: np.ndarray) -> None:
-    header = _header(grid, ["hu"], "int16")
-    _write(prefix, header, np.asarray(hu).astype("<i2"))
+    save_raw(prefix, grid, np.asarray(hu).astype("<i2"), ["hu"])
 
 
 def load_hu_volume(prefix) -> tuple[GridSpec, np.ndarray]:
@@ -75,16 +83,8 @@ def load_hu_volume(prefix) -> tuple[GridSpec, np.ndarray]:
     return _grid_from_header(header), data.astype(np.int64)
 
 
-def _write_complex(prefix, header: dict, values: np.ndarray) -> None:
-    """Interleaved (re, im) float32 payload; header dims follow the array."""
-    values = np.asarray(values, dtype="<c8")
-    header["dims"] = list(values.shape)
-    _write(prefix, header, values)
-
-
 def save_field(prefix, field: ComplexField, extra: dict | None = None) -> None:
-    header = _header(field.grid, ["pressure"], "complex64_interleaved", extra)
-    _write_complex(prefix, header, field.values)
+    save_raw(prefix, field.grid, field.values, ["pressure"], extra)
 
 
 def load_field(prefix) -> ComplexField:
@@ -95,8 +95,7 @@ def load_field(prefix) -> ComplexField:
 def save_plane(prefix, plane: np.ndarray, grid: GridSpec,
                extra: dict | None = None) -> None:
     """2D complex plane (e.g. a measured hydrophone scan)."""
-    header = _header(grid, ["plane"], "complex64_interleaved", extra)
-    _write_complex(prefix, header, plane)
+    save_raw(prefix, grid, np.asarray(plane, dtype="<c8"), ["plane"], extra)
 
 
 def load_plane(prefix):

@@ -338,10 +338,13 @@ def gradcheck(fn, point: np.ndarray, step: float, n_coords: int = 32,
     `fn(x)` must return (loss, gradient). The relative error of each
     sampled coordinate is measured against the larger of the two values,
     floored at 1e-6 of the overall gradient scale so that negligible
-    coordinates do not dominate. Returns the maximum relative error.
+    coordinates do not dominate. Returns the maximum relative error, NaN
+    if any sampled coordinate's error is NaN.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
+    if n_coords < 1:
+        raise ValueError("n_coords must be at least 1")
     point = np.asarray(point, dtype=np.float64)
     _, grad = fn(point)
     grad = np.asarray(grad)
@@ -364,5 +367,5 @@ def gradcheck(fn, point: np.ndarray, step: float, n_coords: int = 32,
         fd = (lp - lm) / (2.0 * step)
         ad = grad.ravel()[idx]
         denom = max(abs(ad), abs(fd), 1e-6 * gmax, 1e-300)
-        worst = max(worst, abs(ad - fd) / denom)
+        worst = float(np.maximum(worst, abs(ad - fd) / denom))  # keeps a NaN
     return worst

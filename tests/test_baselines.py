@@ -254,19 +254,27 @@ class TestFabricateAndSimulate:
 
 
 class TestFabricationRunsTheDesignOperator:
-    @pytest.mark.parametrize("order", [0, 4])
-    def test_embedded_binary_lens_equals_the_prepared_lens_run(self, order):
-        # fabrication embeds the binary lens (embed_lens, then propagate);
-        # the design path relaxes it into a prepared slab. The two fields
-        # must agree to the bit, which also needs the medium's and the
-        # material's attenuation formulas to agree to the bit.
+    # fabrication runs the binary lens as the occupancy of the prepared
+    # lens slab, the operator the design loop differentiates; the oracle
+    # embeds the same lens in a copy of the medium (embed_lens, then
+    # propagate). On a 0/1 occupancy the slab's linear relaxation puts
+    # the lens material on the voxels embed_lens's 0.9 threshold picks,
+    # which also needs the medium's and the material's attenuation
+    # formulas to agree.
+
+    @staticmethod
+    def bone_behind_the_lens():
         g = make_grid(16, 16, 32)
         med = make_homogeneous(g, WATER)
-        bone = np.s_[:, :, 14:17]  # a bone layer behind the lens
+        bone = np.s_[:, :, 14:17]
         med.c[bone], med.rho[bone] = BONE.sound_speed, BONE.density
         med.att[bone], med.att_power[bone] = (BONE.attenuation_coeff,
                                               BONE.attenuation_power)
-        src = SourceSpec.disk(g, 1.5e-3)
+        return g, med, SourceSpec.disk(g, 1.5e-3)
+
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_embedded_binary_lens_equals_the_prepared_lens_run(self, order):
+        g, med, src = self.bone_behind_the_lens()
         z0, n_v = 3, 6
         t = np.random.default_rng(order).integers(0, n_v + 1, size=(16, 16))
         occ = (np.arange(n_v)[None, None, :] < t[:, :, None]).astype(float)
@@ -275,3 +283,47 @@ class TestFabricationRunsTheDesignOperator:
         fab, _ = propagate(src, embed_lens(med, occ, FORM_CLEAR, z0), cfg)
         design, _ = prepare(src, med, cfg, FORM_CLEAR, z0, n_v).run(occ)
         assert np.array_equal(fab.values, design.values)
+
+    @pytest.mark.parametrize("order", [0, 4])
+    @pytest.mark.parametrize("kind", ["lens", "phase"])
+    def test_fabricated_field_equals_the_embedded_lens(self, kind, order):
+        g, med, src = self.bone_behind_the_lens()
+        rng = np.random.default_rng(order)
+        if kind == "lens":
+            design = lensmap.binarize(LensVolume(
+                np.zeros((16, 16, 6)), rng.uniform(0.0, 6.0, size=(16, 16))))
+        else:
+            design = PhaseMap(rng.uniform(0.0, 2 * np.pi, size=(16, 16)))
+        cfg = SolverConfig(reflection_order=order)
+
+        # t_max 1 mm: at most 8 slices, so the lens ends before the bone
+        fab, lens = fabricate_and_simulate(design, src, med, FORM_CLEAR, cfg,
+                                           z_offset=3, t_max=1e-3)
+        assert 3 + lens.n_v <= 14
+        assert 0 < lens.occupancy.sum() < lens.occupancy.size
+        oracle, _ = propagate(src, embed_lens(med, lens.occupancy, FORM_CLEAR, 3),
+                              cfg)
+        peak = np.abs(oracle.values).max()
+        assert np.abs(fab.values - oracle.values).max() <= 1e-12 * peak
+
+    def test_copies_no_medium_and_keeps_no_cache(self, monkeypatch):
+        # the fabricated field is a forward-only slab run: the medium is
+        # never copied (embed_lens) and no run builds an adjoint cache
+        from sonolens import medium, solver
+        from sonolens.medium import AcousticMedium
+        from sonolens.solver import PreparedMedium
+
+        g, med, src = self.bone_behind_the_lens()
+        design = lensmap.binarize(LensVolume(np.zeros((16, 16, 6)),
+                                             np.full((16, 16), 3.0)))
+        expected, _ = fabricate_and_simulate(design, src, med, FORM_CLEAR)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fabrication copied the medium or kept a cache")
+
+        for owner, name in ((AcousticMedium, "copy"), (PreparedMedium, "run"),
+                            (medium, "embed_lens"), (baselines, "embed_lens"),
+                            (solver, "propagate"), (baselines, "propagate")):
+            monkeypatch.setattr(owner, name, forbidden)
+        field_, _ = fabricate_and_simulate(design, src, med, FORM_CLEAR)
+        assert np.array_equal(field_.values, expected.values)

@@ -416,7 +416,36 @@ class TestDesignCommand:
         assert "NaN" in path.read_text()
         assert run(["design", "--config", str(path),
                     "--out", str(tmp_path / "o")]) == 2
-        assert ("solver: angular_cutoff must be positive"
+        assert ("solver: angular_cutoff: expected a finite number"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        # NaN thickness noise used to wipe the lens out of every row
+        ("sweep", "sweep", "sigma_um", float("nan")),
+        # these used to run the whole design and exit 3 ("optimization
+        # diverged")
+        ("design", "lens", "alpha", float("nan")),
+        ("design", "optim", "beta_start", float("nan")),
+        ("design", "optim", "lambda_energy", float("nan")),
+        ("design", "optim", "learning_rate", float("nan")),
+        ("design", "source", "amplitude", float("nan")),
+        ("design", "optim", "learning_rate", float("inf")),
+        ("design", "target", "focus_centers_mm", [[1.5, 1.5, float("-inf")]]),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, command,
+                                      section, key, value):
+        # Python's json reads NaN and Infinity
+        cfg = base_config()
+        cfg[section] = {**cfg.get(section, {}), key: value}
+        args = [command, "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            lens = tmp_path / "lens.csv"
+            np.savetxt(lens, np.full((24, 24), 500e-6), delimiter=",")
+            args += ["--axis", "perturbation", "--lens", str(lens)]
+        assert run(args) == 2
+        assert (f"{section}: {key}: expected a finite number"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
@@ -552,18 +581,19 @@ class TestEvaluateCommand:
                     "--field", str(prefix)]) == 2
 
     @pytest.mark.parametrize("key, value, message", [
-        ("heat_time_ms", float("nan"), "heat_time must be positive"),
-        ("cool_time_ms", float("nan"), "cool_time must be positive"),
+        ("heat_time_ms", float("nan"), "heat_time_ms: expected a finite number"),
+        ("cool_time_ms", float("nan"), "cool_time_ms: expected a finite number"),
         ("reference_peak_pressure_mpa", float("nan"),
-         "reference_peak_pressure must be positive"),
+         "reference_peak_pressure_mpa: expected a finite number"),
         ("reference_peak_pressure", 0, "reference_peak_pressure must be positive"),
-        ("perfusion_rate", float("nan"), "perfusion_rate must be non-negative"),
+        ("perfusion_rate", float("nan"), "perfusion_rate: expected a finite number"),
         ("perfusion_rate", -0.5, "perfusion_rate must be non-negative"),
     ])
     def test_bad_thermal_value_exit_2(self, tmp_path, capsys, key, value,
                                       message):
         # NaN passed the `<= 0` checks: a NaN heat time died with a
-        # traceback, a NaN reference pressure wrote an all-NaN rise
+        # traceback, a NaN reference pressure wrote an all-NaN rise; a NaN
+        # is now rejected as it is read
         cfg = write_config(tmp_path, base_config(
             thermal={"n_cycles": 1, "heat_time_ms": 1, "cool_time_ms": 1,
                      key: value}))
@@ -571,6 +601,19 @@ class TestEvaluateCommand:
                     "--field", str(self.write_field(tmp_path))]) == 2
         assert f"thermal: {message}" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    def test_thermal_header_carries_the_config_hash(self, tmp_path):
+        # every exported header carries the hash of the creating config;
+        # thermal.json used to be the one without it
+        cfg = write_config(tmp_path, base_config(
+            thermal={"n_cycles": 1, "heat_time_ms": 1, "cool_time_ms": 1}))
+        ev = tmp_path / "ev"
+        assert run(["evaluate", "--config", cfg, "--out", str(ev),
+                    "--field", str(self.write_field(tmp_path))]) == 0
+        snapshot = json.loads((ev / "resolved_config.json").read_text())
+        header = json.loads((ev / "thermal.json").read_text())
+        assert header["config_hash"] == snapshot["config_hash"]
+        assert (header["dtype"], header["units"]) == ("float32", "degC")
 
     def test_thermal_export(self, tmp_path):
         cfg_dict = base_config(thermal={"n_cycles": 1, "heat_time_ms": 1,
@@ -1000,7 +1043,11 @@ class TestBackprojectCommand:
         assert run(["backproject", "--config", cfg,
                     "--out", str(tmp_path / "bp"), "--plane", plane,
                     *distances]) == 2
-        assert ("backproject: distance is NaN or beyond the domain depth"
+        # the config's NaN is rejected as it is read, the flag's by
+        # backproject
+        assert (("backproject: distance is NaN or beyond the domain depth"
+                 if distances else
+                 "backproject: distances_mm: expected a finite number")
                 in capsys.readouterr().err)
         assert not (tmp_path / "bp").exists()
 
@@ -1050,6 +1097,25 @@ class TestGradcheckCommand:
         medium, target = seen[-1]
         assert medium.grid.shape == (24, 24, 32)
         assert target.focus_centers == [(8, 8, 18)]
+
+    @pytest.mark.parametrize("key, value, message", [
+        # these used to pass with a max relative error of 0 (no coordinate
+        # checked, or a NaN error dropped)...
+        ("n_coords", 0, "n_coords 0 must be at least 1"),
+        ("tolerance", float("nan"), "tolerance: expected a finite number"),
+        ("beta", float("nan"), "beta: expected a finite number"),
+        # ... and these to end in a traceback
+        ("n_coords", -1, "n_coords -1 must be at least 1"),
+        ("step", 0, "step 0 must be positive"),
+        ("beta", 0, "beta 0 must be positive"),
+        ("tolerance", 0, "tolerance 0 must be positive"),
+    ])
+    def test_bad_gradcheck_value_exit_2(self, tmp_path, capsys, key, value,
+                                        message):
+        cfg = write_config(tmp_path, {"gradcheck": {"n_coords": 1,
+                                                    key: value}})
+        assert run(["gradcheck", "--config", cfg]) == 2
+        assert f"gradcheck: {message}" in capsys.readouterr().err
 
     def test_impossible_tolerance_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"gradcheck": {"tolerance": 1e-16,

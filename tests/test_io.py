@@ -49,6 +49,28 @@ def loop_stl(path, t, dx, dz):
             fh.write(b"\0\0")
 
 
+class TestSaveRaw:
+    @pytest.mark.parametrize("values, dtype, itemsize", [
+        (np.zeros((3, 4, 5), dtype=">i2"), "int16", 2),
+        (np.zeros((3, 4, 5), dtype=np.float32), "float32", 4),
+        (np.zeros((3, 4), dtype=np.complex128), "complex64_interleaved", 8),
+    ])
+    def test_dims_and_dtype_follow_the_array(self, tmp_path, values, dtype,
+                                             itemsize):
+        io.save_raw(tmp_path / "a", make_grid(), values, ["x"],
+                    {"config_hash": "abc"})
+        header = json.loads((tmp_path / "a.json").read_text())
+        assert header["dims"] == list(values.shape)
+        assert header["dtype"] == dtype
+        assert header["fields"] == ["x"] and header["config_hash"] == "abc"
+        assert (tmp_path / "a.raw").stat().st_size == itemsize * values.size
+
+    def test_big_endian_input_written_little_endian(self, tmp_path):
+        io.save_raw(tmp_path / "a", make_grid(), np.array([1, -2], dtype=">i2"),
+                    ["x"])
+        assert (tmp_path / "a.raw").read_bytes() == struct.pack("<2h", 1, -2)
+
+
 class TestHuRoundTrip:
     def test_round_trip(self, tmp_path):
         g = make_grid()

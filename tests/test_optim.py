@@ -293,6 +293,25 @@ class TestGradcheck:
         with pytest.raises(ValueError):
             gradcheck(lambda x: (0.0, x), np.ones(3), step=0.0)
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nan_coordinate_error_is_nan(self, bad):
+        # max(0.0, nan) is 0.0 in Python: a NaN error on any sampled
+        # coordinate used to vanish from the result
+        def fn(x):
+            g = x.copy()
+            g[bad] = np.nan
+            return 0.5 * x @ x, g
+
+        assert np.isnan(gradcheck(fn, np.array([1.0, -2.0]), step=1e-5,
+                                  n_coords=2))
+
+    @pytest.mark.parametrize("n_coords", [0, -1])
+    def test_no_sampled_coordinate_rejected(self, n_coords):
+        # no coordinate checked used to read as an error of 0
+        with pytest.raises(ValueError, match="n_coords"):
+            gradcheck(lambda x: (0.5 * x @ x, x), np.ones(3), step=1e-5,
+                      n_coords=n_coords)
+
     def test_full_chain_small(self):
         # the design loop's lens objective on 16x16x24, reflection order 0
         g = make_grid()

@@ -65,3 +65,14 @@ def test_design_and_sweep_run_with_scipy_unimportable(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.split()[-2:] == ["0", "0"], run.stdout + run.stderr
     assert (tmp_path / "s" / "sweep.csv").exists()
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's tracer (perfbench/tracer.py) patches sonolens
+    # functions by name where their callers look them up: a binding that a
+    # change drops fails here, not only in the benchmark's traced runs
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    run = run_python("import sys; sys.path.insert(0, sys.argv[1]); "
+                     "import tracer; tracer.install(tracer.Tracer('t'))",
+                     perfbench)
+    assert run.returncode == 0, run.stderr
