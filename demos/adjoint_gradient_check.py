@@ -28,6 +28,7 @@ from sonolens import (
     gradcheck,
     lens_objective,
     make_homogeneous,
+    prepare,
 )
 
 BOUNDS = {0: 1e-5, 4: 1e-3}
@@ -43,8 +44,9 @@ design = DesignField(theta0, v_max=16.0)
 
 failed = False
 for order, bound in BOUNDS.items():
-    cfg = OptimConfig(solver=SolverConfig(reflection_order=order))
-    objective = lens_objective(src, medium, target, design, cfg, FORM_CLEAR)
+    prepared = prepare(src, medium, SolverConfig(reflection_order=order),
+                       FORM_CLEAR, 0, design.n_v)
+    objective = lens_objective(prepared, target, design, OptimConfig())
     err = gradcheck(lambda th: objective(th, 5.0)[:2], theta0, step=1e-4,
                     n_coords=32, seed=1)
     ok = err < bound

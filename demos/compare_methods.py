@@ -5,7 +5,10 @@ simulation, so its optimized field survives fabrication (binarization,
 printer-resolution filtering) almost unchanged. The phase methods design
 an idealized source phase map first and convert it to a thickness profile
 afterwards, which costs fidelity. The cross-domain PSNR quantifies that
-gap: higher is better.
+gap: higher is better. All three methods run on one prepared medium with
+one lens slab and one solver config: the design loops, the phase
+methods' optimization-domain fields (the slab's base medium) and every
+fabrication.
 
 Run:  python3 demos/compare_methods.py
 """
@@ -28,7 +31,7 @@ from sonolens import (
     make_homogeneous,
     optimize_lens_geometry,
     optimize_phase_map,
-    propagate,
+    prepare,
     time_reversal,
 )
 
@@ -40,29 +43,30 @@ target = TargetSpec.from_spheres(grid, [center], 1.1 * grid.dx)
 solver = SolverConfig(reflection_order=0)
 iters = 80
 ocfg = OptimConfig(iterations=iters,
-                   beta_schedule=BetaSchedule(1.0, 20.0, iters),
-                   solver=solver)
+                   beta_schedule=BetaSchedule(1.0, 20.0, iters))
+design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
+# the 16-slice lens slab (2.0 mm) of the design, prepared once
+prepared = prepare(src, medium, solver, FORM_CLEAR, 0, design.n_v)
 
 print(f"grid {grid.shape}, focus at {tuple(round(c * 1e3, 2) for c in center)} mm")
 
 # --- thickness: optimize the lens geometry directly ----------------------
-design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
-result = optimize_lens_geometry(src, medium, target, design, ocfg, FORM_CLEAR)
-p_fab, _ = fabricate_and_simulate(result.lens, src, medium, FORM_CLEAR, solver)
+result = optimize_lens_geometry(prepared, target, design, ocfg)
+p_fab, _ = fabricate_and_simulate(result.lens, prepared)
 psnr_thickness = cross_domain_psnr(result.field_optimization, p_fab)
 
 # --- phase: gradient phase retrieval, then convert to thickness ----------
-phase, report = optimize_phase_map(src, medium, target, ocfg)
+phase, report = optimize_phase_map(prepared, target, ocfg)
 plane = apply_phase_delays(src, phase.phi, grid)
-p_opt, _ = propagate(src, medium, solver, source_plane=plane)
-p_fab, _ = fabricate_and_simulate(phase, src, medium, FORM_CLEAR, solver)
+p_opt = prepared.field_only(source_plane=plane)
+p_fab, _ = fabricate_and_simulate(phase, prepared)
 psnr_phase = cross_domain_psnr(p_opt, p_fab)
 
 # --- time reversal: back-propagate from the focus, then convert ----------
-tr = time_reversal(src, medium, [(24, 24, 40)], solver)
+tr = time_reversal(prepared, [(24, 24, 40)])
 plane = apply_phase_delays(src, tr.phi, grid)
-p_opt, _ = propagate(src, medium, solver, source_plane=plane)
-p_fab, _ = fabricate_and_simulate(tr, src, medium, FORM_CLEAR, solver)
+p_opt = prepared.field_only(source_plane=plane)
+p_fab, _ = fabricate_and_simulate(tr, prepared)
 psnr_tr = cross_domain_psnr(p_opt, p_fab)
 
 print(f"cross-domain PSNR  thickness     : {psnr_thickness:6.2f} dB")

@@ -39,18 +39,17 @@ seed_voxel = (24, 24, 40)
 target = TargetSpec.from_spheres(
     grid, [(24 * grid.dx, 24 * grid.dy, 40 * grid.dz)], 1.1 * grid.dx
 )
-solver = SolverConfig(reflection_order=0)
-ocfg = OptimConfig(iterations=80, beta_schedule=BetaSchedule(1.0, 20.0, 80),
-                   solver=solver)
+ocfg = OptimConfig(iterations=80, beta_schedule=BetaSchedule(1.0, 20.0, 80))
 design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
-result = optimize_lens_geometry(src, medium, target, design, ocfg, FORM_CLEAR)
-field, lens = fabricate_and_simulate(result.lens, src, medium, FORM_CLEAR,
-                                     solver)
+# one prepared medium for the design, its fabrication and the noise
+# ensemble: each run relaxes a lens into the same slab
+prepared = prepare(src, medium, SolverConfig(reflection_order=0), FORM_CLEAR,
+                   0, design.n_v)
+result = optimize_lens_geometry(prepared, target, design, ocfg)
+field, lens = fabricate_and_simulate(result.lens, prepared)
 
 # --- thickness-noise ensemble ---------------------------------------------
-# one prepared medium; each seed relaxes its noisy lens into the slab
 sigma = 50e-6  # printer thickness error, one sigma, meters
-prepared = prepare(src, medium, solver, FORM_CLEAR, 0, lens.n_v)
 peaks = []
 for i in range(20):
     noisy = perturb_lens(lens, sigma, grid.dz, seed=i)

@@ -7,10 +7,13 @@ thickness-modulated lens, hard-voxelized, fabrication-filtered and
 re-simulated as a slab run of the prepared medium ("fabrication domain"),
 the operator the design loop differentiates.
 
-`fabricate_and_simulate` is that fabrication step for both methods: a
-thickness design arrives as the binarized, unfiltered lens of
-`optim.optimize_lens_geometry` and is filtered here, once, like a phase
-design.
+Every function here takes the medium as one `solver.PreparedMedium`
+with a lens slab, the one a design run prepares: the phase designs run
+its base medium (no occupancy), and `fabricate_and_simulate`, the
+fabrication step for both methods, runs its lens slab with the slab's
+own solver settings and lens material. A thickness design arrives as
+the binarized, unfiltered lens of `optim.optimize_lens_geometry` and is
+filtered here, once, like a phase design.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, MaterialProperties, SourceSpec
-from .medium import AcousticMedium
 from . import lensmap
 from .lensmap import LensVolume
-from .solver import ComplexField, SolverConfig, apply_phase_delays, prepare
+from .solver import ComplexField, PreparedMedium
 # unused here: bound only for perfbench/tracer.py until ROADMAP item 5(e)
 from .medium import embed_lens
 from .solver import propagate
@@ -45,24 +46,24 @@ class PhaseMap:
 
 
 def optimize_phase_map(
-    src: SourceSpec,
-    medium: AcousticMedium,
+    prepared: PreparedMedium,
     target: TargetSpec,
     cfg: OptimConfig,
 ) -> tuple[PhaseMap, LossReport]:
     """Gradient phase retrieval: optimize phi through the wave solver.
 
-    No lens volume is embedded; the phase acts directly on the source
-    plane (the phase-only optimization domain). Starts from a flat phase
-    and runs the same loss stack and descent loop (`optim.descend`) as the
-    geometry optimization; the medium is prepared once for all iterations.
+    No lens is relaxed into the slab: the phase acts directly on the
+    prepared source plane A (the phase-only optimization domain), as A *
+    exp(i*phi), and each iteration runs the base medium. Starts from a
+    flat phase and runs the same loss stack and descent loop
+    (`optim.descend`) as the geometry optimization.
     """
-    grid = medium.grid
-    mask = src.amplitude * src.aperture_mask
-    prepared = prepare(src, medium, cfg.solver)
+    grid = prepared.grid
+    # the source amplitude; real, as the prepared plane has a flat phase
+    mask = prepared.source_plane.real
 
     def objective(phi: np.ndarray, it: int):
-        plane = apply_phase_delays(src, phi, grid)
+        plane = mask * np.exp(1j * phi)
         p, cache = prepared.run(source_plane=plane)
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
         # d plane / d phi = i * A * exp(i*phi) on the aperture
@@ -110,21 +111,15 @@ def phase_to_thickness(
     return np.clip(thickness, t_min, hi)
 
 
-def time_reversal(
-    src: SourceSpec,
-    medium: AcousticMedium,
-    foci,
-    cfg: SolverConfig | None = None,
-) -> PhaseMap:
+def time_reversal(prepared: PreparedMedium, foci) -> PhaseMap:
     """Aberration-corrected phases by back-propagation from the targets.
 
     A point source at each focus is marched backward through the
-    heterogeneous medium to the source plane; the aperture phase is the
-    conjugate of the summed field's phase. Multi-focus patterns combine
-    by complex summation.
+    heterogeneous base medium of `prepared` (no lens) to the source
+    plane; the aperture phase is the conjugate of the summed field's
+    phase. Multi-focus patterns combine by complex summation.
     """
-    grid = medium.grid
-    prepared = prepare(src, medium, cfg)
+    grid = prepared.grid
     total = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     for ix, iy, iz in foci:
         ix, iy, iz = int(ix), int(iy), int(iz)
@@ -142,37 +137,43 @@ def time_reversal(
 
 def fabricate_and_simulate(
     design,
-    src: SourceSpec,
-    medium: AcousticMedium,
-    lens_mat: MaterialProperties,
-    cfg: SolverConfig | None = None,
-    z_offset: int = 0,
+    prepared: PreparedMedium,
     t_min: float = 250e-6,
     t_max: float | None = None,
     fab_cutoff: float | None = None,
 ) -> tuple[ComplexField, LensVolume]:
     """Fabrication-domain field of a PhaseMap or LensVolume design.
 
-    A PhaseMap is first converted to a thickness profile; a LensVolume
-    (such as the binarized, unfiltered lens of `optimize_lens_geometry`)
-    is used as-is. Either way the lens is hard-binarized and low-pass
-    filtered once to emulate printer resolution (cutoff 2*dx by default),
-    then run as the occupancy of the lens slab of the prepared medium
+    A PhaseMap is first converted to a thickness profile of the slab's
+    lens material, clamped to [t_min, t_max] (t_max None: the slab's
+    depth; a deeper t_max is a ValueError), as a lens of the slab's
+    slices whose v_max is its own depth. A LensVolume (such as the
+    binarized, unfiltered lens of `optimize_lens_geometry`) is used
+    as-is. Either way the lens is hard-binarized and low-pass filtered
+    once to emulate printer resolution (cutoff 2*dx by default), then
+    run as the occupancy of the lens slab of `prepared`
     (`PreparedMedium.field_only`). That is the design loop's operator; on
     a binary lens it is the hard embedding of `medium.embed_lens`. No copy
     of the medium is made and no adjoint cache kept.
     """
-    grid = medium.grid
+    grid, n_v = prepared.grid, prepared.c.shape[2]
+    if prepared.lens_mat is None:
+        raise ValueError("fabrication needs a medium prepared with a lens "
+                         "material")
     if isinstance(design, PhaseMap):
+        if t_max is None:
+            t_max = n_v * grid.dz
+        elif t_max / grid.dz > n_v:
+            raise ValueError(f"t_max {t_max:g} m is deeper than the "
+                             f"{n_v}-slice lens slab")
         thickness_m = phase_to_thickness(
-            design.phi, grid.frequency, grid.c_ref, lens_mat.sound_speed,
-            t_min, t_max,
+            design.phi, grid.frequency, grid.c_ref,
+            prepared.lens_mat.sound_speed, t_min, t_max,
         )
         t_vox = thickness_m / grid.dz
-        depth = int(np.ceil(t_vox.max()))
         lens = LensVolume(
-            np.zeros((grid.nx, grid.ny, depth)), t_vox,
-            v_min=float(t_vox.min()), v_max=float(depth),
+            np.zeros((grid.nx, grid.ny, n_v)), t_vox,
+            v_min=float(t_vox.min()), v_max=float(np.ceil(t_vox.max())),
         )
     elif isinstance(design, LensVolume):
         lens = design
@@ -181,5 +182,4 @@ def fabricate_and_simulate(
 
     cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
     lens = lensmap.fabrication_filter(lensmap.binarize(lens), cutoff, grid.dx)
-    prepared = prepare(src, medium, cfg, lens_mat, z_offset, lens.n_v)
     return prepared.field_only(lens.occupancy), lens

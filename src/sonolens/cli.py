@@ -9,13 +9,17 @@ writes a resolved-config snapshot (pure SI, comment-free) whose hash is
 embedded in the headers of all exported arrays. Exit codes: 0 success,
 2 configuration error, 3 numeric failure.
 
-`sweep` runs a fixed lens the way the design loop does: the medium is
-prepared once per sweep (`solver.prepare`) and released, with the
-target, before the first case. Each case, a material variant or a
-thickness-noise realization, is one `PreparedMedium.field_only` run of
-the lens slab: no adjoint follows, so no cache is kept. The materials
-run one after another, each on its `PreparedMedium.with_lens` copy of
-the prepared slab, so one copy is held at a time.
+`design`, `gradcheck` and `sweep` each prepare the medium once, with the
+lens slab of the lens section (`solver.prepare`), and release the base
+medium before the first run; `sweep` releases the target too. Every
+field of a design comes from that slab and its one solver config: the
+lens runs of the design loop and of fabrication, and the base-medium
+runs (no occupancy) of the phase methods. Each sweep case, a material
+variant or a thickness-noise realization, is one
+`PreparedMedium.field_only` run of the lens slab: no adjoint follows,
+so no cache is kept. The materials run one after another, each on its
+`PreparedMedium.with_lens` copy of the prepared slab, so one copy is
+held at a time.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ from .grid import (
 from .lensmap import DesignField, LensVolume
 from .medium import make_homogeneous, make_skull_phantom, ingest_hu_volume
 from .optim import OptimConfig, TargetSpec
-from .solver import (
-    SolverConfig, apply_phase_delays, backproject, prepare, propagate,
-)
+from .solver import SolverConfig, apply_phase_delays, backproject, prepare
+# unused here: bound only for perfbench/tracer.py until ROADMAP item 5(e)
+from .solver import propagate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -352,7 +356,7 @@ def build_solver(cfg: dict) -> SolverConfig:
         raise ConfigError(f"solver: {exc}") from exc
 
 
-def build_optim(cfg: dict, solver: SolverConfig) -> OptimConfig:
+def build_optim(cfg: dict) -> OptimConfig:
     sec = _section(cfg, "optim", required=False)
     try:
         iterations = _number(sec, "iterations", 200, int)
@@ -367,7 +371,6 @@ def build_optim(cfg: dict, solver: SolverConfig) -> OptimConfig:
             lambda_energy=_number(sec, "lambda_energy", 0.2),
             lambda_balance=_number(sec, "lambda_balance", 0.5),
             beta_schedule=schedule,
-            solver=solver,
         )
     except ValueError as exc:
         raise ConfigError(f"optim: {exc}") from exc
@@ -381,6 +384,8 @@ def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
     material = _material(sec.get("material", "form_clear"), "lens")
     t_min = get_quantity(sec, "t_min", 250e-6)
     t_max = get_quantity(sec, "t_max", 1.9e-3)
+    if t_min < 0:
+        raise ConfigError(f"lens: t_min {t_min:g} m must be non-negative")
     try:  # DesignField's own checks of alpha and the bounds
         design = DesignField.random(
             grid.nx, grid.ny, _number(sec, "alpha", 0.1),
@@ -476,7 +481,7 @@ def cmd_design(args) -> int:
     medium = build_medium(cfg, grid)
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
-    ocfg = build_optim(cfg, solver)
+    ocfg = build_optim(cfg)
     lens_params = build_lens_params(cfg, grid, seed)
     method = cfg.get("method", "thickness")
     if method not in ("thickness", "phase", "time_reversal"):
@@ -485,34 +490,31 @@ def cmd_design(args) -> int:
 
     out = Path(args.out)
     extra = {"config_hash": write_snapshot(out, cfg, grid, seed)}
-    mat = lens_params["material"]
+    # every field below runs this slab: the base medium is not needed
+    prepared = prepare(src, medium, solver, lens_params["material"],
+                       lens_params["z_offset"], lens_params["design"].n_v)
+    del medium
 
     if method == "thickness":
         result = optim.optimize_lens_geometry(
-            src, medium, target, lens_params["design"], ocfg, mat,
-            z_offset=lens_params["z_offset"],
-        )
+            prepared, target, lens_params["design"], ocfg)
         result.report.to_csv(out / "loss_history.csv")
         design_obj = result.lens
         p_opt = result.field_optimization
     else:
         if method == "phase":
-            phase, report = baselines.optimize_phase_map(src, medium, target, ocfg)
+            phase, report = baselines.optimize_phase_map(prepared, target, ocfg)
             report.to_csv(out / "loss_history.csv")
         else:
-            phase = baselines.time_reversal(
-                src, medium, _focus_seeds(target), solver
-            )
+            phase = baselines.time_reversal(prepared, _focus_seeds(target))
         np.savetxt(out / "phase_map.csv", phase.phi, delimiter=",")
         plane = apply_phase_delays(src, phase.phi, grid)
-        p_opt, _ = propagate(src, medium, solver, source_plane=plane)
+        p_opt = prepared.field_only(source_plane=plane)
         design_obj = phase
 
     p_fab, lens = baselines.fabricate_and_simulate(
-        design_obj, src, medium, mat, solver,
-        z_offset=lens_params["z_offset"],
-        t_min=lens_params["t_min"], t_max=lens_params["t_max"],
-        fab_cutoff=lens_params["fab_cutoff"],
+        design_obj, prepared, t_min=lens_params["t_min"],
+        t_max=lens_params["t_max"], fab_cutoff=lens_params["fab_cutoff"],
     )
 
     _export_lens(out, lens, grid)
@@ -739,7 +741,7 @@ def cmd_gradcheck(args) -> int:
     src = build_source(cfg, grid)
     target = build_target(cfg, grid)
     solver = build_solver(cfg)
-    ocfg = build_optim(cfg, solver)
+    ocfg = build_optim(cfg)
     lens_params = build_lens_params(cfg, grid, seed)
     design = lens_params["design"]
     beta = _number(sec, "beta", 5.0)
@@ -753,10 +755,10 @@ def cmd_gradcheck(args) -> int:
         if not value > 0:
             raise ConfigError(f"gradcheck: {key} {value:g} must be positive")
 
-    objective = optim.lens_objective(
-        src, medium, target, design, ocfg, lens_params["material"],
-        z_offset=lens_params["z_offset"],
-    )
+    prepared = prepare(src, medium, solver, lens_params["material"],
+                       lens_params["z_offset"], design.n_v)
+    del medium
+    objective = optim.lens_objective(prepared, target, design, ocfg)
     err = optim.gradcheck(lambda theta: objective(theta, beta)[:2],
                           design.theta, step, n_coords=n_coords, seed=seed)
     print(f"gradcheck: max relative error {err:.3e} "

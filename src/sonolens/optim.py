@@ -12,10 +12,12 @@ Each term comes with its exact gradient with respect to the complex
 field, expressed in the pairing dL = Re(sum(g * dP)).
 
 `loss_and_gradient` evaluates all three terms and their cotangent in
-one pass. `lens_objective` is the lens design chain (theta through the
-fixed-smoothing `lensmap.forward` and the `design.n_v`-slice lens slab to
-the loss and back); `descend` is the Adam loop that the lens and
-phase-map optimizations share.
+one pass, and `loss_and_adjoint` weighs them into the total, the one
+place that formula lives. `lens_objective` is the lens design chain
+(theta through the fixed-smoothing `lensmap.forward` and the
+`design.n_v`-slice lens slab of a `solver.PreparedMedium` to the loss
+and back), whose solver settings are the prepared medium's; `descend` is
+the Adam loop that the lens and phase-map optimizations share.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, MaterialProperties, SourceSpec
-from .medium import AcousticMedium
+from .grid import GridSpec
 from .lensmap import BetaSchedule, DesignField, LensVolume
 from . import lensmap
 from .solver import (
     ComplexField,
-    SolverConfig,
-    prepare,
+    PreparedMedium,
     propagate_adjoint,
     propagate_with_lens,
 )
@@ -103,7 +103,6 @@ class OptimConfig:
     lambda_energy: float = 0.2
     lambda_balance: float = 0.5
     beta_schedule: BetaSchedule | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.iterations < 0:
@@ -116,22 +115,19 @@ class OptimConfig:
 
 @dataclass
 class LossReport:
-    """Per-iteration loss history; total recombines exactly from parts."""
+    """Per-iteration loss history: each objective's total and its terms."""
 
-    lambda_energy: float
-    lambda_balance: float
     total: list = field(default_factory=list)
     acc: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     balance: list = field(default_factory=list)
 
-    def append(self, acc: float, energy: float, balance: float) -> float:
-        total = acc + self.lambda_energy * energy + self.lambda_balance * balance
+    def append(self, total: float, acc: float, energy: float,
+               balance: float) -> None:
+        self.total.append(total)
         self.acc.append(acc)
         self.energy.append(energy)
         self.balance.append(balance)
-        self.total.append(total)
-        return total
 
     def to_csv(self, path) -> None:
         rows = np.column_stack(
@@ -248,12 +244,12 @@ def descend(objective, x0: np.ndarray, cfg: OptimConfig):
     """
     x = np.array(x0, dtype=np.float64)
     adam = Adam(cfg.learning_rate)
-    report = LossReport(cfg.lambda_energy, cfg.lambda_balance)
+    report = LossReport()
     field_ = None
     for it in range(cfg.iterations):
         field_ = None
         total, grad, terms, field_ = objective(x, it)
-        report.append(*terms)
+        report.append(total, *terms)
         if not np.isfinite(total):
             raise RuntimeError(
                 f"optimization diverged at iteration {it}: loss = {total}"
@@ -263,24 +259,19 @@ def descend(objective, x0: np.ndarray, cfg: OptimConfig):
 
 
 def lens_objective(
-    src: SourceSpec,
-    base_medium: AcousticMedium,
+    prepared: PreparedMedium,
     target: TargetSpec,
     design: DesignField,
     cfg: OptimConfig,
-    lens_mat: MaterialProperties,
-    z_offset: int = 0,
 ):
     """The chain theta -> lens -> field -> loss -> dL/dtheta as
     `objective(theta, beta) -> (total, grad, terms, field)`.
 
-    Uses the loss weights and solver of `cfg` and the alpha, v_min and
-    v_max of `design`; the lens occupies slices z_offset ..
-    z_offset + design.n_v - 1. `objective(theta, beta)[:2]` suits
-    `gradcheck`.
+    Uses the loss weights of `cfg` and the alpha, v_min and v_max of
+    `design`; the lens runs on the slab of `prepared` (its solver
+    settings, lens material and slices), which must have design.n_v
+    slices. `objective(theta, beta)[:2]` suits `gradcheck`.
     """
-    prepared = prepare(src, base_medium, cfg.solver, lens_mat, z_offset,
-                       design.n_v)
 
     def objective(theta: np.ndarray, beta: float):
         d = DesignField(theta, design.alpha, design.v_min, design.v_max)
@@ -301,13 +292,10 @@ class DesignResult:
 
 
 def optimize_lens_geometry(
-    src: SourceSpec,
-    base_medium: AcousticMedium,
+    prepared: PreparedMedium,
     target: TargetSpec,
     design: DesignField,
     cfg: OptimConfig,
-    lens_mat: MaterialProperties,
-    z_offset: int = 0,
 ) -> DesignResult:
     """End-to-end geometry optimization of a thickness-modulated lens.
 
@@ -318,8 +306,7 @@ def optimize_lens_geometry(
     `baselines.fabricate_and_simulate`, as for phase designs.
     """
     schedule = cfg.beta_schedule
-    objective = lens_objective(src, base_medium, target, design, cfg, lens_mat,
-                               z_offset)
+    objective = lens_objective(prepared, target, design, cfg)
     theta, report, p_opt = descend(
         lambda th, it: objective(th, schedule.value(it)), design.theta, cfg
     )

@@ -39,11 +39,14 @@ the sweep's first injected slice: the field is zero before it.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
-coefficients. With a lens slab, a run (`propagate_with_lens`) redoes
-only the slab's properties, screens and impedance and the coefficients
-of the pairs that touch it; the base medium is never copied. The
-impedance is kept only on the slab and the slice on either side of it
-(z0-1 .. z0+n_v), the slices those pairs and the slab gradients read.
+coefficients of the base medium, on the lens slab too. With a lens
+occupancy, a run (`propagate_with_lens`) redoes only the slab's
+properties, screens and impedance and the coefficients of the pairs
+that touch it; the base medium is never copied. Without one, a run
+marches the base medium, bitwise as on a medium prepared without a
+slab. The impedance is kept only on the slab and the slice on either
+side of it (z0-1 .. z0+n_v), the slices those pairs and the slab
+gradients read.
 `propagate` is a run on a medium prepared without a slab. The returned
 cache carries the run's screens and coefficients, so the adjoint
 recomputes neither.
@@ -169,8 +172,8 @@ class SliceCache:
     this run's (always planes) replace them. Z maps the slab's slices and the
     slice on either side (z0-1 .. z0+n_v) to this run's impedance, which
     the slab gradients read; it is empty without a lens. c, rho and att_np are this run's
-    properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) without a
-    lens.
+    properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) for a run
+    without a lens occupancy.
     """
 
     grid: GridSpec
@@ -247,15 +250,16 @@ class PreparedMedium:
 
     Holds the diffraction kernel, the default source plane and the
     per-slice screens (a scalar where a screen is uniform; see SliceCache)
-    and interface coefficients of the base medium; a lens run recomputes
-    the screens of the slab slices, so a slab slice may be a scalar in one
-    run and a plane in the next.
+    and interface coefficients of the base medium, which a run without a
+    lens occupancy marches; a lens run recomputes the screens of the slab
+    slices, so a slab slice may be a scalar in one run and a plane in the
+    next.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
-    the base properties there, the lens-minus-base deltas and the
-    impedance of the slices just outside the slab, so that a run with a
-    lens recomputes only the slab and the pairs that touch it (their
-    entries in coeff are left None here). Built by `prepare`, whose
-    deltas come from `with_lens`; `with_lens` also gives the copy for
+    the base properties there, the lens material and the lens-minus-base
+    deltas, and the impedance of the slices just outside the slab, so
+    that a run with a lens recomputes only the slab and the pairs that
+    touch it. Built by `prepare`, whose lens material and deltas come
+    from `with_lens`; `with_lens` also gives the copy for
     another lens material, which shares every array but the deltas, so
     a sweep over materials prepares the medium once. Nothing
     it holds is modified by a run, except the spare plane stack of nz + 1
@@ -274,6 +278,7 @@ class PreparedMedium:
     c: np.ndarray                       # base properties on the slab
     rho: np.ndarray
     att_np: np.ndarray
+    lens_mat: MaterialProperties | None = None
     dc: np.ndarray | None = None        # lens minus base on the slab;
     drho: np.ndarray | None = None      # None without a lens material
     datt: np.ndarray | None = None
@@ -289,6 +294,7 @@ class PreparedMedium:
         with this medium (the spare plane stack is not carried over)."""
         return replace(
             self,
+            lens_mat=lens_mat,
             dc=lens_mat.sound_speed - self.c,
             drho=lens_mat.density - self.rho,
             datt=(lens_mat.attenuation_np_per_m(self.grid.frequency)
@@ -304,9 +310,10 @@ class PreparedMedium:
     ) -> tuple[ComplexField, SliceCache]:
         """One forward run: the total field and the cache for the adjoint.
 
-        occupancy (nx, ny, n_v) relaxes the lens into the slab and is
-        required exactly when the medium was prepared with a lens
-        material. source_plane overrides the prepared plane; it is
+        occupancy (nx, ny, n_v) relaxes the lens into the slab of a medium
+        prepared with a lens material; without one the base medium runs
+        and the cache carries no slab. source_plane overrides the
+        prepared plane; it is
         injected at slice source_slice and marched toward +z (direction
         +1) or -z (-1). The cache owns its planes: later runs leave it
         unchanged.
@@ -334,9 +341,9 @@ class PreparedMedium:
         its slices into the total as it marches; with keep, the planes
         the adjoint reads are copied into the cache after each sweep."""
         grid = self.grid
-        if (occupancy is None) != (self.dc is None):
-            raise ValueError("pass a lens occupancy exactly when the medium "
-                             "was prepared with a lens material")
+        if occupancy is not None and self.dc is None:
+            raise ValueError("a lens occupancy was passed to a medium "
+                             "prepared without a lens material")
         if not 0 <= source_slice < grid.nz:
             raise ValueError(f"source slice {source_slice} is outside the grid")
         if direction not in (1, -1):
@@ -349,7 +356,7 @@ class PreparedMedium:
                 raise ValueError("source plane shape does not match grid")
 
         screen, coeff, Z = self.screen, self.coeff, {}
-        c, rho, att = self.c, self.rho, self.att_np
+        c, rho, att = (a[:, :, :0] for a in (self.c, self.rho, self.att_np))
         lens = {}
         if occupancy is not None:
             occupancy = np.asarray(occupancy, dtype=np.float64)
@@ -359,9 +366,9 @@ class PreparedMedium:
                     f"the prepared slab {self.dc.shape}"
                 )
             z0, n_v = self.z_offset, occupancy.shape[2]
-            c = c + occupancy * self.dc
-            rho = rho + occupancy * self.drho
-            att = att + occupancy * self.datt
+            c = self.c + occupancy * self.dc
+            rho = self.rho + occupancy * self.drho
+            att = self.att_np + occupancy * self.datt
             screen, coeff = list(screen), list(coeff)
             screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
@@ -420,8 +427,9 @@ def prepare(
 
     With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
     medium (see `propagate_with_lens`); the full-grid screens and the
-    interface coefficients off the slab are computed here once, and each
-    run redoes only the slab. The result keeps no reference to `medium`:
+    interface coefficients are computed here once, and each lens run
+    redoes only the slab; a run without an occupancy marches the base
+    medium. The result keeps no reference to `medium`:
     a caller that needs only runs can release it, and gets a slab for
     another lens material from `PreparedMedium.with_lens`.
     """
@@ -437,15 +445,13 @@ def prepare(
         raise ValueError("lens exceeds the axial extent of the grid")
     att_np = medium.attenuation_np_per_m()
     screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
-    redone = _slab_pairs(z_offset, n_v, grid.nz)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     prepared = PreparedMedium(
         grid, cfg,
         H=_diffraction_kernel(grid, cfg.angular_cutoff, grid.dz),
         source_plane=src.source_plane(grid),
         screen=screen,
-        coeff=[None if k in redone else _interface(Z[k], Z[k + 1])
-               for k in range(grid.nz - 1)],
+        coeff=[_interface(Z[k], Z[k + 1]) for k in range(grid.nz - 1)],
         Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
            if n_v and 0 <= s < grid.nz},
         z_offset=z_offset,

@@ -29,6 +29,7 @@ from sonolens.optim import (
 from sonolens.solver import (
     SolverConfig,
     apply_phase_delays,
+    prepare,
     propagate,
 )
 
@@ -41,8 +42,8 @@ def verdict(n: int, ok: bool, detail: str = "") -> None:
 def full_chain_fn(grid, src, medium, target, solver, mat, beta=5.0, n_v=16):
     """The design loop's lens objective at a fixed beta, as (loss, gradient)."""
     template = DesignField(np.zeros((grid.nx, grid.ny)), v_max=float(n_v))
-    objective = optim.lens_objective(src, medium, target, template,
-                                     OptimConfig(solver=solver), mat)
+    objective = optim.lens_objective(prepare(src, medium, solver, mat, 0, n_v),
+                                     target, template, OptimConfig())
     return lambda theta: objective(theta, beta)[:2]
 
 
@@ -59,21 +60,19 @@ def trifocal_phantom():
     solver = SolverConfig(reflection_order=0)
     iters = 60
     ocfg = OptimConfig(iterations=iters,
-                       beta_schedule=BetaSchedule(1.0, 20.0, iters),
-                       solver=solver)
+                       beta_schedule=BetaSchedule(1.0, 20.0, iters))
 
     design = DesignField.random(64, 64, v_max=1.9e-3 / g.dz, seed=0)
-    res = optim.optimize_lens_geometry(src, med, target, design, ocfg,
-                                       FORM_CLEAR)
-    p_fab_t, _ = baselines.fabricate_and_simulate(res.lens, src, med,
-                                                  FORM_CLEAR, solver)
+    # one prepared lens slab for both designs and their fabrication
+    prepared = prepare(src, med, solver, FORM_CLEAR, 0, design.n_v)
+    res = optim.optimize_lens_geometry(prepared, target, design, ocfg)
+    p_fab_t, _ = baselines.fabricate_and_simulate(res.lens, prepared)
     psnr_t = analysis.cross_domain_psnr(res.field_optimization, p_fab_t)
 
-    pm, _ = baselines.optimize_phase_map(src, med, target, ocfg)
+    pm, _ = baselines.optimize_phase_map(prepared, target, ocfg)
     plane = apply_phase_delays(src, pm.phi, g)
-    p_opt_p, _ = propagate(src, med, solver, source_plane=plane)
-    p_fab_p, _ = baselines.fabricate_and_simulate(pm, src, med, FORM_CLEAR,
-                                                  solver)
+    p_opt_p = prepared.field_only(source_plane=plane)
+    p_fab_p, _ = baselines.fabricate_and_simulate(pm, prepared)
     psnr_p = analysis.cross_domain_psnr(p_opt_p, p_fab_p)
     return {
         "medium": med, "target": target,
@@ -175,11 +174,11 @@ def test_criterion_05_desk_scale_optimization():
     target = TargetSpec.from_spheres(g, [(cx, cx, 64 * g.dz)], 0.9 * g.dx)
     ocfg = OptimConfig(iterations=200, learning_rate=1.0, lambda_energy=0.2,
                        lambda_balance=0.5,
-                       beta_schedule=BetaSchedule(1.0, 20.0, 200),
-                       solver=SolverConfig(reflection_order=0))
+                       beta_schedule=BetaSchedule(1.0, 20.0, 200))
     design = DesignField.random(64, 64, v_max=1.9e-3 / g.dz, seed=0)
-    res = optim.optimize_lens_geometry(src, med, target, design, ocfg,
-                                       FORM_CLEAR)
+    prepared = prepare(src, med, SolverConfig(reflection_order=0), FORM_CLEAR,
+                       0, design.n_v)
+    res = optim.optimize_lens_geometry(prepared, target, design, ocfg)
     initial, final = res.report.total[0], res.report.total[-1]
     amp = np.abs(res.field_optimization.values)
     am = np.unravel_index(int(np.argmax(amp)), amp.shape)

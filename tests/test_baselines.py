@@ -100,7 +100,7 @@ class TestTimeReversal:
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 3e-3)
         cfg = SolverConfig(reflection_order=0)
-        pm = time_reversal(src, med, [(16, 16, 30)], cfg)
+        pm = time_reversal(prepare(src, med, cfg), [(16, 16, 30)])
         delta = np.zeros((32, 32), dtype=complex)
         delta[16, 16] = 1.0
         bp = backproject(delta, g, 30 * g.dz, cfg)[:, :, 0]
@@ -111,19 +111,19 @@ class TestTimeReversal:
         g = make_grid()
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 3e-3)
-        pm = time_reversal(src, med, [(10, 16, 30), (21, 16, 30)],
-                           SolverConfig(reflection_order=0))
+        pm = time_reversal(prepare(src, med, SolverConfig(reflection_order=0)),
+                           [(10, 16, 30), (21, 16, 30)])
         asym = np.angle(np.exp(1j * (pm.phi - pm.phi[::-1, :])))
         assert np.abs(asym).max() < 1e-10
 
     def test_degenerate_focus_rejected(self):
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.disk(g, 3e-3)
+        prepared = prepare(SourceSpec.disk(g, 3e-3), med)
         with pytest.raises(ValueError):
-            time_reversal(src, med, [(16, 16, 0)])
+            time_reversal(prepared, [(16, 16, 0)])
         with pytest.raises(ValueError):
-            time_reversal(src, med, [(40, 16, 30)])
+            time_reversal(prepared, [(40, 16, 30)])
 
     def test_matches_spherical_wave_phase(self):
         # oracle: exact spherical-wave phase -k0*R from the focus; compared
@@ -134,8 +134,8 @@ class TestTimeReversal:
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 3.5e-3)
         c = n // 2
-        pm = time_reversal(src, med, [(c, c, depth)],
-                           SolverConfig(reflection_order=0))
+        pm = time_reversal(prepare(src, med, SolverConfig(reflection_order=0)),
+                           [(c, c, depth)])
         xs = np.arange(n) * g.dx
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         R = np.sqrt((X - c * g.dx) ** 2 + (Y - c * g.dy) ** 2
@@ -155,8 +155,8 @@ class TestOptimizePhaseMap:
         t = TargetSpec.from_spheres(g, [(16 * g.dx, 16 * g.dy, 30 * g.dz)],
                                     1.6 * g.dx)
         pm, report = optimize_phase_map(
-            src, med, t, OptimConfig(iterations=0,
-                                     solver=SolverConfig(reflection_order=0)))
+            prepare(src, med, SolverConfig(reflection_order=0)), t,
+            OptimConfig(iterations=0))
         assert np.all(pm.phi == 0.0)
         assert report.total == []
 
@@ -170,9 +170,9 @@ class TestOptimizePhaseMap:
         F = 3e-3
         c = 16
         t = TargetSpec.from_spheres(g, [(c * g.dx, c * g.dy, F)], 1.6 * g.dx)
-        cfg = OptimConfig(iterations=200, learning_rate=0.3,
-                          solver=SolverConfig(reflection_order=0))
-        pm, report = optimize_phase_map(src, med, t, cfg)
+        cfg = OptimConfig(iterations=200, learning_rate=0.3)
+        pm, report = optimize_phase_map(
+            prepare(src, med, SolverConfig(reflection_order=0)), t, cfg)
         assert report.total[-1] < 0.6 * report.total[0]
         xs = np.arange(32) * g.dx
         X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -192,8 +192,8 @@ class TestOptimizePhaseMap:
         a[:, :, 20] = 1.0
         t = TargetSpec(a, [(12, 12, 20)])
         pm, _ = optimize_phase_map(
-            src, med, t, OptimConfig(iterations=10,
-                                     solver=SolverConfig(reflection_order=0)))
+            prepare(src, med, SolverConfig(reflection_order=0)), t,
+            OptimConfig(iterations=10))
         assert np.ptp(pm.phi) == 0.0
 
     def test_shares_loss_stack(self):
@@ -205,8 +205,8 @@ class TestOptimizePhaseMap:
         cfg = SolverConfig(reflection_order=0)
         t = TargetSpec.from_spheres(g, [(12 * g.dx, 12 * g.dy, 24 * g.dz)],
                                     1.6 * g.dx)
-        _, report = optimize_phase_map(
-            src, med, t, OptimConfig(iterations=1, solver=cfg))
+        _, report = optimize_phase_map(prepare(src, med, cfg), t,
+                                       OptimConfig(iterations=1))
         plane = apply_phase_delays(src, np.zeros((24, 24)), g)
         p, _ = propagate(src, med, cfg, source_plane=plane)
         direct = (loss_acc(p.values, t) + 0.2 * loss_energy(p.values, t)
@@ -223,7 +223,8 @@ class TestFabricateAndSimulate:
         src = SourceSpec.full_plane(g)
         cfg = SolverConfig(reflection_order=0)
         pm = PhaseMap(np.zeros((32, 32)))
-        field_fab, lens = fabricate_and_simulate(pm, src, med, FORM_CLEAR, cfg)
+        field_fab, lens = fabricate_and_simulate(
+            pm, prepare(src, med, cfg, FORM_CLEAR, 0, 4))
         assert np.allclose(lens.thickness_map, 250e-6 / g.dz)
         plane = apply_phase_delays(src, pm.phi, g)
         field_opt, _ = propagate(src, med, cfg, source_plane=plane)
@@ -241,7 +242,8 @@ class TestFabricateAndSimulate:
         lens_in = lensmap.binarize(
             LensVolume(np.zeros((32, 32, 8)), np.full((32, 32), 5.0)))
         _, lens_out = fabricate_and_simulate(
-            lens_in, src, med, FORM_CLEAR, SolverConfig(reflection_order=0),
+            lens_in, prepare(src, med, SolverConfig(reflection_order=0),
+                             FORM_CLEAR, 0, 8),
             fab_cutoff=g.dx)
         assert np.array_equal(lens_out.occupancy, lens_in.occupancy)
 
@@ -250,7 +252,8 @@ class TestFabricateAndSimulate:
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 3e-3)
         with pytest.raises(TypeError):
-            fabricate_and_simulate("lens", src, med, FORM_CLEAR)
+            fabricate_and_simulate("lens", prepare(src, med, None, FORM_CLEAR,
+                                                   0, 8))
 
 
 class TestFabricationRunsTheDesignOperator:
@@ -297,8 +300,9 @@ class TestFabricationRunsTheDesignOperator:
         cfg = SolverConfig(reflection_order=order)
 
         # t_max 1 mm: at most 8 slices, so the lens ends before the bone
-        fab, lens = fabricate_and_simulate(design, src, med, FORM_CLEAR, cfg,
-                                           z_offset=3, t_max=1e-3)
+        prepared = prepare(src, med, cfg, FORM_CLEAR, 3,
+                           6 if kind == "lens" else 8)
+        fab, lens = fabricate_and_simulate(design, prepared, t_max=1e-3)
         assert 3 + lens.n_v <= 14
         assert 0 < lens.occupancy.sum() < lens.occupancy.size
         oracle, _ = propagate(src, embed_lens(med, lens.occupancy, FORM_CLEAR, 3),
@@ -316,7 +320,8 @@ class TestFabricationRunsTheDesignOperator:
         g, med, src = self.bone_behind_the_lens()
         design = lensmap.binarize(LensVolume(np.zeros((16, 16, 6)),
                                              np.full((16, 16), 3.0)))
-        expected, _ = fabricate_and_simulate(design, src, med, FORM_CLEAR)
+        prepared = prepare(src, med, None, FORM_CLEAR, 0, 6)
+        expected, _ = fabricate_and_simulate(design, prepared)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("fabrication copied the medium or kept a cache")
@@ -325,5 +330,37 @@ class TestFabricationRunsTheDesignOperator:
                             (medium, "embed_lens"), (baselines, "embed_lens"),
                             (solver, "propagate"), (baselines, "propagate")):
             monkeypatch.setattr(owner, name, forbidden)
-        field_, _ = fabricate_and_simulate(design, src, med, FORM_CLEAR)
+        field_, _ = fabricate_and_simulate(design, prepared)
         assert np.array_equal(field_.values, expected.values)
+
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_shallow_phase_lens_runs_in_the_deep_slab(self, order):
+        # a flat phase map is a t_min lens of 2 slices; it runs in the
+        # 16-slice slab a design prepares, whose other 14 slices stay the
+        # base medium, water-bone interface (13, 14) included, and matches
+        # the 2-slice lens embedded in the medium. Its v_max stays 2.
+        g, med, src = self.bone_behind_the_lens()
+        cfg = SolverConfig(reflection_order=order)
+        prepared = prepare(src, med, cfg, FORM_CLEAR, 0, 16)
+        fab, lens = fabricate_and_simulate(PhaseMap(np.zeros((16, 16))),
+                                           prepared)
+        assert lens.n_v == 16 and lens.v_max == 2.0
+        assert np.all(lens.thickness_map == 2.0)
+        assert not lens.occupancy[:, :, 2:].any()
+        oracle, _ = propagate(
+            src, embed_lens(med, lens.occupancy[:, :, :2], FORM_CLEAR, 0), cfg)
+        peak = np.abs(oracle.values).max()
+        assert np.abs(fab.values - oracle.values).max() <= 1e-12 * peak
+
+    def test_medium_without_a_lens_material_rejected(self):
+        g, med, src = self.bone_behind_the_lens()
+        with pytest.raises(ValueError, match="prepared with a lens material"):
+            fabricate_and_simulate(PhaseMap(np.zeros((16, 16))),
+                                   prepare(src, med))
+
+    def test_phase_lens_deeper_than_the_slab_rejected(self):
+        g, med, src = self.bone_behind_the_lens()
+        prepared = prepare(src, med, None, FORM_CLEAR, 0, 16)
+        with pytest.raises(ValueError, match="deeper than the 16-slice"):
+            fabricate_and_simulate(PhaseMap(np.zeros((16, 16))), prepared,
+                                   t_max=17 * g.dz)

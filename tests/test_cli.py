@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -315,6 +316,19 @@ class TestDesignCommand:
         assert f"lens: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_t_min_exit_2(self, tmp_path, capsys):
+        # a phase design's lens is clamped to [t_min, t_max]: a negative
+        # t_min used to exit 0 and export negative column thicknesses
+        cfg = load_config(REPO / "demos" / "single_focus_water.cfg")
+        cfg["method"] = "time_reversal"
+        cfg["lens"]["t_min_um"] = -400
+        path = write_config(tmp_path, cfg)
+        assert run(["design", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert ("lens: t_min -0.0004 m must be non-negative"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, material", [
         ("medium", {"sound_speed": None, "density": 1000}),
         ("lens", {"sound_speed": 2500, "density": [1100]}),
@@ -513,6 +527,63 @@ class TestDesignCommand:
         assert ("raw payload size does not match the header"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+
+class TestOnePreparedMediumPerRun:
+    """`design`, with every method, and `gradcheck` prepare the medium
+    once, with the lens slab, and release the base medium before the
+    first run: every field of the call runs on that one prepared slab."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"prepare": 0, "propagate": 0}
+        built, alive = [], []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # every binding of the two solver entry points in the package
+        modules = [m for n, m in sys.modules.items()
+                   if n == "sonolens" or n.startswith("sonolens.")]
+        for name in calls:
+            fn = getattr(solver, name)
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        build_medium, forward = cli.build_medium, solver.PreparedMedium._forward
+
+        def recording(*args):
+            medium = build_medium(*args)
+            built.append(weakref.ref(medium))
+            return medium
+
+        def checking(self, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_medium", recording)
+        monkeypatch.setattr(solver.PreparedMedium, "_forward", checking)
+        return calls, built, alive
+
+    @pytest.mark.parametrize("method", ["thickness", "phase", "time_reversal"])
+    def test_design(self, tmp_path, monkeypatch, method):
+        calls, built, alive = self.spy(monkeypatch)
+        cfg = write_config(tmp_path, base_config(
+            method=method, solver={"reflection_order": 2}))
+        assert run(["design", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"prepare": 1, "propagate": 0}
+        assert len(built) == 1 and alive and not any(alive)
+
+    def test_gradcheck(self, tmp_path, monkeypatch):
+        calls, built, alive = self.spy(monkeypatch)
+        cfg = write_config(tmp_path, {"gradcheck": {"n_coords": 1}})
+        assert run(["gradcheck", "--config", cfg]) == 0
+        assert calls == {"prepare": 1, "propagate": 0}
+        assert len(built) == 1 and alive and not any(alive)
 
 
 class TestEvaluateCommand:
@@ -1081,21 +1152,21 @@ class TestGradcheckCommand:
         seen = []
         inner = optim.lens_objective
 
-        def spy(src, medium, target, *rest, **kw):
-            seen.append((medium, target))
-            return inner(src, medium, target, *rest, **kw)
+        def spy(prepared, target, *rest, **kw):
+            seen.append((prepared, target))
+            return inner(prepared, target, *rest, **kw)
 
         monkeypatch.setattr(optim, "lens_objective", spy)
         assert run(["gradcheck", "--config", write_config(tmp_path, {
             "gradcheck": {"n_coords": 1}})]) == 0
-        medium, target = seen[-1]
-        assert medium.grid.shape == (16, 16, 24)
+        prepared, target = seen[-1]
+        assert prepared.grid.shape == (16, 16, 24)
         assert target.focus_centers == [(8, 8, 18)]
         # a grid without a target keeps the built-in focus (not the centre)
         assert run(["gradcheck", "--config", write_config(tmp_path, {
             "grid": base_config()["grid"], "gradcheck": {"n_coords": 1}})]) == 0
-        medium, target = seen[-1]
-        assert medium.grid.shape == (24, 24, 32)
+        prepared, target = seen[-1]
+        assert prepared.grid.shape == (24, 24, 32)
         assert target.focus_centers == [(8, 8, 18)]
 
     @pytest.mark.parametrize("key, value, message", [

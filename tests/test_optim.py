@@ -13,7 +13,6 @@ from sonolens.lensmap import BetaSchedule, DesignField
 from sonolens.medium import make_homogeneous
 from sonolens.optim import (
     Adam,
-    LossReport,
     OptimConfig,
     TargetSpec,
     descend,
@@ -22,7 +21,7 @@ from sonolens.optim import (
     loss_and_gradient,
     optimize_lens_geometry,
 )
-from sonolens.solver import SolverConfig
+from sonolens.solver import SolverConfig, prepare
 
 
 def make_grid(nx=16, ny=16, nz=24, d=125e-6):
@@ -238,10 +237,18 @@ class TestLossGradient:
         assert peak <= 1.05 * 24 * values.size
 
     def test_report_recombines_exactly(self):
-        report = LossReport(0.2, 0.5)
-        total = report.append(0.3, -1.0, 0.25)
-        assert total == 0.3 + 0.2 * (-1.0) + 0.5 * 0.25
-        assert report.total[0] == total
+        # the report records each objective's own total beside its terms;
+        # the weighted sum is formed once, in loss_and_adjoint
+        cfg = OptimConfig(iterations=2, lambda_energy=0.2, lambda_balance=0.5)
+        totals = [1.0, 0.3 + 0.2 * (-1.0) + 0.5 * 0.25]
+
+        def objective(x, it):
+            return totals[it], np.zeros_like(x), (0.3, -1.0, 0.25), None
+
+        _, report, _ = descend(objective, np.zeros(2), cfg)
+        assert report.total == totals
+        assert report.acc == [0.3, 0.3] and report.energy == [-1.0, -1.0]
+        assert report.balance == [0.25, 0.25]
 
 
 class TestTargetSpec:
@@ -317,12 +324,13 @@ class TestGradcheck:
         g = make_grid()
         med = make_homogeneous(g, WATER)
         src = SourceSpec.full_plane(g)
-        cfg = OptimConfig(solver=SolverConfig(reflection_order=0))
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         theta0 = np.random.default_rng(0).uniform(-1, 1, size=(16, 16))
-        objective = lens_objective(src, med, t, DesignField(theta0, v_max=6.0),
-                                   cfg, FORM_CLEAR)
+        prepared = prepare(src, med, SolverConfig(reflection_order=0),
+                           FORM_CLEAR, 0, 6)
+        objective = lens_objective(prepared, t, DesignField(theta0, v_max=6.0),
+                                   OptimConfig())
         assert gradcheck(lambda th: objective(th, 5.0)[:2], theta0,
                          step=1e-4, n_coords=16) < 1e-5
 
@@ -335,16 +343,17 @@ class TestLensObjective:
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, v_max=6.0, seed=2)
-        cfg = OptimConfig(iterations=1, lambda_energy=0.0, lambda_balance=2.0,
-                          solver=SolverConfig(reflection_order=0))
+        cfg = OptimConfig(iterations=1, lambda_energy=0.0, lambda_balance=2.0)
+        prepared = prepare(src, med, SolverConfig(reflection_order=0),
+                           FORM_CLEAR, 0, design.n_v)
         beta = cfg.beta_schedule.value(0)
-        total, _, terms, p = lens_objective(src, med, t, design, cfg,
-                                            FORM_CLEAR)(design.theta, beta)
+        total, _, terms, p = lens_objective(prepared, t, design,
+                                            cfg)(design.theta, beta)
         direct = (loss_acc(p, t) + 0.0 * loss_energy(p, t)
                   + 2.0 * loss_balance(p, t))
         assert total == pytest.approx(direct, rel=1e-12)
         assert terms[2] > 0.0  # the balance weight is exercised
-        result = optimize_lens_geometry(src, med, t, design, cfg, FORM_CLEAR)
+        result = optimize_lens_geometry(prepared, t, design, cfg)
         assert result.report.total[0] == total
         assert np.array_equal(result.field_optimization.values, p.values)
 
@@ -382,8 +391,10 @@ class TestOptimizeLensGeometry:
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, v_max=6.0, seed=3)
-        cfg = OptimConfig(iterations=0, solver=SolverConfig(reflection_order=0))
-        result = optimize_lens_geometry(src, med, t, design, cfg, FORM_CLEAR)
+        prepared = prepare(src, med, SolverConfig(reflection_order=0),
+                           FORM_CLEAR, 0, design.n_v)
+        result = optimize_lens_geometry(prepared, t, design,
+                                        OptimConfig(iterations=0))
         assert np.array_equal(result.design.theta, design.theta)
         assert result.report.total == []
 
@@ -397,9 +408,10 @@ class TestOptimizeLensGeometry:
         cfg = OptimConfig(
             iterations=25,
             beta_schedule=BetaSchedule(1.0, 20.0, 25),
-            solver=SolverConfig(reflection_order=0),
         )
-        result = optimize_lens_geometry(src, med, t, design, cfg, FORM_CLEAR)
+        prepared = prepare(src, med, SolverConfig(reflection_order=0),
+                           FORM_CLEAR, 0, design.n_v)
+        result = optimize_lens_geometry(prepared, t, design, cfg)
         assert result.report.total[-1] < result.report.total[0]
         assert result.lens.occupancy.shape[:2] == (24, 24)
         # final lens is hard-binarized
@@ -412,15 +424,15 @@ class TestOptimizeLensGeometry:
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, alpha=5.0, v_max=6.0, seed=4)
-        cfg = OptimConfig(iterations=3, beta_schedule=BetaSchedule(1.0, 20.0, 3),
-                          solver=SolverConfig(reflection_order=0))
-        result = optimize_lens_geometry(src, med, t, design, cfg, FORM_CLEAR)
+        cfg = OptimConfig(iterations=3, beta_schedule=BetaSchedule(1.0, 20.0, 3))
+        prepared = prepare(src, med, SolverConfig(reflection_order=0),
+                           FORM_CLEAR, 0, design.n_v)
+        result = optimize_lens_geometry(prepared, t, design, cfg)
         final = lensmap.binarize(lensmap.forward(result.design, 20.0))
         assert np.array_equal(result.lens.thickness_map, final.thickness_map)
         assert np.array_equal(result.lens.occupancy, final.occupancy)
 
-        _, fab = fabricate_and_simulate(result.lens, src, med, FORM_CLEAR,
-                                        cfg.solver)
+        _, fab = fabricate_and_simulate(result.lens, prepared)
         once = lensmap.fabrication_filter(result.lens, 2 * g.dx, g.dx)
         assert np.array_equal(fab.thickness_map, once.thickness_map)
         assert np.array_equal(fab.occupancy, once.occupancy)

@@ -806,8 +806,8 @@ class TestPreparedMedium:
             prepared.run(source_slice=source_slice)
 
     @pytest.mark.parametrize("lens_mat, occupancy, message", [
-        (FORM_CLEAR, None, "exactly when"),
-        (None, np.zeros((16, 16, 3)), "exactly when"),
+        (FORM_CLEAR, np.zeros((16, 16, 4)), "prepared slab"),
+        (None, np.zeros((16, 16, 3)), "without a lens material"),
         (FORM_CLEAR, np.zeros((16, 16, 2)), "prepared slab"),
     ])
     def test_occupancy_must_fit_the_prepared_slab(self, lens_mat, occupancy,
@@ -817,6 +817,46 @@ class TestPreparedMedium:
                            None, lens_mat, 4, self.N_V)
         with pytest.raises(ValueError, match=message):
             prepared.run(occupancy)
+
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_base_run_of_a_lens_prepared_medium(self, order):
+        # without an occupancy, a medium prepared with a lens slab runs its
+        # base medium bitwise as one prepared without a slab: the same
+        # field and source-plane cotangent, and a cache with no slab. The
+        # bone layer puts a water-bone interface on a slab pair (13, 14).
+        g = self.GRID
+        src = SourceSpec.disk(g, 1.2e-3)
+        med = bone_layers(g, slice(14, 17), slice(24, 26))
+        cfg = SolverConfig(reflection_order=order)
+        lensed = prepare(src, med, cfg, FORM_CLEAR, 12, 4)
+        plain = prepare(src, med, cfg)
+        assert lensed.coeff[13] is not None
+        rng = np.random.default_rng(order)
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        for kwargs in ({}, {"source_plane": plane},
+                       {"source_plane": plane, "source_slice": 28,
+                        "direction": -1}):
+            p, cache = lensed.run(**kwargs)
+            q, oracle = plain.run(**kwargs)
+            assert p.values.tobytes() == q.values.tobytes()
+            assert lensed.field_only(**kwargs).values.tobytes() == \
+                q.values.tobytes()
+            assert cache.c.shape == cache.rho.shape == (16, 16, 0)
+            assert cache.Z == {} and cache.lens_z_offset is None
+            adj = propagate_adjoint(cache, upstream)
+            expected = propagate_adjoint(oracle, upstream)
+            assert adj.source_plane.tobytes() == expected.source_plane.tobytes()
+            assert adj.occupancy is None and adj.c.shape == (16, 16, 0)
+
+    def test_with_lens_records_its_material(self):
+        g = self.GRID
+        prepared = prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+                           None, FORM_CLEAR, 4, self.N_V)
+        assert prepared.lens_mat is FORM_CLEAR
+        assert prepared.with_lens(BONE).lens_mat is BONE
+        assert prepare(SourceSpec.full_plane(g),
+                       make_homogeneous(g, WATER)).lens_mat is None
 
     def test_slab_beyond_grid_rejected(self):
         g = self.GRID
