@@ -9,17 +9,17 @@ writes a resolved-config snapshot (pure SI, comment-free) whose hash is
 embedded in the headers of all exported arrays. Exit codes: 0 success,
 2 configuration error, 3 numeric failure.
 
-`design`, `gradcheck` and `sweep` each prepare the medium once, with the
-lens slab of the lens section (`solver.prepare`), and release the base
-medium before the first run; `sweep` releases the target too. Every
-field of a design comes from that slab and its one solver config: the
-lens runs of the design loop and of fabrication, and the base-medium
-runs (no occupancy) of the phase methods. Each sweep case, a material
-variant or a thickness-noise realization, is one
-`PreparedMedium.field_only` run of the lens slab: no adjoint follows,
-so no cache is kept. The materials run one after another, each on its
-`PreparedMedium.with_lens` copy of the prepared slab, so one copy is
-held at a time.
+`design`, `gradcheck` and `sweep` share one set-up, `_prepared_problem`,
+which prepares the medium once with the lens slab of the lens section
+(`solver.prepare`); the base medium never leaves it, and `sweep` keeps
+only the target's focus centres. Every field of a design comes from that
+slab and its one solver config: the lens runs of the design loop and of
+fabrication, and the base-medium runs (no occupancy) of the phase
+methods. Each sweep case, a material variant or a thickness-noise
+realization, is one `PreparedMedium.field_only` run of the lens slab: no
+adjoint follows, so no cache is kept. All cases go through one map, in
+turn or one chunk per worker; a case of another material than the lens
+section's runs on its own `PreparedMedium.with_lens` copy of the slab.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +295,11 @@ def build_grid(cfg: dict) -> GridSpec:
 def build_source(cfg: dict, grid: GridSpec) -> SourceSpec:
     sec = _section(cfg, "source")
     amplitude = _number(sec, "amplitude", 1.0)
-    if sec.get("full_plane", False):
+    full_plane = sec.get("full_plane", False)
+    if not isinstance(full_plane, bool):
+        raise ConfigError(f"source: full_plane: expected a boolean, "
+                          f"got {full_plane!r}")
+    if full_plane:
         return SourceSpec.full_plane(grid, amplitude)
     diameter = get_quantity(sec, "aperture_diameter", required=True)
     try:
@@ -428,7 +432,10 @@ def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
 
 
 def _seed(args, cfg: dict) -> int:
-    return args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+    seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed: {seed} must be non-negative")
+    return seed
 
 
 def _load_input(load, prefix, context: str):
@@ -437,6 +444,16 @@ def _load_input(load, prefix, context: str):
         return load(prefix)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _prepared_problem(cfg: dict, grid: GridSpec, seed: int):
+    """(source, lens section, medium prepared with the lens slab) of a
+    run; the base medium is built last and released as `prepare` returns."""
+    src = build_source(cfg, grid)
+    lens = build_lens_params(cfg, grid, seed)
+    prepared = prepare(src, build_medium(cfg, grid), build_solver(cfg),
+                       lens["material"], lens["z_offset"], lens["design"].n_v)
+    return src, lens, prepared
 
 
 def _focus_seeds(target: TargetSpec):
@@ -477,23 +494,16 @@ def cmd_design(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    src = build_source(cfg, grid)
-    medium = build_medium(cfg, grid)
-    target = build_target(cfg, grid)
-    solver = build_solver(cfg)
     ocfg = build_optim(cfg)
-    lens_params = build_lens_params(cfg, grid, seed)
     method = cfg.get("method", "thickness")
     if method not in ("thickness", "phase", "time_reversal"):
         raise ConfigError(f"method: unknown '{method}' "
                           "(use thickness | phase | time_reversal)")
+    target = build_target(cfg, grid)
+    src, lens_params, prepared = _prepared_problem(cfg, grid, seed)
 
     out = Path(args.out)
     extra = {"config_hash": write_snapshot(out, cfg, grid, seed)}
-    # every field below runs this slab: the base medium is not needed
-    prepared = prepare(src, medium, solver, lens_params["material"],
-                       lens_params["z_offset"], lens_params["design"].n_v)
-    del medium
 
     if method == "thickness":
         result = optim.optimize_lens_geometry(
@@ -535,7 +545,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate: --field is required")
     p = _load_input(io.load_field, args.field, "evaluate")
     if p.grid.shape != grid.shape or not np.allclose(
-        (p.grid.dx, p.grid.dy, p.grid.dz), (grid.dx, grid.dy, grid.dz)
+        (p.grid.dx, p.grid.dy, p.grid.dz, p.grid.frequency),
+        (grid.dx, grid.dy, grid.dz, grid.frequency)
     ):
         raise ConfigError("evaluate: field header does not match config grid")
 
@@ -597,10 +608,14 @@ def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
     return lens
 
 
-def _sweep_case(prepared, lens: LensVolume, seeds, sigma: float, case_seed):
-    """One sweep case: the lens with thickness noise sigma (meters, none
-    at 0) relaxed into the slab of the material's prepared medium; one
+def _sweep_case(prepared, lens: LensVolume, seeds, case):
+    """One sweep case (material, thickness noise sigma in meters, noise
+    seed): the lens, perturbed unless sigma is 0, relaxed into the slab
+    (of a `with_lens` copy for another material than the slab's); one
     `PreparedMedium.field_only`, then the focal figures of the field."""
+    mat, sigma, case_seed = case
+    if mat != prepared.lens_mat:
+        prepared = prepared.with_lens(mat)
     lens = analysis.perturb_lens(lens, sigma, prepared.grid.dz, seed=case_seed)
     field_ = prepared.field_only(lens.occupancy)
     report = analysis.focal_report(field_, seeds)
@@ -611,25 +626,27 @@ def _sweep_case(prepared, lens: LensVolume, seeds, sigma: float, case_seed):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("sweep: --jobs must be at least 1")
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    src = build_source(cfg, grid)
-    medium = build_medium(cfg, grid)
-    seeds = _focus_seeds(build_target(cfg, grid))
-    solver = build_solver(cfg)
-    lens_params = build_lens_params(cfg, grid, seed)
     sec = _section(cfg, "sweep", required=False)
-
     lens_path = args.lens or sec.get("lens")
     if lens_path is None:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
+    _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
+    # the cases read only the focus centres of the target
+    seeds = _focus_seeds(build_target(cfg, grid))
     lens = _load_lens(lens_path, grid, lens_params)
 
     # a case is (material, thickness noise sigma, noise seed)
     if args.axis == "material":
         if "materials" in sec:
+            if not isinstance(sec["materials"], list):
+                raise ConfigError("sweep: materials: expected a list, "
+                                  f"got {sec['materials']!r}")
             mats = [_material(m, "sweep") for m in sec["materials"]]
         else:
             mats = list(CLEAR_RESIN_VARIANTS)
@@ -645,29 +662,16 @@ def cmd_sweep(args) -> int:
         cases = [(lens_params["material"], sigma, seed + i) for i in range(n)]
         labels = [f"seed={seed + i}" for i in range(n)]
 
-    # the slab is prepared once and the base medium released before any
-    # case runs; then one material at a time, in order of first use: its
-    # copy of the prepared slab (`with_lens`, sharing all but the lens
-    # deltas) runs the material's cases and replaces the previous one
-    prepared = prepare(src, medium, solver, lens_params["material"],
-                       lens_params["z_offset"], lens.n_v)
-    del medium
-    rows = [None] * len(cases)
+    # one chunk of cases per worker: the prepared medium is pickled once
+    # per chunk, not once per case
+    run_case = partial(_sweep_case, prepared, lens, seeds)
     workers = min(args.jobs, len(cases))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        for mat in dict.fromkeys(m for m, _, _ in cases):
-            idx = [i for i, (m, _, _) in enumerate(cases) if m == mat]
-            prepared = prepared.with_lens(mat)
-            work = [(prepared, lens, seeds, *cases[i][1:]) for i in idx]
-            # one chunk of cases per worker: the prepared medium is
-            # pickled once per chunk, not once per case
-            rows_of = (pool.map(_sweep_case, *zip(*work),
-                                chunksize=-(-len(idx) // workers))
-                       if pool else map(_sweep_case, *zip(*work)))
-            for i, row in zip(idx, rows_of):
-                rows[i] = row
-            del work, rows_of
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(run_case, cases,
+                                 chunksize=-(-len(cases) // workers)))
+    else:
+        rows = list(map(run_case, cases))
 
     out = Path(args.out)
     write_snapshot(out, cfg, grid, seed)
@@ -737,16 +741,13 @@ def cmd_gradcheck(args) -> int:
     sec = _section(cfg, "gradcheck", required=False)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    medium = build_medium(cfg, grid)
-    src = build_source(cfg, grid)
-    target = build_target(cfg, grid)
-    solver = build_solver(cfg)
     ocfg = build_optim(cfg)
-    lens_params = build_lens_params(cfg, grid, seed)
+    target = build_target(cfg, grid)
+    _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
     design = lens_params["design"]
+    order = prepared.cfg.reflection_order
     beta = _number(sec, "beta", 5.0)
-    tolerance = _number(sec, "tolerance",
-                        1e-5 if solver.reflection_order == 0 else 1e-3)
+    tolerance = _number(sec, "tolerance", 1e-5 if order == 0 else 1e-3)
     step = _number(sec, "step", 1e-4)
     n_coords = _number(sec, "n_coords", 32, int)
     if n_coords < 1:
@@ -755,15 +756,11 @@ def cmd_gradcheck(args) -> int:
         if not value > 0:
             raise ConfigError(f"gradcheck: {key} {value:g} must be positive")
 
-    prepared = prepare(src, medium, solver, lens_params["material"],
-                       lens_params["z_offset"], design.n_v)
-    del medium
     objective = optim.lens_objective(prepared, target, design, ocfg)
     err = optim.gradcheck(lambda theta: objective(theta, beta)[:2],
                           design.theta, step, n_coords=n_coords, seed=seed)
     print(f"gradcheck: max relative error {err:.3e} "
-          f"(tolerance {tolerance:.1e}, reflection order "
-          f"{solver.reflection_order})")
+          f"(tolerance {tolerance:.1e}, reflection order {order})")
     if not np.isfinite(err) or err > tolerance:
         print("gradcheck: FAIL", file=sys.stderr)
         return EXIT_NUMERIC

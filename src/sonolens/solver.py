@@ -263,8 +263,8 @@ class PreparedMedium:
     another lens material, which shares every array but the deltas, so
     a sweep over materials prepares the medium once. Nothing
     it holds is modified by a run, except the spare plane stack of nz + 1
-    planes (`_spare`, None until the first run; a pickle carries none),
-    which each run takes for all its sweeps and puts back as it returns.
+    planes (`_spare`, None until the first run; a pickle carries none,
+    a `with_lens` copy shares it), which each run takes and puts back.
     """
 
     grid: GridSpec
@@ -291,8 +291,8 @@ class PreparedMedium:
     def with_lens(self, lens_mat: MaterialProperties) -> "PreparedMedium":
         """A copy whose runs relax a lens of `lens_mat` into the slab: only
         the lens-minus-base deltas are new, every other array is shared
-        with this medium (the spare plane stack is not carried over)."""
-        return replace(
+        with this medium (the spare plane stack too: run one at a time)."""
+        copy = replace(
             self,
             lens_mat=lens_mat,
             dc=lens_mat.sound_speed - self.c,
@@ -300,6 +300,8 @@ class PreparedMedium:
             datt=(lens_mat.attenuation_np_per_m(self.grid.frequency)
                   - self.att_np),
         )
+        copy._spare = self._spare
+        return copy
 
     def run(
         self,

@@ -329,6 +329,30 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, key", [(["--seed", "-1"], None),
+                                           ([], -3)])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, flag, key):
+        # a negative seed used to be reported as a lens error
+        cfg = base_config() if key is None else base_config(seed=key)
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o"), *flag]) == 2
+        seed = -1 if key is None else key
+        assert (f"error: seed: {seed} must be non-negative"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_full_plane_must_be_a_boolean_exit_2(self, tmp_path, capsys,
+                                                 value):
+        # the string "false" used to run a full-plane source
+        cfg = base_config(source={"full_plane": value,
+                                  "aperture_diameter_mm": 2})
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"source: full_plane: expected a boolean, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, material", [
         ("medium", {"sound_speed": None, "density": 1000}),
         ("lens", {"sound_speed": 2500, "density": [1100]}),
@@ -621,6 +645,18 @@ class TestEvaluateCommand:
                     str(out / "field_fabrication")]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_frequency_mismatch_exit_2(self, tmp_path, capsys):
+        # a 2 MHz field under a 1.5 MHz config: the bioheat model would
+        # take the attenuation at the wrong frequency
+        cfg = base_config(thermal={})
+        cfg["grid"]["frequency_mhz"] = 1.5
+        out = tmp_path / "ev"
+        assert run(["evaluate", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out),
+                    "--field", str(self.write_field(tmp_path))]) == 2
+        assert "does not match config grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def write_field(self, tmp_path):
         g = cli.build_grid(base_config())
         io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
@@ -760,6 +796,30 @@ class TestSweepCommand:
                     "--lens", self.write_flat_lens(tmp_path)]) == 2
         assert "sweep: bad material spec" in capsys.readouterr().err
 
+    def test_materials_must_be_a_list_exit_2(self, tmp_path, capsys):
+        # a string used to be read one character at a time
+        cfg = write_config(tmp_path, base_config(
+            sweep={"materials": "form_clear"}), "sw.json")
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "material",
+                    "--lens", self.write_flat_lens(tmp_path)]) == 2
+        assert ("sweep: materials: expected a list, got 'form_clear'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        # these used to run the cases in turn and exit 0
+        cfg = write_config(tmp_path, base_config(sweep={"realizations": 1}))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", "perturbation", "--jobs", jobs,
+                    "--lens", self.write_flat_lens(tmp_path)]) == 2
+        assert ("error: sweep: --jobs must be at least 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_material_axis_empty_list_header_only(self, tmp_path):
         lines = self.material_sweep(tmp_path, [])
         assert lines == ["case,peak_pressure,leakage_ratio,uniformity,"
@@ -861,14 +921,17 @@ class TestSweepCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_prepared_medium_alive_at_a_time(self, tmp_path, monkeypatch,
                                                  jobs):
-        # each material's copy of the prepared slab is released once the
-        # next one is made: at every `with_lens` call at most the copy it
-        # is called on is alive
+        # the slab from `prepare` is the one copy kept across cases: in
+        # turn, each case's `with_lens` copy for another material is
+        # released before the next case makes its own, so at every call
+        # after `prepare`'s only that slab is alive; at --jobs 2 the
+        # cases' copies are made in the workers, none in this process
         made, alive = [], []
         with_lens = solver.PreparedMedium.with_lens
 
         def tracking_with_lens(self, lens_mat):
-            alive.append(sum(ref() is not None for ref in made))
+            alive.append([i for i, ref in enumerate(made)
+                          if ref() is not None])
             copy = with_lens(self, lens_mat)
             made.append(weakref.ref(copy))
             return copy
@@ -880,8 +943,10 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                     "--axis", "material", "--jobs", jobs,
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
-        assert len(alive) >= len(cli.CLEAR_RESIN_VARIANTS)
-        assert max(alive) <= 1
+        # one default variant is the lens section's own form_clear
+        copies = sum(m != cli.FORM_CLEAR for m in cli.CLEAR_RESIN_VARIANTS)
+        assert copies == 3
+        assert alive == [[]] + [[0]] * (copies if jobs == "1" else 0)
 
     @pytest.mark.parametrize("medium", [
         {"kind": "homogeneous", "material": "water"},
@@ -925,10 +990,16 @@ class TestSweepCommand:
         assert len(built) == 7          # the medium, the target, their arrays
         assert alive == [0, 0]
 
-    def test_jobs_pickle_the_prepared_medium_once_per_chunk(self, tmp_path,
-                                                            monkeypatch):
-        # 6 cases on 2 workers are 2 chunks of 3: the prepared medium is
-        # sent to the workers twice, not once per case
+    @pytest.mark.parametrize("axis, sweep, n_cases", [
+        pytest.param("perturbation", {"realizations": 6}, 6,
+                     id="perturbation"),
+        # the four default variants, each its own material
+        pytest.param("material", {}, 4, id="material"),
+    ])
+    def test_jobs_pickle_the_prepared_medium_once_per_chunk(
+            self, tmp_path, monkeypatch, axis, sweep, n_cases):
+        # the cases on 2 workers are 2 chunks: the prepared medium is sent
+        # to the workers twice, not once per case or per material
         pickled = []
         getstate = solver.PreparedMedium.__getstate__
 
@@ -938,12 +1009,12 @@ class TestSweepCommand:
 
         monkeypatch.setattr(solver.PreparedMedium, "__getstate__",
                             counting_getstate)
-        cfg = write_config(tmp_path, base_config(sweep={"realizations": 6}))
+        cfg = write_config(tmp_path, base_config(sweep=sweep))
         out = tmp_path / "sw"
         assert run(["sweep", "--config", cfg, "--out", str(out),
-                    "--axis", "perturbation", "--jobs", "2",
+                    "--axis", axis, "--jobs", "2",
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
-        assert len((out / "sweep.csv").read_text().splitlines()) == 7
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + n_cases
         assert len(pickled) == 2
 
     def test_jobs_start_no_more_workers_than_cases(self, tmp_path,

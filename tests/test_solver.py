@@ -16,6 +16,7 @@ from sonolens import solver
 from sonolens.grid import (
     BONE,
     FORM_CLEAR,
+    VEROCLEAR,
     WATER,
     GridSpec,
     MaterialProperties,
@@ -670,6 +671,23 @@ class TestPreparedMedium:
             p, _ = prepared.run(rng.uniform(0.1, 0.9, size=(16, 16, self.N_V)))
             assert not np.array_equal(p.values, kept)
         assert np.array_equal(p1.values, kept)
+
+    def test_with_lens_copy_runs_on_the_same_plane_stack(self):
+        # a sweep over materials holds one plane stack, not one for the
+        # prepared medium and one for each material's copy of it
+        prepared = self.lens_medium()
+        occ = np.full((16, 16, self.N_V), 0.5)
+        prepared.field_only(occ)
+        stack = prepared._spare
+        copy = prepared.with_lens(VEROCLEAR)
+        p = copy.field_only(occ)
+        assert copy._spare is stack and prepared._spare is stack
+        g = self.GRID
+        fresh = prepare(SourceSpec.disk(g, 1.2e-3),
+                        bone_layers(g, slice(2, 4), slice(20, 23)),
+                        SolverConfig(reflection_order=4), VEROCLEAR, 14,
+                        self.N_V)
+        assert np.array_equal(p.values, fresh.field_only(occ).values)
 
     def test_pickle_carries_no_spare_stacks(self):
         prepared = self.lens_medium()
