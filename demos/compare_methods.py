@@ -16,7 +16,6 @@ Run:  python3 demos/compare_methods.py
 import numpy as np
 
 from sonolens import (
-    BetaSchedule,
     DesignField,
     FORM_CLEAR,
     GridSpec,
@@ -42,8 +41,7 @@ center = (24 * grid.dx, 24 * grid.dy, 40 * grid.dz)
 target = TargetSpec.from_spheres(grid, [center], 1.1 * grid.dx)
 solver = SolverConfig(reflection_order=0)
 iters = 80
-ocfg = OptimConfig(iterations=iters,
-                   beta_schedule=BetaSchedule(1.0, 20.0, iters))
+ocfg = OptimConfig(iterations=iters)  # beta 1 -> 20 over the iterations
 design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
 # the 16-slice lens slab (2.0 mm) of the design, prepared once
 prepared = prepare(src, medium, solver, FORM_CLEAR, 0, design.n_v)

@@ -11,7 +11,6 @@ Run:  python3 demos/robustness_and_thermal.py
 import numpy as np
 
 from sonolens import (
-    BetaSchedule,
     DesignField,
     FORM_CLEAR,
     GridSpec,
@@ -39,7 +38,7 @@ seed_voxel = (24, 24, 40)
 target = TargetSpec.from_spheres(
     grid, [(24 * grid.dx, 24 * grid.dy, 40 * grid.dz)], 1.1 * grid.dx
 )
-ocfg = OptimConfig(iterations=80, beta_schedule=BetaSchedule(1.0, 20.0, 80))
+ocfg = OptimConfig(iterations=80)  # beta 1 -> 20 over the 80 iterations
 design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
 # one prepared medium for the design, its fabrication and the noise
 # ensemble: each run relaxes a lens into the same slab

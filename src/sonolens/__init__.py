@@ -33,7 +33,6 @@ from .medium import (
     make_skull_phantom,
 )
 from .lensmap import (
-    BetaSchedule,
     DesignField,
     LensVolume,
     binarize,

@@ -31,6 +31,7 @@ from .solver import propagate
 from .optim import LossReport, OptimConfig, TargetSpec, descend, loss_and_adjoint
 
 TWO_PI = 2.0 * np.pi
+T_MIN = 250e-6  # m, the default lower bound of every lens thickness
 
 
 @dataclass
@@ -86,7 +87,7 @@ def phase_to_thickness(
     frequency: float,
     c0: float,
     c_lens: float,
-    t_min: float = 250e-6,
+    t_min: float = T_MIN,
     t_max: float | None = None,
 ) -> np.ndarray:
     """Convert a wrapped phase-delay map into a lens thickness map (m).
@@ -111,6 +112,17 @@ def phase_to_thickness(
     return np.clip(thickness, t_min, hi)
 
 
+def time_reversal_foci(grid, foci) -> list:
+    """`foci` as voxel-index triples; ValueError unless each is a voxel
+    past the source slice, one `time_reversal` can march back from."""
+    foci = [tuple(int(i) for i in focus) for focus in foci]
+    for ix, iy, iz in foci:
+        if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 < iz < grid.nz):
+            raise ValueError(f"focus ({ix}, {iy}, {iz}) is degenerate or "
+                             "outside the grid")
+    return foci
+
+
 def time_reversal(prepared: PreparedMedium, foci) -> PhaseMap:
     """Aberration-corrected phases by back-propagation from the targets.
 
@@ -121,12 +133,7 @@ def time_reversal(prepared: PreparedMedium, foci) -> PhaseMap:
     """
     grid = prepared.grid
     total = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
-    for ix, iy, iz in foci:
-        ix, iy, iz = int(ix), int(iy), int(iz)
-        if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 < iz < grid.nz):
-            raise ValueError(
-                f"focus ({ix}, {iy}, {iz}) is degenerate or outside the grid"
-            )
+    for ix, iy, iz in time_reversal_foci(grid, foci):
         delta = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
         delta[ix, iy] = 1.0
         field_ = prepared.field_only(source_plane=delta, source_slice=iz,
@@ -138,7 +145,7 @@ def time_reversal(prepared: PreparedMedium, foci) -> PhaseMap:
 def fabricate_and_simulate(
     design,
     prepared: PreparedMedium,
-    t_min: float = 250e-6,
+    t_min: float = T_MIN,
     t_max: float | None = None,
     fab_cutoff: float | None = None,
 ) -> tuple[ComplexField, LensVolume]:

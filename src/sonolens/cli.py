@@ -4,10 +4,13 @@ Subcommands: design, evaluate, sweep, backproject, gradcheck.
 Configs are JSON with ``//`` line comments allowed; every physical
 quantity carries its unit as a key suffix (``spacing_um``,
 ``radius_mm``, ``frequency_mhz``). A key that no section knows is a
-configuration error, in every section and at the top level. Each run
-writes a resolved-config snapshot (pure SI, comment-free) whose hash is
-embedded in the headers of all exported arrays. Exit codes: 0 success,
-2 configuration error, 3 numeric failure.
+configuration error, in every section and at the top level. A key that
+a config leaves out is not passed on, so a default that the library
+holds is written only there. Each run writes a snapshot of the config
+as given, comment-free, with `grid` in SI and the seed added but no
+default filled in (ROADMAP item 11(a)), whose hash is embedded in the
+headers of all exported arrays. Exit codes: 0 success, 2 configuration
+error, 3 numeric failure.
 
 `design`, `gradcheck` and `sweep` share one set-up, `_prepared_problem`,
 which prepares the medium once with the lens slab of the lens section
@@ -31,6 +34,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
@@ -145,6 +149,26 @@ def _number(section: dict, key: str, default=None, kind=float):
     return number
 
 
+def _given(section: dict, key: str, kind=float) -> dict:
+    """{key: its number} if `section` gives `key`, else {} (the default)."""
+    return {key: _number(section, key, kind=kind)} if key in section else {}
+
+
+def _read_fields(section: dict, cls, quantities=()) -> dict:
+    """The fields of the dataclass `cls` that `section` gives, each read as
+    its field's type (int or float; a quantity in SI from any unit
+    suffix); a field with a default is left out unless given."""
+    given = {}
+    for f in fields(cls):
+        kind = int if f.type in (int, "int") else float
+        if f.name in quantities:
+            if (value := get_quantity(section, f.name, kind=kind)) is not None:
+                given[f.name] = value
+        elif f.name in section or f.default is MISSING:
+            given[f.name] = _number(section, f.name, kind=kind)
+    return given
+
+
 def _unit_keys(section: dict, base: str):
     """(key, SI scale) of each key of `section` that names `base`."""
     for key in section:
@@ -204,21 +228,26 @@ def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
                           + (f"; did you mean '{hint[0]}'?" if hint else ""))
 
 
+def _field_keys(cls, quantities=()):
+    """(plain keys, quantities) of a section of the fields of `cls`."""
+    return (tuple(f.name for f in fields(cls) if f.name not in quantities),
+            quantities)
+
+
 # section -> (plain keys, quantities); a quantity takes a unit suffix
 _SECTION_KEYS = {
     "grid": (("nx", "ny", "nz"),
              ("spacing", "dx", "dy", "dz", "frequency", "c_ref")),
     "source": (("amplitude", "full_plane"), ("aperture_diameter",)),
     "target": ((), ("focus_centers", "radius")),
-    "solver": (("reflection_order", "angular_cutoff"), ()),
-    "optim": (("beta_start", "beta_end", "iterations", "learning_rate",
-               "lambda_energy", "lambda_balance"), ()),
+    "solver": _field_keys(SolverConfig),
+    "optim": _field_keys(OptimConfig),
     "lens": (("material", "alpha", "z_offset"),
              ("t_min", "t_max", "fab_cutoff")),
     "sweep": (("lens", "materials", "realizations"), ("sigma",)),
     "gradcheck": (("beta", "tolerance", "step", "n_coords"), ()),
-    "thermal": (("n_cycles", "perfusion_rate"),
-                ("heat_time", "cool_time", "reference_peak_pressure")),
+    "thermal": _field_keys(analysis.ThermalConfig, (
+        "heat_time", "cool_time", "reference_peak_pressure")),
     "backproject": ((), ("distances",)),
 }
 # medium kind -> (plain keys, quantities), "kind" itself aside
@@ -258,15 +287,10 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
         return MATERIALS[key]
     if isinstance(name_or_obj, dict):
         _check_keys(name_or_obj, f"{context} material",
-                    ("sound_speed", "density", "attenuation_coeff",
-                     "attenuation_power"))
+                    *_field_keys(MaterialProperties))
         try:
             return MaterialProperties(
-                _number(name_or_obj, "sound_speed"),
-                _number(name_or_obj, "density"),
-                _number(name_or_obj, "attenuation_coeff", 0.0),
-                _number(name_or_obj, "attenuation_power", 1.0),
-            )
+                **_read_fields(name_or_obj, MaterialProperties))
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{context}: bad material spec: {exc}") from exc
     raise ConfigError(f"{context}: material must be a name or an object")
@@ -285,7 +309,7 @@ def build_grid(cfg: dict) -> GridSpec:
     if dx is None or dy is None or dz is None:
         raise ConfigError("grid: spacing (or dx/dy/dz) required")
     frequency = get_quantity(sec, "frequency", required=True)
-    c_ref = get_quantity(sec, "c_ref", 1500.0)
+    c_ref = get_quantity(sec, "c_ref", GridSpec.c_ref)
     try:
         return GridSpec(nx, ny, nz, dx, dy, dz, frequency, c_ref)
     except ValueError as exc:
@@ -294,16 +318,16 @@ def build_grid(cfg: dict) -> GridSpec:
 
 def build_source(cfg: dict, grid: GridSpec) -> SourceSpec:
     sec = _section(cfg, "source")
-    amplitude = _number(sec, "amplitude", 1.0)
+    amplitude = _given(sec, "amplitude")
     full_plane = sec.get("full_plane", False)
     if not isinstance(full_plane, bool):
         raise ConfigError(f"source: full_plane: expected a boolean, "
                           f"got {full_plane!r}")
-    if full_plane:
-        return SourceSpec.full_plane(grid, amplitude)
-    diameter = get_quantity(sec, "aperture_diameter", required=True)
     try:
-        return SourceSpec.disk(grid, diameter, amplitude)
+        if full_plane:
+            return SourceSpec.full_plane(grid, **amplitude)
+        diameter = get_quantity(sec, "aperture_diameter", required=True)
+        return SourceSpec.disk(grid, diameter, **amplitude)
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from exc
 
@@ -335,7 +359,9 @@ def build_medium(cfg: dict, grid: GridSpec):
     raise ConfigError(f"medium: unknown kind '{kind}'")
 
 
-def build_target(cfg: dict, grid: GridSpec) -> TargetSpec:
+def build_target(cfg: dict, grid: GridSpec, method=None) -> TargetSpec:
+    """The target; with `method` time_reversal, checked before the set-up
+    for foci that time reversal cannot march back from."""
     sec = _section(cfg, "target")
     centers = get_quantity(sec, "focus_centers", required=True,
                            kind=_floats)
@@ -344,40 +370,22 @@ def build_target(cfg: dict, grid: GridSpec) -> TargetSpec:
         raise ConfigError("target: focus centers must be (x, y, z) triples")
     radius = get_quantity(sec, "radius", required=True)
     try:
-        return TargetSpec.from_spheres(grid, centers, radius)
+        target = TargetSpec.from_spheres(grid, centers, radius)
+        if method == "time_reversal":
+            baselines.time_reversal_foci(grid, target.focus_centers)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
+    return target
 
 
-def build_solver(cfg: dict) -> SolverConfig:
-    sec = _section(cfg, "solver", required=False)
+def build_config(cfg: dict, name: str, cls, required=False):
+    """The dataclass `cls` of section `name` (`SolverConfig`,
+    `OptimConfig`, `ThermalConfig`) from the keys the section gives."""
+    sec = _section(cfg, name, required)
     try:
-        return SolverConfig(
-            reflection_order=_number(sec, "reflection_order", 4, int),
-            angular_cutoff=_number(sec, "angular_cutoff", 1.0),
-        )
+        return cls(**_read_fields(sec, cls, _SECTION_KEYS[name][1]))
     except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def build_optim(cfg: dict) -> OptimConfig:
-    sec = _section(cfg, "optim", required=False)
-    try:
-        iterations = _number(sec, "iterations", 200, int)
-        schedule = lensmap.BetaSchedule(
-            _number(sec, "beta_start", 1.0),
-            _number(sec, "beta_end", 20.0),
-            max(iterations, 1),
-        )
-        return OptimConfig(
-            learning_rate=_number(sec, "learning_rate", 1.0),
-            iterations=iterations,
-            lambda_energy=_number(sec, "lambda_energy", 0.2),
-            lambda_balance=_number(sec, "lambda_balance", 0.5),
-            beta_schedule=schedule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"optim: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
@@ -386,14 +394,14 @@ def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
     ("design"), whose voxel bounds are max(t_min/dz, 1) and t_max/dz."""
     sec = _section(cfg, "lens", required=False)
     material = _material(sec.get("material", "form_clear"), "lens")
-    t_min = get_quantity(sec, "t_min", 250e-6)
+    t_min = get_quantity(sec, "t_min", baselines.T_MIN)
     t_max = get_quantity(sec, "t_max", 1.9e-3)
     if t_min < 0:
         raise ConfigError(f"lens: t_min {t_min:g} m must be non-negative")
     try:  # DesignField's own checks of alpha and the bounds
         design = DesignField.random(
-            grid.nx, grid.ny, _number(sec, "alpha", 0.1),
-            max(t_min / grid.dz, 1.0), t_max / grid.dz, seed=seed,
+            grid.nx, grid.ny, seed=seed, v_min=max(t_min / grid.dz, 1.0),
+            v_max=t_max / grid.dz, **_given(sec, "alpha"),
         )
     except ValueError as exc:
         raise ConfigError(f"lens: {exc} (v_min = max(t_min/dz, 1), "
@@ -413,8 +421,10 @@ def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
 
 
 def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
-    """Write the pure-SI snapshot of the effective run configuration to
-    `out/resolved_config.json`; returns its hash."""
+    """Write the snapshot of the config as given to
+    `out/resolved_config.json`: only the `grid` section is in SI, the seed
+    is added, and no default is filled in (effective values are ROADMAP
+    item 11(a)); returns its hash."""
     snap = json.loads(json.dumps(cfg))  # deep copy
     snap["grid"] = {
         "nx": grid.nx, "ny": grid.ny, "nz": grid.nz,
@@ -446,46 +456,51 @@ def _load_input(load, prefix, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _check_recorded_grid(what: str, shape, spacing, frequency,
+                         grid: GridSpec) -> None:
+    """An input array of another shape (a plane's: nx, ny), spacing or
+    frequency than the config grid's is a config error."""
+    try:
+        same = shape == grid.shape[:len(shape)] and np.allclose(
+            (*spacing, frequency), (grid.dx, grid.dy, grid.dz, grid.frequency))
+    except (TypeError, ValueError):     # a header without them
+        same = False
+    if not same:
+        raise ConfigError(f"{what} header does not match config grid")
+
+
+def _load_field(prefix, grid: GridSpec, flag: str):
+    """The field of `evaluate --<flag>`, recorded on the config grid."""
+    p = _load_input(io.load_field, prefix, "evaluate")
+    g = p.grid
+    _check_recorded_grid(f"evaluate: {flag}", p.values.shape,
+                         (g.dx, g.dy, g.dz), g.frequency, grid)
+    return p
+
+
 def _prepared_problem(cfg: dict, grid: GridSpec, seed: int):
     """(source, lens section, medium prepared with the lens slab) of a
     run; the base medium is built last and released as `prepare` returns."""
     src = build_source(cfg, grid)
     lens = build_lens_params(cfg, grid, seed)
-    prepared = prepare(src, build_medium(cfg, grid), build_solver(cfg),
+    prepared = prepare(src, build_medium(cfg, grid),
+                       build_config(cfg, "solver", SolverConfig),
                        lens["material"], lens["z_offset"], lens["design"].n_v)
     return src, lens, prepared
 
 
-def _focus_seeds(target: TargetSpec):
-    return [tuple(c) for c in target.focus_centers]
-
-
-def _write_report(out: Path, field_, seeds, psnr=None, name="report.json"):
+def _write_report(out: Path, field_, seeds, psnr):
     report = analysis.focal_report(field_, seeds)
     report.psnr_cross_domain = psnr
-    report.to_json(out / name)
-    rows = []
-    by_label = {f.label: f for f in report.foci}
-    for i in range(len(seeds)):
-        f = by_label.get(i)
-        if f is None:
-            rows.append([i, 0.0, 0.0, 0.0, 0.0, 0.0])
-        else:
-            rows.append([i, f.peak_pressure, f.fwhm_lateral_x, f.fwhm_lateral_y,
-                         f.fwhm_axial, f.volume_m3])
+    report.to_json(out / "report.json")
+    by_label = {f.label: [f.peak_pressure, f.fwhm_lateral_x, f.fwhm_lateral_y,
+                          f.fwhm_axial, f.volume_m3] for f in report.foci}
+    rows = [[i, *by_label.get(i, [0.0] * 5)] for i in range(len(seeds))]
     np.savetxt(
         out / "foci.csv", np.asarray(rows), delimiter=",",
         header="focus,peak_pressure,fwhm_x_m,fwhm_y_m,fwhm_z_m,volume_m3",
         comments="",
     )
-    return report
-
-
-def _export_lens(out: Path, lens: LensVolume, grid: GridSpec):
-    io.thickness_to_csv(out / "lens_thickness.csv", lens.thickness_map, grid.dz)
-    io.thickness_to_pgm(out / "lens_thickness.pgm", lens.thickness_map,
-                        lens.v_min, lens.v_max)
-    io.thickness_to_stl(out / "lens.stl", lens.thickness_map, grid.dx, grid.dz)
 
 
 # ------------------------------------------------------------------ design
@@ -494,12 +509,12 @@ def cmd_design(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    ocfg = build_optim(cfg)
+    ocfg = build_config(cfg, "optim", OptimConfig)
     method = cfg.get("method", "thickness")
     if method not in ("thickness", "phase", "time_reversal"):
         raise ConfigError(f"method: unknown '{method}' "
                           "(use thickness | phase | time_reversal)")
-    target = build_target(cfg, grid)
+    target = build_target(cfg, grid, method)
     src, lens_params, prepared = _prepared_problem(cfg, grid, seed)
 
     out = Path(args.out)
@@ -516,7 +531,7 @@ def cmd_design(args) -> int:
             phase, report = baselines.optimize_phase_map(prepared, target, ocfg)
             report.to_csv(out / "loss_history.csv")
         else:
-            phase = baselines.time_reversal(prepared, _focus_seeds(target))
+            phase = baselines.time_reversal(prepared, target.focus_centers)
         np.savetxt(out / "phase_map.csv", phase.phi, delimiter=",")
         plane = apply_phase_delays(src, phase.phi, grid)
         p_opt = prepared.field_only(source_plane=plane)
@@ -527,11 +542,14 @@ def cmd_design(args) -> int:
         t_max=lens_params["t_max"], fab_cutoff=lens_params["fab_cutoff"],
     )
 
-    _export_lens(out, lens, grid)
+    io.thickness_to_csv(out / "lens_thickness.csv", lens.thickness_map, grid.dz)
+    io.thickness_to_pgm(out / "lens_thickness.pgm", lens.thickness_map,
+                        lens.v_min, lens.v_max)
+    io.thickness_to_stl(out / "lens.stl", lens.thickness_map, grid.dx, grid.dz)
     io.save_field(out / "field_optimization", p_opt, extra)
     io.save_field(out / "field_fabrication", p_fab, extra)
     psnr = analysis.cross_domain_psnr(p_opt, p_fab)
-    _write_report(out, p_fab, _focus_seeds(target), psnr)
+    _write_report(out, p_fab, target.focus_centers, psnr)
     return EXIT_OK
 
 
@@ -543,39 +561,21 @@ def cmd_evaluate(args) -> int:
     target = build_target(cfg, grid)
     if args.field is None:
         raise ConfigError("evaluate: --field is required")
-    p = _load_input(io.load_field, args.field, "evaluate")
-    if p.grid.shape != grid.shape or not np.allclose(
-        (p.grid.dx, p.grid.dy, p.grid.dz, p.grid.frequency),
-        (grid.dx, grid.dy, grid.dz, grid.frequency)
-    ):
-        raise ConfigError("evaluate: field header does not match config grid")
+    p = _load_field(args.field, grid, "field")
 
     psnr = None
     if args.field2 is not None:
-        p2 = _load_input(io.load_field, args.field2, "evaluate")
-        if p2.grid.shape != p.grid.shape:
-            raise ConfigError("evaluate: field headers do not match")
-        psnr = analysis.cross_domain_psnr(p, p2)
+        psnr = analysis.cross_domain_psnr(
+            p, _load_field(args.field2, grid, "field2"))
 
     if "thermal" in cfg:        # read before anything is written
-        thermal_sec = _section(cfg, "thermal")
         medium = build_medium(cfg, grid)
-        try:
-            tcfg = analysis.ThermalConfig(
-                heat_time=get_quantity(thermal_sec, "heat_time", 10e-3),
-                cool_time=get_quantity(thermal_sec, "cool_time", 190e-3),
-                n_cycles=_number(thermal_sec, "n_cycles", 5, int),
-                reference_peak_pressure=get_quantity(
-                    thermal_sec, "reference_peak_pressure", 1e6
-                ),
-                perfusion_rate=_number(thermal_sec, "perfusion_rate", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"thermal: {exc}") from exc
+        tcfg = build_config(cfg, "thermal", analysis.ThermalConfig,
+                            required=True)
 
     out = Path(args.out)
     h = write_snapshot(out, cfg, grid, _seed(args, cfg))
-    _write_report(out, p, _focus_seeds(target), psnr)
+    _write_report(out, p, target.focus_centers, psnr)
     if "thermal" in cfg:
         dT = analysis.bioheat_simulate(p, medium, tcfg,
                                        normalize_mask=target.omega)
@@ -638,7 +638,7 @@ def cmd_sweep(args) -> int:
                           "(--lens or sweep.lens, a thickness CSV)")
     _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
     # the cases read only the focus centres of the target
-    seeds = _focus_seeds(build_target(cfg, grid))
+    seeds = build_target(cfg, grid).focus_centers
     lens = _load_lens(lens_path, grid, lens_params)
 
     # a case is (material, thickness noise sigma, noise seed)
@@ -693,7 +693,10 @@ def cmd_backproject(args) -> int:
     grid = build_grid(cfg)
     if args.plane is None:
         raise ConfigError("backproject: --plane is required")
-    _, plane = _load_input(io.load_plane, args.plane, "backproject")
+    header, plane = _load_input(io.load_plane, args.plane, "backproject")
+    _check_recorded_grid("backproject: plane", plane.shape,
+                         header.get("spacing_m", ()),
+                         header.get("frequency_hz"), grid)
 
     sec = _section(cfg, "backproject", required=False)
     if args.distances is not None:
@@ -709,9 +712,9 @@ def cmd_backproject(args) -> int:
         raise ConfigError("backproject: at least one distance is required "
                           "(--distances in mm or backproject.distances_mm)")
 
-    solver = build_solver(cfg)
     try:
-        volume = backproject(plane, grid, distances, solver)
+        volume = backproject(plane, grid, distances,
+                             build_config(cfg, "solver", SolverConfig))
     except ValueError as exc:
         raise ConfigError(f"backproject: {exc}") from exc
 
@@ -741,7 +744,7 @@ def cmd_gradcheck(args) -> int:
     sec = _section(cfg, "gradcheck", required=False)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    ocfg = build_optim(cfg)
+    ocfg = build_config(cfg, "optim", OptimConfig)
     target = build_target(cfg, grid)
     _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
     design = lens_params["design"]
@@ -749,16 +752,17 @@ def cmd_gradcheck(args) -> int:
     beta = _number(sec, "beta", 5.0)
     tolerance = _number(sec, "tolerance", 1e-5 if order == 0 else 1e-3)
     step = _number(sec, "step", 1e-4)
-    n_coords = _number(sec, "n_coords", 32, int)
-    if n_coords < 1:
-        raise ConfigError(f"gradcheck: n_coords {n_coords} must be at least 1")
+    n_coords = _given(sec, "n_coords", int)
+    if n_coords.get("n_coords", 1) < 1:
+        raise ConfigError(f"gradcheck: n_coords {n_coords['n_coords']} "
+                          "must be at least 1")
     for key, value in (("step", step), ("beta", beta), ("tolerance", tolerance)):
         if not value > 0:
             raise ConfigError(f"gradcheck: {key} {value:g} must be positive")
 
     objective = optim.lens_objective(prepared, target, design, ocfg)
     err = optim.gradcheck(lambda theta: objective(theta, beta)[:2],
-                          design.theta, step, n_coords=n_coords, seed=seed)
+                          design.theta, step, seed=seed, **n_coords)
     print(f"gradcheck: max relative error {err:.3e} "
           f"(tolerance {tolerance:.1e}, reflection order {order})")
     if not np.isfinite(err) or err > tolerance:

@@ -84,6 +84,13 @@ class GridSpec:
     def voxel_volume(self) -> float:
         return self.dx * self.dy * self.dz
 
+    def squared_distance(self, point) -> np.ndarray:
+        """Squared distance of each voxel center from `point` (x, y, z),
+        in meters from the center of voxel (0, 0, 0)."""
+        x, y, z = (np.arange(n) * d - p for n, d, p
+                   in zip(self.shape, (self.dx, self.dy, self.dz), point))
+        return x[:, None, None]**2 + y[None, :, None]**2 + z[None, None, :]**2
+
 
 @dataclass(frozen=True)
 class MaterialProperties:
@@ -141,6 +148,10 @@ class SourceSpec:
     aperture_diameter: float
     aperture_mask: np.ndarray
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not self.amplitude > 0:      # NaN fails too
+            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
 
     @classmethod
     def disk(cls, grid: GridSpec, aperture_diameter: float, amplitude: float = 1.0

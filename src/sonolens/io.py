@@ -71,7 +71,7 @@ def _grid_from_header(header: dict) -> GridSpec:
     nx, ny, nz = header["dims"]
     dx, dy, dz = header["spacing_m"]
     return GridSpec(nx, ny, nz, dx, dy, dz, header["frequency_hz"],
-                    header.get("c_ref", 1500.0))
+                    header.get("c_ref", GridSpec.c_ref))
 
 
 def save_hu_volume(prefix, grid: GridSpec, hu: np.ndarray) -> None:

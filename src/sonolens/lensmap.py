@@ -71,10 +71,10 @@ class DesignField:
             raise ValueError("v_min must be smaller than v_max")
 
     @classmethod
-    def random(cls, nx, ny, alpha=0.1, v_min=1.0, v_max=12.0, seed=None):
-        """theta ~ i.i.d. uniform[-1, 1]."""
+    def random(cls, nx, ny, seed=None, **params):
+        """theta ~ i.i.d. uniform[-1, 1]; `params` are the other fields."""
         rng = np.random.default_rng(seed)
-        return cls(rng.uniform(-1.0, 1.0, size=(nx, ny)), alpha, v_min, v_max)
+        return cls(rng.uniform(-1.0, 1.0, size=(nx, ny)), **params)
 
     @property
     def n_v(self) -> int:
@@ -98,27 +98,6 @@ class LensVolume:
     @property
     def n_v(self) -> int:
         return self.occupancy.shape[2]
-
-
-@dataclass
-class BetaSchedule:
-    """Monotone geometric annealing of the voxelization sharpness."""
-
-    beta_start: float = 1.0
-    beta_end: float = 20.0
-    iterations: int = 200
-
-    def __post_init__(self):
-        if self.beta_start <= 0 or self.beta_end <= 0:
-            raise ValueError("beta endpoints must be positive")
-        if self.beta_end < self.beta_start:
-            raise ValueError("schedule must be monotone non-decreasing")
-
-    def value(self, iteration: int) -> float:
-        if self.iterations <= 1:
-            return self.beta_end
-        frac = min(max(iteration, 0), self.iterations - 1) / (self.iterations - 1)
-        return float(self.beta_start * (self.beta_end / self.beta_start) ** frac)
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -197,8 +176,7 @@ def backward(
     if grad_occupancy.shape != (*ts.shape, n_v):
         raise ValueError("upstream gradient shape does not match the forward pass")
 
-    z = np.arange(n_v) + 0.5
-    occ = sigmoid(beta * (ts[:, :, None] - z[None, None, :]))
+    occ = voxelize(ts, beta, n_v).occupancy
     # d occ / d t_smooth = beta * occ * (1 - occ)
     grad_ts = np.sum(grad_occupancy * beta * occ * (1.0 - occ), axis=2)
     grad_t = _smooth_transpose(grad_ts, KERNEL_SIZE, SMOOTH_SIGMA)

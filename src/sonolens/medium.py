@@ -143,15 +143,7 @@ def make_skull_phantom(
     for c, L in zip((cx, cy, cz), extent):
         if c - outer < -grid.dx or c + outer > L + grid.dx:
             raise ValueError("shell does not fit inside the grid")
-
-    x = np.arange(grid.nx) * grid.dx
-    y = np.arange(grid.ny) * grid.dy
-    z = np.arange(grid.nz) * grid.dz
-    r2 = (
-        (x[:, None, None] - cx) ** 2
-        + (y[None, :, None] - cy) ** 2
-        + (z[None, None, :] - cz) ** 2
-    )
+    r2 = grid.squared_distance(shell_center)
     shell = (r2 >= inner_radius**2) & (r2 <= outer**2)
     if thickness == 0:
         shell[:] = False

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .lensmap import BetaSchedule, DesignField, LensVolume
+from .lensmap import DesignField, LensVolume
 from . import lensmap
 from .solver import (
     ComplexField,
@@ -41,9 +41,10 @@ from .solver import (
 class TargetSpec:
     """Amplitude-only target with its active focal-region set.
 
-    The loss constants are computed once here: the flat indices of the
-    support (a > 0) and of the active set (a == 1), a on the support,
-    sum a^4 and sum a. `a_target` is not to be changed afterwards.
+    Each focus center is a voxel of the grid. The loss constants are
+    computed once here: the flat indices of the support (a > 0) and of
+    the active set (a == 1), a on the support, sum a^4 and sum a.
+    `a_target` is not to be changed afterwards.
     """
 
     a_target: np.ndarray                 # 3D, values in [0, 1]
@@ -62,6 +63,11 @@ class TargetSpec:
             raise ValueError("target must contain at least one active voxel")
         if not self.focus_centers:
             raise ValueError("at least one focus center is required")
+        shape = self.a_target.shape
+        for c in self.focus_centers:
+            if len(c) != 3 or not all(0 <= i < n for i, n in zip(c, shape)):
+                raise ValueError(f"focus center {tuple(c)} is not a voxel "
+                                 f"of the {shape} grid")
         a = self.a_target.reshape(-1)
         self.support = np.flatnonzero(a)
         self.a_support = a[self.support]
@@ -77,40 +83,43 @@ class TargetSpec:
     @classmethod
     def from_spheres(cls, grid: GridSpec, centers_m, radius_m: float) -> "TargetSpec":
         """Binary target of spherical foci given centers in meters."""
-        x = np.arange(grid.nx) * grid.dx
-        y = np.arange(grid.ny) * grid.dy
-        z = np.arange(grid.nz) * grid.dz
         a = np.zeros(grid.shape)
         voxel_centers = []
-        for cx, cy, cz in centers_m:
-            r2 = (
-                (x[:, None, None] - cx) ** 2
-                + (y[None, :, None] - cy) ** 2
-                + (z[None, None, :] - cz) ** 2
-            )
-            a[r2 <= radius_m**2] = 1.0
-            voxel_centers.append(
-                (int(round(cx / grid.dx)), int(round(cy / grid.dy)),
-                 int(round(cz / grid.dz)))
-            )
+        for center in centers_m:
+            a[grid.squared_distance(center) <= radius_m**2] = 1.0
+            voxel_centers.append(tuple(int(round(c / d)) for c, d in
+                                       zip(center, (grid.dx, grid.dy, grid.dz))))
         return cls(a, voxel_centers)
 
 
 @dataclass
 class OptimConfig:
+    """Adam settings, loss weights, and the voxelization sharpness `beta`,
+    annealed geometrically from beta_start to beta_end over the run."""
+
     learning_rate: float = 1.0
     iterations: int = 200
     lambda_energy: float = 0.2
     lambda_balance: float = 0.5
-    beta_schedule: BetaSchedule | None = None
+    beta_start: float = 1.0
+    beta_end: float = 20.0
 
     def __post_init__(self):
+        if self.beta_start <= 0 or self.beta_end <= 0:
+            raise ValueError("beta endpoints must be positive")
+        if self.beta_end < self.beta_start:
+            raise ValueError("schedule must be monotone non-decreasing")
         if self.learning_rate <= 0 or self.iterations < 0:
             raise ValueError("learning rate must be positive, iterations >= 0")
         if self.lambda_energy < 0 or self.lambda_balance < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.beta_schedule is None:
-            self.beta_schedule = BetaSchedule(iterations=max(self.iterations, 1))
+
+    def beta(self, iteration: int) -> float:
+        """Sharpness at `iteration`; beta_end for runs under 2 iterations."""
+        if self.iterations <= 1:
+            return self.beta_end
+        frac = min(max(iteration, 0), self.iterations - 1) / (self.iterations - 1)
+        return float(self.beta_start * (self.beta_end / self.beta_start) ** frac)
 
 
 @dataclass
@@ -299,18 +308,17 @@ def optimize_lens_geometry(
 ) -> DesignResult:
     """End-to-end geometry optimization of a thickness-modulated lens.
 
-    Runs `descend` on `lens_objective` with beta following the schedule.
+    Runs `descend` on `lens_objective` with beta following `cfg.beta`.
     Returns the final design, its lens at the final beta binarized but not
     fabrication-filtered, the loss history and the field of the last
     iteration. Printer-resolution filtering is the step of
     `baselines.fabricate_and_simulate`, as for phase designs.
     """
-    schedule = cfg.beta_schedule
     objective = lens_objective(prepared, target, design, cfg)
     theta, report, p_opt = descend(
-        lambda th, it: objective(th, schedule.value(it)), design.theta, cfg
+        lambda th, it: objective(th, cfg.beta(it)), design.theta, cfg
     )
-    beta = schedule.value(max(cfg.iterations - 1, 0))
+    beta = cfg.beta(cfg.iterations - 1)
     if p_opt is None:  # zero iterations: the field of the initial design
         p_opt = objective(theta, beta)[3]
     final = DesignField(theta, design.alpha, design.v_min, design.v_max)

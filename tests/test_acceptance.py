@@ -19,7 +19,7 @@ from oracles import (
 from sonolens import analysis, baselines, cli, optim
 from sonolens.analysis import HEAT_CAPACITY_BONE, ThermalConfig, _fwhm_1d
 from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
-from sonolens.lensmap import BetaSchedule, DesignField
+from sonolens.lensmap import DesignField
 from sonolens.medium import make_homogeneous, make_skull_phantom
 from sonolens.optim import (
     OptimConfig,
@@ -59,8 +59,7 @@ def trifocal_phantom():
     target = TargetSpec.from_spheres(g, centers, 1.6 * g.dx)
     solver = SolverConfig(reflection_order=0)
     iters = 60
-    ocfg = OptimConfig(iterations=iters,
-                       beta_schedule=BetaSchedule(1.0, 20.0, iters))
+    ocfg = OptimConfig(iterations=iters)
 
     design = DesignField.random(64, 64, v_max=1.9e-3 / g.dz, seed=0)
     # one prepared lens slab for both designs and their fabrication
@@ -173,8 +172,7 @@ def test_criterion_05_desk_scale_optimization():
     tgt = (32, 32, 64)
     target = TargetSpec.from_spheres(g, [(cx, cx, 64 * g.dz)], 0.9 * g.dx)
     ocfg = OptimConfig(iterations=200, learning_rate=1.0, lambda_energy=0.2,
-                       lambda_balance=0.5,
-                       beta_schedule=BetaSchedule(1.0, 20.0, 200))
+                       lambda_balance=0.5, beta_start=1.0, beta_end=20.0)
     design = DesignField.random(64, 64, v_max=1.9e-3 / g.dz, seed=0)
     prepared = prepare(src, med, SolverConfig(reflection_order=0), FORM_CLEAR,
                        0, design.n_v)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sonolens import analysis, cli, io, lensmap, optim, solver
+from sonolens.analysis import ThermalConfig
 from sonolens.cli import (
     ConfigError,
     get_quantity,
@@ -16,7 +17,8 @@ from sonolens.cli import (
 )
 from sonolens.grid import GridSpec
 from sonolens.medium import AcousticMedium, embed_lens
-from sonolens.solver import ComplexField
+from sonolens.optim import OptimConfig
+from sonolens.solver import ComplexField, SolverConfig
 
 
 def base_config(**overrides):
@@ -194,6 +196,20 @@ class TestDesignCommand:
         assert run(["design", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
         assert "target: required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [
+        {"full_plane": True, "amplitude": 0},
+        {"aperture_diameter_mm": 2, "amplitude": 0},
+        {"full_plane": True, "amplitude": -1},
+    ])
+    def test_non_positive_amplitude_exit_2(self, tmp_path, capsys, source):
+        # a zero amplitude used to run the whole design, then fail on a
+        # zero reference field
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, base_config(source=source))
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 2
+        assert "source: amplitude must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config(method="magic"))
@@ -610,6 +626,104 @@ class TestOnePreparedMediumPerRun:
         assert len(built) == 1 and alive and not any(alive)
 
 
+class TestImpossibleFocusExit2:
+    """A focus that is no voxel of the grid, or one that time reversal
+    cannot march back from, exits 2 before any field is computed."""
+
+    def demo_config(self, tmp_path, center_mm, method="thickness"):
+        cfg = load_config(REPO / "demos" / "single_focus_water.cfg")
+        cfg["target"] = {"focus_centers_mm": [center_mm], "radius_um": 500}
+        cfg["method"] = method
+        return write_config(tmp_path, cfg)
+
+    @pytest.mark.parametrize("command", ["design", "sweep", "evaluate"])
+    def test_focus_outside_the_grid(self, tmp_path, capsys, command):
+        # x = 6.2 mm is voxel 50 of the 48 (6 mm) of the demo grid, while
+        # the 500 um sphere around it still reaches into the grid
+        cfg = self.demo_config(tmp_path, [6.2, 3.0, 5.0])
+        grid = cli.build_grid(load_config(cfg))
+        np.savetxt(tmp_path / "lens.csv", np.zeros((grid.nx, grid.ny)),
+                   delimiter=",")
+        io.save_field(tmp_path / "f",
+                      ComplexField(np.ones(grid.shape, complex), grid))
+        extra = {"design": [],
+                 "sweep": ["--axis", "material",
+                           "--lens", str(tmp_path / "lens.csv")],
+                 "evaluate": ["--field", str(tmp_path / "f")]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out), *extra]) == 2
+        assert ("target: focus center (50, 24, 40) is not a voxel of the "
+                "(48, 48, 64) grid" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_time_reversal_focus_on_the_source_slice(self, tmp_path, capsys):
+        cfg = self.demo_config(tmp_path, [3.0, 3.0, 0.0], "time_reversal")
+        out = tmp_path / "out"
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 2
+        assert ("target: focus (24, 24, 0) is degenerate"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestDefaultsComeFromTheLibrary:
+    """The CLI passes only the keys a config gives: with the library's
+    defaults patched, a config without the key gets the patched value."""
+
+    PATCHED = {
+        SolverConfig: (2, 0.5),
+        OptimConfig: (0.5, 7, 0.1, 0.3, 2.0, 9.0),
+        ThermalConfig: (5e-3, 95e-3, 3, 2e6, 0.01),
+    }
+
+    @pytest.fixture(autouse=True)
+    def patched(self, monkeypatch):
+        for cls, defaults in self.PATCHED.items():
+            assert len(defaults) == len(cls.__init__.__defaults__)
+            monkeypatch.setattr(cls.__init__, "__defaults__", defaults)
+
+    def test_design(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def design(prepared, target, design, cfg):
+            seen.update(solver=prepared.cfg, optim=cfg)
+            raise ConfigRead
+
+        monkeypatch.setattr(optim, "optimize_lens_geometry", design)
+        cfg = base_config()     # optim: iterations 3 only
+        del cfg["solver"]
+        with pytest.raises(ConfigRead):
+            run(["design", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+        assert seen["solver"] == SolverConfig(2, 0.5)
+        assert seen["optim"] == OptimConfig(0.5, 3, 0.1, 0.3, 2.0, 9.0)
+
+    def test_evaluate_thermal(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def simulate(p, medium, cfg, normalize_mask=None):
+            seen["thermal"] = cfg
+            raise ConfigRead
+
+        monkeypatch.setattr(analysis, "bioheat_simulate", simulate)
+        g = cli.build_grid(base_config())
+        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
+        cfg = base_config(thermal={"n_cycles": 1})
+        with pytest.raises(ConfigRead):
+            run(["evaluate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o"), "--field", str(tmp_path / "f")])
+        assert seen["thermal"] == ThermalConfig(5e-3, 95e-3, 1, 2e6, 0.01)
+
+    def test_gradcheck(self, capsys, monkeypatch):
+        # the built-in problem has no solver section, and no n_coords
+        calls = []
+        real = optim.gradcheck
+        monkeypatch.setattr(optim, "gradcheck",
+                            lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        assert run(["gradcheck"]) == 0
+        assert "reflection order 2" in capsys.readouterr().out
+        assert "n_coords" not in calls[0]
+
+
 class TestEvaluateCommand:
     def test_same_field_psnr_cap(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -657,10 +771,25 @@ class TestEvaluateCommand:
         assert "does not match config grid" in capsys.readouterr().err
         assert not out.exists()
 
-    def write_field(self, tmp_path):
-        g = cli.build_grid(base_config())
-        io.save_field(tmp_path / "f", ComplexField(np.ones(g.shape, complex), g))
-        return tmp_path / "f"
+    def write_field(self, tmp_path, grid=None, name="f"):
+        g = grid or cli.build_grid(base_config())
+        io.save_field(tmp_path / name,
+                      ComplexField(np.ones(g.shape, complex), g))
+        return tmp_path / name
+
+    def test_field2_on_another_grid_exit_2(self, tmp_path, capsys):
+        # the dims of the config grid, recorded at 100 um and 1 MHz: the
+        # PSNR of the pair used to be reported (300 dB for this one)
+        other = GridSpec(24, 24, 32, 100e-6, 100e-6, 100e-6, 1e6)
+        out = tmp_path / "ev"
+        assert run(["evaluate", "--config",
+                    write_config(tmp_path, base_config()), "--out", str(out),
+                    "--field", str(self.write_field(tmp_path)),
+                    "--field2", str(self.write_field(tmp_path, other, "f2"))
+                    ]) == 2
+        assert ("evaluate: field2 header does not match config grid"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--field", "--field2"])
     def test_missing_field_exit_2(self, tmp_path, capsys, flag):
@@ -1059,7 +1188,8 @@ def embedded_lens_rows(cfg_path, lens_csv, cases):
             lens, sigma, grid.dz, seed=seed)
         embedded = embed_lens(medium, case_lens.occupancy, mat,
                               params["z_offset"])
-        field_, _ = solver.propagate(src, embedded, cli.build_solver(cfg))
+        field_, _ = solver.propagate(
+            src, embedded, cli.build_config(cfg, "solver", SolverConfig))
         report = analysis.focal_report(field_, seeds)
         if report.foci:
             values = [max(f.peak_pressure for f in report.foci),
@@ -1207,6 +1337,18 @@ class TestBackprojectCommand:
         cfg = self.cfg64(tmp_path)
         assert run(["backproject", "--config", cfg,
                     "--out", str(tmp_path / "bp")]) == 2
+
+    def test_plane_on_another_grid_exit_2(self, tmp_path, capsys):
+        # 64 x 64 like the config grid, but recorded at 100 um and 1 MHz
+        other = GridSpec(64, 64, 32, 100e-6, 100e-6, 100e-6, 1e6)
+        plane = self.make_plane(tmp_path, other, np.ones((64, 64), complex))
+        out = tmp_path / "bp"
+        assert run(["backproject", "--config", self.cfg64(tmp_path),
+                    "--out", str(out), "--plane", plane,
+                    "--distances", "1"]) == 2
+        assert ("backproject: plane header does not match config grid"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

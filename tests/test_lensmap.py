@@ -4,7 +4,6 @@ import pytest
 import oracles
 from sonolens import lensmap
 from sonolens.lensmap import (
-    BetaSchedule,
     DesignField,
     LensVolume,
     binarize,
@@ -314,16 +313,3 @@ class TestFabricationFilter:
         lens = LensVolume(np.zeros((4, 4, 4)), np.full((4, 4), 2.0))
         with pytest.raises(ValueError, match="cutoff"):
             fabrication_filter(lens, 60e-6, 125e-6)
-
-
-class TestBetaSchedule:
-    def test_endpoints_and_monotonicity(self):
-        s = BetaSchedule(1.0, 20.0, 200)
-        vals = [s.value(i) for i in range(200)]
-        assert vals[0] == pytest.approx(1.0)
-        assert vals[-1] == pytest.approx(20.0)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_decreasing_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            BetaSchedule(20.0, 1.0, 100)

@@ -9,7 +9,7 @@ from oracles import loss_acc, loss_balance, loss_energy
 from sonolens import lensmap
 from sonolens.baselines import fabricate_and_simulate
 from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
-from sonolens.lensmap import BetaSchedule, DesignField
+from sonolens.lensmap import DesignField
 from sonolens.medium import make_homogeneous
 from sonolens.optim import (
     Adam,
@@ -346,7 +346,7 @@ class TestLensObjective:
         cfg = OptimConfig(iterations=1, lambda_energy=0.0, lambda_balance=2.0)
         prepared = prepare(src, med, SolverConfig(reflection_order=0),
                            FORM_CLEAR, 0, design.n_v)
-        beta = cfg.beta_schedule.value(0)
+        beta = cfg.beta(0)
         total, _, terms, p = lens_objective(prepared, t, design,
                                             cfg)(design.theta, beta)
         direct = (loss_acc(p, t) + 0.0 * loss_energy(p, t)
@@ -405,10 +405,7 @@ class TestOptimizeLensGeometry:
         t = TargetSpec.from_spheres(g, [(12 * g.dx, 12 * g.dy, 24 * g.dz)],
                                     1.6 * g.dx)
         design = DesignField.random(24, 24, v_max=8.0, seed=0)
-        cfg = OptimConfig(
-            iterations=25,
-            beta_schedule=BetaSchedule(1.0, 20.0, 25),
-        )
+        cfg = OptimConfig(iterations=25)
         prepared = prepare(src, med, SolverConfig(reflection_order=0),
                            FORM_CLEAR, 0, design.n_v)
         result = optimize_lens_geometry(prepared, t, design, cfg)
@@ -424,7 +421,7 @@ class TestOptimizeLensGeometry:
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, alpha=5.0, v_max=6.0, seed=4)
-        cfg = OptimConfig(iterations=3, beta_schedule=BetaSchedule(1.0, 20.0, 3))
+        cfg = OptimConfig(iterations=3)
         prepared = prepare(src, med, SolverConfig(reflection_order=0),
                            FORM_CLEAR, 0, design.n_v)
         result = optimize_lens_geometry(prepared, t, design, cfg)
@@ -444,3 +441,21 @@ class TestOptimizeLensGeometry:
             OptimConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             OptimConfig(lambda_energy=-0.1)
+
+
+class TestOptimConfig:
+    def test_beta_endpoints_and_monotonicity(self):
+        cfg = OptimConfig(iterations=200, beta_start=1.0, beta_end=20.0)
+        vals = [cfg.beta(i) for i in range(200)]
+        assert vals[0] == pytest.approx(1.0)
+        assert vals[-1] == pytest.approx(20.0)
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_decreasing_beta_schedule_rejected(self):
+        with pytest.raises(ValueError, match="monotone"):
+            OptimConfig(iterations=100, beta_start=20.0, beta_end=1.0)
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_beta_of_a_short_run_is_beta_end(self, iterations):
+        cfg = OptimConfig(iterations=iterations, beta_end=7.0)
+        assert cfg.beta(0) == cfg.beta(iterations - 1) == 7.0

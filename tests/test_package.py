@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,19 @@ def run_python(code, *args):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_readme_library_example_prints_its_psnr():
+    # the library example of README.md runs as printed there and prints
+    # the cross-domain PSNR that the text after it quotes
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    quoted = re.search(r"It prints ([\d.]+) dB", section).group(1)
+    run = run_python(code)
+    assert run.returncode == 0, run.stderr
+    value, unit = run.stdout.split()
+    assert (f"{float(value):.2f}", unit) == (quoted, "dB") == ("37.28", "dB")
 
 
 def test_cli_import_loads_no_scipy():
