@@ -238,10 +238,12 @@ def focal_report(p: ComplexField, seeds) -> FocalReport:
 class ThermalConfig:
     """Pulsed heating/cooling protocol."""
 
-    heat_time: float = 10e-3      # s at peak pressure
-    cool_time: float = 190e-3
+    # each cycle heats at peak pressure for heat_time, then cools
+    heat_time: float = field(default=10e-3, metadata={"unit": "s"})
+    cool_time: float = field(default=190e-3, metadata={"unit": "s"})
     n_cycles: int = 5
-    reference_peak_pressure: float = 1e6  # Pa
+    reference_peak_pressure: float = field(default=1e6,
+                                           metadata={"unit": "Pa"})
     perfusion_rate: float = 0.0   # 1/s, hook only; ex vivo default 0
 
     def __post_init__(self):

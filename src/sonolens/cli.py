@@ -1,16 +1,16 @@
 """Configuration-driven command line for reproducible design and analysis runs.
 
 Subcommands: design, evaluate, sweep, backproject, gradcheck.
-Configs are JSON with ``//`` line comments allowed; every physical
-quantity carries its unit as a key suffix (``spacing_um``,
+Configs are JSON with ``//`` line comments allowed. Each section is read
+into one dataclass whose fields are its keys (`SECTIONS`, `MEDIUM_KINDS`);
+a quantity's key carries its unit as a suffix (``spacing_um``,
 ``radius_mm``, ``frequency_mhz``). A key that no section knows is a
-configuration error, in every section and at the top level. A key that
-a config leaves out is not passed on, so a default that the library
-holds is written only there. Each run writes a snapshot of the config
-as given, comment-free, with `grid` in SI and the seed added but no
-default filled in (ROADMAP item 11(a)), whose hash is embedded in the
-headers of all exported arrays. Exit codes: 0 success, 2 configuration
-error, 3 numeric failure.
+configuration error, in every section and at the top level. Each run
+writes a snapshot of the config as given, `grid` in SI and the seed added,
+with every field of each section the run read, defaults included, under
+`effective`; its hash, which a changed default changes too, is embedded
+in the headers of all exported arrays. Exit codes: 0 success, 2
+configuration error, 3 numeric failure.
 
 `design`, `gradcheck` and `sweep` share one set-up, `_prepared_problem`,
 which prepares the medium once with the lens slab of the lens section
@@ -34,7 +34,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -67,12 +67,12 @@ MATERIALS = {
 # Published measurement variants of the clear SLA resin used for the
 # default material-robustness sweep (sound speed, density); attenuation
 # is held at the catalog value.
-CLEAR_RESIN_VARIANTS = [
+CLEAR_RESIN_VARIANTS = (
     MaterialProperties(2424.0, 1100.0, 2.922, 1.044),
     MaterialProperties(2440.0, 1162.0, 2.922, 1.044),
     MaterialProperties(2591.0, 1178.0, 2.922, 1.044),
     MaterialProperties(2700.0, 1180.0, 2.922, 1.044),
-]
+)
 
 
 class ConfigError(Exception):
@@ -85,6 +85,102 @@ class _Section(dict):
     def __init__(self, name: str, items=()):
         super().__init__(items)
         self.name = name
+
+
+class _Config(dict):
+    """A loaded config, with the fields of each section as the run read
+    them (`build_config`), for its snapshot."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = {}
+
+
+# ------------------------------------------------------------------ schema
+# The keys of a section are the fields of one dataclass. The metadata of a
+# quantity names its SI unit; its key takes a unit suffix. A default of None
+# is settled where the section is used.
+
+LENGTH = {"unit": "m"}
+
+
+@dataclass(frozen=True)
+class Source:
+    amplitude: float = SourceSpec.amplitude
+    full_plane: bool = False
+    # required unless full_plane
+    aperture_diameter: float | None = field(default=None, metadata=LENGTH)
+
+
+@dataclass(frozen=True)
+class Target:
+    focus_centers: np.ndarray = field(metadata=LENGTH)      # (x, y, z) rows
+    radius: float = field(metadata=LENGTH)
+
+
+@dataclass(frozen=True)
+class Lens:
+    material: MaterialProperties = FORM_CLEAR
+    alpha: float = DesignField.alpha
+    z_offset: int = 0                                       # slices
+    t_min: float = field(default=baselines.T_MIN, metadata=LENGTH)
+    t_max: float = field(default=1.9e-3, metadata=LENGTH)
+    # None: fabrication's, 2 dx
+    fab_cutoff: float | None = field(default=None, metadata=LENGTH)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    lens: str | None = None                                 # or --lens
+    materials: tuple[MaterialProperties, ...] = CLEAR_RESIN_VARIANTS
+    realizations: int = 50
+    sigma: float = field(default=50e-6, metadata=LENGTH)
+
+
+@dataclass(frozen=True)
+class Gradcheck:
+    beta: float = 5.0
+    tolerance: float | None = None      # None: 1e-5 at order 0, else 1e-3
+    step: float = 1e-4
+    n_coords: int | None = None         # None: optim.gradcheck's
+
+
+@dataclass(frozen=True)
+class Backproject:
+    # or --distances
+    distances: np.ndarray | None = field(default=None, metadata=LENGTH)
+
+
+@dataclass(frozen=True)
+class Homogeneous:
+    material: MaterialProperties = WATER
+    kind: str = "homogeneous"           # the medium's default kind
+
+
+@dataclass(frozen=True)
+class Phantom:
+    center: np.ndarray = field(metadata=LENGTH)
+    inner_radius: float = field(metadata=LENGTH)
+    thickness: float = field(metadata=LENGTH)
+    bone_material: MaterialProperties = BONE
+    background_material: MaterialProperties = WATER
+    kind: str = "phantom"
+
+
+@dataclass(frozen=True)
+class HuFile:
+    path: str                           # prefix of an int16 HU volume
+    kind: str = "hu_file"
+
+
+# the grid's `spacing` stands for each of dx, dy and dz that it leaves out
+SECTIONS = {"grid": GridSpec, "source": Source, "target": Target,
+            "solver": SolverConfig, "optim": OptimConfig, "lens": Lens,
+            "sweep": Sweep, "gradcheck": Gradcheck,
+            "thermal": analysis.ThermalConfig, "backproject": Backproject}
+MEDIUM_KINDS = {cls.kind: cls for cls in (Homogeneous, Phantom, HuFile)}
+TOP_KEYS = ("method", "seed")
+METHODS = ("thickness", "phase", "time_reversal")
 
 
 # ------------------------------------------------------------------ config
@@ -117,7 +213,11 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     check_config(cfg)
-    return cfg
+    return _Config(cfg)
+
+
+def _where(section: dict) -> str:
+    return f"{section.name}: " if isinstance(section, _Section) else ""
 
 
 def _has_bool(value) -> bool:
@@ -133,7 +233,7 @@ def _number(section: dict, key: str, default=None, kind=float):
     NaN and Infinity parse) or, for `int`, has a fraction is a config
     error naming the section and the key."""
     value = section.get(key, default)
-    where = f"{section.name}: " if isinstance(section, _Section) else ""
+    where = _where(section)
     if _has_bool(value) or (kind is int and isinstance(value, float)
                             and not value.is_integer()):
         expected = "an integer" if kind is int else "a number"
@@ -149,23 +249,44 @@ def _number(section: dict, key: str, default=None, kind=float):
     return number
 
 
-def _given(section: dict, key: str, kind=float) -> dict:
-    """{key: its number} if `section` gives `key`, else {} (the default)."""
-    return {key: _number(section, key, kind=kind)} if key in section else {}
+def _typed(section: dict, key: str, kind, expected: str):
+    if not isinstance(value := section[key], kind):
+        raise ConfigError(f"{_where(section)}{key}: expected {expected}, "
+                          f"got {value!r}")
+    return value
 
 
-def _read_fields(section: dict, cls, quantities=()) -> dict:
-    """The fields of the dataclass `cls` that `section` gives, each read as
-    its field's type (int or float; a quantity in SI from any unit
-    suffix); a field with a default is left out unless given."""
-    given = {}
+# field type (`| None` aside) -> reader of section[key]
+_READERS = {
+    "int": partial(_number, kind=int),
+    "float": _number,
+    "np.ndarray": partial(_number, kind=partial(np.asarray, dtype=float)),
+    "bool": partial(_typed, kind=bool, expected="a boolean"),
+    "str": lambda section, key: section[key],
+    "MaterialProperties":
+        lambda section, key: _material(section[key], section.name),
+    "tuple[MaterialProperties, ...]": lambda section, key: tuple(
+        _material(m, section.name)
+        for m in _typed(section, key, list, "a list")),
+}
+
+
+def _read_fields(section: dict, cls, defaults=()) -> dict:
+    """{name: value} of each field of the dataclass `cls` that `section`
+    gives, read by the field's type (a quantity in SI, from any unit
+    suffix), over `defaults`; a field without a default that neither
+    gives is a config error."""
+    given = dict(defaults)
     for f in fields(cls):
-        kind = int if f.type in (int, "int") else float
-        if f.name in quantities:
-            if (value := get_quantity(section, f.name, kind=kind)) is not None:
-                given[f.name] = value
-        elif f.name in section or f.default is MISSING:
-            given[f.name] = _number(section, f.name, kind=kind)
+        read = _READERS[f.type.removesuffix(" | None")]
+        if "unit" in f.metadata:
+            value = get_quantity(section, f.name, read=read)
+        else:
+            value = read(section, f.name) if f.name in section else None
+        if value is not None:
+            given[f.name] = value
+        elif f.name not in given and f.default is MISSING:
+            raise ConfigError(f"{_where(section)}{f.name}: required")
     return given
 
 
@@ -179,24 +300,15 @@ def _unit_keys(section: dict, base: str):
             yield key, _UNIT_SCALE[suffix]
 
 
-def get_quantity(section: dict, base: str, default=None, required=False,
-                 kind=float):
-    """Fetch `base` with any recognized unit suffix, converted to SI; `kind`
-    reads the value (`_floats` for lists, or lists of lists, of numbers)."""
-    hits = [(key, _number(section, key, kind=kind) * scale)
+def get_quantity(section: dict, base: str, read=_number):
+    """Fetch `base` with any recognized unit suffix, converted to SI (None
+    if absent); `read` reads the value (a number, or a list of them)."""
+    hits = [(key, read(section, key) * scale)
             for key, scale in _unit_keys(section, base)]
     if len(hits) > 1:
         names = ", ".join(k for k, _ in hits)
         raise ConfigError(f"conflicting keys for '{base}': {names}")
-    if hits:
-        return hits[0][1]
-    if required:
-        raise ConfigError(f"{base}: required")
-    return default
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    return hits[0][1] if hits else None
 
 
 def _section(cfg: dict, name: str, required=True) -> _Section:
@@ -208,6 +320,13 @@ def _section(cfg: dict, name: str, required=True) -> _Section:
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be an object")
     return _Section(name, sec)
+
+
+def _keys(cls) -> tuple[tuple, tuple]:
+    """(plain keys, quantities) of a section read into `cls`."""
+    plain = tuple(f.name for f in fields(cls) if "unit" not in f.metadata)
+    quantities = tuple(f.name for f in fields(cls) if "unit" in f.metadata)
+    return plain, quantities + (("spacing",) if cls is GridSpec else ())
 
 
 def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
@@ -228,35 +347,10 @@ def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
                           + (f"; did you mean '{hint[0]}'?" if hint else ""))
 
 
-def _field_keys(cls, quantities=()):
-    """(plain keys, quantities) of a section of the fields of `cls`."""
-    return (tuple(f.name for f in fields(cls) if f.name not in quantities),
-            quantities)
-
-
-# section -> (plain keys, quantities); a quantity takes a unit suffix
-_SECTION_KEYS = {
-    "grid": (("nx", "ny", "nz"),
-             ("spacing", "dx", "dy", "dz", "frequency", "c_ref")),
-    "source": (("amplitude", "full_plane"), ("aperture_diameter",)),
-    "target": ((), ("focus_centers", "radius")),
-    "solver": _field_keys(SolverConfig),
-    "optim": _field_keys(OptimConfig),
-    "lens": (("material", "alpha", "z_offset"),
-             ("t_min", "t_max", "fab_cutoff")),
-    "sweep": (("lens", "materials", "realizations"), ("sigma",)),
-    "gradcheck": (("beta", "tolerance", "step", "n_coords"), ()),
-    "thermal": _field_keys(analysis.ThermalConfig, (
-        "heat_time", "cool_time", "reference_peak_pressure")),
-    "backproject": ((), ("distances",)),
-}
-# medium kind -> (plain keys, quantities), "kind" itself aside
-_MEDIUM_KEYS = {
-    "homogeneous": (("material",), ()),
-    "phantom": (("bone_material", "background_material"),
-                ("center", "inner_radius", "thickness")),
-    "hu_file": (("path",), ()),
-}
+def _medium_class(sec: dict):
+    """The dataclass of the medium's kind; None for an unknown kind."""
+    kind = sec.get("kind", Homogeneous.kind)
+    return MEDIUM_KINDS.get(kind) if isinstance(kind, str) else None
 
 
 def check_config(cfg: dict) -> None:
@@ -264,17 +358,13 @@ def check_config(cfg: dict) -> None:
     in every section, and in `medium` against the keys of its kind."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: must be an object")
-    _check_keys(cfg, "config", (*_SECTION_KEYS, "medium", "method", "seed"))
-    for name, (known, quantities) in _SECTION_KEYS.items():
+    _check_keys(cfg, "config", (*SECTIONS, "medium", *TOP_KEYS))
+    for name, cls in SECTIONS.items():
         if isinstance(cfg.get(name), dict):
-            _check_keys(cfg[name], name, known, quantities)
+            _check_keys(cfg[name], name, *_keys(cls))
     medium = cfg.get("medium")
-    if isinstance(medium, dict):
-        kind = medium.get("kind", "homogeneous")
-        if kind in _MEDIUM_KEYS:
-            known, quantities = _MEDIUM_KEYS[kind]
-            _check_keys(medium, f"medium (kind {kind})", ("kind", *known),
-                        quantities)
+    if isinstance(medium, dict) and (cls := _medium_class(medium)):
+        _check_keys(medium, f"medium (kind {cls.kind})", *_keys(cls))
 
 
 def _material(name_or_obj, context: str) -> MaterialProperties:
@@ -287,7 +377,7 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
         return MATERIALS[key]
     if isinstance(name_or_obj, dict):
         _check_keys(name_or_obj, f"{context} material",
-                    *_field_keys(MaterialProperties))
+                    *_keys(MaterialProperties))
         try:
             return MaterialProperties(
                 **_read_fields(name_or_obj, MaterialProperties))
@@ -296,81 +386,71 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
     raise ConfigError(f"{context}: material must be a name or an object")
 
 
-def build_grid(cfg: dict) -> GridSpec:
-    sec = _section(cfg, "grid")
-    for k in ("nx", "ny", "nz"):
-        if k not in sec:
-            raise ConfigError(f"grid: missing {k}")
-    nx, ny, nz = (_number(sec, k, kind=int) for k in ("nx", "ny", "nz"))
-    spacing = get_quantity(sec, "spacing")
-    dx = get_quantity(sec, "dx", spacing)
-    dy = get_quantity(sec, "dy", spacing)
-    dz = get_quantity(sec, "dz", spacing)
-    if dx is None or dy is None or dz is None:
-        raise ConfigError("grid: spacing (or dx/dy/dz) required")
-    frequency = get_quantity(sec, "frequency", required=True)
-    c_ref = get_quantity(sec, "c_ref", GridSpec.c_ref)
+def build_config(cfg: dict, name: str, cls=None, required=False,
+                 defaults=()):
+    """Section `name` of `cfg` as its dataclass, `cls` or `SECTIONS[name]`:
+    the keys the section gives, over `defaults`, the others at their
+    field's default; a loaded config records its fields."""
+    cls = cls or SECTIONS[name]
     try:
-        return GridSpec(nx, ny, nz, dx, dy, dz, frequency, c_ref)
+        sec = cls(**_read_fields(_section(cfg, name, required), cls, defaults))
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
+    getattr(cfg, "read", {})[name] = asdict(sec)
+    return sec
+
+
+def build_grid(cfg: dict) -> GridSpec:
+    sec, steps = _section(cfg, "grid"), ("dx", "dy", "dz")
+    spacing = get_quantity(sec, "spacing")
+    if spacing is None and not all(any(_unit_keys(sec, d)) for d in steps):
+        raise ConfigError("grid: spacing (or dx/dy/dz) required")
+    return build_config(cfg, "grid", defaults=dict.fromkeys(steps, spacing))
 
 
 def build_source(cfg: dict, grid: GridSpec) -> SourceSpec:
-    sec = _section(cfg, "source")
-    amplitude = _given(sec, "amplitude")
-    full_plane = sec.get("full_plane", False)
-    if not isinstance(full_plane, bool):
-        raise ConfigError(f"source: full_plane: expected a boolean, "
-                          f"got {full_plane!r}")
+    src = build_config(cfg, "source", required=True)
     try:
-        if full_plane:
-            return SourceSpec.full_plane(grid, **amplitude)
-        diameter = get_quantity(sec, "aperture_diameter", required=True)
-        return SourceSpec.disk(grid, diameter, **amplitude)
+        if src.full_plane:
+            return SourceSpec.full_plane(grid, src.amplitude)
+        if src.aperture_diameter is None:
+            raise ConfigError("source: aperture_diameter: required")
+        return SourceSpec.disk(grid, src.aperture_diameter, src.amplitude)
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from exc
 
 
 def build_medium(cfg: dict, grid: GridSpec):
     sec = _section(cfg, "medium")
-    kind = sec.get("kind", "homogeneous")
+    if (cls := _medium_class(sec)) is None:
+        raise ConfigError(f"medium: unknown kind '{sec['kind']}'")
+    medium = build_config(cfg, "medium", cls)
     try:
-        if kind == "homogeneous":
-            return make_homogeneous(grid, _material(sec.get("material", "water"),
-                                                    "medium"))
-        if kind == "phantom":
-            center = get_quantity(sec, "center", required=True, kind=_floats)
-            inner = get_quantity(sec, "inner_radius", required=True)
-            thick = get_quantity(sec, "thickness", required=True)
-            bone = _material(sec.get("bone_material", "bone"), "medium")
-            bg = _material(sec.get("background_material", "water"), "medium")
-            return make_skull_phantom(grid, tuple(center), inner, thick, bone, bg)
-        if kind == "hu_file":
-            if "path" not in sec:
-                raise ConfigError("medium: path required for kind hu_file")
-            hu_grid, hu = _load_input(io.load_hu_volume, sec["path"],
-                                      "medium")
-            if hu_grid.shape != grid.shape:
-                raise ConfigError("medium: HU volume grid does not match config grid")
-            return ingest_hu_volume(grid, hu)
+        if cls is Homogeneous:
+            return make_homogeneous(grid, medium.material)
+        if cls is Phantom:
+            return make_skull_phantom(grid, tuple(medium.center),
+                                      medium.inner_radius, medium.thickness,
+                                      medium.bone_material,
+                                      medium.background_material)
+        hu_grid, hu = _load_input(io.load_hu_volume, medium.path, "medium")
+        # a CT volume has no use for the frequency: its spacing must match
+        _check_recorded_grid("medium: HU volume", hu.shape, grid,
+                             (hu_grid.dx, hu_grid.dy, hu_grid.dz))
+        return ingest_hu_volume(grid, hu)
     except ValueError as exc:
         raise ConfigError(f"medium: {exc}") from exc
-    raise ConfigError(f"medium: unknown kind '{kind}'")
 
 
 def build_target(cfg: dict, grid: GridSpec, method=None) -> TargetSpec:
     """The target; with `method` time_reversal, checked before the set-up
     for foci that time reversal cannot march back from."""
-    sec = _section(cfg, "target")
-    centers = get_quantity(sec, "focus_centers", required=True,
-                           kind=_floats)
-    centers = np.atleast_2d(centers)
+    sec = build_config(cfg, "target", required=True)
+    centers = np.atleast_2d(sec.focus_centers)
     if centers.shape[1] != 3:
         raise ConfigError("target: focus centers must be (x, y, z) triples")
-    radius = get_quantity(sec, "radius", required=True)
     try:
-        target = TargetSpec.from_spheres(grid, centers, radius)
+        target = TargetSpec.from_spheres(grid, centers, sec.radius)
         if method == "time_reversal":
             baselines.time_reversal_foci(grid, target.focus_centers)
     except ValueError as exc:
@@ -378,53 +458,46 @@ def build_target(cfg: dict, grid: GridSpec, method=None) -> TargetSpec:
     return target
 
 
-def build_config(cfg: dict, name: str, cls, required=False):
-    """The dataclass `cls` of section `name` (`SolverConfig`,
-    `OptimConfig`, `ThermalConfig`) from the keys the section gives."""
-    sec = _section(cfg, name, required)
-    try:
-        return cls(**_read_fields(sec, cls, _SECTION_KEYS[name][1]))
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
 def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
-    """The lens section: material, slab offset, thickness bounds t_min and
-    t_max in meters, fabrication cutoff, and the seeded initial design
+    """The fields of the lens section and the seeded initial design
     ("design"), whose voxel bounds are max(t_min/dz, 1) and t_max/dz."""
-    sec = _section(cfg, "lens", required=False)
-    material = _material(sec.get("material", "form_clear"), "lens")
-    t_min = get_quantity(sec, "t_min", baselines.T_MIN)
-    t_max = get_quantity(sec, "t_max", 1.9e-3)
-    if t_min < 0:
-        raise ConfigError(f"lens: t_min {t_min:g} m must be non-negative")
+    lens = build_config(cfg, "lens")
+    if lens.t_min < 0:
+        raise ConfigError(f"lens: t_min {lens.t_min:g} m must be non-negative")
     try:  # DesignField's own checks of alpha and the bounds
         design = DesignField.random(
-            grid.nx, grid.ny, seed=seed, v_min=max(t_min / grid.dz, 1.0),
-            v_max=t_max / grid.dz, **_given(sec, "alpha"),
-        )
+            grid.nx, grid.ny, seed=seed, alpha=lens.alpha,
+            v_min=max(lens.t_min / grid.dz, 1.0), v_max=lens.t_max / grid.dz)
     except ValueError as exc:
         raise ConfigError(f"lens: {exc} (v_min = max(t_min/dz, 1), "
                           f"v_max = t_max/dz)") from exc
-    z_offset = _number(sec, "z_offset", 0, int)
-    if z_offset < 0 or z_offset + design.n_v > grid.nz:
+    if lens.z_offset < 0 or lens.z_offset + design.n_v > grid.nz:
         raise ConfigError(
-            f"lens: z_offset {z_offset} with a depth of {design.n_v} voxels "
-            f"(ceil of t_max/dz) does not fit the {grid.nz} grid slices"
-        )
-    fab_cutoff = get_quantity(sec, "fab_cutoff")
-    if fab_cutoff is not None and fab_cutoff < grid.dx:
-        raise ConfigError(f"lens: fab_cutoff {fab_cutoff:g} m is below the "
-                          f"grid spacing {grid.dx:g} m")
-    return {"material": material, "design": design, "z_offset": z_offset,
-            "t_min": t_min, "t_max": t_max, "fab_cutoff": fab_cutoff}
+            f"lens: z_offset {lens.z_offset} with a depth of {design.n_v} "
+            f"voxels (ceil of t_max/dz) does not fit the {grid.nz} grid "
+            "slices")
+    if lens.fab_cutoff is not None and lens.fab_cutoff < grid.dx:
+        raise ConfigError(f"lens: fab_cutoff {lens.fab_cutoff:g} m is below "
+                          f"the grid spacing {grid.dx:g} m")
+    return {**vars(lens), "design": design}
+
+
+def _method(cfg: dict) -> str:
+    """The top-level method, recorded like a section."""
+    method = cfg.get("method", METHODS[0])
+    if method not in METHODS:
+        raise ConfigError(f"method: unknown '{method}' "
+                          f"(use {' | '.join(METHODS)})")
+    getattr(cfg, "read", {})["method"] = method
+    return method
 
 
 def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
-    """Write the snapshot of the config as given to
-    `out/resolved_config.json`: only the `grid` section is in SI, the seed
-    is added, and no default is filled in (effective values are ROADMAP
-    item 11(a)); returns its hash."""
+    """Write the snapshot of a run to `out/resolved_config.json` and
+    return its hash: the config as given, with `grid` in SI and the seed
+    added, and under `effective` every field of each section the run read
+    (`_Config.read`) in SI, defaults included (null: settled where the
+    section is used)."""
     snap = json.loads(json.dumps(cfg))  # deep copy
     snap["grid"] = {
         "nx": grid.nx, "ny": grid.ny, "nz": grid.nz,
@@ -432,12 +505,12 @@ def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
         "frequency_hz": grid.frequency, "c_ref": grid.c_ref,
     }
     snap["seed"] = seed
-    blob = json.dumps(snap, sort_keys=True).encode()
-    h = hashlib.sha256(blob).hexdigest()[:16]
+    snap["effective"] = getattr(cfg, "read", {})
+    dump = partial(json.dumps, sort_keys=True, default=np.ndarray.tolist)
+    h = hashlib.sha256(dump(snap).encode()).hexdigest()[:16]
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "resolved_config.json", "w") as fh:
-        json.dump({"config_hash": h, **snap}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "resolved_config.json").write_text(
+        dump({"config_hash": h, **snap}, indent=2) + "\n")
     return h
 
 
@@ -456,13 +529,15 @@ def _load_input(load, prefix, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _check_recorded_grid(what: str, shape, spacing, frequency,
-                         grid: GridSpec) -> None:
+def _check_recorded_grid(what: str, shape, grid: GridSpec, spacing,
+                         *frequency) -> None:
     """An input array of another shape (a plane's: nx, ny), spacing or
-    frequency than the config grid's is a config error."""
+    frequency than the config grid's is a config error; a CT volume
+    passes no frequency, which it has no use for."""
+    config = (grid.dx, grid.dy, grid.dz, grid.frequency)[:3 + len(frequency)]
     try:
         same = shape == grid.shape[:len(shape)] and np.allclose(
-            (*spacing, frequency), (grid.dx, grid.dy, grid.dz, grid.frequency))
+            (*spacing, *frequency), config)
     except (TypeError, ValueError):     # a header without them
         same = False
     if not same:
@@ -473,8 +548,8 @@ def _load_field(prefix, grid: GridSpec, flag: str):
     """The field of `evaluate --<flag>`, recorded on the config grid."""
     p = _load_input(io.load_field, prefix, "evaluate")
     g = p.grid
-    _check_recorded_grid(f"evaluate: {flag}", p.values.shape,
-                         (g.dx, g.dy, g.dz), g.frequency, grid)
+    _check_recorded_grid(f"evaluate: {flag}", p.values.shape, grid,
+                         (g.dx, g.dy, g.dz), g.frequency)
     return p
 
 
@@ -484,7 +559,7 @@ def _prepared_problem(cfg: dict, grid: GridSpec, seed: int):
     src = build_source(cfg, grid)
     lens = build_lens_params(cfg, grid, seed)
     prepared = prepare(src, build_medium(cfg, grid),
-                       build_config(cfg, "solver", SolverConfig),
+                       build_config(cfg, "solver"),
                        lens["material"], lens["z_offset"], lens["design"].n_v)
     return src, lens, prepared
 
@@ -509,11 +584,8 @@ def cmd_design(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    ocfg = build_config(cfg, "optim", OptimConfig)
-    method = cfg.get("method", "thickness")
-    if method not in ("thickness", "phase", "time_reversal"):
-        raise ConfigError(f"method: unknown '{method}' "
-                          "(use thickness | phase | time_reversal)")
+    ocfg = build_config(cfg, "optim")
+    method = _method(cfg)
     target = build_target(cfg, grid, method)
     src, lens_params, prepared = _prepared_problem(cfg, grid, seed)
 
@@ -570,8 +642,7 @@ def cmd_evaluate(args) -> int:
 
     if "thermal" in cfg:        # read before anything is written
         medium = build_medium(cfg, grid)
-        tcfg = build_config(cfg, "thermal", analysis.ThermalConfig,
-                            required=True)
+        tcfg = build_config(cfg, "thermal", required=True)
 
     out = Path(args.out)
     h = write_snapshot(out, cfg, grid, _seed(args, cfg))
@@ -631,8 +702,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    sec = _section(cfg, "sweep", required=False)
-    lens_path = args.lens or sec.get("lens")
+    sweep = build_config(cfg, "sweep")
+    lens_path = args.lens or sweep.lens
     if lens_path is None:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
@@ -643,20 +714,13 @@ def cmd_sweep(args) -> int:
 
     # a case is (material, thickness noise sigma, noise seed)
     if args.axis == "material":
-        if "materials" in sec:
-            if not isinstance(sec["materials"], list):
-                raise ConfigError("sweep: materials: expected a list, "
-                                  f"got {sec['materials']!r}")
-            mats = [_material(m, "sweep") for m in sec["materials"]]
-        else:
-            mats = list(CLEAR_RESIN_VARIANTS)
-        cases = [(m, 0.0, None) for m in mats]
-        labels = [f"c={m.sound_speed:g},rho={m.density:g}" for m in mats]
+        cases = [(m, 0.0, None) for m in sweep.materials]
+        labels = [f"c={m.sound_speed:g},rho={m.density:g}"
+                  for m in sweep.materials]
     else:
-        sigma = get_quantity(sec, "sigma", 50e-6)
+        sigma, n = sweep.sigma, sweep.realizations
         if sigma < 0:
             raise ConfigError(f"sweep: sigma {sigma:g} m must be non-negative")
-        n = _number(sec, "realizations", 50, int)
         if n < 0:
             raise ConfigError("sweep: realizations must be non-negative")
         cases = [(lens_params["material"], sigma, seed + i) for i in range(n)]
@@ -694,12 +758,12 @@ def cmd_backproject(args) -> int:
     if args.plane is None:
         raise ConfigError("backproject: --plane is required")
     header, plane = _load_input(io.load_plane, args.plane, "backproject")
-    _check_recorded_grid("backproject: plane", plane.shape,
+    _check_recorded_grid("backproject: plane", plane.shape, grid,
                          header.get("spacing_m", ()),
-                         header.get("frequency_hz"), grid)
+                         header.get("frequency_hz"))
 
-    sec = _section(cfg, "backproject", required=False)
     if args.distances is not None:
+        _section(cfg, "backproject", required=False)    # still an object
         try:
             distances = np.asarray(
                 [float(v) for v in args.distances.split(",") if v.strip()]
@@ -707,14 +771,14 @@ def cmd_backproject(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"backproject: --distances: {exc}") from exc
     else:
-        distances = get_quantity(sec, "distances", kind=_floats)
+        distances = build_config(cfg, "backproject").distances
     if distances is None or np.size(distances) == 0:
         raise ConfigError("backproject: at least one distance is required "
                           "(--distances in mm or backproject.distances_mm)")
 
     try:
         volume = backproject(plane, grid, distances,
-                             build_config(cfg, "solver", SolverConfig))
+                             build_config(cfg, "solver"))
     except ValueError as exc:
         raise ConfigError(f"backproject: {exc}") from exc
 
@@ -741,28 +805,28 @@ GRADCHECK_PROBLEM = {
 def cmd_gradcheck(args) -> int:
     cfg = {**GRADCHECK_PROBLEM,
            **(load_config(args.config) if args.config else {})}
-    sec = _section(cfg, "gradcheck", required=False)
+    check = build_config(cfg, "gradcheck")
     grid = build_grid(cfg)
     seed = _seed(args, cfg)
-    ocfg = build_config(cfg, "optim", OptimConfig)
+    ocfg = build_config(cfg, "optim")
     target = build_target(cfg, grid)
     _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
     design = lens_params["design"]
     order = prepared.cfg.reflection_order
-    beta = _number(sec, "beta", 5.0)
-    tolerance = _number(sec, "tolerance", 1e-5 if order == 0 else 1e-3)
-    step = _number(sec, "step", 1e-4)
-    n_coords = _given(sec, "n_coords", int)
-    if n_coords.get("n_coords", 1) < 1:
-        raise ConfigError(f"gradcheck: n_coords {n_coords['n_coords']} "
+    tolerance = (check.tolerance if check.tolerance is not None
+                 else 1e-5 if order == 0 else 1e-3)
+    n_coords = {} if check.n_coords is None else {"n_coords": check.n_coords}
+    if n_coords and check.n_coords < 1:
+        raise ConfigError(f"gradcheck: n_coords {check.n_coords} "
                           "must be at least 1")
-    for key, value in (("step", step), ("beta", beta), ("tolerance", tolerance)):
+    for key, value in (("step", check.step), ("beta", check.beta),
+                       ("tolerance", tolerance)):
         if not value > 0:
             raise ConfigError(f"gradcheck: {key} {value:g} must be positive")
 
     objective = optim.lens_objective(prepared, target, design, ocfg)
-    err = optim.gradcheck(lambda theta: objective(theta, beta)[:2],
-                          design.theta, step, seed=seed, **n_coords)
+    err = optim.gradcheck(lambda theta: objective(theta, check.beta)[:2],
+                          design.theta, check.step, seed=seed, **n_coords)
     print(f"gradcheck: max relative error {err:.3e} "
           f"(tolerance {tolerance:.1e}, reflection order {order})")
     if not np.isfinite(err) or err > tolerance:

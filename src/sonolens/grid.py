@@ -34,11 +34,11 @@ class GridSpec:
     nx: int
     ny: int
     nz: int
-    dx: float
-    dy: float
-    dz: float
-    frequency: float
-    c_ref: float = 1500.0
+    dx: float = field(metadata={"unit": "m"})
+    dy: float = field(metadata={"unit": "m"})
+    dz: float = field(metadata={"unit": "m"})
+    frequency: float = field(metadata={"unit": "Hz"})
+    c_ref: float = field(default=1500.0, metadata={"unit": "m/s"})
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):

@@ -143,8 +143,9 @@ class TestConfigParsing:
             get_quantity({"spacing_um": 125, "spacing_mm": 0.125}, "spacing")
 
     def test_required_key_message(self):
-        with pytest.raises(ConfigError, match="radius: required"):
-            get_quantity({}, "radius", required=True)
+        cfg = {"target": {"focus_centers_mm": [[1.0, 1.0, 1.0]]}}
+        with pytest.raises(ConfigError, match="target: radius: required"):
+            cli.build_config(cfg, "target")
 
 
 class TestDesignCommand:
@@ -569,6 +570,41 @@ class TestDesignCommand:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("kind", [["phantom"], {}])
+    def test_medium_kind_that_is_not_a_name_exit_2(self, tmp_path, capsys,
+                                                   kind):
+        # an unhashable kind used to end in a TypeError traceback
+        cfg = base_config(medium={"kind": kind})
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"medium: unknown kind '{kind}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_hu_volume_at_another_spacing_exit_2(self, tmp_path, capsys):
+        # the shape of the config grid, recorded at 100 um: it used to be
+        # read as-is on the 125 um grid
+        other = GridSpec(24, 24, 32, 100e-6, 100e-6, 100e-6, 2e6)
+        io.save_hu_volume(tmp_path / "ct", other, np.zeros(other.shape, int))
+        cfg = base_config(medium={"kind": "hu_file",
+                                  "path": str(tmp_path / "ct")})
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert ("medium: HU volume header does not match config grid"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_hu_volume_at_another_frequency_accepted(self, tmp_path):
+        # a CT volume's frequency plays no part in the run
+        other = GridSpec(24, 24, 32, 125e-6, 125e-6, 125e-6, 1e6)
+        io.save_hu_volume(tmp_path / "ct", other, np.zeros(other.shape, int))
+        cfg = base_config(medium={"kind": "hu_file",
+                                  "path": str(tmp_path / "ct")},
+                          optim={"iterations": 1})
+        assert run(["design", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o")]) == 0
+
+
 class TestOnePreparedMediumPerRun:
     """`design`, with every method, and `gradcheck` prepare the medium
     once, with the lens slab, and release the base medium before the
@@ -722,6 +758,95 @@ class TestDefaultsComeFromTheLibrary:
         assert run(["gradcheck"]) == 0
         assert "reflection order 2" in capsys.readouterr().out
         assert "n_coords" not in calls[0]
+
+
+class TestSnapshot:
+    """`resolved_config.json` records the effective value of every field
+    of every section a run reads, defaults included."""
+
+    def snapshot(self, tmp_path, monkeypatch, name, cfg=None):
+        # design writes its snapshot before the first design iteration
+        monkeypatch.setattr(optim, "optimize_lens_geometry", _config_read)
+        out = tmp_path / name
+        with pytest.raises(ConfigRead):
+            run(["design", "--config",
+                 write_config(tmp_path, cfg or base_config(), name + ".json"),
+                 "--out", str(out)])
+        return json.loads((out / "resolved_config.json").read_text())
+
+    def test_a_changed_library_default_changes_the_hash(self, tmp_path,
+                                                        monkeypatch):
+        cfg = base_config()
+        del cfg["solver"]
+        before = self.snapshot(tmp_path, monkeypatch, "a", cfg)
+        monkeypatch.setattr(SolverConfig.__init__, "__defaults__", (4, 0.9))
+        after = self.snapshot(tmp_path, monkeypatch, "b", cfg)
+        assert after["config_hash"] != before["config_hash"]
+        assert after["effective"]["solver"] == {"reflection_order": 4,
+                                                "angular_cutoff": 0.9}
+        # what perfbench reads stays as it was
+        assert after["grid"] == before["grid"] == {
+            "nx": 24, "ny": 24, "nz": 32, "dx_m": 125e-6, "dy_m": 125e-6,
+            "dz_m": 125e-6, "frequency_hz": 2e6, "c_ref": 1500.0}
+        assert (after["target"]["focus_centers_mm"]
+                == before["target"]["focus_centers_mm"] == [[1.5, 1.5, 3.0]])
+
+    def test_every_field_of_the_sections_read(self, tmp_path, monkeypatch):
+        snap = self.snapshot(tmp_path, monkeypatch, "a")
+        effective = snap["effective"]
+        assert sorted(effective) == ["grid", "lens", "medium", "method",
+                                     "optim", "solver", "source", "target"]
+        assert effective["method"] == "thickness"
+        assert effective["optim"] == vars(OptimConfig(iterations=3))
+        assert effective["medium"] == {"kind": "homogeneous", "material": {
+            "sound_speed": 1500.0, "density": 1000.0,
+            "attenuation_coeff": 0.0, "attenuation_power": 1.0}}
+        assert effective["target"] == {
+            "focus_centers": [[1.5e-3, 1.5e-3, 3e-3]],
+            "radius": pytest.approx(2e-4)}
+        # null: the library's default (fabrication's 2 dx)
+        assert effective["lens"]["fab_cutoff"] is None
+
+    def test_the_effective_values_are_a_config_of_the_same_run(
+            self, tmp_path, monkeypatch):
+        cfg = base_config(medium={"kind": "phantom",
+                                  "center_mm": [1.5, 1.5, 2.0],
+                                  "inner_radius_mm": 1.0,
+                                  "thickness_mm": 0.25},
+                          lens={"material": "veroclear", "t_max_mm": 1.5})
+        first = self.snapshot(tmp_path, monkeypatch, "a", cfg)
+        # a null is left to the library
+        again = self.snapshot(tmp_path, monkeypatch, "b", {
+            name: {k: v for k, v in sec.items() if v is not None}
+            if isinstance(sec, dict) else sec
+            for name, sec in first["effective"].items()})
+        assert again["effective"] == first["effective"]
+        assert again["grid"] == first["grid"]
+
+
+def config_key_table():
+    """The (section, key) pairs of the README's "Config keys" table."""
+    text = (REPO / "README.md").read_text()
+    table = text.split("### Config keys", 1)[1].split("\n###", 1)[0]
+    pairs = set()
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[1].startswith("`"):
+            continue
+        section = cells[0].replace("`", "")
+        pairs |= {(section, key) for key in re.findall(r"`(\w+)`", cells[1])}
+    return pairs
+
+
+class TestConfigKeysTable:
+    def test_the_readme_table_lists_the_schema(self):
+        schema = {("(top)", key) for key in cli.TOP_KEYS}
+        for name, cls in cli.SECTIONS.items():
+            schema |= {(name, key) for key in sum(cli._keys(cls), ())}
+        for kind, cls in cli.MEDIUM_KINDS.items():
+            schema |= {("medium" if key == "kind" else f"medium ({kind})", key)
+                       for key in sum(cli._keys(cls), ())}
+        assert config_key_table() == schema
 
 
 class TestEvaluateCommand:
@@ -935,6 +1060,25 @@ class TestSweepCommand:
                     "--lens", self.write_flat_lens(tmp_path)]) == 2
         assert ("sweep: materials: expected a list, got 'form_clear'"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, sweep, message", [
+        ("material", {"sigma_um": "x"}, "sigma_um: expected a number"),
+        ("material", {"realizations": 1.5}, "realizations: expected an "
+                                            "integer"),
+        ("perturbation", {"materials": "form_clear"},
+         "materials: expected a list"),
+    ])
+    def test_the_section_is_read_whole_on_either_axis(
+            self, tmp_path, capsys, axis, sweep, message):
+        # the snapshot records every field of the section, so a bad value
+        # of a key that the other axis uses exits 2 too
+        cfg = write_config(tmp_path, base_config(sweep=sweep), "sw.json")
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", cfg, "--out", str(out),
+                    "--axis", axis,
+                    "--lens", self.write_flat_lens(tmp_path)]) == 2
+        assert f"sweep: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
