@@ -3,8 +3,11 @@
 Subcommands: design, evaluate, sweep, backproject, gradcheck.
 Configs are JSON with ``//`` line comments allowed. Each section is read
 into one dataclass whose fields are its keys (`SECTIONS`, `MEDIUM_KINDS`);
-a quantity's key carries its unit as a suffix (``spacing_um``,
-``radius_mm``, ``frequency_mhz``). A key that no section knows is a
+a quantity's key may carry a suffix of its field's unit (``spacing_um``,
+``radius_mm``, ``frequency_mhz``; `UNIT_SUFFIXES`). One function,
+`_match`, matches each key to its field and SI scale, both when a config
+is loaded and when a section is read: a key that its section does not
+know, a suffix of another unit, or two keys of one field is a
 configuration error, in every section and at the top level. Each run
 writes a snapshot of the config as given, `grid` in SI and the seed added,
 with every field of each section the run read, defaults included, under
@@ -34,7 +37,9 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import (
+    MISSING, asdict, dataclass, field, fields, make_dataclass,
+)
 from functools import partial
 from pathlib import Path
 
@@ -79,14 +84,6 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-class _Section(dict):
-    """A config section that knows its name, for error messages."""
-
-    def __init__(self, name: str, items=()):
-        super().__init__(items)
-        self.name = name
-
-
 class _Config(dict):
     """A loaded config, with the fields of each section as the run read
     them (`build_config`), for its snapshot."""
@@ -98,8 +95,8 @@ class _Config(dict):
 
 # ------------------------------------------------------------------ schema
 # The keys of a section are the fields of one dataclass. The metadata of a
-# quantity names its SI unit; its key takes a unit suffix. A default of None
-# is settled where the section is used.
+# quantity names its SI unit; its key takes a suffix of that unit
+# (`UNIT_SUFFIXES`). A default of None is settled where the section is used.
 
 LENGTH = {"unit": "m"}
 
@@ -185,13 +182,17 @@ METHODS = ("thickness", "phase", "time_reversal")
 
 # ------------------------------------------------------------------ config
 
-_UNIT_SCALE = {
-    "m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9,
-    "hz": 1.0, "khz": 1e3, "mhz": 1e6,
-    "s": 1.0, "ms": 1e-3, "us": 1e-6,
-    "pa": 1.0, "kpa": 1e3, "mpa": 1e6,
+# unit -> {key suffix, in any case: SI scale}; a quantity of another unit
+# (`GridSpec.c_ref`, m/s) takes no suffix
+UNIT_SUFFIXES = {
+    "m": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
+    "Hz": {"hz": 1.0, "khz": 1e3, "mhz": 1e6},
+    "s": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
+    "Pa": {"pa": 1.0, "kpa": 1e3, "mpa": 1e6},
 }
 
+# the top level's keys, as a section's
+_TOP = make_dataclass("Config", (*SECTIONS, "medium", *TOP_KEYS))
 
 # a JSON string token (escapes included) or a // comment to the end of line
 _STRING_OR_COMMENT = re.compile(r'"(?:[^"\\\n]|\\.)*"|//[^\n]*')
@@ -210,14 +211,12 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(strip_comments(path.read_text()))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     check_config(cfg)
     return _Config(cfg)
-
-
-def _where(section: dict) -> str:
-    return f"{section.name}: " if isinstance(section, _Section) else ""
 
 
 def _has_bool(value) -> bool:
@@ -227,124 +226,112 @@ def _has_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _number(section: dict, key: str, default=None, kind=float):
-    """`kind` of `section[key]` (or `default`); a value that is not a
+def _number(value, where: str, kind=float):
+    """`kind` of the config value `where` names; a value that is not a
     number, holds a boolean, a NaN or an infinity (in a list too; JSON's
     NaN and Infinity parse) or, for `int`, has a fraction is a config
-    error naming the section and the key."""
-    value = section.get(key, default)
-    where = _where(section)
+    error naming `where`."""
     if _has_bool(value) or (kind is int and isinstance(value, float)
                             and not value.is_integer()):
         expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}{key}: expected {expected}, got {value!r}")
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}{key}: expected a number, "
+        raise ConfigError(f"{where}: expected a number, "
                           f"got {value!r}") from None
     if not np.all(np.isfinite(number)):
-        raise ConfigError(f"{where}{key}: expected a finite number, "
+        raise ConfigError(f"{where}: expected a finite number, "
                           f"got {value!r}")
     return number
 
 
-def _typed(section: dict, key: str, kind, expected: str):
-    if not isinstance(value := section[key], kind):
-        raise ConfigError(f"{_where(section)}{key}: expected {expected}, "
-                          f"got {value!r}")
+def _typed(value, where: str, kind, expected: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     return value
 
 
-# field type (`| None` aside) -> reader of section[key]
+# field type (`| None` aside) -> reader of (value, section name, where:
+# the key as messages name it)
 _READERS = {
-    "int": partial(_number, kind=int),
-    "float": _number,
-    "np.ndarray": partial(_number, kind=partial(np.asarray, dtype=float)),
-    "bool": partial(_typed, kind=bool, expected="a boolean"),
-    "str": lambda section, key: section[key],
-    "MaterialProperties":
-        lambda section, key: _material(section[key], section.name),
-    "tuple[MaterialProperties, ...]": lambda section, key: tuple(
-        _material(m, section.name)
-        for m in _typed(section, key, list, "a list")),
+    "int": lambda value, name, where: _number(value, where, int),
+    "float": lambda value, name, where: _number(value, where),
+    "np.ndarray": lambda value, name, where: _number(
+        value, where, partial(np.asarray, dtype=float)),
+    "bool": lambda value, name, where: _typed(value, where, bool,
+                                              "a boolean"),
+    "str": lambda value, name, where: value,
+    "MaterialProperties": lambda value, name, where: _material(value, name),
+    "tuple[MaterialProperties, ...]": lambda value, name, where: tuple(
+        _material(m, name) for m in _typed(value, where, list, "a list")),
 }
 
 
-def _read_fields(section: dict, cls, defaults=()) -> dict:
-    """{name: value} of each field of the dataclass `cls` that `section`
-    gives, read by the field's type (a quantity in SI, from any unit
-    suffix), over `defaults`; a field without a default that neither
-    gives is a config error."""
-    given = dict(defaults)
+def _match(sec: dict, name: str, cls) -> dict:
+    """{schema key: (config key, SI scale), or None if not given} of
+    section `name` read into the dataclass `cls`. The schema's keys are
+    the fields of `cls` (and the grid's `spacing`); a config key is one of
+    them, or a quantity's with a suffix of its field's unit
+    (`UNIT_SUFFIXES`). Any other key, or two keys of one field, is a
+    config error."""
+    units = {f.name: UNIT_SUFFIXES.get(f.metadata.get("unit"), {})
+             for f in fields(cls)}
+    if cls is GridSpec:
+        units["spacing"] = UNIT_SUFFIXES["m"]
+    hits = {}
+    for key in sec:
+        base, _, suffix = key.rpartition("_")
+        field_, scale = ((key, 1.0) if key in units else
+                         (base, units.get(base, {}).get(suffix.lower())))
+        if scale is None:
+            known = sorted(q + "_<unit>" if table else q
+                           for q, table in units.items())
+            spelled = [*units, *(f"{q}_{unit}" for q, table in units.items()
+                                 for unit in table)]
+            hint = difflib.get_close_matches(key, spelled, n=1)
+            raise ConfigError(
+                f"{name}: unknown key '{key}' (known: {', '.join(known)})"
+                + (f"; did you mean '{hint[0]}'?" if hint else ""))
+        hits.setdefault(field_, []).append((key, scale))
+    for field_, found in hits.items():
+        if len(found) > 1:
+            raise ConfigError(f"conflicting keys for '{field_}': "
+                              + ", ".join(key for key, _ in found))
+    return {q: hits[q][0] if q in hits else None for q in units}
+
+
+def _read_fields(section: dict, name: str, cls, defaults=()) -> dict:
+    """{name: value} of each field of the dataclass `cls` that section
+    `name` gives (`_match`), read by the field's type (a quantity in SI),
+    over `defaults`; a field without a default that neither gives is a
+    config error. Messages name the section, unless `name` is empty."""
+    given, prefix = dict(defaults), f"{name}: " if name else ""
+    matched = _match(section, name, cls)
     for f in fields(cls):
-        read = _READERS[f.type.removesuffix(" | None")]
-        if "unit" in f.metadata:
-            value = get_quantity(section, f.name, read=read)
-        else:
-            value = read(section, f.name) if f.name in section else None
+        value = None
+        if matched[f.name]:
+            key, scale = matched[f.name]
+            read = _READERS[f.type.removesuffix(" | None")]
+            value = read(section[key], name, prefix + key)
+            if "unit" in f.metadata:
+                value = value * scale
         if value is not None:
             given[f.name] = value
         elif f.name not in given and f.default is MISSING:
-            raise ConfigError(f"{_where(section)}{f.name}: required")
+            raise ConfigError(f"{prefix}{f.name}: required")
     return given
 
 
-def _unit_keys(section: dict, base: str):
-    """(key, SI scale) of each key of `section` that names `base`."""
-    for key in section:
-        suffix = key[len(base) + 1 :].lower()
-        if key == base:
-            yield key, 1.0
-        elif key.startswith(base + "_") and suffix in _UNIT_SCALE:
-            yield key, _UNIT_SCALE[suffix]
-
-
-def get_quantity(section: dict, base: str, read=_number):
-    """Fetch `base` with any recognized unit suffix, converted to SI (None
-    if absent); `read` reads the value (a number, or a list of them)."""
-    hits = [(key, read(section, key) * scale)
-            for key, scale in _unit_keys(section, base)]
-    if len(hits) > 1:
-        names = ", ".join(k for k, _ in hits)
-        raise ConfigError(f"conflicting keys for '{base}': {names}")
-    return hits[0][1] if hits else None
-
-
-def _section(cfg: dict, name: str, required=True) -> _Section:
+def _section(cfg: dict, name: str, required=True) -> dict:
     sec = cfg.get(name)
     if sec is None:
         if required:
             raise ConfigError(f"{name}: required")
-        return _Section(name)
+        return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be an object")
-    return _Section(name, sec)
-
-
-def _keys(cls) -> tuple[tuple, tuple]:
-    """(plain keys, quantities) of a section read into `cls`."""
-    plain = tuple(f.name for f in fields(cls) if "unit" not in f.metadata)
-    quantities = tuple(f.name for f in fields(cls) if "unit" in f.metadata)
-    return plain, quantities + (("spacing",) if cls is GridSpec else ())
-
-
-def _check_keys(sec: dict, name: str, known, quantities=()) -> None:
-    """Reject keys of section `name` that are neither in `known` nor a
-    quantity of `quantities` (bare SI or with a unit suffix)."""
-    for key in sec:
-        if key in known or key in quantities:
-            continue
-        base, _, suffix = key.rpartition("_")
-        if base in quantities and suffix.lower() in _UNIT_SCALE:
-            continue
-        names = sorted(set(known) | {q + "_<unit>" for q in quantities})
-        spelled = [*known, *quantities,
-                   *(f"{q}_{u}" for q in quantities for u in _UNIT_SCALE)]
-        hint = difflib.get_close_matches(key, spelled, n=1)
-        raise ConfigError(f"{name}: unknown key '{key}' "
-                          f"(known: {', '.join(names)})"
-                          + (f"; did you mean '{hint[0]}'?" if hint else ""))
+    return sec
 
 
 def _medium_class(sec: dict):
@@ -354,17 +341,18 @@ def _medium_class(sec: dict):
 
 
 def check_config(cfg: dict) -> None:
-    """Reject a key that no reader of its section knows, at the top level,
-    in every section, and in `medium` against the keys of its kind."""
+    """Reject a key that its section's schema does not know, or two keys
+    of one field (`_match`), at the top level, in every section, and in
+    `medium` against the keys of its kind."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: must be an object")
-    _check_keys(cfg, "config", (*SECTIONS, "medium", *TOP_KEYS))
+    _match(cfg, "config", _TOP)
     for name, cls in SECTIONS.items():
         if isinstance(cfg.get(name), dict):
-            _check_keys(cfg[name], name, *_keys(cls))
+            _match(cfg[name], name, cls)
     medium = cfg.get("medium")
     if isinstance(medium, dict) and (cls := _medium_class(medium)):
-        _check_keys(medium, f"medium (kind {cls.kind})", *_keys(cls))
+        _match(medium, f"medium (kind {cls.kind})", cls)
 
 
 def _material(name_or_obj, context: str) -> MaterialProperties:
@@ -376,11 +364,12 @@ def _material(name_or_obj, context: str) -> MaterialProperties:
                               f"(known: {known})")
         return MATERIALS[key]
     if isinstance(name_or_obj, dict):
-        _check_keys(name_or_obj, f"{context} material",
-                    *_keys(MaterialProperties))
+        # an unknown key names "<context> material"; a bad value is named
+        # by its key alone under "<context>: bad material spec"
+        _match(name_or_obj, f"{context} material", MaterialProperties)
         try:
             return MaterialProperties(
-                **_read_fields(name_or_obj, MaterialProperties))
+                **_read_fields(name_or_obj, "", MaterialProperties))
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{context}: bad material spec: {exc}") from exc
     raise ConfigError(f"{context}: material must be a name or an object")
@@ -393,7 +382,8 @@ def build_config(cfg: dict, name: str, cls=None, required=False,
     field's default; a loaded config records its fields."""
     cls = cls or SECTIONS[name]
     try:
-        sec = cls(**_read_fields(_section(cfg, name, required), cls, defaults))
+        sec = cls(**_read_fields(_section(cfg, name, required), name, cls,
+                                 defaults))
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     getattr(cfg, "read", {})[name] = asdict(sec)
@@ -402,8 +392,11 @@ def build_config(cfg: dict, name: str, cls=None, required=False,
 
 def build_grid(cfg: dict) -> GridSpec:
     sec, steps = _section(cfg, "grid"), ("dx", "dy", "dz")
-    spacing = get_quantity(sec, "spacing")
-    if spacing is None and not all(any(_unit_keys(sec, d)) for d in steps):
+    matched, spacing = _match(sec, "grid", GridSpec), None
+    if matched["spacing"]:
+        key, scale = matched["spacing"]
+        spacing = _number(sec[key], f"grid: {key}") * scale
+    elif not all(matched[d] for d in steps):
         raise ConfigError("grid: spacing (or dx/dy/dz) required")
     return build_config(cfg, "grid", defaults=dict.fromkeys(steps, spacing))
 
@@ -492,12 +485,13 @@ def _method(cfg: dict) -> str:
     return method
 
 
-def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
+def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed,
+                   **inputs) -> str:
     """Write the snapshot of a run to `out/resolved_config.json` and
-    return its hash: the config as given, with `grid` in SI and the seed
-    added, and under `effective` every field of each section the run read
-    (`_Config.read`) in SI, defaults included (null: settled where the
-    section is used)."""
+    return its hash: the config as given, with `grid` in SI, the seed and
+    `inputs` (the digest of an input file) added, and under `effective`
+    every field of each section the run read (`_Config.read`) in SI,
+    defaults included (null: settled where the section is used)."""
     snap = json.loads(json.dumps(cfg))  # deep copy
     snap["grid"] = {
         "nx": grid.nx, "ny": grid.ny, "nz": grid.nz,
@@ -505,6 +499,7 @@ def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
         "frequency_hz": grid.frequency, "c_ref": grid.c_ref,
     }
     snap["seed"] = seed
+    snap.update(inputs)
     snap["effective"] = getattr(cfg, "read", {})
     dump = partial(json.dumps, sort_keys=True, default=np.ndarray.tolist)
     h = hashlib.sha256(dump(snap).encode()).hexdigest()[:16]
@@ -515,7 +510,8 @@ def write_snapshot(out: Path, cfg: dict, grid: GridSpec, seed) -> str:
 
 
 def _seed(args, cfg: dict) -> int:
-    seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+    seed = (args.seed if args.seed is not None
+            else _number(cfg.get("seed", 0), "seed", int))
     if seed < 0:
         raise ConfigError(f"seed: {seed} must be non-negative")
     return seed
@@ -711,6 +707,9 @@ def cmd_sweep(args) -> int:
     # the cases read only the focus centres of the target
     seeds = build_target(cfg, grid).focus_centers
     lens = _load_lens(lens_path, grid, lens_params)
+    lens_sha256 = hashlib.sha256(_load_input(
+        lambda path: Path(path).read_bytes(), lens_path, "sweep")).hexdigest()
+    cfg.read["sweep"]["lens"] = lens_path       # from --lens or the config
 
     # a case is (material, thickness noise sigma, noise seed)
     if args.axis == "material":
@@ -738,14 +737,14 @@ def cmd_sweep(args) -> int:
         rows = list(map(run_case, cases))
 
     out = Path(args.out)
-    write_snapshot(out, cfg, grid, seed)
+    write_snapshot(out, cfg, grid, seed, lens_sha256=lens_sha256)
     with open(out / "sweep.csv", "w") as fh:
         fh.write("case,peak_pressure,leakage_ratio,uniformity,n_components\n")
         for label, row in zip(labels, rows):
             fh.write(f"{label}," + ",".join(f"{v:.9g}" for v in row) + "\n")
     with open(out / "manifest.json", "w") as fh:
-        json.dump({"axis": args.axis, "cases": labels, "seed": seed},
-                  fh, indent=2)
+        json.dump({"axis": args.axis, "cases": labels,
+                   "lens_sha256": lens_sha256, "seed": seed}, fh, indent=2)
         fh.write("\n")
     return EXIT_OK
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 import sys
@@ -11,7 +13,6 @@ from sonolens import analysis, cli, io, lensmap, optim, solver
 from sonolens.analysis import ThermalConfig
 from sonolens.cli import (
     ConfigError,
-    get_quantity,
     load_config,
     strip_comments,
 )
@@ -129,18 +130,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad.json:3"):
             load_config(path)
 
+    @pytest.mark.parametrize("kind", ["directory", "not text"])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, kind):
+        # both ended in a traceback with exit code 1
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": 0}\xff')
+        assert run(["design", "--config", str(path),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert (f"error: config file {path} is unreadable"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_unit_suffixes(self):
-        sec = {"spacing_um": 125, "frequency_mhz": 2, "radius_mm": 0.2}
-        assert get_quantity(sec, "spacing") == pytest.approx(125e-6)
-        assert get_quantity(sec, "frequency") == pytest.approx(2e6)
-        assert get_quantity(sec, "radius") == pytest.approx(2e-4)
+        grid = cli.build_grid({"grid": {"nx": 24, "ny": 24, "nz": 32,
+                                        "spacing_um": 125,
+                                        "frequency_mhz": 2}})
+        target = cli.build_config(
+            {"target": {"focus_centers": [[0, 0, 0]], "radius_mm": 0.2}},
+            "target")
+        assert grid.dx == pytest.approx(125e-6)
+        assert grid.frequency == pytest.approx(2e6)
+        assert target.radius == pytest.approx(2e-4)
 
     def test_bare_key_is_si(self):
-        assert get_quantity({"spacing": 1.25e-4}, "spacing") == 1.25e-4
+        grid = cli.build_grid({"grid": {"nx": 24, "ny": 24, "nz": 32,
+                                        "spacing": 1.25e-4,
+                                        "frequency": 2e6}})
+        assert grid.dx == 1.25e-4
 
     def test_conflicting_keys_rejected(self):
         with pytest.raises(ConfigError, match="conflicting"):
-            get_quantity({"spacing_um": 125, "spacing_mm": 0.125}, "spacing")
+            cli._match({"spacing_um": 125, "spacing_mm": 0.125}, "grid",
+                       GridSpec)
 
     def test_required_key_message(self):
         cfg = {"target": {"focus_centers_mm": [[1.0, 1.0, 1.0]]}}
@@ -460,8 +484,8 @@ class TestDesignCommand:
         assert not (tmp_path / "o").exists()
 
     def test_integral_float_for_integer_key_accepted(self):
-        sec = cli._Section("optim", {"iterations": 3.0})
-        assert cli._number(sec, "iterations", kind=int) == 3
+        ocfg = cli.build_config({"optim": {"iterations": 3.0}}, "optim")
+        assert ocfg.iterations == 3
 
     def test_nan_angular_cutoff_exit_2(self, tmp_path, capsys):
         # JSON's NaN used to pass and disable the angular cutoff
@@ -530,10 +554,13 @@ class TestDesignCommand:
          {"kind": "phantom", "center_mm": [1.5, 1.5, 2.0],
           "center_um": [1500, 1500, 2000], "inner_radius_mm": 1.0,
           "thickness_mm": 0.25}),
+        # design reads no thermal section: this used to run and exit 0
+        ("thermal", "heat_time", {"heat_time_ms": 10, "heat_time_s": 0.01}),
     ])
     def test_conflicting_list_keys_exit_2(self, tmp_path, capsys, section,
                                           base, keys):
-        # a list quantity given in two units is as ambiguous as a scalar
+        # a list quantity given in two units is as ambiguous as a scalar,
+        # and so are two keys of a section the command does not read
         path = write_config(tmp_path, base_config(**{section: keys}))
         assert run(["design", "--config", path,
                     "--out", str(tmp_path / "o")]) == 2
@@ -838,14 +865,74 @@ def config_key_table():
     return pairs
 
 
+# the unit suffixes the README names, with their SI scales
+SUFFIXES = {
+    "m": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
+    "Hz": {"hz": 1.0, "khz": 1e3, "mhz": 1e6},
+    "s": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
+    "Pa": {"pa": 1.0, "kpa": 1e3, "mpa": 1e6},
+}
+QUANTITIES = [
+    (name, cls, f) for name, cls in [
+        *cli.SECTIONS.items(),
+        *(("medium", cls) for cls in cli.MEDIUM_KINDS.values())]
+    for f in dataclasses.fields(cls) if "unit" in f.metadata
+]
+
+
+class TestUnitSuffixes:
+    """Every quantity of the schema takes the suffixes of its own unit,
+    and only those."""
+
+    def test_the_schema_has_quantities_of_every_unit(self):
+        assert set(SUFFIXES) == set(cli.UNIT_SUFFIXES)
+        assert {f.metadata["unit"] for _, _, f in QUANTITIES} == {
+            *SUFFIXES, "m/s"}
+
+    @pytest.mark.parametrize("name, cls, f", QUANTITIES,
+                             ids=[f"{cls.__name__}.{f.name}"
+                                  for _, cls, f in QUANTITIES])
+    def test_own_unit_suffixes_read_in_si(self, name, cls, f):
+        value = [1.5, 2.5, 3.5] if f.type.startswith("np.") else 1.5
+        unset = dict.fromkeys(g.name for g in dataclasses.fields(cls))
+        own = SUFFIXES.get(f.metadata["unit"], {})
+        spellings = {f.name: 1.0,
+                     **{f"{f.name}_{s}": scale for s, scale in own.items()},
+                     **{f"{f.name}_{s.upper()}": scale
+                        for s, scale in own.items()}}
+        for key, scale in spellings.items():
+            got = cli._read_fields({key: value}, name, cls, unset)[f.name]
+            assert got == pytest.approx(np.asarray(value) * scale), key
+
+    @pytest.mark.parametrize("name, cls, f", QUANTITIES,
+                             ids=[f"{cls.__name__}.{f.name}"
+                                  for _, cls, f in QUANTITIES])
+    def test_suffix_of_another_unit_exit_2(self, tmp_path, capsys, name, cls,
+                                           f):
+        # c_ref_khz: 1500 used to run at c_ref = 1.5e6 m/s
+        other = [s for unit, table in SUFFIXES.items()
+                 if unit != f.metadata["unit"] for s in table]
+        assert other
+        for suffix in other:
+            key = f"{f.name}_{suffix}"
+            section = ({"kind": cls.kind} if name == "medium"
+                       else base_config().get(name, {}))
+            path = write_config(tmp_path, base_config(
+                **{name: {**section, key: 1}}))
+            assert run(["design", "--config", path,
+                        "--out", str(tmp_path / "o")]) == 2, key
+            assert f"unknown key '{key}'" in capsys.readouterr().err, key
+            assert not (tmp_path / "o").exists()
+
+
 class TestConfigKeysTable:
     def test_the_readme_table_lists_the_schema(self):
         schema = {("(top)", key) for key in cli.TOP_KEYS}
         for name, cls in cli.SECTIONS.items():
-            schema |= {(name, key) for key in sum(cli._keys(cls), ())}
+            schema |= {(name, key) for key in cli._match({}, name, cls)}
         for kind, cls in cli.MEDIUM_KINDS.items():
             schema |= {("medium" if key == "kind" else f"medium ({kind})", key)
-                       for key in sum(cli._keys(cls), ())}
+                       for key in cli._match({}, "medium", cls)}
         assert config_key_table() == schema
 
 
@@ -1108,6 +1195,25 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines == ["case,peak_pressure,leakage_ratio,uniformity,"
                          "n_components"]
+
+    def test_the_base_lens_is_part_of_the_record(self, tmp_path):
+        # two lenses at one path used to write one config_hash
+        cfg = write_config(tmp_path, base_config(sweep={"realizations": 1}))
+        lens = tmp_path / "lens.csv"
+        records = []
+        for voxels in (4, 8):
+            np.savetxt(lens, np.full((24, 24), voxels * 125e-6),
+                       delimiter=",")
+            out = tmp_path / f"sw{voxels}"
+            assert run(["sweep", "--config", cfg, "--out", str(out),
+                        "--axis", "perturbation", "--lens", str(lens)]) == 0
+            snap = json.loads((out / "resolved_config.json").read_text())
+            manifest = json.loads((out / "manifest.json").read_text())
+            digest = hashlib.sha256(lens.read_bytes()).hexdigest()
+            assert snap["lens_sha256"] == manifest["lens_sha256"] == digest
+            assert snap["effective"]["sweep"]["lens"] == str(lens)
+            records.append(snap["config_hash"])
+        assert records[0] != records[1]
 
     def test_missing_lens_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
