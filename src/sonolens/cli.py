@@ -261,7 +261,7 @@ _READERS = {
         value, where, partial(np.asarray, dtype=float)),
     "bool": lambda value, name, where: _typed(value, where, bool,
                                               "a boolean"),
-    "str": lambda value, name, where: value,
+    "str": lambda value, name, where: _typed(value, where, str, "a string"),
     "MaterialProperties": lambda value, name, where: _material(value, name),
     "tuple[MaterialProperties, ...]": lambda value, name, where: tuple(
         _material(m, name) for m in _typed(value, where, list, "a list")),

@@ -37,11 +37,12 @@ class AcousticMedium:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-        if np.any(self.c <= 0) or np.any(self.rho <= 0):
+        # NaN fails each check
+        if not (np.all(self.c > 0) and np.all(self.rho > 0)):
             raise ValueError("sound speed and density must be positive everywhere")
-        if np.any(self.att < 0):
+        if not np.all(self.att >= 0):
             raise ValueError("attenuation must be non-negative")
-        if np.any(self.att_power < 0.5) or np.any(self.att_power > 2.0):
+        if not np.all((self.att_power >= 0.5) & (self.att_power <= 2.0)):
             raise ValueError("attenuation power must lie in [0.5, 2]")
 
     def copy(self) -> "AcousticMedium":

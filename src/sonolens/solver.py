@@ -29,13 +29,15 @@ So every diffraction goes through segments, each ending at a step that
 is not homogeneous or at the sweep's last slice: one fft on entry, one
 spectrum product by H * screen per slice, one batched ifftn of all its
 planes, and its last slice's interface in space. A step that is not
-homogeneous is a one-slice segment. The adjoint reverses the same
-segments; a slab pair has its plane and so ends one, as its per-pair
-sums need the spatial planes. The scalars are found on the
-actual screens (`prepare` for the base medium, each lens run for its slab
-slices), so a lens embedded into the medium and the same lens run on a
-prepared slab march the same segments. A sweep and its adjoint start at
-the sweep's first injected slice: the field is zero before it.
+homogeneous is a one-slice segment. Each sweep is planned once
+(`_plan`): the slices it visits, from its first injected slice (the
+field is zero before it), and its segments. The march walks that plan,
+the cache keeps it, and the adjoint replays it backwards; a slab pair
+has its plane and so ends a segment, as its per-pair sums need the
+spatial planes. The scalars are found on the actual screens (`prepare`
+for the base medium, each lens run for its slab slices), so a lens
+embedded into the medium and the same lens run on a prepared slab march
+the same segments.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
@@ -146,12 +148,15 @@ class _Sweep:
     u holds only the first visited slice's contribution, its injected
     plane, and v only the post-diffraction fields at the slab's slices
     and the slice on either side; inject keeps the injected slices, not
-    their planes."""
+    their planes. order and segments are the plan (`_plan`) the sweep
+    marched, which its adjoint replays."""
 
     direction: int                      # +1 or -1 along z
     u: list                             # per-slice contribution (None but one)
     v: list                             # post-diffraction field near the slab
     inject: dict                        # injected slices (values None)
+    order: range                        # visited slices, in march order
+    segments: list                      # (first, last) indices into order
 
 
 @dataclass
@@ -159,9 +164,10 @@ class SliceCache:
     """Forward-run state retained for the adjoint sweep.
 
     Only `PreparedMedium.run` makes one. Its sweeps (see `_Sweep`) hold
-    what `propagate_adjoint` reads: the inject keys and the v planes at
-    the keys of Z, one block per sweep that the cache owns. Each also
-    keeps u at its first visited slice, its injected plane.
+    what `propagate_adjoint` reads: the plan each sweep marched, the
+    inject keys and the v planes at the keys of Z, one block per sweep
+    that the cache owns. Each also keeps u at its first visited slice,
+    its injected plane.
 
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
@@ -171,7 +177,8 @@ class SliceCache:
     medium's, except on the lens slab and the pairs that touch it, where
     this run's (always planes) replace them. Z maps the slab's slices and the
     slice on either side (z0-1 .. z0+n_v) to this run's impedance, which
-    the slab gradients read; it is empty without a lens. c, rho and att_np are this run's
+    the slab gradients read; it is empty without a lens. A slab pair is
+    a pair whose two slices are both keys of Z. c, rho and att_np are this run's
     properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) for a run
     without a lens occupancy.
     """
@@ -237,11 +244,6 @@ def _interface(Z1: np.ndarray, Z2: np.ndarray,
     if not slab and not np.any(Z2 != Z1):
         return None
     return (Z2 - Z1) / (Z1 + Z2)
-
-
-def _slab_pairs(z0: int, n_v: int, nz: int) -> range:
-    """Slice pairs k, k+1 with at least one slice on the slab z0 .. z0+n_v-1."""
-    return range(max(z0 - 1, 0), min(z0 + n_v, nz - 1)) if n_v else range(0)
 
 
 @dataclass
@@ -374,8 +376,9 @@ class PreparedMedium:
             screen, coeff = list(screen), list(coeff)
             screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
-            for k in _slab_pairs(z0, n_v, grid.nz):
-                coeff[k] = _interface(Z[k], Z[k + 1], slab=True)
+            for k in Z:
+                if k + 1 in Z:              # a slab pair
+                    coeff[k] = _interface(Z[k], Z[k + 1], slab=True)
             lens = dict(lens_z_offset=z0, lens_dc=self.dc,
                         lens_drho=self.drho, lens_datt=self.datt)
         cache = (SliceCache(grid, self.H, c, rho, att, screen, coeff, Z,
@@ -387,11 +390,12 @@ class PreparedMedium:
             stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
                              dtype=np.complex128)
         inject = {source_slice: source_plane}
-        for order in range(self.cfg.reflection_order + 1):
-            refl = _march(grid, self.H, screen, coeff, direction, inject,
-                          order < self.cfg.reflection_order, stack, total)
+        for n in range(self.cfg.reflection_order + 1):
+            plan = _plan(screen, coeff, inject, direction)
+            refl = _march(self.H, screen, coeff, direction, inject, *plan,
+                          n < self.cfg.reflection_order, stack, total)
             if keep:
-                cache.sweeps.append(_kept(stack, direction, inject, Z))
+                cache.sweeps.append(_kept(stack, direction, inject, *plan, Z))
             if not refl:
                 break
             inject = refl
@@ -400,21 +404,21 @@ class PreparedMedium:
         return ComplexField(total, grid), cache
 
 
-def _kept(stack: np.ndarray, direction: int, inject: dict, slices) -> _Sweep:
+def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
+          segments: list, slices) -> _Sweep:
     """What the adjoint reads of the sweep just marched through `stack`:
-    the v planes at the consecutive `slices` that it marched past its
-    first slice, copied out as one block, and the injected slices. u
-    stays at the first slice only, its injected plane, which no run
-    writes."""
+    its plan, the v planes at the consecutive `slices` that it marched
+    past its first slice, copied out as one block, and the injected
+    slices. u stays at the first slice only, its injected plane, which no
+    run writes."""
     nz = len(stack) - 1
-    order = _visits(nz, direction, inject)
     u, v = [None] * nz, [None] * nz
     u[order[0]] = inject[order[0]]
     kept = [s for s in slices if s in order[1:]]
     if kept:
         block = slice(min(kept), max(kept) + 1)
         v[block] = stack[block].copy()      # each entry a view of the copy
-    return _Sweep(direction, u, v, dict.fromkeys(inject))
+    return _Sweep(direction, u, v, dict.fromkeys(inject), order, segments)
 
 
 def prepare(
@@ -438,7 +442,7 @@ def prepare(
     if cfg is None:
         cfg = SolverConfig()
     grid = medium.grid
-    for arr in (medium.c, medium.rho, medium.att):
+    for arr in (medium.c, medium.rho, medium.att, medium.att_power):
         if np.any(~np.isfinite(arr)):
             raise ValueError("medium contains non-finite values")
     if lens_mat is None:
@@ -464,77 +468,82 @@ def prepare(
     return prepared if lens_mat is None else prepared.with_lens(lens_mat)
 
 
-def _homogeneous(screen: list, coeff: list, inject: dict, prev: int,
-                 s: int) -> bool:
-    """Whether the step prev -> s is homogeneous: slice s has a scalar
-    screen, the pair has no interface and nothing is injected at s. Across
-    such steps, u_s = screen_s * diffract(u_prev) in every bin, so a
-    segment of the march continues through them."""
-    return (np.ndim(screen[s]) == 0 and coeff[min(prev, s)] is None
-            and s not in inject)
+def _plan(screen: list, coeff: list, inject: dict,
+          direction: int) -> tuple[range, list]:
+    """The slices a sweep visits, in march order, and its segments.
 
-
-def _visits(nz: int, direction: int, inject: dict) -> range:
-    """The slices a sweep visits, in march order: from its first injected
-    slice (the highest toward -z, the lowest toward +z) to the grid's end."""
+    order runs from the sweep's first injected slice (the highest toward
+    -z, the lowest toward +z) to the grid's end: the field is zero before
+    it. segments are (first, last) index pairs into order that tile
+    order[1:]. One ends at the sweep's last slice and at every step prev
+    -> s that is not homogeneous. A step is homogeneous when slice s has a
+    scalar screen, the pair has no interface and nothing is injected at
+    s: across such steps u_s = screen_s * diffract(u_prev) in every bin,
+    so a segment continues through them.
+    """
     if direction < 0:
-        return range(max(inject), -1, -1)
-    return range(min(inject), nz)
+        order = range(max(inject), -1, -1)
+    else:
+        order = range(min(inject), len(screen))
+    segments, first = [], 1
+    for i in range(1, len(order)):
+        prev, s = order[i - 1], order[i]
+        if (i + 1 == len(order) or np.ndim(screen[s]) != 0
+                or coeff[min(prev, s)] is not None or s in inject):
+            segments.append((first, i))
+            first = i + 1
+    return order, segments
 
 
 def _march(
-    grid: GridSpec,
     H: np.ndarray,
     screen: list,
     coeff: list,
     direction: int,
     inject: dict,
+    order: range,
+    segments: list,
     collect_reflections: bool,
     stack: np.ndarray,
     total: np.ndarray,
 ) -> dict:
-    """One directional sweep, added into `total`; returns its reflected
-    sources.
+    """One directional sweep along its plan (`_plan`), added into `total`;
+    returns its reflected sources.
 
     Slice s's post-diffraction field goes to stack[s], and its
     contribution is added into total[:, :, s] as soon as it is formed in
-    the work plane stack[nz]. Each injected plane but the first, which
-    the first visited slice contributes, is set to None in `inject` once
-    added, so that it is freed while the sweep goes on.
+    the work plane, the stack's last. Each injected plane but the first,
+    which the first visited slice contributes, is set to None in `inject`
+    once added, so that it is freed while the sweep goes on.
 
-    The sweep starts at its first injected slice (`_visits`). A segment
-    ends at each step that fails `_homogeneous` and at the sweep's last
-    slice. It takes one fft of the field entering it, writes each slice's
-    spectrum H * screen_prev * (previous spectrum) to stack[s], returns
-    those planes to space in one batched in-place ifftn, adds screen * v
-    on its homogeneous slices, and applies its last slice's interface
-    (rv = +-r*v, the reflected source, and v + rv transmitted), screen
-    and injection in space before adding that slice.
+    Each segment takes one fft of the field entering it, writes each
+    slice's spectrum H * screen_prev * (previous spectrum) to stack[s],
+    returns those planes to space in one batched in-place ifftn, adds
+    screen * v on its homogeneous slices, and applies its last slice's
+    interface (rv = +-r*v, the reflected source, and v + rv transmitted),
+    screen and injection in space before adding that slice.
     """
     down = direction < 0
-    order = _visits(grid.nz, direction, inject)
-    work = stack[grid.nz]
+    work = stack[-1]
     refl: dict = {}
 
     u = inject[order[0]]
     total[:, :, order[0]] += u
-    first = 1                       # the open segment starts at order[first]
-    for i in range(1, len(order)):
-        prev, s = order[i - 1], order[i]
-        v = stack[s]
-        if i == first:
-            fftn(u, axes=(0, 1), out=v)
-        else:
-            np.multiply(stack[prev], screen[prev], out=v)
-        np.multiply(v, H, out=v)
-        if i + 1 < len(order) and _homogeneous(screen, coeff, inject, prev, s):
-            continue
-
-        # the segment order[first .. i] ends at s
-        seg = stack[min(order[first], s) : max(order[first], s) + 1]
+    for first, last in segments:
+        steps = order[first - 1 : last + 1]
+        for prev, s in zip(steps, steps[1:]):
+            if prev == steps[0]:    # the field entering the segment
+                fftn(u, axes=(0, 1), out=stack[s])
+            else:
+                np.multiply(stack[prev], screen[prev], out=stack[s])
+            np.multiply(stack[s], H, out=stack[s])
+        seg = stack[min(steps[1], s) : max(steps[1], s) + 1]
         ifftn(seg, axes=(1, 2), out=seg)
-        for h in order[first:i]:
+        for h in steps[1:-1]:
             total[:, :, h] += np.multiply(stack[h], screen[h], out=work)
+
+        # the segment's last step prev -> s, in space
+        v = stack[s]
         u, tv = work, v
         r = coeff[min(prev, s)]
         if r is not None:
@@ -549,7 +558,6 @@ def _march(
             np.add(u, inject[s], out=u)
             inject[s] = None
         total[:, :, s] += u
-        first = i + 1
     return refl
 
 
@@ -591,7 +599,7 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     # processing the consuming (later) sweep
     refl_cot: dict = {}
     for sweep in reversed(cache.sweeps):
-        refl_cot = _sweep_adjoint(cache, sweep, upstream, refl_cot, z0, sums,
+        refl_cot = _sweep_adjoint(cache, sweep, upstream, refl_cot, sums,
                                   scratch)
     # whatever remains feeds the original source plane
     source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
@@ -607,64 +615,36 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     return result
 
 
-def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
-                   scratch):
+def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch):
     """Reverse one sweep; returns cotangents of its consumed injections.
 
-    The field cotangent is carried through every pair. On pairs with a
-    slice on the slab (slab index k holds grid slice z0 + k) it adds
-    ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent exists,
-    to sums[(prev, s)]; other pairs skip that work. Each entry of
-    refl_cot is dropped once used, so that it is freed while the
-    returned cotangents fill up.
+    The field cotangent is carried through every pair. On slab pairs
+    (both slices keys of cache.Z) it adds ub*v, and Re(refl_cot[prev]*v)
+    where a reflection cotangent exists, to sums[(prev, s)]; other pairs
+    skip that work. Each entry of refl_cot is dropped once used, so that
+    it is freed while the returned cotangents fill up.
 
-    The march's segments (`_homogeneous` cuts both) are reversed in turn:
-    the last slice is transposed in space, K = H * ifft2(vbar), each
+    The segments the forward recorded are replayed from the last: its
+    last step is transposed in space, K = H * ifft2(vbar), each
     homogeneous slice s back from it gives K <- H * screen_s * (K +
     ifft2(upstream_s)) with one batched ifftn of their upstream planes,
     and one fft2 returns K to space. That is the transpose (not the
     conjugate transpose) of the segment.
     """
-    H, screen, coeff = cache.H, cache.screen, cache.coeff
-    n_v = cache.c.shape[2]
+    H, screen, coeff, Z = cache.H, cache.screen, cache.coeff, cache.Z
     down = sweep.direction < 0
-    order = _visits(cache.grid.nz, sweep.direction, sweep.inject)
-
-    def inside(i):
-        # whether step order[i-1] -> order[i] lies inside a segment
-        return (0 < i < len(order) - 1
-                and _homogeneous(screen, coeff, sweep.inject, order[i - 1],
-                                 order[i]))
+    order = sweep.order
 
     inject_cot: dict = {}
     ub, carry = scratch
     carry.fill(0.0)
-    last = len(order)               # the open segment ends at order[last]
-    for i in range(len(order) - 1, -1, -1):
-        if inside(i):
-            continue
-        # close the open segment: carry holds K
-        if last - i > 1:
-            hom = order[i + 1 : last]   # its homogeneous slices
-            lo, hi = min(hom), max(hom) + 1
-            up = ifftn(np.moveaxis(upstream[:, :, lo:hi], 2, 0), axes=(1, 2),
-                       out=np.empty((hi - lo, *carry.shape),
-                                    dtype=np.complex128))
-            for s in reversed(hom):
-                np.add(carry, up[s - lo], out=carry)
-                np.multiply(carry, screen[s], out=carry)
-                np.multiply(carry, H, out=carry)
-        if last < len(order):
-            fftn(carry, axes=(0, 1), out=carry)
-        if i == 0:
-            break
-
-        prev, s = order[i - 1], order[i]
+    for first, last in reversed(sweep.segments):
+        prev, s = order[last - 1], order[last]
         np.add(carry, upstream[:, :, s], out=ub)
         if s in sweep.inject:
             inject_cot[s] = ub.copy()
         rc = refl_cot.pop(prev, None)
-        if 0 <= s - z0 < n_v or 0 <= prev - z0 < n_v:      # a slab pair
+        if prev in Z and s in Z:        # a slab pair
             v = sweep.v[s]
             acc = sums.get((prev, s))
             if acc is None:
@@ -686,7 +666,18 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, z0, sums,
         # K = H * ifft2(vbar) in place; ifftn, as numpy's ifft2 ignores out=
         ifftn(carry, axes=(0, 1), out=carry)
         np.multiply(H, carry, out=carry)
-        last = i
+
+        hom = order[first:last]         # the segment's homogeneous slices
+        if hom:
+            lo, hi = min(hom), max(hom) + 1
+            up = ifftn(np.moveaxis(upstream[:, :, lo:hi], 2, 0), axes=(1, 2),
+                       out=np.empty((hi - lo, *carry.shape),
+                                    dtype=np.complex128))
+            for s in reversed(hom):
+                np.add(carry, up[s - lo], out=carry)
+                np.multiply(carry, screen[s], out=carry)
+                np.multiply(carry, H, out=carry)
+        fftn(carry, axes=(0, 1), out=carry)
 
     # the sweep starts at an injected slice
     inject_cot[order[0]] = carry + upstream[:, :, order[0]]

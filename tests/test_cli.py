@@ -394,6 +394,23 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, section, value", [
+        ("sweep", "sweep", {"lens": True}),
+        ("design", "medium", {"kind": "hu_file", "path": 1.5}),
+        # CSV lines, which np.loadtxt used to read as an inline lens
+        ("sweep", "sweep", {"lens": ["0.001,0.001", "0.001,0.001"]}),
+    ])
+    def test_string_field_must_be_a_string_exit_2(self, tmp_path, capsys,
+                                                  command, section, value):
+        cfg = base_config(**{section: value})
+        args = ["--axis", "perturbation"] if command == "sweep" else []
+        assert run([command, "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "o"), *args]) == 2
+        key = "path" if section == "medium" else "lens"
+        assert (f"{section}: {key}: expected a string, got {value[key]!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, material", [
         ("medium", {"sound_speed": None, "density": 1000}),
         ("lens", {"sound_speed": 2500, "density": [1100]}),

@@ -174,3 +174,13 @@ class TestAcousticMediumValidation:
         with pytest.raises(ValueError):
             AcousticMedium(g, c, np.full(g.shape, 1000.0),
                            np.zeros(g.shape), np.ones(g.shape))
+
+    @pytest.mark.parametrize("name", ["c", "rho", "att", "att_power"])
+    def test_nan_property_rejected(self, name):
+        g = make_grid()
+        arrays = {"c": np.full(g.shape, 1500.0),
+                  "rho": np.full(g.shape, 1000.0),
+                  "att": np.zeros(g.shape), "att_power": np.ones(g.shape)}
+        arrays[name][1, 2, 3] = np.nan
+        with pytest.raises(ValueError):
+            AcousticMedium(g, **arrays)

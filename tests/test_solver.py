@@ -152,6 +152,15 @@ class TestPropagate:
         with pytest.raises(ValueError, match="finite"):
             propagate(SourceSpec.full_plane(g), med)
 
+    def test_nan_attenuation_power_rejected(self):
+        # set after construction, it used to run to an all-NaN field,
+        # also where att is 0
+        g = make_grid()
+        med = make_homogeneous(g, WATER)
+        med.att_power[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            propagate(SourceSpec.full_plane(g), med)
+
     def test_reflection_order_convergence(self):
         # per-order increments bounded by |r_max|^order * |P0|_inf
         g = make_grid()
@@ -527,6 +536,65 @@ class TestHomogeneousRuns:
         pm, _ = run(occ - eps * delta)
         lhs = np.real(np.sum(upstream * (pp.values - pm.values))) / (2 * eps)
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
+
+    @pytest.mark.parametrize("layers, mat, z_offset, source_slice, "
+                             "direction, order, uniform", HOMOGENEOUS_CASES)
+    def test_each_sweep_keeps_the_plan_it_marched(self, layers, mat, z_offset,
+                                                  source_slice, direction,
+                                                  order, uniform):
+        # each cached sweep's segments tile its slices after the first and
+        # end exactly at the last slice and at the steps that fail the
+        # homogeneous rule, written out here
+        g = self.GRID
+        *_, run, occ, _, _ = self.setup_case(
+            layers, mat, z_offset, source_slice, direction, order, uniform)
+        _, cache = run(occ)
+        assert len(cache.sweeps) == order + 1
+        for sweep in cache.sweeps:
+            seq, segments = sweep.order, sweep.segments
+            if sweep.direction > 0:
+                assert seq == range(min(sweep.inject), g.nz)
+            else:
+                assert seq == range(max(sweep.inject), -1, -1)
+            assert all(first <= last for first, last in segments)
+            assert [i for first, last in segments
+                    for i in range(first, last + 1)] == list(range(1, len(seq)))
+            ends = {last for _, last in segments}
+            for i in range(1, len(seq)):
+                prev, s = seq[i - 1], seq[i]
+                homogeneous = (np.ndim(cache.screen[s]) == 0
+                               and cache.coeff[min(prev, s)] is None
+                               and s not in sweep.inject)
+                assert (i in ends) == (i == len(seq) - 1 or not homogeneous)
+        assert any(last > first for sweep in cache.sweeps
+                   for first, last in sweep.segments)
+        assert ({sweep.direction for sweep in cache.sweeps}
+                == ({1, -1} if order else {direction}))
+
+    def test_a_screen_plane_without_an_interface_ends_a_segment(self):
+        # absorbing water on half of each plane of slices 6-11: no
+        # interface, but a screen that varies across the plane, which the
+        # spectral domain cannot apply as one factor
+        g = self.GRID
+        med = make_homogeneous(g, WATER)
+        med.att[:8, :, 6:12] = ABSORBING_WATER.attenuation_coeff
+        med.att_power[:8, :, 6:12] = ABSORBING_WATER.attenuation_power
+        src, cfg = SourceSpec.disk(g, 1.2e-3), SolverConfig(reflection_order=0)
+        p, cache = propagate(src, med, cfg)
+        (sweep,) = cache.sweeps
+        assert all(r is None for r in cache.coeff)
+        assert ([sweep.order[last] for _, last in sweep.segments]
+                == [*range(6, 12), g.nz - 1])
+        att = med.attenuation_np_per_m()
+        assert_close(p.values, full_grid_forward(g, cfg, med.c, med.rho, att,
+                                                 src.source_plane(g)))
+        rng = np.random.default_rng(5)
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        source, *_ = full_grid_adjoint(
+            cache, full_grid_sweeps(g, cfg, med.c, med.rho, att,
+                                    src.source_plane(g)),
+            upstream, med.c, med.rho, att)
+        assert_close(propagate_adjoint(cache, upstream).source_plane, source)
 
     def test_water_march_makes_fewer_transforms_than_steps(self, monkeypatch):
         # through water every step after the source is homogeneous: one
