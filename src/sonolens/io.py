@@ -27,12 +27,17 @@ def save_raw(prefix, grid: GridSpec, values: np.ndarray, fields,
     type: a complex array is stored as interleaved (re, im) float32 pairs
     ("complex64_interleaved"), any other array little-endian in its own
     type. `extra` (such as the creating config's hash) joins the header.
+    The payload is cast into a C-order array, which `tofile` writes in
+    one pass; a run's field is a slice-major view, which it would walk
+    element by element.
     """
     values = np.asarray(values)
     if values.dtype.kind == "c":
-        values, dtype = values.astype("<c8"), "complex64_interleaved"
+        values = values.astype("<c8", order="C")
+        dtype = "complex64_interleaved"
     else:
-        values = values.astype(values.dtype.newbyteorder("<"), copy=False)
+        values = values.astype(values.dtype.newbyteorder("<"), order="C",
+                               copy=False)
         dtype = values.dtype.name
     header = {
         "schema_version": SCHEMA_VERSION,

@@ -43,8 +43,10 @@ class TargetSpec:
 
     Each focus center is a voxel of the grid. The loss constants are
     computed once here: the flat indices of the support (a > 0) and of
-    the active set (a == 1), a on the support, sum a^4 and sum a.
-    `a_target` is not to be changed afterwards.
+    the active set (a == 1), a on the support, sum a^4 and sum a. The
+    flat indices run slice-major, over the (nz, nx, ny) order in which a
+    run stores its field (`loss_and_gradient`). `a_target` is not to be
+    changed afterwards.
     """
 
     a_target: np.ndarray                 # 3D, values in [0, 1]
@@ -68,10 +70,12 @@ class TargetSpec:
             if len(c) != 3 or not all(0 <= i < n for i, n in zip(c, shape)):
                 raise ValueError(f"focus center {tuple(c)} is not a voxel "
                                  f"of the {shape} grid")
-        a = self.a_target.reshape(-1)
-        self.support = np.flatnonzero(a)
-        self.a_support = a[self.support]
-        self.omega_index = np.flatnonzero(a == 1.0)
+        # read off the (nz, nx, ny) view, which is not copied
+        a = self.a_target
+        z, x, y = np.nonzero(a.transpose(2, 0, 1))
+        self.support = np.ravel_multi_index((z, x, y), (shape[2], *shape[:2]))
+        self.a_support = a[x, y, z]
+        self.omega_index = self.support[self.a_support == 1.0]
         self.s4a = np.sum((a**2) ** 2)
         self.a_sum = np.sum(a)
 
@@ -163,9 +167,13 @@ def loss_and_gradient(
     intensity (turned in place into d/d(intensity); its square too while
     sum |P|^4 is taken) and, from the end of the accuracy and balance
     terms, the returned cotangent.
+    The field is read slice-major, in `TargetSpec`'s flat order: a view
+    of a run's field, which is stored so; a field in another layout is
+    copied. The cotangent comes back as an (nx, ny, nz) view of a
+    slice-major array, which the adjoint reads in place.
     """
     shape = values.shape
-    values = values.reshape(-1)
+    values = values.transpose(2, 0, 1).reshape(-1)
     sup, a = target.support, target.a_support
     a2 = a**2
     amp_s = np.abs(values[sup])
@@ -206,7 +214,8 @@ def loss_and_gradient(
     upstream[idx] += lambda_energy * (
         (-a[nz] / target.a_sum) * np.conj(values[idx]) / amp_s[nz]
     )
-    return l_acc, l_en, l_bal, upstream.reshape(shape)
+    upstream = upstream.reshape(shape[2], *shape[:2]).transpose(1, 2, 0)
+    return l_acc, l_en, l_bal, upstream
 
 
 class Adam:

@@ -18,6 +18,14 @@ of equal impedance across the whole plane have no plane and skip the
 interface work, except in a lens run: every pair touching the slab keeps
 its plane, zero or not, so that the adjoint applies dr/dZ there.
 
+H is zero beyond angular_cutoff*k0, on all but br rows and bc columns
+of the FFT grid (21 of 64 each on a 64x64 grid at 125 um and 2 MHz). A
+diffraction step is therefore evaluated on that passband only, as two
+small dense matrix products into it and two back out (`_Passband`; the
+matrix Fourier transform of Soummer et al., Opt. Express 15, 15935,
+2007): the same linear map as ifft2(H * fft2(u)), with matrices that
+`prepare` builds once.
+
 A screen that takes one value across the plane is stored as that
 scalar, every other one as its (nx, ny) plane; the products broadcast
 either. A step into a slice with a scalar screen, with no interface and
@@ -26,9 +34,10 @@ fft2(u_prev)) is diagonal in the spectral domain and exact over any
 number of such slices (angular-spectrum propagation through a
 homogeneous layer; Zeng and McGough, J. Acoust. Soc. Am. 123, 2008).
 So every diffraction goes through segments, each ending at a step that
-is not homogeneous or at the sweep's last slice: one fft on entry, one
-spectrum product by H * screen per slice, one batched ifftn of all its
-planes, and its last slice's interface in space. A step that is not
+is not homogeneous or at the sweep's last slice: one transform into the
+passband on entry, one product of the (br, bc) spectrum by H * screen
+per slice, one block product of all its spectra back to their planes,
+and its last slice's interface in space. A step that is not
 homogeneous is a one-slice segment. Each sweep is planned once
 (`_plan`): the slices it visits, from its first injected slice (the
 field is zero before it), and its segments. The march walks that plan,
@@ -53,20 +62,24 @@ gradients read.
 cache carries the run's screens and coefficients, so the adjoint
 recomputes neither.
 
+The total field is slice-major: stored as (nz, nx, ny), so that a
+slice is one contiguous plane, and handed out as its (nx, ny, nz) view.
 A sweep writes each slice's post-diffraction field into its plane of
-one (nz + 1, nx, ny) plane stack with in-place FFTs and products, and
-adds each slice's contribution into the total field as it goes, through
-the stack's last plane. Every run marches all its sweeps through one
-stack, which it takes from the prepared medium and gives back as it
-returns. `PreparedMedium.run` copies out of the stack, after each sweep,
-only what the adjoint reads: the post-diffraction fields at the slab's
-slices and the slice on either side of it (none without a lens). So a
-cache owns its planes, and a later run changes none of them.
+one (nz + 1, nx, ny) plane stack with products into preallocated
+buffers, and adds each slice's contribution into the total field as it
+goes, through the stack's last plane. Every run marches all its sweeps
+through one stack, which it takes from the prepared medium and gives
+back as it returns. `PreparedMedium.run` copies out of the stack, after
+each sweep, only what the adjoint reads: the post-diffraction fields at
+the slab's slices and the slice on either side of it (none without a
+lens). So a cache owns its planes, and a later run changes none of them.
 `PreparedMedium.field_only` returns the same field without a cache. The
 returned field is always a fresh array.
 
 Every operation in the chain is complex-linear in the field, so the exact
-reverse-mode gradient is obtained by transposing each step. The adjoint
+reverse-mode gradient is obtained by transposing each step; the
+passband products transpose to the transposed matrices. The adjoint
+reads the loss cotangent slice by slice, slice-major as the field. It
 always returns the source-plane cotangent. When the forward run embedded a
 lens with linearly interpolated properties, it also returns the gradients
 with respect to the per-voxel properties on the lens slab and, through
@@ -85,7 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.fft import fft2, fftn, ifft2, ifftn
+from numpy.fft import fft2, ifft2
 
 from .grid import GridSpec, MaterialProperties, SourceSpec
 from .medium import AcousticMedium
@@ -142,6 +155,82 @@ def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
     return H
 
 
+def _dft_rows(n: int, k: np.ndarray) -> np.ndarray:
+    """Rows k of the n-point DFT matrix, exp(-2*pi*i*((k*j) mod n)/n): the
+    mod keeps each phase in [0, 2*pi), where exp keeps full precision
+    however large k*j is."""
+    return np.exp(-2j * np.pi * (np.outer(k, np.arange(n)) % n) / n)
+
+
+# planes per product of a block of planes (`_into_band`, `_out_of_band`):
+# bounds their intermediate to this many (nx, bc) planes
+_BLOCK = 8
+
+
+@dataclass(eq=False)
+class _Passband:
+    """The diffraction step on the kernel's passband, the rows r and
+    columns c of the FFT grid where H has a nonzero entry.
+
+    With F_n the n-point DFT matrix, A = F_nx[r, :], B = F_ny[:, c], Ai =
+    conj(F_nx[:, r])/nx and Bi = conj(F_ny[c, :])/ny, the step v = ifft2(H *
+    fft2(u)) is v = Ai @ (H[r][:, c] * (A @ u @ B)) @ Bi, since H is zero
+    off the passband. into and back are the (left, right) matrices of
+    the first product and of the last; into_t and back_t those of the
+    transposed step, (Ai.T, Bi.T) and (A.T, B.T), which the adjoint runs.
+    tmp is the intermediate of `_into_band` and `_out_of_band`, _BLOCK
+    (nx, bc) planes that every run and adjoint of the prepared medium
+    uses in turn.
+    """
+
+    H: np.ndarray                       # H on the passband, (br, bc)
+    into: tuple                         # (A, B)
+    back: tuple                         # (Ai, Bi)
+    into_t: tuple                       # (Ai.T, Bi.T)
+    back_t: tuple                       # (A.T, B.T)
+    tmp: np.ndarray
+
+    @classmethod
+    def of(cls, H: np.ndarray) -> "_Passband":
+        nx, ny = H.shape
+        r = np.flatnonzero(np.any(H, axis=1))
+        c = np.flatnonzero(np.any(H, axis=0))
+        Fr, Fc = _dft_rows(nx, r), _dft_rows(ny, c)
+        pairs = [(Fr, Fc.T), (np.conj(Fr).T / nx, np.conj(Fc) / ny),
+                 (np.conj(Fr) / nx, np.conj(Fc).T / ny), (Fr.T, Fc)]
+        return cls(H[np.ix_(r, c)],
+                   *[tuple(np.ascontiguousarray(m) for m in p) for p in pairs],
+                   tmp=np.empty((_BLOCK, nx, c.size), dtype=np.complex128))
+
+
+def _into_band(mats: tuple, x: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """out = L @ x @ R, (L, R) = mats, for one (nx, ny) plane x or a block
+    of them (a block of len(tmp) planes at a time), through tmp = x @ R."""
+    L, R = mats
+    if x.ndim == 2:
+        return np.matmul(L, np.matmul(x, R, out=tmp[0]), out=out)
+    for i in range(0, len(x), len(tmp)):
+        t = tmp[: len(x) - i]
+        np.matmul(L, np.matmul(x[i : i + len(t)], R, out=t),
+                  out=out[i : i + len(t)])
+    return out
+
+
+def _out_of_band(mats: tuple, K: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """out = L @ K @ R, (L, R) = mats, for one passband spectrum K or a
+    block of them (a block of len(tmp) at a time), through tmp = L @ K."""
+    L, R = mats
+    if K.ndim == 2:
+        return np.matmul(np.matmul(L, K, out=tmp[0]), R, out=out)
+    for i in range(0, len(K), len(tmp)):
+        t = tmp[: len(K) - i]
+        np.matmul(np.matmul(L, K[i : i + len(t)], out=t), R,
+                  out=out[i : i + len(t)])
+    return out
+
+
 @dataclass
 class _Sweep:
     """One sweep of a cached run, built by `_kept` from the plane stack:
@@ -169,6 +258,8 @@ class SliceCache:
     that the cache owns. Each also keeps u at its first visited slice,
     its injected plane.
 
+    band is the prepared medium's passband step (`_Passband`), which the
+    adjoint transposes; H is the full kernel it was cut from.
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
     the slice can be homogeneous, and its (nx, ny) array elsewhere. coeff holds
@@ -185,6 +276,7 @@ class SliceCache:
 
     grid: GridSpec
     H: np.ndarray
+    band: _Passband
     c: np.ndarray
     rho: np.ndarray
     att_np: np.ndarray
@@ -250,12 +342,14 @@ def _interface(Z1: np.ndarray, Z2: np.ndarray,
 class PreparedMedium:
     """A medium set up once for any number of forward runs.
 
-    Holds the diffraction kernel, the default source plane and the
-    per-slice screens (a scalar where a screen is uniform; see SliceCache)
-    and interface coefficients of the base medium, which a run without a
-    lens occupancy marches; a lens run recomputes the screens of the slab
-    slices, so a slab slice may be a scalar in one run and a plane in the
-    next.
+    Holds the diffraction kernel and its passband step (`_Passband`:
+    the DFT matrices restricted to H's nonzero rows and columns, built
+    by `prepare` and shared with every copy and cache), the default
+    source plane and the per-slice screens (a scalar where a screen is
+    uniform; see SliceCache) and interface coefficients of the base
+    medium, which a run without a lens occupancy marches; a lens run
+    recomputes the screens of the slab slices, so a slab slice may be a
+    scalar in one run and a plane in the next.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
     the base properties there, the lens material and the lens-minus-base
     deltas, and the impedance of the slices just outside the slab, so
@@ -266,12 +360,15 @@ class PreparedMedium:
     a sweep over materials prepares the medium once. Nothing
     it holds is modified by a run, except the spare plane stack of nz + 1
     planes (`_spare`, None until the first run; a pickle carries none,
-    a `with_lens` copy shares it), which each run takes and puts back.
+    a `with_lens` copy shares it), which each run takes and puts back,
+    and the passband's intermediate buffer, which runs and adjoints use
+    in turn.
     """
 
     grid: GridSpec
     cfg: SolverConfig
     H: np.ndarray
+    band: _Passband                     # the step on H's passband
     source_plane: np.ndarray
     screen: list                        # screen, coeff: see SliceCache
     coeff: list
@@ -381,10 +478,10 @@ class PreparedMedium:
                     coeff[k] = _interface(Z[k], Z[k + 1], slab=True)
             lens = dict(lens_z_offset=z0, lens_dc=self.dc,
                         lens_drho=self.drho, lens_datt=self.datt)
-        cache = (SliceCache(grid, self.H, c, rho, att, screen, coeff, Z,
-                            **lens) if keep else None)
+        cache = (SliceCache(grid, self.H, self.band, c, rho, att, screen,
+                            coeff, Z, **lens) if keep else None)
 
-        total = np.zeros(grid.shape, dtype=np.complex128)
+        total = np.zeros((grid.nz, grid.nx, grid.ny), dtype=np.complex128)
         stack, self._spare = self._spare, None
         if stack is None:
             stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
@@ -392,7 +489,7 @@ class PreparedMedium:
         inject = {source_slice: source_plane}
         for n in range(self.cfg.reflection_order + 1):
             plan = _plan(screen, coeff, inject, direction)
-            refl = _march(self.H, screen, coeff, direction, inject, *plan,
+            refl = _march(self.band, screen, coeff, direction, inject, *plan,
                           n < self.cfg.reflection_order, stack, total)
             if keep:
                 cache.sweeps.append(_kept(stack, direction, inject, *plan, Z))
@@ -401,7 +498,7 @@ class PreparedMedium:
             inject = refl
             direction = -direction
         self._spare = stack
-        return ComplexField(total, grid), cache
+        return ComplexField(total.transpose(1, 2, 0), grid), cache
 
 
 def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
@@ -450,11 +547,13 @@ def prepare(
     elif z_offset < 0 or z_offset + n_v > grid.nz:
         raise ValueError("lens exceeds the axial extent of the grid")
     att_np = medium.attenuation_np_per_m()
+    H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     prepared = PreparedMedium(
         grid, cfg,
-        H=_diffraction_kernel(grid, cfg.angular_cutoff, grid.dz),
+        H=H,
+        band=_Passband.of(H),
         source_plane=src.source_plane(grid),
         screen=screen,
         coeff=[_interface(Z[k], Z[k + 1]) for k in range(grid.nz - 1)],
@@ -496,7 +595,7 @@ def _plan(screen: list, coeff: list, inject: dict,
 
 
 def _march(
-    H: np.ndarray,
+    band: _Passband,
     screen: list,
     coeff: list,
     direction: int,
@@ -507,40 +606,45 @@ def _march(
     stack: np.ndarray,
     total: np.ndarray,
 ) -> dict:
-    """One directional sweep along its plan (`_plan`), added into `total`;
-    returns its reflected sources.
+    """One directional sweep along its plan (`_plan`), added into the
+    slice-major `total` (nz, nx, ny); returns its reflected sources.
 
     Slice s's post-diffraction field goes to stack[s], and its
-    contribution is added into total[:, :, s] as soon as it is formed in
-    the work plane, the stack's last. Each injected plane but the first,
+    contribution is added into total[s] as soon as it is formed in the
+    work plane, the stack's last. Each injected plane but the first,
     which the first visited slice contributes, is set to None in `inject`
     once added, so that it is freed while the sweep goes on.
 
-    Each segment takes one fft of the field entering it, writes each
-    slice's spectrum H * screen_prev * (previous spectrum) to stack[s],
-    returns those planes to space in one batched in-place ifftn, adds
-    screen * v on its homogeneous slices, and applies its last slice's
-    interface (rv = +-r*v, the reflected source, and v + rv transmitted),
-    screen and injection in space before adding that slice.
+    Each segment takes the field entering it into the passband (`band`),
+    writes each slice's passband spectrum H * screen_prev * (previous
+    spectrum) to the head of stack[s], returns those spectra to their
+    planes in one block product, adds screen * v on its homogeneous
+    slices, and applies its last slice's interface (rv = +-r*v, the
+    reflected source, and v + rv transmitted), screen and injection in
+    space before adding that slice.
     """
     down = direction < 0
-    work = stack[-1]
+    work, tmp = stack[-1], band.tmp
+    # slice s's passband spectrum, in the head of stack[s] until the
+    # segment's block product overwrites that plane with its field
+    spectra = stack.reshape(len(stack), -1)[:, : band.H.size].reshape(
+        len(stack), *band.H.shape)
     refl: dict = {}
 
     u = inject[order[0]]
-    total[:, :, order[0]] += u
+    total[order[0]] += u
     for first, last in segments:
         steps = order[first - 1 : last + 1]
         for prev, s in zip(steps, steps[1:]):
             if prev == steps[0]:    # the field entering the segment
-                fftn(u, axes=(0, 1), out=stack[s])
+                _into_band(band.into, u, spectra[s], tmp)
             else:
-                np.multiply(stack[prev], screen[prev], out=stack[s])
-            np.multiply(stack[s], H, out=stack[s])
-        seg = stack[min(steps[1], s) : max(steps[1], s) + 1]
-        ifftn(seg, axes=(1, 2), out=seg)
+                np.multiply(spectra[prev], screen[prev], out=spectra[s])
+            np.multiply(spectra[s], band.H, out=spectra[s])
+        seg = slice(min(steps[1], s), max(steps[1], s) + 1)
+        _out_of_band(band.back, spectra[seg], stack[seg], tmp)
         for h in steps[1:-1]:
-            total[:, :, h] += np.multiply(stack[h], screen[h], out=work)
+            total[h] += np.multiply(stack[h], screen[h], out=work)
 
         # the segment's last step prev -> s, in space
         v = stack[s]
@@ -557,7 +661,7 @@ def _march(
         if s in inject:
             np.add(u, inject[s], out=u)
             inject[s] = None
-        total[:, :, s] += u
+        total[s] += u
     return refl
 
 
@@ -585,22 +689,28 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     from the cache. The sweeps fill per-pair sums keyed by (prev, s),
     which also fixes the direction; `_slab_gradients` turns them into
     property gradients after the last sweep, reading the cached Z.
+    The sweeps read upstream slice by slice: an (nx, ny, nz) view of a
+    slice-major array, as `optim.loss_and_gradient` returns, is read in
+    place, any other layout is copied into one first.
     """
     grid = cache.grid
     if upstream.shape != grid.shape:
         raise ValueError("upstream gradient shape does not match the cached grid")
     lensed = cache.lens_z_offset is not None
     z0 = cache.lens_z_offset if lensed else 0
+    upstream = np.ascontiguousarray(upstream.transpose(2, 0, 1))
 
-    # two scratch planes: the field cotangent ub and the carry
+    # two scratch planes, the field cotangent ub and the carry, and the
+    # carry's passband spectrum
     scratch = np.empty((2, grid.nx, grid.ny), dtype=np.complex128)
+    K = np.empty_like(cache.band.H)
     sums: dict = {}
     # cotangents of the reflections a sweep emitted, filled in while
     # processing the consuming (later) sweep
     refl_cot: dict = {}
     for sweep in reversed(cache.sweeps):
         refl_cot = _sweep_adjoint(cache, sweep, upstream, refl_cot, sums,
-                                  scratch)
+                                  scratch, K)
     # whatever remains feeds the original source plane
     source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     for g in refl_cot.values():
@@ -615,23 +725,27 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     return result
 
 
-def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch):
+def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
+                   K):
     """Reverse one sweep; returns cotangents of its consumed injections.
 
-    The field cotangent is carried through every pair. On slab pairs
-    (both slices keys of cache.Z) it adds ub*v, and Re(refl_cot[prev]*v)
-    where a reflection cotangent exists, to sums[(prev, s)]; other pairs
-    skip that work. Each entry of refl_cot is dropped once used, so that
-    it is freed while the returned cotangents fill up.
+    upstream is slice-major (nz, nx, ny). The field cotangent is carried
+    through every pair. On slab pairs (both slices keys of cache.Z) it
+    adds ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent
+    exists, to sums[(prev, s)]; other pairs skip that work. Each entry of
+    refl_cot is dropped once used, so that it is freed while the returned
+    cotangents fill up.
 
     The segments the forward recorded are replayed from the last: its
-    last step is transposed in space, K = H * ifft2(vbar), each
-    homogeneous slice s back from it gives K <- H * screen_s * (K +
-    ifft2(upstream_s)) with one batched ifftn of their upstream planes,
-    and one fft2 returns K to space. That is the transpose (not the
-    conjugate transpose) of the segment.
+    last step is transposed in space, and vbar enters the passband as K
+    = H * (Ai.T @ vbar @ Bi.T); each homogeneous slice s back from it
+    gives K <- H * screen_s * (K + Ai.T @ upstream_s @ Bi.T), with one
+    block product of their upstream planes, and K returns to space as
+    A.T @ K @ B.T. That is the transpose (not the conjugate transpose)
+    of the segment.
     """
-    H, screen, coeff, Z = cache.H, cache.screen, cache.coeff, cache.Z
+    band, screen, coeff, Z = cache.band, cache.screen, cache.coeff, cache.Z
+    tmp = band.tmp
     down = sweep.direction < 0
     order = sweep.order
 
@@ -640,7 +754,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch):
     carry.fill(0.0)
     for first, last in reversed(sweep.segments):
         prev, s = order[last - 1], order[last]
-        np.add(carry, upstream[:, :, s], out=ub)
+        np.add(carry, upstream[s], out=ub)
         if s in sweep.inject:
             inject_cot[s] = ub.copy()
         rc = refl_cot.pop(prev, None)
@@ -663,24 +777,23 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch):
             np.multiply(carry if rc is None else np.add(carry, rc, out=ub), r,
                         out=ub)
             (np.subtract if down else np.add)(carry, ub, out=carry)
-        # K = H * ifft2(vbar) in place; ifftn, as numpy's ifft2 ignores out=
-        ifftn(carry, axes=(0, 1), out=carry)
-        np.multiply(H, carry, out=carry)
+        _into_band(band.into_t, carry, K, tmp)
+        np.multiply(K, band.H, out=K)
 
         hom = order[first:last]         # the segment's homogeneous slices
         if hom:
             lo, hi = min(hom), max(hom) + 1
-            up = ifftn(np.moveaxis(upstream[:, :, lo:hi], 2, 0), axes=(1, 2),
-                       out=np.empty((hi - lo, *carry.shape),
-                                    dtype=np.complex128))
+            up = _into_band(band.into_t, upstream[lo:hi],
+                            np.empty((hi - lo, *K.shape), dtype=np.complex128),
+                            tmp)
             for s in reversed(hom):
-                np.add(carry, up[s - lo], out=carry)
-                np.multiply(carry, screen[s], out=carry)
-                np.multiply(carry, H, out=carry)
-        fftn(carry, axes=(0, 1), out=carry)
+                np.add(K, up[s - lo], out=K)
+                np.multiply(K, screen[s], out=K)
+                np.multiply(K, band.H, out=K)
+        _out_of_band(band.back_t, K, carry, tmp)
 
     # the sweep starts at an injected slice
-    inject_cot[order[0]] = carry + upstream[:, :, order[0]]
+    inject_cot[order[0]] = carry + upstream[order[0]]
     return inject_cot
 
 
@@ -690,12 +803,16 @@ def _slab_gradients(cache, sums, z0):
     With S = sum of ub*v and R = sum of Re(refl_cot[prev]*v) over the
     sweeps that crossed pair (prev, s), the pair adds the screen
     derivative Re(t*S*dscreen) at s, t = 1 +- r, and the impedance chain
-    (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ = dt/dZ).
+    (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ = dt/dZ). The sums
+    run slice by slice on (n_v, nx, ny) arrays; the gradients are
+    returned as (nx, ny, n_v) views of them.
     """
     grid = cache.grid
     k0, dz = grid.k0, grid.dz
-    c, rho, Z = cache.c, cache.rho, cache.Z
-    n_v = c.shape[2]
+    Z = cache.Z
+    c, rho = (np.ascontiguousarray(a.transpose(2, 0, 1))
+              for a in (cache.c, cache.rho))
+    n_v = len(c)
     gc, grho, gatt = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
     for (prev, s), (uv, rv) in sums.items():
         ks, kp = s - z0, prev - z0          # slab indices
@@ -706,10 +823,10 @@ def _slab_gradients(cache, sums, z0):
             #                    d screen/da = -dz * screen
             r = cache.coeff[min(prev, s)]
             gscr = uv * (1.0 + r if s > prev else 1.0 - r)
-            gc[:, :, ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
-                c[:, :, ks] ** 2
+            gc[ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
+                c[ks] ** 2
             )
-            gatt[:, :, ks] += np.real(gscr * scr) * (-dz)
+            gatt[ks] += np.real(gscr * scr) * (-dz)
         if rv is not None:
             g = g + rv
         # impedance chain: dt/dZ1 = dr/dZ1 = -2*Z2/denom^2,
@@ -719,12 +836,12 @@ def _slab_gradients(cache, sums, z0):
         gZ1 = g * (-2.0 * Z2 / denom**2)
         gZ2 = g * (2.0 * Z1 / denom**2)
         if 0 <= kp < n_v:
-            gc[:, :, kp] += gZ1 * rho[:, :, kp]
-            grho[:, :, kp] += gZ1 * c[:, :, kp]
+            gc[kp] += gZ1 * rho[kp]
+            grho[kp] += gZ1 * c[kp]
         if 0 <= ks < n_v:
-            gc[:, :, ks] += gZ2 * rho[:, :, ks]
-            grho[:, :, ks] += gZ2 * c[:, :, ks]
-    return gc, grho, gatt
+            gc[ks] += gZ2 * rho[ks]
+            grho[ks] += gZ2 * c[ks]
+    return tuple(a.transpose(1, 2, 0) for a in (gc, grho, gatt))
 
 
 def propagate_with_lens(

@@ -69,14 +69,14 @@ def embedded_arrays(base, occupancy, lens_mat, z_offset):
 
 
 def _diffract(u, H):
-    """One angular-spectrum step on fresh arrays: the allocating reference
-    of the in-place step in `solver._march`."""
+    """One angular-spectrum step on fresh arrays, with full-grid FFTs: the
+    reference of the passband step in `solver._march`."""
     return ifft2(H * fft2(u, axes=(0, 1)), axes=(0, 1))
 
 
 def _diffract_transpose(ubar, H):
-    """Transpose (not conjugate transpose) of `_diffract` on fresh arrays:
-    the allocating reference of the in-place step in
+    """Transpose (not conjugate transpose) of `_diffract` on fresh arrays,
+    with full-grid FFTs: the reference of the transposed passband step in
     `solver._sweep_adjoint`."""
     return fft2(H * ifft2(ubar, axes=(0, 1)), axes=(0, 1))
 
@@ -307,10 +307,11 @@ def loss_and_gradient_on_support(
     full-grid array for |P|, |P|^2 and each step of d/d(intensity).
 
     `optim.loss_and_gradient` does the same arithmetic in one reused
-    buffer and must equal this bit for bit.
+    buffer and must equal this bit for bit. The field is flattened in
+    `TargetSpec`'s slice-major order, whatever its layout.
     """
     shape = values.shape
-    values = values.reshape(-1)
+    values = np.ascontiguousarray(values.transpose(2, 0, 1)).reshape(-1)
     sup, a = target.support, target.a_support
     a2 = a**2
     amp = np.abs(values)
@@ -348,7 +349,8 @@ def loss_and_gradient_on_support(
     upstream[idx] += lambda_energy * (
         (-a[nz] / target.a_sum) * np.conj(values[idx]) / amp_s[nz]
     )
-    return l_acc, l_en, l_bal, upstream.reshape(shape)
+    upstream = upstream.reshape(shape[2], *shape[:2]).transpose(1, 2, 0)
+    return l_acc, l_en, l_bal, upstream
 
 
 # The three loss terms one at a time, as the paper defines them; the

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sonolens import io
-from sonolens.grid import GridSpec
-from sonolens.solver import ComplexField
+from sonolens.grid import WATER, GridSpec, SourceSpec
+from sonolens.medium import make_homogeneous
+from sonolens.solver import ComplexField, prepare
 
 
 def make_grid(nx=8, ny=8, nz=12, d=125e-6):
@@ -96,6 +97,21 @@ class TestFieldRoundTrip:
         back = io.load_field(tmp_path / "f")
         assert np.allclose(back.values, v, rtol=1e-6, atol=1e-7)
         assert back.values.dtype == np.complex128
+
+    def test_slice_major_run_field_writes_c_order_bytes(self, tmp_path):
+        # a run stores its field slice-major and hands out an (nx, ny, nz)
+        # view; the file holds the same C-order bytes as a C-order copy
+        g = make_grid(8, 6, 12)
+        p = prepare(SourceSpec.disk(g, 0.6e-3),
+                    make_homogeneous(g, WATER)).field_only()
+        assert not p.values.flags.c_contiguous
+        io.save_field(tmp_path / "run", p)
+        io.save_field(tmp_path / "copy",
+                      ComplexField(np.ascontiguousarray(p.values), g))
+        assert ((tmp_path / "run.raw").read_bytes()
+                == (tmp_path / "copy.raw").read_bytes())
+        back = io.load_field(tmp_path / "run")
+        assert np.array_equal(back.values, p.values.astype(np.complex64))
 
     def test_interleaved_layout(self, tmp_path):
         # first two float32 words are (re, im) of the first voxel

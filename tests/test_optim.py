@@ -226,8 +226,12 @@ class TestLossGradient:
     def test_one_float_array_and_the_cotangent_at_the_peak(self):
         # besides the field, at most one full-grid float array (8 bytes a
         # voxel) and the complex cotangent (16) are allocated at once;
-        # spare |P|, |P|^2 and 2 w copies took 48 bytes a voxel
+        # spare |P|, |P|^2 and 2 w copies took 48 bytes a voxel. The field
+        # is in a run's layout, slice-major (nz, nx, ny) viewed as (nx, ny,
+        # nz), which the loss reads without a copy
         t, values = self.skull_sized_case()
+        values = np.ascontiguousarray(
+            values.transpose(2, 0, 1)).transpose(1, 2, 0)
         tracemalloc.start()
         try:
             loss_and_gradient(values, t, 0.2, 0.5)

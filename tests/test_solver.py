@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _diffract,
+    _diffract_transpose,
     embedded_arrays,
     full_grid_adjoint,
     full_grid_forward,
@@ -43,6 +45,55 @@ def lens_run(src, med, occ, mat, z_offset, cfg=None):
     """One forward run with a lens, on a medium prepared for it alone."""
     return propagate_with_lens(
         prepare(src, med, cfg, mat, z_offset, occ.shape[2]), occ)
+
+
+class TestPassband:
+    """The diffraction step on the kernel's passband (`solver._Passband`)
+    against the full-grid FFT step of the oracles."""
+
+    CASES = [(16, 16, 0.5), (16, 16, 1.0), (16, 16, 1.5), (24, 20, 0.5),
+             (24, 20, 1.0), (24, 20, 1.5), (64, 64, 0.5), (64, 64, 1.0),
+             (64, 64, 1.5), (24, 20, 5.0)]
+
+    @staticmethod
+    def steps(nx, ny, cutoff, planes=1):
+        g = make_grid(nx, ny, 4)
+        H = _diffraction_kernel(g, cutoff, g.dz)
+        band = solver._Passband.of(H)
+        rng = np.random.default_rng(nx + ny)
+        u = (rng.normal(size=(planes, nx, ny))
+             + 1j * rng.normal(size=(planes, nx, ny)))
+        return H, band, u
+
+    @staticmethod
+    def step(band, mats_in, mats_out, u):
+        K = np.empty((*u.shape[:-2], *band.H.shape), dtype=complex)
+        solver._into_band(mats_in, u, K, band.tmp)
+        K *= band.H
+        return solver._out_of_band(mats_out, K, np.empty_like(u), band.tmp)
+
+    @pytest.mark.parametrize("nx, ny, cutoff", CASES)
+    def test_step_and_its_transpose_match_the_fft_oracle(self, nx, ny, cutoff):
+        H, band, (u,) = self.steps(nx, ny, cutoff)
+        if cutoff == 5.0:       # every bin within the cutoff
+            assert band.H.shape == (nx, ny) and np.all(H)
+        else:
+            assert band.H.shape[0] < nx and band.H.shape[1] < ny
+        for mats, oracle in (
+                ((band.into, band.back), _diffract),
+                ((band.into_t, band.back_t), _diffract_transpose)):
+            ref = oracle(u, H)
+            err = np.abs(self.step(band, *mats, u) - ref).max()
+            assert err <= 1e-14 * np.abs(ref).max()
+
+    def test_block_products_match_plane_by_plane(self):
+        # a block of more planes than one product takes (_BLOCK) runs in
+        # blocks, the last one partial
+        H, band, u = self.steps(24, 20, 1.0, planes=2 * solver._BLOCK + 3)
+        for mats in ((band.into, band.back), (band.into_t, band.back_t)):
+            block = self.step(band, *mats, u)
+            for k, plane in enumerate(u):
+                assert_close(block[k], self.step(band, *mats, plane))
 
 
 class TestDiffractionKernel:
@@ -598,10 +649,11 @@ class TestHomogeneousRuns:
 
     def test_water_march_makes_fewer_transforms_than_steps(self, monkeypatch):
         # through water every step after the source is homogeneous: one
-        # fft on entry and one batched ifftn forward; the adjoint adds one
-        # batched ifftn of the upstream planes to its entry and exit pair
+        # transform into the passband on entry and one block product out
+        # of it forward; the adjoint adds one block product of the
+        # upstream planes to its entry and exit pair
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("_into_band", "_out_of_band"):
             def counted(*args, _fn=getattr(solver, name), **kwargs):
                 calls.append(1)
                 return _fn(*args, **kwargs)
@@ -617,8 +669,9 @@ class TestHomogeneousRuns:
 
         # a bone layer on slices 20-22 cuts the sweep into three segments,
         # ending at slice 20, at slice 23 and at the last slice: each is
-        # one fft and one batched ifftn forward, and one ifftn of vbar,
-        # one batched ifftn of its upstream planes and one fft adjoint
+        # one transform into the passband and one out of it forward, and
+        # one of vbar into it, one block product of its upstream planes
+        # and one out of it adjoint
         calls.clear()
         p, cache = propagate(src, bone_layers(g, slice(20, 23)),
                              SolverConfig(reflection_order=0))
