@@ -1,14 +1,15 @@
 """Compare the three design methods on the same single-focus task.
 
 The thickness method optimizes the lens geometry directly inside the wave
-simulation, so its optimized field survives fabrication (binarization,
-printer-resolution filtering) almost unchanged. The phase methods design
-an idealized source phase map first and convert it to a thickness profile
-afterwards, which costs fidelity. The cross-domain PSNR quantifies that
+simulation, printer blur included, so its printed lens is the binarized
+lens of its last iterate and its field survives fabrication almost
+unchanged. The phase methods design an idealized source phase map first
+and convert it to a thickness profile afterwards (binarization, printer
+filter), which costs fidelity. The cross-domain PSNR quantifies that
 gap: higher is better. All three methods run on one prepared medium with
 one lens slab and one solver config: the design loops, the phase
 methods' optimization-domain fields (the slab's base medium) and every
-fabrication.
+printed lens.
 
 Run:  python3 demos/compare_methods.py
 """
@@ -50,7 +51,7 @@ print(f"grid {grid.shape}, focus at {tuple(round(c * 1e3, 2) for c in center)} m
 
 # --- thickness: optimize the lens geometry directly ----------------------
 result = optimize_lens_geometry(prepared, target, design, ocfg)
-p_fab, _ = fabricate_and_simulate(result.lens, prepared)
+p_fab = prepared.field_only(result.lens.occupancy)  # the print, as designed
 psnr_thickness = cross_domain_psnr(result.field_optimization, p_fab)
 
 # --- phase: gradient phase retrieval, then convert to thickness ----------

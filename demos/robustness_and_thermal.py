@@ -1,7 +1,8 @@
 """Robustness and heating analysis of a finished lens design.
 
-Fabricates the lens of a quick single-focus optimization (binarize and
-printer filter, via `fabricate_and_simulate`) and asks two questions a fabrication engineer would: how sensitive is the focus to
+Prints the lens of a quick single-focus optimization (its binarized last
+iterate, whose design chain carries the printer's blur) and asks two
+questions a fabrication engineer would: how sensitive is the focus to
 per-column thickness errors of the printer, and how hot does the medium
 get under a pulsed exposure normalized to 1 MPa at the focus?
 
@@ -22,7 +23,6 @@ from sonolens import (
     WATER,
     bioheat_simulate,
     embed_lens,
-    fabricate_and_simulate,
     focal_metrics,
     make_homogeneous,
     optimize_lens_geometry,
@@ -45,7 +45,8 @@ design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
 prepared = prepare(src, medium, SolverConfig(reflection_order=0), FORM_CLEAR,
                    0, design.n_v)
 result = optimize_lens_geometry(prepared, target, design, ocfg)
-field, lens = fabricate_and_simulate(result.lens, prepared)
+lens = result.lens  # the print: no filter follows the design chain's
+field = prepared.field_only(lens.occupancy)
 
 # --- thickness-noise ensemble ---------------------------------------------
 sigma = 50e-6  # printer thickness error, one sigma, meters

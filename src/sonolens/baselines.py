@@ -1,4 +1,4 @@
-"""Phase-only hologram baselines and the common fabrication pipeline.
+"""Phase-only hologram baselines and their fabrication.
 
 Phase-domain designs (gradient phase retrieval, time reversal) live in an
 idealized optimization domain where the phase map acts directly on the
@@ -9,11 +9,10 @@ the operator the design loop differentiates.
 
 Every function here takes the medium as one `solver.PreparedMedium`
 with a lens slab, the one a design run prepares: the phase designs run
-its base medium (no occupancy), and `fabricate_and_simulate`, the
-fabrication step for both methods, runs its lens slab with the slab's
-own solver settings and lens material. A thickness design arrives as
-the binarized, unfiltered lens of `optim.optimize_lens_geometry` and is
-filtered here, once, like a phase design.
+its base medium (no occupancy), and `fabricate_and_simulate` runs its
+lens slab with the slab's own solver settings and lens material. A
+thickness design has no step here: its design chain carries the
+printer's blur, and its binarized lens is printed as the loop saw it.
 """
 
 from __future__ import annotations
@@ -143,50 +142,44 @@ def time_reversal(prepared: PreparedMedium, foci) -> PhaseMap:
 
 
 def fabricate_and_simulate(
-    design,
+    phase: PhaseMap,
     prepared: PreparedMedium,
     t_min: float = T_MIN,
     t_max: float | None = None,
     fab_cutoff: float | None = None,
 ) -> tuple[ComplexField, LensVolume]:
-    """Fabrication-domain field of a PhaseMap or LensVolume design.
+    """Fabrication-domain field of a phase design.
 
-    A PhaseMap is first converted to a thickness profile of the slab's
-    lens material, clamped to [t_min, t_max] (t_max None: the slab's
-    depth; a deeper t_max is a ValueError), as a lens of the slab's
-    slices whose v_max is its own depth. A LensVolume (such as the
-    binarized, unfiltered lens of `optimize_lens_geometry`) is used
-    as-is. Either way the lens is hard-binarized and low-pass filtered
-    once to emulate printer resolution (cutoff 2*dx by default), then
-    run as the occupancy of the lens slab of `prepared`
+    The PhaseMap is converted to a thickness profile of the slab's lens
+    material, clamped to [t_min, t_max] (t_max None: the slab's depth; a
+    deeper t_max is a ValueError), as a lens of the slab's slices whose
+    v_max is its own depth. It is hard-binarized and low-pass filtered
+    once to emulate printer resolution (`lensmap.fabrication_filter`),
+    then run as the occupancy of the lens slab of `prepared`
     (`PreparedMedium.field_only`). That is the design loop's operator; on
     a binary lens it is the hard embedding of `medium.embed_lens`. No copy
     of the medium is made and no adjoint cache kept.
     """
     grid, n_v = prepared.grid, prepared.c.shape[2]
+    if not isinstance(phase, PhaseMap):
+        raise TypeError("design must be a PhaseMap")
     if prepared.lens_mat is None:
         raise ValueError("fabrication needs a medium prepared with a lens "
                          "material")
-    if isinstance(design, PhaseMap):
-        if t_max is None:
-            t_max = n_v * grid.dz
-        elif t_max / grid.dz > n_v:
-            raise ValueError(f"t_max {t_max:g} m is deeper than the "
-                             f"{n_v}-slice lens slab")
-        thickness_m = phase_to_thickness(
-            design.phi, grid.frequency, grid.c_ref,
-            prepared.lens_mat.sound_speed, t_min, t_max,
-        )
-        t_vox = thickness_m / grid.dz
-        lens = LensVolume(
-            np.zeros((grid.nx, grid.ny, n_v)), t_vox,
-            v_min=float(t_vox.min()), v_max=float(np.ceil(t_vox.max())),
-        )
-    elif isinstance(design, LensVolume):
-        lens = design
-    else:
-        raise TypeError("design must be a PhaseMap or LensVolume")
-
-    cutoff = fab_cutoff if fab_cutoff is not None else 2.0 * grid.dx
-    lens = lensmap.fabrication_filter(lensmap.binarize(lens), cutoff, grid.dx)
+    if t_max is None:
+        t_max = n_v * grid.dz
+    elif t_max / grid.dz > n_v:
+        raise ValueError(f"t_max {t_max:g} m is deeper than the "
+                         f"{n_v}-slice lens slab")
+    thickness_m = phase_to_thickness(
+        phase.phi, grid.frequency, grid.c_ref,
+        prepared.lens_mat.sound_speed, t_min, t_max,
+    )
+    t_vox = thickness_m / grid.dz
+    lens = LensVolume(
+        np.zeros((grid.nx, grid.ny, n_v)), t_vox,
+        v_min=float(t_vox.min()), v_max=float(np.ceil(t_vox.max())),
+    )
+    lens = lensmap.fabrication_filter(lensmap.binarize(lens), fab_cutoff,
+                                      grid.dx)
     return prepared.field_only(lens.occupancy), lens

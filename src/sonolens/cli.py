@@ -122,7 +122,7 @@ class Lens:
     z_offset: int = 0                                       # slices
     t_min: float = field(default=baselines.T_MIN, metadata=LENGTH)
     t_max: float = field(default=1.9e-3, metadata=LENGTH)
-    # None: fabrication's, 2 dx
+    # None: lensmap.FAB_CUTOFF, 2 dx
     fab_cutoff: float | None = field(default=None, metadata=LENGTH)
 
 
@@ -460,7 +460,9 @@ def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
     try:  # DesignField's own checks of alpha and the bounds
         design = DesignField.random(
             grid.nx, grid.ny, seed=seed, alpha=lens.alpha,
-            v_min=max(lens.t_min / grid.dz, 1.0), v_max=lens.t_max / grid.dz)
+            v_min=max(lens.t_min / grid.dz, 1.0), v_max=lens.t_max / grid.dz,
+            **({} if lens.fab_cutoff is None
+               else {"fab_cutoff": lens.fab_cutoff / grid.dx}))
     except ValueError as exc:
         raise ConfigError(f"lens: {exc} (v_min = max(t_min/dz, 1), "
                           f"v_max = t_max/dz)") from exc
@@ -592,8 +594,9 @@ def cmd_design(args) -> int:
         result = optim.optimize_lens_geometry(
             prepared, target, lens_params["design"], ocfg)
         result.report.to_csv(out / "loss_history.csv")
-        design_obj = result.lens
-        p_opt = result.field_optimization
+        # the loop's lens, printer blur included, is the print
+        p_opt, lens = result.field_optimization, result.lens
+        p_fab = prepared.field_only(lens.occupancy)
     else:
         if method == "phase":
             phase, report = baselines.optimize_phase_map(prepared, target, ocfg)
@@ -603,12 +606,10 @@ def cmd_design(args) -> int:
         np.savetxt(out / "phase_map.csv", phase.phi, delimiter=",")
         plane = apply_phase_delays(src, phase.phi, grid)
         p_opt = prepared.field_only(source_plane=plane)
-        design_obj = phase
-
-    p_fab, lens = baselines.fabricate_and_simulate(
-        design_obj, prepared, t_min=lens_params["t_min"],
-        t_max=lens_params["t_max"], fab_cutoff=lens_params["fab_cutoff"],
-    )
+        p_fab, lens = baselines.fabricate_and_simulate(
+            phase, prepared, t_min=lens_params["t_min"],
+            t_max=lens_params["t_max"], fab_cutoff=lens_params["fab_cutoff"],
+        )
 
     io.thickness_to_csv(out / "lens_thickness.csv", lens.thickness_map, grid.dz)
     io.thickness_to_pgm(out / "lens_thickness.pgm", lens.thickness_map,

@@ -2,7 +2,7 @@
 
 The mapping chain is:
 
-    theta --sigmoid--> thickness --Gaussian blur--> t_smooth
+    theta --sigmoid--> thickness --DHLA blur, printer blur--> t_smooth
           --sigmoid voxelization--> quasi-binary occupancy
 
 Each stage is smooth, so the full chain has an exact reverse-mode
@@ -11,21 +11,23 @@ Thickness is measured in voxels throughout; a column is "solid" below its
 thickness value, i.e. occupancy(k) = sigmoid(beta * (t - z_k)) with
 z_k = k + 0.5 for zero-based k.
 
-The blur is fixed: a KERNEL_SIZE x KERNEL_SIZE Gaussian of standard
-deviation SMOOTH_SIGMA voxels. The lens has `DesignField.n_v` =
+The DHLA blur is fixed: a KERNEL_SIZE x KERNEL_SIZE Gaussian of standard
+deviation SMOOTH_SIGMA voxels. The printer's blur at the design's
+`fab_cutoff` (`printer_blur`, as in `fabrication_filter`) follows it, so
+the binarized lens is the print. The lens has `DesignField.n_v` =
 ceil(v_max) slices, the one rounding of v_max in the package.
 
-Both blurs (this one and `fabrication_filter`'s) are separable: the unit-sum
-2D Gaussian is the outer product of a 1D one, so the blur of an (nx, ny) map
-is `Bx @ t @ By.T`. Each `B` is the (n, n) matrix of the 1D blur with the
-symmetric edge (`np.pad(mode="symmetric")`) folded in, so a kernel wider than
-the map, as a large fabrication cutoff makes, needs no special case, and the
-exact transpose used by `backward` is `Bx.T @ g @ By`.
+Both blurs are separable: the unit-sum 2D Gaussian is the outer product of
+a 1D one, so the blur of an (nx, ny) map is `Bx @ t @ By.T`. Each `B` is the
+(n, n) matrix of the 1D blur with the symmetric edge folded in, so a kernel
+wider than the map needs no special case. The chain's `B` is the product
+of its two (`chain_blur`); `backward` applies its transpose, Bx.T @ g @ By.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 # the DHLA smoothing step: odd kernel width (voxels) and its sigma (voxels)
 KERNEL_SIZE = 9
 SMOOTH_SIGMA = 1.5
+# the printer's smallest feature by default, in lateral voxels (2 dx)
+FAB_CUTOFF = 2.0
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -52,12 +56,14 @@ class DesignField:
     theta: unconstrained real map (nx, ny)
     alpha: steepness of the thickness sigmoid
     v_min, v_max: thickness bounds in voxels; the lens spans n_v slices
+    fab_cutoff: the printer's smallest feature in lateral voxels
     """
 
     theta: np.ndarray
     alpha: float = 0.1
     v_min: float = 1.0
     v_max: float = 12.0
+    fab_cutoff: float = FAB_CUTOFF
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -124,20 +130,21 @@ def _blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
     return sliding_window_view(eye, kernel_size, axis=0) @ g
 
 
-def smooth_thickness(t: np.ndarray, kernel_size: int,
-                     sigma: float) -> np.ndarray:
-    """Blur the thickness map with a unit-sum Gaussian, reflective edges."""
-    bx = _blur_matrix(t.shape[0], kernel_size, sigma)
-    by = _blur_matrix(t.shape[1], kernel_size, sigma)
-    return bx @ t @ by.T
+def printer_blur(n: int, cutoff: float) -> np.ndarray:
+    """(n, n) matrix of the printer's blur for a smallest feature of
+    `cutoff` voxels: a Gaussian of sigma cutoff/2, taps out to 3 sigma."""
+    if cutoff < 1.0:
+        raise ValueError("cutoff must be at least one grid spacing")
+    return _blur_matrix(n, 2 * int(np.ceil(1.5 * cutoff)) + 1, cutoff / 2.0)
 
 
-def _smooth_transpose(gbar: np.ndarray, kernel_size: int,
-                      sigma: float) -> np.ndarray:
-    """Exact transpose of smooth_thickness."""
-    bx = _blur_matrix(gbar.shape[0], kernel_size, sigma)
-    by = _blur_matrix(gbar.shape[1], kernel_size, sigma)
-    return bx.T @ gbar @ by
+@lru_cache(maxsize=8)
+def chain_blur(n: int, fab_cutoff: float) -> np.ndarray:
+    """(n, n) blur of the design chain along one axis: the DHLA Gaussian,
+    then the printer's; built once per map size and cutoff, read-only."""
+    b = printer_blur(n, fab_cutoff) @ _blur_matrix(n, KERNEL_SIZE, SMOOTH_SIGMA)
+    b.flags.writeable = False
+    return b
 
 
 def voxelize(t_smooth: np.ndarray, beta: float, n_v: int) -> LensVolume:
@@ -154,8 +161,8 @@ def voxelize(t_smooth: np.ndarray, beta: float, n_v: int) -> LensVolume:
 
 def forward(design: DesignField, beta: float) -> LensVolume:
     """Full design-field -> lens-volume mapping, n_v = design.n_v slices."""
-    t = map_thickness(design)
-    ts = smooth_thickness(t, KERNEL_SIZE, SMOOTH_SIGMA)
+    bx, by = (chain_blur(n, design.fab_cutoff) for n in design.theta.shape)
+    ts = bx @ map_thickness(design) @ by.T
     lens = voxelize(ts, beta, design.n_v)
     lens.v_min, lens.v_max = design.v_min, design.v_max
     return lens
@@ -171,15 +178,15 @@ def backward(
     here rather than cached.
     """
     n_v = design.n_v
-    t = map_thickness(design)
-    ts = smooth_thickness(t, KERNEL_SIZE, SMOOTH_SIGMA)
+    bx, by = (chain_blur(n, design.fab_cutoff) for n in design.theta.shape)
+    ts = bx @ map_thickness(design) @ by.T
     if grad_occupancy.shape != (*ts.shape, n_v):
         raise ValueError("upstream gradient shape does not match the forward pass")
 
     occ = voxelize(ts, beta, n_v).occupancy
     # d occ / d t_smooth = beta * occ * (1 - occ)
     grad_ts = np.sum(grad_occupancy * beta * occ * (1.0 - occ), axis=2)
-    grad_t = _smooth_transpose(grad_ts, KERNEL_SIZE, SMOOTH_SIGMA)
+    grad_t = bx.T @ grad_ts @ by
     s = sigmoid(design.alpha * design.theta)
     return grad_t * (design.v_max - design.v_min) * s * (1.0 - s) * design.alpha
 
@@ -196,17 +203,15 @@ def binarize(lens: LensVolume) -> LensVolume:
 
 
 def fabrication_filter(
-    lens: LensVolume, cutoff: float, dx: float
+    lens: LensVolume, cutoff: float | None, dx: float
 ) -> LensVolume:
     """Emulate printer resolution: low-pass the thickness map, re-binarize.
 
-    cutoff is the smallest printable feature size in meters; the blur is a
-    Gaussian with sigma = cutoff/2 (converted to voxels via dx).
+    cutoff is the smallest printable feature size in meters (None:
+    FAB_CUTOFF grid spacings); the blur is `printer_blur` at cutoff/dx.
     """
-    if cutoff < dx:
-        raise ValueError("cutoff must be at least one grid spacing")
-    sigma_vox = cutoff / (2.0 * dx)
-    size = 2 * int(np.ceil(3.0 * sigma_vox)) + 1
-    t_filt = smooth_thickness(lens.thickness_map, size, sigma_vox)
-    smoothed = LensVolume(lens.occupancy, t_filt, lens.v_min, lens.v_max)
-    return binarize(smoothed)
+    t = lens.thickness_map
+    bx, by = (printer_blur(n, FAB_CUTOFF if cutoff is None else cutoff / dx)
+              for n in t.shape)
+    return binarize(LensVolume(lens.occupancy, bx @ t @ by.T, lens.v_min,
+                               lens.v_max))

@@ -14,7 +14,7 @@ field, expressed in the pairing dL = Re(sum(g * dP)).
 `loss_and_gradient` evaluates all three terms and their cotangent in
 one pass, and `loss_and_adjoint` weighs them into the total, the one
 place that formula lives. `lens_objective` is the lens design chain
-(theta through the fixed-smoothing `lensmap.forward` and the
+(theta through `lensmap.forward`, printer blur included, and the
 `design.n_v`-slice lens slab of a `solver.PreparedMedium` to the loss
 and back), whose solver settings are the prepared medium's; `descend` is
 the Adam loop that the lens and phase-map optimizations share.
@@ -22,7 +22,7 @@ the Adam loop that the lens and phase-map optimizations share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -285,14 +285,13 @@ def lens_objective(
     """The chain theta -> lens -> field -> loss -> dL/dtheta as
     `objective(theta, beta) -> (total, grad, terms, field)`.
 
-    Uses the loss weights of `cfg` and the alpha, v_min and v_max of
-    `design`; the lens runs on the slab of `prepared` (its solver
-    settings, lens material and slices), which must have design.n_v
-    slices. `objective(theta, beta)[:2]` suits `gradcheck`.
+    Uses the loss weights of `cfg` and the design parameters of `design`;
+    the lens runs on the slab of `prepared` (its solver settings, lens
+    material and slices), which must have design.n_v slices. `objective(theta, beta)[:2]` suits `gradcheck`.
     """
 
     def objective(theta: np.ndarray, beta: float):
-        d = DesignField(theta, design.alpha, design.v_min, design.v_max)
+        d = replace(design, theta=theta)
         lens = lensmap.forward(d, beta)
         p, cache = propagate_with_lens(prepared, lens.occupancy)
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
@@ -318,10 +317,10 @@ def optimize_lens_geometry(
     """End-to-end geometry optimization of a thickness-modulated lens.
 
     Runs `descend` on `lens_objective` with beta following `cfg.beta`.
-    Returns the final design, its lens at the final beta binarized but not
-    fabrication-filtered, the loss history and the field of the last
-    iteration. Printer-resolution filtering is the step of
-    `baselines.fabricate_and_simulate`, as for phase designs.
+    Returns the final design, its lens at the final beta binarized, the
+    loss history and the field of the last iteration. The chain carries
+    the printer's blur, so that lens is the print: no filter follows, as
+    `baselines.fabricate_and_simulate` applies to phase designs.
     """
     objective = lens_objective(prepared, target, design, cfg)
     theta, report, p_opt = descend(
@@ -330,7 +329,7 @@ def optimize_lens_geometry(
     beta = cfg.beta(cfg.iterations - 1)
     if p_opt is None:  # zero iterations: the field of the initial design
         p_opt = objective(theta, beta)[3]
-    final = DesignField(theta, design.alpha, design.v_min, design.v_max)
+    final = replace(design, theta=theta)
     lens = lensmap.binarize(lensmap.forward(final, beta))
     return DesignResult(final, lens, report, p_opt)
 

@@ -505,13 +505,13 @@ def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
           segments: list, slices) -> _Sweep:
     """What the adjoint reads of the sweep just marched through `stack`:
     its plan, the v planes at the consecutive `slices` that it marched
-    past its first slice, copied out as one block, and the injected
-    slices. u stays at the first slice only, its injected plane, which no
-    run writes."""
+    past its first slice and stepped into from another of them (a slab
+    pair), copied out as one block, and the injected slices. u stays at
+    the first slice only, its injected plane, which no run writes."""
     nz = len(stack) - 1
     u, v = [None] * nz, [None] * nz
     u[order[0]] = inject[order[0]]
-    kept = [s for s in slices if s in order[1:]]
+    kept = [s for s in slices if s in order[1:] and s - direction in slices]
     if kept:
         block = slice(min(kept), max(kept) + 1)
         v[block] = stack[block].copy()      # each entry a view of the copy

@@ -407,8 +407,9 @@ def thickness_to_phase(
     return np.mod(frac * TWO_PI, TWO_PI)
 
 
-# Reference of the DHLA blur in `lensmap`: direct 2D convolution with the
-# full 2D kernel, not the library's separable 1D taps.
+# Reference of the blurs in `lensmap` (the DHLA's and the printer's):
+# direct 2D convolution with the full 2D kernel, not the library's
+# separable 1D taps.
 
 def gaussian_kernel_2d(kernel_size, sigma):
     """Unit-sum 2D Gaussian of odd size, normalized over all its taps."""

@@ -247,26 +247,31 @@ class TestFabricateAndSimulate:
         assert psnr >= 100.0
 
     def test_binary_slab_passes_through_unchanged(self):
-        # a hard flat slab with a degenerate fabrication cutoff survives
-        # the binarize + filter pipeline bit for bit
+        # a flat phase is a hard flat slab of t_min (2 slices), which a
+        # degenerate fabrication cutoff leaves bit for bit
         g = make_grid()
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 3e-3)
-        lens_in = lensmap.binarize(
-            LensVolume(np.zeros((32, 32, 8)), np.full((32, 32), 5.0)))
+        slab = lensmap.binarize(
+            LensVolume(np.zeros((32, 32, 8)), np.full((32, 32), 2.0)))
         _, lens_out = fabricate_and_simulate(
-            lens_in, prepare(src, med, SolverConfig(reflection_order=0),
-                             FORM_CLEAR, 0, 8),
+            PhaseMap(np.zeros((32, 32))),
+            prepare(src, med, SolverConfig(reflection_order=0), FORM_CLEAR,
+                    0, 8),
             fab_cutoff=g.dx)
-        assert np.array_equal(lens_out.occupancy, lens_in.occupancy)
+        assert np.array_equal(lens_out.occupancy, slab.occupancy)
 
     def test_rejects_unknown_design_type(self):
         g = make_grid()
         med = make_homogeneous(g, WATER)
         src = SourceSpec.disk(g, 3e-3)
+        prepared = prepare(src, med, None, FORM_CLEAR, 0, 8)
         with pytest.raises(TypeError):
-            fabricate_and_simulate("lens", prepare(src, med, None, FORM_CLEAR,
-                                                   0, 8))
+            fabricate_and_simulate("lens", prepared)
+        # a thickness design is printed as its binarized lens, not here
+        with pytest.raises(TypeError, match="PhaseMap"):
+            fabricate_and_simulate(lensmap.binarize(LensVolume(
+                np.zeros((32, 32, 8)), np.full((32, 32), 5.0))), prepared)
 
 
 class TestFabricationRunsTheDesignOperator:
@@ -301,20 +306,14 @@ class TestFabricationRunsTheDesignOperator:
         assert np.array_equal(fab.values, design.values)
 
     @pytest.mark.parametrize("order", [0, 4])
-    @pytest.mark.parametrize("kind", ["lens", "phase"])
-    def test_fabricated_field_equals_the_embedded_lens(self, kind, order):
+    def test_fabricated_field_equals_the_embedded_lens(self, order):
         g, med, src = self.bone_behind_the_lens()
         rng = np.random.default_rng(order)
-        if kind == "lens":
-            design = lensmap.binarize(LensVolume(
-                np.zeros((16, 16, 6)), rng.uniform(0.0, 6.0, size=(16, 16))))
-        else:
-            design = PhaseMap(rng.uniform(0.0, 2 * np.pi, size=(16, 16)))
+        design = PhaseMap(rng.uniform(0.0, 2 * np.pi, size=(16, 16)))
         cfg = SolverConfig(reflection_order=order)
 
         # t_max 1 mm: at most 8 slices, so the lens ends before the bone
-        prepared = prepare(src, med, cfg, FORM_CLEAR, 3,
-                           6 if kind == "lens" else 8)
+        prepared = prepare(src, med, cfg, FORM_CLEAR, 3, 8)
         fab, lens = fabricate_and_simulate(design, prepared, t_max=1e-3)
         assert 3 + lens.n_v <= 14
         assert 0 < lens.occupancy.sum() < lens.occupancy.size
@@ -331,9 +330,9 @@ class TestFabricationRunsTheDesignOperator:
         from sonolens.solver import PreparedMedium
 
         g, med, src = self.bone_behind_the_lens()
-        design = lensmap.binarize(LensVolume(np.zeros((16, 16, 6)),
-                                             np.full((16, 16), 3.0)))
-        prepared = prepare(src, med, None, FORM_CLEAR, 0, 6)
+        design = PhaseMap(np.random.default_rng(1).uniform(
+            0.0, 2 * np.pi, size=(16, 16)))
+        prepared = prepare(src, med, None, FORM_CLEAR, 0, 8)
         expected, _ = fabricate_and_simulate(design, prepared)
 
         def forbidden(*args, **kwargs):

@@ -370,6 +370,27 @@ class TestDesignCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["design", "gradcheck"])
+    def test_fab_cutoff_reaches_the_design_chain(self, tmp_path, monkeypatch,
+                                                 command):
+        # the design carries lens.fab_cutoff, in grid spacings, into the
+        # chain that the loop and the gradient check differentiate
+        seen = []
+        inner = optim.lens_objective
+
+        def spy(prepared, target, design, cfg):
+            seen.append(design.fab_cutoff)
+            return inner(prepared, target, design, cfg)
+
+        monkeypatch.setattr(optim, "lens_objective", spy)
+        for lens, cutoff in (({}, 2.0), ({"fab_cutoff_um": 375}, 3.0)):
+            cfg = base_config(lens=lens)
+            if command == "gradcheck":
+                cfg["gradcheck"] = {"n_coords": 1}
+            assert run([command, "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "o")]) == 0
+            assert seen[-1] == pytest.approx(cutoff)
+
     @pytest.mark.parametrize("flag, key", [(["--seed", "-1"], None),
                                            ([], -3)])
     def test_negative_seed_exit_2(self, tmp_path, capsys, flag, key):

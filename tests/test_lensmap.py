@@ -10,12 +10,31 @@ from sonolens.lensmap import (
     fabrication_filter,
     gaussian_kernel,
     map_thickness,
-    smooth_thickness,
-    _smooth_transpose,
     voxelize,
 )
 
 SIGMOID_1 = 1.0 / (1.0 + np.exp(-1.0))  # 0.7311 to 4 decimals
+
+
+def blur_matrices(shape, size, sigma):
+    """(Bx, By) of a blur: the Gaussian of `size` taps and `sigma`, or for
+    size "chain" the design chain's blur at a cutoff of `sigma` voxels."""
+    if size == "chain":
+        return [lensmap.chain_blur(n, sigma) for n in shape]
+    return [lensmap._blur_matrix(n, size, sigma) for n in shape]
+
+
+def blur(t, size, sigma):
+    """The library's blur of `t`, Bx @ t @ By.T as `forward` applies it."""
+    bx, by = blur_matrices(t.shape, size, sigma)
+    return bx @ t @ by.T
+
+
+def blur_transpose(gbar, size, sigma):
+    """The exact transpose of `blur`, Bx.T @ g @ By as `backward` applies
+    it."""
+    bx, by = blur_matrices(gbar.shape, size, sigma)
+    return bx.T @ gbar @ by
 
 
 class TestMapThickness:
@@ -57,7 +76,7 @@ class TestMapThickness:
 class TestSmoothThickness:
     def test_constant_unchanged(self):
         t = np.full((12, 12), 3.7)
-        assert np.allclose(smooth_thickness(t, 9, 1.5), 3.7)
+        assert np.allclose(blur(t, 9, 1.5), 3.7)
 
     def test_impulse_center_weight(self):
         # oracle: independently normalized 9x9 Gaussian center weight
@@ -66,46 +85,89 @@ class TestSmoothThickness:
         center = g[4, 4] / g.sum()
         t = np.zeros((21, 21))
         t[10, 10] = 5.0
-        out = smooth_thickness(t, 9, 1.5)
+        out = blur(t, 9, 1.5)
         assert out[10, 10] == pytest.approx(5.0 * center, rel=1e-12)
 
     def test_linear_ramp_interior_unchanged(self):
         x = np.arange(24, dtype=float)
         t = np.broadcast_to(x, (24, 24)).copy()
-        out = smooth_thickness(t, 9, 1.5)
+        out = blur(t, 9, 1.5)
         assert np.allclose(out[4:-4, 4:-4], t[4:-4, 4:-4], atol=1e-10)
 
     def test_range_preserved(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(1.0, 9.0, size=(16, 16))
-        out = smooth_thickness(t, 9, 1.5)
+        out = blur(t, 9, 1.5)
         assert out.min() >= t.min() - 1e-12 and out.max() <= t.max() + 1e-12
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             gaussian_kernel(8, 1.5)
 
-    def test_design_smoothing_is_the_fixed_9x9_sigma_1p5_kernel(self):
-        # forward applies smooth_thickness(KERNEL_SIZE, SMOOTH_SIGMA); the
-        # oracle tests above pin those values to 9 and 1.5
+    def test_design_smoothing_is_the_9x9_kernel_then_the_printer_kernel(self):
+        # forward blurs with the fixed DHLA kernel (9 taps, sigma 1.5), then
+        # with the printer's at the design's cutoff (sigma cutoff/2, taps
+        # out to 3 sigma), by default fabrication's 2 voxels
         assert (lensmap.KERNEL_SIZE, lensmap.SMOOTH_SIGMA) == (9, 1.5)
-        d = DesignField.random(12, 12, seed=4)
-        lens = lensmap.forward(d, 5.0)
-        assert np.array_equal(lens.thickness_map,
-                              smooth_thickness(map_thickness(d), 9, 1.5))
+        assert DesignField(np.zeros((2, 2))).fab_cutoff == 2.0
+        for fab_cutoff, printer in ((2.0, (7, 1.0)), (5.0, (17, 2.5))):
+            d = DesignField.random(12, 12, seed=4, fab_cutoff=fab_cutoff)
+            lens = lensmap.forward(d, 5.0)
+            expected = oracles.smooth_thickness(
+                oracles.smooth_thickness(map_thickness(d), 9, 1.5), *printer)
+            assert max_rel_err(lens.thickness_map, expected) <= 1e-12
+
+    def test_chain_blur_is_built_once_per_design(self, monkeypatch):
+        # one DHLA and one printer matrix for a square map, however many
+        # forward and backward passes the design takes
+        built = []
+        blur_matrix = lensmap._blur_matrix
+        monkeypatch.setattr(lensmap, "_blur_matrix",
+                            lambda *a: built.append(a) or blur_matrix(*a))
+        lensmap.chain_blur.cache_clear()
+        d = DesignField.random(10, 10, seed=2, fab_cutoff=3.0)
+        for beta in (1.0, 2.0, 4.0):
+            lensmap.forward(d, beta)
+            lensmap.backward(d, beta, np.ones((10, 10, d.n_v)))
+        assert sorted(built) == [(10, 9, 1.5), (10, 11, 1.5)]
 
 
-# (map shape, kernel size, sigma): the design blur on the two design grids,
+# (map shape, kernel size, sigma): the DHLA blur on the two design grids,
 # a kernel far wider than a 3x7 map, fabrication_filter's kernel for a
 # cutoff of 20 grid spacings (sigma 10 voxels, 61 taps) on a 4x4 lens, and
-# non-square maps where the kernel is wider than one dimension only
+# non-square maps where the kernel is wider than one dimension only. Then
+# the design chain's blur (size "chain", the DHLA blur and the printer's
+# at cutoff sigma voxels) on the water demo's grid at the default cutoff,
+# and at a cutoff wider than one side of a 5x40 map.
 BLUR_CASES = [((48, 48), 9, 1.5), ((64, 64), 9, 1.5), ((3, 7), 25, 4.0),
               ((4, 4), 61, 10.0), ((5, 40), 61, 10.0), ((40, 5), 61, 10.0),
-              ((6, 33), 9, 1.5)]
+              ((6, 33), 9, 1.5), ((48, 48), "chain", 2.0),
+              ((5, 40), "chain", 12.0)]
 
 
 def max_rel_err(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def printer_kernel(cutoff):
+    """(taps, sigma) of the printer's Gaussian for a cutoff in voxels:
+    sigma = cutoff/2, taps out to 3 sigma."""
+    return 2 * int(np.ceil(1.5 * cutoff)) + 1, cutoff / 2.0
+
+
+def oracle_blur(t, size, sigma):
+    if size != "chain":
+        return oracles.smooth_thickness(t, size, sigma)
+    return oracles.smooth_thickness(oracles.smooth_thickness(t, 9, 1.5),
+                                    *printer_kernel(sigma))
+
+
+def oracle_transpose(gbar, size, sigma):
+    if size != "chain":
+        return oracles.smooth_transpose(gbar, gbar.shape, size, sigma)
+    return oracles.smooth_transpose(
+        oracles.smooth_transpose(gbar, gbar.shape, *printer_kernel(sigma)),
+        gbar.shape, 9, 1.5)
 
 
 class TestSmoothAgainstConvolution:
@@ -115,32 +177,29 @@ class TestSmoothAgainstConvolution:
     @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
     def test_blur_matches_oracle(self, shape, size, sigma):
         t = np.random.default_rng(5).uniform(1.0, 12.0, size=shape)
-        assert max_rel_err(smooth_thickness(t, size, sigma),
-                           oracles.smooth_thickness(t, size, sigma)) <= 1e-12
+        assert max_rel_err(blur(t, size, sigma),
+                           oracle_blur(t, size, sigma)) <= 1e-12
 
     @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
     def test_transpose_matches_oracle(self, shape, size, sigma):
         gbar = np.random.default_rng(6).normal(size=shape)
-        assert max_rel_err(_smooth_transpose(gbar, size, sigma),
-                           oracles.smooth_transpose(gbar, shape, size, sigma)
-                           ) <= 1e-12
+        assert max_rel_err(blur_transpose(gbar, size, sigma),
+                           oracle_transpose(gbar, size, sigma)) <= 1e-12
 
     @pytest.mark.parametrize("shape, size, sigma", BLUR_CASES)
     def test_dot_product_identity(self, shape, size, sigma):
-        # <A t, g> = <t, A^T g>
+        # <B t, g> = <t, B^T g>
         rng = np.random.default_rng(7)
         t, gbar = rng.normal(size=shape), rng.normal(size=shape)
-        lhs = np.vdot(smooth_thickness(t, size, sigma), gbar)
-        rhs = np.vdot(t, _smooth_transpose(gbar, size, sigma))
+        lhs = np.vdot(blur(t, size, sigma), gbar)
+        rhs = np.vdot(t, blur_transpose(gbar, size, sigma))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     @pytest.mark.parametrize("size", [8, 60])
     def test_even_kernel_size_raises(self, size):
-        t = np.ones((5, 40))
-        with pytest.raises(ValueError, match="odd"):
-            smooth_thickness(t, size, 10.0)
-        with pytest.raises(ValueError, match="odd"):
-            _smooth_transpose(t, size, 10.0)
+        for n in (5, 40):
+            with pytest.raises(ValueError, match="odd"):
+                lensmap._blur_matrix(n, size, 10.0)
 
     def test_wide_fabrication_cutoff_matches_oracle(self):
         dx, cutoff = 125e-6, 20 * 125e-6
@@ -218,11 +277,13 @@ class TestBackward:
         up[8, 8, 2] = 1.0
         g = lensmap.backward(d, 5.0, up)
         mask = np.zeros((16, 16), dtype=bool)
-        mask[4:13, 4:13] = True  # 9x9 footprint
+        mask[1:16, 1:16] = True  # 15x15: the 9-tap DHLA and 7-tap printer blur
         assert np.all(g[~mask] == 0.0)
+        assert np.all(g[mask] != 0.0)
 
     def test_matches_finite_differences(self):
-        # FD oracle, 100 random instances on 8x8x8, rel. error < 1e-6
+        # FD oracle, 100 random instances on 8x8x8, rel. error < 1e-6; the
+        # chain includes the printer blur at a cutoff of 1 to 6 voxels
         rng = np.random.default_rng(42)
         step = 1e-5
         worst = 0.0
@@ -230,14 +291,15 @@ class TestBackward:
             theta = rng.uniform(-1, 1, size=(8, 8))
             weights = rng.normal(size=(8, 8, 8))
             beta = rng.uniform(1.0, 20.0)
-            d = DesignField(theta, v_max=8.0)
+            params = dict(v_max=8.0, fab_cutoff=rng.uniform(1.0, 6.0))
+            d = DesignField(theta, **params)
             grad = lensmap.backward(d, beta, weights)
             i, j = rng.integers(0, 8, size=2)
             tp = theta.copy(); tp[i, j] += step
             tm = theta.copy(); tm[i, j] -= step
             fd = (
-                self.loss_fn(DesignField(tp, v_max=8.0), beta, weights)
-                - self.loss_fn(DesignField(tm, v_max=8.0), beta, weights)
+                self.loss_fn(DesignField(tp, **params), beta, weights)
+                - self.loss_fn(DesignField(tm, **params), beta, weights)
             ) / (2 * step)
             denom = max(abs(fd), abs(grad[i, j]), 1e-6 * np.abs(grad).max())
             worst = max(worst, abs(fd - grad[i, j]) / denom)
@@ -308,6 +370,16 @@ class TestFabricationFilter:
         assert np.array_equal(
             out.occupancy[8:-8, 8:-8], expected.occupancy[8:-8, 8:-8]
         )
+
+    def test_default_cutoff_is_two_grid_spacings(self):
+        t = np.random.default_rng(9).uniform(1.0, 7.0, size=(12, 12))
+        lens = LensVolume(np.zeros((12, 12, 8)), t)
+        default = fabrication_filter(lens, None, 125e-6)
+        assert np.array_equal(default.thickness_map,
+                              fabrication_filter(lens, 250e-6, 125e-6)
+                              .thickness_map)
+        assert not np.array_equal(default.thickness_map,
+                                  binarize(lens).thickness_map)
 
     def test_cutoff_below_spacing_rejected(self):
         lens = LensVolume(np.zeros((4, 4, 4)), np.full((4, 4), 2.0))

@@ -761,6 +761,35 @@ class TestPreparedMedium:
         # the next run marches through
         assert not any(np.shares_memory(a, prepared._spare) for a in planes)
 
+    @pytest.mark.parametrize("z0", [0, 14, 29])
+    def test_every_kept_v_plane_is_read_by_the_adjoint(self, z0):
+        # a -z sweep marches past z0+n_v, but only from z0+n_v+1, outside
+        # the slab pairs: that plane is not kept. The slab at either end
+        # of the grid has no slice beyond it.
+        g = self.GRID
+        prepared = prepare(SourceSpec.disk(g, 1.2e-3),
+                           bone_layers(g, slice(2, 4), slice(20, 23)),
+                           SolverConfig(reflection_order=4), FORM_CLEAR, z0,
+                           self.N_V)
+        rng = np.random.default_rng(4)
+        _, cache = prepared.run(rng.uniform(0.1, 0.9, size=(16, 16, self.N_V)))
+
+        class Reads(list):
+            def __init__(self, planes):
+                super().__init__(planes)
+                self.read = set()
+
+            def __getitem__(self, s):
+                self.read.add(s)
+                return super().__getitem__(s)
+
+        for sw in cache.sweeps:
+            sw.v = Reads(sw.v)
+        propagate_adjoint(cache, rng.normal(size=g.shape) + 0j)
+        for sw in cache.sweeps:
+            kept = {s for s, v in enumerate(sw.v) if v is not None}
+            assert kept == sw.v.read
+
     def test_second_run_reuses_the_plane_stack(self):
         g = self.GRID
         prepared = self.lens_medium()
