@@ -169,7 +169,7 @@ def _fwhm_1d(profile: np.ndarray, spacing: float) -> float:
         frac = (profile[i] - half) / (profile[i] - profile[j])
         return abs(i - peak_idx) + frac
 
-    return (crossing(-1) + crossing(+1)) * spacing
+    return float((crossing(-1) + crossing(+1)) * spacing)
 
 
 def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,

@@ -17,15 +17,18 @@ configuration error, 3 numeric failure.
 
 `design`, `gradcheck` and `sweep` share one set-up, `_prepared_problem`,
 which prepares the medium once with the lens slab of the lens section
-(`solver.prepare`); the base medium never leaves it, and `sweep` keeps
-only the target's focus centres. Every field of a design comes from that
-slab and its one solver config: the lens runs of the design loop and of
-fabrication, and the base-medium runs (no occupancy) of the phase
-methods. Each sweep case, a material variant or a thickness-noise
-realization, is one `PreparedMedium.field_only` run of the lens slab: no
-adjoint follows, so no cache is kept. All cases go through one map, in
-turn or one chunk per worker; a case of another material than the lens
-section's runs on its own `PreparedMedium.with_lens` copy of the slab.
+(`solver.prepare`): in complex64 for `design` and `sweep`, whose outputs
+are single-precision field files and whole-voxel lenses, and in
+complex128 for `gradcheck`, whose finite differences need double. The
+base medium never leaves it, and `sweep` keeps only the target's focus
+centres. Every field of a design comes from that slab and its one solver
+config: the lens runs of the design loop and of fabrication, and the
+base-medium runs (no occupancy) of the phase methods. Each sweep case,
+a material variant or a thickness-noise realization, is one
+`PreparedMedium.field_only` run of the lens slab: no adjoint follows, so
+no cache is kept. All cases go through one map, in turn or one chunk per
+worker; a case of another material than the lens section's runs on its
+own `PreparedMedium.with_lens` copy of the slab.
 """
 
 from __future__ import annotations
@@ -551,14 +554,16 @@ def _load_field(prefix, grid: GridSpec, flag: str):
     return p
 
 
-def _prepared_problem(cfg: dict, grid: GridSpec, seed: int):
-    """(source, lens section, medium prepared with the lens slab) of a
-    run; the base medium is built last and released as `prepare` returns."""
+def _prepared_problem(cfg: dict, grid: GridSpec, seed: int, dtype):
+    """(source, lens section, medium prepared with the lens slab in the
+    precision `dtype`) of a run; the base medium is built last and
+    released as `prepare` returns."""
     src = build_source(cfg, grid)
     lens = build_lens_params(cfg, grid, seed)
     prepared = prepare(src, build_medium(cfg, grid),
                        build_config(cfg, "solver"),
-                       lens["material"], lens["z_offset"], lens["design"].n_v)
+                       lens["material"], lens["z_offset"], lens["design"].n_v,
+                       dtype)
     return src, lens, prepared
 
 
@@ -585,7 +590,8 @@ def cmd_design(args) -> int:
     ocfg = build_config(cfg, "optim")
     method = _method(cfg)
     target = build_target(cfg, grid, method)
-    src, lens_params, prepared = _prepared_problem(cfg, grid, seed)
+    src, lens_params, prepared = _prepared_problem(cfg, grid, seed,
+                                                   np.complex64)
 
     out = Path(args.out)
     extra = {"config_hash": write_snapshot(out, cfg, grid, seed)}
@@ -704,7 +710,8 @@ def cmd_sweep(args) -> int:
     if lens_path is None:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
-    _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
+    _, lens_params, prepared = _prepared_problem(cfg, grid, seed,
+                                                 np.complex64)
     # the cases read only the focus centres of the target
     seeds = build_target(cfg, grid).focus_centers
     lens = _load_lens(lens_path, grid, lens_params)
@@ -810,7 +817,10 @@ def cmd_gradcheck(args) -> int:
     seed = _seed(args, cfg)
     ocfg = build_config(cfg, "optim")
     target = build_target(cfg, grid)
-    _, lens_params, prepared = _prepared_problem(cfg, grid, seed)
+    # double: a central difference at step 1e-4 of a single-precision
+    # loss would be rounding noise near 1e-3
+    _, lens_params, prepared = _prepared_problem(cfg, grid, seed,
+                                                 np.complex128)
     design = lens_params["design"]
     order = prepared.cfg.reflection_order
     tolerance = (check.tolerance if check.tolerance is not None

@@ -170,7 +170,9 @@ def loss_and_gradient(
     The field is read slice-major, in `TargetSpec`'s flat order: a view
     of a run's field, which is stored so; a field in another layout is
     copied. The cotangent comes back as an (nx, ny, nz) view of a
-    slice-major array, which the adjoint reads in place.
+    slice-major array of the field's dtype, which the adjoint reads in
+    place. The full-grid sums and the balance statistics are taken in
+    float64 whatever that dtype.
     """
     shape = values.shape
     values = values.transpose(2, 0, 1).reshape(-1)
@@ -183,8 +185,8 @@ def loss_and_gradient(
     vals = intensity[omega]
 
     # accuracy term and d/d(intensity), in the intensity's buffer
-    num = np.sum(a2 * intensity[sup])
-    s4p = np.sum(intensity**2)
+    num = np.sum(a2 * intensity[sup], dtype=np.float64)
+    s4p = np.sum(intensity**2, dtype=np.float64)
     w_int = intensity
     if s4p > 0.0:
         denom = np.sqrt(target.s4a * s4p)
@@ -197,8 +199,8 @@ def loss_and_gradient(
         w_int.fill(0.0)
 
     # balance term
-    mean = vals.mean()
-    std = float(np.std(vals))
+    mean = vals.mean(dtype=np.float64)
+    std = float(np.std(vals, dtype=np.float64))
     l_bal = std
     if std > 0.0:
         w_int[omega] += lambda_balance * ((vals - mean) / (vals.size * std))

@@ -46,7 +46,9 @@ has its plane and so ends a segment, as its per-pair sums need the
 spatial planes. The scalars are found on the actual screens (`prepare`
 for the base medium, each lens run for its slab slices), so a lens
 embedded into the medium and the same lens run on a prepared slab march
-the same segments.
+the same segments, except across a slab pair of equal impedance: the
+slab run ends a segment at its zero plane, the embedded medium has
+none there. The two fields then differ at rounding level.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
@@ -88,6 +90,15 @@ slab are not computed. The reverse sweeps only sum, per slab pair
 (prev, s), the products ub*v and, where a reflection cotangent exists,
 Re(refl_cot[prev]*v); one pass after the last sweep applies the screen
 derivative and dt/dZ, dr/dZ to the sums, once per pair and direction.
+
+Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
+default or complex64, for every array a run and its adjoint march: the
+passband matrices, H on the band and their intermediate, the screens and
+the source plane (a plane passed to a run is cast to it), the r planes
+(its real type), the plane stack, the total field, the cache's planes
+and the adjoint's scratch, spectra and cotangents. Each is computed in
+double and stored in that dtype. The impedances, the slab's properties
+and the slab gradients' accumulators stay float64.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -191,16 +202,19 @@ class _Passband:
     tmp: np.ndarray
 
     @classmethod
-    def of(cls, H: np.ndarray) -> "_Passband":
+    def of(cls, H: np.ndarray, dtype=np.complex128) -> "_Passband":
+        """The step of kernel H, its matrices built in double and stored,
+        with H on the band and tmp, as `dtype`."""
         nx, ny = H.shape
         r = np.flatnonzero(np.any(H, axis=1))
         c = np.flatnonzero(np.any(H, axis=0))
         Fr, Fc = _dft_rows(nx, r), _dft_rows(ny, c)
         pairs = [(Fr, Fc.T), (np.conj(Fr).T / nx, np.conj(Fc) / ny),
                  (np.conj(Fr) / nx, np.conj(Fc).T / ny), (Fr.T, Fc)]
-        return cls(H[np.ix_(r, c)],
-                   *[tuple(np.ascontiguousarray(m) for m in p) for p in pairs],
-                   tmp=np.empty((_BLOCK, nx, c.size), dtype=np.complex128))
+        return cls(H[np.ix_(r, c)].astype(dtype),
+                   *[tuple(np.ascontiguousarray(m, dtype=dtype) for m in p)
+                     for p in pairs],
+                   tmp=np.empty((_BLOCK, nx, c.size), dtype=dtype))
 
 
 def _into_band(mats: tuple, x: np.ndarray, out: np.ndarray,
@@ -316,26 +330,29 @@ def _screens(grid: GridSpec, c: np.ndarray, att_np: np.ndarray) -> np.ndarray:
 
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
-               att_np: np.ndarray) -> tuple[list, list]:
+               att_np: np.ndarray, dtype) -> tuple[list, list]:
     """Screens and impedances of (nx, ny, k) properties, one per slice
     (the sweeps read them slice by slice). The impedances are contiguous
-    (nx, ny) arrays; a screen is the one value it takes across the whole
-    plane, or its contiguous (nx, ny) array where it varies."""
+    float64 (nx, ny) arrays; a screen, computed in double and stored as
+    `dtype`, is the one value it takes across the whole plane, or its
+    contiguous (nx, ny) array where it varies."""
     cuts = [np.s_[:, :, s] for s in range(c.shape[2])]
-    screen = [_screens(grid, c[cut], att_np[cut]) for cut in cuts]
+    screen = [_screens(grid, c[cut], att_np[cut]).astype(dtype)
+              for cut in cuts]
     screen = [scr.flat[0] if np.all(scr == scr.flat[0]) else scr
               for scr in screen]
     return screen, [rho[cut] * c[cut] for cut in cuts]
 
 
-def _interface(Z1: np.ndarray, Z2: np.ndarray,
+def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype,
                slab: bool = False) -> np.ndarray | None:
     """r = (Z2-Z1)/(Z1+Z2) toward +z between impedance planes Z1 (slice k)
-    and Z2 (slice k+1); None where the impedance is the same across the
-    whole plane (r = 0), unless `slab`: a lens-slab pair keeps its plane."""
+    and Z2 (slice k+1), stored as the real type of the complex `dtype`;
+    None where the impedance is the same across the whole plane (r = 0),
+    unless `slab`: a lens-slab pair keeps its plane."""
     if not slab and not np.any(Z2 != Z1):
         return None
-    return (Z2 - Z1) / (Z1 + Z2)
+    return ((Z2 - Z1) / (Z1 + Z2)).astype(np.finfo(dtype).dtype)
 
 
 @dataclass
@@ -363,6 +380,10 @@ class PreparedMedium:
     a `with_lens` copy shares it), which each run takes and puts back,
     and the passband's intermediate buffer, which runs and adjoints use
     in turn.
+    Its `dtype`, the band's, is the one complex dtype of its screens,
+    source plane and passband (r planes: its real type) and of every
+    plane its runs and their adjoints march; a `with_lens` copy and a
+    pickle keep it. H, the full kernel, stays complex128.
     """
 
     grid: GridSpec
@@ -386,6 +407,12 @@ class PreparedMedium:
 
     def __getstate__(self):
         return {**self.__dict__, "_spare": None}
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The complex dtype of the arrays its runs and their adjoints
+        march, set by `prepare`."""
+        return self.band.H.dtype
 
     def with_lens(self, lens_mat: MaterialProperties) -> "PreparedMedium":
         """A copy whose runs relax a lens of `lens_mat` into the slab: only
@@ -452,7 +479,7 @@ class PreparedMedium:
         if source_plane is None:
             source_plane = self.source_plane
         else:
-            source_plane = np.asarray(source_plane, dtype=np.complex128)
+            source_plane = np.asarray(source_plane, dtype=self.dtype)
             if source_plane.shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
@@ -471,21 +498,23 @@ class PreparedMedium:
             rho = self.rho + occupancy * self.drho
             att = self.att_np + occupancy * self.datt
             screen, coeff = list(screen), list(coeff)
-            screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att)
+            screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att,
+                                                       self.dtype)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
             for k in Z:
                 if k + 1 in Z:              # a slab pair
-                    coeff[k] = _interface(Z[k], Z[k + 1], slab=True)
+                    coeff[k] = _interface(Z[k], Z[k + 1], self.dtype,
+                                          slab=True)
             lens = dict(lens_z_offset=z0, lens_dc=self.dc,
                         lens_drho=self.drho, lens_datt=self.datt)
         cache = (SliceCache(grid, self.H, self.band, c, rho, att, screen,
                             coeff, Z, **lens) if keep else None)
 
-        total = np.zeros((grid.nz, grid.nx, grid.ny), dtype=np.complex128)
+        total = np.zeros((grid.nz, grid.nx, grid.ny), dtype=self.dtype)
         stack, self._spare = self._spare, None
         if stack is None:
             stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
-                             dtype=np.complex128)
+                             dtype=self.dtype)
         inject = {source_slice: source_plane}
         for n in range(self.cfg.reflection_order + 1):
             plan = _plan(screen, coeff, inject, direction)
@@ -525,6 +554,7 @@ def prepare(
     lens_mat: MaterialProperties | None = None,
     z_offset: int = 0,
     n_v: int = 0,
+    dtype=np.complex128,
 ) -> PreparedMedium:
     """Set up `medium` for repeated forward runs from `src`.
 
@@ -535,9 +565,15 @@ def prepare(
     medium. The result keeps no reference to `medium`:
     a caller that needs only runs can release it, and gets a slab for
     another lens material from `PreparedMedium.with_lens`.
+
+    `dtype` (complex128 or complex64) is the precision of every array
+    the runs and their adjoints march; see the module docstring.
     """
     if cfg is None:
         cfg = SolverConfig()
+    if np.dtype(dtype) not in (np.complex64, np.complex128):
+        raise ValueError(f"dtype {np.dtype(dtype)} is neither complex64 "
+                         "nor complex128")
     grid = medium.grid
     for arr in (medium.c, medium.rho, medium.att, medium.att_power):
         if np.any(~np.isfinite(arr)):
@@ -548,15 +584,15 @@ def prepare(
         raise ValueError("lens exceeds the axial extent of the grid")
     att_np = medium.attenuation_np_per_m()
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
-    screen, Z = _per_slice(grid, medium.c, medium.rho, att_np)
+    screen, Z = _per_slice(grid, medium.c, medium.rho, att_np, dtype)
     sl = np.s_[:, :, z_offset : z_offset + n_v]
     prepared = PreparedMedium(
         grid, cfg,
         H=H,
-        band=_Passband.of(H),
-        source_plane=src.source_plane(grid),
+        band=_Passband.of(H, dtype),
+        source_plane=src.source_plane(grid).astype(dtype),
         screen=screen,
-        coeff=[_interface(Z[k], Z[k + 1]) for k in range(grid.nz - 1)],
+        coeff=[_interface(Z[k], Z[k + 1], dtype) for k in range(grid.nz - 1)],
         Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
            if n_v and 0 <= s < grid.nz},
         z_offset=z_offset,
@@ -690,20 +726,21 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     which also fixes the direction; `_slab_gradients` turns them into
     property gradients after the last sweep, reading the cached Z.
     The sweeps read upstream slice by slice: an (nx, ny, nz) view of a
-    slice-major array, as `optim.loss_and_gradient` returns, is read in
-    place, any other layout is copied into one first.
+    slice-major array of the run's dtype, as `optim.loss_and_gradient`
+    returns, is read in place, any other layout or dtype is copied into
+    one first.
     """
     grid = cache.grid
     if upstream.shape != grid.shape:
         raise ValueError("upstream gradient shape does not match the cached grid")
     lensed = cache.lens_z_offset is not None
     z0 = cache.lens_z_offset if lensed else 0
-    upstream = np.ascontiguousarray(upstream.transpose(2, 0, 1))
+    K = np.empty_like(cache.band.H)     # the carry's passband spectrum
+    upstream = np.ascontiguousarray(upstream.transpose(2, 0, 1),
+                                    dtype=K.dtype)
 
-    # two scratch planes, the field cotangent ub and the carry, and the
-    # carry's passband spectrum
-    scratch = np.empty((2, grid.nx, grid.ny), dtype=np.complex128)
-    K = np.empty_like(cache.band.H)
+    # two scratch planes, the field cotangent ub and the carry
+    scratch = np.empty((2, grid.nx, grid.ny), dtype=K.dtype)
     sums: dict = {}
     # cotangents of the reflections a sweep emitted, filled in while
     # processing the consuming (later) sweep
@@ -712,7 +749,7 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
         refl_cot = _sweep_adjoint(cache, sweep, upstream, refl_cot, sums,
                                   scratch, K)
     # whatever remains feeds the original source plane
-    source_cot = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
+    source_cot = np.zeros((grid.nx, grid.ny), dtype=K.dtype)
     for g in refl_cot.values():
         source_cot += g
 
@@ -784,8 +821,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
         if hom:
             lo, hi = min(hom), max(hom) + 1
             up = _into_band(band.into_t, upstream[lo:hi],
-                            np.empty((hi - lo, *K.shape), dtype=np.complex128),
-                            tmp)
+                            np.empty((hi - lo, *K.shape), dtype=K.dtype), tmp)
             for s in reversed(hom):
                 np.add(K, up[s - lo], out=K)
                 np.multiply(K, screen[s], out=K)

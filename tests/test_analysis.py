@@ -272,6 +272,22 @@ class TestFocalMetrics:
         assert payload["n_components"] == 1
         assert payload["foci"][0]["peak_index"] == [4, 4, 4]
 
+    def test_report_of_a_single_precision_field_is_json(self):
+        # a design's field is complex64: every figure of its report is a
+        # Python float, which json writes
+        import json
+        g = make_grid(16, 16, 16)
+        i = np.arange(16) - 8
+        X, Y, Z = np.meshgrid(i, i, i, indexing="ij")
+        gaussian = np.exp(-(X**2 + Y**2 + Z**2) / 8.0)
+        rep = focal_report(ComplexField(gaussian.astype(np.complex64), g),
+                           [(8, 8, 8)])
+        payload = json.loads(rep.to_json())
+        double = focal_report(as_field(gaussian, g), [(8, 8, 8)])
+        for key in ("fwhm_lateral_x", "fwhm_lateral_y", "fwhm_axial"):
+            assert payload["foci"][0][key] == pytest.approx(
+                getattr(double.foci[0], key), rel=1e-6)
+
 
     @pytest.mark.parametrize("n_seeds", [1, 2, 3])
     def test_report_equals_segment_then_metrics(self, n_seeds):

@@ -673,12 +673,13 @@ class TestDesignCommand:
 class TestOnePreparedMediumPerRun:
     """`design`, with every method, and `gradcheck` prepare the medium
     once, with the lens slab, and release the base medium before the
-    first run: every field of the call runs on that one prepared slab."""
+    first run: every field of the call runs on that one prepared slab,
+    in complex64 for `design` and in complex128 for `gradcheck`."""
 
     @staticmethod
     def spy(monkeypatch):
         calls = {"prepare": 0, "propagate": 0}
-        built, alive = [], []
+        built, alive, dtypes = [], [], set()
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -703,28 +704,31 @@ class TestOnePreparedMediumPerRun:
 
         def checking(self, *args, **kwargs):
             alive.append(sum(ref() is not None for ref in built))
+            dtypes.add(self.dtype)
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(cli, "build_medium", recording)
         monkeypatch.setattr(solver.PreparedMedium, "_forward", checking)
-        return calls, built, alive
+        return calls, built, alive, dtypes
 
     @pytest.mark.parametrize("method", ["thickness", "phase", "time_reversal"])
     def test_design(self, tmp_path, monkeypatch, method):
-        calls, built, alive = self.spy(monkeypatch)
+        calls, built, alive, dtypes = self.spy(monkeypatch)
         cfg = write_config(tmp_path, base_config(
             method=method, solver={"reflection_order": 2}))
         assert run(["design", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 0
         assert calls == {"prepare": 1, "propagate": 0}
         assert len(built) == 1 and alive and not any(alive)
+        assert dtypes == {np.dtype(np.complex64)}
 
     def test_gradcheck(self, tmp_path, monkeypatch):
-        calls, built, alive = self.spy(monkeypatch)
+        calls, built, alive, dtypes = self.spy(monkeypatch)
         cfg = write_config(tmp_path, {"gradcheck": {"n_coords": 1}})
         assert run(["gradcheck", "--config", cfg]) == 0
         assert calls == {"prepare": 1, "propagate": 0}
         assert len(built) == 1 and alive and not any(alive)
+        assert dtypes == {np.dtype(np.complex128)}
 
 
 class TestImpossibleFocusExit2:
@@ -1306,8 +1310,9 @@ class TestSweepCommand:
     ])
     def test_one_prepared_slab_per_sweep(self, tmp_path, monkeypatch, axis,
                                          sweep):
-        # the medium is prepared once per sweep call; each material's copy
-        # of it shares the prepared kernel, screens and coefficients
+        # the medium is prepared once per sweep call, in complex64; each
+        # material's copy of it shares the prepared kernel, screens and
+        # coefficients
         prepared, copies = [], []
         with_lens = solver.PreparedMedium.with_lens
 
@@ -1327,7 +1332,7 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--out", str(out),
                     "--axis", axis,
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
-        assert len(prepared) == 1
+        assert len(prepared) == 1 and prepared[0].dtype == np.complex64
         assert len((out / "sweep.csv").read_text().splitlines()) == 4
         assert copies
         for copy in copies:
@@ -1459,7 +1464,15 @@ def embedded_lens_rows(cfg_path, lens_csv, cases):
     """sweep.csv rows computed the way the sweep once did: each case
     embeds its (perturbed) lens into a copy of the medium and propagates
     the whole medium from scratch. cases: (label, material, sigma, seed),
-    seed None for an unperturbed lens."""
+    seed None for an unperturbed lens.
+
+    The embedded medium is prepared as the sweep prepares its medium, in
+    complex64 with the lens slab, and run with an empty occupancy, so the
+    slab keeps the embedded properties. Its slab pairs keep their r
+    planes, zero or not, as the sweep's do, so both march the same
+    segments. Prepared without the slab, a run continues a segment across
+    a slab pair of equal impedance, and at complex64 that other order of
+    the same products moves the rows' ninth digit."""
     cfg = load_config(cfg_path)
     grid = cli.build_grid(cfg)
     src, medium = cli.build_source(cfg, grid), cli.build_medium(cfg, grid)
@@ -1476,8 +1489,10 @@ def embedded_lens_rows(cfg_path, lens_csv, cases):
             lens, sigma, grid.dz, seed=seed)
         embedded = embed_lens(medium, case_lens.occupancy, mat,
                               params["z_offset"])
-        field_, _ = solver.propagate(
-            src, embedded, cli.build_config(cfg, "solver", SolverConfig))
+        field_ = solver.prepare(
+            src, embedded, cli.build_config(cfg, "solver", SolverConfig),
+            mat, params["z_offset"], n_v, np.complex64,
+        ).field_only(np.zeros_like(case_lens.occupancy))
         report = analysis.focal_report(field_, seeds)
         if report.foci:
             values = [max(f.peak_pressure for f in report.foci),

@@ -728,12 +728,12 @@ class TestPreparedMedium:
                                   med.attenuation_np_per_m(), plane, 25, -1)
         assert_close(p.values, fresh)
 
-    def lens_medium(self):
+    def lens_medium(self, dtype=np.complex128):
         g = self.GRID
         return prepare(SourceSpec.disk(g, 1.2e-3),
                        bone_layers(g, slice(2, 4), slice(20, 23)),
                        SolverConfig(reflection_order=4), FORM_CLEAR, 14,
-                       self.N_V)
+                       self.N_V, dtype)
 
     def cache_planes(self, cache):
         """The distinct planes held by the sweeps of `cache`."""
@@ -824,30 +824,36 @@ class TestPreparedMedium:
 
     def test_with_lens_copy_runs_on_the_same_plane_stack(self):
         # a sweep over materials holds one plane stack, not one for the
-        # prepared medium and one for each material's copy of it
-        prepared = self.lens_medium()
-        occ = np.full((16, 16, self.N_V), 0.5)
-        prepared.field_only(occ)
-        stack = prepared._spare
-        copy = prepared.with_lens(VEROCLEAR)
-        p = copy.field_only(occ)
-        assert copy._spare is stack and prepared._spare is stack
+        # prepared medium and one for each material's copy of it; the copy
+        # runs in the medium's precision
         g = self.GRID
-        fresh = prepare(SourceSpec.disk(g, 1.2e-3),
-                        bone_layers(g, slice(2, 4), slice(20, 23)),
-                        SolverConfig(reflection_order=4), VEROCLEAR, 14,
-                        self.N_V)
-        assert np.array_equal(p.values, fresh.field_only(occ).values)
+        occ = np.full((16, 16, self.N_V), 0.5)
+        for dtype in (np.complex128, np.complex64):
+            prepared = self.lens_medium(dtype)
+            prepared.field_only(occ)
+            stack = prepared._spare
+            copy = prepared.with_lens(VEROCLEAR)
+            p = copy.field_only(occ)
+            assert copy._spare is stack and prepared._spare is stack
+            assert copy.dtype == dtype and p.values.dtype == dtype
+            fresh = prepare(SourceSpec.disk(g, 1.2e-3),
+                            bone_layers(g, slice(2, 4), slice(20, 23)),
+                            SolverConfig(reflection_order=4), VEROCLEAR, 14,
+                            self.N_V, dtype)
+            assert np.array_equal(p.values, fresh.field_only(occ).values)
 
     def test_pickle_carries_no_spare_stacks(self):
-        prepared = self.lens_medium()
+        # the prepared medium a sweep worker unpickles keeps its precision
         occ = np.full((16, 16, self.N_V), 0.5)
-        size = len(pickle.dumps(prepared))
-        p, cache = prepared.run(occ)
-        del cache
-        assert len(pickle.dumps(prepared)) == size
-        p2, _ = pickle.loads(pickle.dumps(prepared)).run(occ)
-        assert np.array_equal(p2.values, p.values)
+        for dtype in (np.complex128, np.complex64):
+            prepared = self.lens_medium(dtype)
+            size = len(pickle.dumps(prepared))
+            p, cache = prepared.run(occ)
+            del cache
+            assert len(pickle.dumps(prepared)) == size
+            p2, _ = pickle.loads(pickle.dumps(prepared)).run(occ)
+            assert p2.values.dtype == dtype
+            assert np.array_equal(p2.values, p.values)
 
     def test_uniform_screens_are_stored_as_scalars(self):
         # each slice of a water medium has one screen value across the
@@ -859,38 +865,40 @@ class TestPreparedMedium:
         plane_bytes = g.nx * g.ny * np.dtype(np.complex128).itemsize
         assert len(pickle.dumps(prepared)) < g.nz * plane_bytes
 
-    def field_only_case(self, case):
+    def field_only_case(self, case, dtype):
         """(prepared medium, keyword arguments of one run) for `case`."""
         g = self.GRID
         layers = bone_layers(g, slice(2, 4), slice(20, 23))
         occ = np.random.default_rng(7).uniform(0.1, 0.9,
                                                size=(16, 16, self.N_V))
         if case == "lens":
-            return self.lens_medium(), dict(occupancy=occ)
+            return self.lens_medium(dtype), dict(occupancy=occ)
         if case == "order0":
             return prepare(SourceSpec.disk(g, 1.2e-3), layers,
                            SolverConfig(reflection_order=0), FORM_CLEAR, 14,
-                           self.N_V), dict(occupancy=occ)
+                           self.N_V, dtype), dict(occupancy=occ)
         if case == "delta_toward_minus_z":
             # the time-reversal run: a point source marched back to slice 0
             plane = np.zeros((16, 16), dtype=np.complex128)
             plane[6, 9] = 1.0
             return prepare(SourceSpec.full_plane(g), layers,
-                           SolverConfig(reflection_order=4)), dict(
+                           SolverConfig(reflection_order=4),
+                           dtype=dtype), dict(
                 source_plane=plane, source_slice=17, direction=-1)
         return prepare(SourceSpec.disk(g, 1.2e-3),
-                       make_homogeneous(g, WATER)), {}
+                       make_homogeneous(g, WATER), dtype=dtype), {}
 
     @pytest.mark.parametrize("case", ["lens", "order0",
                                       "delta_toward_minus_z", "water"])
     def test_field_only_is_the_run_field_bitwise(self, case):
-        prepared, kwargs = self.field_only_case(case)
-        first = prepared.field_only(**kwargs)
-        p, cache = prepared.run(**kwargs)
-        again = prepared.field_only(**kwargs)
-        assert np.any(p.values != 0)
-        assert first.values.tobytes() == p.values.tobytes()
-        assert again.values.tobytes() == p.values.tobytes()
+        for dtype in (np.complex128, np.complex64):
+            prepared, kwargs = self.field_only_case(case, dtype)
+            first = prepared.field_only(**kwargs)
+            p, cache = prepared.run(**kwargs)
+            again = prepared.field_only(**kwargs)
+            assert np.any(p.values != 0) and p.values.dtype == dtype
+            assert first.values.tobytes() == p.values.tobytes()
+            assert again.values.tobytes() == p.values.tobytes()
 
     def test_second_field_only_run_reuses_its_plane_stack(self):
         g = self.GRID
@@ -1026,11 +1034,74 @@ class TestPreparedMedium:
         assert prepare(SourceSpec.full_plane(g),
                        make_homogeneous(g, WATER)).lens_mat is None
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_other_than_complex64_or_128_rejected(self, dtype):
+        g = self.GRID
+        with pytest.raises(ValueError, match="neither complex64 nor"):
+            prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+                    dtype=dtype)
+
     def test_slab_beyond_grid_rejected(self):
         g = self.GRID
         with pytest.raises(ValueError, match="axial extent"):
             prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
                     None, FORM_CLEAR, 30, self.N_V)
+
+
+class TestSinglePrecision:
+    """A medium prepared in complex64 stores and marches its planes in
+    complex64, and its fields and gradients lie within 1e-5 of the peak
+    of the same run prepared in complex128."""
+
+    REPO = Path(__file__).resolve().parents[1]
+
+    def test_planes_are_single_and_the_slab_sums_double(self):
+        g = TestPreparedMedium.GRID
+        prepared = TestPreparedMedium().lens_medium(np.complex64)
+        band = prepared.band
+        matrices = [band.H, band.tmp, *band.into, *band.back, *band.into_t,
+                    *band.back_t]
+        assert all(m.dtype == np.complex64 for m in matrices)
+        assert prepared.source_plane.dtype == np.complex64
+        occ = np.random.default_rng(4).uniform(0.1, 0.9,
+                                               size=(16, 16, 3))
+        p, cache = prepared.run(occ)
+        assert p.values.dtype == np.complex64
+        for c in (prepared, cache):
+            assert all(np.asarray(scr).dtype == np.complex64
+                       for scr in c.screen)
+            assert all(r.dtype == np.float32 for r in c.coeff
+                       if r is not None)
+        assert any(r is not None for r in cache.coeff)
+        assert all(plane.dtype == np.complex64 for sw in cache.sweeps
+                   for plane in sw.u + sw.v if plane is not None)
+        upstream = np.ones(g.shape, dtype=np.complex128)  # cast on entry
+        adj = propagate_adjoint(cache, upstream)
+        assert adj.source_plane.dtype == np.complex64
+        assert adj.occupancy.dtype == np.float64
+
+    @pytest.mark.parametrize("config", ["perfbench/skull_r4.cfg",
+                                        "demos/single_focus_water.cfg"])
+    def test_field_and_gradients_agree_with_double(self, config):
+        # the benchmark's order-4 skull phantom and the water demo, at a
+        # random occupancy with a random upstream cotangent
+        from sonolens import cli
+
+        cfg = cli.load_config(self.REPO / config)
+        grid = cli.build_grid(cfg)
+        runs = []
+        for dtype in (np.complex128, np.complex64):
+            prepared = cli._prepared_problem(cfg, grid, 0, dtype)[2]
+            rng = np.random.default_rng(11)
+            occ = rng.uniform(size=prepared.dc.shape)
+            upstream = (rng.normal(size=grid.shape)
+                        + 1j * rng.normal(size=grid.shape))
+            p, cache = prepared.run(occ)
+            adj = propagate_adjoint(cache, upstream)
+            runs.append((p.values, adj.source_plane, adj.occupancy))
+        for double, single in zip(*runs):
+            peak = np.max(np.abs(double))
+            assert np.max(np.abs(single - double)) <= 1e-5 * peak
 
 
 def load_benchmark_tracer():
