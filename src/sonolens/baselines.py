@@ -153,12 +153,13 @@ def fabricate_and_simulate(
     The PhaseMap is converted to a thickness profile of the slab's lens
     material, clamped to [t_min, t_max] (t_max None: the slab's depth; a
     deeper t_max is a ValueError), as a lens of the slab's slices whose
-    v_max is its own depth. It is hard-binarized and low-pass filtered
-    once to emulate printer resolution (`lensmap.fabrication_filter`),
-    then run as the occupancy of the lens slab of `prepared`
-    (`PreparedMedium.field_only`). That is the design loop's operator; on
-    a binary lens it is the hard embedding of `medium.embed_lens`. No copy
-    of the medium is made and no adjoint cache kept.
+    bounds are t_min/dz and t_max/dz, as a thickness design's are. It is
+    hard-binarized and low-pass filtered once to emulate printer
+    resolution (`lensmap.fabrication_filter`), then run as the occupancy
+    of the lens slab of `prepared` (`PreparedMedium.field_only`). That
+    is the design loop's operator; on a binary lens it is the hard
+    embedding of `medium.embed_lens`. No copy of the medium is made and
+    no adjoint cache kept.
     """
     grid, n_v = prepared.grid, prepared.c.shape[2]
     if not isinstance(phase, PhaseMap):
@@ -175,11 +176,9 @@ def fabricate_and_simulate(
         phase.phi, grid.frequency, grid.c_ref,
         prepared.lens_mat.sound_speed, t_min, t_max,
     )
-    t_vox = thickness_m / grid.dz
-    lens = LensVolume(
-        np.zeros((grid.nx, grid.ny, n_v)), t_vox,
-        v_min=float(t_vox.min()), v_max=float(np.ceil(t_vox.max())),
-    )
+    lens = LensVolume(np.zeros((grid.nx, grid.ny, n_v)),
+                      thickness_m / grid.dz, v_min=t_min / grid.dz,
+                      v_max=t_max / grid.dz)
     lens = lensmap.fabrication_filter(lensmap.binarize(lens), fab_cutoff,
                                       grid.dx)
     return prepared.field_only(lens.occupancy), lens

@@ -777,6 +777,7 @@ def cmd_backproject(args) -> int:
             ) * 1e-3
         except ValueError as exc:
             raise ConfigError(f"backproject: --distances: {exc}") from exc
+        cfg.read["backproject"] = {"distances": distances}  # from the flag
     else:
         distances = build_config(cfg, "backproject").distances
     if distances is None or np.size(distances) == 0:

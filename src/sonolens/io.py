@@ -3,7 +3,8 @@
 Raw files are little-endian, C-order, and hold exactly the header's dims.
 A complex field is stored as interleaved (re, im) float32 pairs; CT
 volumes are int16. Every header carries a schema_version and, when
-produced by the CLI, the hash of the creating configuration.
+produced by the CLI, the hash of the creating configuration. The lens
+STL is the closed surface of the voxels that `lensmap.binarize` makes.
 """
 
 from __future__ import annotations
@@ -125,14 +126,6 @@ def thickness_to_pgm(path, thickness_vox: np.ndarray, v_min: float,
         fh.write(img.tobytes())
 
 
-# Corner k of a column prism: x from (x0, x1, x1, x0), y from (y0, y0, y1, y1),
-# z = 0 for k < 4 and z = h for k >= 4. Each face is a quad (a, b, c, d)
-# split into (a, b, c) and (a, c, d): bottom, top, then walls y0, x1, y1, x0.
-_PRISM_QUADS = ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
-                (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7))
-_PRISM_TRIANGLES = np.array(
-    [tri for a, b, c, d in _PRISM_QUADS for tri in ((a, b, c), (a, c, d))]
-)
 _STL_TRIANGLE = np.dtype(
     [("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attribute", "<u2")]
 )
@@ -140,31 +133,34 @@ _STL_TRIANGLE = np.dtype(
 
 def thickness_to_stl(path, thickness_vox: np.ndarray, dx: float,
                      dz: float) -> None:
-    """Binary STL of the lens as a heightmap of column prisms.
+    """Binary STL of the lens: the closed surface of its voxels.
 
-    Each lateral cell becomes a rectangular prism of height thickness*dz
-    (12 triangles, columns in C order); columns of zero or negative
-    height are skipped.
+    Column (i, j) is solid on slices k < floor(t + 0.5), as
+    `lensmap.binarize` rounds. Each face between a solid voxel and an
+    empty one (or the outside) is a quad of two triangles, normal
+    outward, split along its diagonal from its lowest corner.
     """
-    h = np.asarray(thickness_vox) * dz
-    i, j = np.nonzero(h > 0)
-    h = h[i, j]
-    x0, x1 = i * dx, (i + 1) * dx
-    y0, y1 = j * dx, (j + 1) * dx
-    zero = np.zeros_like(h)
-    corners = np.stack([
-        np.stack([x0, x1, x1, x0] * 2, axis=1),
-        np.stack([y0, y0, y1, y1] * 2, axis=1),
-        np.stack([zero] * 4 + [h] * 4, axis=1),
-    ], axis=-1)
-    tris = corners[:, _PRISM_TRIANGLES].reshape(-1, 3, 3)
-    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    norm = np.linalg.norm(n, axis=1, keepdims=True)
-    np.divide(n, norm, out=n, where=norm > 0)
+    n_solid = np.floor(np.asarray(thickness_vox, dtype=np.float64) + 0.5)
+    depth = int(n_solid.max(initial=0))
+    solid = np.pad(np.arange(depth) < n_solid[:, :, None], 1).astype(np.int8)
+    tris, normals = [], []
+    for a, e in enumerate(np.eye(3, dtype=np.int64)):
+        # the face across axis a at grid point lo: lo + ccw, counterclockwise
+        # about +a from its lowest corner (outward normal +a), or reversed
+        b, c = np.roll(e, 1), np.roll(e, 2)
+        ccw = np.array([0 * e, b, b + c, c])
+        step = np.diff(solid, axis=a)       # -1: solid below, empty above
+        at = np.nonzero(step)
+        up = step[at] < 0
+        lo = np.stack(at, axis=1) + e - 1   # undo the padding off axis a
+        quads = lo[:, None] + np.where(up[:, None, None], ccw,
+                                       ccw[[0, 3, 2, 1]])
+        tris.append(quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3, 3))
+        normals.append(np.repeat(np.where(up[:, None], e, -e), 2, axis=0))
 
-    records = np.zeros(len(tris), dtype=_STL_TRIANGLE)
-    records["normal"] = n
-    records["vertices"] = tris
+    records = np.zeros(sum(map(len, tris)), dtype=_STL_TRIANGLE)
+    records["normal"] = np.concatenate(normals)
+    records["vertices"] = np.concatenate(tris) * (dx, dx, dz)
     with open(path, "wb") as fh:
         fh.write(b"\0" * 80)
         fh.write(len(records).to_bytes(4, "little"))

@@ -109,7 +109,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.fft import fft2, ifft2
 
 from .grid import GridSpec, MaterialProperties, SourceSpec
 from .medium import AcousticMedium
@@ -913,9 +912,9 @@ def backproject(
 ) -> np.ndarray:
     """Angular-spectrum backprojection of a measured complex plane.
 
-    Applies the diffraction kernel over minus each requested distance
-    (positive = toward the source) assuming homogeneous water.
-    Returns an (nx, ny, len(distances)) complex volume.
+    Applies the march's passband step (`_Passband`) over minus each
+    requested distance (positive = toward the source) assuming homogeneous
+    water. Returns an (nx, ny, len(distances)) view of a slice-major volume.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -929,8 +928,9 @@ def backproject(
     if not np.all(np.abs(distances) <= domain):     # NaN fails too
         raise ValueError("distance is NaN or beyond the domain depth")
 
-    spec = fft2(plane)
-    out = np.zeros((grid.nx, grid.ny, distances.size), dtype=np.complex128)
+    out = np.empty((distances.size, grid.nx, grid.ny), dtype=np.complex128)
     for i, d in enumerate(distances):
-        out[:, :, i] = ifft2(_diffraction_kernel(grid, cfg.angular_cutoff, -d) * spec)
-    return out
+        band = _Passband.of(_diffraction_kernel(grid, cfg.angular_cutoff, -d))
+        K = _into_band(band.into, plane, np.empty_like(band.H), band.tmp)
+        _out_of_band(band.back, K * band.H, out[i], band.tmp)
+    return out.transpose(1, 2, 0)

@@ -350,13 +350,14 @@ class TestFabricationRunsTheDesignOperator:
         # a flat phase map is a t_min lens of 2 slices; it runs in the
         # 16-slice slab a design prepares, whose other 14 slices stay the
         # base medium, water-bone interface (13, 14) included, and matches
-        # the 2-slice lens embedded in the medium. Its v_max stays 2.
+        # the 2-slice lens embedded in the medium. Its bounds are its
+        # fabrication bounds: t_min and the slab's depth (t_max None).
         g, med, src = self.bone_behind_the_lens()
         cfg = SolverConfig(reflection_order=order)
         prepared = prepare(src, med, cfg, FORM_CLEAR, 0, 16)
         fab, lens = fabricate_and_simulate(PhaseMap(np.zeros((16, 16))),
                                            prepared)
-        assert lens.n_v == 16 and lens.v_max == 2.0
+        assert lens.n_v == 16 and (lens.v_min, lens.v_max) == (2.0, 16.0)
         assert np.all(lens.thickness_map == 2.0)
         assert not lens.occupancy[:, :, 2:].any()
         oracle, _ = propagate(

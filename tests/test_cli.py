@@ -214,6 +214,25 @@ class TestDesignCommand:
         assert (out / "phase_map.csv").exists()
         assert not (out / "loss_history.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flat_phase_lens_pgm_spans_its_fabrication_bounds(self,
+                                                              tmp_path):
+        # a phase design of no iterations is a uniform t_min lens; its PGM
+        # used to divide by the zero-width scale [min(t), ceil(max(t))] =
+        # [2, 2] and write NaN-cast pixels. Its bounds are now the lens
+        # section's: t_min/dz = 2 is black, t_max/dz = 15.2 white.
+        cfg = write_config(tmp_path, base_config(
+            method="phase", optim={"iterations": 0}))
+        out = tmp_path / "out"
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 0
+        t = np.loadtxt(out / "lens_thickness.csv", delimiter=",") / 125e-6
+        assert np.allclose(t, 2.0)
+        data = (out / "lens_thickness.pgm").read_bytes()
+        header = b"P5\n24 24\n65535\n"
+        assert data.startswith(header)
+        img = np.frombuffer(data[len(header):], dtype=">u2")
+        assert img.size == 24 * 24 and np.all(img == 0)
+
     def test_missing_target_exit_2(self, tmp_path, capsys):
         cfg_dict = base_config()
         del cfg_dict["target"]
@@ -1595,6 +1614,23 @@ class TestBackprojectCommand:
         vol = (inter[0::2] + 1j * inter[1::2]).reshape(64, 64, 5)
         peaks = np.abs(vol).max(axis=(0, 1))
         assert peaks.argmax() == 2  # the -2 mm slice
+
+    def test_distances_flag_is_in_the_run_record(self, tmp_path):
+        # runs that differ only in --distances used to share a hash
+        g = self.grid64()
+        cfg = self.cfg64(tmp_path)
+        plane = self.make_plane(tmp_path, g, np.ones((64, 64), complex))
+        snaps = []
+        for name, flag in (("a", "1,2"), ("b", "3")):
+            out = tmp_path / name
+            assert run(["backproject", "--config", cfg, "--out", str(out),
+                        "--plane", plane, "--distances", flag]) == 0
+            snaps.append(json.loads(
+                (out / "resolved_config.json").read_text()))
+        a, b = snaps
+        assert a["config_hash"] != b["config_hash"]
+        assert a["effective"]["backproject"] == {"distances": [1e-3, 2e-3]}
+        assert b["effective"]["backproject"] == {"distances": [3e-3]}
 
     def test_empty_distances_exit_2(self, tmp_path, capsys):
         g = self.grid64()

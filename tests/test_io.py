@@ -1,5 +1,7 @@
 import json
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,31 @@ def make_grid(nx=8, ny=8, nz=12, d=125e-6):
     return GridSpec(nx, ny, nz, d, d, d, 2e6, 1500.0)
 
 
+REPO = Path(__file__).resolve().parents[1]
+STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)),
+                       ("attribute", "<u2")])
+
+
+def pack_stl(path, tris):
+    """Binary STL of triangles (a, b, c), one struct-packed record at a
+    time, each with its normalized (b - a) x (c - a)."""
+    with open(path, "wb") as fh:
+        fh.write(b"\0" * 80)
+        fh.write(struct.pack("<I", len(tris)))
+        for a, b, c in tris:
+            n = np.cross(np.subtract(b, a), np.subtract(c, a))
+            norm = np.linalg.norm(n)
+            n = n / norm + 0.0 if norm > 0 else n      # + 0.0: no -0.0
+            fh.write(struct.pack("<3f", *n))
+            for p in (a, b, c):
+                fh.write(struct.pack("<3f", *p))
+            fh.write(b"\0\0")
+
+
 def loop_stl(path, t, dx, dz):
-    """Reference STL writer: one column and one struct-packed triangle at a time."""
+    """The solid as column prisms, one column at a time: a prism of height
+    t*dz per column of positive t, 12 triangles, its inner walls
+    included. On a whole-voxel map it encloses the voxels' solid."""
     nx, ny = t.shape
     tris = []
 
@@ -36,18 +61,113 @@ def loop_stl(path, t, dx, dz):
             quad((x1, y0, 0), (x1, y1, 0), (x1, y1, h), (x1, y0, h))
             quad((x1, y1, 0), (x0, y1, 0), (x0, y1, h), (x1, y1, h))
             quad((x0, y1, 0), (x0, y0, 0), (x0, y0, h), (x0, y1, h))
+    pack_stl(path, tris)
 
-    with open(path, "wb") as fh:
-        fh.write(b"\0" * 80)
-        fh.write(struct.pack("<I", len(tris)))
-        for a, b, c in tris:
-            n = np.cross(np.subtract(b, a), np.subtract(c, a))
-            norm = np.linalg.norm(n)
-            n = n / norm if norm > 0 else n
-            fh.write(struct.pack("<3f", *n))
-            for p in (a, b, c):
-                fh.write(struct.pack("<3f", *p))
-            fh.write(b"\0\0")
+
+def voxel_stl(path, t, dx, dz):
+    """Reference surface writer, one voxel at a time: column (i, j) is
+    solid on slices k < floor(t + 0.5), and each face of a solid voxel
+    toward an empty neighbour (or the outside) is a quad from its lowest
+    corner, counterclockwise seen from outside, split along the diagonal
+    from that corner."""
+    nx, ny = t.shape
+    n = np.floor(t + 0.5)
+
+    def solid(i, j, k):
+        return 0 <= i < nx and 0 <= j < ny and 0 <= k < n[i, j]
+
+    tris = []
+
+    def quad(a, b, c, d):
+        tris.append((a, b, c))
+        tris.append((a, c, d))
+
+    for i, j, k in np.ndindex(nx, ny, int(n.max(initial=0))):
+        if not solid(i, j, k):
+            continue
+        x0, x1 = i * dx, (i + 1) * dx
+        y0, y1 = j * dx, (j + 1) * dx
+        z0, z1 = k * dz, (k + 1) * dz
+        if not solid(i - 1, j, k):
+            quad((x0, y0, z0), (x0, y0, z1), (x0, y1, z1), (x0, y1, z0))
+        if not solid(i + 1, j, k):
+            quad((x1, y0, z0), (x1, y1, z0), (x1, y1, z1), (x1, y0, z1))
+        if not solid(i, j - 1, k):
+            quad((x0, y0, z0), (x1, y0, z0), (x1, y0, z1), (x0, y0, z1))
+        if not solid(i, j + 1, k):
+            quad((x0, y1, z0), (x0, y1, z1), (x1, y1, z1), (x1, y1, z0))
+        if not solid(i, j, k - 1):
+            quad((x0, y0, z0), (x0, y1, z0), (x1, y1, z0), (x1, y0, z0))
+        if not solid(i, j, k + 1):
+            quad((x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1))
+    pack_stl(path, tris)
+
+
+def stl_records(path):
+    data = Path(path).read_bytes()
+    (n,) = struct.unpack("<I", data[80:84])
+    assert len(data) == 84 + 50 * n
+    return np.frombuffer(data, STL_RECORD, count=n, offset=84)
+
+
+def stl_volume(path):
+    """The enclosed volume by the divergence theorem: the sum of the
+    signed tetrahedra (0, a, b, c) over the triangles."""
+    v = stl_records(path)["vertices"].astype(np.float64)
+    return np.einsum("ij,ij", v[:, 0], np.cross(v[:, 1], v[:, 2])) / 6
+
+
+def directed_edges(path, dx, dz):
+    """How often each directed edge (p, q) of the mesh occurs, its
+    vertices as points of the voxel lattice."""
+    v = stl_records(path)["vertices"] / np.array([dx, dx, dz])
+    p = [tuple(x) for x in np.rint(v).astype(int).reshape(-1, 3).tolist()]
+    tris = zip(p[0::3], p[1::3], p[2::3])
+    return Counter(e for a, b, c in tris for e in ((a, b), (b, c), (c, a)))
+
+
+def diagonal_contacts(t):
+    """The lattice edges, as sets of their two end points, along which two
+    solid voxels touch diagonally: of the four voxels around the edge,
+    two solid ones face each other across it and the other two are
+    empty."""
+    n = np.floor(t + 0.5)
+    depth = int(n.max(initial=0))
+    s = np.pad(np.arange(depth) < n[:, :, None], 1)
+    edges = set()
+    for a in range(3):
+        m = np.moveaxis(s, a, 0)[1:-1]
+        q00, q10, q01, q11 = (m[:, :-1, :-1], m[:, 1:, :-1], m[:, :-1, 1:],
+                              m[:, 1:, 1:])
+        off_axis = [b for b in range(3) if b != a]
+        for k, u, v in np.argwhere((q00 == q11) & (q10 == q01) & (q00 != q10)):
+            lo = [0, 0, 0]
+            lo[a], lo[off_axis[0]], lo[off_axis[1]] = k, u, v
+            hi = list(lo)
+            hi[a] += 1
+            edges.add(frozenset((tuple(lo), tuple(hi))))
+    return edges
+
+
+def random_map(seed):
+    """A random map with zero, negative and fractional columns, and a
+    random (dx, dz)."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 12, size=2))
+    t = rng.uniform(0.0, 16.0, size=shape)
+    t[rng.random(shape) < 0.2] = 0.0
+    t[rng.random(shape) < 0.1] = -3.0
+    dx, dz = rng.uniform(5e-5, 2e-4, size=2)
+    return t, dx, dz
+
+
+def lens_maps():
+    """The benchmark's base lens (voxels of 125 um) and five random maps,
+    as (t, dx, dz)."""
+    base = np.loadtxt(REPO / "perfbench" / "base_lens.csv", delimiter=",")
+    return [pytest.param(base / 125e-6, 125e-6, 125e-6, id="base_lens"),
+            *(pytest.param(*random_map(seed), id=f"random{seed}")
+              for seed in range(5))]
 
 
 class TestSaveRaw:
@@ -194,28 +314,75 @@ class TestThicknessExports:
         assert img[0, 1] == round((5.5 - 1.0) / 9.0 * 65535)
 
     def test_stl_size_and_triangle_count(self, tmp_path):
-        # 12 triangles (50 bytes each) per retained column + 84-byte header
-        t = np.array([[2.0, 0.0], [3.0, 4.0]])
+        # columns round half up to 2, 0, 3 and 4 voxels: 9 voxels with 6
+        # vertical and 5 lateral contacts show 6*9 - 2*11 = 32 faces, two
+        # triangles (50 bytes each) per face + 84-byte header
+        t = np.array([[2.0, 0.4], [2.5, 3.5]])
         io.thickness_to_stl(tmp_path / "l.stl", t, dx=125e-6, dz=125e-6)
         data = (tmp_path / "l.stl").read_bytes()
-        n_cols = 3  # zero-thickness column skipped
-        assert struct.unpack("<I", data[80:84])[0] == 12 * n_cols
-        assert len(data) == 84 + 50 * 12 * n_cols
+        assert struct.unpack("<I", data[80:84])[0] == 2 * 32
+        assert len(data) == 84 + 50 * 2 * 32
 
     @pytest.mark.parametrize("seed", range(5))
     def test_stl_matches_loop_writer(self, tmp_path, seed):
-        # random maps with zero and negative columns; files must be
-        # byte-identical
-        rng = np.random.default_rng(seed)
-        shape = tuple(rng.integers(1, 12, size=2))
-        t = rng.uniform(0.0, 16.0, size=shape)
-        t[rng.random(shape) < 0.2] = 0.0
-        t[rng.random(shape) < 0.1] = -3.0
-        dx, dz = rng.uniform(5e-5, 2e-4, size=2)
+        # the same triangles, normals included, as the voxel-by-voxel
+        # writer's
+        t, dx, dz = random_map(seed)
         io.thickness_to_stl(tmp_path / "vec.stl", t, dx, dz)
-        loop_stl(tmp_path / "loop.stl", t, dx, dz)
-        assert ((tmp_path / "vec.stl").read_bytes()
-                == (tmp_path / "loop.stl").read_bytes())
+        voxel_stl(tmp_path / "loop.stl", t, dx, dz)
+        vec, loop = (sorted(r.tobytes() for r in stl_records(tmp_path / name))
+                     for name in ("vec.stl", "loop.stl"))
+        assert vec == loop
+
+    @pytest.mark.parametrize("t, dx, dz", lens_maps())
+    def test_stl_is_closed_and_oriented(self, tmp_path, t, dx, dz):
+        # every directed edge occurs as often as its reverse, once, or
+        # twice where two solid voxels touch along it diagonally: no face
+        # lies inside the solid (the column prisms' inner walls did)
+        io.thickness_to_stl(tmp_path / "l.stl", t, dx, dz)
+        edges = directed_edges(tmp_path / "l.stl", dx, dz)
+        contacts = diagonal_contacts(t)
+        assert edges
+        for (p, q), count in edges.items():
+            assert edges[q, p] == count
+            assert count == (2 if frozenset((p, q)) in contacts else 1)
+
+    @pytest.mark.parametrize("t, dx, dz", lens_maps())
+    def test_stl_edges_of_more_than_two_triangles_are_diagonal_contacts(
+            self, tmp_path, t, dx, dz):
+        # STL identifies vertices by coordinates, so an edge where two
+        # solid voxels touch diagonally is shared by 4 triangles and cannot
+        # be split; every other edge by 2
+        io.thickness_to_stl(tmp_path / "l.stl", t, dx, dz)
+        shared = Counter()
+        for (p, q), count in directed_edges(tmp_path / "l.stl", dx,
+                                            dz).items():
+            shared[frozenset((p, q))] += count
+        assert ({e for e, count in shared.items() if count > 2}
+                == diagonal_contacts(t))
+
+    def test_base_lens_has_eight_diagonal_contacts(self):
+        t = np.loadtxt(REPO / "perfbench" / "base_lens.csv",
+                       delimiter=",") / 125e-6
+        assert len(diagonal_contacts(t)) == 8
+
+    @pytest.mark.parametrize("t, dx, dz", lens_maps())
+    def test_stl_volume_is_the_rounded_voxel_count(self, tmp_path, t, dx,
+                                                   dz):
+        io.thickness_to_stl(tmp_path / "l.stl", t, dx, dz)
+        n_voxels = np.clip(np.floor(t + 0.5), 0, None).sum()
+        assert stl_volume(tmp_path / "l.stl") / (dx * dx * dz) == \
+            pytest.approx(n_voxels, rel=1e-6)
+
+    @pytest.mark.parametrize("t, dx, dz", lens_maps())
+    def test_stl_volume_equals_the_prism_oracle_on_whole_voxels(
+            self, tmp_path, t, dx, dz):
+        # the column prisms enclose the solid of a whole-voxel map
+        t = np.floor(t + 0.5)
+        io.thickness_to_stl(tmp_path / "vec.stl", t, dx, dz)
+        loop_stl(tmp_path / "prisms.stl", t, dx, dz)
+        assert stl_volume(tmp_path / "vec.stl") == pytest.approx(
+            stl_volume(tmp_path / "prisms.stl"), rel=1e-6, abs=0.0)
 
     def test_stl_empty_map_header_only(self, tmp_path):
         io.thickness_to_stl(tmp_path / "l.stl", np.zeros((3, 4)), 1e-4, 1e-4)

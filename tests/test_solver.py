@@ -1158,6 +1158,25 @@ class TestBackproject:
         err = np.linalg.norm(recovered - reference) / np.linalg.norm(reference)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("cutoff", [0.5, 1.0, 1.5])
+    def test_passband_step_matches_the_fft_oracle(self, cutoff):
+        # the march's passband products give the full-grid step
+        # ifft2(H * fft2(plane)) on a non-square grid, evanescent bins
+        # included at cutoff 1.5
+        g = make_grid(20, 16, 32)
+        rng = np.random.default_rng(3)
+        plane = rng.normal(size=(20, 16)) + 1j * rng.normal(size=(20, 16))
+        distances = [-1e-3, 0.0, 0.5e-3, 3e-3]
+        out = backproject(plane, g, distances,
+                          SolverConfig(angular_cutoff=cutoff))
+        oracle = np.stack([
+            np.fft.ifft2(solver._diffraction_kernel(g, cutoff, -d)
+                         * np.fft.fft2(plane))
+            for d in distances], axis=-1)
+        assert out.shape == (20, 16, 4)
+        peak = np.abs(oracle).max()
+        assert np.abs(out - oracle).max() <= 1e-12 * peak
+
     def test_zero_plane_zero_volume(self):
         g = make_grid()
         out = backproject(np.zeros((16, 16), dtype=complex), g, [1e-3])
