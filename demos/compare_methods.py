@@ -8,8 +8,9 @@ and convert it to a thickness profile afterwards (binarization, printer
 filter), which costs fidelity. The cross-domain PSNR quantifies that
 gap: higher is better. All three methods run on one prepared medium with
 one lens slab and one solver config: the design loops, the phase
-methods' optimization-domain fields (the slab's base medium) and every
-printed lens.
+methods' optimization-domain fields (the slab's base medium, driven by
+`phase_plane`) and every printed lens, which the phase designs print
+within the design's bounds and at its printer cutoff.
 
 Run:  python3 demos/compare_methods.py
 """
@@ -25,7 +26,6 @@ from sonolens import (
     SourceSpec,
     TargetSpec,
     WATER,
-    apply_phase_delays,
     cross_domain_psnr,
     fabricate_and_simulate,
     make_homogeneous,
@@ -34,6 +34,7 @@ from sonolens import (
     prepare,
     time_reversal,
 )
+from sonolens.baselines import phase_plane
 
 grid = GridSpec(48, 48, 64, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
 medium = make_homogeneous(grid, WATER)
@@ -56,16 +57,14 @@ psnr_thickness = cross_domain_psnr(result.field_optimization, p_fab)
 
 # --- phase: gradient phase retrieval, then convert to thickness ----------
 phase, report = optimize_phase_map(prepared, target, ocfg)
-plane = apply_phase_delays(src, phase.phi, grid)
-p_opt = prepared.field_only(source_plane=plane)
-p_fab, _ = fabricate_and_simulate(phase, prepared)
+p_opt = prepared.field_only(sources={0: phase_plane(prepared, phase.phi)})
+p_fab, _ = fabricate_and_simulate(phase, prepared, design)
 psnr_phase = cross_domain_psnr(p_opt, p_fab)
 
 # --- time reversal: back-propagate from the focus, then convert ----------
-tr = time_reversal(prepared, [(24, 24, 40)])
-plane = apply_phase_delays(src, tr.phi, grid)
-p_opt = prepared.field_only(source_plane=plane)
-p_fab, _ = fabricate_and_simulate(tr, prepared)
+tr = time_reversal(prepared, [(24, 24, 40)])  # one run marched back
+p_opt = prepared.field_only(sources={0: phase_plane(prepared, tr.phi)})
+p_fab, _ = fabricate_and_simulate(tr, prepared, design)
 psnr_tr = cross_domain_psnr(p_opt, p_fab)
 
 print(f"cross-domain PSNR  thickness     : {psnr_thickness:6.2f} dB")

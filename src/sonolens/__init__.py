@@ -41,7 +41,6 @@ from .lensmap import (
 from .solver import (
     ComplexField,
     SolverConfig,
-    apply_phase_delays,
     backproject,
     PreparedMedium,
     prepare,

@@ -2,17 +2,18 @@
 
 Phase-domain designs (gradient phase retrieval, time reversal) live in an
 idealized optimization domain where the phase map acts directly on the
-source plane. For physical evaluation they are converted into a
-thickness-modulated lens, hard-voxelized, fabrication-filtered and
+source plane (`phase_plane`). For physical evaluation they are converted
+into a thickness-modulated lens, hard-voxelized, fabrication-filtered and
 re-simulated as a slab run of the prepared medium ("fabrication domain"),
 the operator the design loop differentiates.
 
 Every function here takes the medium as one `solver.PreparedMedium`
 with a lens slab, the one a design run prepares: the phase designs run
 its base medium (no occupancy), and `fabricate_and_simulate` runs its
-lens slab with the slab's own solver settings and lens material. A
-thickness design has no step here: its design chain carries the
-printer's blur, and its binarized lens is printed as the loop saw it.
+lens slab with the slab's own solver settings and lens material, within
+the bounds of the run's `lensmap.DesignField`. A thickness design has no
+step here: its design chain carries the printer's blur, and its
+binarized lens is printed as the loop saw it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lensmap
-from .lensmap import LensVolume
+from .lensmap import DesignField, LensVolume
 from .solver import ComplexField, PreparedMedium
 # unused here: bound only for perfbench/tracer.py until ROADMAP item 5(e)
 from .medium import embed_lens
@@ -45,6 +46,15 @@ class PhaseMap:
             raise ValueError("phase map must be 2D")
 
 
+def phase_plane(prepared: PreparedMedium, phi) -> np.ndarray:
+    """The prepared source plane A delayed by the phase map phi: A *
+    exp(i*phi)."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != prepared.source_plane.shape:
+        raise ValueError("phase map shape does not match grid")
+    return prepared.source_plane * np.exp(1j * phi)
+
+
 def optimize_phase_map(
     prepared: PreparedMedium,
     target: TargetSpec,
@@ -53,21 +63,19 @@ def optimize_phase_map(
     """Gradient phase retrieval: optimize phi through the wave solver.
 
     No lens is relaxed into the slab: the phase acts directly on the
-    prepared source plane A (the phase-only optimization domain), as A *
-    exp(i*phi), and each iteration runs the base medium. Starts from a
+    prepared source plane (the phase-only optimization domain), as
+    `phase_plane`, and each iteration runs the base medium. Starts from a
     flat phase and runs the same loss stack and descent loop
     (`optim.descend`) as the geometry optimization.
     """
     grid = prepared.grid
-    # the source amplitude; real, as the prepared plane has a flat phase
-    mask = prepared.source_plane.real
 
     def objective(phi: np.ndarray, it: int):
-        plane = mask * np.exp(1j * phi)
-        p, cache = prepared.run(source_plane=plane)
+        plane = phase_plane(prepared, phi)
+        p, cache = prepared.run(sources={0: plane})
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
-        # d plane / d phi = i * A * exp(i*phi) on the aperture
-        g_phi = np.real(adj.source_plane * 1j * mask * np.exp(1j * phi))
+        # d plane / d phi = i * plane
+        g_phi = np.real(adj.source_plane * 1j * plane)
         return total, g_phi, terms, p
 
     phi, report, _ = descend(objective, np.zeros((grid.nx, grid.ny)), cfg)
@@ -125,60 +133,53 @@ def time_reversal_foci(grid, foci) -> list:
 def time_reversal(prepared: PreparedMedium, foci) -> PhaseMap:
     """Aberration-corrected phases by back-propagation from the targets.
 
-    A point source at each focus is marched backward through the
-    heterogeneous base medium of `prepared` (no lens) to the source
-    plane; the aperture phase is the conjugate of the summed field's
-    phase. Multi-focus patterns combine by complex summation.
+    Unit point sources at the foci, summed per slice, are the sources of
+    one run marched backward through the heterogeneous base medium of
+    `prepared` (no lens) to the source plane; the aperture phase is the
+    conjugate of that field's phase, taken in double.
     """
     grid = prepared.grid
-    total = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
+    sources = {}
     for ix, iy, iz in time_reversal_foci(grid, foci):
-        delta = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
-        delta[ix, iy] = 1.0
-        field_ = prepared.field_only(source_plane=delta, source_slice=iz,
-                                     direction=-1)
-        total += field_.values[:, :, 0]
-    return PhaseMap(-np.angle(total))
+        plane = sources.setdefault(iz, np.zeros((grid.nx, grid.ny),
+                                                dtype=np.complex128))
+        plane[ix, iy] += 1.0
+    field_ = prepared.field_only(sources=sources, direction=-1)
+    return PhaseMap(-np.angle(field_.values[:, :, 0].astype(np.complex128)))
 
 
 def fabricate_and_simulate(
     phase: PhaseMap,
     prepared: PreparedMedium,
-    t_min: float = T_MIN,
-    t_max: float | None = None,
-    fab_cutoff: float | None = None,
+    design: DesignField,
 ) -> tuple[ComplexField, LensVolume]:
     """Fabrication-domain field of a phase design.
 
     The PhaseMap is converted to a thickness profile of the slab's lens
-    material, clamped to [t_min, t_max] (t_max None: the slab's depth; a
-    deeper t_max is a ValueError), as a lens of the slab's slices whose
-    bounds are t_min/dz and t_max/dz, as a thickness design's are. It is
-    hard-binarized and low-pass filtered once to emulate printer
-    resolution (`lensmap.fabrication_filter`), then run as the occupancy
-    of the lens slab of `prepared` (`PreparedMedium.field_only`). That
-    is the design loop's operator; on a binary lens it is the hard
-    embedding of `medium.embed_lens`. No copy of the medium is made and
-    no adjoint cache kept.
+    material, clamped to the voxel bounds of `design` (the run's
+    `DesignField`; one deeper than the slab is a ValueError), as a lens
+    of the slab's slices. It is hard-binarized and low-pass filtered once
+    at the design's printer cutoff (`lensmap.fabrication_filter`), then
+    run as the occupancy of the lens slab of `prepared`
+    (`PreparedMedium.field_only`). That is the design loop's operator;
+    on a binary lens it is the hard embedding of `medium.embed_lens`. No
+    copy of the medium is made and no adjoint cache kept.
     """
     grid, n_v = prepared.grid, prepared.c.shape[2]
     if not isinstance(phase, PhaseMap):
-        raise TypeError("design must be a PhaseMap")
+        raise TypeError("phase must be a PhaseMap")
     if prepared.lens_mat is None:
         raise ValueError("fabrication needs a medium prepared with a lens "
                          "material")
-    if t_max is None:
-        t_max = n_v * grid.dz
-    elif t_max / grid.dz > n_v:
-        raise ValueError(f"t_max {t_max:g} m is deeper than the "
+    if design.n_v > n_v:
+        raise ValueError(f"the {design.n_v}-slice design is deeper than the "
                          f"{n_v}-slice lens slab")
     thickness_m = phase_to_thickness(
-        phase.phi, grid.frequency, grid.c_ref,
-        prepared.lens_mat.sound_speed, t_min, t_max,
+        phase.phi, grid.frequency, grid.c_ref, prepared.lens_mat.sound_speed,
+        design.v_min * grid.dz, design.v_max * grid.dz,
     )
     lens = LensVolume(np.zeros((grid.nx, grid.ny, n_v)),
-                      thickness_m / grid.dz, v_min=t_min / grid.dz,
-                      v_max=t_max / grid.dz)
-    lens = lensmap.fabrication_filter(lensmap.binarize(lens), fab_cutoff,
-                                      grid.dx)
+                      thickness_m / grid.dz, design.v_min, design.v_max)
+    lens = lensmap.fabrication_filter(lensmap.binarize(lens),
+                                      design.fab_cutoff)
     return prepared.field_only(lens.occupancy), lens

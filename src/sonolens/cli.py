@@ -23,7 +23,8 @@ complex128 for `gradcheck`, whose finite differences need double. The
 base medium never leaves it, and `sweep` keeps only the target's focus
 centres. Every field of a design comes from that slab and its one solver
 config: the lens runs of the design loop and of fabrication, and the
-base-medium runs (no occupancy) of the phase methods. Each sweep case,
+base-medium runs (no occupancy) of the phase methods, whose print takes
+the bounds of the design's. Each sweep case,
 a material variant or a thickness-noise realization, is one
 `PreparedMedium.field_only` run of the lens slab: no adjoint follows, so
 no cache is kept. All cases go through one map, in turn or one chunk per
@@ -56,7 +57,7 @@ from .grid import (
 from .lensmap import DesignField, LensVolume
 from .medium import make_homogeneous, make_skull_phantom, ingest_hu_volume
 from .optim import OptimConfig, TargetSpec
-from .solver import SolverConfig, apply_phase_delays, backproject, prepare
+from .solver import SolverConfig, backproject, prepare
 # unused here: bound only for perfbench/tracer.py until ROADMAP item 5(e)
 from .solver import propagate
 
@@ -454,9 +455,10 @@ def build_target(cfg: dict, grid: GridSpec, method=None) -> TargetSpec:
     return target
 
 
-def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
-    """The fields of the lens section and the seeded initial design
-    ("design"), whose voxel bounds are max(t_min/dz, 1) and t_max/dz."""
+def build_lens_params(cfg: dict, grid: GridSpec,
+                      seed: int) -> tuple[Lens, DesignField]:
+    """The lens section and the seeded initial design, whose voxel bounds
+    max(t_min/dz, 1) and t_max/dz bound every lens of the run."""
     lens = build_config(cfg, "lens")
     if lens.t_min < 0:
         raise ConfigError(f"lens: t_min {lens.t_min:g} m must be non-negative")
@@ -477,7 +479,7 @@ def build_lens_params(cfg: dict, grid: GridSpec, seed: int) -> dict:
     if lens.fab_cutoff is not None and lens.fab_cutoff < grid.dx:
         raise ConfigError(f"lens: fab_cutoff {lens.fab_cutoff:g} m is below "
                           f"the grid spacing {grid.dx:g} m")
-    return {**vars(lens), "design": design}
+    return lens, design
 
 
 def _method(cfg: dict) -> str:
@@ -555,16 +557,15 @@ def _load_field(prefix, grid: GridSpec, flag: str):
 
 
 def _prepared_problem(cfg: dict, grid: GridSpec, seed: int, dtype):
-    """(source, lens section, medium prepared with the lens slab in the
-    precision `dtype`) of a run; the base medium is built last and
+    """(lens section, initial design, medium prepared with the lens slab
+    in the precision `dtype`) of a run; the base medium is built last and
     released as `prepare` returns."""
     src = build_source(cfg, grid)
-    lens = build_lens_params(cfg, grid, seed)
+    lens, design = build_lens_params(cfg, grid, seed)
     prepared = prepare(src, build_medium(cfg, grid),
                        build_config(cfg, "solver"),
-                       lens["material"], lens["z_offset"], lens["design"].n_v,
-                       dtype)
-    return src, lens, prepared
+                       lens.material, lens.z_offset, design.n_v, dtype)
+    return lens, design, prepared
 
 
 def _write_report(out: Path, field_, seeds, psnr):
@@ -590,15 +591,13 @@ def cmd_design(args) -> int:
     ocfg = build_config(cfg, "optim")
     method = _method(cfg)
     target = build_target(cfg, grid, method)
-    src, lens_params, prepared = _prepared_problem(cfg, grid, seed,
-                                                   np.complex64)
+    _, design, prepared = _prepared_problem(cfg, grid, seed, np.complex64)
 
     out = Path(args.out)
     extra = {"config_hash": write_snapshot(out, cfg, grid, seed)}
 
     if method == "thickness":
-        result = optim.optimize_lens_geometry(
-            prepared, target, lens_params["design"], ocfg)
+        result = optim.optimize_lens_geometry(prepared, target, design, ocfg)
         result.report.to_csv(out / "loss_history.csv")
         # the loop's lens, printer blur included, is the print
         p_opt, lens = result.field_optimization, result.lens
@@ -610,12 +609,10 @@ def cmd_design(args) -> int:
         else:
             phase = baselines.time_reversal(prepared, target.focus_centers)
         np.savetxt(out / "phase_map.csv", phase.phi, delimiter=",")
-        plane = apply_phase_delays(src, phase.phi, grid)
-        p_opt = prepared.field_only(source_plane=plane)
-        p_fab, lens = baselines.fabricate_and_simulate(
-            phase, prepared, t_min=lens_params["t_min"],
-            t_max=lens_params["t_max"], fab_cutoff=lens_params["fab_cutoff"],
-        )
+        p_opt = prepared.field_only(
+            sources={0: baselines.phase_plane(prepared, phase.phi)})
+        p_fab, lens = baselines.fabricate_and_simulate(phase, prepared,
+                                                       design)
 
     io.thickness_to_csv(out / "lens_thickness.csv", lens.thickness_map, grid.dz)
     io.thickness_to_pgm(out / "lens_thickness.pgm", lens.thickness_map,
@@ -660,26 +657,27 @@ def cmd_evaluate(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-def _load_lens(prefix_or_csv, grid: GridSpec, lens_params: dict) -> LensVolume:
-    """A thickness CSV (meters) as a binarized lens of design.n_v slices;
-    a negative thickness, or one that rounds to more slices than t_max
-    gives, is a config error."""
+def _load_lens(csv: bytes, grid: GridSpec, design: DesignField,
+               t_max: float) -> LensVolume:
+    """The bytes of a thickness CSV (meters) as a binarized lens of
+    design.n_v slices; a negative thickness, or one that rounds to more
+    slices than t_max gives, is a config error."""
     thickness_m = np.atleast_2d(_load_input(
-        lambda path: np.loadtxt(path, delimiter=","), prefix_or_csv, "sweep"))
+        lambda data: np.loadtxt(data.decode().splitlines(), delimiter=","),
+        csv, "sweep"))
     if thickness_m.shape != (grid.nx, grid.ny):
         raise ConfigError("sweep: lens thickness map does not match the grid")
     if not np.all(thickness_m >= 0):
         raise ConfigError(f"sweep: lens thickness {np.min(thickness_m):g} m "
                           "is not a non-negative number")
-    design = lens_params["design"]
-    lens = lensmap.binarize(LensVolume(
+    binary = lensmap.binarize(LensVolume(
         np.zeros((grid.nx, grid.ny, design.n_v)), thickness_m / grid.dz,
         v_min=design.v_min, v_max=float(design.n_v)))
-    if lens.thickness_map.max() > design.n_v:
+    if binary.thickness_map.max() > design.n_v:
         raise ConfigError(
             f"sweep: lens thickness {thickness_m.max():g} m is more than the "
-            f"{design.n_v} slices of t_max {lens_params['t_max']:g} m")
-    return lens
+            f"{design.n_v} slices of t_max {t_max:g} m")
+    return binary
 
 
 def _sweep_case(prepared, lens: LensVolume, seeds, case):
@@ -710,13 +708,15 @@ def cmd_sweep(args) -> int:
     if lens_path is None:
         raise ConfigError("sweep: a base design is required "
                           "(--lens or sweep.lens, a thickness CSV)")
-    _, lens_params, prepared = _prepared_problem(cfg, grid, seed,
-                                                 np.complex64)
+    section, design, prepared = _prepared_problem(cfg, grid, seed,
+                                                  np.complex64)
     # the cases read only the focus centres of the target
     seeds = build_target(cfg, grid).focus_centers
-    lens = _load_lens(lens_path, grid, lens_params)
-    lens_sha256 = hashlib.sha256(_load_input(
-        lambda path: Path(path).read_bytes(), lens_path, "sweep")).hexdigest()
+    # one read: the digest is of the bytes the cases run
+    csv = _load_input(lambda path: Path(path).read_bytes(), lens_path,
+                      "sweep")
+    lens_sha256 = hashlib.sha256(csv).hexdigest()
+    lens = _load_lens(csv, grid, design, section.t_max)
     cfg.read["sweep"]["lens"] = lens_path       # from --lens or the config
 
     # a case is (material, thickness noise sigma, noise seed)
@@ -730,7 +730,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep: sigma {sigma:g} m must be non-negative")
         if n < 0:
             raise ConfigError("sweep: realizations must be non-negative")
-        cases = [(lens_params["material"], sigma, seed + i) for i in range(n)]
+        cases = [(section.material, sigma, seed + i) for i in range(n)]
         labels = [f"seed={seed + i}" for i in range(n)]
 
     # one chunk of cases per worker: the prepared medium is pickled once
@@ -820,9 +820,7 @@ def cmd_gradcheck(args) -> int:
     target = build_target(cfg, grid)
     # double: a central difference at step 1e-4 of a single-precision
     # loss would be rounding noise near 1e-3
-    _, lens_params, prepared = _prepared_problem(cfg, grid, seed,
-                                                 np.complex128)
-    design = lens_params["design"]
+    _, design, prepared = _prepared_problem(cfg, grid, seed, np.complex128)
     order = prepared.cfg.reflection_order
     tolerance = (check.tolerance if check.tolerance is not None
                  else 1e-5 if order == 0 else 1e-3)

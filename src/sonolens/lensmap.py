@@ -84,8 +84,9 @@ class DesignField:
 
     @property
     def n_v(self) -> int:
-        """Lens depth in slices: ceil(v_max)."""
-        return int(np.ceil(self.v_max))
+        """Lens depth in slices: ceil(v_max), v_max first rounded to 9
+        decimals, so that 1 mm / 100 um = 10.000000000000002 is 10."""
+        return int(np.ceil(round(self.v_max, 9)))
 
 
 @dataclass
@@ -202,16 +203,13 @@ def binarize(lens: LensVolume) -> LensVolume:
     return LensVolume(occ, n_solid.astype(np.float64), lens.v_min, lens.v_max)
 
 
-def fabrication_filter(
-    lens: LensVolume, cutoff: float | None, dx: float
-) -> LensVolume:
+def fabrication_filter(lens: LensVolume, cutoff: float) -> LensVolume:
     """Emulate printer resolution: low-pass the thickness map, re-binarize.
 
-    cutoff is the smallest printable feature size in meters (None:
-    FAB_CUTOFF grid spacings); the blur is `printer_blur` at cutoff/dx.
+    cutoff is the smallest printable feature in lateral voxels, as
+    `DesignField.fab_cutoff`; the blur is `printer_blur` at cutoff.
     """
     t = lens.thickness_map
-    bx, by = (printer_blur(n, FAB_CUTOFF if cutoff is None else cutoff / dx)
-              for n in t.shape)
+    bx, by = (printer_blur(n, cutoff) for n in t.shape)
     return binarize(LensVolume(lens.occupancy, bx @ t @ by.T, lens.v_min,
                                lens.v_max))

@@ -328,12 +328,11 @@ def optimize_lens_geometry(
     theta, report, p_opt = descend(
         lambda th, it: objective(th, cfg.beta(it)), design.theta, cfg
     )
-    beta = cfg.beta(cfg.iterations - 1)
-    if p_opt is None:  # zero iterations: the field of the initial design
-        p_opt = objective(theta, beta)[3]
     final = replace(design, theta=theta)
-    lens = lensmap.binarize(lensmap.forward(final, beta))
-    return DesignResult(final, lens, report, p_opt)
+    lens = lensmap.forward(final, cfg.beta(cfg.iterations - 1))
+    if p_opt is None:  # zero iterations: the field of the initial design
+        p_opt = prepared.field_only(lens.occupancy)
+    return DesignResult(final, lensmap.binarize(lens), report, p_opt)
 
 
 def gradcheck(fn, point: np.ndarray, step: float, n_coords: int = 32,

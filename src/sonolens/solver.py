@@ -62,7 +62,8 @@ side of it (z0-1 .. z0+n_v), the slices those pairs and the slab
 gradients read.
 `propagate` is a run on a medium prepared without a slab. The returned
 cache carries the run's screens and coefficients, so the adjoint
-recomputes neither.
+recomputes neither. A run's first sweep marches its `sources`, {slice:
+plane}, as each later sweep marches the reflected sources of the last.
 
 The total field is slice-major: stored as (nz, nx, ny), so that a
 slice is one contiguous plane, and handed out as its (nx, ny, nz) view.
@@ -94,7 +95,7 @@ derivative and dt/dZ, dr/dZ to the sums, once per pair and direction.
 Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
 default or complex64, for every array a run and its adjoint march: the
 passband matrices, H on the band and their intermediate, the screens and
-the source plane (a plane passed to a run is cast to it), the r planes
+the source plane (a run's source planes are cast to it), the r planes
 (its real type), the plane stack, the total field, the cache's planes
 and the adjoint's scratch, spectra and cotangents. Each is computed in
 double and stored in that dtype. The impedances, the slab's properties
@@ -310,6 +311,7 @@ class AdjointResult:
 
     occupancy: dL/d(lens occupancy), present only for lens-embedded runs
     source_plane: holomorphic cotangent of the complex source plane
+        (summed over the planes of a run with several sources)
     c, rho, att_np: (nx, ny, n_v) gradients w.r.t. the raw properties on
         the lens slab (slices z_offset .. z_offset + n_v - 1); (nx, ny, 0)
         for a run without a lens
@@ -431,37 +433,32 @@ class PreparedMedium:
     def run(
         self,
         occupancy: np.ndarray | None = None,
-        source_plane: np.ndarray | None = None,
-        source_slice: int = 0,
+        sources: dict | None = None,
         direction: int = 1,
     ) -> tuple[ComplexField, SliceCache]:
         """One forward run: the total field and the cache for the adjoint.
 
         occupancy (nx, ny, n_v) relaxes the lens into the slab of a medium
         prepared with a lens material; without one the base medium runs
-        and the cache carries no slab. source_plane overrides the
-        prepared plane; it is
-        injected at slice source_slice and marched toward +z (direction
-        +1) or -z (-1). The cache owns its planes: later runs leave it
-        unchanged.
+        and the cache carries no slab. sources, {slice: plane} (default:
+        the prepared plane at slice 0), are cast to the prepared dtype and
+        marched toward +z (direction +1) or -z (-1). The cache owns its
+        planes: later runs leave it unchanged.
         """
-        return self._forward(occupancy, source_plane, source_slice,
-                             direction, keep=True)
+        return self._forward(occupancy, sources, direction, keep=True)
 
     def field_only(
         self,
         occupancy: np.ndarray | None = None,
-        source_plane: np.ndarray | None = None,
-        source_slice: int = 0,
+        sources: dict | None = None,
         direction: int = 1,
     ) -> ComplexField:
         """The field of `run` with the same arguments, bitwise, without a
         cache. For runs that take no adjoint (fabrication sweeps, time
         reversal)."""
-        return self._forward(occupancy, source_plane, source_slice,
-                             direction, keep=False)[0]
+        return self._forward(occupancy, sources, direction, keep=False)[0]
 
-    def _forward(self, occupancy, source_plane, source_slice, direction,
+    def _forward(self, occupancy, sources, direction,
                  keep: bool) -> tuple[ComplexField, SliceCache | None]:
         """The sweeps of `run` (keep: the cache too) or of `field_only`,
         all through the prepared medium's spare stack. Each sweep adds
@@ -471,15 +468,18 @@ class PreparedMedium:
         if occupancy is not None and self.dc is None:
             raise ValueError("a lens occupancy was passed to a medium "
                              "prepared without a lens material")
-        if not 0 <= source_slice < grid.nz:
-            raise ValueError(f"source slice {source_slice} is outside the grid")
         if direction not in (1, -1):
             raise ValueError(f"direction {direction} is neither +1 nor -1")
-        if source_plane is None:
-            source_plane = self.source_plane
-        else:
-            source_plane = np.asarray(source_plane, dtype=self.dtype)
-            if source_plane.shape != (grid.nx, grid.ny):
+        if sources is None:
+            sources = {0: self.source_plane}
+        elif not sources:
+            raise ValueError("a run needs at least one source plane")
+        inject = {}
+        for s, plane in sources.items():
+            if not 0 <= s < grid.nz:
+                raise ValueError(f"source slice {s} is outside the grid")
+            inject[s] = np.asarray(plane, dtype=self.dtype)
+            if inject[s].shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
         screen, coeff, Z = self.screen, self.coeff, {}
@@ -514,7 +514,6 @@ class PreparedMedium:
         if stack is None:
             stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
                              dtype=self.dtype)
-        inject = {source_slice: source_plane}
         for n in range(self.cfg.reflection_order + 1):
             plan = _plan(screen, coeff, inject, direction)
             refl = _march(self.band, screen, coeff, direction, inject, *plan,
@@ -712,7 +711,8 @@ def propagate(
     phase-modulated sources). Returns the total field and the cache needed
     by `propagate_adjoint`.
     """
-    return prepare(src, medium, cfg).run(source_plane=source_plane)
+    return prepare(src, medium, cfg).run(
+        sources=None if source_plane is None else {0: source_plane})
 
 
 def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
@@ -891,17 +891,6 @@ def propagate_with_lens(
     `propagate_adjoint`.
     """
     return prepared.run(occupancy)
-
-
-def apply_phase_delays(
-    src: SourceSpec, phase: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """Complex source plane A*exp(i*phi) on the aperture, zero elsewhere."""
-    phase = np.asarray(phase, dtype=np.float64)
-    if phase.shape != (grid.nx, grid.ny):
-        raise ValueError("phase map shape does not match grid")
-    src.validate(grid)
-    return src.amplitude * src.aperture_mask * np.exp(1j * phase)
 
 
 def backproject(

@@ -28,7 +28,6 @@ from sonolens.optim import (
 )
 from sonolens.solver import (
     SolverConfig,
-    apply_phase_delays,
     prepare,
     propagate,
 )
@@ -70,9 +69,9 @@ def trifocal_phantom():
     psnr_t = analysis.cross_domain_psnr(res.field_optimization, p_fab_t)
 
     pm, _ = baselines.optimize_phase_map(prepared, target, ocfg)
-    plane = apply_phase_delays(src, pm.phi, g)
-    p_opt_p = prepared.field_only(source_plane=plane)
-    p_fab_p, _ = baselines.fabricate_and_simulate(pm, prepared)
+    p_opt_p = prepared.field_only(
+        sources={0: baselines.phase_plane(prepared, pm.phi)})
+    p_fab_p, _ = baselines.fabricate_and_simulate(pm, prepared, design)
     psnr_p = analysis.cross_domain_psnr(p_opt_p, p_fab_p)
     return {
         "medium": med, "target": target,
@@ -125,7 +124,7 @@ def test_criterion_03_analytic_focusing():
                                              FORM_CLEAR.sound_speed)
     phi_lens = thickness_to_phase(thickness, g.frequency, g.c_ref,
                                   FORM_CLEAR.sound_speed)
-    plane = apply_phase_delays(src, phi_lens, g)
+    plane = src.source_plane(g) * np.exp(1j * phi_lens)
     p, _ = propagate(src, med, SolverConfig(reflection_order=0),
                      source_plane=plane)
     amp = np.abs(p.values)

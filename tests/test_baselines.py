@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import loss_acc, loss_balance, loss_energy, thickness_to_phase
+from oracles import (
+    full_grid_forward,
+    loss_acc,
+    loss_balance,
+    loss_energy,
+    thickness_to_phase,
+)
 
 from sonolens import baselines, lensmap
 from sonolens.baselines import (
@@ -8,16 +14,16 @@ from sonolens.baselines import (
     fabricate_and_simulate,
     full_cycle_thickness,
     optimize_phase_map,
+    phase_plane,
     phase_to_thickness,
     time_reversal,
 )
 from sonolens.grid import BONE, FORM_CLEAR, WATER, GridSpec, SourceSpec
-from sonolens.lensmap import LensVolume
-from sonolens.medium import embed_lens, make_homogeneous
+from sonolens.lensmap import DesignField, LensVolume
+from sonolens.medium import embed_lens, make_homogeneous, make_skull_phantom
 from sonolens.optim import OptimConfig, TargetSpec
 from sonolens.solver import (
     SolverConfig,
-    apply_phase_delays,
     backproject,
     prepare,
     propagate,
@@ -28,6 +34,13 @@ from sonolens.analysis import cross_domain_psnr
 
 def make_grid(nx=32, ny=32, nz=48, d=125e-6):
     return GridSpec(nx, ny, nz, d, d, d, 2e6, 1500.0)
+
+
+def bounds(n, v_min=2.0, v_max=8.0, fab_cutoff=2.0):
+    """The bounds and printer cutoff of a print on an n x n grid: t_min
+    250 um and 1 mm deep at 125 um, two voxels of printer cutoff."""
+    return DesignField(np.zeros((n, n)), v_min=v_min, v_max=v_max,
+                       fab_cutoff=fab_cutoff)
 
 
 class TestPhaseMap:
@@ -147,6 +160,84 @@ class TestTimeReversal:
         resid = np.angle(np.exp(1j * (d[mask] - mean)))
         assert np.sqrt(np.mean(resid**2)) < 0.05
 
+    # foci on two slices, two of them on one slice, inside the phantom's
+    # shell: each march back to the source plane crosses the bone
+    FOCI = [(9, 12, 20), (15, 12, 20), (12, 8, 26)]
+
+    @staticmethod
+    def phantom():
+        g = make_grid(24, 24, 32)
+        return g, make_skull_phantom(g, (1.5e-3, 1.5e-3, 2.4e-3), 1.0e-3,
+                                     0.375e-3)
+
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_one_run_matches_the_summed_focus_runs(self, order):
+        # oracle: one full-grid complex128 run per focus, marched back to
+        # slice 0 and summed; the phase map must be that sum's conjugate
+        # phase, weighted by its amplitude within 1e-12 of the peak
+        g, med = self.phantom()
+        cfg = SolverConfig(reflection_order=order)
+        pm = time_reversal(prepare(SourceSpec.disk(g, 2.5e-3), med, cfg),
+                           self.FOCI)
+        oracle = np.zeros((g.nx, g.ny), dtype=np.complex128)
+        for ix, iy, iz in self.FOCI:
+            delta = np.zeros((g.nx, g.ny), dtype=np.complex128)
+            delta[ix, iy] = 1.0
+            oracle += full_grid_forward(g, cfg, med.c, med.rho,
+                                        med.attenuation_np_per_m(), delta,
+                                        iz, -1)[:, :, 0]
+        err = np.abs(np.abs(oracle) * np.exp(-1j * pm.phi) - oracle)
+        assert err.max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_makes_one_forward_run(self, monkeypatch):
+        from sonolens.solver import PreparedMedium
+
+        g, med = self.phantom()
+        prepared = prepare(SourceSpec.disk(g, 2.5e-3), med)
+        runs = []
+        forward = PreparedMedium._forward
+
+        def counted(self, *args, **kwargs):
+            runs.append(args)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedMedium, "_forward", counted)
+        time_reversal(prepared, self.FOCI)
+        assert len(runs) == 1
+
+
+class TestPhasePlane:
+    def test_zero_phase_real(self):
+        g = make_grid(16, 16, 24)
+        prepared = prepare(SourceSpec.disk(g, 1.5e-3),
+                           make_homogeneous(g, WATER))
+        plane = phase_plane(prepared, np.zeros((16, 16)))
+        assert np.all(plane.imag == 0)
+        assert np.array_equal(plane, prepared.source_plane)
+
+    def test_pi_phase_negates(self):
+        g = make_grid(16, 16, 24)
+        prepared = prepare(SourceSpec.disk(g, 1.5e-3),
+                           make_homogeneous(g, WATER))
+        flat = phase_plane(prepared, np.zeros((16, 16)))
+        flipped = phase_plane(prepared, np.full((16, 16), np.pi))
+        assert np.allclose(flipped, -flat)
+
+    def test_modulus_equals_mask(self):
+        g = make_grid(16, 16, 24)
+        src = SourceSpec.disk(g, 1.5e-3)
+        prepared = prepare(src, make_homogeneous(g, WATER))
+        rng = np.random.default_rng(8)
+        plane = phase_plane(prepared, rng.uniform(0, 2 * np.pi, (16, 16)))
+        assert np.allclose(np.abs(plane), src.aperture_mask)
+
+    def test_shape_mismatch_rejected(self):
+        g = make_grid(16, 16, 24)
+        prepared = prepare(SourceSpec.disk(g, 1.5e-3),
+                           make_homogeneous(g, WATER))
+        with pytest.raises(ValueError, match="shape does not match"):
+            phase_plane(prepared, np.zeros((16, 15)))
+
 
 class TestOptimizePhaseMap:
     def test_zero_iterations(self):
@@ -218,9 +309,9 @@ class TestOptimizePhaseMap:
         cfg = SolverConfig(reflection_order=0)
         t = TargetSpec.from_spheres(g, [(12 * g.dx, 12 * g.dy, 24 * g.dz)],
                                     1.6 * g.dx)
-        _, report = optimize_phase_map(prepare(src, med, cfg), t,
-                                       OptimConfig(iterations=1))
-        plane = apply_phase_delays(src, np.zeros((24, 24)), g)
+        prepared = prepare(src, med, cfg)
+        _, report = optimize_phase_map(prepared, t, OptimConfig(iterations=1))
+        plane = phase_plane(prepared, np.zeros((24, 24)))
         p, _ = propagate(src, med, cfg, source_plane=plane)
         direct = (loss_acc(p.values, t) + 0.2 * loss_energy(p.values, t)
                   + 0.5 * loss_balance(p.values, t))
@@ -236,11 +327,12 @@ class TestFabricateAndSimulate:
         src = SourceSpec.full_plane(g)
         cfg = SolverConfig(reflection_order=0)
         pm = PhaseMap(np.zeros((32, 32)))
-        field_fab, lens = fabricate_and_simulate(
-            pm, prepare(src, med, cfg, FORM_CLEAR, 0, 4))
+        prepared = prepare(src, med, cfg, FORM_CLEAR, 0, 4)
+        field_fab, lens = fabricate_and_simulate(pm, prepared,
+                                                 bounds(32, v_max=4.0))
         assert np.allclose(lens.thickness_map, 250e-6 / g.dz)
-        plane = apply_phase_delays(src, pm.phi, g)
-        field_opt, _ = propagate(src, med, cfg, source_plane=plane)
+        field_opt, _ = propagate(src, med, cfg,
+                                 source_plane=phase_plane(prepared, pm.phi))
         depth = lens.occupancy.shape[2]
         psnr = cross_domain_psnr(field_opt.values[:, :, depth + 2:],
                                  field_fab.values[:, :, depth + 2:])
@@ -258,7 +350,7 @@ class TestFabricateAndSimulate:
             PhaseMap(np.zeros((32, 32))),
             prepare(src, med, SolverConfig(reflection_order=0), FORM_CLEAR,
                     0, 8),
-            fab_cutoff=g.dx)
+            bounds(32, fab_cutoff=1.0))
         assert np.array_equal(lens_out.occupancy, slab.occupancy)
 
     def test_rejects_unknown_design_type(self):
@@ -267,11 +359,12 @@ class TestFabricateAndSimulate:
         src = SourceSpec.disk(g, 3e-3)
         prepared = prepare(src, med, None, FORM_CLEAR, 0, 8)
         with pytest.raises(TypeError):
-            fabricate_and_simulate("lens", prepared)
+            fabricate_and_simulate("lens", prepared, bounds(32))
         # a thickness design is printed as its binarized lens, not here
         with pytest.raises(TypeError, match="PhaseMap"):
             fabricate_and_simulate(lensmap.binarize(LensVolume(
-                np.zeros((32, 32, 8)), np.full((32, 32), 5.0))), prepared)
+                np.zeros((32, 32, 8)), np.full((32, 32), 5.0))), prepared,
+                bounds(32))
 
 
 class TestFabricationRunsTheDesignOperator:
@@ -309,12 +402,13 @@ class TestFabricationRunsTheDesignOperator:
     def test_fabricated_field_equals_the_embedded_lens(self, order):
         g, med, src = self.bone_behind_the_lens()
         rng = np.random.default_rng(order)
-        design = PhaseMap(rng.uniform(0.0, 2 * np.pi, size=(16, 16)))
+        phase = PhaseMap(rng.uniform(0.0, 2 * np.pi, size=(16, 16)))
         cfg = SolverConfig(reflection_order=order)
 
         # t_max 1 mm: at most 8 slices, so the lens ends before the bone
         prepared = prepare(src, med, cfg, FORM_CLEAR, 3, 8)
-        fab, lens = fabricate_and_simulate(design, prepared, t_max=1e-3)
+        fab, lens = fabricate_and_simulate(phase, prepared,
+                                           bounds(16, v_max=1e-3 / g.dz))
         assert 3 + lens.n_v <= 14
         assert 0 < lens.occupancy.sum() < lens.occupancy.size
         oracle, _ = propagate(src, embed_lens(med, lens.occupancy, FORM_CLEAR, 3),
@@ -330,10 +424,11 @@ class TestFabricationRunsTheDesignOperator:
         from sonolens.solver import PreparedMedium
 
         g, med, src = self.bone_behind_the_lens()
-        design = PhaseMap(np.random.default_rng(1).uniform(
+        phase = PhaseMap(np.random.default_rng(1).uniform(
             0.0, 2 * np.pi, size=(16, 16)))
         prepared = prepare(src, med, None, FORM_CLEAR, 0, 8)
-        expected, _ = fabricate_and_simulate(design, prepared)
+        expected, _ = fabricate_and_simulate(phase, prepared,
+                                             bounds(16, v_max=8.0))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("fabrication copied the medium or kept a cache")
@@ -342,7 +437,8 @@ class TestFabricationRunsTheDesignOperator:
                             (medium, "embed_lens"), (baselines, "embed_lens"),
                             (solver, "propagate"), (baselines, "propagate")):
             monkeypatch.setattr(owner, name, forbidden)
-        field_, _ = fabricate_and_simulate(design, prepared)
+        field_, _ = fabricate_and_simulate(phase, prepared,
+                                           bounds(16, v_max=8.0))
         assert np.array_equal(field_.values, expected.values)
 
     @pytest.mark.parametrize("order", [0, 4])
@@ -350,13 +446,13 @@ class TestFabricationRunsTheDesignOperator:
         # a flat phase map is a t_min lens of 2 slices; it runs in the
         # 16-slice slab a design prepares, whose other 14 slices stay the
         # base medium, water-bone interface (13, 14) included, and matches
-        # the 2-slice lens embedded in the medium. Its bounds are its
-        # fabrication bounds: t_min and the slab's depth (t_max None).
+        # the 2-slice lens embedded in the medium. Its bounds are the
+        # design's: v_min and v_max, the slab's depth.
         g, med, src = self.bone_behind_the_lens()
         cfg = SolverConfig(reflection_order=order)
         prepared = prepare(src, med, cfg, FORM_CLEAR, 0, 16)
         fab, lens = fabricate_and_simulate(PhaseMap(np.zeros((16, 16))),
-                                           prepared)
+                                           prepared, bounds(16, v_max=16.0))
         assert lens.n_v == 16 and (lens.v_min, lens.v_max) == (2.0, 16.0)
         assert np.all(lens.thickness_map == 2.0)
         assert not lens.occupancy[:, :, 2:].any()
@@ -369,11 +465,11 @@ class TestFabricationRunsTheDesignOperator:
         g, med, src = self.bone_behind_the_lens()
         with pytest.raises(ValueError, match="prepared with a lens material"):
             fabricate_and_simulate(PhaseMap(np.zeros((16, 16))),
-                                   prepare(src, med))
+                                   prepare(src, med), bounds(16))
 
     def test_phase_lens_deeper_than_the_slab_rejected(self):
         g, med, src = self.bone_behind_the_lens()
         prepared = prepare(src, med, None, FORM_CLEAR, 0, 16)
         with pytest.raises(ValueError, match="deeper than the 16-slice"):
             fabricate_and_simulate(PhaseMap(np.zeros((16, 16))), prepared,
-                                   t_max=17 * g.dz)
+                                   bounds(16, v_max=17.0))

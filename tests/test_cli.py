@@ -376,6 +376,22 @@ class TestDesignCommand:
         assert f"lens: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("ignore:marginal axial sampling")
+    @pytest.mark.parametrize("spacing_um, t_max_mm, n_v", [
+        (100, 1.0, 10), (50, 1.0, 20), (150, 1.5, 10),
+        (125, 1.9, 16),     # the shipped configs: 15.2 voxels
+    ])
+    def test_lens_depth_of_a_whole_number_of_slices(self, spacing_um,
+                                                    t_max_mm, n_v):
+        # t_max/dz in floating point lands just above the whole number
+        # for the first three (1 mm at 100 um is 10.000000000000002); the
+        # slab is that many slices deep, not one more
+        cfg = base_config(lens={"t_max_mm": t_max_mm})
+        cfg["grid"] = {**cfg["grid"], "spacing_um": spacing_um}
+        grid = cli.build_grid(cfg)
+        _, design = cli.build_lens_params(cfg, grid, 0)
+        assert design.n_v == n_v
+
     def test_negative_t_min_exit_2(self, tmp_path, capsys):
         # a phase design's lens is clamped to [t_min, t_max]: a negative
         # t_min used to exit 0 and export negative column thicknesses
@@ -1276,6 +1292,37 @@ class TestSweepCommand:
             records.append(snap["config_hash"])
         assert records[0] != records[1]
 
+    def test_the_digest_is_of_the_lens_the_cases_ran(self, tmp_path,
+                                                     monkeypatch):
+        # the lens file is rewritten after the sweep's first input read:
+        # the recorded digest is still that of the bytes its cases ran
+        cfg = write_config(tmp_path, base_config(sweep={"realizations": 1}))
+        lens = tmp_path / "lens.csv"
+        np.savetxt(lens, np.full((24, 24), 4 * 125e-6), delimiter=",")
+        ran = lens.read_bytes()
+        args = ["sweep", "--config", cfg, "--axis", "perturbation",
+                "--lens", str(lens)]
+        assert run([*args, "--out", str(tmp_path / "expected")]) == 0
+
+        load, reads = cli._load_input, []
+
+        def rewriting(*load_args):
+            value = load(*load_args)
+            if not reads:
+                np.savetxt(lens, np.full((24, 24), 8 * 125e-6),
+                           delimiter=",")
+            reads.append(load_args)
+            return value
+
+        monkeypatch.setattr(cli, "_load_input", rewriting)
+        out = tmp_path / "sw"
+        assert run([*args, "--out", str(out)]) == 0
+        assert lens.read_bytes() != ran
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["lens_sha256"] == hashlib.sha256(ran).hexdigest()
+        assert ((out / "sweep.csv").read_text()
+                == (tmp_path / "expected" / "sweep.csv").read_text())
+
     def test_missing_lens_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
@@ -1496,21 +1543,21 @@ def embedded_lens_rows(cfg_path, lens_csv, cases):
     grid = cli.build_grid(cfg)
     src, medium = cli.build_source(cfg, grid), cli.build_medium(cfg, grid)
     seeds = [tuple(c) for c in cli.build_target(cfg, grid).focus_centers]
-    params = cli.build_lens_params(cfg, grid, 0)
-    n_v = params["design"].n_v
+    section, design = cli.build_lens_params(cfg, grid, 0)
+    n_v = design.n_v
     lens = lensmap.binarize(lensmap.LensVolume(
         np.zeros((grid.nx, grid.ny, n_v)),
         np.loadtxt(lens_csv, delimiter=",") / grid.dz,
-        params["design"].v_min, float(n_v)))
+        design.v_min, float(n_v)))
     rows = []
     for label, mat, sigma, seed in cases:
         case_lens = lens if seed is None else analysis.perturb_lens(
             lens, sigma, grid.dz, seed=seed)
         embedded = embed_lens(medium, case_lens.occupancy, mat,
-                              params["z_offset"])
+                              section.z_offset)
         field_ = solver.prepare(
             src, embedded, cli.build_config(cfg, "solver", SolverConfig),
-            mat, params["z_offset"], n_v, np.complex64,
+            mat, section.z_offset, n_v, np.complex64,
         ).field_only(np.zeros_like(case_lens.occupancy))
         report = analysis.focal_report(field_, seeds)
         if report.foci:

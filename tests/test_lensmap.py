@@ -4,6 +4,7 @@ import pytest
 import oracles
 from sonolens import lensmap
 from sonolens.lensmap import (
+    FAB_CUTOFF,
     DesignField,
     LensVolume,
     binarize,
@@ -202,9 +203,8 @@ class TestSmoothAgainstConvolution:
                 lensmap._blur_matrix(n, size, 10.0)
 
     def test_wide_fabrication_cutoff_matches_oracle(self):
-        dx, cutoff = 125e-6, 20 * 125e-6
         t = np.random.default_rng(8).uniform(1.0, 7.0, size=(4, 4))
-        out = fabrication_filter(LensVolume(np.zeros((4, 4, 8)), t), cutoff, dx)
+        out = fabrication_filter(LensVolume(np.zeros((4, 4, 8)), t), 20.0)
         assert np.array_equal(
             out.thickness_map,
             np.floor(oracles.smooth_thickness(t, 61, 10.0) + 0.5))
@@ -350,14 +350,14 @@ class TestFabricationFilter:
     def test_degenerate_cutoff_near_identity(self):
         t = np.full((12, 12), 4.0)
         lens = binarize(LensVolume(np.zeros((12, 12, 8)), t))
-        out = fabrication_filter(lens, 125e-6, 125e-6)
+        out = fabrication_filter(lens, 1.0)
         assert np.array_equal(out.occupancy, lens.occupancy)
 
     def test_checkerboard_flattened(self):
         i, j = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
         t = np.where((i + j) % 2 == 0, 2.0, 6.0)
         lens = LensVolume(np.zeros((16, 16, 8)), t.astype(float))
-        out = fabrication_filter(lens, 8 * 125e-6, 125e-6)
+        out = fabrication_filter(lens, 8.0)
         interior = out.thickness_map[4:-4, 4:-4]
         assert np.ptp(interior) <= 1.0  # near-constant after binarize
 
@@ -365,23 +365,22 @@ class TestFabricationFilter:
         # ramp values avoid half-integer rounding ties after the blur
         t = np.broadcast_to(np.arange(24, dtype=float) / 4 + 2.1, (24, 24)).copy()
         lens = LensVolume(np.zeros((24, 24, 10)), t)
-        out = fabrication_filter(lens, 2 * 125e-6, 125e-6)
+        out = fabrication_filter(lens, 2.0)
         expected = binarize(lens)
         assert np.array_equal(
             out.occupancy[8:-8, 8:-8], expected.occupancy[8:-8, 8:-8]
         )
 
     def test_default_cutoff_is_two_grid_spacings(self):
+        # the cutoff a design prints at unless its lens section sets one
         t = np.random.default_rng(9).uniform(1.0, 7.0, size=(12, 12))
         lens = LensVolume(np.zeros((12, 12, 8)), t)
-        default = fabrication_filter(lens, None, 125e-6)
-        assert np.array_equal(default.thickness_map,
-                              fabrication_filter(lens, 250e-6, 125e-6)
-                              .thickness_map)
+        assert DesignField(np.zeros((12, 12))).fab_cutoff == FAB_CUTOFF == 2.0
+        default = fabrication_filter(lens, FAB_CUTOFF)
         assert not np.array_equal(default.thickness_map,
                                   binarize(lens).thickness_map)
 
     def test_cutoff_below_spacing_rejected(self):
         lens = LensVolume(np.zeros((4, 4, 4)), np.full((4, 4), 2.0))
         with pytest.raises(ValueError, match="cutoff"):
-            fabrication_filter(lens, 60e-6, 125e-6)
+            fabrication_filter(lens, 0.48)

@@ -406,8 +406,7 @@ class TestSinglePrecision:
                                                                      "optim")
         runs = []
         for dtype in (np.complex128, np.complex64):
-            _, lens, prepared = cli._prepared_problem(cfg, grid, 0, dtype)
-            design = lens["design"]
+            _, design, prepared = cli._prepared_problem(cfg, grid, 0, dtype)
             theta = design.theta + np.random.default_rng(3).normal(
                 scale=0.5, size=design.theta.shape)
             runs.append(lens_objective(prepared, target, design,
@@ -451,6 +450,32 @@ class TestOptimizeLensGeometry:
                                         OptimConfig(iterations=0))
         assert np.array_equal(result.design.theta, design.theta)
         assert result.report.total == []
+
+    def test_zero_iterations_field_is_one_forward_run(self, monkeypatch):
+        # the field of the initial design takes no adjoint and no lens
+        # backward: it is the forward run of its lens, bitwise
+        from sonolens import optim
+
+        g = make_grid()
+        src = SourceSpec.disk(g, 1.5e-3)
+        t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
+                                    1.5 * g.dx)
+        design = DesignField.random(16, 16, v_max=6.0, seed=3)
+        prepared = prepare(src, make_homogeneous(g, WATER),
+                           SolverConfig(reflection_order=2), FORM_CLEAR, 0,
+                           design.n_v)
+        cfg = OptimConfig(iterations=0)
+        expected, _ = prepared.run(
+            lensmap.forward(design, cfg.beta_end).occupancy)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("zero iterations ran the adjoint chain")
+
+        monkeypatch.setattr(optim, "propagate_adjoint", forbidden)
+        monkeypatch.setattr(lensmap, "backward", forbidden)
+        result = optimize_lens_geometry(prepared, t, design, cfg)
+        assert (result.field_optimization.values.tobytes()
+                == expected.values.tobytes())
 
     def test_loss_decreases_on_small_problem(self):
         g = make_grid(24, 24, 32)

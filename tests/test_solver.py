@@ -28,7 +28,6 @@ from sonolens.medium import make_homogeneous
 from sonolens.solver import (
     SolverConfig,
     _diffraction_kernel,
-    apply_phase_delays,
     backproject,
     prepare,
     propagate,
@@ -188,7 +187,7 @@ class TestPropagate:
         def point_field(source_xy, source_slice, direction):
             plane = np.zeros((24, 24), dtype=np.complex128)
             plane[source_xy] = 1.0
-            p, _ = prepared.run(source_plane=plane, source_slice=source_slice,
+            p, _ = prepared.run(sources={source_slice: plane},
                                 direction=direction)
             return p.values
 
@@ -538,8 +537,8 @@ class TestHomogeneousRuns:
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
 
         def run(o):
-            return prepared.run(o, source_plane=plane,
-                                source_slice=source_slice, direction=direction)
+            return prepared.run(o, sources={source_slice: plane},
+                                direction=direction)
 
         return med, cfg, plane, run, occ, delta, upstream
 
@@ -723,7 +722,7 @@ class TestPreparedMedium:
         plane = np.zeros((16, 16), dtype=np.complex128)
         plane[5, 9] = 1.0
         p, _ = prepare(SourceSpec.full_plane(g), med, cfg).run(
-            source_plane=plane, source_slice=25, direction=-1)
+            sources={25: plane}, direction=-1)
         fresh = full_grid_forward(g, cfg, med.c, med.rho,
                                   med.attenuation_np_per_m(), plane, 25, -1)
         assert_close(p.values, fresh)
@@ -884,7 +883,7 @@ class TestPreparedMedium:
             return prepare(SourceSpec.full_plane(g), layers,
                            SolverConfig(reflection_order=4),
                            dtype=dtype), dict(
-                source_plane=plane, source_slice=17, direction=-1)
+                sources={17: plane}, direction=-1)
         return prepare(SourceSpec.disk(g, 1.2e-3),
                        make_homogeneous(g, WATER), dtype=dtype), {}
 
@@ -972,14 +971,29 @@ class TestPreparedMedium:
                            bone_layers(g, slice(2, 4), slice(20, 23)),
                            SolverConfig(reflection_order=2))
         with pytest.raises(ValueError, match="direction"):
-            getattr(prepared, entry)(source_slice=20, direction=direction)
+            getattr(prepared, entry)(sources={20: prepared.source_plane},
+                                     direction=direction)
 
     @pytest.mark.parametrize("source_slice", [-1, 32])
     def test_source_slice_outside_grid_rejected(self, source_slice):
         prepared = prepare(SourceSpec.full_plane(self.GRID),
                            make_homogeneous(self.GRID, WATER))
         with pytest.raises(ValueError, match="outside the grid"):
-            prepared.run(source_slice=source_slice)
+            prepared.run(sources={source_slice: prepared.source_plane})
+
+    @pytest.mark.parametrize("entry", ["run", "field_only"])
+    @pytest.mark.parametrize("sources, message", [
+        ({3: np.ones((16, 15))}, "shape does not match"),
+        ({0: np.ones((16, 16)), 5: np.ones((16, 16, 1))},
+         "shape does not match"),
+        ({}, "at least one source"),
+        ({0: np.ones((16, 16)), 32: np.ones((16, 16))}, "outside the grid"),
+    ])
+    def test_sources_rejected(self, entry, sources, message):
+        prepared = prepare(SourceSpec.full_plane(self.GRID),
+                           make_homogeneous(self.GRID, WATER))
+        with pytest.raises(ValueError, match=message):
+            getattr(prepared, entry)(sources=sources)
 
     @pytest.mark.parametrize("lens_mat, occupancy, message", [
         (FORM_CLEAR, np.zeros((16, 16, 4)), "prepared slab"),
@@ -1010,9 +1024,8 @@ class TestPreparedMedium:
         rng = np.random.default_rng(order)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        for kwargs in ({}, {"source_plane": plane},
-                       {"source_plane": plane, "source_slice": 28,
-                        "direction": -1}):
+        for kwargs in ({}, {"sources": {0: plane}},
+                       {"sources": {28: plane}, "direction": -1}):
             p, cache = lensed.run(**kwargs)
             q, oracle = plain.run(**kwargs)
             assert p.values.tobytes() == q.values.tobytes()
@@ -1193,28 +1206,6 @@ class TestBackproject:
             backproject(np.zeros((16, 16), dtype=complex), g, [1.0])
 
 
-class TestApplyPhaseDelays:
-    def test_zero_phase_real(self):
-        g = make_grid()
-        src = SourceSpec.disk(g, 1.5e-3)
-        plane = apply_phase_delays(src, np.zeros((16, 16)), g)
-        assert np.all(plane.imag == 0)
-
-    def test_pi_phase_negates(self):
-        g = make_grid()
-        src = SourceSpec.disk(g, 1.5e-3)
-        flat = apply_phase_delays(src, np.zeros((16, 16)), g)
-        flipped = apply_phase_delays(src, np.full((16, 16), np.pi), g)
-        assert np.allclose(flipped, -flat)
-
-    def test_modulus_equals_mask(self):
-        g = make_grid()
-        src = SourceSpec.disk(g, 1.5e-3)
-        rng = np.random.default_rng(8)
-        plane = apply_phase_delays(src, rng.uniform(0, 2 * np.pi, (16, 16)), g)
-        assert np.allclose(np.abs(plane), src.aperture_mask)
-
-
 class TestGridRefinement:
     def test_focal_peak_stable_under_dz_halving(self):
         # spherical-converger phase aperture focused at 3 mm
@@ -1227,7 +1218,7 @@ class TestGridRefinement:
             x = (np.arange(32) - 15.5) * g.dx
             rr2 = x[:, None] ** 2 + x[None, :] ** 2
             phase = -g.k0 * (np.sqrt(rr2 + f_target**2) - f_target)
-            plane = apply_phase_delays(src, phase, g)
+            plane = src.source_plane(g) * np.exp(1j * phase)
             p, _ = propagate(src, med, SolverConfig(reflection_order=0),
                              source_plane=plane)
             axial = np.abs(p.values[16, 16, :])
