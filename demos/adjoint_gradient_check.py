@@ -22,9 +22,9 @@ from sonolens import (
     GridSpec,
     OptimConfig,
     SolverConfig,
-    SourceSpec,
     TargetSpec,
     WATER,
+    full_plane_source,
     gradcheck,
     lens_objective,
     make_homogeneous,
@@ -35,7 +35,7 @@ BOUNDS = {0: 1e-5, 4: 1e-3}
 
 grid = GridSpec(16, 16, 24, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
 medium = make_homogeneous(grid, WATER)
-src = SourceSpec.full_plane(grid)
+src = full_plane_source(grid)
 target = TargetSpec.from_spheres(
     grid, [(8 * grid.dx, 8 * grid.dy, 18 * grid.dz)], 1.5 * grid.dx
 )

@@ -12,23 +12,24 @@ methods' optimization-domain fields (the slab's base medium, driven by
 `phase_plane`) and every printed lens, which the phase designs print
 within the design's bounds and at its printer cutoff.
 
+The problem is the one `sonolens design` solves on
+`demos/single_focus_water.cfg`, read through the CLI's builders and run in
+complex64 as the CLI runs it, so the thickness line is that run's
+`report.json` PSNR. The script exits 1 unless the thickness line beats
+both phase lines, the ordering the paper reports.
+
 Run:  python3 demos/compare_methods.py
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from sonolens import (
-    DesignField,
-    FORM_CLEAR,
-    GridSpec,
-    OptimConfig,
-    SolverConfig,
-    SourceSpec,
-    TargetSpec,
-    WATER,
+    cli,
     cross_domain_psnr,
     fabricate_and_simulate,
-    make_homogeneous,
     optimize_lens_geometry,
     optimize_phase_map,
     prepare,
@@ -36,19 +37,19 @@ from sonolens import (
 )
 from sonolens.baselines import phase_plane
 
-grid = GridSpec(48, 48, 64, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
-medium = make_homogeneous(grid, WATER)
-src = SourceSpec.disk(grid, 5.5e-3)
-center = (24 * grid.dx, 24 * grid.dy, 40 * grid.dz)
-target = TargetSpec.from_spheres(grid, [center], 1.1 * grid.dx)
-solver = SolverConfig(reflection_order=0)
-iters = 80
-ocfg = OptimConfig(iterations=iters)  # beta 1 -> 20 over the iterations
-design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
-# the 16-slice lens slab (2.0 mm) of the design, prepared once
-prepared = prepare(src, medium, solver, FORM_CLEAR, 0, design.n_v)
+cfg = cli.load_config(Path(__file__).with_name("single_focus_water.cfg"))
+grid = cli.build_grid(cfg)
+target = cli.build_target(cfg, grid)
+ocfg = cli.build_config(cfg, "optim")
+lens, design = cli.build_lens_params(cfg, grid, cfg.get("seed", 0))
+# the design's lens slab, prepared once
+prepared = prepare(cli.build_source(cfg, grid), cli.build_medium(cfg, grid),
+                   cli.build_config(cfg, "solver"), lens.material,
+                   lens.z_offset, design.n_v, np.complex64)
 
-print(f"grid {grid.shape}, focus at {tuple(round(c * 1e3, 2) for c in center)} mm")
+center = target.focus_centers[0]
+print(f"grid {grid.shape}, focus at voxel {center}, "
+      f"lens v_min {design.v_min:g} / v_max {design.v_max:g} voxels")
 
 # --- thickness: optimize the lens geometry directly ----------------------
 result = optimize_lens_geometry(prepared, target, design, ocfg)
@@ -62,7 +63,7 @@ p_fab, _ = fabricate_and_simulate(phase, prepared, design)
 psnr_phase = cross_domain_psnr(p_opt, p_fab)
 
 # --- time reversal: back-propagate from the focus, then convert ----------
-tr = time_reversal(prepared, [(24, 24, 40)])  # one run marched back
+tr = time_reversal(prepared, target.focus_centers)  # one run marched back
 p_opt = prepared.field_only(sources={0: phase_plane(prepared, tr.phi)})
 p_fab, _ = fabricate_and_simulate(tr, prepared, design)
 psnr_tr = cross_domain_psnr(p_opt, p_fab)
@@ -71,4 +72,8 @@ print(f"cross-domain PSNR  thickness     : {psnr_thickness:6.2f} dB")
 print(f"cross-domain PSNR  phase         : {psnr_phase:6.2f} dB")
 print(f"cross-domain PSNR  time_reversal : {psnr_tr:6.2f} dB")
 peak = np.unravel_index(int(np.argmax(np.abs(p_fab.values))), grid.shape)
-print(f"time-reversal fabrication-domain peak at voxel {peak}")
+print(f"time-reversal fabrication-domain peak at voxel "
+      f"{tuple(map(int, peak))}")
+ok = psnr_thickness > max(psnr_phase, psnr_tr)
+print(f"thickness above both phase methods: {'ok' if ok else 'FAIL'}")
+sys.exit(0 if ok else 1)

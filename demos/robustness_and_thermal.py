@@ -9,42 +9,37 @@ get under a pulsed exposure normalized to 1 MPa at the focus?
 Run:  python3 demos/robustness_and_thermal.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from sonolens import (
-    DesignField,
-    FORM_CLEAR,
-    GridSpec,
-    OptimConfig,
-    SolverConfig,
-    SourceSpec,
-    TargetSpec,
     ThermalConfig,
-    WATER,
     bioheat_simulate,
+    cli,
     embed_lens,
     focal_metrics,
-    make_homogeneous,
     optimize_lens_geometry,
     perturb_lens,
     prepare,
     segment_foci,
 )
 
-grid = GridSpec(48, 48, 64, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
-medium = make_homogeneous(grid, WATER)
-src = SourceSpec.disk(grid, 5.5e-3)
-seed_voxel = (24, 24, 40)
-target = TargetSpec.from_spheres(
-    grid, [(24 * grid.dx, 24 * grid.dy, 40 * grid.dz)], 1.1 * grid.dx
-)
-ocfg = OptimConfig(iterations=80)  # beta 1 -> 20 over the 80 iterations
-design = DesignField.random(grid.nx, grid.ny, v_max=1.9e-3 / grid.dz, seed=0)
+# the problem of `sonolens design --config demos/single_focus_water.cfg`,
+# read through the CLI's builders and run in complex64 as the CLI runs it
+cfg = cli.load_config(Path(__file__).with_name("single_focus_water.cfg"))
+grid = cli.build_grid(cfg)
+medium = cli.build_medium(cfg, grid)
+target = cli.build_target(cfg, grid)
+seed_voxel = target.focus_centers[0]
+lens_cfg, design = cli.build_lens_params(cfg, grid, cfg.get("seed", 0))
 # one prepared medium for the design, its fabrication and the noise
 # ensemble: each run relaxes a lens into the same slab
-prepared = prepare(src, medium, SolverConfig(reflection_order=0), FORM_CLEAR,
-                   0, design.n_v)
-result = optimize_lens_geometry(prepared, target, design, ocfg)
+prepared = prepare(cli.build_source(cfg, grid), medium,
+                   cli.build_config(cfg, "solver"), lens_cfg.material,
+                   lens_cfg.z_offset, design.n_v, np.complex64)
+result = optimize_lens_geometry(prepared, target, design,
+                                cli.build_config(cfg, "optim"))
 lens = result.lens  # the print: no filter follows the design chain's
 field = prepared.field_only(lens.occupancy)
 
@@ -62,7 +57,7 @@ print(f"peak pressure under {sigma * 1e6:.0f} um thickness noise "
 
 # --- pulsed heating at 1 MPa focal pressure -------------------------------
 # bioheat needs the medium itself, so the lens is embedded here
-embedded = embed_lens(medium, lens.occupancy, FORM_CLEAR)
+embedded = embed_lens(medium, lens.occupancy, lens_cfg.material)
 segments = segment_foci(field, [seed_voxel])
 report = focal_metrics(field, segments)
 print(f"focus: peak index {report.foci[0].peak_index}, "
@@ -71,5 +66,6 @@ print(f"focus: peak index {report.foci[0].peak_index}, "
 
 tcfg = ThermalConfig()  # 5 x (10 ms heat / 190 ms cool), 1 MPa reference
 dT = bioheat_simulate(field, embedded, tcfg, normalize_mask=target.omega)
+hot = tuple(map(int, np.unravel_index(np.argmax(dT), dT.shape)))
 print(f"max temperature rise after {tcfg.n_cycles} pulses: {dT.max():.4f} C "
-      f"(at voxel {np.unravel_index(int(np.argmax(dT)), dT.shape)})")
+      f"(at voxel {hot})")

@@ -1,14 +1,14 @@
 """Differentiable design of thickness-only acoustic hologram lenses.
 
-The package covers the full pipeline: heterogeneous voxel media, a
-split-step spectral wave solver with exact adjoint gradients, a smooth
-2D-design-to-3D-lens mapping, the loss stack, the lens design objective
-and the one Adam descent loop that optimize lens geometry end to end,
-phase-map baselines (gradient phase retrieval on the same loop, time
-reversal), and the evaluation suite (focal metrics, cross-domain
-PSNR, bioheat thermal simulation, the fabrication-error model). The
-robustness sweeps over materials and fabrication errors run through
-`sonolens sweep`.
+The package covers the full pipeline: source planes, heterogeneous
+voxel media, a split-step spectral wave solver with exact adjoint
+gradients, a smooth 2D-design-to-3D-lens mapping, the loss stack, the
+lens design objective and the one Adam descent loop that optimize
+lens geometry end to end, phase-map baselines (gradient phase retrieval
+on the same loop, time reversal), and the evaluation suite (focal
+metrics, cross-domain PSNR, bioheat thermal simulation, the
+fabrication-error model). The robustness sweeps over materials and
+fabrication errors run through `sonolens sweep`.
 """
 
 from types import ModuleType as _ModuleType
@@ -22,7 +22,8 @@ from .grid import (
     WATER,
     GridSpec,
     MaterialProperties,
-    SourceSpec,
+    disk_source,
+    full_plane_source,
 )
 from .medium import (
     AcousticMedium,

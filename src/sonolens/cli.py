@@ -52,7 +52,8 @@ import numpy as np
 from . import analysis, baselines, io, lensmap, optim
 from .grid import (
     AGILUS30, BONE, FORM_CLEAR, VEROCLEAR, WATER,
-    GridSpec, MaterialProperties, SourceSpec,
+    SOURCE_AMPLITUDE, GridSpec, MaterialProperties, disk_source,
+    full_plane_source,
 )
 from .lensmap import DesignField, LensVolume
 from .medium import make_homogeneous, make_skull_phantom, ingest_hu_volume
@@ -107,7 +108,7 @@ LENGTH = {"unit": "m"}
 
 @dataclass(frozen=True)
 class Source:
-    amplitude: float = SourceSpec.amplitude
+    amplitude: float = SOURCE_AMPLITUDE
     full_plane: bool = False
     # required unless full_plane
     aperture_diameter: float | None = field(default=None, metadata=LENGTH)
@@ -405,14 +406,15 @@ def build_grid(cfg: dict) -> GridSpec:
     return build_config(cfg, "grid", defaults=dict.fromkeys(steps, spacing))
 
 
-def build_source(cfg: dict, grid: GridSpec) -> SourceSpec:
+def build_source(cfg: dict, grid: GridSpec) -> np.ndarray:
+    """The source section as its complex plane at slice 0."""
     src = build_config(cfg, "source", required=True)
     try:
         if src.full_plane:
-            return SourceSpec.full_plane(grid, src.amplitude)
+            return full_plane_source(grid, src.amplitude)
         if src.aperture_diameter is None:
             raise ConfigError("source: aperture_diameter: required")
-        return SourceSpec.disk(grid, src.aperture_diameter, src.amplitude)
+        return disk_source(grid, src.aperture_diameter, src.amplitude)
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from exc
 
@@ -462,7 +464,7 @@ def build_lens_params(cfg: dict, grid: GridSpec,
     lens = build_config(cfg, "lens")
     if lens.t_min < 0:
         raise ConfigError(f"lens: t_min {lens.t_min:g} m must be non-negative")
-    try:  # DesignField's own checks of alpha and the bounds
+    try:  # DesignField's own checks of alpha, the bounds and the cutoff
         design = DesignField.random(
             grid.nx, grid.ny, seed=seed, alpha=lens.alpha,
             v_min=max(lens.t_min / grid.dz, 1.0), v_max=lens.t_max / grid.dz,
@@ -470,15 +472,12 @@ def build_lens_params(cfg: dict, grid: GridSpec,
                else {"fab_cutoff": lens.fab_cutoff / grid.dx}))
     except ValueError as exc:
         raise ConfigError(f"lens: {exc} (v_min = max(t_min/dz, 1), "
-                          f"v_max = t_max/dz)") from exc
+                          "v_max = t_max/dz, fab_cutoff in dx)") from exc
     if lens.z_offset < 0 or lens.z_offset + design.n_v > grid.nz:
         raise ConfigError(
             f"lens: z_offset {lens.z_offset} with a depth of {design.n_v} "
             f"voxels (ceil of t_max/dz) does not fit the {grid.nz} grid "
             "slices")
-    if lens.fab_cutoff is not None and lens.fab_cutoff < grid.dx:
-        raise ConfigError(f"lens: fab_cutoff {lens.fab_cutoff:g} m is below "
-                          f"the grid spacing {grid.dx:g} m")
     return lens, design
 
 
@@ -560,9 +559,9 @@ def _prepared_problem(cfg: dict, grid: GridSpec, seed: int, dtype):
     """(lens section, initial design, medium prepared with the lens slab
     in the precision `dtype`) of a run; the base medium is built last and
     released as `prepare` returns."""
-    src = build_source(cfg, grid)
+    source = build_source(cfg, grid)
     lens, design = build_lens_params(cfg, grid, seed)
-    prepared = prepare(src, build_medium(cfg, grid),
+    prepared = prepare(source, build_medium(cfg, grid),
                        build_config(cfg, "solver"),
                        lens.material, lens.z_offset, design.n_v, dtype)
     return lens, design, prepared

@@ -1,8 +1,10 @@
-"""Simulation grid, material catalog, and source descriptions.
+"""Simulation grid, material catalog, and source planes.
 
 All physical quantities are SI (meters, Hz, m/s, kg/m^3) except the
 attenuation coefficient, which follows the ultrasound convention
-dB/(MHz^y * cm) with a frequency power law exponent y.
+dB/(MHz^y * cm) with a frequency power law exponent y. A source is
+its complex pressure plane at slice 0, (nx, ny) complex128
+(`disk_source`, `full_plane_source`), which `solver.prepare` takes.
 """
 
 from __future__ import annotations
@@ -136,57 +138,30 @@ AGILUS30 = MaterialProperties(2035.0, 1128.0, 9.109, 1.017)
 BONE = MaterialProperties(2800.0, 1850.0, 8.0, 1.0)
 
 
-@dataclass
-class SourceSpec:
-    """Planar piston source at the first axial slice of the grid.
+# the default source amplitude, in Pa: unit plane-wave pressure
+SOURCE_AMPLITUDE = 1.0
 
-    The aperture mask is a hard-edged disk; amplitude is normalized so the
-    emitted plane-wave pressure is 1 inside the aperture.
-    """
 
-    frequency: float
-    aperture_diameter: float
-    aperture_mask: np.ndarray
-    amplitude: float = 1.0
+def full_plane_source(grid: GridSpec,
+                      amplitude: float = SOURCE_AMPLITUDE) -> np.ndarray:
+    """The (nx, ny) complex128 pressure at slice 0 of a plane wave over the
+    whole lateral extent: `amplitude` everywhere, flat phase."""
+    if not amplitude > 0:               # NaN fails too
+        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
+    return np.full((grid.nx, grid.ny), amplitude, dtype=np.complex128)
 
-    def __post_init__(self):
-        if not self.amplitude > 0:      # NaN fails too
-            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
 
-    @classmethod
-    def disk(cls, grid: GridSpec, aperture_diameter: float, amplitude: float = 1.0
-             ) -> "SourceSpec":
-        """Build a centered disk aperture on the given grid."""
-        x = (np.arange(grid.nx) - (grid.nx - 1) / 2.0) * grid.dx
-        y = (np.arange(grid.ny) - (grid.ny - 1) / 2.0) * grid.dy
-        rr = x[:, None] ** 2 + y[None, :] ** 2
-        mask = (rr <= (aperture_diameter / 2.0) ** 2).astype(np.float64)
-        return cls(grid.frequency, aperture_diameter, mask, amplitude)
-
-    @classmethod
-    def full_plane(cls, grid: GridSpec, amplitude: float = 1.0) -> "SourceSpec":
-        """Plane-wave source covering the whole lateral extent."""
-        diag = np.hypot(grid.nx * grid.dx, grid.ny * grid.dy)
-        mask = np.ones((grid.nx, grid.ny))
-        return cls(grid.frequency, 2.0 * diag, mask, amplitude)
-
-    def validate(self, grid: GridSpec) -> None:
-        if not np.isclose(self.frequency, grid.frequency, rtol=1e-9):
-            raise ValueError("source frequency must equal grid frequency")
-        if self.aperture_mask.shape != (grid.nx, grid.ny):
-            raise ValueError(
-                f"aperture mask shape {self.aperture_mask.shape} does not match "
-                f"grid ({grid.nx}, {grid.ny})"
-            )
-        x = (np.arange(grid.nx) - (grid.nx - 1) / 2.0) * grid.dx
-        y = (np.arange(grid.ny) - (grid.ny - 1) / 2.0) * grid.dy
-        rr = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
-        # half a voxel of slack for the rasterized disk edge
-        outside = rr > self.aperture_diameter / 2.0 + grid.dx
-        if np.any(self.aperture_mask[outside] != 0):
-            raise ValueError("aperture mask is nonzero outside the stated diameter")
-
-    def source_plane(self, grid: GridSpec) -> np.ndarray:
-        """Complex pressure at the source plane (flat phase)."""
-        self.validate(grid)
-        return (self.amplitude * self.aperture_mask).astype(np.complex128)
+def disk_source(grid: GridSpec, aperture_diameter: float,
+                amplitude: float = SOURCE_AMPLITUDE) -> np.ndarray:
+    """The full plane on a hard-edged disk of `aperture_diameter` (m)
+    centred on the grid, zero outside: a planar piston source."""
+    if not aperture_diameter > 0:       # NaN fails too
+        raise ValueError(f"aperture_diameter must be positive, got "
+                         f"{aperture_diameter!r}")
+    x = (np.arange(grid.nx) - (grid.nx - 1) / 2.0) * grid.dx
+    y = (np.arange(grid.ny) - (grid.ny - 1) / 2.0) * grid.dy
+    mask = x[:, None] ** 2 + y[None, :] ** 2 <= (aperture_diameter / 2.0) ** 2
+    if not mask.any():
+        raise ValueError(f"aperture_diameter {aperture_diameter!r} m covers "
+                         "no voxel of the grid")
+    return full_plane_source(grid, amplitude) * mask

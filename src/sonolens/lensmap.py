@@ -75,6 +75,9 @@ class DesignField:
             raise ValueError("v_min must be at least 1 voxel")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be smaller than v_max")
+        if not self.fab_cutoff >= 1.0:     # NaN fails too
+            raise ValueError(f"fab_cutoff {self.fab_cutoff:g} must be at "
+                             "least 1 voxel")
 
     @classmethod
     def random(cls, nx, ny, seed=None, **params):

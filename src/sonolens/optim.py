@@ -87,6 +87,8 @@ class TargetSpec:
     @classmethod
     def from_spheres(cls, grid: GridSpec, centers_m, radius_m: float) -> "TargetSpec":
         """Binary target of spherical foci given centers in meters."""
+        if not radius_m >= 0:           # NaN fails too
+            raise ValueError(f"radius {radius_m!r} m must be non-negative")
         a = np.zeros(grid.shape)
         voxel_centers = []
         for center in centers_m:

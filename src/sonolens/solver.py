@@ -111,7 +111,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridSpec, MaterialProperties, SourceSpec
+from .grid import GridSpec, MaterialProperties
 from .medium import AcousticMedium
 
 
@@ -546,7 +546,7 @@ def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
 
 
 def prepare(
-    src: SourceSpec,
+    source_plane: np.ndarray,
     medium: AcousticMedium,
     cfg: SolverConfig | None = None,
     lens_mat: MaterialProperties | None = None,
@@ -554,7 +554,9 @@ def prepare(
     n_v: int = 0,
     dtype=np.complex128,
 ) -> PreparedMedium:
-    """Set up `medium` for repeated forward runs from `src`.
+    """Set up `medium` for repeated forward runs from `source_plane`, the
+    complex (nx, ny) pressure at slice 0 (`grid.disk_source`,
+    `grid.full_plane_source`).
 
     With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
     medium (see `propagate_with_lens`); the full-grid screens and the
@@ -573,6 +575,9 @@ def prepare(
         raise ValueError(f"dtype {np.dtype(dtype)} is neither complex64 "
                          "nor complex128")
     grid = medium.grid
+    if np.shape(source_plane) != (grid.nx, grid.ny):
+        raise ValueError(f"source plane shape {np.shape(source_plane)} does "
+                         f"not match the grid's ({grid.nx}, {grid.ny})")
     for arr in (medium.c, medium.rho, medium.att, medium.att_power):
         if np.any(~np.isfinite(arr)):
             raise ValueError("medium contains non-finite values")
@@ -588,7 +593,7 @@ def prepare(
         grid, cfg,
         H=H,
         band=_Passband.of(H, dtype),
-        source_plane=src.source_plane(grid).astype(dtype),
+        source_plane=np.array(source_plane, dtype=dtype),
         screen=screen,
         coeff=[_interface(Z[k], Z[k + 1], dtype) for k in range(grid.nz - 1)],
         Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
@@ -700,19 +705,15 @@ def _march(
 
 
 def propagate(
-    src: SourceSpec,
+    source_plane: np.ndarray,
     medium: AcousticMedium,
     cfg: SolverConfig | None = None,
-    source_plane: np.ndarray | None = None,
 ) -> tuple[ComplexField, SliceCache]:
-    """Forward simulation from a planar source.
-
-    source_plane overrides the flat-phase plane built from `src` (used for
-    phase-modulated sources). Returns the total field and the cache needed
-    by `propagate_adjoint`.
+    """Forward simulation from the complex (nx, ny) `source_plane` at
+    slice 0, flat or phase-modulated. Returns the total field and the
+    cache needed by `propagate_adjoint`.
     """
-    return prepare(src, medium, cfg).run(
-        sources=None if source_plane is None else {0: source_plane})
+    return prepare(source_plane, medium, cfg).run()
 
 
 def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:

@@ -255,6 +255,42 @@ class TestDesignCommand:
         assert "source: amplitude must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ({"source": {"aperture_diameter_mm": -1.5}},
+         "source: aperture_diameter must be positive"),
+        ({"source": {"aperture_diameter_mm": 0}},
+         "source: aperture_diameter must be positive"),
+        # the voxel centres nearest the axis lie 88 um from it at 125 um
+        ({"source": {"aperture_diameter_mm": 0.1}},
+         "m covers no voxel of the grid"),
+        ({"target": {"focus_centers_mm": [[1.5, 1.5, 3.0]],
+                     "radius_um": -187.5}},
+         "m must be non-negative"),
+    ])
+    def test_wrong_sign_or_empty_length_exit_2(self, tmp_path, capsys,
+                                               section, message):
+        # a negative diameter used to fail with a traceback in prepare, a
+        # zero or sub-voxel one to run the design on an all-zero source
+        # and fail in the PSNR, and a negative radius to run as |radius|
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, base_config(**section))
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        name, = section
+        assert f"error: {name}: " in err and message in err
+        assert not out.exists()
+
+    def test_gradcheck_of_an_empty_aperture_exit_2(self, tmp_path, capsys):
+        # it used to check the gradient of an all-zero field, print a
+        # relative error of 0 and exit 0
+        cfg = write_config(tmp_path, {"source": {"aperture_diameter_mm": 0.1},
+                                      "gradcheck": {"n_coords": 1}})
+        assert run(["gradcheck", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "source: aperture_diameter 0.0001 m covers no voxel" in (
+            captured.err)
+        assert "max relative error" not in captured.out
+
     def test_unknown_method_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config(method="magic"))
         assert run(["design", "--config", cfg,
@@ -363,7 +399,8 @@ class TestDesignCommand:
         ({"alpha": 0}, "alpha must be positive"),
         # thinner than one voxel: v_min = 1 > v_max = 0.8
         ({"t_min_um": 50, "t_max_um": 100}, "v_min must be smaller"),
-        ({"fab_cutoff_um": 50}, "fab_cutoff 5e-05 m is below the grid spacing"),
+        # 50 um on the 125 um grid: 0.4 grid spacings
+        ({"fab_cutoff_um": 50}, "fab_cutoff 0.4 must be at least 1 voxel"),
     ])
     def test_bad_lens_geometry_exit_2(self, tmp_path, capsys, lens, message):
         # the shipped water demo has 64 slices and a 16-voxel lens

@@ -9,7 +9,8 @@ from sonolens.grid import (
     WATER,
     GridSpec,
     MaterialProperties,
-    SourceSpec,
+    disk_source,
+    full_plane_source,
 )
 
 
@@ -86,33 +87,49 @@ class TestMaterialProperties:
             MaterialProperties(1500.0, 1000.0, 1.0, 2.5)
 
 
-class TestSourceSpec:
-    def test_disk_is_zero_outside_diameter(self):
-        g = make_grid(nx=32, ny=32)
-        src = SourceSpec.disk(g, 2e-3)
-        src.validate(g)
-        x = (np.arange(32) - 15.5) * g.dx
-        rr = np.hypot(x[:, None], x[None, :])
-        assert np.all(src.aperture_mask[rr > 1e-3 + g.dx] == 0)
-        assert src.aperture_mask.sum() > 0
+class TestSourcePlanes:
+    @pytest.mark.parametrize("nx, ny, diameter, amplitude", [
+        (32, 32, 2e-3, 1.0), (16, 24, 1e-3, 2.5), (17, 16, 1.3e-3, 0.3),
+    ])
+    def test_disk_is_amplitude_on_the_centred_disk(self, nx, ny, diameter,
+                                                   amplitude):
+        g = make_grid(nx=nx, ny=ny)
+        plane = disk_source(g, diameter, amplitude)
+        # voxel centres in metres from the grid's centre
+        X, Y = np.meshgrid(np.linspace(-(nx - 1) / 2, (nx - 1) / 2, nx) * g.dx,
+                           np.linspace(-(ny - 1) / 2, (ny - 1) / 2, ny) * g.dy,
+                           indexing="ij")
+        disk = np.hypot(X, Y) <= diameter / 2
+        assert plane.dtype == np.complex128 and plane.shape == (nx, ny)
+        assert np.array_equal(plane, np.where(disk, amplitude, 0.0))
+        assert disk.sum() > 0
 
-    def test_full_plane_mask(self):
-        g = make_grid()
-        src = SourceSpec.full_plane(g)
-        assert np.all(src.aperture_mask == 1.0)
-        src.validate(g)
+    @pytest.mark.parametrize("nx, ny", [(32, 32), (17, 24)])
+    def test_disk_is_symmetric_under_x_and_y_flips(self, nx, ny):
+        plane = disk_source(make_grid(nx=nx, ny=ny), 1.6e-3)
+        assert np.array_equal(plane, plane[::-1, :])
+        assert np.array_equal(plane, plane[:, ::-1])
 
-    def test_frequency_mismatch_rejected(self):
-        g = make_grid()
-        src = SourceSpec.disk(g, 1e-3)
-        bad = make_grid(frequency=1.9e6, dz=100e-6)
-        with pytest.raises(ValueError, match="frequency"):
-            src.validate(bad)
+    def test_full_plane_is_uniform(self):
+        plane = full_plane_source(make_grid(nx=16, ny=20), amplitude=3.0)
+        assert plane.dtype == np.complex128 and plane.shape == (16, 20)
+        assert np.all(plane == 3.0)
 
-    def test_source_plane_is_flat_phase(self):
-        g = make_grid()
-        src = SourceSpec.disk(g, 1e-3, amplitude=2.0)
-        plane = src.source_plane(g)
-        assert plane.dtype == np.complex128
-        assert np.all(plane.imag == 0)
-        assert plane.real.max() == pytest.approx(2.0)
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("build", [
+        full_plane_source, lambda g, amplitude: disk_source(g, 1e-3, amplitude),
+    ])
+    def test_non_positive_amplitude_rejected(self, build, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            build(make_grid(), amplitude=amplitude)
+
+    @pytest.mark.parametrize("diameter, message", [
+        (0.0, "must be positive"), (-1.5e-3, "must be positive"),
+        (np.nan, "must be positive"),
+        # the nearest voxel centres lie 88 um from the centre of a 16x16
+        # grid at 125 um
+        (0.1e-3, "covers no voxel"),
+    ])
+    def test_empty_or_negative_aperture_rejected(self, diameter, message):
+        with pytest.raises(ValueError, match=f"aperture_diameter.*{message}"):
+            disk_source(make_grid(), diameter)

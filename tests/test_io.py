@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sonolens import io
-from sonolens.grid import WATER, GridSpec, SourceSpec
+from sonolens.grid import WATER, GridSpec, disk_source
 from sonolens.medium import make_homogeneous
 from sonolens.solver import ComplexField, prepare
 
@@ -222,7 +222,7 @@ class TestFieldRoundTrip:
         # a run stores its field slice-major and hands out an (nx, ny, nz)
         # view; the file holds the same C-order bytes as a C-order copy
         g = make_grid(8, 6, 12)
-        p = prepare(SourceSpec.disk(g, 0.6e-3),
+        p = prepare(disk_source(g, 0.6e-3),
                     make_homogeneous(g, WATER)).field_only()
         assert not p.values.flags.c_contiguous
         io.save_field(tmp_path / "run", p)

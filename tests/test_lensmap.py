@@ -73,6 +73,14 @@ class TestMapThickness:
         with pytest.raises(ValueError):
             DesignField(np.zeros((4, 4)), alpha=0.0)
 
+    @pytest.mark.parametrize("fab_cutoff", [0.5, 0.0, -2.0, np.nan])
+    def test_printer_cutoff_below_one_voxel_rejected(self, fab_cutoff):
+        # 0.5 used to be accepted and fail only at the first forward, NaN
+        # there with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="fab_cutoff .* at least 1 voxel"):
+            DesignField(np.zeros((4, 4)), fab_cutoff=fab_cutoff)
+        assert DesignField(np.zeros((4, 4)), fab_cutoff=1.0).fab_cutoff == 1.0
+
 
 class TestSmoothThickness:
     def test_constant_unchanged(self):

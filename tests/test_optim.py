@@ -9,7 +9,9 @@ import pytest
 import oracles
 from oracles import loss_acc, loss_balance, loss_energy
 from sonolens import lensmap
-from sonolens.grid import FORM_CLEAR, WATER, GridSpec, SourceSpec
+from sonolens.grid import (
+    FORM_CLEAR, WATER, GridSpec, disk_source, full_plane_source,
+)
 from sonolens.lensmap import DesignField
 from sonolens.medium import make_homogeneous
 from sonolens.optim import (
@@ -331,7 +333,7 @@ class TestGradcheck:
         # the design loop's lens objective on 16x16x24, reflection order 0
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         theta0 = np.random.default_rng(0).uniform(-1, 1, size=(16, 16))
@@ -347,7 +349,7 @@ class TestLensObjective:
     def test_total_is_the_weighted_sum_the_loop_records(self):
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, v_max=6.0, seed=2)
@@ -440,7 +442,7 @@ class TestOptimizeLensGeometry:
     def test_zero_iterations_returns_initial(self):
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, v_max=6.0, seed=3)
@@ -457,7 +459,7 @@ class TestOptimizeLensGeometry:
         from sonolens import optim
 
         g = make_grid()
-        src = SourceSpec.disk(g, 1.5e-3)
+        src = disk_source(g, 1.5e-3)
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, v_max=6.0, seed=3)
@@ -480,7 +482,7 @@ class TestOptimizeLensGeometry:
     def test_loss_decreases_on_small_problem(self):
         g = make_grid(24, 24, 32)
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         t = TargetSpec.from_spheres(g, [(12 * g.dx, 12 * g.dy, 24 * g.dz)],
                                     1.6 * g.dx)
         design = DesignField.random(24, 24, v_max=8.0, seed=0)
@@ -501,7 +503,7 @@ class TestOptimizeLensGeometry:
         fab_cutoff = 3.0
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         t = TargetSpec.from_spheres(g, [(8 * g.dx, 8 * g.dy, 18 * g.dz)],
                                     1.5 * g.dx)
         design = DesignField.random(16, 16, alpha=5.0, v_max=6.0, seed=4,

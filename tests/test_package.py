@@ -35,7 +35,7 @@ def test_readme_library_example_prints_its_psnr():
     run = run_python(code)
     assert run.returncode == 0, run.stderr
     value, unit = run.stdout.split()
-    assert (f"{float(value):.2f}", unit) == (quoted, "dB") == ("53.44", "dB")
+    assert (f"{float(value):.2f}", unit) == (quoted, "dB") == ("56.10", "dB")
 
 
 def test_cli_import_loads_no_scipy():

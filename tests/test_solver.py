@@ -22,7 +22,8 @@ from sonolens.grid import (
     WATER,
     GridSpec,
     MaterialProperties,
-    SourceSpec,
+    disk_source,
+    full_plane_source,
 )
 from sonolens.medium import make_homogeneous
 from sonolens.solver import (
@@ -138,7 +139,7 @@ class TestPropagate:
         # unit plane wave is an eigenfunction of the periodic spectral step
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         p, _ = propagate(src, med, SolverConfig())
         assert np.max(np.abs(np.abs(p.values) - 1.0)) < 1e-9
 
@@ -151,7 +152,7 @@ class TestPropagate:
         med.rho[:, :, 8:88] = FORM_CLEAR.density
         med.att[:, :, 8:88] = FORM_CLEAR.attenuation_coeff
         med.att_power[:, :, 8:88] = FORM_CLEAR.attenuation_power
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         p, _ = propagate(src, med, SolverConfig(reflection_order=0))
 
         z1, z2 = WATER.impedance, FORM_CLEAR.impedance
@@ -169,9 +170,8 @@ class TestPropagate:
         med = make_homogeneous(g, WATER)
         rng = np.random.default_rng(0)
         plane = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        src = SourceSpec.full_plane(g)
         cfg = SolverConfig(reflection_order=0)
-        p, _ = propagate(src, med, cfg, source_plane=plane)
+        p, _ = propagate(plane, med, cfg)
         energy = np.sum(np.abs(p.values) ** 2, axis=(0, 1))
         # slice 0 still carries evanescent content; compare the rest
         rel = np.abs(energy[1:] - energy[1]) / energy[1]
@@ -180,7 +180,7 @@ class TestPropagate:
     def test_reciprocity(self):
         g = make_grid(24, 24, 24)
         med = make_homogeneous(g, WATER)
-        prepared = prepare(SourceSpec.full_plane(g), med,
+        prepared = prepare(full_plane_source(g), med,
                            SolverConfig(reflection_order=0))
         a, b = (5, 7, 3), (16, 12, 20)
 
@@ -200,7 +200,7 @@ class TestPropagate:
         med = make_homogeneous(g, WATER)
         med.att[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            propagate(SourceSpec.full_plane(g), med)
+            propagate(full_plane_source(g), med)
 
     def test_nan_attenuation_power_rejected(self):
         # set after construction, it used to run to an all-NaN field,
@@ -209,7 +209,7 @@ class TestPropagate:
         med = make_homogeneous(g, WATER)
         med.att_power[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            propagate(SourceSpec.full_plane(g), med)
+            propagate(full_plane_source(g), med)
 
     def test_reflection_order_convergence(self):
         # per-order increments bounded by |r_max|^order * |P0|_inf
@@ -217,7 +217,7 @@ class TestPropagate:
         med = make_homogeneous(g, WATER)
         med.c[:, :, 10:14] = FORM_CLEAR.sound_speed
         med.rho[:, :, 10:14] = FORM_CLEAR.density
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         r = (FORM_CLEAR.impedance - WATER.impedance) / (
             FORM_CLEAR.impedance + WATER.impedance
         )
@@ -246,7 +246,7 @@ class TestAdjoint:
         g = make_grid()
         med = make_homogeneous(g, WATER)
         occ = np.full((16, 16, 2), 0.5)
-        _, cache = lens_run(SourceSpec.full_plane(g), med, occ,
+        _, cache = lens_run(full_plane_source(g), med, occ,
                                        FORM_CLEAR, 4)
         adj = propagate_adjoint(cache, np.zeros(g.shape, dtype=np.complex128))
         assert np.all(adj.occupancy == 0.0)
@@ -259,7 +259,7 @@ class TestAdjoint:
         med = make_homogeneous(g, WATER)
         med.c[:, :, 8:10] = FORM_CLEAR.sound_speed
         med.rho[:, :, 8:10] = FORM_CLEAR.density
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         cfg = SolverConfig(reflection_order=2)
         rng = np.random.default_rng(4)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
@@ -267,8 +267,7 @@ class TestAdjoint:
 
         p0, cache = propagate(src, med, cfg)
         adj = propagate_adjoint(cache, upstream)
-        p1, _ = propagate(src, med, cfg,
-                          source_plane=src.source_plane(g) + delta)
+        p1, _ = propagate(src + delta, med, cfg)
         lhs = np.real(np.sum(upstream * (p1.values - p0.values)))
         rhs = np.real(np.sum(adj.source_plane * delta))
         assert abs(lhs - rhs) / max(abs(lhs), 1e-300) < 1e-10
@@ -277,7 +276,7 @@ class TestAdjoint:
         # directional central difference vs adjoint pairing
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         cfg = SolverConfig(reflection_order=2)
         rng = np.random.default_rng(7)
         occ = rng.uniform(0.1, 0.9, size=(16, 16, 3))
@@ -299,7 +298,7 @@ class TestAdjoint:
         # on-axis point, a slower one raises it; adjoint reproduces both
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         cfg = SolverConfig(reflection_order=0)
         focus = (8, 8, 18)
 
@@ -329,7 +328,7 @@ class TestAdjoint:
     def test_stale_cache_shape_rejected(self):
         g = make_grid()
         med = make_homogeneous(g, WATER)
-        _, cache = propagate(SourceSpec.full_plane(g), med)
+        _, cache = propagate(full_plane_source(g), med)
         with pytest.raises(ValueError, match="shape"):
             propagate_adjoint(cache, np.zeros((8, 8, 8), dtype=np.complex128))
 
@@ -381,7 +380,7 @@ class TestLeanAdjoint:
         # against a fresh forward and adjoint on embedded full-grid arrays
         g = self.GRID
         med = bone_layers(g, *layers)
-        src = SourceSpec.disk(g, 1.2e-3)
+        src = disk_source(g, 1.2e-3)
         cfg = SolverConfig(reflection_order=order)
         prepared = prepare(src, med, cfg, FORM_CLEAR, z_offset, self.N_V)
         rng = np.random.default_rng(z_offset)
@@ -402,10 +401,10 @@ class TestLeanAdjoint:
             adj = propagate_adjoint(cache, upstream)
             c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
             assert_close(p.values, full_grid_forward(g, cfg, c, rho, att,
-                                                     src.source_plane(g)))
+                                                     src))
             source, gc, grho, gatt, occupancy = full_grid_adjoint(
                 cache, full_grid_sweeps(g, cfg, c, rho, att,
-                                        src.source_plane(g)),
+                                        src),
                 upstream, c, rho, att)
             assert_close(adj.source_plane, source)
             assert_close(adj.occupancy, occupancy)
@@ -417,13 +416,13 @@ class TestLeanAdjoint:
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
         upstream = np.random.default_rng(3).normal(size=g.shape) + 0j
-        src, cfg = SourceSpec.disk(g, 1.2e-3), SolverConfig()
+        src, cfg = disk_source(g, 1.2e-3), SolverConfig()
         _, cache = propagate(src, med, cfg)
         adj = propagate_adjoint(cache, upstream)
         att = med.attenuation_np_per_m()
         source, *_ = full_grid_adjoint(
             cache, full_grid_sweeps(g, cfg, med.c, med.rho, att,
-                                    src.source_plane(g)),
+                                    src),
             upstream, med.c, med.rho, att)
         assert_close(adj.source_plane, source)
         assert adj.occupancy is None
@@ -433,7 +432,7 @@ class TestLeanAdjoint:
     def test_interface_mask_marks_impedance_changes(self):
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
-        _, cache = propagate(SourceSpec.full_plane(g), med)
+        _, cache = propagate(full_plane_source(g), med)
         assert [k for k, r in enumerate(cache.coeff)
                 if r is not None] == [1, 3, 19, 22]
 
@@ -445,7 +444,7 @@ class TestLeanAdjoint:
         med = bone_layers(g, slice(2, 4), slice(20, 23))
         occ = np.zeros((16, 16, self.N_V))
         occ[:, :, :2] = 1.0
-        _, cache = lens_run(SourceSpec.full_plane(g), med, occ, FORM_CLEAR, 14)
+        _, cache = lens_run(full_plane_source(g), med, occ, FORM_CLEAR, 14)
         assert [k for k, r in enumerate(cache.coeff)
                 if r is not None] == [1, 3, 13, 14, 15, 16, 19, 22]
         c, rho, _ = embedded_arrays(med, occ, FORM_CLEAR, 14)
@@ -472,7 +471,7 @@ class TestLeanAdjoint:
         # the lens: interface pairs off the slab still carry t and r
         g = self.GRID
         med = bone_layers(g, slice(2, 4), slice(20, 23))
-        src = SourceSpec.full_plane(g)
+        src = full_plane_source(g)
         cfg = SolverConfig(reflection_order=order)
         rng = np.random.default_rng(11)
         occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
@@ -526,7 +525,7 @@ class TestHomogeneousRuns:
         g = self.GRID
         med = bone_layers(g, *layers, mat=mat)
         cfg = SolverConfig(reflection_order=order)
-        prepared = prepare(SourceSpec.full_plane(g), med, cfg, FORM_CLEAR,
+        prepared = prepare(full_plane_source(g), med, cfg, FORM_CLEAR,
                            z_offset, self.N_V)
         rng = np.random.default_rng(17)
         plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -629,7 +628,7 @@ class TestHomogeneousRuns:
         med = make_homogeneous(g, WATER)
         med.att[:8, :, 6:12] = ABSORBING_WATER.attenuation_coeff
         med.att_power[:8, :, 6:12] = ABSORBING_WATER.attenuation_power
-        src, cfg = SourceSpec.disk(g, 1.2e-3), SolverConfig(reflection_order=0)
+        src, cfg = disk_source(g, 1.2e-3), SolverConfig(reflection_order=0)
         p, cache = propagate(src, med, cfg)
         (sweep,) = cache.sweeps
         assert all(r is None for r in cache.coeff)
@@ -637,12 +636,12 @@ class TestHomogeneousRuns:
                 == [*range(6, 12), g.nz - 1])
         att = med.attenuation_np_per_m()
         assert_close(p.values, full_grid_forward(g, cfg, med.c, med.rho, att,
-                                                 src.source_plane(g)))
+                                                 src))
         rng = np.random.default_rng(5)
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         source, *_ = full_grid_adjoint(
             cache, full_grid_sweeps(g, cfg, med.c, med.rho, att,
-                                    src.source_plane(g)),
+                                    src),
             upstream, med.c, med.rho, att)
         assert_close(propagate_adjoint(cache, upstream).source_plane, source)
 
@@ -658,7 +657,7 @@ class TestHomogeneousRuns:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
         g = self.GRID
-        src = SourceSpec.disk(g, 1.2e-3)
+        src = disk_source(g, 1.2e-3)
         p, cache = propagate(src, make_homogeneous(g, WATER),
                              SolverConfig(reflection_order=0))
         forward = len(calls)
@@ -687,7 +686,7 @@ class TestPreparedMedium:
 
     def test_later_run_leaves_earlier_field_and_cache_unchanged(self):
         g = self.GRID
-        prepared = prepare(SourceSpec.disk(g, 1.2e-3),
+        prepared = prepare(disk_source(g, 1.2e-3),
                            bone_layers(g, slice(2, 4), slice(20, 23)),
                            SolverConfig(reflection_order=4), FORM_CLEAR, 14,
                            self.N_V)
@@ -721,7 +720,7 @@ class TestPreparedMedium:
         cfg = SolverConfig(reflection_order=4)
         plane = np.zeros((16, 16), dtype=np.complex128)
         plane[5, 9] = 1.0
-        p, _ = prepare(SourceSpec.full_plane(g), med, cfg).run(
+        p, _ = prepare(full_plane_source(g), med, cfg).run(
             sources={25: plane}, direction=-1)
         fresh = full_grid_forward(g, cfg, med.c, med.rho,
                                   med.attenuation_np_per_m(), plane, 25, -1)
@@ -729,7 +728,7 @@ class TestPreparedMedium:
 
     def lens_medium(self, dtype=np.complex128):
         g = self.GRID
-        return prepare(SourceSpec.disk(g, 1.2e-3),
+        return prepare(disk_source(g, 1.2e-3),
                        bone_layers(g, slice(2, 4), slice(20, 23)),
                        SolverConfig(reflection_order=4), FORM_CLEAR, 14,
                        self.N_V, dtype)
@@ -766,7 +765,7 @@ class TestPreparedMedium:
         # the slab pairs: that plane is not kept. The slab at either end
         # of the grid has no slice beyond it.
         g = self.GRID
-        prepared = prepare(SourceSpec.disk(g, 1.2e-3),
+        prepared = prepare(disk_source(g, 1.2e-3),
                            bone_layers(g, slice(2, 4), slice(20, 23)),
                            SolverConfig(reflection_order=4), FORM_CLEAR, z0,
                            self.N_V)
@@ -835,7 +834,7 @@ class TestPreparedMedium:
             p = copy.field_only(occ)
             assert copy._spare is stack and prepared._spare is stack
             assert copy.dtype == dtype and p.values.dtype == dtype
-            fresh = prepare(SourceSpec.disk(g, 1.2e-3),
+            fresh = prepare(disk_source(g, 1.2e-3),
                             bone_layers(g, slice(2, 4), slice(20, 23)),
                             SolverConfig(reflection_order=4), VEROCLEAR, 14,
                             self.N_V, dtype)
@@ -859,7 +858,7 @@ class TestPreparedMedium:
         # plane: the prepared medium keeps that value, not a plane, so its
         # pickle is smaller than one screen plane per slice
         g = self.GRID
-        prepared = prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER))
+        prepared = prepare(full_plane_source(g), make_homogeneous(g, WATER))
         assert all(np.ndim(scr) == 0 for scr in prepared.screen)
         plane_bytes = g.nx * g.ny * np.dtype(np.complex128).itemsize
         assert len(pickle.dumps(prepared)) < g.nz * plane_bytes
@@ -873,18 +872,18 @@ class TestPreparedMedium:
         if case == "lens":
             return self.lens_medium(dtype), dict(occupancy=occ)
         if case == "order0":
-            return prepare(SourceSpec.disk(g, 1.2e-3), layers,
+            return prepare(disk_source(g, 1.2e-3), layers,
                            SolverConfig(reflection_order=0), FORM_CLEAR, 14,
                            self.N_V, dtype), dict(occupancy=occ)
         if case == "delta_toward_minus_z":
             # the time-reversal run: a point source marched back to slice 0
             plane = np.zeros((16, 16), dtype=np.complex128)
             plane[6, 9] = 1.0
-            return prepare(SourceSpec.full_plane(g), layers,
+            return prepare(full_plane_source(g), layers,
                            SolverConfig(reflection_order=4),
                            dtype=dtype), dict(
                 sources={17: plane}, direction=-1)
-        return prepare(SourceSpec.disk(g, 1.2e-3),
+        return prepare(disk_source(g, 1.2e-3),
                        make_homogeneous(g, WATER), dtype=dtype), {}
 
     @pytest.mark.parametrize("case", ["lens", "order0",
@@ -922,7 +921,7 @@ class TestPreparedMedium:
         # the plane stack holds a v plane per slice and one work plane:
         # no contribution planes, and no per-slice add after the sweep
         g = self.GRID
-        prepared = prepare(SourceSpec.disk(g, 1.2e-3),
+        prepared = prepare(disk_source(g, 1.2e-3),
                            bone_layers(g, slice(2, 4), slice(20, 23)),
                            SolverConfig(reflection_order=4))
         interfaces = sum(pair is not None for pair in prepared.coeff)
@@ -967,7 +966,7 @@ class TestPreparedMedium:
                                                              direction):
         # direction 0 used to march every sweep toward +z (-0 == 0)
         g = self.GRID
-        prepared = prepare(SourceSpec.full_plane(g),
+        prepared = prepare(full_plane_source(g),
                            bone_layers(g, slice(2, 4), slice(20, 23)),
                            SolverConfig(reflection_order=2))
         with pytest.raises(ValueError, match="direction"):
@@ -976,7 +975,7 @@ class TestPreparedMedium:
 
     @pytest.mark.parametrize("source_slice", [-1, 32])
     def test_source_slice_outside_grid_rejected(self, source_slice):
-        prepared = prepare(SourceSpec.full_plane(self.GRID),
+        prepared = prepare(full_plane_source(self.GRID),
                            make_homogeneous(self.GRID, WATER))
         with pytest.raises(ValueError, match="outside the grid"):
             prepared.run(sources={source_slice: prepared.source_plane})
@@ -990,7 +989,7 @@ class TestPreparedMedium:
         ({0: np.ones((16, 16)), 32: np.ones((16, 16))}, "outside the grid"),
     ])
     def test_sources_rejected(self, entry, sources, message):
-        prepared = prepare(SourceSpec.full_plane(self.GRID),
+        prepared = prepare(full_plane_source(self.GRID),
                            make_homogeneous(self.GRID, WATER))
         with pytest.raises(ValueError, match=message):
             getattr(prepared, entry)(sources=sources)
@@ -1003,7 +1002,7 @@ class TestPreparedMedium:
     def test_occupancy_must_fit_the_prepared_slab(self, lens_mat, occupancy,
                                                   message):
         g = self.GRID
-        prepared = prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+        prepared = prepare(full_plane_source(g), make_homogeneous(g, WATER),
                            None, lens_mat, 4, self.N_V)
         with pytest.raises(ValueError, match=message):
             prepared.run(occupancy)
@@ -1015,7 +1014,7 @@ class TestPreparedMedium:
         # field and source-plane cotangent, and a cache with no slab. The
         # bone layer puts a water-bone interface on a slab pair (13, 14).
         g = self.GRID
-        src = SourceSpec.disk(g, 1.2e-3)
+        src = disk_source(g, 1.2e-3)
         med = bone_layers(g, slice(14, 17), slice(24, 26))
         cfg = SolverConfig(reflection_order=order)
         lensed = prepare(src, med, cfg, FORM_CLEAR, 12, 4)
@@ -1040,25 +1039,31 @@ class TestPreparedMedium:
 
     def test_with_lens_records_its_material(self):
         g = self.GRID
-        prepared = prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+        prepared = prepare(full_plane_source(g), make_homogeneous(g, WATER),
                            None, FORM_CLEAR, 4, self.N_V)
         assert prepared.lens_mat is FORM_CLEAR
         assert prepared.with_lens(BONE).lens_mat is BONE
-        assert prepare(SourceSpec.full_plane(g),
+        assert prepare(full_plane_source(g),
                        make_homogeneous(g, WATER)).lens_mat is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dtype_other_than_complex64_or_128_rejected(self, dtype):
         g = self.GRID
         with pytest.raises(ValueError, match="neither complex64 nor"):
-            prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+            prepare(full_plane_source(g), make_homogeneous(g, WATER),
                     dtype=dtype)
 
     def test_slab_beyond_grid_rejected(self):
         g = self.GRID
         with pytest.raises(ValueError, match="axial extent"):
-            prepare(SourceSpec.full_plane(g), make_homogeneous(g, WATER),
+            prepare(full_plane_source(g), make_homogeneous(g, WATER),
                     None, FORM_CLEAR, 30, self.N_V)
+
+    @pytest.mark.parametrize("shape", [(16, 15), (15, 16), (16, 16, 1)])
+    def test_source_plane_of_another_shape_rejected(self, shape):
+        g = self.GRID
+        with pytest.raises(ValueError, match="source plane shape"):
+            prepare(np.ones(shape, dtype=complex), make_homogeneous(g, WATER))
 
 
 class TestSinglePrecision:
@@ -1138,7 +1143,7 @@ class TestBenchmarkTracerContract:
         g = make_grid(16, 16, 16)
         med = bone_layers(g, slice(10, 12))
         occ = np.full((16, 16, 2), 0.5)
-        prepared = prepare(SourceSpec.full_plane(g), med,
+        prepared = prepare(full_plane_source(g), med,
                            SolverConfig(reflection_order=2), FORM_CLEAR, 3, 2)
         p, cache = forward(prepared, occ)
         adjoint(cache, np.conj(p.values))
@@ -1156,7 +1161,7 @@ class TestBackproject:
     def test_roundtrip_recovers_source(self):
         g = make_grid(32, 32, 32)
         med = make_homogeneous(g, WATER)
-        src = SourceSpec.disk(g, 2.5e-3)
+        src = disk_source(g, 2.5e-3)
         cfg = SolverConfig(reflection_order=0)
         p, _ = propagate(src, med, cfg)
         m = 20
@@ -1165,7 +1170,7 @@ class TestBackproject:
         # reference: source plane with evanescent content removed
         kx = 2 * np.pi * np.fft.fftfreq(32, g.dx)
         kt2 = kx[:, None] ** 2 + kx[None, :] ** 2
-        spec = np.fft.fft2(src.source_plane(g))
+        spec = np.fft.fft2(src)
         spec[kt2 > g.k0**2] = 0.0
         reference = np.fft.ifft2(spec)
         err = np.linalg.norm(recovered - reference) / np.linalg.norm(reference)
@@ -1214,13 +1219,12 @@ class TestGridRefinement:
         for dz, nz in ((125e-6, 48), (62.5e-6, 96)):
             g = GridSpec(32, 32, nz, 125e-6, 125e-6, dz, 2e6, 1500.0)
             med = make_homogeneous(g, WATER)
-            src = SourceSpec.disk(g, 3.5e-3)
+            src = disk_source(g, 3.5e-3)
             x = (np.arange(32) - 15.5) * g.dx
             rr2 = x[:, None] ** 2 + x[None, :] ** 2
             phase = -g.k0 * (np.sqrt(rr2 + f_target**2) - f_target)
-            plane = src.source_plane(g) * np.exp(1j * phase)
-            p, _ = propagate(src, med, SolverConfig(reflection_order=0),
-                             source_plane=plane)
+            plane = src * np.exp(1j * phase)
+            p, _ = propagate(plane, med, SolverConfig(reflection_order=0))
             axial = np.abs(p.values[16, 16, :])
             results[dz] = np.argmax(axial) * dz
         assert abs(results[125e-6] - results[62.5e-6]) <= 62.5e-6 + 1e-12
