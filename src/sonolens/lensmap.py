@@ -40,13 +40,10 @@ FAB_CUTOFF = 2.0
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable in both tails
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # numerically stable in both tails: e = exp(-|x|) never overflows, and
+    # 1/(1 + e) for x >= 0, e/(1 + e) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

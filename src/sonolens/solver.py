@@ -21,10 +21,14 @@ its plane, zero or not, so that the adjoint applies dr/dZ there.
 H is zero beyond angular_cutoff*k0, on all but br rows and bc columns
 of the FFT grid (21 of 64 each on a 64x64 grid at 125 um and 2 MHz). A
 diffraction step is therefore evaluated on that passband only, as two
-small dense matrix products into it and two back out (`_Passband`; the
-matrix Fourier transform of Soummer et al., Opt. Express 15, 15935,
-2007): the same linear map as ifft2(H * fft2(u)), with matrices that
-`prepare` builds once.
+dense matrix products into it and two back out (`_Passband`; the matrix
+Fourier transform of Soummer et al., Opt. Express 15, 15935, 2007): the
+same linear map as ifft2(H * fft2(u)), with matrices that `prepare`
+builds once. H depends on kx through kx**2 only, so the transform along
+x is real, with cos and sin rows (Bracewell, JOSA 73, 1832, 1983): it
+is one real product on each plane's float view, (nx, 2*ny), next to a
+small complex product along y. A step costs 4*br*nx*ny + 8*br*bc*ny
+real multiply-adds (570k at 64x64).
 
 A screen that takes one value across the plane is stored as that
 scalar, every other one as its (nx, ny) plane; the products broadcast
@@ -94,12 +98,14 @@ derivative and dt/dZ, dr/dZ to the sums, once per pair and direction.
 
 Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
 default or complex64, for every array a run and its adjoint march: the
-passband matrices, H on the band and their intermediate, the screens and
-the source plane (a run's source planes are cast to it), the r planes
-(its real type), the plane stack, the total field, the cache's planes
-and the adjoint's scratch, spectra and cotangents. Each is computed in
-double and stored in that dtype. The impedances, the slab's properties
-and the slab gradients' accumulators stay float64.
+passband's right matrices, H on the band and their intermediate (the
+left matrices are of its real type), the screens and the source plane
+(a run's source planes are cast to it, C-contiguous), the r planes (r +
+0j, so that no product mixes a real plane with a complex one), the plane
+stack, the total field, the cache's planes and the adjoint's scratch,
+spectra and cotangents. Each is computed in double and stored in that
+dtype. The impedances, the slab's properties and the slab gradients'
+accumulators stay float64.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -174,24 +180,32 @@ def _dft_rows(n: int, k: np.ndarray) -> np.ndarray:
 
 
 # planes per product of a block of planes (`_into_band`, `_out_of_band`):
-# bounds their intermediate to this many (nx, bc) planes
+# bounds their intermediate to this many (br, ny) planes
 _BLOCK = 8
 
 
 @dataclass(eq=False)
 class _Passband:
-    """The diffraction step on the kernel's passband, the rows r and
+    """The diffraction step on the kernel's passband, the rows and
     columns c of the FFT grid where H has a nonzero entry.
 
-    With F_n the n-point DFT matrix, A = F_nx[r, :], B = F_ny[:, c], Ai =
-    conj(F_nx[:, r])/nx and Bi = conj(F_ny[c, :])/ny, the step v = ifft2(H *
-    fft2(u)) is v = Ai @ (H[r][:, c] * (A @ u @ B)) @ Bi, since H is zero
-    off the passband. into and back are the (left, right) matrices of
-    the first product and of the last; into_t and back_t those of the
-    transposed step, (Ai.T, Bi.T) and (A.T, B.T), which the adjoint runs.
-    tmp is the intermediate of `_into_band` and `_out_of_band`, _BLOCK
-    (nx, bc) planes that every run and adjoint of the prepared medium
-    uses in turn.
+    H depends on kx only through kx**2 (`_diffraction_kernel` is even in
+    kx), so along x the step has an exact real form, the real-symmetric
+    DFT of Bracewell's Hartley transform (JOSA 73, 1832, 1983). With k
+    the passband rows 0 <= k <= nx/2, the real (br, nx) matrix A has a
+    row cos(2*pi*j*k/nx) for each k and a row sin(2*pi*j*k/nx) for each
+    0 < k < nx/2, Ai = (w * A).T with w = 1/nx at k = 0 and nx/2 and 2/nx
+    elsewhere, and H on the band is H[k, c] on both rows of k. With B =
+    F_ny[:, c] and Bi = conj(F_ny[c, :])/ny the DFT columns in y, the
+    step v = ifft2(H * fft2(u)) is v = Ai @ (H_band * (A @ u @ B)) @ Bi.
+    into and back are the (left, right) matrices of the first product and
+    of the last; into_t and back_t those of the transposed step, (Ai.T,
+    Bi.T) and (A.T, B.T), which the adjoint runs. The left matrices are
+    of the dtype's real type and act on a plane's float view, (nx, 2*ny)
+    for an (nx, ny) complex plane; the right ones, H on the band and tmp
+    are of the dtype. tmp is the intermediate of `_into_band` and
+    `_out_of_band`, _BLOCK (br, ny) planes that every run and adjoint of
+    the prepared medium uses in turn.
     """
 
     H: np.ndarray                       # H on the passband, (br, bc)
@@ -204,44 +218,58 @@ class _Passband:
     @classmethod
     def of(cls, H: np.ndarray, dtype=np.complex128) -> "_Passband":
         """The step of kernel H, its matrices built in double and stored,
-        with H on the band and tmp, as `dtype`."""
+        with H on the band and tmp, as `dtype` (the left ones as its real
+        type)."""
         nx, ny = H.shape
-        r = np.flatnonzero(np.any(H, axis=1))
+        k = np.flatnonzero(np.any(H[: nx // 2 + 1], axis=1))
+        rows = np.concatenate([k, k[(k > 0) & (2 * k < nx)]])
         c = np.flatnonzero(np.any(H, axis=0))
-        Fr, Fc = _dft_rows(nx, r), _dft_rows(ny, c)
-        pairs = [(Fr, Fc.T), (np.conj(Fr).T / nx, np.conj(Fc) / ny),
-                 (np.conj(Fr) / nx, np.conj(Fc).T / ny), (Fr.T, Fc)]
-        return cls(H[np.ix_(r, c)].astype(dtype),
-                   *[tuple(np.ascontiguousarray(m, dtype=dtype) for m in p)
-                     for p in pairs],
-                   tmp=np.empty((_BLOCK, nx, c.size), dtype=dtype))
+        phase = 2 * np.pi * (np.outer(rows, np.arange(nx)) % nx) / nx
+        A = np.concatenate([np.cos(phase[: k.size]), np.sin(phase[k.size :])])
+        Ai = A.T * np.where((rows == 0) | (2 * rows == nx), 1.0, 2.0) / nx
+        Fc = _dft_rows(ny, c)
+        pairs = [(A, Fc.T), (Ai, np.conj(Fc) / ny), (Ai.T, np.conj(Fc).T / ny),
+                 (A.T, Fc)]
+        f = np.finfo(dtype).dtype
+        return cls(H[np.ix_(rows, c)].astype(dtype),
+                   *[(np.ascontiguousarray(L, dtype=f),
+                      np.ascontiguousarray(R, dtype=dtype)) for L, R in pairs],
+                   tmp=np.empty((_BLOCK, rows.size, ny), dtype=dtype))
 
 
 def _into_band(mats: tuple, x: np.ndarray, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
     """out = L @ x @ R, (L, R) = mats, for one (nx, ny) plane x or a block
-    of them (a block of len(tmp) planes at a time), through tmp = x @ R."""
+    of them (a block of len(tmp) planes at a time), through tmp = L @ x:
+    the real L acts on the float view of x, one real product per block."""
     L, R = mats
+    f = L.dtype
     if x.ndim == 2:
-        return np.matmul(L, np.matmul(x, R, out=tmp[0]), out=out)
+        t = tmp[0]
+        np.matmul(L, x.view(f), out=t.view(f))
+        return np.matmul(t, R, out=out)
     for i in range(0, len(x), len(tmp)):
         t = tmp[: len(x) - i]
-        np.matmul(L, np.matmul(x[i : i + len(t)], R, out=t),
-                  out=out[i : i + len(t)])
+        np.matmul(L, x[i : i + len(t)].view(f), out=t.view(f))
+        np.matmul(t, R, out=out[i : i + len(t)])
     return out
 
 
 def _out_of_band(mats: tuple, K: np.ndarray, out: np.ndarray,
                  tmp: np.ndarray) -> np.ndarray:
     """out = L @ K @ R, (L, R) = mats, for one passband spectrum K or a
-    block of them (a block of len(tmp) at a time), through tmp = L @ K."""
+    block of them (a block of len(tmp) at a time), through tmp = K @ R:
+    the real L acts last, on the float view of tmp into that of out."""
     L, R = mats
+    f = L.dtype
     if K.ndim == 2:
-        return np.matmul(np.matmul(L, K, out=tmp[0]), R, out=out)
+        t = tmp[0]
+        np.matmul(L, np.matmul(K, R, out=t).view(f), out=out.view(f))
+        return out
     for i in range(0, len(K), len(tmp)):
         t = tmp[: len(K) - i]
-        np.matmul(np.matmul(L, K[i : i + len(t)], out=t), R,
-                  out=out[i : i + len(t)])
+        np.matmul(L, np.matmul(K[i : i + len(t)], R, out=t).view(f),
+                  out=out[i : i + len(t)].view(f))
     return out
 
 
@@ -324,36 +352,47 @@ class AdjointResult:
     occupancy: np.ndarray | None = None
 
 
-def _screens(grid: GridSpec, c: np.ndarray, att_np: np.ndarray) -> np.ndarray:
-    """Combined phase + absorption screen per voxel."""
-    k0, dz = grid.k0, grid.dz
-    return np.exp(1j * k0 * (grid.c_ref / c - 1.0) * dz - att_np * dz)
+# slices per block of screens (`_per_slice`): bounds its float64
+# temporaries to this many (nx, ny) planes each
+_SCREENS = 16
 
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
                att_np: np.ndarray, dtype) -> tuple[list, list]:
     """Screens and impedances of (nx, ny, k) properties, one per slice
     (the sweeps read them slice by slice). The impedances are contiguous
-    float64 (nx, ny) arrays; a screen, computed in double and stored as
-    `dtype`, is the one value it takes across the whole plane, or its
-    contiguous (nx, ny) array where it varies."""
-    cuts = [np.s_[:, :, s] for s in range(c.shape[2])]
-    screen = [_screens(grid, c[cut], att_np[cut]).astype(dtype)
-              for cut in cuts]
-    screen = [scr.flat[0] if np.all(scr == scr.flat[0]) else scr
-              for scr in screen]
-    return screen, [rho[cut] * c[cut] for cut in cuts]
+    float64 (nx, ny) arrays. A screen, the phase and absorption screen
+    exp(i*phi - a*dz) with phi = k0*(c_ref/c - 1)*dz, is computed in
+    double as exp(-a*dz)*cos(phi) and exp(-a*dz)*sin(phi), _SCREENS
+    slices at a time, into the real and imaginary parts of a slice-major
+    block of `dtype`. It is stored as the one value it takes across the
+    whole plane, or as its contiguous (nx, ny) plane where it varies: a
+    view of the block, or a copy where the block has a uniform slice,
+    whose plane is then freed."""
+    k0, dz = grid.k0, grid.dz
+    screen = []
+    for i in range(0, c.shape[2], _SCREENS):
+        cut = np.s_[:, :, i : i + _SCREENS]
+        phi = k0 * (grid.c_ref / c[cut].transpose(2, 0, 1) - 1.0) * dz
+        mag = np.exp(-att_np[cut].transpose(2, 0, 1) * dz)
+        block = np.empty(phi.shape, dtype=dtype)
+        block.real = mag * np.cos(phi)
+        block.imag = mag * np.sin(phi)
+        uniform = [np.all(scr == scr.flat[0]) for scr in block]
+        screen += [scr.flat[0] if u else scr.copy() if any(uniform) else scr
+                   for scr, u in zip(block, uniform)]
+    return screen, [rho[:, :, s] * c[:, :, s] for s in range(c.shape[2])]
 
 
 def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype,
                slab: bool = False) -> np.ndarray | None:
     """r = (Z2-Z1)/(Z1+Z2) toward +z between impedance planes Z1 (slice k)
-    and Z2 (slice k+1), stored as the real type of the complex `dtype`;
-    None where the impedance is the same across the whole plane (r = 0),
+    and Z2 (slice k+1), stored as the complex `dtype` (r + 0j); None
+    where the impedance is the same across the whole plane (r = 0),
     unless `slab`: a lens-slab pair keeps its plane."""
     if not slab and not np.any(Z2 != Z1):
         return None
-    return ((Z2 - Z1) / (Z1 + Z2)).astype(np.finfo(dtype).dtype)
+    return ((Z2 - Z1) / (Z1 + Z2)).astype(dtype)
 
 
 @dataclass
@@ -382,9 +421,9 @@ class PreparedMedium:
     and the passband's intermediate buffer, which runs and adjoints use
     in turn.
     Its `dtype`, the band's, is the one complex dtype of its screens,
-    source plane and passband (r planes: its real type) and of every
-    plane its runs and their adjoints march; a `with_lens` copy and a
-    pickle keep it. H, the full kernel, stays complex128.
+    source plane, r planes and passband (left matrices: its real type)
+    and of every plane its runs and their adjoints march; a `with_lens`
+    copy and a pickle keep it. H, the full kernel, stays complex128.
     """
 
     grid: GridSpec
@@ -441,9 +480,9 @@ class PreparedMedium:
         occupancy (nx, ny, n_v) relaxes the lens into the slab of a medium
         prepared with a lens material; without one the base medium runs
         and the cache carries no slab. sources, {slice: plane} (default:
-        the prepared plane at slice 0), are cast to the prepared dtype and
-        marched toward +z (direction +1) or -z (-1). The cache owns its
-        planes: later runs leave it unchanged.
+        the prepared plane at slice 0), are cast to C-contiguous planes of
+        the prepared dtype and marched toward +z (direction +1) or -z
+        (-1). The cache owns its planes: later runs leave it unchanged.
         """
         return self._forward(occupancy, sources, direction, keep=True)
 
@@ -478,7 +517,7 @@ class PreparedMedium:
         for s, plane in sources.items():
             if not 0 <= s < grid.nz:
                 raise ValueError(f"source slice {s} is outside the grid")
-            inject[s] = np.asarray(plane, dtype=self.dtype)
+            inject[s] = np.ascontiguousarray(plane, dtype=self.dtype)
             if inject[s].shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
@@ -593,7 +632,7 @@ def prepare(
         grid, cfg,
         H=H,
         band=_Passband.of(H, dtype),
-        source_plane=np.array(source_plane, dtype=dtype),
+        source_plane=np.array(source_plane, dtype=dtype, order="C"),
         screen=screen,
         coeff=[_interface(Z[k], Z[k + 1], dtype) for k in range(grid.nz - 1)],
         Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
@@ -664,6 +703,7 @@ def _march(
     """
     down = direction < 0
     work, tmp = stack[-1], band.tmp
+    f = band.into[0].dtype              # the real type, of float views
     # slice s's passband spectrum, in the head of stack[s] until the
     # segment's block product overwrites that plane with its field
     spectra = stack.reshape(len(stack), -1)[:, : band.H.size].reshape(
@@ -692,7 +732,7 @@ def _march(
         if r is not None:
             rv = np.multiply(r, v, out=None if collect_reflections else u)
             if down:                # r toward -z is -r
-                np.negative(rv, out=rv)
+                np.negative(rv.view(f), out=rv.view(f))
             if collect_reflections:
                 refl[prev] = rv
             tv = np.add(v, rv, out=u)
@@ -908,7 +948,7 @@ def backproject(
     """
     if cfg is None:
         cfg = SolverConfig()
-    plane = np.asarray(plane, dtype=np.complex128)
+    plane = np.ascontiguousarray(plane, dtype=np.complex128)
     if plane.shape != (grid.nx, grid.ny):
         raise ValueError("plane shape does not match grid")
     distances = np.atleast_1d(np.asarray(distances, dtype=np.float64))

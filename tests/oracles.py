@@ -8,7 +8,7 @@ from scipy import ndimage, signal
 
 from sonolens.baselines import TWO_PI, full_cycle_thickness
 from sonolens.optim import TargetSpec
-from sonolens.solver import ComplexField, _diffraction_kernel, _screens
+from sonolens.solver import ComplexField, _diffraction_kernel
 
 NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
@@ -87,6 +87,12 @@ def _diffract_transpose(ubar, H):
 SweepRecord = namedtuple("SweepRecord", "direction inject u v")
 
 
+def screens(grid, c, att_np):
+    """Combined phase + absorption screen per voxel, one complex exp."""
+    k0, dz = grid.k0, grid.dz
+    return np.exp(1j * k0 * (grid.c_ref / c - 1.0) * dz - att_np * dz)
+
+
 def full_grid_sweeps(grid, cfg, c, rho, att_np, source_plane,
                      source_slice=0, direction=1):
     """Forward sweeps on full property arrays, everything rebuilt per call.
@@ -98,7 +104,7 @@ def full_grid_sweeps(grid, cfg, c, rho, att_np, source_plane,
     every plane kept.
     """
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
-    screen = _screens(grid, c, att_np)
+    screen = screens(grid, c, att_np)
     Z = rho * c
     sweeps = []
     inject = {source_slice: source_plane}
@@ -157,7 +163,7 @@ def full_grid_adjoint(cache, sweeps, upstream, c, rho, att_np):
     lens.
     """
     grid = cache.grid
-    screen = _screens(grid, c, att_np)
+    screen = screens(grid, c, att_np)
     Z = rho * c
     gc = np.zeros(grid.shape)
     grho = np.zeros(grid.shape)

@@ -53,6 +53,21 @@ class TestMapThickness:
         expected = 1.0 + 0.7311 * 11.0
         assert np.allclose(map_thickness(d), expected, atol=11 * 1e-4)
 
+    def test_sigmoid_is_bitwise_the_masked_stable_form(self):
+        # 1/(1 + exp(-x)) for x >= 0 and e/(1 + e), e = exp(x), below,
+        # computed on boolean masks: both tails, 0 and +-1e3
+        x = np.concatenate([np.linspace(-60.0, 60.0, 2401),
+                            [-1e3, -745.2, -0.0, 0.0, 1e-300, 1e3]])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        e = np.exp(x[~pos])
+        ref[~pos] = e / (1.0 + e)
+        got = lensmap.sigmoid(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert got[-1] == 1.0 and got[-6] == 0.0
+
     def test_strictly_inside_bounds(self):
         rng = np.random.default_rng(0)
         d = DesignField(rng.normal(scale=50, size=(16, 16)))

@@ -51,9 +51,13 @@ class TestPassband:
     """The diffraction step on the kernel's passband (`solver._Passband`)
     against the full-grid FFT step of the oracles."""
 
+    # odd sizes have no Nyquist row or column; the 65x65 grid is the
+    # piston reference's; cutoff 3.2 keeps the Nyquist row of a 16-point
+    # x axis (at 3.0*k0 on this grid) but not every bin
     CASES = [(16, 16, 0.5), (16, 16, 1.0), (16, 16, 1.5), (24, 20, 0.5),
              (24, 20, 1.0), (24, 20, 1.5), (64, 64, 0.5), (64, 64, 1.0),
-             (64, 64, 1.5), (24, 20, 5.0)]
+             (64, 64, 1.5), (24, 20, 5.0), (15, 17, 1.0), (15, 17, 5.0),
+             (65, 65, 1.0), (16, 16, 3.2)]
 
     @staticmethod
     def steps(nx, ny, cutoff, planes=1):
@@ -77,6 +81,9 @@ class TestPassband:
         H, band, (u,) = self.steps(nx, ny, cutoff)
         if cutoff == 5.0:       # every bin within the cutoff
             assert band.H.shape == (nx, ny) and np.all(H)
+        elif cutoff == 3.2:     # the Nyquist row, not the corners
+            assert H[nx // 2].any() and not np.all(H)
+            assert band.H.shape == (nx, ny)
         else:
             assert band.H.shape[0] < nx and band.H.shape[1] < ny
         for mats, oracle in (
@@ -101,6 +108,16 @@ class TestDiffractionKernel:
         kx = 2 * np.pi * np.fft.fftfreq(g.nx, g.dx)
         ky = 2 * np.pi * np.fft.fftfreq(g.ny, g.dy)
         return np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (15, 17), (64, 20)])
+    @pytest.mark.parametrize("cutoff", [1.0, 1.5, 5.0])
+    def test_kernel_is_bitwise_even_in_kx(self, nx, ny, cutoff):
+        # the premise of the passband's real form along x: rows k and -k
+        # (mod nx) are equal, bit for bit, at either sign of the distance
+        g = make_grid(nx, ny, 4)
+        for d in (g.dz, -3 * g.dz):
+            H = _diffraction_kernel(g, cutoff, d)
+            assert np.array_equal(H, H[(-np.arange(nx)) % nx])
 
     def test_cutoff_above_one_keeps_decaying_evanescent_bins(self):
         # oracle: k0 < kt <= 1.5*k0 decays as exp(-sqrt(kt^2 - k0^2)*dz),
@@ -450,12 +467,13 @@ class TestLeanAdjoint:
         c, rho, _ = embedded_arrays(med, occ, FORM_CLEAR, 14)
         Z = rho * c
         for k in range(13, 17):
+            # r in the run's complex dtype, r + 0j
             r = cache.coeff[k]
-            assert isinstance(r, np.ndarray) and r.dtype == np.float64
-            assert r.shape == (16, 16)
+            assert isinstance(r, np.ndarray) and r.dtype == np.complex128
+            assert r.shape == (16, 16) and not r.imag.any()
             Z1, Z2 = Z[:, :, k], Z[:, :, k + 1]
-            np.testing.assert_allclose(r, (Z2 - Z1) / (Z1 + Z2), rtol=1e-15,
-                                       atol=0.0)
+            np.testing.assert_allclose(r.real, (Z2 - Z1) / (Z1 + Z2),
+                                       rtol=1e-15, atol=0.0)
         assert not cache.coeff[14].any() and not cache.coeff[16].any()
 
     @pytest.mark.parametrize("z_offset, order", [
@@ -1065,6 +1083,48 @@ class TestPreparedMedium:
         with pytest.raises(ValueError, match="source plane shape"):
             prepare(np.ones(shape, dtype=complex), make_homogeneous(g, WATER))
 
+    def test_fortran_ordered_source_plane_matches_its_c_copy(self):
+        # the passband's real products act on each plane's float view,
+        # which needs a contiguous last axis: a run casts its planes so
+        g = self.GRID
+        prepared = self.lens_medium()
+        occ = np.random.default_rng(8).uniform(0.1, 0.9,
+                                               size=(16, 16, self.N_V))
+        rng = np.random.default_rng(9)
+        plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        runs = []
+        for p in (plane, np.asfortranarray(plane)):
+            field, cache = prepared.run(occ, sources={0: p})
+            adj = propagate_adjoint(cache, upstream)
+            runs.append((field.values, adj.occupancy,
+                         prepared.field_only(occ, sources={0: p}).values))
+        for c_order, f_order in zip(*runs):
+            assert np.array_equal(c_order, f_order)
+        fortran = prepare(np.asfortranarray(disk_source(g, 1.2e-3)),
+                          make_homogeneous(g, WATER))
+        assert fortran.source_plane.flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype, ulps", [(np.complex128, 4),
+                                             (np.complex64, 1)])
+    def test_screens_match_one_complex_exp(self, dtype, ulps):
+        # exp(-a*dz)*(cos(phi) + i*sin(phi)) against exp(i*phi - a*dz) on
+        # bone-to-water properties: exp, cos and sin round once each on
+        # either side, so double may differ in its last bits, and single,
+        # rounded from double, by one ulp
+        g = self.GRID
+        rng = np.random.default_rng(10)
+        c = rng.uniform(WATER.sound_speed, BONE.sound_speed, size=(16, 16, 40))
+        att = rng.uniform(0.0, 2e3, size=c.shape)
+        screen, _ = solver._per_slice(g, c, c, att, dtype)
+        ref = np.exp(1j * g.k0 * (g.c_ref / c - 1.0) * g.dz
+                     - att * g.dz).astype(dtype)
+        got = np.stack(screen, axis=2)
+        assert got.dtype == dtype
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(ref, part)
+            assert np.all(np.abs(a - b) <= ulps * np.spacing(np.abs(b)))
+
 
 class TestSinglePrecision:
     """A medium prepared in complex64 stores and marches its planes in
@@ -1077,9 +1137,11 @@ class TestSinglePrecision:
         g = TestPreparedMedium.GRID
         prepared = TestPreparedMedium().lens_medium(np.complex64)
         band = prepared.band
-        matrices = [band.H, band.tmp, *band.into, *band.back, *band.into_t,
-                    *band.back_t]
-        assert all(m.dtype == np.complex64 for m in matrices)
+        # the left matrices act on float views, the right ones on planes
+        mats = (band.into, band.back, band.into_t, band.back_t)
+        assert all(L.dtype == np.float32 for L, _ in mats)
+        assert all(m.dtype == np.complex64
+                   for m in (band.H, band.tmp, *(R for _, R in mats)))
         assert prepared.source_plane.dtype == np.complex64
         occ = np.random.default_rng(4).uniform(0.1, 0.9,
                                                size=(16, 16, 3))
@@ -1088,7 +1150,7 @@ class TestSinglePrecision:
         for c in (prepared, cache):
             assert all(np.asarray(scr).dtype == np.complex64
                        for scr in c.screen)
-            assert all(r.dtype == np.float32 for r in c.coeff
+            assert all(r.dtype == np.complex64 for r in c.coeff
                        if r is not None)
         assert any(r is not None for r in cache.coeff)
         assert all(plane.dtype == np.complex64 for sw in cache.sweeps
@@ -1194,6 +1256,13 @@ class TestBackproject:
         assert out.shape == (20, 16, 4)
         peak = np.abs(oracle).max()
         assert np.abs(out - oracle).max() <= 1e-12 * peak
+
+    def test_fortran_ordered_plane_matches_its_c_copy(self):
+        g = make_grid(20, 16, 32)
+        rng = np.random.default_rng(3)
+        plane = rng.normal(size=(20, 16)) + 1j * rng.normal(size=(20, 16))
+        out = backproject(np.asfortranarray(plane), g, [1e-3])
+        assert np.array_equal(out, backproject(plane, g, [1e-3]))
 
     def test_zero_plane_zero_volume(self):
         g = make_grid()
