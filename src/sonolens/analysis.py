@@ -84,6 +84,13 @@ def cross_domain_psnr(p_opt, p_fab) -> float:
     return float(min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
+def _amplitude(p) -> np.ndarray:
+    """|p| in C order. A field's values are the (nx, ny, nz) view of
+    slice-major storage: over |p| in that layout every flat index, take
+    and mask would copy the grid first."""
+    return np.abs(p.values if isinstance(p, ComplexField) else p, order="C")
+
+
 def _component_labels(idx: np.ndarray, shape: tuple) -> np.ndarray:
     """6-connected component of each voxel of a sorted flat-index set.
 
@@ -129,10 +136,10 @@ def segment_foci(p, seeds, *, amp=None) -> list[np.ndarray]:
     threshold yield an empty mask, and seeds in one component get equal
     masks. Returns one boolean mask per seed; the result is invariant to
     global field scaling. amp is |p|, passed by a caller that has it
-    already.
+    already (C-ordered, as `_amplitude` makes it, or any layout).
     """
     if amp is None:
-        amp = np.abs(p.values if isinstance(p, ComplexField) else p)
+        amp = _amplitude(p)
     shape = amp.shape
     thr = amp.max() * 10.0 ** (FOCUS_THRESHOLD_DB / 20.0)
     idx = np.flatnonzero(amp >= thr)
@@ -178,23 +185,24 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,
 
     leakage = mean amplitude outside all segments / mean inside;
     uniformity = min/max of per-focus peak intensities. amp is |p|, passed
-    by a caller that has it already.
+    by a caller that has it already (C-ordered, as `_amplitude` makes it,
+    or any layout). The means are taken over the segments' flat indices:
+    the inside sum over their union, the outside one as the grid's total
+    minus it, both summed in float64.
     """
     if amp is None:
-        amp = p.amplitude()
+        amp = _amplitude(p)
     grid = p.grid
-    if not segments or all(not m.any() for m in segments):
-        raise ValueError("no non-empty segments supplied")
 
     foci = []
     peaks = []
-    union = np.zeros(amp.shape, dtype=bool)
+    inside = []
     for label, mask in enumerate(segments):
-        if not mask.any():
-            continue
-        union |= mask
-        # first maximum in C order, as argmax over the whole grid finds it
         idx = np.flatnonzero(mask)
+        if not idx.size:
+            continue
+        inside.append(idx)
+        # first maximum in C order, as argmax over the whole grid finds it
         peak_idx = tuple(int(v) for v in np.unravel_index(
             idx[np.argmax(amp.take(idx))], amp.shape))
         peak = amp[peak_idx]
@@ -213,9 +221,16 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,
             )
         )
 
-    outside = ~union
-    inside_mean = amp[union].mean()
-    outside_mean = amp[outside].mean() if outside.any() else 0.0
+    if not foci:
+        raise ValueError("no non-empty segments supplied")
+    # their union (np.unique would import numpy.ma, 15 ms, on first use)
+    inside = np.sort(np.concatenate(inside))
+    inside = inside[np.append(True, inside[1:] != inside[:-1])]
+    inside_sum = amp.take(inside).sum(dtype=np.float64)
+    inside_mean = inside_sum / inside.size
+    outside = amp.size - inside.size
+    outside_mean = ((amp.sum(dtype=np.float64) - inside_sum) / outside
+                    if outside else 0.0)
     leakage = float(outside_mean / inside_mean) if inside_mean > 0 else np.inf
     uniformity = float(min(peaks) / max(peaks))
     return FocalReport(foci, leakage, uniformity, n_components=len(foci))
@@ -225,9 +240,10 @@ def focal_report(p: ComplexField, seeds) -> FocalReport:
     """Segment the foci around `seeds` and measure them.
 
     Returns an empty report (no foci, leakage and uniformity None) when
-    no seed reaches the -6 dB level. |p| is computed once, for both steps.
+    no seed reaches the -6 dB level. |p| is computed once, in C order
+    (`_amplitude`), for both steps.
     """
-    amp = p.amplitude()
+    amp = _amplitude(p)
     segments = segment_foci(p, seeds, amp=amp)
     if not any(m.any() for m in segments):
         return FocalReport([], None, None, 0)

@@ -16,7 +16,13 @@ one plane, r = (Z2-Z1)/(Z1+Z2) toward +z: -r toward -z, and t = 1 + r
 toward +z, 1 - r toward -z (Brekhovskikh, Waves in Layered Media). Pairs
 of equal impedance across the whole plane have no plane and skip the
 interface work, except in a lens run: every pair touching the slab keeps
-its plane, zero or not, so that the adjoint applies dr/dZ there.
+its plane, zero or not, so that the adjoint applies dr/dZ there. With r
+come its transmission planes (`_transmitted`), a = (1 + r)*screen[k+1]
+toward +z and (1 - r)*screen[k] toward -z, which carry the field across
+the pair and through the next screen in one product: a step across the
+pair is u = a*v, and its reflected source r*v. `prepare` forms both for
+each pair of the base medium; a lens run forms its slab pairs' planes
+for the directions its sweeps take.
 
 H is zero beyond angular_cutoff*k0, on all but br rows and bc columns
 of the FFT grid (21 of 64 each on a 64x64 grid at 125 um and 2 MHz). A
@@ -24,11 +30,13 @@ diffraction step is therefore evaluated on that passband only, as two
 dense matrix products into it and two back out (`_Passband`; the matrix
 Fourier transform of Soummer et al., Opt. Express 15, 15935, 2007): the
 same linear map as ifft2(H * fft2(u)), with matrices that `prepare`
-builds once. H depends on kx through kx**2 only, so the transform along
-x is real, with cos and sin rows (Bracewell, JOSA 73, 1832, 1983): it
-is one real product on each plane's float view, (nx, 2*ny), next to a
-small complex product along y. A step costs 4*br*nx*ny + 8*br*bc*ny
-real multiply-adds (570k at 64x64).
+builds once. H depends on kx and ky through kx**2 and ky**2 only, so
+the transform is real along both axes, with cos and sin rows and
+columns (Bracewell, JOSA 73, 1832, 1983): every product is one real
+GEMM on float views, (nx, 2*ny) for an (nx, ny) complex plane, the x
+matrices on the left and the y matrices R on the right as kron(R, I2),
+which acts on the interleaved complex axis as R on the plane. A step
+costs 4*br*nx*ny + 8*br*bc*ny real multiply-adds (570k at 64x64).
 
 A screen that takes one value across the plane is stored as that
 scalar, every other one as its (nx, ny) plane; the products broadcast
@@ -41,42 +49,51 @@ So every diffraction goes through segments, each ending at a step that
 is not homogeneous or at the sweep's last slice: one transform into the
 passband on entry, one product of the (br, bc) spectrum by H * screen
 per slice, one block product of all its spectra back to their planes,
-and its last slice's interface in space. A step that is not
-homogeneous is a one-slice segment. Each sweep is planned once
-(`_plan`): the slices it visits, from its first injected slice (the
-field is zero before it), and its segments. The march walks that plan,
-the cache keeps it, and the adjoint replays it backwards; a slab pair
-has its plane and so ends a segment, as its per-pair sums need the
-spatial planes. The scalars are found on the actual screens (`prepare`
-for the base medium, each lens run for its slab slices), so a lens
-embedded into the medium and the same lens run on a prepared slab march
-the same segments, except across a slab pair of equal impedance: the
-slab run ends a segment at its zero plane, the embedded medium has
-none there. The two fields then differ at rounding level.
+and its last slice's step in space: u = a*v (the pair's transmission
+plane, or the screen where it has none), the reflected source r*v when
+the sweep collects reflections, the injection there, and the add into
+the total. A step that is not homogeneous is a one-slice segment,
+whose four products run inline on the plane stack's float views. Each
+sweep is planned once (`_plan`): the slices it visits, from its first
+injected slice (the field is zero before it), and its segments; the
+sweeps of one run with the same direction and injected slices share
+one plan. The march walks that plan, the cache keeps it, and the
+adjoint replays it backwards; a slab pair has its plane and so ends a
+segment, as its per-pair sums need the spatial planes. The scalars are
+found on the actual screens (`prepare` for the base medium, each lens
+run for its slab slices), so a lens embedded into the medium and the
+same lens run on a prepared slab march the same segments, except
+across a slab pair of equal impedance: the slab run ends a segment at
+its zero plane, the embedded medium has none there. The two fields then
+differ at rounding level.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the per-slice screens and the interface
-coefficients of the base medium, on the lens slab too. With a lens
-occupancy, a run (`propagate_with_lens`) redoes only the slab's
-properties, screens and impedance and the coefficients of the pairs
-that touch it; the base medium is never copied. Without one, a run
+and transmission planes of the base medium, on the lens slab too. With
+a lens occupancy, a run (`propagate_with_lens`) redoes only the slab's
+properties, screens and impedance and the planes of the pairs that
+touch it; the base medium is never copied. Without one, a run
 marches the base medium, bitwise as on a medium prepared without a
 slab. The impedance is kept only on the slab and the slice on either
 side of it (z0-1 .. z0+n_v), the slices those pairs and the slab
 gradients read.
 `propagate` is a run on a medium prepared without a slab. The returned
-cache carries the run's screens and coefficients, so the adjoint
-recomputes neither. A run's first sweep marches its `sources`, {slice:
-plane}, as each later sweep marches the reflected sources of the last.
+cache carries the run's screens and planes, so the adjoint recomputes
+none of them. A run's first sweep marches its `sources`, {slice:
+plane}, as each later sweep marches the reflected sources r*v of the
+last. That sweep went the other way, and toward -z the reflection
+coefficient is -r: a later sweep toward +z subtracts its sources.
 
 The total field is slice-major: stored as (nz, nx, ny), so that a
 slice is one contiguous plane, and handed out as its (nx, ny, nz) view.
 A sweep writes each slice's post-diffraction field into its plane of
 one (nz + 1, nx, ny) plane stack with products into preallocated
-buffers, and adds each slice's contribution into the total field as it
-goes, through the stack's last plane. Every run marches all its sweeps
-through one stack, which it takes from the prepared medium and gives
-back as it returns. `PreparedMedium.run` copies out of the stack, after
+buffers. The first sweep writes each slice's contribution into the
+total field as it goes, and zeroes only the slices before its first
+injected one; every later sweep forms its contributions in the stack's
+last plane and adds them. Every run marches all its sweeps through one
+stack, which it takes from the prepared medium and gives back as it
+returns. `PreparedMedium.run` copies out of the stack, after
 each sweep, only what the adjoint reads: the post-diffraction fields at
 the slab's slices and the slice on either side of it (none without a
 lens). So a cache owns its planes, and a later run changes none of them.
@@ -91,21 +108,24 @@ always returns the source-plane cotangent. When the forward run embedded a
 lens with linearly interpolated properties, it also returns the gradients
 with respect to the per-voxel properties on the lens slab and, through
 them, with respect to the lens occupancy; property gradients outside the
-slab are not computed. The reverse sweeps only sum, per slab pair
-(prev, s), the products ub*v and, where a reflection cotangent exists,
-Re(refl_cot[prev]*v); one pass after the last sweep applies the screen
-derivative and dt/dZ, dr/dZ to the sums, once per pair and direction.
+slab are not computed. A step's field cotangent is vbar = a*ub +-
+r*refl_cot[prev], on the forward's transmission planes. The reverse
+sweeps only sum, per slab pair (prev, s), the products ub*v and, where
+a reflection cotangent exists, Re(refl_cot[prev]*v); one pass after the
+last sweep applies the screen derivative and dt/dZ, dr/dZ to the sums,
+once per pair and direction.
 
 Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
-default or complex64, for every array a run and its adjoint march: the
-passband's right matrices, H on the band and their intermediate (the
-left matrices are of its real type), the screens and the source plane
-(a run's source planes are cast to it, C-contiguous), the r planes (r +
-0j, so that no product mixes a real plane with a complex one), the plane
-stack, the total field, the cache's planes and the adjoint's scratch,
-spectra and cotangents. Each is computed in double and stored in that
-dtype. The impedances, the slab's properties and the slab gradients'
-accumulators stay float64.
+default or complex64, for every array a run and its adjoint march: H on
+the band and the passband's intermediate (its matrices are of the
+dtype's real type), the screens and the source plane (a run's source
+planes are cast to it, C-contiguous), the r planes (r + 0j, so that no
+product mixes a real plane with a complex one), the transmission
+planes, the plane stack, the total field, the cache's planes and the
+adjoint's scratch, spectra and cotangents. Each is computed in double
+and stored in that dtype, except the screens' cos and sin
+(`_per_slice`). The impedances, the slab's properties and the slab
+gradients' accumulators stay float64.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -172,11 +192,23 @@ def _diffraction_kernel(grid: GridSpec, angular_cutoff: float,
     return H
 
 
-def _dft_rows(n: int, k: np.ndarray) -> np.ndarray:
-    """Rows k of the n-point DFT matrix, exp(-2*pi*i*((k*j) mod n)/n): the
-    mod keeps each phase in [0, 2*pi), where exp keeps full precision
-    however large k*j is."""
-    return np.exp(-2j * np.pi * (np.outer(k, np.arange(n)) % n) / n)
+def _cos_sin(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+    """The real n-point DFT of a multiplier even in k, on the bins where
+    `live` (length n, even in k) is set: (F, Fi, k). With k the live bins
+    0 <= k <= n/2, the real (len(k), n) matrix F has a row
+    cos(2*pi*j*k/n) for each k and then a row sin(2*pi*j*k/n) for each
+    0 < k < n/2, and Fi = (w * F).T with w = 1/n at k = 0 and n/2 and 2/n
+    elsewhere, so that Fi @ (h[k] * (F @ x)) is the DFT multiplier h,
+    even in k, applied to x (the real-symmetric DFT of Bracewell's
+    Hartley transform, JOSA 73, 1832, 1983). The phase (j*k) mod n keeps
+    each argument in [0, 2*pi), where cos and sin keep full precision."""
+    k = np.flatnonzero(live[: n // 2 + 1])
+    rows = np.concatenate([k, k[(k > 0) & (2 * k < n)]])
+    phase = 2 * np.pi * (np.outer(rows, np.arange(n)) % n) / n
+    F = np.concatenate([np.cos(phase[: k.size]), np.sin(phase[k.size :])])
+    return (F, F.T * np.where((rows == 0) | (2 * rows == n), 1.0, 2.0) / n,
+            rows)
 
 
 # planes per product of a block of planes (`_into_band`, `_out_of_band`):
@@ -187,25 +219,26 @@ _BLOCK = 8
 @dataclass(eq=False)
 class _Passband:
     """The diffraction step on the kernel's passband, the rows and
-    columns c of the FFT grid where H has a nonzero entry.
+    columns of the FFT grid where H has a nonzero entry.
 
-    H depends on kx only through kx**2 (`_diffraction_kernel` is even in
-    kx), so along x the step has an exact real form, the real-symmetric
-    DFT of Bracewell's Hartley transform (JOSA 73, 1832, 1983). With k
-    the passband rows 0 <= k <= nx/2, the real (br, nx) matrix A has a
-    row cos(2*pi*j*k/nx) for each k and a row sin(2*pi*j*k/nx) for each
-    0 < k < nx/2, Ai = (w * A).T with w = 1/nx at k = 0 and nx/2 and 2/nx
-    elsewhere, and H on the band is H[k, c] on both rows of k. With B =
-    F_ny[:, c] and Bi = conj(F_ny[c, :])/ny the DFT columns in y, the
-    step v = ifft2(H * fft2(u)) is v = Ai @ (H_band * (A @ u @ B)) @ Bi.
+    H depends on kx and ky only through kx**2 and ky**2
+    (`_diffraction_kernel` is even in each), so the step has an exact
+    real form along both axes: with (A, Ai, rows) the real DFT
+    `_cos_sin` of x on H's live rows and (B.T, Bi.T, cols) that of y on
+    its live columns, and H on the band H[rows, cols] (H[k, c] on every
+    cos and sin row and column of k and c), the step
+    v = ifft2(H * fft2(u)) is v = Ai @ (H_band * (A @ u @ B)) @ Bi.
     into and back are the (left, right) matrices of the first product and
     of the last; into_t and back_t those of the transposed step, (Ai.T,
-    Bi.T) and (A.T, B.T), which the adjoint runs. The left matrices are
-    of the dtype's real type and act on a plane's float view, (nx, 2*ny)
-    for an (nx, ny) complex plane; the right ones, H on the band and tmp
-    are of the dtype. tmp is the intermediate of `_into_band` and
-    `_out_of_band`, _BLOCK (br, ny) planes that every run and adjoint of
-    the prepared medium uses in turn.
+    Bi.T) and (A.T, B.T), which the adjoint runs. Every matrix is of the
+    dtype's real type and every product one real GEMM on float views: a
+    left matrix acts on a plane's float view, (nx, 2*ny) for an (nx, ny)
+    complex plane, and a right matrix R is stored as kron(R, I2), which
+    acts on the complex axis of a float view as R on the plane. H on the
+    band and tmp are of the dtype. tmp is the intermediate of
+    `_into_band`, `_out_of_band` and the march's one-slice steps, _BLOCK
+    (br, ny) planes that every run and adjoint of the prepared medium
+    uses in turn.
     """
 
     H: np.ndarray                       # H on the passband, (br, bc)
@@ -217,58 +250,52 @@ class _Passband:
 
     @classmethod
     def of(cls, H: np.ndarray, dtype=np.complex128) -> "_Passband":
-        """The step of kernel H, its matrices built in double and stored,
-        with H on the band and tmp, as `dtype` (the left ones as its real
-        type)."""
-        nx, ny = H.shape
-        k = np.flatnonzero(np.any(H[: nx // 2 + 1], axis=1))
-        rows = np.concatenate([k, k[(k > 0) & (2 * k < nx)]])
-        c = np.flatnonzero(np.any(H, axis=0))
-        phase = 2 * np.pi * (np.outer(rows, np.arange(nx)) % nx) / nx
-        A = np.concatenate([np.cos(phase[: k.size]), np.sin(phase[k.size :])])
-        Ai = A.T * np.where((rows == 0) | (2 * rows == nx), 1.0, 2.0) / nx
-        Fc = _dft_rows(ny, c)
-        pairs = [(A, Fc.T), (Ai, np.conj(Fc) / ny), (Ai.T, np.conj(Fc).T / ny),
-                 (A.T, Fc)]
+        """The step of kernel H, its matrices built in double and stored
+        as the real type of `dtype`, H on the band and tmp as `dtype`."""
+        A, Ai, rows = _cos_sin(H.shape[0], np.any(H, axis=1))
+        Bt, Bit, cols = _cos_sin(H.shape[1], np.any(H, axis=0))
+        pairs = [(A, Bt.T), (Ai, Bit.T), (Ai.T, Bit), (A.T, Bt)]
         f = np.finfo(dtype).dtype
-        return cls(H[np.ix_(rows, c)].astype(dtype),
+        return cls(H[np.ix_(rows, cols)].astype(dtype),
                    *[(np.ascontiguousarray(L, dtype=f),
-                      np.ascontiguousarray(R, dtype=dtype)) for L, R in pairs],
-                   tmp=np.empty((_BLOCK, rows.size, ny), dtype=dtype))
+                      np.kron(R, np.eye(2)).astype(f)) for L, R in pairs],
+                   tmp=np.empty((_BLOCK, rows.size, H.shape[1]), dtype=dtype))
 
 
 def _into_band(mats: tuple, x: np.ndarray, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
     """out = L @ x @ R, (L, R) = mats, for one (nx, ny) plane x or a block
-    of them (a block of len(tmp) planes at a time), through tmp = L @ x:
-    the real L acts on the float view of x, one real product per block."""
+    of them (a block of len(tmp) planes at a time), through tmp = L @ x,
+    each product one real GEMM on float views (`np.dot` on one plane:
+    less call overhead than `np.matmul`, into a C-contiguous out)."""
     L, R = mats
     f = L.dtype
     if x.ndim == 2:
-        t = tmp[0]
-        np.matmul(L, x.view(f), out=t.view(f))
-        return np.matmul(t, R, out=out)
+        t = tmp[0].view(f)
+        np.dot(L, x.view(f), out=t)
+        np.dot(t, R, out=out.view(f))
+        return out
     for i in range(0, len(x), len(tmp)):
-        t = tmp[: len(x) - i]
-        np.matmul(L, x[i : i + len(t)].view(f), out=t.view(f))
-        np.matmul(t, R, out=out[i : i + len(t)])
+        t = tmp[: len(x) - i].view(f)
+        np.matmul(L, x[i : i + len(t)].view(f), out=t)
+        np.matmul(t, R, out=out[i : i + len(t)].view(f))
     return out
 
 
 def _out_of_band(mats: tuple, K: np.ndarray, out: np.ndarray,
                  tmp: np.ndarray) -> np.ndarray:
     """out = L @ K @ R, (L, R) = mats, for one passband spectrum K or a
-    block of them (a block of len(tmp) at a time), through tmp = K @ R:
-    the real L acts last, on the float view of tmp into that of out."""
+    block of them (a block of len(tmp) at a time), through tmp = K @ R,
+    each product one real GEMM on float views."""
     L, R = mats
     f = L.dtype
     if K.ndim == 2:
-        t = tmp[0]
-        np.matmul(L, np.matmul(K, R, out=t).view(f), out=out.view(f))
+        t = tmp[0].view(f)
+        np.dot(L, np.dot(K.view(f), R, out=t), out=out.view(f))
         return out
     for i in range(0, len(K), len(tmp)):
-        t = tmp[: len(K) - i]
-        np.matmul(L, np.matmul(K[i : i + len(t)], R, out=t).view(f),
+        t = tmp[: len(K) - i].view(f)
+        np.matmul(L, np.matmul(K[i : i + len(t)].view(f), R, out=t),
                   out=out[i : i + len(t)].view(f))
     return out
 
@@ -304,16 +331,22 @@ class SliceCache:
     adjoint transposes; H is the full kernel it was cut from.
     screen holds one entry per slice: the screen's one value (a NumPy
     scalar) where it is the same across the plane, so that a step into
-    the slice can be homogeneous, and its (nx, ny) array elsewhere. coeff holds
-    one entry per slice pair k, k+1: its plane of r (`_interface`), or
-    None where the impedance does not change. Both are the prepared
-    medium's, except on the lens slab and the pairs that touch it, where
-    this run's (always planes) replace them. Z maps the slab's slices and the
-    slice on either side (z0-1 .. z0+n_v) to this run's impedance, which
-    the slab gradients read; it is empty without a lens. A slab pair is
-    a pair whose two slices are both keys of Z. c, rho and att_np are this run's
-    properties on the lens slab only (nx, ny, n_v); (nx, ny, 0) for a run
-    without a lens occupancy.
+    the slice can be homogeneous, and its (nx, ny) array elsewhere, or
+    None where `prepare` left a base slice's plane to the transmission
+    planes of the two interfaces around it (no step into the slice reads
+    it). coeff holds one entry per slice pair k, k+1: its plane of r
+    (`_interface`), or None where the impedance does not change. Both
+    are the prepared medium's, except on the lens slab and the pairs
+    that touch it, where this run's (always planes) replace them. trans
+    maps each direction of the run's sweeps (+1, -1) to one entry per
+    pair: the prepared medium's transmission plane toward it
+    (`_transmitted`), or None where the pair has no interface or is a
+    slab pair, whose plane the adjoint forms again. Z maps the slab's
+    slices and the slice on either side (z0-1 .. z0+n_v) to this run's
+    impedance, which the slab gradients read; it is empty without a
+    lens. A slab pair is a pair whose two slices are both keys of Z. c,
+    rho and att_np are this run's properties on the lens slab only
+    (nx, ny, n_v); (nx, ny, 0) for a run without a lens occupancy.
     """
 
     grid: GridSpec
@@ -324,6 +357,7 @@ class SliceCache:
     att_np: np.ndarray
     screen: list
     coeff: list
+    trans: dict
     Z: dict
     sweeps: list = field(default_factory=list)
     # lens embedding for d/d occupancy (None when no lens was embedded)
@@ -358,30 +392,44 @@ _SCREENS = 16
 
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
-               att_np: np.ndarray, dtype) -> tuple[list, list]:
+               att_np: np.ndarray, dtype) -> tuple[list, np.ndarray]:
     """Screens and impedances of (nx, ny, k) properties, one per slice
-    (the sweeps read them slice by slice). The impedances are contiguous
-    float64 (nx, ny) arrays. A screen, the phase and absorption screen
-    exp(i*phi - a*dz) with phi = k0*(c_ref/c - 1)*dz, is computed in
-    double as exp(-a*dz)*cos(phi) and exp(-a*dz)*sin(phi), _SCREENS
+    (the sweeps read them slice by slice). The impedances are one
+    slice-major float64 (k, nx, ny) product. A screen, the phase and
+    absorption screen exp(i*phi - a*dz) with phi = k0*(c_ref/c - 1)*dz,
+    is computed as exp(-a*dz)*cos(phi) and exp(-a*dz)*sin(phi), _SCREENS
     slices at a time, into the real and imaginary parts of a slice-major
-    block of `dtype`. It is stored as the one value it takes across the
-    whole plane, or as its contiguous (nx, ny) plane where it varies: a
-    view of the block, or a copy where the block has a uniform slice,
-    whose plane is then freed."""
+    block of `dtype`: phi and exp(-a*dz) in double, cos and sin of phi
+    rounded to the dtype's real type in that type, and each part rounded
+    once from its double product with exp(-a*dz). One reduction over the
+    block finds its uniform slices. A screen is stored as the one value
+    it takes across the whole plane, or as its contiguous (nx, ny) plane
+    where it varies: a view of the block, or a copy where the block has a
+    uniform slice, whose plane is then freed."""
     k0, dz = grid.k0, grid.dz
+    f = np.finfo(dtype).dtype
     screen = []
+    Z = np.empty((c.shape[2], *c.shape[:2]))
     for i in range(0, c.shape[2], _SCREENS):
         cut = np.s_[:, :, i : i + _SCREENS]
-        phi = k0 * (grid.c_ref / c[cut].transpose(2, 0, 1) - 1.0) * dz
-        mag = np.exp(-att_np[cut].transpose(2, 0, 1) * dz)
+        ci = c[cut].transpose(2, 0, 1)
+        np.multiply(rho[cut].transpose(2, 0, 1), ci, out=Z[i : i + _SCREENS])
+        phi = np.divide(grid.c_ref, ci, order="C")
+        phi -= 1.0
+        phi *= k0
+        phi *= dz
+        phi = phi.astype(f, copy=False)
+        mag = np.multiply(att_np[cut].transpose(2, 0, 1), -dz, order="C")
+        np.exp(mag, out=mag)
         block = np.empty(phi.shape, dtype=dtype)
-        block.real = mag * np.cos(phi)
-        block.imag = mag * np.sin(phi)
-        uniform = [np.all(scr == scr.flat[0]) for scr in block]
-        screen += [scr.flat[0] if u else scr.copy() if any(uniform) else scr
+        np.multiply(mag, np.cos(phi), out=block.real)
+        np.multiply(mag, np.sin(phi), out=block.imag)
+        # bitwise equal to the plane's first value, on an integer view
+        w = block.view(np.int64).reshape(len(block), -1, block.itemsize // 8)
+        uniform = np.all(w == w[:, :1], axis=(1, 2))
+        screen += [scr.flat[0] if u else scr.copy() if uniform.any() else scr
                    for scr, u in zip(block, uniform)]
-    return screen, [rho[:, :, s] * c[:, :, s] for s in range(c.shape[2])]
+    return screen, Z
 
 
 def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype,
@@ -395,6 +443,16 @@ def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype,
     return ((Z2 - Z1) / (Z1 + Z2)).astype(dtype)
 
 
+def _transmitted(r: np.ndarray, screen: list, k: int,
+                 direction: int) -> np.ndarray:
+    """The plane a that carries the field across pair k, k+1 with plane r
+    (`_interface`) and into its screen: (1 + r)*screen[k+1] toward +z,
+    (1 - r)*screen[k] toward -z."""
+    if direction > 0:
+        return (1.0 + r) * screen[k + 1]
+    return (1.0 - r) * screen[k]
+
+
 @dataclass
 class PreparedMedium:
     """A medium set up once for any number of forward runs.
@@ -403,8 +461,9 @@ class PreparedMedium:
     the DFT matrices restricted to H's nonzero rows and columns, built
     by `prepare` and shared with every copy and cache), the default
     source plane and the per-slice screens (a scalar where a screen is
-    uniform; see SliceCache) and interface coefficients of the base
-    medium, which a run without a lens occupancy marches; a lens run
+    uniform; see SliceCache), interface planes and transmission planes
+    toward both directions of the base medium, which a run without a
+    lens occupancy marches; a lens run
     recomputes the screens of the slab slices, so a slab slice may be a
     scalar in one run and a plane in the next.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
@@ -416,14 +475,19 @@ class PreparedMedium:
     another lens material, which shares every array but the deltas, so
     a sweep over materials prepares the medium once. Nothing
     it holds is modified by a run, except the spare plane stack of nz + 1
-    planes (`_spare`, None until the first run; a pickle carries none,
-    a `with_lens` copy shares it), which each run takes and puts back,
-    and the passband's intermediate buffer, which runs and adjoints use
-    in turn.
+    planes (`_spare`, None until the first run), which each run takes
+    and puts back, the spare planes of the reflected sources its runs
+    have added (`_spent`), which the next reflected sources fill, and
+    the passband's intermediate buffer, which runs and adjoints use in
+    turn. A pickle carries no spare planes; a `with_lens` copy shares
+    them. Kept from run to run, these planes also keep their place on
+    the heap, which glibc would otherwise trim for the next run to fault
+    back in.
     Its `dtype`, the band's, is the one complex dtype of its screens,
-    source plane, r planes and passband (left matrices: its real type)
-    and of every plane its runs and their adjoints march; a `with_lens`
-    copy and a pickle keep it. H, the full kernel, stays complex128.
+    source plane, r and transmission planes and passband (matrices: its
+    real type) and of every plane its runs and their adjoints march; a
+    `with_lens` copy and a pickle keep it. H, the full kernel, stays
+    complex128.
     """
 
     grid: GridSpec
@@ -431,8 +495,9 @@ class PreparedMedium:
     H: np.ndarray
     band: _Passband                     # the step on H's passband
     source_plane: np.ndarray
-    screen: list                        # screen, coeff: see SliceCache
-    coeff: list
+    screen: list                        # screen, coeff, trans: see
+    coeff: list                         # SliceCache
+    trans: dict
     Z: dict                             # slices z_offset-1, z_offset+n_v
     z_offset: int
     c: np.ndarray                       # base properties on the slab
@@ -444,9 +509,11 @@ class PreparedMedium:
     datt: np.ndarray | None = None
     _spare: np.ndarray | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _spent: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "_spare": None}
+        return {**self.__dict__, "_spare": None, "_spent": []}
 
     @property
     def dtype(self) -> np.dtype:
@@ -466,7 +533,7 @@ class PreparedMedium:
             datt=(lens_mat.attenuation_np_per_m(self.grid.frequency)
                   - self.att_np),
         )
-        copy._spare = self._spare
+        copy._spare, copy._spent = self._spare, self._spent
         return copy
 
     def run(
@@ -500,9 +567,10 @@ class PreparedMedium:
     def _forward(self, occupancy, sources, direction,
                  keep: bool) -> tuple[ComplexField, SliceCache | None]:
         """The sweeps of `run` (keep: the cache too) or of `field_only`,
-        all through the prepared medium's spare stack. Each sweep adds
-        its slices into the total as it marches; with keep, the planes
-        the adjoint reads are copied into the cache after each sweep."""
+        all through the prepared medium's spare stack. The first sweep
+        writes its slices into the total as it marches, each later one
+        adds into it; with keep, the planes the adjoint reads are copied
+        into the cache after each sweep."""
         grid = self.grid
         if occupancy is not None and self.dc is None:
             raise ValueError("a lens occupancy was passed to a medium "
@@ -521,7 +589,10 @@ class PreparedMedium:
             if inject[s].shape != (grid.nx, grid.ny):
                 raise ValueError("source plane shape does not match grid")
 
-        screen, coeff, Z = self.screen, self.coeff, {}
+        # the field first, below the run's other arrays on the heap
+        total = np.empty((grid.nz, grid.nx, grid.ny), dtype=self.dtype)
+        screen, coeff, trans, Z = self.screen, self.coeff, self.trans, {}
+        cached = trans
         c, rho, att = (a[:, :, :0] for a in (self.c, self.rho, self.att_np))
         lens = {}
         if occupancy is not None:
@@ -539,26 +610,43 @@ class PreparedMedium:
             screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att,
                                                        self.dtype)
             Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
-            for k in Z:
-                if k + 1 in Z:              # a slab pair
-                    coeff[k] = _interface(Z[k], Z[k + 1], self.dtype,
-                                          slab=True)
+            pairs = [k for k in Z if k + 1 in Z]
+            for k in pairs:
+                coeff[k] = _interface(Z[k], Z[k + 1], self.dtype, slab=True)
+            # toward the directions this run's sweeps take; the cache keeps
+            # none on the slab pairs, which the adjoint forms again
+            cached = {d: [None if k in pairs else a for k, a in
+                          enumerate(trans[d])] for d in (
+                (direction,) if self.cfg.reflection_order == 0 else (1, -1))}
+            trans = {d: list(planes) for d, planes in cached.items()}
+            for d, planes in trans.items():
+                for k in pairs:
+                    planes[k] = _transmitted(coeff[k], screen, k, d)
             lens = dict(lens_z_offset=z0, lens_dc=self.dc,
                         lens_drho=self.drho, lens_datt=self.datt)
         cache = (SliceCache(grid, self.H, self.band, c, rho, att, screen,
-                            coeff, Z, **lens) if keep else None)
+                            coeff, cached, Z, **lens) if keep else None)
 
-        total = np.zeros((grid.nz, grid.nx, grid.ny), dtype=self.dtype)
         stack, self._spare = self._spare, None
         if stack is None:
             stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
                              dtype=self.dtype)
+        plans = {}      # sweeps of one direction and injected slices share
         for n in range(self.cfg.reflection_order + 1):
-            plan = _plan(screen, coeff, inject, direction)
-            refl = _march(self.band, screen, coeff, direction, inject, *plan,
-                          n < self.cfg.reflection_order, stack, total)
+            key = (direction, frozenset(inject))
+            if key not in plans:
+                plans[key] = _plan(screen, coeff, inject, direction)
+            order, segments = plans[key]
+            if n == 0:  # it writes the slices it visits, not the others
+                s = order[0]
+                total[slice(0, s) if direction > 0 else slice(s + 1, None)] = 0
+            refl = _march(self.band, screen, coeff, trans[direction],
+                          direction, inject, order, segments,
+                          n < self.cfg.reflection_order, stack, total, n == 0,
+                          Z if keep else (), [] if keep else self._spent)
             if keep:
-                cache.sweeps.append(_kept(stack, direction, inject, *plan, Z))
+                cache.sweeps.append(_kept(stack, direction, inject, order,
+                                          segments, Z))
             if not refl:
                 break
             inject = refl
@@ -627,20 +715,36 @@ def prepare(
     att_np = medium.attenuation_np_per_m()
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen, Z = _per_slice(grid, medium.c, medium.rho, att_np, dtype)
-    sl = np.s_[:, :, z_offset : z_offset + n_v]
+    coeff = [_interface(Z[k], Z[k + 1], dtype) for k in range(grid.nz - 1)]
+    edge = {s: Z[s].copy() for s in (z_offset - 1, z_offset + n_v)
+            if n_v and 0 <= s < grid.nz}
+    # the full-grid attenuation goes before the transmission planes are
+    # formed. The impedance block goes as prepare returns: freed here, it
+    # left glibc a heap that each iteration of a design trims and faults
+    # back in (about 7x the page faults on the water demo).
+    c, rho, att_np = (a[:, :, z_offset : z_offset + n_v].copy()
+                      for a in (medium.c, medium.rho, att_np))
+    trans = {d: [None if r is None else _transmitted(r, screen, k, d)
+                 for k, r in enumerate(coeff)] for d in (1, -1)}
+    # a screen plane between two interfaces lives on in their transmission
+    # planes only; the others are copied out of their blocks
+    screen = [scr if not isinstance(scr, np.ndarray) else None
+              if s not in edge and all(coeff[k] is not None for k in (s - 1, s)
+                                       if 0 <= k < grid.nz - 1)
+              else scr.copy() for s, scr in enumerate(screen)]
     prepared = PreparedMedium(
         grid, cfg,
         H=H,
         band=_Passband.of(H, dtype),
         source_plane=np.array(source_plane, dtype=dtype, order="C"),
         screen=screen,
-        coeff=[_interface(Z[k], Z[k + 1], dtype) for k in range(grid.nz - 1)],
-        Z={s: Z[s] for s in (z_offset - 1, z_offset + n_v)
-           if n_v and 0 <= s < grid.nz},
+        coeff=coeff,
+        trans=trans,
+        Z=edge,
         z_offset=z_offset,
-        c=medium.c[sl].copy(),
-        rho=medium.rho[sl].copy(),
-        att_np=att_np[sl].copy(),
+        c=c,
+        rho=rho,
+        att_np=att_np,
     )
     return prepared if lens_mat is None else prepared.with_lens(lens_mat)
 
@@ -665,7 +769,7 @@ def _plan(screen: list, coeff: list, inject: dict,
     segments, first = [], 1
     for i in range(1, len(order)):
         prev, s = order[i - 1], order[i]
-        if (i + 1 == len(order) or np.ndim(screen[s]) != 0
+        if (i + 1 == len(order) or isinstance(screen[s], np.ndarray)
                 or coeff[min(prev, s)] is not None or s in inject):
             segments.append((first, i))
             first = i + 1
@@ -676,6 +780,7 @@ def _march(
     band: _Passband,
     screen: list,
     coeff: list,
+    trans: list,
     direction: int,
     inject: dict,
     order: range,
@@ -683,64 +788,107 @@ def _march(
     collect_reflections: bool,
     stack: np.ndarray,
     total: np.ndarray,
+    first_sweep: bool,
+    held,
+    spent: list,
 ) -> dict:
-    """One directional sweep along its plan (`_plan`), added into the
-    slice-major `total` (nz, nx, ny); returns its reflected sources.
+    """One directional sweep along its plan (`_plan`) into the slice-major
+    `total` (nz, nx, ny); returns its reflected sources r*v.
 
-    Slice s's post-diffraction field goes to stack[s], and its
-    contribution is added into total[s] as soon as it is formed in the
-    work plane, the stack's last. Each injected plane but the first,
-    which the first visited slice contributes, is set to None in `inject`
-    once added, so that it is freed while the sweep goes on.
+    The first sweep of a run writes each slice it visits into total, a
+    later one adds into it. A later sweep's sources are the reflected
+    sources of the sweep before it, which went the other way; toward -z
+    the reflection coefficient is -r, so a later sweep toward +z
+    subtracts its sources instead of adding them (the sign rides with
+    the field it marches). Each injected plane but the first, which the
+    first visited slice contributes, is set to None in `inject` once
+    added; a later sweep's, a reflected source of this run, goes to
+    `spent`, whose planes take the reflected sources r*v this sweep
+    forms.
 
-    Each segment takes the field entering it into the passband (`band`),
-    writes each slice's passband spectrum H * screen_prev * (previous
-    spectrum) to the head of stack[s], returns those spectra to their
-    planes in one block product, adds screen * v on its homogeneous
-    slices, and applies its last slice's interface (rv = +-r*v, the
-    reflected source, and v + rv transmitted), screen and injection in
-    space before adding that slice.
+    Each segment takes the field entering it into the passband (`band`)
+    and ends at its last slice s. A one-slice segment runs its four
+    products inline on float views, with the spectrum in the head of the
+    work plane (the stack's last) and its post-diffraction field v in
+    that plane, or in stack[s] where s is `held` (the slices whose v the
+    cache keeps). A longer one writes each slice's passband spectrum
+    H * screen_prev * (previous spectrum) to the head of stack[s],
+    multiplied by its screen on the homogeneous slices, and returns
+    them to space in one block product: the homogeneous slices'
+    contributions and v, into total on the first sweep (v in total[s]
+    unless s is held) and into the stack otherwise. The last step
+    forms r*v, the reflected source, where the pair k it crosses has an
+    interface, then the contribution a*v, a = trans[k] (`_transmitted`)
+    or the screen without one, in total[s] (first sweep) or in the work
+    plane, and the injection there.
     """
-    down = direction < 0
-    work, tmp = stack[-1], band.tmp
     f = band.into[0].dtype              # the real type, of float views
+    A, B = band.into
+    Ai, Bi = band.back
+    H, tmp = band.H, band.tmp
+    t = tmp[0].view(f)
     # slice s's passband spectrum, in the head of stack[s] until the
     # segment's block product overwrites that plane with its field
-    spectra = stack.reshape(len(stack), -1)[:, : band.H.size].reshape(
-        len(stack), *band.H.shape)
+    spectra = stack.reshape(len(stack), -1)[:, : H.size].reshape(
+        len(stack), *H.shape)
+    work, K1 = stack[-1], spectra[-1]
+    fK1 = K1.view(f)
+    negate = direction > 0 and not first_sweep
+    add = np.subtract if negate else np.add
     refl: dict = {}
 
     u = inject[order[0]]
-    total[order[0]] += u
+    if first_sweep:
+        total[order[0]] = u
+    else:
+        add(total[order[0]], u, out=total[order[0]])
+    H_in = -H if negate else H          # the sweep's first step
     for first, last in segments:
-        steps = order[first - 1 : last + 1]
-        for prev, s in zip(steps, steps[1:]):
-            if prev == steps[0]:    # the field entering the segment
-                _into_band(band.into, u, spectra[s], tmp)
+        prev, s = order[last - 1], order[last]
+        v = stack[s] if s in held else work
+        if first == last:   # u is read before its plane may take K and v
+            np.dot(A, u.view(f), out=t)
+            np.dot(t, B, out=fK1)
+            np.multiply(K1, H_in, out=K1)
+            np.dot(Ai, np.dot(fK1, Bi, out=t), out=v.view(f))
+        else:
+            steps = order[first - 1 : last + 1]
+            K = spectra[steps[1]]
+            _into_band(band.into, u, K, tmp)
+            np.multiply(K, H_in, out=K)
+            # a homogeneous slice h takes its screen on its spectrum, which
+            # then returns to space as its contribution
+            for h, q in zip(steps[1:], steps[2:]):
+                np.multiply(spectra[h], screen[h], out=spectra[h])
+                np.multiply(spectra[h], H, out=spectra[q])
+            seg = slice(min(steps[1], s), max(steps[1], s) + 1)
+            hom = slice(min(steps[1], steps[-2]), max(steps[1], steps[-2]) + 1)
+            if first_sweep and s not in held:   # v in total[s], for u
+                v = total[s]
+                _out_of_band(band.back, spectra[seg], total[seg], tmp)
             else:
-                np.multiply(spectra[prev], screen[prev], out=spectra[s])
-            np.multiply(spectra[s], band.H, out=spectra[s])
-        seg = slice(min(steps[1], s), max(steps[1], s) + 1)
-        _out_of_band(band.back, spectra[seg], stack[seg], tmp)
-        for h in steps[1:-1]:
-            total[h] += np.multiply(stack[h], screen[h], out=work)
+                v = stack[s]
+                _out_of_band(band.back, spectra[seg], stack[seg], tmp)
+                if first_sweep:
+                    total[hom] = stack[hom]
+                else:
+                    total[hom] += stack[hom]
+        H_in = H
 
-        # the segment's last step prev -> s, in space
-        v = stack[s]
-        u, tv = work, v
-        r = coeff[min(prev, s)]
-        if r is not None:
-            rv = np.multiply(r, v, out=None if collect_reflections else u)
-            if down:                # r toward -z is -r
-                np.negative(rv.view(f), out=rv.view(f))
-            if collect_reflections:
-                refl[prev] = rv
-            tv = np.add(v, rv, out=u)
-        np.multiply(tv, screen[s], out=u)
+        # the segment's last step prev -> s, in space (u may be v's plane)
+        k = min(prev, s)
+        r = coeff[k]
+        if r is not None and collect_reflections:
+            refl[prev] = np.multiply(r, v, out=spent.pop() if spent else None)
+        u = total[s] if first_sweep else work
+        np.multiply(v, screen[s] if r is None else trans[k], out=u)
         if s in inject:
-            np.add(u, inject[s], out=u)
+            add(u, inject[s], out=u)
+            if not first_sweep:     # a reflected source of this run
+                spent.append(inject[s])
             inject[s] = None
-        total[s] += u
+        if not first_sweep:
+            np.add(total[s], u, out=total[s])
     return refl
 
 
@@ -822,6 +970,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
     of the segment.
     """
     band, screen, coeff, Z = cache.band, cache.screen, cache.coeff, cache.Z
+    trans = cache.trans[sweep.direction]
     tmp = band.tmp
     down = sweep.direction < 0
     order = sweep.order
@@ -846,13 +995,16 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
                 rv = np.real(rc * v)
                 acc[1] = rv if acc[1] is None else acc[1] + rv
 
-        # vbar = w +- r * (w + refl_cot[prev]), w = ub * screen, in the carry
-        # plane (r toward -z is -r); ub, read no more, holds r * (...)
-        np.multiply(ub, screen[s], out=carry)
-        r = coeff[min(prev, s)]
-        if r is not None:
-            np.multiply(carry if rc is None else np.add(carry, rc, out=ub), r,
-                        out=ub)
+        # vbar = a * ub +- r * refl_cot[prev] in the carry plane, a the
+        # pair's transmission plane or the screen (r toward -z is -r);
+        # ub, read no more, holds r * refl_cot[prev]
+        k = min(prev, s)
+        r, a = coeff[k], trans[k]
+        if r is not None and a is None:     # a slab pair's, formed again
+            a = _transmitted(r, screen, k, sweep.direction)
+        np.multiply(ub, screen[s] if r is None else a, out=carry)
+        if rc is not None:
+            np.multiply(rc, r, out=ub)
             (np.subtract if down else np.add)(carry, ub, out=carry)
         _into_band(band.into_t, carry, K, tmp)
         np.multiply(K, band.H, out=K)

@@ -6,6 +6,7 @@ import numpy as np
 from numpy.fft import fft2, ifft2
 from scipy import ndimage, signal
 
+from sonolens.analysis import FocalReport, FocusMetrics, _fwhm_1d
 from sonolens.baselines import TWO_PI, full_cycle_thickness
 from sonolens.optim import TargetSpec
 from sonolens.solver import ComplexField, _diffraction_kernel
@@ -49,6 +50,44 @@ def label_segment(amp, seeds, threshold_db=-6.0):
         label = labels[tuple(int(v) for v in seed)]
         out.append(labels == label if label else np.zeros(amp.shape, bool))
     return out
+
+
+def mask_focal_metrics(p, segments):
+    """Focal metrics on full-grid masks, everything on |p| in the field's
+    own layout: the reference of `analysis.focal_metrics`. Each focus
+    peaks at the first maximum of |p| in C order inside its mask; the
+    leakage is the mean of |p| outside the union of the masks over the
+    mean inside it, each a mean over a boolean index."""
+    amp = np.abs(p.values)
+    grid = p.grid
+    foci, peaks = [], []
+    union = np.zeros(amp.shape, dtype=bool)
+    for label, mask in enumerate(segments):
+        if not mask.any():
+            continue
+        union |= mask
+        masked = np.where(mask, amp, -np.inf)
+        peak_idx = tuple(int(v) for v in np.unravel_index(np.argmax(masked),
+                                                          amp.shape))
+        peak = amp[peak_idx]
+        peaks.append(peak**2)
+        px, py, pz = peak_idx
+        foci.append(FocusMetrics(
+            label=label,
+            peak_pressure=float(peak),
+            peak_index=peak_idx,
+            fwhm_lateral_x=_fwhm_1d(amp[:, py, pz], grid.dx),
+            fwhm_lateral_y=_fwhm_1d(amp[px, :, pz], grid.dy),
+            fwhm_axial=_fwhm_1d(amp[px, py, :], grid.dz),
+            volume_m3=float(mask.sum() * grid.voxel_volume),
+            voxel_count=int(mask.sum()),
+        ))
+    outside = ~union
+    inside_mean = amp[union].mean()
+    outside_mean = amp[outside].mean() if outside.any() else 0.0
+    leakage = float(outside_mean / inside_mean) if inside_mean > 0 else np.inf
+    return FocalReport(foci, leakage, float(min(peaks) / max(peaks)),
+                       n_components=len(foci))
 
 
 def embedded_arrays(base, occupancy, lens_mat, z_offset):

@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from oracles import bfs_segment, label_segment
+from oracles import bfs_segment, label_segment, mask_focal_metrics
 
 from sonolens.analysis import (
     HEAT_CAPACITY_BONE,
@@ -311,6 +311,37 @@ class TestFocalMetrics:
             masked = np.where(segments[focus.label], amp, -np.inf)
             assert focus.peak_index == np.unravel_index(np.argmax(masked),
                                                         g.shape)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("layout", ["C", "slice-major"])
+    def test_report_matches_the_mask_oracle(self, dtype, layout):
+        # quantized amplitudes tie within and across foci; five seeds
+        # fall in separate components, two share one and one lies below
+        # the -6 dB level. The solver hands out the (nx, ny, nz) view of
+        # slice-major storage: the report is the same on that layout.
+        g = make_grid(14, 12, 16)
+        rng = np.random.default_rng(8)
+        amp = np.round(rng.uniform(0.0, 1.0, size=g.shape) ** 4, 1)
+        phase = np.array([1, 1j, -1, -1j])[rng.integers(4, size=g.shape)]
+        values = (amp * phase).astype(dtype)        # |values| == amp
+        if layout == "slice-major":
+            values = np.ascontiguousarray(
+                values.transpose(2, 0, 1)).transpose(1, 2, 0)
+        p = ComplexField(values, g)
+        above = np.argwhere(np.abs(values) >= 0.5 * np.abs(values).max())
+        seeds = [above[0], above[0], *above[1 : 8 : 2],
+                 np.unravel_index(np.argmin(np.abs(values)), g.shape)]
+        segments = segment_foci(p, seeds)
+        assert len({m.tobytes() for m in segments if m.any()}) >= 3
+        assert not segments[-1].any()
+        assert any(np.sum(np.abs(values)[m] == np.abs(values)[m].max()) > 1
+                   for m in segments if m.any())
+        got, ref = focal_report(p, seeds), mask_focal_metrics(p, segments)
+        assert got.foci == ref.foci and got.uniformity == ref.uniformity
+        assert got.n_components == ref.n_components
+        assert got.leakage_ratio == pytest.approx(ref.leakage_ratio,
+                                                  rel=1e-6)
+        assert asdict(focal_metrics(p, segments)) == asdict(got)
 
 
 class TestBioheat:

@@ -53,45 +53,57 @@ class TestPassband:
 
     # odd sizes have no Nyquist row or column; the 65x65 grid is the
     # piston reference's; cutoff 3.2 keeps the Nyquist row of a 16-point
-    # x axis (at 3.0*k0 on this grid) but not every bin
+    # x axis and the Nyquist column of a 16-point y axis (at 3.0*k0 on
+    # this grid) but not every bin
     CASES = [(16, 16, 0.5), (16, 16, 1.0), (16, 16, 1.5), (24, 20, 0.5),
              (24, 20, 1.0), (24, 20, 1.5), (64, 64, 0.5), (64, 64, 1.0),
-             (64, 64, 1.5), (24, 20, 5.0), (15, 17, 1.0), (15, 17, 5.0),
-             (65, 65, 1.0), (16, 16, 3.2)]
+             (64, 64, 1.5), (24, 20, 5.0), (15, 17, 1.0), (17, 15, 1.0),
+             (15, 17, 5.0), (65, 65, 1.0), (16, 16, 3.2), (15, 16, 3.2)]
+    # error bound of one step, relative to the oracle's peak
+    TOLERANCE = {np.complex128: 1e-14, np.complex64: 1e-6}
 
     @staticmethod
-    def steps(nx, ny, cutoff, planes=1):
+    def steps(nx, ny, cutoff, planes=1, dtype=np.complex128):
         g = make_grid(nx, ny, 4)
         H = _diffraction_kernel(g, cutoff, g.dz)
-        band = solver._Passband.of(H)
+        band = solver._Passband.of(H, dtype)
         rng = np.random.default_rng(nx + ny)
         u = (rng.normal(size=(planes, nx, ny))
              + 1j * rng.normal(size=(planes, nx, ny)))
-        return H, band, u
+        return H, band, u.astype(dtype)
 
     @staticmethod
     def step(band, mats_in, mats_out, u):
-        K = np.empty((*u.shape[:-2], *band.H.shape), dtype=complex)
+        K = np.empty((*u.shape[:-2], *band.H.shape), dtype=band.H.dtype)
         solver._into_band(mats_in, u, K, band.tmp)
         K *= band.H
         return solver._out_of_band(mats_out, K, np.empty_like(u), band.tmp)
 
     @pytest.mark.parametrize("nx, ny, cutoff", CASES)
     def test_step_and_its_transpose_match_the_fft_oracle(self, nx, ny, cutoff):
-        H, band, (u,) = self.steps(nx, ny, cutoff)
+        self.check_step(nx, ny, cutoff, np.complex128)
+
+    @pytest.mark.parametrize("nx, ny, cutoff", CASES)
+    def test_single_precision_step_matches_the_fft_oracle(self, nx, ny,
+                                                          cutoff):
+        self.check_step(nx, ny, cutoff, np.complex64)
+
+    def check_step(self, nx, ny, cutoff, dtype):
+        H, band, (u,) = self.steps(nx, ny, cutoff, dtype=dtype)
         if cutoff == 5.0:       # every bin within the cutoff
             assert band.H.shape == (nx, ny) and np.all(H)
-        elif cutoff == 3.2:     # the Nyquist row, not the corners
-            assert H[nx // 2].any() and not np.all(H)
-            assert band.H.shape == (nx, ny)
+        elif cutoff == 3.2:     # the Nyquist row and column, not the corners
+            assert nx % 2 or H[nx // 2].any()
+            assert ny % 2 or H[:, ny // 2].any()
+            assert band.H.shape == (nx, ny) and not np.all(H)
         else:
             assert band.H.shape[0] < nx and band.H.shape[1] < ny
         for mats, oracle in (
                 ((band.into, band.back), _diffract),
                 ((band.into_t, band.back_t), _diffract_transpose)):
-            ref = oracle(u, H)
+            ref = oracle(u.astype(np.complex128), H)
             err = np.abs(self.step(band, *mats, u) - ref).max()
-            assert err <= 1e-14 * np.abs(ref).max()
+            assert err <= self.TOLERANCE[dtype] * np.abs(ref).max()
 
     def test_block_products_match_plane_by_plane(self):
         # a block of more planes than one product takes (_BLOCK) runs in
@@ -118,6 +130,16 @@ class TestDiffractionKernel:
         for d in (g.dz, -3 * g.dz):
             H = _diffraction_kernel(g, cutoff, d)
             assert np.array_equal(H, H[(-np.arange(nx)) % nx])
+
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (17, 15), (20, 64)])
+    @pytest.mark.parametrize("cutoff", [1.0, 1.5, 5.0])
+    def test_kernel_is_bitwise_even_in_ky(self, nx, ny, cutoff):
+        # the premise of the passband's real form along y: columns c and
+        # -c (mod ny) are equal, bit for bit
+        g = make_grid(nx, ny, 4)
+        for d in (g.dz, -3 * g.dz):
+            H = _diffraction_kernel(g, cutoff, d)
+            assert np.array_equal(H, H[:, (-np.arange(ny)) % ny])
 
     def test_cutoff_above_one_keeps_decaying_evanescent_bins(self):
         # oracle: k0 < kt <= 1.5*k0 decays as exp(-sqrt(kt^2 - k0^2)*dz),
@@ -428,6 +450,46 @@ class TestLeanAdjoint:
             assert_close(adj.c, gc[sl])
             assert_close(adj.rho, grho[sl])
             assert_close(adj.att_np, gatt[sl])
+
+    @pytest.mark.parametrize("z_offset", [0, 24])
+    def test_screens_carried_by_transmission_planes_match_oracle(self,
+                                                                 z_offset):
+        # bone over a strip that widens slice by slice from 18 to 27: every
+        # pair there is an interface and every slice's screen a plane, so
+        # prepare keeps those screens in the transmission planes alone,
+        # except beside the slab (its slab pairs read them each run)
+        g = self.GRID
+        med = make_homogeneous(g, WATER)
+        for s in range(18, 28):
+            strip = np.s_[: s - 13, :, s]
+            med.c[strip], med.rho[strip] = BONE.sound_speed, BONE.density
+            med.att[strip] = BONE.attenuation_coeff
+            med.att_power[strip] = BONE.attenuation_power
+        src = disk_source(g, 1.2e-3)
+        cfg = SolverConfig(reflection_order=4)
+        prepared = prepare(src, med, cfg, FORM_CLEAR, z_offset, self.N_V)
+        dropped = [s for s, scr in enumerate(prepared.screen) if scr is None]
+        assert dropped == [s for s in range(18, 28)
+                           if s not in (z_offset - 1, z_offset + self.N_V)]
+        assert len(dropped) == (10 if z_offset == 0 else 8)
+        assert all(isinstance(prepared.screen[s], np.ndarray)
+                   for s in range(18, 28) if s not in dropped)
+        rng = np.random.default_rng(9)
+        occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        p, cache = propagate_with_lens(prepared, occ)
+        adj = propagate_adjoint(cache, upstream)
+        c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
+        assert_close(p.values, full_grid_forward(g, cfg, c, rho, att, src))
+        source, gc, grho, gatt, occupancy = full_grid_adjoint(
+            cache, full_grid_sweeps(g, cfg, c, rho, att, src), upstream,
+            c, rho, att)
+        assert_close(adj.source_plane, source)
+        assert_close(adj.occupancy, occupancy)
+        base = prepare(src, med, cfg)
+        assert_close(base.field_only().values,
+                     full_grid_forward(g, cfg, med.c, med.rho,
+                                       med.attenuation_np_per_m(), src))
 
     def test_without_lens_only_source_cotangent(self):
         g = self.GRID
@@ -916,6 +978,68 @@ class TestPreparedMedium:
             assert first.values.tobytes() == p.values.tobytes()
             assert again.values.tobytes() == p.values.tobytes()
 
+    def test_transmission_planes_are_one_plus_or_minus_r_times_the_screen(
+            self):
+        # (1 + r)*screen[k+1] toward +z, (1 - r)*screen[k] toward -z on
+        # every base pair with an interface, from prepare; the cache holds
+        # them for the directions of its run's sweeps (both at order 4,
+        # one at order 0), and none on the slab pairs 13-16, whose planes
+        # each run and its adjoint form from the run's r and screens
+        for order, dtype in ((4, np.complex128), (0, np.complex64)):
+            prepared = prepare(disk_source(self.GRID, 1.2e-3),
+                               bone_layers(self.GRID, slice(2, 4),
+                                           slice(14, 15), slice(20, 23)),
+                               SolverConfig(reflection_order=order),
+                               FORM_CLEAR, 14, self.N_V, dtype)
+            occ = np.random.default_rng(6).uniform(0.1, 0.9,
+                                                   size=(16, 16, self.N_V))
+            _, cache = prepared.run(occ)
+            assert set(prepared.trans) == {1, -1}
+            assert set(cache.trans) == ({1, -1} if order else {1})
+            for d, planes in prepared.trans.items():
+                assert len(planes) == len(prepared.coeff) == self.GRID.nz - 1
+                for k, (r, a) in enumerate(zip(prepared.coeff, planes)):
+                    if r is None:
+                        assert a is None
+                        continue
+                    scr = prepared.screen[k + 1 if d > 0 else k]
+                    assert a.dtype == dtype
+                    np.testing.assert_array_equal(a, (1 + d * r) * scr)
+                    np.testing.assert_array_equal(
+                        solver._transmitted(r, prepared.screen, k, d), a)
+            assert prepared.trans[1][13] is not None    # bone at slice 14
+            for d, planes in cache.trans.items():
+                for k, a in enumerate(planes):
+                    assert a is (None if 13 <= k <= 16
+                                 else prepared.trans[d][k])
+
+    @pytest.mark.parametrize("direction, source_slice", [(-1, 17), (1, 9)])
+    def test_first_sweep_leaves_unvisited_slices_zero(self, direction,
+                                                      source_slice):
+        # the first sweep writes the slices it visits and zeroes the
+        # others, which no sweep visits at order 0: a time-reversal run
+        # toward -z (slices above its source) and a +z source past slice
+        # 0. An earlier run's field, freed, leaves its values for the
+        # allocator to hand out again.
+        g = self.GRID
+        prepared = prepare(full_plane_source(g),
+                           bone_layers(g, slice(2, 4), slice(20, 23)),
+                           SolverConfig(reflection_order=0))
+        plane = np.zeros((16, 16), dtype=np.complex128)
+        plane[6, 9] = 1.0
+        for _ in range(2):
+            earlier = prepared.field_only()
+            assert np.all(earlier.values != 0)
+            del earlier
+            p = prepared.field_only(sources={source_slice: plane},
+                                    direction=direction)
+            visited = (slice(source_slice + 1) if direction < 0
+                       else slice(source_slice, None))
+            unvisited = (slice(source_slice + 1, None) if direction < 0
+                         else slice(source_slice))
+            assert np.all(p.values[:, :, visited].any(axis=(0, 1)))
+            assert not p.values[:, :, unvisited].any()
+
     def test_second_field_only_run_reuses_its_plane_stack(self):
         g = self.GRID
         prepared = self.lens_medium()
@@ -1106,12 +1230,14 @@ class TestPreparedMedium:
         assert fortran.source_plane.flags.c_contiguous
 
     @pytest.mark.parametrize("dtype, ulps", [(np.complex128, 4),
-                                             (np.complex64, 1)])
+                                             (np.complex64, 3)])
     def test_screens_match_one_complex_exp(self, dtype, ulps):
         # exp(-a*dz)*(cos(phi) + i*sin(phi)) against exp(i*phi - a*dz) on
         # bone-to-water properties: exp, cos and sin round once each on
-        # either side, so double may differ in its last bits, and single,
-        # rounded from double, by one ulp
+        # either side, so double may differ in its last bits; single
+        # takes cos and sin of phi rounded to single, in single, and
+        # rounds their product with exp(-a*dz) once, against the double
+        # exp rounded once to single
         g = self.GRID
         rng = np.random.default_rng(10)
         c = rng.uniform(WATER.sound_speed, BONE.sound_speed, size=(16, 16, 40))
@@ -1137,11 +1263,10 @@ class TestSinglePrecision:
         g = TestPreparedMedium.GRID
         prepared = TestPreparedMedium().lens_medium(np.complex64)
         band = prepared.band
-        # the left matrices act on float views, the right ones on planes
+        # every matrix acts on float views
         mats = (band.into, band.back, band.into_t, band.back_t)
-        assert all(L.dtype == np.float32 for L, _ in mats)
-        assert all(m.dtype == np.complex64
-                   for m in (band.H, band.tmp, *(R for _, R in mats)))
+        assert all(m.dtype == np.float32 for pair in mats for m in pair)
+        assert band.H.dtype == band.tmp.dtype == np.complex64
         assert prepared.source_plane.dtype == np.complex64
         occ = np.random.default_rng(4).uniform(0.1, 0.9,
                                                size=(16, 16, 3))
@@ -1152,6 +1277,8 @@ class TestSinglePrecision:
                        for scr in c.screen)
             assert all(r.dtype == np.complex64 for r in c.coeff
                        if r is not None)
+            assert all(a.dtype == np.complex64 for planes in c.trans.values()
+                       for a in planes if a is not None)
         assert any(r is not None for r in cache.coeff)
         assert all(plane.dtype == np.complex64 for sw in cache.sweeps
                    for plane in sw.u + sw.v if plane is not None)
