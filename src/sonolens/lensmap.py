@@ -6,10 +6,14 @@ The mapping chain is:
           --sigmoid voxelization--> quasi-binary occupancy
 
 Each stage is smooth, so the full chain has an exact reverse-mode
-gradient (`backward`), verified against finite differences in the tests.
+gradient (`backward`, which reads the forward's occupancy rather than
+voxelizing again), verified against finite differences in the tests.
 Thickness is measured in voxels throughout; a column is "solid" below its
 thickness value, i.e. occupancy(k) = sigmoid(beta * (t - z_k)) with
-z_k = k + 0.5 for zero-based k.
+z_k = k + 0.5 for zero-based k. An occupancy (`voxelize`, `binarize`) is
+stored slice-major, (n_v, nx, ny), and handed out as its (nx, ny, n_v)
+view: the layout in which the solver marches the lens slab and returns
+its gradient, so neither side copies it.
 
 The DHLA blur is fixed: a KERNEL_SIZE x KERNEL_SIZE Gaussian of standard
 deviation SMOOTH_SIGMA voxels. The printer's blur at the design's
@@ -41,9 +45,14 @@ FAB_CUTOFF = 2.0
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # numerically stable in both tails: e = exp(-|x|) never overflows, and
-    # 1/(1 + e) for x >= 0, e/(1 + e) below
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1 + e) for x >= 0, e/(1 + e) below; formed in e's buffer
+    e = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e)
+    np.copyto(e, 1.0, where=x >= 0)
+    e /= d
+    return e
 
 
 @dataclass
@@ -93,7 +102,7 @@ class DesignField:
 class LensVolume:
     """Quasi-binary lens occupancy with its generating thickness map."""
 
-    occupancy: np.ndarray          # (nx, ny, n_v) in [0, 1]
+    occupancy: np.ndarray          # (nx, ny, n_v) in [0, 1], slice-major
     thickness_map: np.ndarray      # (nx, ny), voxels
     v_min: float = 1.0
     v_max: float | None = None
@@ -151,13 +160,16 @@ def chain_blur(n: int, fab_cutoff: float) -> np.ndarray:
 def voxelize(t_smooth: np.ndarray, beta: float, n_v: int) -> LensVolume:
     """Lift a thickness map into a quasi-binary occupancy volume.
 
-    occupancy(i,j,k) = sigmoid(beta * (t_smooth(i,j) - z_k)), z_k = k + 0.5.
+    occupancy(i,j,k) = sigmoid(beta * (t_smooth(i,j) - z_k)), z_k = k + 0.5,
+    the (nx, ny, n_v) view of a slice-major array.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     z = np.arange(n_v) + 0.5
-    occ = sigmoid(beta * (t_smooth[:, :, None] - z[None, None, :]))
-    return LensVolume(occ, t_smooth.copy())
+    x = np.subtract(t_smooth[None, :, :], z[:, None, None])
+    x *= beta
+    occ = sigmoid(x)
+    return LensVolume(occ.transpose(1, 2, 0), t_smooth.copy())
 
 
 def forward(design: DesignField, beta: float) -> LensVolume:
@@ -170,23 +182,27 @@ def forward(design: DesignField, beta: float) -> LensVolume:
 
 
 def backward(
-    design: DesignField, beta: float, grad_occupancy: np.ndarray
+    design: DesignField, beta: float, grad_occupancy: np.ndarray,
+    occupancy: np.ndarray,
 ) -> np.ndarray:
     """Reverse-mode gradient of `forward` w.r.t. theta.
 
-    grad_occupancy is dL/d(occupancy) with the same shape as the forward
-    occupancy. Only theta and beta are needed; the chain is re-evaluated
-    here rather than cached.
+    grad_occupancy is dL/d(occupancy) and occupancy the occupancy that
+    `forward(design, beta)` returned, both (nx, ny, n_v); the chain is
+    not re-evaluated. Both are read slice-major, in place where they are
+    views of slice-major arrays (as `forward` and the solver's adjoint
+    return them).
     """
-    n_v = design.n_v
-    bx, by = (chain_blur(n, design.fab_cutoff) for n in design.theta.shape)
-    ts = bx @ map_thickness(design) @ by.T
-    if grad_occupancy.shape != (*ts.shape, n_v):
+    shape = (*design.theta.shape, design.n_v)
+    if grad_occupancy.shape != shape or occupancy.shape != shape:
         raise ValueError("upstream gradient shape does not match the forward pass")
-
-    occ = voxelize(ts, beta, n_v).occupancy
+    occ = occupancy.transpose(2, 0, 1)
     # d occ / d t_smooth = beta * occ * (1 - occ)
-    grad_ts = np.sum(grad_occupancy * beta * occ * (1.0 - occ), axis=2)
+    w = np.subtract(1.0, occ)
+    w *= occ
+    w *= grad_occupancy.transpose(2, 0, 1)
+    grad_ts = beta * w.sum(axis=0)
+    bx, by = (chain_blur(n, design.fab_cutoff) for n in design.theta.shape)
     grad_t = bx.T @ grad_ts @ by
     s = sigmoid(design.alpha * design.theta)
     return grad_t * (design.v_max - design.v_min) * s * (1.0 - s) * design.alpha
@@ -196,11 +212,13 @@ def binarize(lens: LensVolume) -> LensVolume:
     """Hard-threshold a lens: round the thickness map to whole voxels.
 
     The column transition sits at round(thickness); ties round half up.
+    The occupancy is slice-major, as `voxelize`'s.
     """
     n_solid = np.floor(lens.thickness_map + 0.5)
     z = np.arange(lens.n_v) + 0.5
-    occ = (z[None, None, :] < n_solid[:, :, None]).astype(np.float64)
-    return LensVolume(occ, n_solid.astype(np.float64), lens.v_min, lens.v_max)
+    occ = (z[:, None, None] < n_solid[None, :, :]).astype(np.float64)
+    return LensVolume(occ.transpose(1, 2, 0), n_solid.astype(np.float64),
+                      lens.v_min, lens.v_max)
 
 
 def fabrication_filter(lens: LensVolume, cutoff: float) -> LensVolume:

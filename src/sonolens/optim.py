@@ -193,8 +193,10 @@ def loss_and_gradient(
     if s4p > 0.0:
         denom = np.sqrt(target.s4a * s4p)
         l_acc = 1.0 - num / denom
-        w_int *= num
-        w_int /= np.sqrt(target.s4a) * s4p**1.5
+        # Python floats: a NumPy float64 scalar would take a float32
+        # intensity through a casting loop
+        w_int *= float(num)
+        w_int /= float(np.sqrt(target.s4a) * s4p**1.5)
         w_int[sup] += -a2 / denom
     else:
         l_acc = 1.0
@@ -299,7 +301,8 @@ def lens_objective(
         lens = lensmap.forward(d, beta)
         p, cache = propagate_with_lens(prepared, lens.occupancy)
         total, terms, adj = loss_and_adjoint(p, cache, target, cfg)
-        return total, lensmap.backward(d, beta, adj.occupancy), terms, p
+        grad = lensmap.backward(d, beta, adj.occupancy, lens.occupancy)
+        return total, grad, terms, p
 
     return objective
 

@@ -21,8 +21,9 @@ come its transmission planes (`_transmitted`), a = (1 + r)*screen[k+1]
 toward +z and (1 - r)*screen[k] toward -z, which carry the field across
 the pair and through the next screen in one product: a step across the
 pair is u = a*v, and its reflected source r*v. `prepare` forms both for
-each pair of the base medium; a lens run forms its slab pairs' planes
-for the directions its sweeps take.
+each pair of the base medium; a lens run forms its slab pairs' r and
+their transmission planes toward the directions its sweeps take, one
+block pass each, and its cache keeps them for the adjoint.
 
 H is zero beyond angular_cutoff*k0, on all but br rows and bc columns
 of the FFT grid (21 of 64 each on a 64x64 grid at 125 um and 2 MHz). A
@@ -77,6 +78,13 @@ marches the base medium, bitwise as on a medium prepared without a
 slab. The impedance is kept only on the slab and the slice on either
 side of it (z0-1 .. z0+n_v), the slices those pairs and the slab
 gradients read.
+The lens slab is slice-major like the field: its occupancy (`lensmap`),
+the prepared slab properties and lens-minus-base deltas, a run's slab
+properties and the adjoint's gradients are stored (n_v, nx, ny) and
+handed out as their (nx, ny, n_v) views, and a run's slab impedance, r
+and transmission planes are slice-major blocks (`_Slab`). A run takes
+an occupancy in any other layout slice-major once, with no copy when
+it already is.
 `propagate` is a run on a medium prepared without a slab. The returned
 cache carries the run's screens and planes, so the adjoint recomputes
 none of them. A run's first sweep marches its `sources`, {slice:
@@ -109,11 +117,16 @@ lens with linearly interpolated properties, it also returns the gradients
 with respect to the per-voxel properties on the lens slab and, through
 them, with respect to the lens occupancy; property gradients outside the
 slab are not computed. A step's field cotangent is vbar = a*ub +-
-r*refl_cot[prev], on the forward's transmission planes. The reverse
-sweeps only sum, per slab pair (prev, s), the products ub*v and, where
-a reflection cotangent exists, Re(refl_cot[prev]*v); one pass after the
-last sweep applies the screen derivative and dt/dZ, dr/dZ to the sums,
-once per pair and direction.
+r*refl_cot[prev], on the forward's transmission planes, which the cache
+keeps for the slab pairs too. The reverse sweeps only add, per slab
+pair (prev, s), the products ub*v and, where a reflection cotangent
+exists, Re(refl_cot[prev]*v) into one (pairs, nx, ny) block per
+direction; one pass over those blocks after the last sweep applies the
+screen derivative and dt/dZ, dr/dZ (`_slab_gradients`), the two
+directions of a pair sharing one impedance chain. The blocks and that
+pass's scratch lie on the prepared medium's spare plane stack, which no
+run uses meanwhile, so that the adjoint allocates little beyond the
+gradients it returns.
 
 Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
 default or complex64, for every array a run and its adjoint march: H on
@@ -125,7 +138,7 @@ planes, the plane stack, the total field, the cache's planes and the
 adjoint's scratch, spectra and cotangents. Each is computed in double
 and stored in that dtype, except the screens' cos and sin
 (`_per_slice`). The impedances, the slab's properties and the slab
-gradients' accumulators stay float64.
+gradients stay float64; the adjoint's per-pair sums are of the dtype.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -133,6 +146,7 @@ dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -318,6 +332,25 @@ class _Sweep:
 
 
 @dataclass
+class _Slab:
+    """A lens run's slab pairs as slice-major blocks, built once by the
+    forward run: the n slices first .. first + n - 1 (the slab and the
+    slice on either side where the grid has one) and the n - 1 pairs
+    between them. Z (n, nx, ny) is the slices' impedance (float64), r the
+    pairs' r and trans maps each direction of the run's sweeps to the
+    pairs' transmission planes toward it, (n - 1, nx, ny) each, which
+    alone carry the slab slices' screens. The run's Z, coeff and trans
+    view these blocks. medium is the prepared medium that made the run,
+    whose spare plane stack the adjoint borrows for its slab sums."""
+
+    first: int
+    Z: np.ndarray
+    r: np.ndarray
+    trans: dict
+    medium: "PreparedMedium" = field(repr=False)
+
+
+@dataclass
 class SliceCache:
     """Forward-run state retained for the adjoint sweep.
 
@@ -333,20 +366,23 @@ class SliceCache:
     scalar) where it is the same across the plane, so that a step into
     the slice can be homogeneous, and its (nx, ny) array elsewhere, or
     None where `prepare` left a base slice's plane to the transmission
-    planes of the two interfaces around it (no step into the slice reads
-    it). coeff holds one entry per slice pair k, k+1: its plane of r
+    planes of the two interfaces around it, or a lens run a slab slice's
+    plane to its slab pairs' (no step into the slice reads it). coeff
+    holds one entry per slice pair k, k+1: its plane of r
     (`_interface`), or None where the impedance does not change. Both
     are the prepared medium's, except on the lens slab and the pairs
     that touch it, where this run's (always planes) replace them. trans
     maps each direction of the run's sweeps (+1, -1) to one entry per
-    pair: the prepared medium's transmission plane toward it
-    (`_transmitted`), or None where the pair has no interface or is a
-    slab pair, whose plane the adjoint forms again. Z maps the slab's
-    slices and the slice on either side (z0-1 .. z0+n_v) to this run's
-    impedance, which the slab gradients read; it is empty without a
-    lens. A slab pair is a pair whose two slices are both keys of Z. c,
-    rho and att_np are this run's properties on the lens slab only
-    (nx, ny, n_v); (nx, ny, 0) for a run without a lens occupancy.
+    pair: its transmission plane toward it (`_transmitted`), this run's
+    on the slab pairs and the prepared medium's elsewhere, or None where
+    the pair has no interface. Z maps the slab's slices and the slice on
+    either side (z0-1 .. z0+n_v) to this run's impedance, which the slab
+    gradients read; it is empty without a lens. A slab pair is a pair
+    whose two slices are both keys of Z. slab holds the blocks that this
+    run's slab entries of coeff, trans and Z view (`_Slab`); None
+    without a lens. c, rho and att_np are this run's properties on the
+    lens slab only, (nx, ny, n_v) views of slice-major (n_v, nx, ny)
+    arrays; (nx, ny, 0) for a run without a lens occupancy.
     """
 
     grid: GridSpec
@@ -360,6 +396,7 @@ class SliceCache:
     trans: dict
     Z: dict
     sweeps: list = field(default_factory=list)
+    slab: _Slab | None = None
     # lens embedding for d/d occupancy (None when no lens was embedded)
     lens_z_offset: int | None = None
     lens_dc: np.ndarray | None = None
@@ -377,6 +414,8 @@ class AdjointResult:
     c, rho, att_np: (nx, ny, n_v) gradients w.r.t. the raw properties on
         the lens slab (slices z_offset .. z_offset + n_v - 1); (nx, ny, 0)
         for a run without a lens
+    All four are (nx, ny, n_v) views of slice-major (n_v, nx, ny) arrays,
+    as the lens occupancy of `lensmap`.
     """
 
     source_plane: np.ndarray
@@ -392,24 +431,28 @@ _SCREENS = 16
 
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
-               att_np: np.ndarray, dtype) -> tuple[list, np.ndarray]:
+               att_np: np.ndarray, dtype, Z: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> tuple[list, np.ndarray]:
     """Screens and impedances of (nx, ny, k) properties, one per slice
     (the sweeps read them slice by slice). The impedances are one
-    slice-major float64 (k, nx, ny) product. A screen, the phase and
-    absorption screen exp(i*phi - a*dz) with phi = k0*(c_ref/c - 1)*dz,
-    is computed as exp(-a*dz)*cos(phi) and exp(-a*dz)*sin(phi), _SCREENS
-    slices at a time, into the real and imaginary parts of a slice-major
-    block of `dtype`: phi and exp(-a*dz) in double, cos and sin of phi
-    rounded to the dtype's real type in that type, and each part rounded
-    once from its double product with exp(-a*dz). One reduction over the
-    block finds its uniform slices. A screen is stored as the one value
-    it takes across the whole plane, or as its contiguous (nx, ny) plane
-    where it varies: a view of the block, or a copy where the block has a
-    uniform slice, whose plane is then freed."""
+    slice-major float64 (k, nx, ny) product, into Z where given. A
+    screen, the phase and absorption screen exp(i*phi - a*dz) with phi =
+    k0*(c_ref/c - 1)*dz, is computed as exp(-a*dz)*cos(phi) and
+    exp(-a*dz)*sin(phi), _SCREENS slices at a time, into the real and
+    imaginary parts of a slice-major block of `dtype`: phi and exp(-a*dz)
+    in double, cos and sin of phi rounded to the dtype's real type in
+    that type, and each part rounded once from its double product with
+    exp(-a*dz); with `out`, a (k, nx, ny) block of `dtype`, in that
+    block. One reduction over each block finds its uniform slices. A
+    screen is stored as the one value it takes across the whole plane,
+    or as its contiguous (nx, ny) plane where it varies: a view of the
+    block (always with `out`), or a copy where the block has a uniform
+    slice, whose plane is then freed."""
     k0, dz = grid.k0, grid.dz
     f = np.finfo(dtype).dtype
     screen = []
-    Z = np.empty((c.shape[2], *c.shape[:2]))
+    if Z is None:
+        Z = np.empty((c.shape[2], *c.shape[:2]))
     for i in range(0, c.shape[2], _SCREENS):
         cut = np.s_[:, :, i : i + _SCREENS]
         ci = c[cut].transpose(2, 0, 1)
@@ -421,36 +464,47 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
         phi = phi.astype(f, copy=False)
         mag = np.multiply(att_np[cut].transpose(2, 0, 1), -dz, order="C")
         np.exp(mag, out=mag)
-        block = np.empty(phi.shape, dtype=dtype)
+        block = (np.empty(phi.shape, dtype=dtype) if out is None
+                 else out[i : i + _SCREENS])
         np.multiply(mag, np.cos(phi), out=block.real)
         np.multiply(mag, np.sin(phi), out=block.imag)
         # bitwise equal to the plane's first value, on an integer view
         w = block.view(np.int64).reshape(len(block), -1, block.itemsize // 8)
         uniform = np.all(w == w[:, :1], axis=(1, 2))
-        screen += [scr.flat[0] if u else scr.copy() if uniform.any() else scr
+        copy = out is None and uniform.any()
+        screen += [scr.flat[0] if u else scr.copy() if copy else scr
                    for scr, u in zip(block, uniform)]
     return screen, Z
 
 
-def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype,
-               slab: bool = False) -> np.ndarray | None:
+def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype, slab: bool = False,
+               scratch: tuple = (None, None)) -> np.ndarray | None:
     """r = (Z2-Z1)/(Z1+Z2) toward +z between impedance planes Z1 (slice k)
-    and Z2 (slice k+1), stored as the complex `dtype` (r + 0j); None
+    and Z2 (slice k+1), or blocks of them, stored as the complex `dtype`
+    (r + 0j; the quotient is taken in double and rounded once); None
     where the impedance is the same across the whole plane (r = 0),
-    unless `slab`: a lens-slab pair keeps its plane."""
+    unless `slab`: a lens-slab pair keeps its plane. scratch, two float64
+    arrays of Z1's shape, takes the difference and the sum."""
     if not slab and not np.any(Z2 != Z1):
         return None
-    return ((Z2 - Z1) / (Z1 + Z2)).astype(dtype)
+    r = np.subtract(Z2, Z1, out=scratch[0])
+    r /= np.add(Z1, Z2, out=scratch[1])
+    return r.astype(dtype)
 
 
-def _transmitted(r: np.ndarray, screen: list, k: int,
+def _transmitted(r: np.ndarray, screen, k: int,
                  direction: int) -> np.ndarray:
     """The plane a that carries the field across pair k, k+1 with plane r
     (`_interface`) and into its screen: (1 + r)*screen[k+1] toward +z,
-    (1 - r)*screen[k] toward -z."""
+    (1 - r)*screen[k] toward -z. A block of pairs takes screen as the
+    two blocks of their screens, (before, after), and k = 0."""
     if direction > 0:
-        return (1.0 + r) * screen[k + 1]
-    return (1.0 - r) * screen[k]
+        a = np.add(1.0, r)
+        a *= screen[k + 1]
+    else:
+        a = np.subtract(1.0, r)
+        a *= screen[k]
+    return a
 
 
 @dataclass
@@ -465,10 +519,12 @@ class PreparedMedium:
     toward both directions of the base medium, which a run without a
     lens occupancy marches; a lens run
     recomputes the screens of the slab slices, so a slab slice may be a
-    scalar in one run and a plane in the next.
+    scalar in one run and a plane, kept in its slab pairs' transmission
+    planes only, in the next.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
     the base properties there, the lens material and the lens-minus-base
-    deltas, and the impedance of the slices just outside the slab, so
+    deltas, each an (nx, ny, n_v) view of a slice-major array, and the
+    impedance of the slices just outside the slab, so
     that a run with a lens recomputes only the slab and the pairs that
     touch it. Built by `prepare`, whose lens material and deltas come
     from `with_lens`; `with_lens` also gives the copy for
@@ -476,7 +532,8 @@ class PreparedMedium:
     a sweep over materials prepares the medium once. Nothing
     it holds is modified by a run, except the spare plane stack of nz + 1
     planes (`_spare`, None until the first run), which each run takes
-    and puts back, the spare planes of the reflected sources its runs
+    and puts back (a lens run and its adjoint also borrow it as scratch
+    for the slab's blocks), the spare planes of the reflected sources its runs
     have added (`_spent`), which the next reflected sources fill, and
     the passband's intermediate buffer, which runs and adjoints use in
     turn. A pickle carries no spare planes; a `with_lens` copy shares
@@ -524,7 +581,9 @@ class PreparedMedium:
     def with_lens(self, lens_mat: MaterialProperties) -> "PreparedMedium":
         """A copy whose runs relax a lens of `lens_mat` into the slab: only
         the lens-minus-base deltas are new, every other array is shared
-        with this medium (the spare plane stack too: run one at a time)."""
+        with this medium (the spare plane stack too: run one at a time).
+        The deltas keep the slice-major layout of the base properties, as
+        a ufunc's result keeps its operand's."""
         copy = replace(
             self,
             lens_mat=lens_mat,
@@ -592,7 +651,6 @@ class PreparedMedium:
         # the field first, below the run's other arrays on the heap
         total = np.empty((grid.nz, grid.nx, grid.ny), dtype=self.dtype)
         screen, coeff, trans, Z = self.screen, self.coeff, self.trans, {}
-        cached = trans
         c, rho, att = (a[:, :, :0] for a in (self.c, self.rho, self.att_np))
         lens = {}
         if occupancy is not None:
@@ -602,30 +660,14 @@ class PreparedMedium:
                     f"lens occupancy shape {occupancy.shape} does not match "
                     f"the prepared slab {self.dc.shape}"
                 )
-            z0, n_v = self.z_offset, occupancy.shape[2]
-            c = self.c + occupancy * self.dc
-            rho = self.rho + occupancy * self.drho
-            att = self.att_np + occupancy * self.datt
-            screen, coeff = list(screen), list(coeff)
-            screen[z0 : z0 + n_v], slab_Z = _per_slice(grid, c, rho, att,
-                                                       self.dtype)
-            Z = {**self.Z, **dict(zip(range(z0, z0 + n_v), slab_Z))}
-            pairs = [k for k in Z if k + 1 in Z]
-            for k in pairs:
-                coeff[k] = _interface(Z[k], Z[k + 1], self.dtype, slab=True)
-            # toward the directions this run's sweeps take; the cache keeps
-            # none on the slab pairs, which the adjoint forms again
-            cached = {d: [None if k in pairs else a for k, a in
-                          enumerate(trans[d])] for d in (
-                (direction,) if self.cfg.reflection_order == 0 else (1, -1))}
-            trans = {d: list(planes) for d, planes in cached.items()}
-            for d, planes in trans.items():
-                for k in pairs:
-                    planes[k] = _transmitted(coeff[k], screen, k, d)
-            lens = dict(lens_z_offset=z0, lens_dc=self.dc,
-                        lens_drho=self.drho, lens_datt=self.datt)
+            c, rho, att, screen, coeff, trans, Z, slab = self._lens_slab(
+                np.ascontiguousarray(occupancy.transpose(2, 0, 1)),
+                (direction,) if self.cfg.reflection_order == 0 else (1, -1))
+            lens = dict(slab=slab, lens_z_offset=self.z_offset,
+                        lens_dc=self.dc, lens_drho=self.drho,
+                        lens_datt=self.datt)
         cache = (SliceCache(grid, self.H, self.band, c, rho, att, screen,
-                            coeff, cached, Z, **lens) if keep else None)
+                            coeff, trans, Z, **lens) if keep else None)
 
         stack, self._spare = self._spare, None
         if stack is None:
@@ -653,6 +695,52 @@ class PreparedMedium:
             direction = -direction
         self._spare = stack
         return ComplexField(total.transpose(1, 2, 0), grid), cache
+
+    def _lens_slab(self, occ: np.ndarray, directions: tuple):
+        """A lens run's slab, from its slice-major (n_v, nx, ny) occupancy:
+        its properties (views of slice-major arrays), the run's screen,
+        coeff and trans lists and Z (the prepared medium's, with the slab's
+        entries replaced), and the `_Slab` blocks those entries view. The
+        slab pairs' r and their transmission planes toward `directions`
+        are formed in one pass over the block each. A slab slice's screen
+        that varies across the plane lives on in those planes only (its
+        entry is None, as where `prepare` drops a base screen: every step
+        into a slab slice crosses a slab pair); the block the screens are
+        computed in and r's temporaries lie on the spare plane stack,
+        which the run's march takes only afterwards."""
+        grid, dtype = self.grid, self.dtype
+        z0, n_v = self.z_offset, len(occ)
+        c, rho, att = (np.multiply(occ, delta.transpose(2, 0, 1)) for delta in
+                       (self.dc, self.drho, self.datt))
+        for prop, base in ((c, self.c), (rho, self.rho), (att, self.att_np)):
+            prop += base.transpose(2, 0, 1)
+        c, rho, att = (a.transpose(1, 2, 0) for a in (c, rho, att))
+        # the slab and the slice on either side within the grid
+        first = max(z0 - 1, 0)
+        n = n_v + len(self.Z)
+        plane = (grid.nx, grid.ny)
+        Zs = np.empty((n, *plane))
+        scr, *scratch = _borrow(self._spare, [((n, *plane), dtype),
+                                              ((n - 1, *plane), np.float64),
+                                              ((n - 1, *plane), np.float64)])
+        i = z0 - first
+        slab_screen, _ = _per_slice(grid, c, rho, att, dtype,
+                                    Zs[i : i + n_v], scr[i : i + n_v])
+        screen, coeff = list(self.screen), list(self.coeff)
+        for s, Z_s in self.Z.items():
+            Zs[s - first], scr[s - first] = Z_s, screen[s]
+        screen[z0 : z0 + n_v] = [None if np.ndim(a) else a
+                                 for a in slab_screen]
+        r = _interface(Zs[:-1], Zs[1:], dtype, True, scratch)
+        a = {d: _transmitted(r, (scr[:-1], scr[1:]), 0, d) for d in directions}
+        pairs = slice(first, first + n - 1)
+        coeff[pairs] = r
+        trans = {d: list(self.trans[d]) for d in directions}
+        for d, planes in trans.items():
+            planes[pairs] = a[d]
+        Z = dict(zip(range(first, first + n), Zs))
+        return (c, rho, att, screen, coeff, trans, Z,
+                _Slab(first, Zs, r, a, self))
 
 
 def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
@@ -721,9 +809,12 @@ def prepare(
     # the full-grid attenuation goes before the transmission planes are
     # formed. The impedance block goes as prepare returns: freed here, it
     # left glibc a heap that each iteration of a design trims and faults
-    # back in (about 7x the page faults on the water demo).
-    c, rho, att_np = (a[:, :, z_offset : z_offset + n_v].copy()
-                      for a in (medium.c, medium.rho, att_np))
+    # back in (about 7x the page faults on the water demo). The slab's
+    # properties are copied slice-major, as every lens run reads them.
+    c, rho, att_np = (
+        np.ascontiguousarray(a[:, :, z_offset : z_offset + n_v]
+                             .transpose(2, 0, 1)).transpose(1, 2, 0)
+        for a in (medium.c, medium.rho, att_np))
     trans = {d: [None if r is None else _transmitted(r, screen, k, d)
                  for k, r in enumerate(coeff)] for d in (1, -1)}
     # a screen plane between two interfaces lives on in their transmission
@@ -909,10 +1000,14 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
 
     upstream is dL/dP over the full grid in the pairing dL = Re(sum(g*dP)).
     Property gradients cover the lens slab only (empty without a lens).
-    The screens and interface coefficients are the forward run's, read
-    from the cache. The sweeps fill per-pair sums keyed by (prev, s),
-    which also fixes the direction; `_slab_gradients` turns them into
-    property gradients after the last sweep, reading the cached Z.
+    The screens, interface coefficients and transmission planes are the
+    forward run's, read from the cache. The sweeps add, per direction,
+    into one slice-major block over the slab pairs (`_Slab`);
+    `_slab_gradients` turns those sums into property and occupancy
+    gradients in one pass after the last sweep. The blocks and that
+    pass's scratch lie on the prepared medium's spare plane stack, which
+    no run uses meanwhile (fresh arrays where it is too small), so that
+    only the returned gradients are new arrays.
     The sweeps read upstream slice by slice: an (nx, ny, nz) view of a
     slice-major array of the run's dtype, as `optim.loss_and_gradient`
     returns, is read in place, any other layout or dtype is copied into
@@ -921,15 +1016,29 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     grid = cache.grid
     if upstream.shape != grid.shape:
         raise ValueError("upstream gradient shape does not match the cached grid")
-    lensed = cache.lens_z_offset is not None
-    z0 = cache.lens_z_offset if lensed else 0
     K = np.empty_like(cache.band.H)     # the carry's passband spectrum
     upstream = np.ascontiguousarray(upstream.transpose(2, 0, 1),
                                     dtype=K.dtype)
 
-    # two scratch planes, the field cotangent ub and the carry
-    scratch = np.empty((2, grid.nx, grid.ny), dtype=K.dtype)
-    sums: dict = {}
+    # three scratch planes: the field cotangent ub, the carry and the
+    # product that the slab pairs' sums add
+    scratch = np.empty((3, grid.nx, grid.ny), dtype=K.dtype)
+    slab, sums = cache.slab, {}
+    if slab is not None:
+        stack, slab.medium._spare = slab.medium._spare, None
+        # per direction, the sums of ub*v and, with reflections, of
+        # Re(refl_cot[prev]*v) over the slab pairs; then W, G and t of
+        # `_slab_gradients`
+        dirs, pairs = len(slab.trans), slab.r.shape
+        S, R, *work = _borrow(stack, [
+            ((dirs, *pairs), K.dtype),
+            ((dirs, *pairs) if len(cache.sweeps) > 1 else (0,), K.real.dtype),
+            (slab.Z.shape, K.dtype), (pairs, np.float64),
+            (pairs, K.real.dtype)])
+        S.fill(0.0)
+        R.fill(0.0)
+        sums = {d: (S[j], R[j] if len(R) else None)
+                for j, d in enumerate(slab.trans)}
     # cotangents of the reflections a sweep emitted, filled in while
     # processing the consuming (later) sweep
     refl_cot: dict = {}
@@ -940,14 +1049,28 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     source_cot = np.zeros((grid.nx, grid.ny), dtype=K.dtype)
     for g in refl_cot.values():
         source_cot += g
-
-    gc, grho, gatt = _slab_gradients(cache, sums, z0)
-    result = AdjointResult(source_cot, gc, grho, gatt)
-    if lensed:
-        result.occupancy = (
-            gc * cache.lens_dc + grho * cache.lens_drho + gatt * cache.lens_datt
-        )
+    if slab is None:
+        return AdjointResult(source_cot, *(a[:, :, :0].copy() for a in (
+            cache.c, cache.rho, cache.att_np)))
+    result = AdjointResult(source_cot, *_slab_gradients(cache, sums, *work))
+    slab.medium._spare = stack
     return result
+
+
+def _borrow(stack: np.ndarray | None, specs: list) -> list:
+    """Arrays of the given (shape, dtype), laid one after another on the
+    bytes of `stack` as far as they fit (each from a 64-byte boundary)
+    and fresh beyond."""
+    arrays, at = [], 0
+    for shape, dtype in specs:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if stack is not None and at + size <= stack.nbytes:
+            arrays.append(np.ndarray(shape, dtype, stack.data, at))
+            at += -(-size // 64) * 64
+        else:
+            arrays.append(np.empty(shape, dtype))
+    return arrays
 
 
 def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
@@ -957,9 +1080,10 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
     upstream is slice-major (nz, nx, ny). The field cotangent is carried
     through every pair. On slab pairs (both slices keys of cache.Z) it
     adds ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent
-    exists, to sums[(prev, s)]; other pairs skip that work. Each entry of
-    refl_cot is dropped once used, so that it is freed while the returned
-    cotangents fill up.
+    exists, to the pair's plane of the sweep direction's blocks in sums,
+    through the third scratch plane; other pairs skip that work. Each
+    entry of refl_cot is dropped once used, so that it is freed while
+    the returned cotangents fill up.
 
     The segments the forward recorded are replayed from the last: its
     last step is transposed in space, and vbar enters the passband as K
@@ -976,7 +1100,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
     order = sweep.order
 
     inject_cot: dict = {}
-    ub, carry = scratch
+    ub, carry, w = scratch
     carry.fill(0.0)
     for first, last in reversed(sweep.segments):
         prev, s = order[last - 1], order[last]
@@ -984,25 +1108,20 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
         if s in sweep.inject:
             inject_cot[s] = ub.copy()
         rc = refl_cot.pop(prev, None)
+        k = min(prev, s)
         if prev in Z and s in Z:        # a slab pair
+            uv, rv = sums[sweep.direction]
+            p = k - cache.slab.first
             v = sweep.v[s]
-            acc = sums.get((prev, s))
-            if acc is None:
-                acc = sums[prev, s] = [ub * v, None]
-            else:
-                acc[0] += ub * v
+            uv[p] += np.multiply(ub, v, out=w)
             if rc is not None:
-                rv = np.real(rc * v)
-                acc[1] = rv if acc[1] is None else acc[1] + rv
+                rv[p] += np.multiply(rc, v, out=w).real
 
         # vbar = a * ub +- r * refl_cot[prev] in the carry plane, a the
         # pair's transmission plane or the screen (r toward -z is -r);
         # ub, read no more, holds r * refl_cot[prev]
-        k = min(prev, s)
-        r, a = coeff[k], trans[k]
-        if r is not None and a is None:     # a slab pair's, formed again
-            a = _transmitted(r, screen, k, sweep.direction)
-        np.multiply(ub, screen[s] if r is None else a, out=carry)
+        r = coeff[k]
+        np.multiply(ub, screen[s] if r is None else trans[k], out=carry)
         if rc is not None:
             np.multiply(rc, r, out=ub)
             (np.subtract if down else np.add)(carry, ub, out=carry)
@@ -1025,51 +1144,79 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
     return inject_cot
 
 
-def _slab_gradients(cache, sums, z0):
-    """gc, grho, gatt on the slab from the per-pair sums of the sweeps.
+def _slab_gradients(cache, sums, W, G, t):
+    """gc, grho, gatt and the occupancy gradient on the lens slab from the
+    sweeps' per-pair sums, in one pass over the slab blocks (`_Slab`).
 
-    With S = sum of ub*v and R = sum of Re(refl_cot[prev]*v) over the
-    sweeps that crossed pair (prev, s), the pair adds the screen
-    derivative Re(t*S*dscreen) at s, t = 1 +- r, and the impedance chain
-    (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ = dt/dZ). The sums
-    run slice by slice on (n_v, nx, ny) arrays; the gradients are
-    returned as (nx, ny, n_v) views of them.
+    sums maps each direction to its blocks (S, R) over the slab pairs: S
+    the sum of ub*v and R that of Re(refl_cot[prev]*v) (None without
+    reflections) over the sweeps that crossed the pair that way, prev ->
+    s. The step is u = a*v with a = t*screen[s], t = 1 +- r. The screen
+    derivative goes to slice s: W[s], one slot per slice, sums S*a over
+    the pairs stepping into s, and with d screen/dc = -i*k0*c_ref*dz/c^2
+    * screen and d screen/da = -dz * screen,
+        gc = gZ*rho + Im(W)*k0*c_ref*dz/c^2,  grho = gZ*c,
+        gatt = -dz*Re(W).
+    dL/dt = Re(S*screen[s]) = Re(S*a)/t, and dr/dZ = dt/dZ = -+2*Z_other
+    /(Z_k + Z_k+1)^2 toward +z and the opposite toward -z, so the two
+    directions of a pair k, k+1 share one impedance chain: with g =
+    Re(S*a)/t + R per direction, G = 2*(g+ - g-)/(Z_k + Z_k+1)^2, gZ[k]
+    -= G*Z[k+1] and gZ[k+1] += G*Z[k]. The occupancy gradient is gc*dc +
+    grho*drho + gatt*datt.
+
+    The pass runs in place: on the sums (consumed), on W, (n, nx, ny) of
+    the run's dtype, on G, (n - 1, nx, ny) float64, and on t, (n - 1, nx,
+    ny) of its real type, none of which it reads before writing; W's
+    float64 view holds (Z_k + Z_k+1)^2 and then gZ once W is read. The
+    four gradients are slice-major (n_v, nx, ny), returned as their (nx,
+    ny, n_v) views.
     """
-    grid = cache.grid
-    k0, dz = grid.k0, grid.dz
-    Z = cache.Z
-    c, rho = (np.ascontiguousarray(a.transpose(2, 0, 1))
-              for a in (cache.c, cache.rho))
-    n_v = len(c)
-    gc, grho, gatt = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
-    for (prev, s), (uv, rv) in sums.items():
-        ks, kp = s - z0, prev - z0          # slab indices
-        scr = cache.screen[s]
-        g = np.real(uv * scr)
-        if 0 <= ks < n_v:
-            # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
-            #                    d screen/da = -dz * screen
-            r = cache.coeff[min(prev, s)]
-            gscr = uv * (1.0 + r if s > prev else 1.0 - r)
-            gc[ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
-                c[ks] ** 2
-            )
-            gatt[ks] += np.real(gscr * scr) * (-dz)
-        if rv is not None:
-            g = g + rv
-        # impedance chain: dt/dZ1 = dr/dZ1 = -2*Z2/denom^2,
-        #                  dt/dZ2 = dr/dZ2 = 2*Z1/denom^2
-        Z1, Z2 = Z[prev], Z[s]
-        denom = Z1 + Z2
-        gZ1 = g * (-2.0 * Z2 / denom**2)
-        gZ2 = g * (2.0 * Z1 / denom**2)
-        if 0 <= kp < n_v:
-            gc[kp] += gZ1 * rho[kp]
-            grho[kp] += gZ1 * c[kp]
-        if 0 <= ks < n_v:
-            gc[ks] += gZ2 * rho[ks]
-            grho[ks] += gZ2 * c[ks]
-    return tuple(a.transpose(1, 2, 0) for a in (gc, grho, gatt))
+    slab, grid = cache.slab, cache.grid
+    c, rho, dc, drho, datt = (a.transpose(2, 0, 1) for a in (
+        cache.c, cache.rho, cache.lens_dc, cache.lens_drho, cache.lens_datt))
+    Zs = slab.Z
+    for j, (d, (S, R)) in enumerate(sums.items()):
+        into = np.s_[1:] if d > 0 else np.s_[:-1]   # the slices s, per pair
+        if j == 0:      # W's first terms, and 0 where no pair steps in
+            Sa = np.multiply(S, slab.trans[d], out=W[into])
+            W[0 if d > 0 else -1] = 0.0
+        else:
+            Sa = np.multiply(S, slab.trans[d], out=S)
+            W[into] += Sa
+        # g+ - g-: Re(S*a)/t + R toward +z, Re(S*a)/(r - 1) - R toward -z
+        np.add(slab.r.real, 1.0 if d > 0 else -1.0, out=t)
+        if j == 0:
+            np.divide(Sa.real, t, out=G)
+        else:
+            G += np.divide(Sa.real, t, out=t)
+        if R is not None:
+            (np.add if d > 0 else np.subtract)(G, R, out=G)
+    i = cache.lens_z_offset - slab.first    # the slab's slices in the blocks
+    Wv = W[i : i + len(c)]
+    gc = np.multiply(Wv.imag, grid.k0 * grid.c_ref * grid.dz, dtype=np.float64)
+    gc /= c
+    gc /= c
+    gatt = np.multiply(Wv.real, -grid.dz, dtype=np.float64)
+
+    # W is read: its bytes hold (Z_k + Z_k+1)^2, then gZ; G holds -G
+    gZ = W.reshape(-1).view(np.float64)[: Zs.size].reshape(Zs.shape)
+    D = np.add(Zs[:-1], Zs[1:], out=gZ[:-1])
+    np.multiply(D, D, out=D)
+    G /= D
+    G *= -2.0
+    np.multiply(G, Zs[1:], out=gZ[:-1])
+    gZ[-1] = 0.0
+    G *= Zs[:-1]
+    gZ[1:] -= G
+    gZ = gZ[i : i + len(c)]
+    grho = gZ * c
+    gocc = np.multiply(gZ, rho)
+    gc += gocc
+    tmp = gZ                                # read: a product's scratch
+    np.multiply(gc, dc, out=gocc)
+    gocc += np.multiply(grho, drho, out=tmp)
+    gocc += np.multiply(gatt, datt, out=tmp)
+    return tuple(a.transpose(1, 2, 0) for a in (gc, grho, gatt, gocc))
 
 
 def propagate_with_lens(

@@ -289,6 +289,59 @@ def _full_grid_sweep_adjoint(grid, H, screen, Z, c, rho, sweep, upstream,
     return inject_cot
 
 
+def slab_gradients_per_pair(cache, sums, screen):
+    """gc, grho, gatt and the occupancy gradient on the lens slab, pair by
+    pair: the reference of the folded `solver._slab_gradients`.
+
+    sums maps each slab pair (prev, s), which also fixes its direction,
+    to [S, R]: the sums over the sweeps of ub*v and of
+    Re(refl_cot[prev]*v) (R None without reflections). screen maps each
+    slice of cache.Z to its screen (a plane or a scalar). Each pair adds
+    the screen derivative Re(t*S*dscreen) at s, t = 1 +- r, and the
+    impedance chain (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ =
+    dt/dZ), one (nx, ny) plane at a time. Returns (nx, ny, n_v) arrays.
+    """
+    grid = cache.grid
+    k0, dz = grid.k0, grid.dz
+    z0 = cache.lens_z_offset
+    Z = cache.Z
+    c, rho = (np.ascontiguousarray(a.transpose(2, 0, 1))
+              for a in (cache.c, cache.rho))
+    n_v = len(c)
+    gc, grho, gatt = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
+    for (prev, s), (uv, rv) in sums.items():
+        ks, kp = s - z0, prev - z0          # slab indices
+        scr = screen[s]
+        g = np.real(uv * scr)
+        if 0 <= ks < n_v:
+            # screen derivative: d screen/dc = screen * (-i*k0*c_ref*dz/c^2),
+            #                    d screen/da = -dz * screen
+            r = cache.coeff[min(prev, s)]
+            gscr = uv * (1.0 + r if s > prev else 1.0 - r)
+            gc[ks] += np.real(gscr * scr * (-1j) * k0 * grid.c_ref * dz) / (
+                c[ks] ** 2
+            )
+            gatt[ks] += np.real(gscr * scr) * (-dz)
+        if rv is not None:
+            g = g + rv
+        # impedance chain: dt/dZ1 = dr/dZ1 = -2*Z2/denom^2,
+        #                  dt/dZ2 = dr/dZ2 = 2*Z1/denom^2
+        Z1, Z2 = Z[prev], Z[s]
+        denom = Z1 + Z2
+        gZ1 = g * (-2.0 * Z2 / denom**2)
+        gZ2 = g * (2.0 * Z1 / denom**2)
+        if 0 <= kp < n_v:
+            gc[kp] += gZ1 * rho[kp]
+            grho[kp] += gZ1 * c[kp]
+        if 0 <= ks < n_v:
+            gc[ks] += gZ2 * rho[ks]
+            grho[ks] += gZ2 * c[ks]
+    gc, grho, gatt = (a.transpose(1, 2, 0) for a in (gc, grho, gatt))
+    occupancy = (gc * cache.lens_dc + grho * cache.lens_drho
+                 + gatt * cache.lens_datt)
+    return gc, grho, gatt, occupancy
+
+
 def loss_and_gradient(
     values: np.ndarray,
     target,

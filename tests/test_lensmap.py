@@ -151,8 +151,8 @@ class TestSmoothThickness:
         lensmap.chain_blur.cache_clear()
         d = DesignField.random(10, 10, seed=2, fab_cutoff=3.0)
         for beta in (1.0, 2.0, 4.0):
-            lensmap.forward(d, beta)
-            lensmap.backward(d, beta, np.ones((10, 10, d.n_v)))
+            lens = lensmap.forward(d, beta)
+            lensmap.backward(d, beta, np.ones((10, 10, d.n_v)), lens.occupancy)
         assert sorted(built) == [(10, 9, 1.5), (10, 11, 1.5)]
 
 
@@ -291,14 +291,15 @@ class TestBackward:
 
     def test_zero_upstream_zero_gradient(self):
         d = DesignField.random(8, 8, seed=0)
-        g = lensmap.backward(d, 5.0, np.zeros((8, 8, d.n_v)))
+        g = lensmap.backward(d, 5.0, np.zeros((8, 8, d.n_v)),
+                             lensmap.forward(d, 5.0).occupancy)
         assert np.all(g == 0.0)
 
     def test_locality_of_kernel_footprint(self):
         d = DesignField.random(16, 16, seed=1)
         up = np.zeros((16, 16, d.n_v))
         up[8, 8, 2] = 1.0
-        g = lensmap.backward(d, 5.0, up)
+        g = lensmap.backward(d, 5.0, up, lensmap.forward(d, 5.0).occupancy)
         mask = np.zeros((16, 16), dtype=bool)
         mask[1:16, 1:16] = True  # 15x15: the 9-tap DHLA and 7-tap printer blur
         assert np.all(g[~mask] == 0.0)
@@ -316,7 +317,8 @@ class TestBackward:
             beta = rng.uniform(1.0, 20.0)
             params = dict(v_max=8.0, fab_cutoff=rng.uniform(1.0, 6.0))
             d = DesignField(theta, **params)
-            grad = lensmap.backward(d, beta, weights)
+            grad = lensmap.backward(d, beta, weights,
+                                    lensmap.forward(d, beta).occupancy)
             i, j = rng.integers(0, 8, size=2)
             tp = theta.copy(); tp[i, j] += step
             tm = theta.copy(); tm[i, j] -= step
@@ -339,10 +341,13 @@ class TestBackward:
 
     def test_shape_mismatch_rejected(self):
         d = DesignField.random(8, 8, seed=0)
+        occ = lensmap.forward(d, 5.0).occupancy
         with pytest.raises(ValueError):
-            lensmap.backward(d, 5.0, np.zeros((4, 4, d.n_v)))
+            lensmap.backward(d, 5.0, np.zeros((4, 4, d.n_v)), occ)
         with pytest.raises(ValueError):  # depth other than n_v = ceil(v_max)
-            lensmap.backward(d, 5.0, np.zeros((8, 8, 8)))
+            lensmap.backward(d, 5.0, np.zeros((8, 8, 8)), occ)
+        with pytest.raises(ValueError):  # an occupancy of another shape
+            lensmap.backward(d, 5.0, np.zeros(occ.shape), occ[:4])
 
 
 class TestBinarize:

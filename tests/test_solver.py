@@ -13,8 +13,10 @@ from oracles import (
     full_grid_adjoint,
     full_grid_forward,
     full_grid_sweeps,
+    screens,
+    slab_gradients_per_pair,
 )
-from sonolens import solver
+from sonolens import lensmap, solver
 from sonolens.grid import (
     BONE,
     FORM_CLEAR,
@@ -777,8 +779,12 @@ class TestPreparedMedium:
         adj1 = propagate_adjoint(cache1, upstream)
 
         def state():
+            # a slab slice's varying screen lives in the slab's
+            # transmission planes only: its screen entry is None
             arrays = [p1.values, cache1.c, cache1.rho, cache1.att_np,
-                      *cache1.screen, *cache1.Z.values()]
+                      *[a for a in cache1.screen if a is not None],
+                      *cache1.Z.values(), cache1.slab.Z, cache1.slab.r,
+                      *cache1.slab.trans.values()]
             arrays += [r for r in cache1.coeff if r is not None]
             for sw in cache1.sweeps:
                 arrays += [u for u in sw.u + sw.v if u is not None]
@@ -983,8 +989,8 @@ class TestPreparedMedium:
         # (1 + r)*screen[k+1] toward +z, (1 - r)*screen[k] toward -z on
         # every base pair with an interface, from prepare; the cache holds
         # them for the directions of its run's sweeps (both at order 4,
-        # one at order 0), and none on the slab pairs 13-16, whose planes
-        # each run and its adjoint form from the run's r and screens
+        # one at order 0), and on the slab pairs 13-16 the run's own,
+        # formed from its r and screens, which the adjoint reads
         for order, dtype in ((4, np.complex128), (0, np.complex64)):
             prepared = prepare(disk_source(self.GRID, 1.2e-3),
                                bone_layers(self.GRID, slice(2, 4),
@@ -1008,10 +1014,23 @@ class TestPreparedMedium:
                     np.testing.assert_array_equal(
                         solver._transmitted(r, prepared.screen, k, d), a)
             assert prepared.trans[1][13] is not None    # bone at slice 14
+            # the slab slices' screens, which the cache keeps in these
+            # planes only (a varying one's entry is None)
+            screen = list(prepared.screen)
+            screen[14 : 14 + self.N_V], _ = solver._per_slice(
+                self.GRID, cache.c, cache.rho, cache.att_np, dtype)
+            assert all(np.ndim(a) == 0 or a is None
+                       for a in cache.screen[14 : 14 + self.N_V])
             for d, planes in cache.trans.items():
                 for k, a in enumerate(planes):
-                    assert a is (None if 13 <= k <= 16
-                                 else prepared.trans[d][k])
+                    if 13 <= k <= 16:
+                        assert a is not prepared.trans[d][k]
+                        assert a.dtype == dtype
+                        np.testing.assert_array_equal(
+                            a, solver._transmitted(cache.coeff[k], screen,
+                                                   k, d))
+                    else:
+                        assert a is prepared.trans[d][k]
 
     @pytest.mark.parametrize("direction, source_slice", [(-1, 17), (1, 9)])
     def test_first_sweep_leaves_unvisited_slices_zero(self, direction,
@@ -1252,6 +1271,167 @@ class TestPreparedMedium:
             assert np.all(np.abs(a - b) <= ulps * np.spacing(np.abs(b)))
 
 
+# (reflection order, z_offset, slab slices set to one occupancy across
+# the plane, as {slab index: occupancy}) on TestSlabGradients.GRID
+SLAB_CASES = [
+    pytest.param(4, 14, {}, id="order4"),
+    pytest.param(0, 14, {}, id="order0"),
+    pytest.param(4, 0, {}, id="slab-at-0"),
+    pytest.param(0, 0, {}, id="slab-at-0-order0"),
+    pytest.param(4, 29, {}, id="slab-ending-at-nz"),
+    pytest.param(4, 14, {0: 0.0, 1: 1.0}, id="uniform-slab-slices"),
+]
+
+
+class TestSlabGradients:
+    """The folded slab pass (`solver._slab_gradients`) against the per-pair
+    oracle, on the sums of the sweeps, in complex128."""
+
+    GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+    N_V = 3
+
+    @pytest.mark.parametrize("order, z0, uniform", SLAB_CASES)
+    def test_matches_the_per_pair_oracle(self, monkeypatch, order, z0,
+                                         uniform):
+        g = self.GRID
+        prepared = prepare(disk_source(g, 1.2e-3),
+                           bone_layers(g, slice(2, 4), slice(20, 23)),
+                           SolverConfig(reflection_order=order), FORM_CLEAR,
+                           z0, self.N_V)
+        rng = np.random.default_rng(z0 + order)
+        occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
+        for k, value in uniform.items():
+            occ[:, :, k] = value
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        _, cache = prepared.run(occ)
+        for k in uniform:       # a scalar screen, no plane
+            assert np.ndim(cache.screen[z0 + k]) == 0
+
+        # the sums the folded pass receives, per pair (prev, s)
+        seen = []
+        folded = solver._slab_gradients
+
+        def spy(cache, sums, *work):
+            pairs = {}
+            for d, (S, R) in sums.items():
+                for p, k in enumerate(range(cache.slab.first,
+                                            cache.slab.first + len(S))):
+                    pairs[(k, k + 1) if d > 0 else (k + 1, k)] = [
+                        S[p].copy(), None if R is None else R[p].copy()]
+            seen.append(pairs)
+            return folded(cache, sums, *work)
+
+        monkeypatch.setattr(solver, "_slab_gradients", spy)
+        adj = propagate_adjoint(cache, upstream)
+        (pairs,) = seen
+        assert len(pairs) == (2 if order else 1) * (len(cache.Z) - 1)
+        assert all((R is None) == (order == 0) for _, R in pairs.values())
+        # the slab's screens as one complex exp of the run's properties,
+        # the prepared medium's on either side
+        screen = dict(zip(range(z0, z0 + self.N_V),
+                          np.moveaxis(screens(g, cache.c, cache.att_np), 2, 0)))
+        screen.update({s: cache.screen[s] for s in cache.Z if s not in screen})
+        expected = slab_gradients_per_pair(cache, pairs, screen)
+        for got, want in zip((adj.c, adj.rho, adj.att_np, adj.occupancy),
+                             expected):
+            assert np.any(want != 0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_slab_thicker_than_the_spare_stack_holds(self, dtype):
+        # 6 of 8 slices: the slab's blocks do not fit on the 9-plane stack,
+        # so the run and the adjoint take fresh scratch for what does not
+        # fit, and the gradients still match the full-grid oracle
+        g = GridSpec(16, 16, 8, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+        med = bone_layers(g, slice(0, 1))
+        src = disk_source(g, 1.2e-3)
+        cfg = SolverConfig(reflection_order=4)
+        prepared = prepare(src, med, cfg, FORM_CLEAR, 1, 6, dtype)
+        rng = np.random.default_rng(5)
+        occ = rng.uniform(0.1, 0.9, size=(16, 16, 6))
+        upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        p, cache = prepared.run(occ)
+        stack = prepared._spare
+        dirs, pairs = len(cache.slab.trans), len(cache.slab.r)
+        # the per-direction sums alone do not fit
+        assert stack.nbytes < dirs * pairs * g.nx * g.ny * stack.itemsize
+        adj = propagate_adjoint(cache, upstream)
+        assert prepared._spare is stack
+        c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, 1)
+        if dtype == np.complex128:
+            source, gc, grho, gatt, occupancy = full_grid_adjoint(
+                cache, full_grid_sweeps(g, cfg, c, rho, att, src), upstream,
+                c, rho, att)
+            assert_close(adj.occupancy, occupancy)
+            assert_close(adj.c, gc[:, :, 1:7])
+        again = propagate_adjoint(cache, upstream)
+        assert np.array_equal(again.occupancy, adj.occupancy)
+
+
+def cache_arrays(cache):
+    """Every array a lens run's cache holds, in a fixed order."""
+    arrays = [cache.c, cache.rho, cache.att_np, cache.slab.Z, cache.slab.r,
+              *cache.slab.trans.values(), *cache.Z.values()]
+    arrays += [np.asarray(a) for a in cache.screen if a is not None]
+    arrays += [r for r in cache.coeff if r is not None]
+    arrays += [a for planes in cache.trans.values() for a in planes
+               if a is not None]
+    for sw in cache.sweeps:
+        arrays += [a for a in sw.u + sw.v if a is not None]
+    return arrays
+
+
+class TestSlabLayout:
+    """The lens slab is stored slice-major, (n_v, nx, ny), and handed out
+    as its (nx, ny, n_v) view, as the field is."""
+
+    GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+
+    def prepared(self, order, dtype=np.complex128):
+        g = self.GRID
+        return prepare(disk_source(g, 1.2e-3),
+                       bone_layers(g, slice(2, 4), slice(20, 23)),
+                       SolverConfig(reflection_order=order), FORM_CLEAR, 14,
+                       3, dtype)
+
+    def test_slab_arrays_are_views_of_slice_major_arrays(self):
+        design = lensmap.DesignField.random(16, 16, seed=3, v_max=3.0)
+        lens = lensmap.forward(design, 5.0)
+        prepared = self.prepared(4)
+        _, cache = prepared.run(lens.occupancy)
+        rng = np.random.default_rng(1)
+        adj = propagate_adjoint(cache, rng.normal(size=self.GRID.shape) + 0j)
+        copy = prepared.with_lens(VEROCLEAR)
+        arrays = [lens.occupancy, lensmap.binarize(lens).occupancy,
+                  prepared.c, prepared.rho, prepared.att_np, prepared.dc,
+                  prepared.drho, prepared.datt, copy.dc, copy.drho, copy.datt,
+                  cache.c, cache.rho, cache.att_np, adj.c, adj.rho,
+                  adj.att_np, adj.occupancy]
+        for a in arrays:
+            assert a.shape == (16, 16, 3)
+            assert a.transpose(2, 0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_c_ordered_occupancy_runs_as_its_slice_major_copy(self, order):
+        rng = np.random.default_rng(order)
+        c_order = rng.uniform(0.1, 0.9, size=(16, 16, 3))
+        slice_major = np.ascontiguousarray(
+            c_order.transpose(2, 0, 1)).transpose(1, 2, 0)
+        upstream = (rng.normal(size=self.GRID.shape)
+                    + 1j * rng.normal(size=self.GRID.shape))
+        for dtype in (np.complex128, np.complex64):
+            prepared = self.prepared(order, dtype)
+            runs = []
+            for occ in (c_order, slice_major):
+                p, cache = prepared.run(occ)
+                adj = propagate_adjoint(cache, upstream)
+                runs.append([p.values, *cache_arrays(cache), adj.source_plane,
+                             adj.c, adj.rho, adj.att_np, adj.occupancy])
+            assert len(runs[0]) == len(runs[1])
+            for a, b in zip(*runs):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSinglePrecision:
     """A medium prepared in complex64 stores and marches its planes in
     complex64, and its fields and gradients lie within 1e-5 of the peak
@@ -1274,12 +1454,14 @@ class TestSinglePrecision:
         assert p.values.dtype == np.complex64
         for c in (prepared, cache):
             assert all(np.asarray(scr).dtype == np.complex64
-                       for scr in c.screen)
+                       for scr in c.screen if scr is not None)
             assert all(r.dtype == np.complex64 for r in c.coeff
                        if r is not None)
             assert all(a.dtype == np.complex64 for planes in c.trans.values()
                        for a in planes if a is not None)
         assert any(r is not None for r in cache.coeff)
+        assert cache.slab.r.dtype == np.complex64
+        assert cache.slab.Z.dtype == np.float64
         assert all(plane.dtype == np.complex64 for sw in cache.sweeps
                    for plane in sw.u + sw.v if plane is not None)
         upstream = np.ones(g.shape, dtype=np.complex128)  # cast on entry
