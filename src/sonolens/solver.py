@@ -16,14 +16,17 @@ one plane, r = (Z2-Z1)/(Z1+Z2) toward +z: -r toward -z, and t = 1 + r
 toward +z, 1 - r toward -z (Brekhovskikh, Waves in Layered Media). Pairs
 of equal impedance across the whole plane have no plane and skip the
 interface work, except in a lens run: every pair touching the slab keeps
-its plane, zero or not, so that the adjoint applies dr/dZ there. With r
-come its transmission planes (`_transmitted`), a = (1 + r)*screen[k+1]
-toward +z and (1 - r)*screen[k] toward -z, which carry the field across
-the pair and through the next screen in one product: a step across the
-pair is u = a*v, and its reflected source r*v. `prepare` forms both for
-each pair of the base medium; a lens run forms its slab pairs' r and
-their transmission planes toward the directions its sweeps take, one
-block pass each, and its cache keeps them for the adjoint.
+its plane, zero or not, so that the adjoint applies dr/dZ there. A
+step across pair k toward direction d is one product u = a*v by its
+multiplier a = trans[d][k], which carries the field across the pair and
+through the screen of the slice it steps into: where the pair has r,
+its transmission plane (`_transmitted`), (1 + r)*screen[k+1] toward +z
+and (1 - r)*screen[k] toward -z, and its reflected source is r*v;
+elsewhere, that screen itself. `prepare` forms both directions' lists
+for the base medium by that one rule; a lens run replaces the entries
+of its slab pairs with its own r and transmission planes toward the
+directions its sweeps take, one block pass each, and its cache keeps
+them for the adjoint.
 
 H is zero beyond angular_cutoff*k0, on all but br rows and bc columns
 of the FFT grid (21 of 64 each on a 64x64 grid at 125 um and 2 MHz). A
@@ -39,45 +42,44 @@ matrices on the left and the y matrices R on the right as kron(R, I2),
 which acts on the interleaved complex axis as R on the plane. A step
 costs 4*br*nx*ny + 8*br*bc*ny real multiply-adds (570k at 64x64).
 
-A screen that takes one value across the plane is stored as that
-scalar, every other one as its (nx, ny) plane; the products broadcast
-either. A step into a slice with a scalar screen, with no interface and
-nothing injected, is homogeneous: u_s = screen_s * ifft2(H *
-fft2(u_prev)) is diagonal in the spectral domain and exact over any
-number of such slices (angular-spectrum propagation through a
-homogeneous layer; Zeng and McGough, J. Acoust. Soc. Am. 123, 2008).
-So every diffraction goes through segments, each ending at a step that
-is not homogeneous or at the sweep's last slice: one transform into the
-passband on entry, one product of the (br, bc) spectrum by H * screen
-per slice, one block product of all its spectra back to their planes,
-and its last slice's step in space: u = a*v (the pair's transmission
-plane, or the screen where it has none), the reflected source r*v when
-the sweep collects reflections, the injection there, and the add into
-the total. A step that is not homogeneous is a one-slice segment,
-whose four products run inline on the plane stack's float views. Each
-sweep is planned once (`_plan`): the slices it visits, from its first
-injected slice (the field is zero before it), and its segments; the
-sweeps of one run with the same direction and injected slices share
-one plan. The march walks that plan, the cache keeps it, and the
-adjoint replays it backwards; a slab pair has its plane and so ends a
-segment, as its per-pair sums need the spatial planes. The scalars are
-found on the actual screens (`prepare` for the base medium, each lens
-run for its slab slices), so a lens embedded into the medium and the
-same lens run on a prepared slab march the same segments, except
-across a slab pair of equal impedance: the slab run ends a segment at
-its zero plane, the embedded medium has none there. The two fields then
-differ at rounding level.
+A multiplier that takes one value across the plane, a screen with no
+interface, is stored as that scalar, every other one as its (nx, ny)
+plane; the products broadcast either. A step whose multiplier is a
+scalar and into a slice where nothing is injected is homogeneous: u_s
+= a * ifft2(H * fft2(u_prev)) is diagonal in the spectral domain and
+exact over any number of such slices (angular-spectrum propagation
+through a homogeneous layer; Zeng and McGough, J. Acoust. Soc. Am.
+123, 2008). So every diffraction goes through segments, each ending at
+a step that is not homogeneous or at the sweep's last slice: one
+transform into the passband on entry, one product of the (br, bc)
+spectrum by H * a per slice, one block product of all its spectra back
+to their planes, and its last slice's step in space: u = a*v, the
+reflected source r*v when the pair has r and the sweep collects
+reflections, the injection there, and the add into the total. A step
+that is not homogeneous is a one-slice segment, whose four products
+run inline on the plane stack's float views. Each sweep is planned
+once (`_plan`): the slices it visits, from its first injected slice
+(the field is zero before it), and its segments; the sweeps of one run
+with the same direction and injected slices share one plan. The march
+walks that plan, the cache keeps it, and the adjoint replays it
+backwards; a slab pair's multiplier is a plane, so it ends a segment,
+as its per-pair sums need the spatial planes. Only `prepare` makes
+scalars, from the actual screens, so a lens embedded into the medium
+and the same lens run on a prepared slab march the same segments,
+except across a slab pair of equal impedance into a uniform screen:
+the slab run ends a segment at its zero plane, the embedded medium
+continues it. The two fields then differ at rounding level.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
-kernel, the source plane, the per-slice screens and the interface
-and transmission planes of the base medium, on the lens slab too. With
-a lens occupancy, a run (`propagate_with_lens`) redoes only the slab's
-properties, screens and impedance and the planes of the pairs that
-touch it; the base medium is never copied. Without one, a run
+kernel, the source plane, the interface planes and both directions'
+multipliers of the base medium, on the lens slab too (each screen
+plane at most once), and the impedance and screen of the slice on
+either side of the slab (z0-1 and z0+n_v). With a lens occupancy, a run
+(`propagate_with_lens`) redoes only the slab's properties, screens and
+impedance and the planes of the pairs that touch it, which the slab
+gradients read; the base medium is never copied. Without one, a run
 marches the base medium, bitwise as on a medium prepared without a
-slab. The impedance is kept only on the slab and the slice on either
-side of it (z0-1 .. z0+n_v), the slices those pairs and the slab
-gradients read.
+slab.
 The lens slab is slice-major like the field: its occupancy (`lensmap`),
 the prepared slab properties and lens-minus-base deltas, a run's slab
 properties and the adjoint's gradients are stored (n_v, nx, ny) and
@@ -86,8 +88,8 @@ and transmission planes are slice-major blocks (`_Slab`). A run takes
 an occupancy in any other layout slice-major once, with no copy when
 it already is.
 `propagate` is a run on a medium prepared without a slab. The returned
-cache carries the run's screens and planes, so the adjoint recomputes
-none of them. A run's first sweep marches its `sources`, {slice:
+cache carries the run's multipliers and r planes, so the adjoint
+recomputes none of them. A run's first sweep marches its `sources`, {slice:
 plane}, as each later sweep marches the reflected sources r*v of the
 last. That sweep went the other way, and toward -z the reflection
 coefficient is -r: a later sweep toward +z subtracts its sources.
@@ -117,8 +119,8 @@ lens with linearly interpolated properties, it also returns the gradients
 with respect to the per-voxel properties on the lens slab and, through
 them, with respect to the lens occupancy; property gradients outside the
 slab are not computed. A step's field cotangent is vbar = a*ub +-
-r*refl_cot[prev], on the forward's transmission planes, which the cache
-keeps for the slab pairs too. The reverse sweeps only add, per slab
+r*refl_cot[prev], on the forward's multipliers, which the cache keeps
+for the slab pairs too. The reverse sweeps only add, per slab
 pair (prev, s), the products ub*v and, where a reflection cotangent
 exists, Re(refl_cot[prev]*v) into one (pairs, nx, ny) block per
 direction; one pass over those blocks after the last sweep applies the
@@ -131,10 +133,10 @@ gradients it returns.
 Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
 default or complex64, for every array a run and its adjoint march: H on
 the band and the passband's intermediate (its matrices are of the
-dtype's real type), the screens and the source plane (a run's source
-planes are cast to it, C-contiguous), the r planes (r + 0j, so that no
-product mixes a real plane with a complex one), the transmission
-planes, the plane stack, the total field, the cache's planes and the
+dtype's real type), the multipliers and the source plane (a run's
+source planes are cast to it, C-contiguous), the r planes (r + 0j, so
+that no product mixes a real plane with a complex one), the plane
+stack, the total field, the cache's planes and the
 adjoint's scratch, spectra and cotangents. Each is computed in double
 and stored in that dtype, except the screens' cos and sin
 (`_per_slice`). The impedances, the slab's properties and the slab
@@ -334,16 +336,16 @@ class _Sweep:
 @dataclass
 class _Slab:
     """A lens run's slab pairs as slice-major blocks, built once by the
-    forward run: the n slices first .. first + n - 1 (the slab and the
-    slice on either side where the grid has one) and the n - 1 pairs
-    between them. Z (n, nx, ny) is the slices' impedance (float64), r the
+    forward run: the range of n slices `slices` (the slab and the slice
+    on either side where the grid has one) and the n - 1 pairs between
+    them. Z (n, nx, ny) is the slices' impedance (float64), r the
     pairs' r and trans maps each direction of the run's sweeps to the
     pairs' transmission planes toward it, (n - 1, nx, ny) each, which
-    alone carry the slab slices' screens. The run's Z, coeff and trans
-    view these blocks. medium is the prepared medium that made the run,
-    whose spare plane stack the adjoint borrows for its slab sums."""
+    alone carry the slab slices' screens. The run's coeff and trans view
+    these blocks. medium is the prepared medium that made the run, whose
+    spare plane stack the adjoint borrows for its slab sums."""
 
-    first: int
+    slices: range
     Z: np.ndarray
     r: np.ndarray
     trans: dict
@@ -356,33 +358,28 @@ class SliceCache:
 
     Only `PreparedMedium.run` makes one. Its sweeps (see `_Sweep`) hold
     what `propagate_adjoint` reads: the plan each sweep marched, the
-    inject keys and the v planes at the keys of Z, one block per sweep
-    that the cache owns. Each also keeps u at its first visited slice,
-    its injected plane.
+    inject keys and the v planes at the slab's slices (`_Slab.slices`),
+    one block per sweep that the cache owns. Each also keeps u at its
+    first visited slice, its injected plane.
 
     band is the prepared medium's passband step (`_Passband`), which the
-    adjoint transposes; H is the full kernel it was cut from.
-    screen holds one entry per slice: the screen's one value (a NumPy
-    scalar) where it is the same across the plane, so that a step into
-    the slice can be homogeneous, and its (nx, ny) array elsewhere, or
-    None where `prepare` left a base slice's plane to the transmission
-    planes of the two interfaces around it, or a lens run a slab slice's
-    plane to its slab pairs' (no step into the slice reads it). coeff
+    adjoint transposes; H is the full kernel it was cut from. coeff
     holds one entry per slice pair k, k+1: its plane of r
-    (`_interface`), or None where the impedance does not change. Both
-    are the prepared medium's, except on the lens slab and the pairs
-    that touch it, where this run's (always planes) replace them. trans
-    maps each direction of the run's sweeps (+1, -1) to one entry per
-    pair: its transmission plane toward it (`_transmitted`), this run's
-    on the slab pairs and the prepared medium's elsewhere, or None where
-    the pair has no interface. Z maps the slab's slices and the slice on
-    either side (z0-1 .. z0+n_v) to this run's impedance, which the slab
-    gradients read; it is empty without a lens. A slab pair is a pair
-    whose two slices are both keys of Z. slab holds the blocks that this
-    run's slab entries of coeff, trans and Z view (`_Slab`); None
-    without a lens. c, rho and att_np are this run's properties on the
-    lens slab only, (nx, ny, n_v) views of slice-major (n_v, nx, ny)
-    arrays; (nx, ny, 0) for a run without a lens occupancy.
+    (`_interface`), or None where the impedance does not change. trans
+    maps each direction d of the run's sweeps (+1, -1) to one multiplier
+    per pair: trans[d][k] multiplies the field after diffracting across
+    pair k toward d, the pair's transmission plane (`_transmitted`)
+    where it has r, the screen of the slice it steps into elsewhere (a
+    NumPy scalar where that screen is the same across the plane, its
+    (nx, ny) plane otherwise). Both are the prepared medium's, except on
+    the pairs that touch the lens slab, where this run's (always planes)
+    replace them. slab holds the blocks that those entries view and the
+    run's impedance on the slab's slices and the slice on either side
+    (`_Slab`), which the slab gradients read; None without a lens. A
+    slab pair is a pair between two of `slab.slices`. c, rho and att_np
+    are this run's properties on the lens slab only, (nx, ny, n_v) views
+    of slice-major (n_v, nx, ny) arrays; (nx, ny, 0) for a run without a
+    lens occupancy.
     """
 
     grid: GridSpec
@@ -391,10 +388,8 @@ class SliceCache:
     c: np.ndarray
     rho: np.ndarray
     att_np: np.ndarray
-    screen: list
     coeff: list
     trans: dict
-    Z: dict
     sweeps: list = field(default_factory=list)
     slab: _Slab | None = None
     # lens embedding for d/d occupancy (None when no lens was embedded)
@@ -432,7 +427,7 @@ _SCREENS = 16
 
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
                att_np: np.ndarray, dtype, Z: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> tuple[list, np.ndarray]:
+               out: np.ndarray | None = None) -> tuple:
     """Screens and impedances of (nx, ny, k) properties, one per slice
     (the sweeps read them slice by slice). The impedances are one
     slice-major float64 (k, nx, ny) product, into Z where given. A
@@ -442,12 +437,12 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
     imaginary parts of a slice-major block of `dtype`: phi and exp(-a*dz)
     in double, cos and sin of phi rounded to the dtype's real type in
     that type, and each part rounded once from its double product with
-    exp(-a*dz); with `out`, a (k, nx, ny) block of `dtype`, in that
-    block. One reduction over each block finds its uniform slices. A
-    screen is stored as the one value it takes across the whole plane,
-    or as its contiguous (nx, ny) plane where it varies: a view of the
-    block (always with `out`), or a copy where the block has a uniform
-    slice, whose plane is then freed."""
+    exp(-a*dz). With `out`, a (k, nx, ny) block of `dtype`, that block
+    is filled and returned as the screens. Without, one reduction over
+    each block finds its uniform slices, and the screens are a list: the
+    one value a screen takes across the whole plane, or its contiguous
+    (nx, ny) plane where it varies, a view of the block, or a copy where
+    the block has a uniform slice, whose plane is then freed."""
     k0, dz = grid.k0, grid.dz
     f = np.finfo(dtype).dtype
     screen = []
@@ -468,13 +463,15 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
                  else out[i : i + _SCREENS])
         np.multiply(mag, np.cos(phi), out=block.real)
         np.multiply(mag, np.sin(phi), out=block.imag)
+        if out is not None:
+            continue
         # bitwise equal to the plane's first value, on an integer view
         w = block.view(np.int64).reshape(len(block), -1, block.itemsize // 8)
         uniform = np.all(w == w[:, :1], axis=(1, 2))
-        copy = out is None and uniform.any()
+        copy = uniform.any()
         screen += [scr.flat[0] if u else scr.copy() if copy else scr
                    for scr, u in zip(block, uniform)]
-    return screen, Z
+    return screen if out is None else out, Z
 
 
 def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype, slab: bool = False,
@@ -514,34 +511,32 @@ class PreparedMedium:
     Holds the diffraction kernel and its passband step (`_Passband`:
     the DFT matrices restricted to H's nonzero rows and columns, built
     by `prepare` and shared with every copy and cache), the default
-    source plane and the per-slice screens (a scalar where a screen is
-    uniform; see SliceCache), interface planes and transmission planes
-    toward both directions of the base medium, which a run without a
-    lens occupancy marches; a lens run
-    recomputes the screens of the slab slices, so a slab slice may be a
-    scalar in one run and a plane, kept in its slab pairs' transmission
-    planes only, in the next.
+    source plane and the interface planes and multipliers toward both
+    directions of the base medium (coeff and trans; see SliceCache),
+    which a run without a lens occupancy marches; a lens run replaces
+    the entries of the pairs that touch the slab.
     With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
     the base properties there, the lens material and the lens-minus-base
-    deltas, each an (nx, ny, n_v) view of a slice-major array, and the
-    impedance of the slices just outside the slab, so
-    that a run with a lens recomputes only the slab and the pairs that
-    touch it. Built by `prepare`, whose lens material and deltas come
-    from `with_lens`; `with_lens` also gives the copy for
-    another lens material, which shares every array but the deltas, so
-    a sweep over materials prepares the medium once. Nothing
-    it holds is modified by a run, except the spare plane stack of nz + 1
-    planes (`_spare`, None until the first run), which each run takes
-    and puts back (a lens run and its adjoint also borrow it as scratch
-    for the slab's blocks), the spare planes of the reflected sources its runs
-    have added (`_spent`), which the next reflected sources fill, and
-    the passband's intermediate buffer, which runs and adjoints use in
+    deltas, each an (nx, ny, n_v) view of a slice-major array, and, in
+    edge, the impedance and the screen (a scalar where it is uniform) of
+    each slice just outside the slab, so that a run with a lens
+    recomputes only the slab and the pairs that touch it. Built by
+    `prepare`, whose lens material and deltas come from `with_lens`;
+    `with_lens` also gives the copy for another lens material, which
+    shares every array but the deltas, so a sweep over materials
+    prepares the medium once. Nothing it holds is modified by a run,
+    except the spare plane stack of nz + 1 planes (`_spare`, None until
+    the first run), which each run takes and puts back (a lens run and
+    its adjoint also borrow it as scratch for the slab's blocks), the
+    spare planes of the reflected sources its runs have added
+    (`_spent`), which the next reflected sources fill, and the
+    passband's intermediate buffer, which runs and adjoints use in
     turn. A pickle carries no spare planes; a `with_lens` copy shares
     them. Kept from run to run, these planes also keep their place on
     the heap, which glibc would otherwise trim for the next run to fault
     back in.
-    Its `dtype`, the band's, is the one complex dtype of its screens,
-    source plane, r and transmission planes and passband (matrices: its
+    Its `dtype`, the band's, is the one complex dtype of its multipliers,
+    edge screens, source plane, r planes and passband (matrices: its
     real type) and of every plane its runs and their adjoints march; a
     `with_lens` copy and a pickle keep it. H, the full kernel, stays
     complex128.
@@ -552,10 +547,9 @@ class PreparedMedium:
     H: np.ndarray
     band: _Passband                     # the step on H's passband
     source_plane: np.ndarray
-    screen: list                        # screen, coeff, trans: see
-    coeff: list                         # SliceCache
+    coeff: list                         # coeff, trans: see SliceCache
     trans: dict
-    Z: dict                             # slices z_offset-1, z_offset+n_v
+    edge: dict                          # {slice: (Z, screen)} by the slab
     z_offset: int
     c: np.ndarray                       # base properties on the slab
     rho: np.ndarray
@@ -650,7 +644,7 @@ class PreparedMedium:
 
         # the field first, below the run's other arrays on the heap
         total = np.empty((grid.nz, grid.nx, grid.ny), dtype=self.dtype)
-        screen, coeff, trans, Z = self.screen, self.coeff, self.trans, {}
+        coeff, trans, held = self.coeff, self.trans, ()
         c, rho, att = (a[:, :, :0] for a in (self.c, self.rho, self.att_np))
         lens = {}
         if occupancy is not None:
@@ -660,14 +654,15 @@ class PreparedMedium:
                     f"lens occupancy shape {occupancy.shape} does not match "
                     f"the prepared slab {self.dc.shape}"
                 )
-            c, rho, att, screen, coeff, trans, Z, slab = self._lens_slab(
+            c, rho, att, coeff, trans, slab = self._lens_slab(
                 np.ascontiguousarray(occupancy.transpose(2, 0, 1)),
                 (direction,) if self.cfg.reflection_order == 0 else (1, -1))
             lens = dict(slab=slab, lens_z_offset=self.z_offset,
                         lens_dc=self.dc, lens_drho=self.drho,
                         lens_datt=self.datt)
-        cache = (SliceCache(grid, self.H, self.band, c, rho, att, screen,
-                            coeff, trans, Z, **lens) if keep else None)
+            held = slab.slices if keep else ()
+        cache = (SliceCache(grid, self.H, self.band, c, rho, att, coeff,
+                            trans, **lens) if keep else None)
 
         stack, self._spare = self._spare, None
         if stack is None:
@@ -677,18 +672,18 @@ class PreparedMedium:
         for n in range(self.cfg.reflection_order + 1):
             key = (direction, frozenset(inject))
             if key not in plans:
-                plans[key] = _plan(screen, coeff, inject, direction)
+                plans[key] = _plan(trans[direction], inject, direction)
             order, segments = plans[key]
             if n == 0:  # it writes the slices it visits, not the others
                 s = order[0]
                 total[slice(0, s) if direction > 0 else slice(s + 1, None)] = 0
-            refl = _march(self.band, screen, coeff, trans[direction],
-                          direction, inject, order, segments,
+            refl = _march(self.band, coeff, trans[direction], direction,
+                          inject, order, segments,
                           n < self.cfg.reflection_order, stack, total, n == 0,
-                          Z if keep else (), [] if keep else self._spent)
+                          held, [] if keep else self._spent)
             if keep:
                 cache.sweeps.append(_kept(stack, direction, inject, order,
-                                          segments, Z))
+                                          segments, held))
             if not refl:
                 break
             inject = refl
@@ -698,16 +693,15 @@ class PreparedMedium:
 
     def _lens_slab(self, occ: np.ndarray, directions: tuple):
         """A lens run's slab, from its slice-major (n_v, nx, ny) occupancy:
-        its properties (views of slice-major arrays), the run's screen,
-        coeff and trans lists and Z (the prepared medium's, with the slab's
-        entries replaced), and the `_Slab` blocks those entries view. The
-        slab pairs' r and their transmission planes toward `directions`
-        are formed in one pass over the block each. A slab slice's screen
-        that varies across the plane lives on in those planes only (its
-        entry is None, as where `prepare` drops a base screen: every step
-        into a slab slice crosses a slab pair); the block the screens are
-        computed in and r's temporaries lie on the spare plane stack,
-        which the run's march takes only afterwards."""
+        its properties (views of slice-major arrays), the run's coeff and
+        trans lists (the prepared medium's, with the slab pairs' entries
+        replaced), and the `_Slab` blocks those entries view. The slab
+        pairs' r and their transmission planes toward `directions` are
+        formed in one pass over the block each; the slab slices' screens
+        live on in those planes only, as every step into a slab slice
+        crosses a slab pair. The block the screens are computed in and
+        r's temporaries lie on the spare plane stack, which the run's
+        march takes only afterwards."""
         grid, dtype = self.grid, self.dtype
         z0, n_v = self.z_offset, len(occ)
         c, rho, att = (np.multiply(occ, delta.transpose(2, 0, 1)) for delta in
@@ -717,39 +711,36 @@ class PreparedMedium:
         c, rho, att = (a.transpose(1, 2, 0) for a in (c, rho, att))
         # the slab and the slice on either side within the grid
         first = max(z0 - 1, 0)
-        n = n_v + len(self.Z)
+        n = n_v + len(self.edge)
         plane = (grid.nx, grid.ny)
         Zs = np.empty((n, *plane))
         scr, *scratch = _borrow(self._spare, [((n, *plane), dtype),
                                               ((n - 1, *plane), np.float64),
                                               ((n - 1, *plane), np.float64)])
         i = z0 - first
-        slab_screen, _ = _per_slice(grid, c, rho, att, dtype,
-                                    Zs[i : i + n_v], scr[i : i + n_v])
-        screen, coeff = list(self.screen), list(self.coeff)
-        for s, Z_s in self.Z.items():
-            Zs[s - first], scr[s - first] = Z_s, screen[s]
-        screen[z0 : z0 + n_v] = [None if np.ndim(a) else a
-                                 for a in slab_screen]
+        _per_slice(grid, c, rho, att, dtype, Zs[i : i + n_v], scr[i : i + n_v])
+        for s, (Z_s, screen) in self.edge.items():
+            Zs[s - first], scr[s - first] = Z_s, screen
         r = _interface(Zs[:-1], Zs[1:], dtype, True, scratch)
         a = {d: _transmitted(r, (scr[:-1], scr[1:]), 0, d) for d in directions}
         pairs = slice(first, first + n - 1)
+        coeff = list(self.coeff)
         coeff[pairs] = r
         trans = {d: list(self.trans[d]) for d in directions}
-        for d, planes in trans.items():
-            planes[pairs] = a[d]
-        Z = dict(zip(range(first, first + n), Zs))
-        return (c, rho, att, screen, coeff, trans, Z,
-                _Slab(first, Zs, r, a, self))
+        for d, steps in trans.items():
+            steps[pairs] = a[d]
+        return (c, rho, att, coeff, trans,
+                _Slab(range(first, first + n), Zs, r, a, self))
 
 
 def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
           segments: list, slices) -> _Sweep:
     """What the adjoint reads of the sweep just marched through `stack`:
-    its plan, the v planes at the consecutive `slices` that it marched
-    past its first slice and stepped into from another of them (a slab
-    pair), copied out as one block, and the injected slices. u stays at
-    the first slice only, its injected plane, which no run writes."""
+    its plan, the v planes at the consecutive `slices` (the slab's, or
+    none) that it marched past its first slice and stepped into from
+    another of them (a slab pair), copied out as one block, and the
+    injected slices. u stays at the first slice only, its injected
+    plane, which no run writes."""
     nz = len(stack) - 1
     u, v = [None] * nz, [None] * nz
     u[order[0]] = inject[order[0]]
@@ -774,8 +765,8 @@ def prepare(
     `grid.full_plane_source`).
 
     With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
-    medium (see `propagate_with_lens`); the full-grid screens and the
-    interface coefficients are computed here once, and each lens run
+    medium (see `propagate_with_lens`); the full-grid multipliers and
+    the interface planes are computed here once, and each lens run
     redoes only the slab; a run without an occupancy marches the base
     medium. The result keeps no reference to `medium`:
     a caller that needs only runs can release it, and gets a slab for
@@ -818,20 +809,23 @@ def prepare(
     trans = {d: [None if r is None else _transmitted(r, screen, k, d)
                  for k, r in enumerate(coeff)] for d in (1, -1)}
     # a screen plane between two interfaces lives on in their transmission
-    # planes only; the others are copied out of their blocks
+    # planes only; the others are copied out of their blocks once
     screen = [scr if not isinstance(scr, np.ndarray) else None
               if s not in edge and all(coeff[k] is not None for k in (s - 1, s)
                                        if 0 <= k < grid.nz - 1)
               else scr.copy() for s, scr in enumerate(screen)]
+    # a step across a pair without an interface takes the screen of the
+    # slice it steps into: k + 1 toward +z, k toward -z
+    trans = {d: [screen[k + (d > 0)] if a is None else a
+                 for k, a in enumerate(steps)] for d, steps in trans.items()}
     prepared = PreparedMedium(
         grid, cfg,
         H=H,
         band=_Passband.of(H, dtype),
         source_plane=np.array(source_plane, dtype=dtype, order="C"),
-        screen=screen,
         coeff=coeff,
         trans=trans,
-        Z=edge,
+        edge={s: (Z_s, screen[s]) for s, Z_s in edge.items()},
         z_offset=z_offset,
         c=c,
         rho=rho,
@@ -840,28 +834,27 @@ def prepare(
     return prepared if lens_mat is None else prepared.with_lens(lens_mat)
 
 
-def _plan(screen: list, coeff: list, inject: dict,
-          direction: int) -> tuple[range, list]:
+def _plan(trans: list, inject: dict, direction: int) -> tuple[range, list]:
     """The slices a sweep visits, in march order, and its segments.
 
     order runs from the sweep's first injected slice (the highest toward
     -z, the lowest toward +z) to the grid's end: the field is zero before
     it. segments are (first, last) index pairs into order that tile
     order[1:]. One ends at the sweep's last slice and at every step prev
-    -> s that is not homogeneous. A step is homogeneous when slice s has a
-    scalar screen, the pair has no interface and nothing is injected at
-    s: across such steps u_s = screen_s * diffract(u_prev) in every bin,
-    so a segment continues through them.
+    -> s that is not homogeneous. A step is homogeneous when its
+    multiplier a = trans[min(prev, s)] (see SliceCache) is a scalar and
+    nothing is injected at s: across such steps u_s = a *
+    diffract(u_prev) in every bin, so a segment continues through them.
     """
     if direction < 0:
         order = range(max(inject), -1, -1)
     else:
-        order = range(min(inject), len(screen))
+        order = range(min(inject), len(trans) + 1)
     segments, first = [], 1
     for i in range(1, len(order)):
         prev, s = order[i - 1], order[i]
-        if (i + 1 == len(order) or isinstance(screen[s], np.ndarray)
-                or coeff[min(prev, s)] is not None or s in inject):
+        if (i + 1 == len(order) or isinstance(trans[min(prev, s)], np.ndarray)
+                or s in inject):
             segments.append((first, i))
             first = i + 1
     return order, segments
@@ -869,7 +862,6 @@ def _plan(screen: list, coeff: list, inject: dict,
 
 def _march(
     band: _Passband,
-    screen: list,
     coeff: list,
     trans: list,
     direction: int,
@@ -903,15 +895,14 @@ def _march(
     work plane (the stack's last) and its post-diffraction field v in
     that plane, or in stack[s] where s is `held` (the slices whose v the
     cache keeps). A longer one writes each slice's passband spectrum
-    H * screen_prev * (previous spectrum) to the head of stack[s],
-    multiplied by its screen on the homogeneous slices, and returns
-    them to space in one block product: the homogeneous slices'
+    H * a_prev * (previous spectrum) to the head of stack[s], multiplied
+    by its step's scalar multiplier a on the homogeneous slices, and
+    returns them to space in one block product: the homogeneous slices'
     contributions and v, into total on the first sweep (v in total[s]
-    unless s is held) and into the stack otherwise. The last step
-    forms r*v, the reflected source, where the pair k it crosses has an
-    interface, then the contribution a*v, a = trans[k] (`_transmitted`)
-    or the screen without one, in total[s] (first sweep) or in the work
-    plane, and the injection there.
+    unless s is held) and into the stack otherwise. The last step, across
+    pair k, forms r*v, the reflected source, where coeff[k] = r is a
+    plane, then the contribution a*v, a = trans[k] (see SliceCache), in
+    total[s] (first sweep) or in the work plane, and the injection there.
     """
     f = band.into[0].dtype              # the real type, of float views
     A, B = band.into
@@ -947,10 +938,10 @@ def _march(
             K = spectra[steps[1]]
             _into_band(band.into, u, K, tmp)
             np.multiply(K, H_in, out=K)
-            # a homogeneous slice h takes its screen on its spectrum, which
-            # then returns to space as its contribution
-            for h, q in zip(steps[1:], steps[2:]):
-                np.multiply(spectra[h], screen[h], out=spectra[h])
+            # a homogeneous slice h takes its step's multiplier on its
+            # spectrum, which then returns to space as its contribution
+            for p, h, q in zip(steps, steps[1:], steps[2:]):
+                np.multiply(spectra[h], trans[min(p, h)], out=spectra[h])
                 np.multiply(spectra[h], H, out=spectra[q])
             seg = slice(min(steps[1], s), max(steps[1], s) + 1)
             hom = slice(min(steps[1], steps[-2]), max(steps[1], steps[-2]) + 1)
@@ -972,7 +963,7 @@ def _march(
         if r is not None and collect_reflections:
             refl[prev] = np.multiply(r, v, out=spent.pop() if spent else None)
         u = total[s] if first_sweep else work
-        np.multiply(v, screen[s] if r is None else trans[k], out=u)
+        np.multiply(v, trans[k], out=u)
         if s in inject:
             add(u, inject[s], out=u)
             if not first_sweep:     # a reflected source of this run
@@ -1000,11 +991,10 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
 
     upstream is dL/dP over the full grid in the pairing dL = Re(sum(g*dP)).
     Property gradients cover the lens slab only (empty without a lens).
-    The screens, interface coefficients and transmission planes are the
-    forward run's, read from the cache. The sweeps add, per direction,
-    into one slice-major block over the slab pairs (`_Slab`);
-    `_slab_gradients` turns those sums into property and occupancy
-    gradients in one pass after the last sweep. The blocks and that
+    The multipliers and r planes are the forward run's, read from the
+    cache. The sweeps add, per direction, into one slice-major block over
+    the slab pairs (`_Slab`); `_slab_gradients` turns those sums into
+    property and occupancy gradients in one pass after the last sweep. The blocks and that
     pass's scratch lie on the prepared medium's spare plane stack, which
     no run uses meanwhile (fresh arrays where it is too small), so that
     only the returned gradients are new arrays.
@@ -1078,7 +1068,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
     """Reverse one sweep; returns cotangents of its consumed injections.
 
     upstream is slice-major (nz, nx, ny). The field cotangent is carried
-    through every pair. On slab pairs (both slices keys of cache.Z) it
+    through every pair. On slab pairs (both slices in `_Slab.slices`) it
     adds ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent
     exists, to the pair's plane of the sweep direction's blocks in sums,
     through the third scratch plane; other pairs skip that work. Each
@@ -1088,16 +1078,18 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
     The segments the forward recorded are replayed from the last: its
     last step is transposed in space, and vbar enters the passband as K
     = H * (Ai.T @ vbar @ Bi.T); each homogeneous slice s back from it
-    gives K <- H * screen_s * (K + Ai.T @ upstream_s @ Bi.T), with one
+    gives K <- H * a_s * (K + Ai.T @ upstream_s @ Bi.T), a_s the scalar
+    multiplier of the step into s (see SliceCache), with one
     block product of their upstream planes, and K returns to space as
     A.T @ K @ B.T. That is the transpose (not the conjugate transpose)
     of the segment.
     """
-    band, screen, coeff, Z = cache.band, cache.screen, cache.coeff, cache.Z
+    band, coeff, slab = cache.band, cache.coeff, cache.slab
     trans = cache.trans[sweep.direction]
     tmp = band.tmp
     down = sweep.direction < 0
     order = sweep.order
+    pairs = slab.slices[:-1] if slab else ()   # the slab pairs
 
     inject_cot: dict = {}
     ub, carry, w = scratch
@@ -1109,21 +1101,20 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
             inject_cot[s] = ub.copy()
         rc = refl_cot.pop(prev, None)
         k = min(prev, s)
-        if prev in Z and s in Z:        # a slab pair
+        if k in pairs:                  # a slab pair
             uv, rv = sums[sweep.direction]
-            p = k - cache.slab.first
+            p = k - pairs.start
             v = sweep.v[s]
             uv[p] += np.multiply(ub, v, out=w)
             if rc is not None:
                 rv[p] += np.multiply(rc, v, out=w).real
 
         # vbar = a * ub +- r * refl_cot[prev] in the carry plane, a the
-        # pair's transmission plane or the screen (r toward -z is -r);
-        # ub, read no more, holds r * refl_cot[prev]
-        r = coeff[k]
-        np.multiply(ub, screen[s] if r is None else trans[k], out=carry)
+        # pair's multiplier (r toward -z is -r); ub, read no more, holds
+        # r * refl_cot[prev]
+        np.multiply(ub, trans[k], out=carry)
         if rc is not None:
-            np.multiply(rc, r, out=ub)
+            np.multiply(rc, coeff[k], out=ub)
             (np.subtract if down else np.add)(carry, ub, out=carry)
         _into_band(band.into_t, carry, K, tmp)
         np.multiply(K, band.H, out=K)
@@ -1135,7 +1126,7 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
                             np.empty((hi - lo, *K.shape), dtype=K.dtype), tmp)
             for s in reversed(hom):
                 np.add(K, up[s - lo], out=K)
-                np.multiply(K, screen[s], out=K)
+                np.multiply(K, trans[min(s, s - sweep.direction)], out=K)
                 np.multiply(K, band.H, out=K)
         _out_of_band(band.back_t, K, carry, tmp)
 
@@ -1191,7 +1182,7 @@ def _slab_gradients(cache, sums, W, G, t):
             G += np.divide(Sa.real, t, out=t)
         if R is not None:
             (np.add if d > 0 else np.subtract)(G, R, out=G)
-    i = cache.lens_z_offset - slab.first    # the slab's slices in the blocks
+    i = cache.lens_z_offset - slab.slices.start     # the slab in the blocks
     Wv = W[i : i + len(c)]
     gc = np.multiply(Wv.imag, grid.k0 * grid.c_ref * grid.dz, dtype=np.float64)
     gc /= c

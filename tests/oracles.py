@@ -296,7 +296,8 @@ def slab_gradients_per_pair(cache, sums, screen):
     sums maps each slab pair (prev, s), which also fixes its direction,
     to [S, R]: the sums over the sweeps of ub*v and of
     Re(refl_cot[prev]*v) (R None without reflections). screen maps each
-    slice of cache.Z to its screen (a plane or a scalar). Each pair adds
+    of the slab's slices and the slice on either side (cache.slab.slices)
+    to its screen (a plane or a scalar). Each pair adds
     the screen derivative Re(t*S*dscreen) at s, t = 1 +- r, and the
     impedance chain (Re(S*screen) + R) * dt/dZ at prev and s (dr/dZ =
     dt/dZ), one (nx, ny) plane at a time. Returns (nx, ny, n_v) arrays.
@@ -304,7 +305,7 @@ def slab_gradients_per_pair(cache, sums, screen):
     grid = cache.grid
     k0, dz = grid.k0, grid.dz
     z0 = cache.lens_z_offset
-    Z = cache.Z
+    Z = dict(zip(cache.slab.slices, cache.slab.Z))
     c, rho = (np.ascontiguousarray(a.transpose(2, 0, 1))
               for a in (cache.c, cache.rho))
     n_v = len(c)

@@ -1414,8 +1414,8 @@ class TestSweepCommand:
     def test_one_prepared_slab_per_sweep(self, tmp_path, monkeypatch, axis,
                                          sweep):
         # the medium is prepared once per sweep call, in complex64; each
-        # material's copy of it shares the prepared kernel, screens and
-        # coefficients
+        # material's copy of it shares the prepared kernel, r planes,
+        # multipliers and slab edge
         prepared, copies = [], []
         with_lens = solver.PreparedMedium.with_lens
 
@@ -1440,8 +1440,9 @@ class TestSweepCommand:
         assert copies
         for copy in copies:
             assert copy.H is prepared[0].H
-            assert copy.screen is prepared[0].screen
             assert copy.coeff is prepared[0].coeff
+            assert copy.trans is prepared[0].trans
+            assert copy.edge is prepared[0].edge
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_prepared_medium_alive_at_a_time(self, tmp_path, monkeypatch,

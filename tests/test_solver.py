@@ -459,7 +459,8 @@ class TestLeanAdjoint:
         # bone over a strip that widens slice by slice from 18 to 27: every
         # pair there is an interface and every slice's screen a plane, so
         # prepare keeps those screens in the transmission planes alone,
-        # except beside the slab (its slab pairs read them each run)
+        # except beside the slab (its slab pairs read them each run): every
+        # multiplier there is a transmission plane
         g = self.GRID
         med = make_homogeneous(g, WATER)
         for s in range(18, 28):
@@ -470,12 +471,12 @@ class TestLeanAdjoint:
         src = disk_source(g, 1.2e-3)
         cfg = SolverConfig(reflection_order=4)
         prepared = prepare(src, med, cfg, FORM_CLEAR, z_offset, self.N_V)
-        dropped = [s for s, scr in enumerate(prepared.screen) if scr is None]
-        assert dropped == [s for s in range(18, 28)
-                           if s not in (z_offset - 1, z_offset + self.N_V)]
-        assert len(dropped) == (10 if z_offset == 0 else 8)
-        assert all(isinstance(prepared.screen[s], np.ndarray)
-                   for s in range(18, 28) if s not in dropped)
+        assert all(prepared.coeff[k] is not None for k in range(17, 28))
+        kept = [s for s, (_, scr) in prepared.edge.items()
+                if isinstance(scr, np.ndarray)]
+        assert kept == [s for s in (z_offset - 1, z_offset + self.N_V)
+                        if 18 <= s < 28]
+        assert len(kept) == (0 if z_offset == 0 else 2)
         rng = np.random.default_rng(9)
         occ = rng.uniform(0.1, 0.9, size=(16, 16, self.N_V))
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
@@ -632,11 +633,19 @@ class TestHomogeneousRuns:
         med, cfg, plane, run, occ, _, upstream = self.setup_case(
             layers, mat, z_offset, source_slice, direction, order, uniform)
         p, cache = run(occ)
-        if mat is not BONE:
-            assert np.ndim(cache.screen[7]) == 0 and cache.screen[7] != 1.0
+        if mat is not BONE:     # the steps into slice 7, in the layer
+            for d, steps in cache.trans.items():
+                a = steps[7 - (d > 0)]
+                assert np.ndim(a) == 0 and a != 1.0
+        # a uniform slab slice's screen, 1 in water, lives in the planes of
+        # the slab pairs around it, as every other slab screen
+        screen, _ = solver._per_slice(g, cache.c, cache.rho, cache.att_np,
+                                      np.complex128)
         for k, value in uniform.items():
-            assert np.ndim(cache.screen[z_offset + k]) == 0
-            assert (cache.screen[z_offset + k] == 1.0) == (value == 0.0)
+            assert np.ndim(screen[k]) == 0
+            assert (screen[k] == 1.0) == (value == 0.0)
+            for d, steps in cache.trans.items():
+                assert isinstance(steps[z_offset + k - (d > 0)], np.ndarray)
         c, rho, att = embedded_arrays(med, occ, FORM_CLEAR, z_offset)
         assert_close(p.values, full_grid_forward(
             g, cfg, c, rho, att, plane, source_slice, direction))
@@ -677,9 +686,14 @@ class TestHomogeneousRuns:
         # end exactly at the last slice and at the steps that fail the
         # homogeneous rule, written out here
         g = self.GRID
-        *_, run, occ, _, _ = self.setup_case(
+        med, _, _, run, occ, _, _ = self.setup_case(
             layers, mat, z_offset, source_slice, direction, order, uniform)
         _, cache = run(occ)
+        # the base medium's screens: every step into a slab slice crosses
+        # a slab pair, which has its r plane
+        screen, _ = solver._per_slice(g, med.c, med.rho,
+                                      med.attenuation_np_per_m(),
+                                      np.complex128)
         assert len(cache.sweeps) == order + 1
         for sweep in cache.sweeps:
             seq, segments = sweep.order, sweep.segments
@@ -693,7 +707,7 @@ class TestHomogeneousRuns:
             ends = {last for _, last in segments}
             for i in range(1, len(seq)):
                 prev, s = seq[i - 1], seq[i]
-                homogeneous = (np.ndim(cache.screen[s]) == 0
+                homogeneous = (np.ndim(screen[s]) == 0
                                and cache.coeff[min(prev, s)] is None
                                and s not in sweep.inject)
                 assert (i in ends) == (i == len(seq) - 1 or not homogeneous)
@@ -779,11 +793,10 @@ class TestPreparedMedium:
         adj1 = propagate_adjoint(cache1, upstream)
 
         def state():
-            # a slab slice's varying screen lives in the slab's
-            # transmission planes only: its screen entry is None
+            # every multiplier, the scalars too
             arrays = [p1.values, cache1.c, cache1.rho, cache1.att_np,
-                      *[a for a in cache1.screen if a is not None],
-                      *cache1.Z.values(), cache1.slab.Z, cache1.slab.r,
+                      *[a for steps in cache1.trans.values() for a in steps],
+                      cache1.slab.Z, cache1.slab.r,
                       *cache1.slab.trans.values()]
             arrays += [r for r in cache1.coeff if r is not None]
             for sw in cache1.sweeps:
@@ -941,11 +954,14 @@ class TestPreparedMedium:
 
     def test_uniform_screens_are_stored_as_scalars(self):
         # each slice of a water medium has one screen value across the
-        # plane: the prepared medium keeps that value, not a plane, so its
-        # pickle is smaller than one screen plane per slice
+        # plane and no interface: the prepared medium keeps that value as
+        # each step's multiplier, not a plane, so its pickle is smaller
+        # than one screen plane per slice
         g = self.GRID
         prepared = prepare(full_plane_source(g), make_homogeneous(g, WATER))
-        assert all(np.ndim(scr) == 0 for scr in prepared.screen)
+        assert all(r is None for r in prepared.coeff)
+        assert all(np.ndim(a) == 0 for steps in prepared.trans.values()
+                   for a in steps)
         plane_bytes = g.nx * g.ny * np.dtype(np.complex128).itemsize
         assert len(pickle.dumps(prepared)) < g.nz * plane_bytes
 
@@ -987,14 +1003,15 @@ class TestPreparedMedium:
     def test_transmission_planes_are_one_plus_or_minus_r_times_the_screen(
             self):
         # (1 + r)*screen[k+1] toward +z, (1 - r)*screen[k] toward -z on
-        # every base pair with an interface, from prepare; the cache holds
-        # them for the directions of its run's sweeps (both at order 4,
-        # one at order 0), and on the slab pairs 13-16 the run's own,
-        # formed from its r and screens, which the adjoint reads
+        # every base pair with an interface, from prepare, and the screen
+        # stepped into on the others; the cache holds them for the
+        # directions of its run's sweeps (both at order 4, one at order 0),
+        # and on the slab pairs 13-16 the run's own, formed from its r and
+        # screens, which the adjoint reads
         for order, dtype in ((4, np.complex128), (0, np.complex64)):
-            prepared = prepare(disk_source(self.GRID, 1.2e-3),
-                               bone_layers(self.GRID, slice(2, 4),
-                                           slice(14, 15), slice(20, 23)),
+            med = bone_layers(self.GRID, slice(2, 4), slice(14, 15),
+                              slice(20, 23))
+            prepared = prepare(disk_source(self.GRID, 1.2e-3), med,
                                SolverConfig(reflection_order=order),
                                FORM_CLEAR, 14, self.N_V, dtype)
             occ = np.random.default_rng(6).uniform(0.1, 0.9,
@@ -1002,27 +1019,26 @@ class TestPreparedMedium:
             _, cache = prepared.run(occ)
             assert set(prepared.trans) == {1, -1}
             assert set(cache.trans) == ({1, -1} if order else {1})
-            for d, planes in prepared.trans.items():
-                assert len(planes) == len(prepared.coeff) == self.GRID.nz - 1
-                for k, (r, a) in enumerate(zip(prepared.coeff, planes)):
+            screen, _ = solver._per_slice(self.GRID, med.c, med.rho,
+                                          med.attenuation_np_per_m(), dtype)
+            for d, steps in prepared.trans.items():
+                assert len(steps) == len(prepared.coeff) == self.GRID.nz - 1
+                for k, (r, a) in enumerate(zip(prepared.coeff, steps)):
+                    scr = screen[k + 1 if d > 0 else k]
                     if r is None:
-                        assert a is None
+                        assert np.ndim(a) == 0 and a == scr
                         continue
-                    scr = prepared.screen[k + 1 if d > 0 else k]
                     assert a.dtype == dtype
                     np.testing.assert_array_equal(a, (1 + d * r) * scr)
                     np.testing.assert_array_equal(
-                        solver._transmitted(r, prepared.screen, k, d), a)
-            assert prepared.trans[1][13] is not None    # bone at slice 14
+                        solver._transmitted(r, screen, k, d), a)
+            assert prepared.coeff[13] is not None       # bone at slice 14
             # the slab slices' screens, which the cache keeps in these
-            # planes only (a varying one's entry is None)
-            screen = list(prepared.screen)
+            # planes only
             screen[14 : 14 + self.N_V], _ = solver._per_slice(
                 self.GRID, cache.c, cache.rho, cache.att_np, dtype)
-            assert all(np.ndim(a) == 0 or a is None
-                       for a in cache.screen[14 : 14 + self.N_V])
-            for d, planes in cache.trans.items():
-                for k, a in enumerate(planes):
+            for d, steps in cache.trans.items():
+                for k, a in enumerate(steps):
                     if 13 <= k <= 16:
                         assert a is not prepared.trans[d][k]
                         assert a.dtype == dtype
@@ -1192,7 +1208,7 @@ class TestPreparedMedium:
             assert lensed.field_only(**kwargs).values.tobytes() == \
                 q.values.tobytes()
             assert cache.c.shape == cache.rho.shape == (16, 16, 0)
-            assert cache.Z == {} and cache.lens_z_offset is None
+            assert cache.slab is None and cache.lens_z_offset is None
             adj = propagate_adjoint(cache, upstream)
             expected = propagate_adjoint(oracle, upstream)
             assert adj.source_plane.tobytes() == expected.source_plane.tobytes()
@@ -1304,8 +1320,6 @@ class TestSlabGradients:
             occ[:, :, k] = value
         upstream = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         _, cache = prepared.run(occ)
-        for k in uniform:       # a scalar screen, no plane
-            assert np.ndim(cache.screen[z0 + k]) == 0
 
         # the sums the folded pass receives, per pair (prev, s)
         seen = []
@@ -1314,8 +1328,7 @@ class TestSlabGradients:
         def spy(cache, sums, *work):
             pairs = {}
             for d, (S, R) in sums.items():
-                for p, k in enumerate(range(cache.slab.first,
-                                            cache.slab.first + len(S))):
+                for p, k in enumerate(cache.slab.slices[:-1]):
                     pairs[(k, k + 1) if d > 0 else (k + 1, k)] = [
                         S[p].copy(), None if R is None else R[p].copy()]
             seen.append(pairs)
@@ -1324,13 +1337,14 @@ class TestSlabGradients:
         monkeypatch.setattr(solver, "_slab_gradients", spy)
         adj = propagate_adjoint(cache, upstream)
         (pairs,) = seen
-        assert len(pairs) == (2 if order else 1) * (len(cache.Z) - 1)
+        slab_pairs = len(cache.slab.slices) - 1
+        assert len(pairs) == (2 if order else 1) * slab_pairs
         assert all((R is None) == (order == 0) for _, R in pairs.values())
         # the slab's screens as one complex exp of the run's properties,
         # the prepared medium's on either side
         screen = dict(zip(range(z0, z0 + self.N_V),
                           np.moveaxis(screens(g, cache.c, cache.att_np), 2, 0)))
-        screen.update({s: cache.screen[s] for s in cache.Z if s not in screen})
+        screen.update({s: scr for s, (_, scr) in prepared.edge.items()})
         expected = slab_gradients_per_pair(cache, pairs, screen)
         for got, want in zip((adj.c, adj.rho, adj.att_np, adj.occupancy),
                              expected):
@@ -1371,11 +1385,9 @@ class TestSlabGradients:
 def cache_arrays(cache):
     """Every array a lens run's cache holds, in a fixed order."""
     arrays = [cache.c, cache.rho, cache.att_np, cache.slab.Z, cache.slab.r,
-              *cache.slab.trans.values(), *cache.Z.values()]
-    arrays += [np.asarray(a) for a in cache.screen if a is not None]
+              *cache.slab.trans.values()]
     arrays += [r for r in cache.coeff if r is not None]
-    arrays += [a for planes in cache.trans.values() for a in planes
-               if a is not None]
+    arrays += [np.asarray(a) for steps in cache.trans.values() for a in steps]
     for sw in cache.sweeps:
         arrays += [a for a in sw.u + sw.v if a is not None]
     return arrays
@@ -1432,6 +1444,147 @@ class TestSlabLayout:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_bitwise(a, b):
+    """a and b are both scalars or both planes, of one dtype and bytes."""
+    assert np.ndim(a) == np.ndim(b)
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def unique_nbytes(arrays):
+    """The bytes of the distinct buffers behind `arrays` (None and scalars
+    hold none)."""
+    bases = {}
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a
+    return sum(a.nbytes for a in bases.values())
+
+
+class TestStepPlanes:
+    """trans[d][k], the one multiplier of the field after diffracting
+    across pair k toward d: the pair's transmission plane where it has r,
+    the screen of the slice it steps into elsewhere."""
+
+    GRID = GridSpec(16, 16, 32, 125e-6, 125e-6, 125e-6, 2e6, 1500.0)
+    N_V = 3
+    REPO = Path(__file__).resolve().parents[1]
+
+    def medium(self):
+        """Bone layers (interfaces), absorbing water on half of each plane
+        of slices 6-9 (screen planes without an interface) and water
+        elsewhere (scalar screens)."""
+        med = bone_layers(self.GRID, slice(2, 4), slice(20, 23))
+        med.att[:8, :, 6:10] = ABSORBING_WATER.attenuation_coeff
+        med.att_power[:8, :, 6:10] = ABSORBING_WATER.attenuation_power
+        return med
+
+    def runs(self, order, dtype, direction):
+        """(prepared medium, its screens, [(screens, cache)] for a base
+        run and a lens run toward `direction` from the grid's end there),
+        the lens run's screens those of its slab on the slab."""
+        g = self.GRID
+        med = self.medium()
+        prepared = prepare(disk_source(g, 1.2e-3), med,
+                           SolverConfig(reflection_order=order), FORM_CLEAR,
+                           14, self.N_V, dtype)
+        screen, _ = solver._per_slice(g, med.c, med.rho,
+                                      med.attenuation_np_per_m(), dtype)
+        rng = np.random.default_rng(order)
+        plane = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        kwargs = dict(sources={0 if direction > 0 else g.nz - 1: plane},
+                      direction=direction)
+        _, base = prepared.run(**kwargs)
+        _, lens = prepared.run(rng.uniform(0.1, 0.9, size=(16, 16, self.N_V)),
+                               **kwargs)
+        slab = list(screen)
+        slab[14 : 14 + self.N_V], _ = solver._per_slice(
+            g, lens.c, lens.rho, lens.att_np, dtype)
+        return prepared, screen, [(screen, base), (slab, lens)]
+
+    @pytest.mark.parametrize("order", [0, 4])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_each_entry_is_its_transmission_plane_or_screen(self, order,
+                                                            dtype, direction):
+        prepared, screen, runs = self.runs(order, dtype, direction)
+        kinds = set()
+        for screens, held in [(screen, prepared)] + runs:
+            for d, steps in held.trans.items():
+                assert len(steps) == self.GRID.nz - 1
+                for k, (r, a) in enumerate(zip(held.coeff, steps)):
+                    if r is None:
+                        assert_bitwise(a, screens[k + (d > 0)])
+                    else:
+                        assert_bitwise(
+                            a, solver._transmitted(r, screens, k, d))
+                    kinds.add((r is None, np.ndim(a)))
+        # scalars, screen planes and transmission planes
+        assert kinds == {(True, 0), (True, 2), (False, 2)}
+
+    @pytest.mark.parametrize("order", [0, 4])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_an_entry_is_a_scalar_where_a_segment_continues(self, order,
+                                                             dtype, direction):
+        _, _, runs = self.runs(order, dtype, direction)
+        continued = 0
+        for _, cache in runs:
+            assert len(cache.sweeps) == order + 1
+            for sweep in cache.sweeps:
+                steps, seq = cache.trans[sweep.direction], sweep.order
+                ends = {last for _, last in sweep.segments}
+                for i in range(1, len(seq) - 1):
+                    prev, s = seq[i - 1], seq[i]
+                    if s in sweep.inject:
+                        assert i in ends
+                    else:
+                        scalar = np.ndim(steps[min(prev, s)]) == 0
+                        assert scalar == (i not in ends)
+                        continued += scalar
+        assert continued
+
+    @pytest.mark.parametrize("config, nbytes", [
+        ("perfbench/skull_r4.cfg", 4_882_432),
+        ("demos/single_focus_water.cfg", 18_432),
+    ])
+    def test_prepared_planes_hold_each_screen_once(self, config, nbytes):
+        # the multipliers, r planes and the slab's edge entries of the
+        # medium `design` prepares in complex64: a screen plane is shared
+        # by the steps into its slice and the slab's edge, not copied
+        from sonolens import cli
+
+        cfg = cli.load_config(self.REPO / config)
+        prepared = cli._prepared_problem(cfg, cli.build_grid(cfg), 0,
+                                         np.complex64)[2]
+        assert self.held_nbytes(prepared) == nbytes
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_a_screen_plane_is_held_once(self, dtype):
+        # four interfaces, each with r and two transmission planes; four
+        # screen planes with no interface (slices 6-9), each shared by the
+        # steps into its slice from either side and, at slice 9, by the
+        # slab's edge; and the two edge impedances
+        g = self.GRID
+        prepared = prepare(disk_source(g, 1.2e-3), self.medium(),
+                           SolverConfig(), FORM_CLEAR, 10, self.N_V, dtype)
+        assert sum(r is not None for r in prepared.coeff) == 4
+        assert isinstance(prepared.edge[9][1], np.ndarray)
+        plane = g.nx * g.ny
+        assert self.held_nbytes(prepared) == (
+            (3 * 4 + 4) * plane * np.dtype(dtype).itemsize + 2 * plane * 8)
+
+    @staticmethod
+    def held_nbytes(prepared):
+        """The bytes of the multipliers, r planes and edge entries."""
+        arrays = [a for steps in prepared.trans.values() for a in steps]
+        arrays += prepared.coeff
+        arrays += [a for entry in prepared.edge.values() for a in entry]
+        return unique_nbytes(arrays)
+
+
 class TestSinglePrecision:
     """A medium prepared in complex64 stores and marches its planes in
     complex64, and its fields and gradients lie within 1e-5 of the peak
@@ -1453,12 +1606,12 @@ class TestSinglePrecision:
         p, cache = prepared.run(occ)
         assert p.values.dtype == np.complex64
         for c in (prepared, cache):
-            assert all(np.asarray(scr).dtype == np.complex64
-                       for scr in c.screen if scr is not None)
             assert all(r.dtype == np.complex64 for r in c.coeff
                        if r is not None)
-            assert all(a.dtype == np.complex64 for planes in c.trans.values()
-                       for a in planes if a is not None)
+            assert all(a.dtype == np.complex64 for steps in c.trans.values()
+                       for a in steps)
+        assert all(Z.dtype == np.float64 and scr.dtype == np.complex64
+                   for Z, scr in prepared.edge.values())
         assert any(r is not None for r in cache.coeff)
         assert cache.slab.r.dtype == np.complex64
         assert cache.slab.Z.dtype == np.float64
