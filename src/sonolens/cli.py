@@ -40,7 +40,6 @@ import hashlib
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import (
     MISSING, asdict, dataclass, field, fields, make_dataclass,
 )
@@ -441,15 +440,30 @@ def build_medium(cfg: dict, grid: GridSpec):
         raise ConfigError(f"medium: {exc}") from exc
 
 
-def build_target(cfg: dict, grid: GridSpec, method=None) -> TargetSpec:
-    """The target; with `method` time_reversal, checked before the set-up
-    for foci that time reversal cannot march back from."""
+def _target_spheres(cfg: dict) -> tuple[np.ndarray, float]:
+    """The target section's focus centers, (x, y, z) rows, and radius."""
     sec = build_config(cfg, "target", required=True)
     centers = np.atleast_2d(sec.focus_centers)
     if centers.shape[1] != 3:
         raise ConfigError("target: focus centers must be (x, y, z) triples")
+    return centers, sec.radius
+
+
+def build_focus_centers(cfg: dict, grid: GridSpec) -> list:
+    """The target's focus centers as voxels, with the checks of
+    `build_target` but without its full-grid arrays."""
     try:
-        target = TargetSpec.from_spheres(grid, centers, sec.radius)
+        return TargetSpec.sphere_centers(grid, *_target_spheres(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"target: {exc}") from exc
+
+
+def build_target(cfg: dict, grid: GridSpec, method=None) -> TargetSpec:
+    """The target; with `method` time_reversal, checked before the set-up
+    for foci that time reversal cannot march back from."""
+    centers, radius = _target_spheres(cfg)
+    try:
+        target = TargetSpec.from_spheres(grid, centers, radius)
         if method == "time_reversal":
             baselines.time_reversal_foci(grid, target.focus_centers)
     except ValueError as exc:
@@ -710,7 +724,7 @@ def cmd_sweep(args) -> int:
     section, design, prepared = _prepared_problem(cfg, grid, seed,
                                                   np.complex64)
     # the cases read only the focus centres of the target
-    seeds = build_target(cfg, grid).focus_centers
+    seeds = build_focus_centers(cfg, grid)
     # one read: the digest is of the bytes the cases run
     csv = _load_input(lambda path: Path(path).read_bytes(), lens_path,
                       "sweep")
@@ -736,7 +750,9 @@ def cmd_sweep(args) -> int:
     # per chunk, not once per case
     run_case = partial(_sweep_case, prepared, lens, seeds)
     workers = min(args.jobs, len(cases))
-    if workers > 1:
+    if workers > 1:     # the pool's modules load only where it runs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_case, cases,
                                  chunksize=-(-len(cases) // workers)))

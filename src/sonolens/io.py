@@ -138,30 +138,38 @@ def thickness_to_stl(path, thickness_vox: np.ndarray, dx: float,
     Column (i, j) is solid on slices k < floor(t + 0.5), as
     `lensmap.binarize` rounds. Each face between a solid voxel and an
     empty one (or the outside) is a quad of two triangles, normal
-    outward, split along its diagonal from its lowest corner.
+    outward, split along its diagonal from its lowest corner. The header
+    counts the faces first; then each axis's records are written in
+    turn, their vertices looked up in float32 tables of the grid points'
+    coordinates (each product rounded once from double, as the records
+    store it), indexed by the narrowest unsigned type.
     """
     n_solid = np.floor(np.asarray(thickness_vox, dtype=np.float64) + 0.5)
     depth = int(n_solid.max(initial=0))
     solid = np.pad(np.arange(depth) < n_solid[:, :, None], 1).astype(np.int8)
-    tris, normals = [], []
-    for a, e in enumerate(np.eye(3, dtype=np.int64)):
-        # the face across axis a at grid point lo: lo + ccw, counterclockwise
-        # about +a from its lowest corner (outward normal +a), or reversed
-        b, c = np.roll(e, 1), np.roll(e, 2)
-        ccw = np.array([0 * e, b, b + c, c])
-        step = np.diff(solid, axis=a)       # -1: solid below, empty above
-        at = np.nonzero(step)
-        up = step[at] < 0
-        lo = np.stack(at, axis=1) + e - 1   # undo the padding off axis a
-        quads = lo[:, None] + np.where(up[:, None, None], ccw,
-                                       ccw[[0, 3, 2, 1]])
-        tris.append(quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3, 3))
-        normals.append(np.repeat(np.where(up[:, None], e, -e), 2, axis=0))
-
-    records = np.zeros(sum(map(len, tris)), dtype=_STL_TRIANGLE)
-    records["normal"] = np.concatenate(normals)
-    records["vertices"] = np.concatenate(tris) * (dx, dx, dz)
+    index = np.min_scalar_type(max(solid.shape))
+    coords = [(np.arange(n - 1) * d).astype("<f4")
+              for n, d in zip(solid.shape, (dx, dx, dz))]
+    faces = sum(int(np.count_nonzero(np.diff(solid, axis=a)))
+                for a in range(3))
     with open(path, "wb") as fh:
         fh.write(b"\0" * 80)
-        fh.write(len(records).to_bytes(4, "little"))
-        fh.write(records.tobytes())
+        fh.write((2 * faces).to_bytes(4, "little"))
+        for a, e in enumerate(np.eye(3, dtype=index)):
+            # the face across axis a at grid point lo: lo + ccw,
+            # counterclockwise about +a from its lowest corner (outward
+            # normal +a), or reversed
+            b, c = np.roll(e, 1), np.roll(e, 2)
+            ccw = np.array([0 * e, b, b + c, c])
+            step = np.diff(solid, axis=a)   # -1: solid below, empty above
+            at = np.nonzero(step)
+            up = step[at] < 0
+            lo = np.stack(at, axis=1).astype(index) + e - 1     # unpadded
+            quads = lo[:, None] + np.where(up[:, None, None], ccw,
+                                           ccw[[0, 3, 2, 1]])
+            tris = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3, 3)
+            records = np.zeros(len(tris), dtype=_STL_TRIANGLE)
+            records["normal"][:, a] = np.repeat(np.where(up, 1, -1), 2)
+            for k in range(3):
+                records["vertices"][:, :, k] = coords[k][tris[:, :, k]]
+            records.tofile(fh)

@@ -165,10 +165,15 @@ def voxelize(t_smooth: np.ndarray, beta: float, n_v: int) -> LensVolume:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    z = np.arange(n_v) + 0.5
-    x = np.subtract(t_smooth[None, :, :], z[:, None, None])
-    x *= beta
-    occ = sigmoid(x)
+    # 1/(1 + exp(beta*z - beta*t)) in four passes over the volume: it
+    # keeps full relative precision in both tails, and an exp that
+    # overflows to inf gives 0
+    z = beta * (np.arange(n_v) + 0.5)
+    occ = np.subtract(z[:, None, None], beta * t_smooth[None, :, :])
+    with np.errstate(over="ignore"):
+        np.exp(occ, out=occ)
+    occ += 1.0
+    np.divide(1.0, occ, out=occ)
     return LensVolume(occ.transpose(1, 2, 0), t_smooth.copy())
 
 

@@ -63,13 +63,8 @@ class TargetSpec:
             raise ValueError("target amplitudes must lie in [0, 1]")
         if not np.any(self.a_target == 1.0):
             raise ValueError("target must contain at least one active voxel")
-        if not self.focus_centers:
-            raise ValueError("at least one focus center is required")
         shape = self.a_target.shape
-        for c in self.focus_centers:
-            if len(c) != 3 or not all(0 <= i < n for i, n in zip(c, shape)):
-                raise ValueError(f"focus center {tuple(c)} is not a voxel "
-                                 f"of the {shape} grid")
+        _check_centers(self.focus_centers, shape)
         # read off the (nz, nx, ny) view, which is not copied
         a = self.a_target
         z, x, y = np.nonzero(a.transpose(2, 0, 1))
@@ -87,15 +82,40 @@ class TargetSpec:
     @classmethod
     def from_spheres(cls, grid: GridSpec, centers_m, radius_m: float) -> "TargetSpec":
         """Binary target of spherical foci given centers in meters."""
-        if not radius_m >= 0:           # NaN fails too
-            raise ValueError(f"radius {radius_m!r} m must be non-negative")
+        voxel_centers = cls.sphere_centers(grid, centers_m, radius_m)
         a = np.zeros(grid.shape)
-        voxel_centers = []
         for center in centers_m:
             a[grid.squared_distance(center) <= radius_m**2] = 1.0
-            voxel_centers.append(tuple(int(round(c / d)) for c, d in
-                                       zip(center, (grid.dx, grid.dy, grid.dz))))
         return cls(a, voxel_centers)
+
+    @staticmethod
+    def sphere_centers(grid: GridSpec, centers_m, radius_m: float) -> list:
+        """The voxel of each center in meters, as `from_spheres` rounds
+        it, with the checks of its target but without the full grid: a
+        bad radius, no voxel within radius_m of any center or a center
+        off the grid is a ValueError. Rounding is monotonic, so a
+        sphere's nearest voxel has each axis's smallest squared offset."""
+        if not radius_m >= 0:           # NaN fails too
+            raise ValueError(f"radius {radius_m!r} m must be non-negative")
+        spacing = (grid.dx, grid.dy, grid.dz)
+        voxel_centers = [tuple(int(round(c / d)) for c, d in
+                               zip(center, spacing)) for center in centers_m]
+        nearest = [[np.min((np.arange(n) * d - c) ** 2)
+                    for n, d, c in zip(grid.shape, spacing, center)]
+                   for center in centers_m]
+        if not any((x + y) + z <= radius_m**2 for x, y, z in nearest):
+            raise ValueError("target must contain at least one active voxel")
+        _check_centers(voxel_centers, grid.shape)
+        return voxel_centers
+
+
+def _check_centers(centers, shape) -> None:
+    if not centers:
+        raise ValueError("at least one focus center is required")
+    for c in centers:
+        if len(c) != 3 or not all(0 <= i < n for i, n in zip(c, shape)):
+            raise ValueError(f"focus center {tuple(c)} is not a voxel "
+                             f"of the {shape} grid")
 
 
 @dataclass
@@ -186,7 +206,9 @@ def loss_and_gradient(
     omega = target.omega_index
     vals = intensity[omega]
 
-    # accuracy term and d/d(intensity), in the intensity's buffer
+    # accuracy term and 2 d/d(intensity), in the intensity's buffer: the
+    # factor 2 of d|P|^2/dP rides on each term's scalar, as exact as a
+    # last pass doubling them
     num = np.sum(a2 * intensity[sup], dtype=np.float64)
     s4p = np.sum(intensity**2, dtype=np.float64)
     w_int = intensity
@@ -195,9 +217,9 @@ def loss_and_gradient(
         l_acc = 1.0 - num / denom
         # Python floats: a NumPy float64 scalar would take a float32
         # intensity through a casting loop
-        w_int *= float(num)
+        w_int *= float(2.0 * num)
         w_int /= float(np.sqrt(target.s4a) * s4p**1.5)
-        w_int[sup] += -a2 / denom
+        w_int[sup] += -2.0 * a2 / denom
     else:
         l_acc = 1.0
         w_int.fill(0.0)
@@ -207,9 +229,9 @@ def loss_and_gradient(
     std = float(np.std(vals, dtype=np.float64))
     l_bal = std
     if std > 0.0:
-        w_int[omega] += lambda_balance * ((vals - mean) / (vals.size * std))
+        w_int[omega] += (2.0 * lambda_balance) * ((vals - mean)
+                                                  / (vals.size * std))
 
-    w_int *= 2.0
     upstream = np.conj(values)
     upstream *= w_int
 

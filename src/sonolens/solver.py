@@ -51,24 +51,23 @@ exact over any number of such slices (angular-spectrum propagation
 through a homogeneous layer; Zeng and McGough, J. Acoust. Soc. Am.
 123, 2008). So every diffraction goes through segments, each ending at
 a step that is not homogeneous or at the sweep's last slice: one
-transform into the passband on entry, one product of the (br, bc)
-spectrum by H * a per slice, one block product of all its spectra back
-to their planes, and its last slice's step in space: u = a*v, the
-reflected source r*v when the pair has r and the sweep collects
-reflections, the injection there, and the add into the total. A step
-that is not homogeneous is a one-slice segment, whose four products
-run inline on the plane stack's float views. Each sweep is planned
-once (`_plan`): the slices it visits, from its first injected slice
-(the field is zero before it), and its segments; the sweeps of one run
-with the same direction and injected slices share one plan. The march
-walks that plan, the cache keeps it, and the adjoint replays it
-backwards; a slab pair's multiplier is a plane, so it ends a segment,
-as its per-pair sums need the spatial planes. Only `prepare` makes
-scalars, from the actual screens, so a lens embedded into the medium
-and the same lens run on a prepared slab march the same segments,
-except across a slab pair of equal impedance into a uniform screen:
-the slab run ends a segment at its zero plane, the embedded medium
-continues it. The two fields then differ at rounding level.
+transform into the passband on entry, one broadcast product by the
+segment's spectral multipliers C_j = H^j * a_1 * ... * a_j into its
+slices' (br, bc) spectra, one block product of them back to their
+planes, and its last slice's step in space: u = a*v, the reflected
+source r*v when the pair has r and the sweep collects reflections, the
+injection there, and the add into the total. A step that is not
+homogeneous is a one-slice segment, whose four products run inline.
+A sweep's plan (`_plan`), the slices it visits from its first injected
+one (the field is zero before it), its segments and their multipliers,
+is made once per prepared medium, direction, injected slices and lens
+or none, and shared by `with_lens` copies; the march walks it, the
+cache keeps it and the adjoint replays it backwards. A slab pair's
+multiplier is a plane, so it ends a segment, as its per-pair sums need
+the spatial planes. Only `prepare` makes scalars, so a lens embedded
+into the medium and the same lens run on a prepared slab march the
+same segments, but for a slab pair of equal impedance into a uniform
+screen, where the slab run ends one: the fields differ at rounding.
 
 `prepare` builds a `PreparedMedium` once per medium: the diffraction
 kernel, the source plane, the interface planes and both directions'
@@ -103,10 +102,10 @@ total field as it goes, and zeroes only the slices before its first
 injected one; every later sweep forms its contributions in the stack's
 last plane and adds them. Every run marches all its sweeps through one
 stack, which it takes from the prepared medium and gives back as it
-returns. `PreparedMedium.run` copies out of the stack, after
-each sweep, only what the adjoint reads: the post-diffraction fields at
-the slab's slices and the slice on either side of it (none without a
-lens). So a cache owns its planes, and a later run changes none of them.
+returns. In `PreparedMedium.run` each sweep writes what the adjoint
+reads, the post-diffraction fields at the slab's slices and the slice
+on either side of it (none without a lens), into planes of its cache,
+not of the stack. So a later run changes none of a cache's planes.
 `PreparedMedium.field_only` returns the same field without a cache. The
 returned field is always a fresh array.
 
@@ -131,16 +130,16 @@ run uses meanwhile, so that the adjoint allocates little beyond the
 gradients it returns.
 
 Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
-default or complex64, for every array a run and its adjoint march: H on
-the band and the passband's intermediate (its matrices are of the
-dtype's real type), the multipliers and the source plane (a run's
-source planes are cast to it, C-contiguous), the r planes (r + 0j, so
-that no product mixes a real plane with a complex one), the plane
-stack, the total field, the cache's planes and the
-adjoint's scratch, spectra and cotangents. Each is computed in double
-and stored in that dtype, except the screens' cos and sin
-(`_per_slice`). The impedances, the slab's properties and the slab
-gradients stay float64; the adjoint's per-pair sums are of the dtype.
+default or complex64, for every array a run and its adjoint march: the
+passband's H, powers and scratch (its matrices of the real type), the
+multipliers, the source planes (cast to it, C-contiguous), the r planes
+(r + 0j: no product mixes a real plane with a complex one), the plane
+stack, the field, the cache's planes and the adjoint's cotangents. The
+full-grid base medium is computed in double (cos and sin of the screens
+in the real type, `_per_slice`) and stored so. The lens slab is of the
+real type, float32 in a complex64 run: its prepared properties and
+deltas and a run's occupancy, properties, screens, impedances and r and
+its gradients, computed in that type; edge impedances stay float64.
 
 Gradient pairing convention: an upstream cotangent g satisfies
 dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
@@ -251,10 +250,11 @@ class _Passband:
     left matrix acts on a plane's float view, (nx, 2*ny) for an (nx, ny)
     complex plane, and a right matrix R is stored as kron(R, I2), which
     acts on the complex axis of a float view as R on the plane. H on the
-    band and tmp are of the dtype. tmp is the intermediate of
-    `_into_band`, `_out_of_band` and the march's one-slice steps, _BLOCK
-    (br, ny) planes that every run and adjoint of the prepared medium
-    uses in turn.
+    band, its powers (`_plan`), tmp and spectra are of the dtype. tmp is
+    the intermediate of `_into_band`, `_out_of_band` and the march's
+    one-slice steps, _BLOCK (br, ny) planes, and spectra holds a
+    segment's spectra, in march order; every run and adjoint of the
+    prepared medium uses both in turn.
     """
 
     H: np.ndarray                       # H on the passband, (br, bc)
@@ -263,19 +263,31 @@ class _Passband:
     into_t: tuple                       # (Ai.T, Bi.T)
     back_t: tuple                       # (A.T, B.T)
     tmp: np.ndarray
+    powers: np.ndarray                  # H**1 .. H**n on the passband
+    spectra: np.ndarray                 # n passband spectra, scratch
 
     @classmethod
-    def of(cls, H: np.ndarray, dtype=np.complex128) -> "_Passband":
+    def of(cls, H: np.ndarray, dtype=np.complex128,
+           n: int = 0) -> "_Passband":
         """The step of kernel H, its matrices built in double and stored
-        as the real type of `dtype`, H on the band and tmp as `dtype`."""
+        as the real type of `dtype`, H on the band, its first n powers
+        (formed in double from H on the band as stored), spectra and tmp
+        as `dtype`."""
         A, Ai, rows = _cos_sin(H.shape[0], np.any(H, axis=1))
         Bt, Bit, cols = _cos_sin(H.shape[1], np.any(H, axis=0))
         pairs = [(A, Bt.T), (Ai, Bit.T), (Ai.T, Bit), (A.T, Bt)]
         f = np.finfo(dtype).dtype
-        return cls(H[np.ix_(rows, cols)].astype(dtype),
+        band = H[np.ix_(rows, cols)].astype(dtype)
+        powers = np.empty((n, *band.shape), dtype)
+        P = h = band.astype(np.complex128)
+        for j in range(n):
+            powers[j] = P
+            P = P * h
+        return cls(band,
                    *[(np.ascontiguousarray(L, dtype=f),
                       np.kron(R, np.eye(2)).astype(f)) for L, R in pairs],
-                   tmp=np.empty((_BLOCK, rows.size, H.shape[1]), dtype=dtype))
+                   tmp=np.empty((_BLOCK, rows.size, H.shape[1]), dtype=dtype),
+                   powers=powers, spectra=np.empty_like(powers))
 
 
 def _into_band(mats: tuple, x: np.ndarray, out: np.ndarray,
@@ -316,21 +328,32 @@ def _out_of_band(mats: tuple, K: np.ndarray, out: np.ndarray,
     return out
 
 
+@dataclass(eq=False)
+class _Plan:
+    """A sweep's plan (`_plan`): the slices it visits, in march order, its
+    segments, (first, last) indices into order, and one entry per
+    segment in ops: None for a one-slice segment, else its spectral
+    multipliers, in march order."""
+
+    order: range
+    segments: list
+    ops: list
+
+
 @dataclass
 class _Sweep:
-    """One sweep of a cached run, built by `_kept` from the plane stack:
+    """One sweep of a cached run, built by `_kept` as it is marched:
     u holds only the first visited slice's contribution, its injected
     plane, and v only the post-diffraction fields at the slab's slices
     and the slice on either side; inject keeps the injected slices, not
-    their planes. order and segments are the plan (`_plan`) the sweep
-    marched, which its adjoint replays."""
+    their planes. plan is the plan the sweep marched, which its adjoint
+    replays."""
 
     direction: int                      # +1 or -1 along z
     u: list                             # per-slice contribution (None but one)
     v: list                             # post-diffraction field near the slab
     inject: dict                        # injected slices (values None)
-    order: range                        # visited slices, in march order
-    segments: list                      # (first, last) indices into order
+    plan: _Plan
 
 
 @dataclass
@@ -338,7 +361,7 @@ class _Slab:
     """A lens run's slab pairs as slice-major blocks, built once by the
     forward run: the range of n slices `slices` (the slab and the slice
     on either side where the grid has one) and the n - 1 pairs between
-    them. Z (n, nx, ny) is the slices' impedance (float64), r the
+    them. Z (n, nx, ny) is the slices' impedance (of the real type), r the
     pairs' r and trans maps each direction of the run's sweeps to the
     pairs' transmission planes toward it, (n - 1, nx, ny) each, which
     alone carry the slab slices' screens. The run's coeff and trans view
@@ -420,7 +443,7 @@ class AdjointResult:
     occupancy: np.ndarray | None = None
 
 
-# slices per block of screens (`_per_slice`): bounds its float64
+# slices per block of screens (`_per_slice`): bounds its real
 # temporaries to this many (nx, ny) planes each
 _SCREENS = 16
 
@@ -429,25 +452,25 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
                att_np: np.ndarray, dtype, Z: np.ndarray | None = None,
                out: np.ndarray | None = None) -> tuple:
     """Screens and impedances of (nx, ny, k) properties, one per slice
-    (the sweeps read them slice by slice). The impedances are one
-    slice-major float64 (k, nx, ny) product, into Z where given. A
-    screen, the phase and absorption screen exp(i*phi - a*dz) with phi =
-    k0*(c_ref/c - 1)*dz, is computed as exp(-a*dz)*cos(phi) and
-    exp(-a*dz)*sin(phi), _SCREENS slices at a time, into the real and
-    imaginary parts of a slice-major block of `dtype`: phi and exp(-a*dz)
-    in double, cos and sin of phi rounded to the dtype's real type in
-    that type, and each part rounded once from its double product with
-    exp(-a*dz). With `out`, a (k, nx, ny) block of `dtype`, that block
+    (the sweeps read them slice by slice), computed in the properties'
+    real type. The impedances are one slice-major (k, nx, ny) product,
+    into Z where given. A screen, the phase and absorption screen
+    exp(i*phi - a*dz) with phi = k0*(c_ref/c - 1)*dz, is computed as
+    exp(-a*dz)*cos(phi) and exp(-a*dz)*sin(phi), _SCREENS slices at a
+    time, into the real and imaginary parts of a slice-major block of
+    `dtype`: cos and sin of phi rounded to the dtype's real type in that
+    type, and each part rounded once from its product with exp(-a*dz).
+    With `out`, a (k, nx, ny) block of `dtype`, that block
     is filled and returned as the screens. Without, one reduction over
     each block finds its uniform slices, and the screens are a list: the
     one value a screen takes across the whole plane, or its contiguous
     (nx, ny) plane where it varies, a view of the block, or a copy where
     the block has a uniform slice, whose plane is then freed."""
-    k0, dz = grid.k0, grid.dz
+    k0, dz = float(grid.k0), float(grid.dz)
     f = np.finfo(dtype).dtype
     screen = []
     if Z is None:
-        Z = np.empty((c.shape[2], *c.shape[:2]))
+        Z = np.empty((c.shape[2], *c.shape[:2]), np.result_type(c, rho))
     for i in range(0, c.shape[2], _SCREENS):
         cut = np.s_[:, :, i : i + _SCREENS]
         ci = c[cut].transpose(2, 0, 1)
@@ -478,10 +501,11 @@ def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype, slab: bool = False,
                scratch: tuple = (None, None)) -> np.ndarray | None:
     """r = (Z2-Z1)/(Z1+Z2) toward +z between impedance planes Z1 (slice k)
     and Z2 (slice k+1), or blocks of them, stored as the complex `dtype`
-    (r + 0j; the quotient is taken in double and rounded once); None
-    where the impedance is the same across the whole plane (r = 0),
-    unless `slab`: a lens-slab pair keeps its plane. scratch, two float64
-    arrays of Z1's shape, takes the difference and the sum."""
+    (r + 0j; the quotient is taken in the impedances' type and rounded
+    once); None where the impedance is the same across the whole plane
+    (r = 0), unless `slab`: a lens-slab pair keeps its plane. scratch,
+    two arrays of Z1's shape and type, takes the difference and the
+    sum."""
     if not slab and not np.any(Z2 != Z1):
         return None
     r = np.subtract(Z2, Z1, out=scratch[0])
@@ -529,15 +553,16 @@ class PreparedMedium:
     the first run), which each run takes and puts back (a lens run and
     its adjoint also borrow it as scratch for the slab's blocks), the
     spare planes of the reflected sources its runs have added
-    (`_spent`), which the next reflected sources fill, and the
-    passband's intermediate buffer, which runs and adjoints use in
-    turn. A pickle carries no spare planes; a `with_lens` copy shares
-    them. Kept from run to run, these planes also keep their place on
-    the heap, which glibc would otherwise trim for the next run to fault
-    back in.
+    (`_spent`), which the next reflected sources fill, the passband's
+    scratch, which runs and adjoints use in turn, and the plans of its
+    sweeps (`_plans`, see `_plan`). A pickle carries no spare planes
+    and no plans; a `with_lens` copy shares them. Kept from run to run,
+    these planes also keep their place on the heap, which glibc would
+    otherwise trim for the next run to fault back in.
     Its `dtype`, the band's, is the one complex dtype of its multipliers,
     edge screens, source plane, r planes and passband (matrices: its
-    real type) and of every plane its runs and their adjoints march; a
+    real type) and of every plane its runs and their adjoints march, and
+    its real type that of the slab's properties and deltas; a
     `with_lens` copy and a pickle keep it. H, the full kernel, stays
     complex128.
     """
@@ -562,9 +587,11 @@ class PreparedMedium:
                                       compare=False)
     _spent: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "_spare": None, "_spent": []}
+        return {**self.__dict__, "_spare": None, "_spent": [], "_plans": {}}
 
     @property
     def dtype(self) -> np.dtype:
@@ -578,15 +605,18 @@ class PreparedMedium:
         with this medium (the spare plane stack too: run one at a time).
         The deltas keep the slice-major layout of the base properties, as
         a ufunc's result keeps its operand's."""
+        f = self.c.dtype
         copy = replace(
             self,
             lens_mat=lens_mat,
-            dc=lens_mat.sound_speed - self.c,
-            drho=lens_mat.density - self.rho,
-            datt=(lens_mat.attenuation_np_per_m(self.grid.frequency)
-                  - self.att_np),
+            dc=np.subtract(lens_mat.sound_speed, self.c, dtype=f),
+            drho=np.subtract(lens_mat.density, self.rho, dtype=f),
+            datt=np.subtract(
+                lens_mat.attenuation_np_per_m(self.grid.frequency),
+                self.att_np, dtype=f),
         )
         copy._spare, copy._spent = self._spare, self._spent
+        copy._plans = self._plans
         return copy
 
     def run(
@@ -644,23 +674,24 @@ class PreparedMedium:
 
         # the field first, below the run's other arrays on the heap
         total = np.empty((grid.nz, grid.nx, grid.ny), dtype=self.dtype)
-        coeff, trans, held = self.coeff, self.trans, ()
+        coeff, trans, slices = self.coeff, self.trans, ()
         c, rho, att = (a[:, :, :0] for a in (self.c, self.rho, self.att_np))
         lens = {}
         if occupancy is not None:
-            occupancy = np.asarray(occupancy, dtype=np.float64)
+            occupancy = np.asarray(occupancy)
             if occupancy.shape != self.dc.shape:
                 raise ValueError(
                     f"lens occupancy shape {occupancy.shape} does not match "
                     f"the prepared slab {self.dc.shape}"
                 )
             c, rho, att, coeff, trans, slab = self._lens_slab(
-                np.ascontiguousarray(occupancy.transpose(2, 0, 1)),
+                np.ascontiguousarray(occupancy.transpose(2, 0, 1),
+                                     dtype=self.dc.dtype),
                 (direction,) if self.cfg.reflection_order == 0 else (1, -1))
             lens = dict(slab=slab, lens_z_offset=self.z_offset,
                         lens_dc=self.dc, lens_drho=self.drho,
                         lens_datt=self.datt)
-            held = slab.slices if keep else ()
+            slices = slab.slices if keep else ()
         cache = (SliceCache(grid, self.H, self.band, c, rho, att, coeff,
                             trans, **lens) if keep else None)
 
@@ -668,22 +699,29 @@ class PreparedMedium:
         if stack is None:
             stack = np.empty((grid.nz + 1, grid.nx, grid.ny),
                              dtype=self.dtype)
-        plans = {}      # sweeps of one direction and injected slices share
         for n in range(self.cfg.reflection_order + 1):
-            key = (direction, frozenset(inject))
-            if key not in plans:
-                plans[key] = _plan(trans[direction], inject, direction)
-            order, segments = plans[key]
+            key = (direction, frozenset(inject), occupancy is not None)
+            if key not in self._plans:
+                self._plans[key] = _plan(trans[direction], inject, direction,
+                                         self.band.powers)
+            plan = self._plans[key]
             if n == 0:  # it writes the slices it visits, not the others
-                s = order[0]
+                s = plan.order[0]
                 total[slice(0, s) if direction > 0 else slice(s + 1, None)] = 0
+            # the slab slices past the first whose step in crosses a slab
+            # pair: the march leaves their v in the cache's planes
+            held = [s for s in slices
+                    if s in plan.order[1:] and s - direction in slices]
+            held = range(min(held), max(held) + 1) if held else range(0)
+            hold = (np.empty((len(held), grid.nx, grid.ny), dtype=self.dtype)
+                    if held else ())
             refl = _march(self.band, coeff, trans[direction], direction,
-                          inject, order, segments,
-                          n < self.cfg.reflection_order, stack, total, n == 0,
-                          held, [] if keep else self._spent)
+                          inject, plan, n < self.cfg.reflection_order, stack,
+                          total, n == 0, held, hold,
+                          [] if keep else self._spent)
             if keep:
-                cache.sweeps.append(_kept(stack, direction, inject, order,
-                                          segments, held))
+                cache.sweeps.append(_kept(grid.nz, direction, inject, plan,
+                                          held, hold))
             if not refl:
                 break
             inject = refl
@@ -702,7 +740,7 @@ class PreparedMedium:
         crosses a slab pair. The block the screens are computed in and
         r's temporaries lie on the spare plane stack, which the run's
         march takes only afterwards."""
-        grid, dtype = self.grid, self.dtype
+        grid, dtype, f = self.grid, self.dtype, occ.dtype
         z0, n_v = self.z_offset, len(occ)
         c, rho, att = (np.multiply(occ, delta.transpose(2, 0, 1)) for delta in
                        (self.dc, self.drho, self.datt))
@@ -713,10 +751,10 @@ class PreparedMedium:
         first = max(z0 - 1, 0)
         n = n_v + len(self.edge)
         plane = (grid.nx, grid.ny)
-        Zs = np.empty((n, *plane))
+        Zs = np.empty((n, *plane), f)
         scr, *scratch = _borrow(self._spare, [((n, *plane), dtype),
-                                              ((n - 1, *plane), np.float64),
-                                              ((n - 1, *plane), np.float64)])
+                                              ((n - 1, *plane), f),
+                                              ((n - 1, *plane), f)])
         i = z0 - first
         _per_slice(grid, c, rho, att, dtype, Zs[i : i + n_v], scr[i : i + n_v])
         for s, (Z_s, screen) in self.edge.items():
@@ -733,22 +771,16 @@ class PreparedMedium:
                 _Slab(range(first, first + n), Zs, r, a, self))
 
 
-def _kept(stack: np.ndarray, direction: int, inject: dict, order: range,
-          segments: list, slices) -> _Sweep:
-    """What the adjoint reads of the sweep just marched through `stack`:
-    its plan, the v planes at the consecutive `slices` (the slab's, or
-    none) that it marched past its first slice and stepped into from
-    another of them (a slab pair), copied out as one block, and the
-    injected slices. u stays at the first slice only, its injected
-    plane, which no run writes."""
-    nz = len(stack) - 1
+def _kept(nz: int, direction: int, inject: dict, plan: _Plan, held: range,
+          hold) -> _Sweep:
+    """What the adjoint reads of the sweep just marched: its plan, the v
+    planes at the slab slices `held`, which the march wrote into `hold`
+    (each entry a view of it), and the injected slices. u stays at the
+    first slice only, its injected plane, which no run writes."""
     u, v = [None] * nz, [None] * nz
-    u[order[0]] = inject[order[0]]
-    kept = [s for s in slices if s in order[1:] and s - direction in slices]
-    if kept:
-        block = slice(min(kept), max(kept) + 1)
-        v[block] = stack[block].copy()      # each entry a view of the copy
-    return _Sweep(direction, u, v, dict.fromkeys(inject), order, segments)
+    u[plan.order[0]] = inject[plan.order[0]]
+    v[held.start : held.stop] = hold
+    return _Sweep(direction, u, v, dict.fromkeys(inject), plan)
 
 
 def prepare(
@@ -801,10 +833,12 @@ def prepare(
     # formed. The impedance block goes as prepare returns: freed here, it
     # left glibc a heap that each iteration of a design trims and faults
     # back in (about 7x the page faults on the water demo). The slab's
-    # properties are copied slice-major, as every lens run reads them.
+    # properties are copied slice-major, in the run's real type f, as
+    # every lens run reads them.
+    f = np.finfo(dtype).dtype
     c, rho, att_np = (
         np.ascontiguousarray(a[:, :, z_offset : z_offset + n_v]
-                             .transpose(2, 0, 1)).transpose(1, 2, 0)
+                             .transpose(2, 0, 1), dtype=f).transpose(1, 2, 0)
         for a in (medium.c, medium.rho, att_np))
     trans = {d: [None if r is None else _transmitted(r, screen, k, d)
                  for k, r in enumerate(coeff)] for d in (1, -1)}
@@ -818,10 +852,17 @@ def prepare(
     # slice it steps into: k + 1 toward +z, k toward -z
     trans = {d: [screen[k + (d > 0)] if a is None else a
                  for k, a in enumerate(steps)] for d, steps in trans.items()}
+    # a segment crosses at most the longest run of scalar multipliers,
+    # and takes one power of H more than it crosses
+    run = longest = 0
+    for steps in trans.values():
+        for a in [*steps, None]:
+            run = 0 if a is None or isinstance(a, np.ndarray) else run + 1
+            longest = max(longest, run)
     prepared = PreparedMedium(
         grid, cfg,
         H=H,
-        band=_Passband.of(H, dtype),
+        band=_Passband.of(H, dtype, longest + 1),
         source_plane=np.array(source_plane, dtype=dtype, order="C"),
         coeff=coeff,
         trans=trans,
@@ -834,8 +875,10 @@ def prepare(
     return prepared if lens_mat is None else prepared.with_lens(lens_mat)
 
 
-def _plan(trans: list, inject: dict, direction: int) -> tuple[range, list]:
-    """The slices a sweep visits, in march order, and its segments.
+def _plan(trans: list, inject: dict, direction: int,
+          powers: np.ndarray) -> _Plan:
+    """The slices a sweep visits, in march order, its segments and their
+    spectral multipliers, from the passband's powers of H.
 
     order runs from the sweep's first injected slice (the highest toward
     -z, the lowest toward +z) to the grid's end: the field is zero before
@@ -845,19 +888,34 @@ def _plan(trans: list, inject: dict, direction: int) -> tuple[range, list]:
     multiplier a = trans[min(prev, s)] (see SliceCache) is a scalar and
     nothing is injected at s: across such steps u_s = a *
     diffract(u_prev) in every bin, so a segment continues through them.
+    A segment entered with spectrum U that crosses homogeneous slices
+    with multipliers a_1 .. a_m has spectra C_j * U at those slices and
+    C_m+1 * U at its last, C_j = H^j * a_1 * ... * a_j and C_m+1 = H *
+    C_m. ops holds each segment's C, (m + 1, br, bc) in march order:
+    powers[:m + 1] itself where every a is 1 (water), else formed in
+    double from those powers and rounded once.
     """
     if direction < 0:
         order = range(max(inject), -1, -1)
     else:
         order = range(min(inject), len(trans) + 1)
-    segments, first = [], 1
+    segments, ops, first = [], [], 1
     for i in range(1, len(order)):
         prev, s = order[i - 1], order[i]
         if (i + 1 == len(order) or isinstance(trans[min(prev, s)], np.ndarray)
                 or s in inject):
             segments.append((first, i))
+            C = powers[: i - first + 1] if i > first else None
+            p, prods = 1.0, []
+            for j in range(first, i):   # a_1 * ... * a_j, in double
+                p *= complex(trans[min(order[j - 1], order[j])])
+                prods.append(p)
+            if any(x != 1.0 for x in prods):    # C_m+1 takes p_m too
+                C = np.multiply(np.array(prods + [p])[:, None, None],
+                                C).astype(C.dtype, copy=False)
+            ops.append(C)
             first = i + 1
-    return order, segments
+    return _Plan(order, segments, ops)
 
 
 def _march(
@@ -866,13 +924,13 @@ def _march(
     trans: list,
     direction: int,
     inject: dict,
-    order: range,
-    segments: list,
+    plan: _Plan,
     collect_reflections: bool,
     stack: np.ndarray,
     total: np.ndarray,
     first_sweep: bool,
-    held,
+    held: range,
+    hold,
     spent: list,
 ) -> dict:
     """One directional sweep along its plan (`_plan`) into the slice-major
@@ -893,13 +951,14 @@ def _march(
     and ends at its last slice s. A one-slice segment runs its four
     products inline on float views, with the spectrum in the head of the
     work plane (the stack's last) and its post-diffraction field v in
-    that plane, or in stack[s] where s is `held` (the slices whose v the
-    cache keeps). A longer one writes each slice's passband spectrum
-    H * a_prev * (previous spectrum) to the head of stack[s], multiplied
-    by its step's scalar multiplier a on the homogeneous slices, and
-    returns them to space in one block product: the homogeneous slices'
-    contributions and v, into total on the first sweep (v in total[s]
-    unless s is held) and into the stack otherwise. The last step, across
+    that plane, or in hold[s - held.start] where s is `held` (the slices
+    whose v the cache keeps). A longer one takes the entering spectrum U
+    to the passband's spectra, where its slices' spectra C * U (the
+    plan's ops, in march order) are one broadcast copy and one product,
+    then returns them to space in one block product: the homogeneous
+    slices' contributions and v, into total on the first sweep (v in
+    total[s] unless s is held) and into the stack otherwise, v copied to
+    its hold plane where s is held. The last step, across
     pair k, forms r*v, the reflected source, where coeff[k] = r is a
     plane, then the contribution a*v, a = trans[k] (see SliceCache), in
     total[s] (first sweep) or in the work plane, and the injection there.
@@ -909,15 +968,14 @@ def _march(
     Ai, Bi = band.back
     H, tmp = band.H, band.tmp
     t = tmp[0].view(f)
-    # slice s's passband spectrum, in the head of stack[s] until the
-    # segment's block product overwrites that plane with its field
-    spectra = stack.reshape(len(stack), -1)[:, : H.size].reshape(
-        len(stack), *H.shape)
-    work, K1 = stack[-1], spectra[-1]
+    # a one-slice segment's spectrum, in the head of the work plane
+    work = stack[-1]
+    K1 = work.reshape(-1)[: H.size].reshape(H.shape)
     fK1 = K1.view(f)
     negate = direction > 0 and not first_sweep
     add = np.subtract if negate else np.add
     refl: dict = {}
+    order = plan.order
 
     u = inject[order[0]]
     if first_sweep:
@@ -925,36 +983,39 @@ def _march(
     else:
         add(total[order[0]], u, out=total[order[0]])
     H_in = -H if negate else H          # the sweep's first step
-    for first, last in segments:
+    for (first, last), C in zip(plan.segments, plan.ops):
         prev, s = order[last - 1], order[last]
-        v = stack[s] if s in held else work
-        if first == last:   # u is read before its plane may take K and v
+        v = hold[s - held.start] if s in held else work
+        if C is None:       # u is read before its plane may take K and v
             np.dot(A, u.view(f), out=t)
             np.dot(t, B, out=fK1)
             np.multiply(K1, H_in, out=K1)
             np.dot(Ai, np.dot(fK1, Bi, out=t), out=v.view(f))
         else:
-            steps = order[first - 1 : last + 1]
-            K = spectra[steps[1]]
-            _into_band(band.into, u, K, tmp)
-            np.multiply(K, H_in, out=K)
-            # a homogeneous slice h takes its step's multiplier on its
-            # spectrum, which then returns to space as its contribution
-            for p, h, q in zip(steps, steps[1:], steps[2:]):
-                np.multiply(spectra[h], trans[min(p, h)], out=spectra[h])
-                np.multiply(spectra[h], H, out=spectra[q])
-            seg = slice(min(steps[1], s), max(steps[1], s) + 1)
-            hom = slice(min(steps[1], steps[-2]), max(steps[1], steps[-2]) + 1)
+            K = band.spectra[: len(C)]
+            _into_band(band.into, u, K[0], tmp)
+            if H_in is not H:
+                np.negative(K[0], out=K[0])
+            np.copyto(K[1:], K[0])
+            np.multiply(K, C, out=K)
+            if direction < 0:           # z order
+                K = K[::-1]
+            h = order[first]            # the first homogeneous slice
+            seg = slice(min(h, s), max(h, s) + 1)
+            hom = slice(min(h, prev), max(h, prev) + 1)
             if first_sweep and s not in held:   # v in total[s], for u
                 v = total[s]
-                _out_of_band(band.back, spectra[seg], total[seg], tmp)
+                _out_of_band(band.back, K, total[seg], tmp)
             else:
-                v = stack[s]
-                _out_of_band(band.back, spectra[seg], stack[seg], tmp)
+                _out_of_band(band.back, K, stack[seg], tmp)
                 if first_sweep:
                     total[hom] = stack[hom]
                 else:
                     total[hom] += stack[hom]
+                if s in held:
+                    v[...] = stack[s]
+                else:
+                    v = stack[s]
         H_in = H
 
         # the segment's last step prev -> s, in space (u may be v's plane)
@@ -1023,7 +1084,7 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
         S, R, *work = _borrow(stack, [
             ((dirs, *pairs), K.dtype),
             ((dirs, *pairs) if len(cache.sweeps) > 1 else (0,), K.real.dtype),
-            (slab.Z.shape, K.dtype), (pairs, np.float64),
+            (slab.Z.shape, K.dtype), (pairs, K.real.dtype),
             (pairs, K.real.dtype)])
         S.fill(0.0)
         R.fill(0.0)
@@ -1032,9 +1093,10 @@ def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     # cotangents of the reflections a sweep emitted, filled in while
     # processing the consuming (later) sweep
     refl_cot: dict = {}
+    crossed: set = set()    # (direction, pair) whose sum has a term
     for sweep in reversed(cache.sweeps):
         refl_cot = _sweep_adjoint(cache, sweep, upstream, refl_cot, sums,
-                                  scratch, K)
+                                  crossed, scratch, K)
     # whatever remains feeds the original source plane
     source_cot = np.zeros((grid.nx, grid.ny), dtype=K.dtype)
     for g in refl_cot.values():
@@ -1063,71 +1125,80 @@ def _borrow(stack: np.ndarray | None, specs: list) -> list:
     return arrays
 
 
-def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, scratch,
-                   K):
+def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, crossed,
+                   scratch, K):
     """Reverse one sweep; returns cotangents of its consumed injections.
 
     upstream is slice-major (nz, nx, ny). The field cotangent is carried
     through every pair. On slab pairs (both slices in `_Slab.slices`) it
     adds ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent
     exists, to the pair's plane of the sweep direction's blocks in sums,
-    through the third scratch plane; other pairs skip that work. Each
-    entry of refl_cot is dropped once used, so that it is freed while
-    the returned cotangents fill up.
+    through the third scratch plane, or writes ub*v there in one product
+    where `crossed` has no term of that plane yet; other pairs skip that
+    work. Each entry of refl_cot is dropped once used, so that it is
+    freed while the returned cotangents fill up; the ub of an injected
+    slice is its returned cotangent.
 
     The segments the forward recorded are replayed from the last: its
-    last step is transposed in space, and vbar enters the passband as K
-    = H * (Ai.T @ vbar @ Bi.T); each homogeneous slice s back from it
-    gives K <- H * a_s * (K + Ai.T @ upstream_s @ Bi.T), a_s the scalar
-    multiplier of the step into s (see SliceCache), with one
-    block product of their upstream planes, and K returns to space as
-    A.T @ K @ B.T. That is the transpose (not the conjugate transpose)
-    of the segment.
+    last step is transposed in space, and vbar enters the passband, Ai.T
+    @ vbar @ Bi.T, after the upstream planes of its homogeneous slices
+    (one block product), in march order in the passband's spectra; K,
+    the sum of that block times the segment's multipliers C (`_plan`),
+    or H times vbar's spectrum for a one-slice segment, returns to space
+    as A.T @ K @ B.T. That is the transpose (not the conjugate
+    transpose) of the segment.
     """
     band, coeff, slab = cache.band, cache.coeff, cache.slab
     trans = cache.trans[sweep.direction]
     tmp = band.tmp
     down = sweep.direction < 0
-    order = sweep.order
+    plan = sweep.plan
+    order = plan.order
     pairs = slab.slices[:-1] if slab else ()   # the slab pairs
 
     inject_cot: dict = {}
-    ub, carry, w = scratch
+    ub_plane, carry, w = scratch
     carry.fill(0.0)
-    for first, last in reversed(sweep.segments):
+    for (first, last), C in zip(reversed(plan.segments),
+                                reversed(plan.ops)):
         prev, s = order[last - 1], order[last]
-        np.add(carry, upstream[s], out=ub)
+        # an injected slice's ub is its cotangent: a plane of its own
+        ub = np.add(carry, upstream[s],
+                    out=None if s in sweep.inject else ub_plane)
         if s in sweep.inject:
-            inject_cot[s] = ub.copy()
+            inject_cot[s] = ub
         rc = refl_cot.pop(prev, None)
         k = min(prev, s)
         if k in pairs:                  # a slab pair
             uv, rv = sums[sweep.direction]
             p = k - pairs.start
             v = sweep.v[s]
-            uv[p] += np.multiply(ub, v, out=w)
+            if (sweep.direction, p) in crossed:
+                uv[p] += np.multiply(ub, v, out=w)
+            else:                       # its first product, on zeros
+                np.multiply(ub, v, out=uv[p])
+                crossed.add((sweep.direction, p))
             if rc is not None:
                 rv[p] += np.multiply(rc, v, out=w).real
 
         # vbar = a * ub +- r * refl_cot[prev] in the carry plane, a the
-        # pair's multiplier (r toward -z is -r); ub, read no more, holds
-        # r * refl_cot[prev]
+        # pair's multiplier (r toward -z is -r), r * refl_cot[prev] in w
         np.multiply(ub, trans[k], out=carry)
         if rc is not None:
-            np.multiply(rc, coeff[k], out=ub)
-            (np.subtract if down else np.add)(carry, ub, out=carry)
-        _into_band(band.into_t, carry, K, tmp)
-        np.multiply(K, band.H, out=K)
-
-        hom = order[first:last]         # the segment's homogeneous slices
-        if hom:
-            lo, hi = min(hom), max(hom) + 1
-            up = _into_band(band.into_t, upstream[lo:hi],
-                            np.empty((hi - lo, *K.shape), dtype=K.dtype), tmp)
-            for s in reversed(hom):
-                np.add(K, up[s - lo], out=K)
-                np.multiply(K, trans[min(s, s - sweep.direction)], out=K)
-                np.multiply(K, band.H, out=K)
+            np.multiply(rc, coeff[k], out=w)
+            (np.subtract if down else np.add)(carry, w, out=carry)
+        if C is None:
+            _into_band(band.into_t, carry, K, tmp)
+            np.multiply(K, band.H, out=K)
+        else:   # the homogeneous slices' upstream planes and vbar
+            m = last - first
+            lo = min(order[first], order[last - 1])
+            up = upstream[lo : lo + m]
+            block = band.spectra[: m + 1]
+            _into_band(band.into_t, up[::-1] if down else up, block[:m], tmp)
+            _into_band(band.into_t, carry, block[m], tmp)
+            np.multiply(block, C, out=block)
+            np.add.reduce(block, axis=0, out=K)
         _out_of_band(band.back_t, K, carry, tmp)
 
     # the sweep starts at an injected slice
@@ -1156,11 +1227,11 @@ def _slab_gradients(cache, sums, W, G, t):
     grho*drho + gatt*datt.
 
     The pass runs in place: on the sums (consumed), on W, (n, nx, ny) of
-    the run's dtype, on G, (n - 1, nx, ny) float64, and on t, (n - 1, nx,
-    ny) of its real type, none of which it reads before writing; W's
-    float64 view holds (Z_k + Z_k+1)^2 and then gZ once W is read. The
-    four gradients are slice-major (n_v, nx, ny), returned as their (nx,
-    ny, n_v) views.
+    the run's dtype, and on G and t, (n - 1, nx, ny) of its real type,
+    none of which it reads before writing; W's real view holds (Z_k +
+    Z_k+1)^2 and then gZ once W is read. The four gradients are of the
+    real type, slice-major (n_v, nx, ny), returned as their (nx, ny, n_v)
+    views.
     """
     slab, grid = cache.slab, cache.grid
     c, rho, dc, drho, datt = (a.transpose(2, 0, 1) for a in (
@@ -1184,13 +1255,13 @@ def _slab_gradients(cache, sums, W, G, t):
             (np.add if d > 0 else np.subtract)(G, R, out=G)
     i = cache.lens_z_offset - slab.slices.start     # the slab in the blocks
     Wv = W[i : i + len(c)]
-    gc = np.multiply(Wv.imag, grid.k0 * grid.c_ref * grid.dz, dtype=np.float64)
+    gc = np.multiply(Wv.imag, float(grid.k0 * grid.c_ref * grid.dz))
     gc /= c
     gc /= c
-    gatt = np.multiply(Wv.real, -grid.dz, dtype=np.float64)
+    gatt = np.multiply(Wv.real, -float(grid.dz))
 
     # W is read: its bytes hold (Z_k + Z_k+1)^2, then gZ; G holds -G
-    gZ = W.reshape(-1).view(np.float64)[: Zs.size].reshape(Zs.shape)
+    gZ = W.reshape(-1).view(Zs.dtype)[: Zs.size].reshape(Zs.shape)
     D = np.add(Zs[:-1], Zs[1:], out=gZ[:-1])
     np.multiply(D, D, out=D)
     G /= D

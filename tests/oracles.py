@@ -120,6 +120,34 @@ def _diffract_transpose(ubar, H):
     return fft2(H * ifft2(ubar, axes=(0, 1)), axes=(0, 1))
 
 
+def homogeneous_segment(U, H, a, H_in=None):
+    """The passband spectra of a segment's slices in march order, slice
+    by slice: the entering spectrum U takes H_in (default H), then each
+    homogeneous slice's spectrum takes its step's scalar multiplier a_j
+    and, diffracted by H, gives the next slice's; the last slice's takes
+    no multiplier. The per-slice recurrence that `solver._plan`'s
+    segment multipliers replace, in the dtype of U, H and a."""
+    K = [U * (H if H_in is None else H_in)]
+    for aj in a:
+        K[-1] = K[-1] * aj
+        K.append(K[-1] * H)
+    return np.stack(K)
+
+
+def homogeneous_segment_adjoint(X, up, H, a):
+    """The transpose of `homogeneous_segment` (with H_in = H), slice by
+    slice: X, the cotangent of the last slice's spectrum, takes H; back
+    through each homogeneous slice j (from the last), K <- H * a_j * (K
+    + up_j), up_j the cotangent of that slice's spectrum. Returns the
+    cotangent of U."""
+    K = X * H
+    for u, aj in zip(up[::-1], a[::-1]):
+        K = K + u
+        K = K * aj
+        K = K * H
+    return K
+
+
 # one sweep of the oracle forward: its direction, the slices it injects
 # at, and per slice its contribution u and post-diffraction field v (None
 # where zero)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -1221,6 +1222,42 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["axis"] == "material"
 
+    @pytest.mark.parametrize("config", ["demos/trifocal_skull_phantom.cfg",
+                                        "perfbench/skull_r4.cfg"])
+    def test_focus_centers_are_the_targets(self, config):
+        # the sweep derives the centres without the full-grid target
+        cfg = load_config(REPO / config)
+        grid = cli.build_grid(cfg)
+        centers = cli.build_focus_centers(cfg, grid)
+        assert len(centers) == 3
+        assert centers == cli.build_target(cfg, grid).focus_centers
+
+    @pytest.mark.parametrize("target, message", [
+        ({"focus_centers_mm": [[1.5, 1.5, 3.0]], "radius_um": -187.5},
+         "m must be non-negative"),
+        # 2.125 mm beyond the last voxel centre of the 3 mm wide grid
+        ({"focus_centers_mm": [[5.0, 1.5, 3.0]], "radius_um": 200},
+         "target: target must contain at least one active voxel"),
+        # voxel 24 of 24, while the sphere reaches voxel 23
+        ({"focus_centers_mm": [[3.05, 1.5, 3.0]], "radius_um": 300},
+         "target: focus center (24, 12, 24) is not a voxel of the "
+         "(24, 24, 32) grid"),
+    ])
+    def test_target_errors_exit_2_as_in_design(self, tmp_path, capsys,
+                                               target, message):
+        cfg = write_config(tmp_path, base_config(target=target))
+        errors = []
+        for command, extra in (("design", []),
+                               ("sweep", ["--axis", "perturbation", "--lens",
+                                          self.write_flat_lens(tmp_path)])):
+            out = tmp_path / command
+            assert run([command, "--config", cfg, "--out", str(out),
+                        *extra]) == 2
+            errors.append(capsys.readouterr().err)
+            assert message in errors[-1]
+            assert not out.exists()
+        assert errors[0] == errors[1]
+
     def write_flat_lens(self, tmp_path):
         path = tmp_path / "flat_lens.csv"
         np.savetxt(path, np.full((24, 24), 4 * 125e-6), delimiter=",")
@@ -1482,9 +1519,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("axis", ["perturbation", "material"])
     def test_cases_run_without_the_base_medium_and_target(
             self, tmp_path, monkeypatch, axis, medium):
-        # the sweep reads only the focus centres of the target and only the
-        # prepared slab of the medium: both, and their full-grid arrays,
-        # are released before the first case runs
+        # the sweep reads only the focus centres of the target, which it
+        # derives without building the target, and only the prepared slab
+        # of the medium: the medium and its full-grid arrays are released
+        # before the first case runs
         built = []
 
         def recording(build):
@@ -1513,7 +1551,7 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                     "--axis", axis, "--jobs", "1",
                     "--lens", self.write_flat_lens(tmp_path)]) == 0
-        assert len(built) == 7          # the medium, the target, their arrays
+        assert len(built) == 5          # the medium and its arrays
         assert alive == [0, 0]
 
     @pytest.mark.parametrize("axis, sweep, n_cases", [
@@ -1549,12 +1587,14 @@ class TestSweepCommand:
         # workers at the first submit: 2 cases at --jobs 6 start 2
         started = []
 
-        class CountingExecutor(cli.ProcessPoolExecutor):
+        class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
             def shutdown(self, *args, **kwargs):
                 started.append(len(self._processes))
                 super().shutdown(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingExecutor)
+        # cmd_sweep imports the executor where it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingExecutor)
         cfg = write_config(tmp_path, base_config(sweep={"realizations": 2}))
         out = tmp_path / "sw"
         assert run(["sweep", "--config", cfg, "--out", str(out),

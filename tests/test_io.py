@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -383,6 +384,27 @@ class TestThicknessExports:
         loop_stl(tmp_path / "prisms.stl", t, dx, dz)
         assert stl_volume(tmp_path / "vec.stl") == pytest.approx(
             stl_volume(tmp_path / "prisms.stl"), rel=1e-6, abs=0.0)
+
+    def test_stl_of_the_water_lens_allocates_under_twice_its_size(
+            self, tmp_path):
+        # the export writes axis by axis: it holds one axis's records at
+        # a time, not every triangle's coordinates and a copy of the file
+        from sonolens import cli
+
+        out = tmp_path / "design"
+        assert cli.main(["design", "--config",
+                         str(REPO / "demos" / "single_focus_water.cfg"),
+                         "--seed", "0", "--out", str(out)]) == 0
+        t = np.loadtxt(out / "lens_thickness.csv", delimiter=",") / 125e-6
+        tracemalloc.start()
+        try:
+            io.thickness_to_stl(tmp_path / "l.stl", t, 125e-6, 125e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = (tmp_path / "l.stl").read_bytes()
+        assert data == (out / "lens.stl").read_bytes()
+        assert len(data) > 500_000 and peak < 2 * len(data)
 
     def test_stl_empty_map_header_only(self, tmp_path):
         io.thickness_to_stl(tmp_path / "l.stl", np.zeros((3, 4)), 1e-4, 1e-4)

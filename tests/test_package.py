@@ -38,6 +38,15 @@ def test_readme_library_example_prints_its_psnr():
     assert (f"{float(value):.2f}", unit) == (quoted, "dB") == ("56.10", "dB")
 
 
+def test_cli_import_starts_no_process_pool_module():
+    # only `sweep --jobs` above 1 runs a process pool: the other calls
+    # do not pay for importing one
+    run = run_python("import sys, sonolens.cli; "
+                     "print('concurrent.futures.process' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
+
+
 def test_cli_import_loads_no_scipy():
     # every CLI call pays for what `import sonolens.cli` loads; the runtime
     # needs NumPy and the standard library only

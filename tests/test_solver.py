@@ -13,6 +13,8 @@ from oracles import (
     full_grid_adjoint,
     full_grid_forward,
     full_grid_sweeps,
+    homogeneous_segment,
+    homogeneous_segment_adjoint,
     screens,
     slab_gradients_per_pair,
 )
@@ -696,7 +698,7 @@ class TestHomogeneousRuns:
                                       np.complex128)
         assert len(cache.sweeps) == order + 1
         for sweep in cache.sweeps:
-            seq, segments = sweep.order, sweep.segments
+            seq, segments = sweep.plan.order, sweep.plan.segments
             if sweep.direction > 0:
                 assert seq == range(min(sweep.inject), g.nz)
             else:
@@ -712,7 +714,7 @@ class TestHomogeneousRuns:
                                and s not in sweep.inject)
                 assert (i in ends) == (i == len(seq) - 1 or not homogeneous)
         assert any(last > first for sweep in cache.sweeps
-                   for first, last in sweep.segments)
+                   for first, last in sweep.plan.segments)
         assert ({sweep.direction for sweep in cache.sweeps}
                 == ({1, -1} if order else {direction}))
 
@@ -728,7 +730,7 @@ class TestHomogeneousRuns:
         p, cache = propagate(src, med, cfg)
         (sweep,) = cache.sweeps
         assert all(r is None for r in cache.coeff)
-        assert ([sweep.order[last] for _, last in sweep.segments]
+        assert ([sweep.plan.order[last] for _, last in sweep.plan.segments]
                 == [*range(6, 12), g.nz - 1])
         att = med.attenuation_np_per_m()
         assert_close(p.values, full_grid_forward(g, cfg, med.c, med.rho, att,
@@ -1534,8 +1536,8 @@ class TestStepPlanes:
         for _, cache in runs:
             assert len(cache.sweeps) == order + 1
             for sweep in cache.sweeps:
-                steps, seq = cache.trans[sweep.direction], sweep.order
-                ends = {last for _, last in sweep.segments}
+                steps, seq = cache.trans[sweep.direction], sweep.plan.order
+                ends = {last for _, last in sweep.plan.segments}
                 for i in range(1, len(seq) - 1):
                     prev, s = seq[i - 1], seq[i]
                     if s in sweep.inject:
@@ -1592,7 +1594,10 @@ class TestSinglePrecision:
 
     REPO = Path(__file__).resolve().parents[1]
 
-    def test_planes_are_single_and_the_slab_sums_double(self):
+    def test_planes_and_the_slab_are_single(self):
+        # the march's planes are complex64 and the lens slab's arrays
+        # float32, from the prepared properties to the gradients; the
+        # edge impedances are the base medium's, float64
         g = TestPreparedMedium.GRID
         prepared = TestPreparedMedium().lens_medium(np.complex64)
         band = prepared.band
@@ -1614,13 +1619,18 @@ class TestSinglePrecision:
                    for Z, scr in prepared.edge.values())
         assert any(r is not None for r in cache.coeff)
         assert cache.slab.r.dtype == np.complex64
-        assert cache.slab.Z.dtype == np.float64
         assert all(plane.dtype == np.complex64 for sw in cache.sweeps
                    for plane in sw.u + sw.v if plane is not None)
+        assert all(C.dtype == np.complex64 for sw in cache.sweeps
+                   for C in sw.plan.ops if C is not None)
         upstream = np.ones(g.shape, dtype=np.complex128)  # cast on entry
         adj = propagate_adjoint(cache, upstream)
         assert adj.source_plane.dtype == np.complex64
-        assert adj.occupancy.dtype == np.float64
+        copy = prepared.with_lens(VEROCLEAR)
+        slab = [prepared.c, prepared.rho, prepared.att_np, copy.dc,
+                copy.drho, copy.datt, cache.c, cache.rho, cache.att_np,
+                cache.slab.Z, adj.c, adj.rho, adj.att_np, adj.occupancy]
+        assert all(a.dtype == np.float32 for a in slab)
 
     @pytest.mark.parametrize("config", ["perfbench/skull_r4.cfg",
                                         "demos/single_focus_water.cfg"])
@@ -1759,3 +1769,86 @@ class TestGridRefinement:
             axial = np.abs(p.values[16, 16, :])
             results[dz] = np.argmax(axial) * dz
         assert abs(results[125e-6] - results[62.5e-6]) <= 62.5e-6 + 1e-12
+
+
+class TestSegmentOperators:
+    """A homogeneous segment's spectral multipliers (`solver._plan`)
+    against the per-slice recurrences they replace, and their reuse
+    from run to run of one prepared medium."""
+
+    REPO = Path(__file__).resolve().parents[1]
+
+    def prepared(self, config, dtype):
+        if config == "bone-layers":     # scalars other than 1 in the bone
+            g = TestHomogeneousRuns.GRID
+            return prepare(full_plane_source(g),
+                           bone_layers(g, slice(6, 12), slice(20, 23)),
+                           SolverConfig(reflection_order=4), FORM_CLEAR, 14,
+                           3, dtype)
+        from sonolens import cli
+
+        cfg = cli.load_config(self.REPO / config)
+        return cli._prepared_problem(cfg, cli.build_grid(cfg), 0, dtype)[2]
+
+    @pytest.mark.parametrize("config", ["demos/single_focus_water.cfg",
+                                        "perfbench/skull_r4.cfg",
+                                        "bone-layers"])
+    @pytest.mark.parametrize("dtype, tol", [(np.complex128, 1e-13),
+                                            (np.complex64, 1e-6)])
+    def test_match_the_per_slice_recurrences(self, config, dtype, tol):
+        # forward, the spectra C * U of the march's broadcast product;
+        # adjoint, the sum of C times the block of the homogeneous
+        # slices' upstream spectra and vbar's, in march order
+        prepared = self.prepared(config, dtype)
+        rng = np.random.default_rng(8)
+        _, cache = prepared.run(rng.uniform(0.1, 0.9,
+                                            size=prepared.dc.shape))
+        H = prepared.band.H
+
+        def spectra(n):
+            shape = (n, *H.shape)
+            return (rng.normal(size=shape)
+                    + 1j * rng.normal(size=shape)).astype(dtype)
+
+        worst, scalars = 0.0, set()
+        for sweep in cache.sweeps:
+            trans, order = cache.trans[sweep.direction], sweep.plan.order
+            for (first, last), C in zip(sweep.plan.segments, sweep.plan.ops):
+                assert (C is None) == (first == last)
+                if C is None:
+                    continue
+                a = [trans[min(order[j - 1], order[j])]
+                     for j in range(first, last)]
+                scalars.update(a)
+                assert C.dtype == dtype and C.shape == (len(a) + 1, *H.shape)
+                (U,), up = spectra(1), spectra(len(a) + 1)
+                for got, want in (
+                        (C * U, homogeneous_segment(U, H, a)),
+                        (np.add.reduce(C * up, axis=0),
+                         homogeneous_segment_adjoint(up[-1], up[:-1], H, a))):
+                    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    worst = max(worst, err)
+        assert scalars and worst <= tol
+        assert (scalars == {1.0}) == (config != "bone-layers")
+
+    def test_runs_and_with_lens_copies_share_plans_and_operators(self):
+        prepared = self.prepared("bone-layers", np.complex64)
+        rng = np.random.default_rng(9)
+        runs = [prepared.run(rng.uniform(0.1, 0.9, size=(16, 16, 3)))[1]
+                for _ in range(2)]
+        copy = prepared.with_lens(VEROCLEAR)
+        runs.append(copy.run(rng.uniform(0.1, 0.9, size=(16, 16, 3)))[1])
+        assert copy._plans is prepared._plans
+        first, *later = runs
+        for cache in later:
+            assert len(cache.sweeps) == len(first.sweeps) == 5
+            for sweep, sw in zip(cache.sweeps, first.sweeps):
+                assert sweep.plan is sw.plan
+                assert all(C is D for C, D in zip(sweep.plan.ops,
+                                                  sw.plan.ops))
+        # a water segment's multipliers are the passband's powers of H
+        ops = [C for sw in first.sweeps for C in sw.plan.ops
+               if C is not None]
+        assert any(np.shares_memory(C, prepared.band.powers) for C in ops)
+        assert not all(np.shares_memory(C, prepared.band.powers)
+                       for C in ops)
