@@ -13,7 +13,8 @@ its base medium (no occupancy), and `fabricate_and_simulate` runs its
 lens slab with the slab's own solver settings and lens material, within
 the bounds of the run's `lensmap.DesignField`. A thickness design has no
 step here: its design chain carries the printer's blur, and its
-binarized lens is printed as the loop saw it.
+binarized lens is printed as the loop saw it. How a prepared medium
+runs is mapped in the module docstring of `solver`.
 """
 
 from __future__ import annotations

@@ -24,12 +24,12 @@ base medium never leaves it, and `sweep` keeps only the target's focus
 centres. Every field of a design comes from that slab and its one solver
 config: the lens runs of the design loop and of fabrication, and the
 base-medium runs (no occupancy) of the phase methods, whose print takes
-the bounds of the design's. Each sweep case,
-a material variant or a thickness-noise realization, is one
-`PreparedMedium.field_only` run of the lens slab: no adjoint follows, so
-no cache is kept. All cases go through one map, in turn or one chunk per
-worker; a case of another material than the lens section's runs on its
-own `PreparedMedium.with_lens` copy of the slab.
+the bounds of the design's. Each sweep case, a material variant or a
+thickness-noise realization, is one forward-only run of the lens slab.
+All cases go through one map, in turn or one chunk per worker; a case of
+another material than the lens section's runs on its own copy of the
+slab. How a prepared medium runs is mapped in the module docstring of
+`solver`.
 """
 
 from __future__ import annotations

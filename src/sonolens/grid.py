@@ -23,6 +23,13 @@ def power_law_attenuation(coeff, power, frequency: float):
     return coeff * (frequency / 1e6) ** power * NEPER_PER_DB * 100.0
 
 
+def is_count(value, least: int = 0) -> bool:
+    """Whether `value` is an integer of at least `least`: an int or a
+    NumPy integer, never a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform voxel grid for single-frequency field simulation.
@@ -45,7 +52,7 @@ class GridSpec:
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
             n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 4:
+            if not is_count(n, 4):
                 raise ValueError(f"{name} must be an integer >= 4, got {n!r}")
         for name in ("dx", "dy", "dz", "frequency", "c_ref"):
             v = getattr(self, name)

@@ -75,15 +75,15 @@ class DesignField:
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 2:
             raise ValueError("theta must be 2D")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:     # NaN fails too
+            raise ValueError("alpha must be positive and finite")
         if self.v_min < 1.0:
             raise ValueError("v_min must be at least 1 voxel")
-        if not self.v_min < self.v_max:
-            raise ValueError("v_min must be smaller than v_max")
-        if not self.fab_cutoff >= 1.0:     # NaN fails too
+        if not self.v_min < self.v_max < np.inf:
+            raise ValueError("v_min must be smaller than a finite v_max")
+        if not 1.0 <= self.fab_cutoff < np.inf:     # NaN fails too
             raise ValueError(f"fab_cutoff {self.fab_cutoff:g} must be at "
-                             "least 1 voxel")
+                             "least 1 voxel and finite")
 
     @classmethod
     def random(cls, nx, ny, seed=None, **params):

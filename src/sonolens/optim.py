@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, is_count
 from .lensmap import DesignField, LensVolume
 from . import lensmap
 from .solver import (
@@ -131,14 +131,16 @@ class OptimConfig:
     beta_end: float = 20.0
 
     def __post_init__(self):
-        if self.beta_start <= 0 or self.beta_end <= 0:
-            raise ValueError("beta endpoints must be positive")
-        if self.beta_end < self.beta_start:
-            raise ValueError("schedule must be monotone non-decreasing")
-        if self.learning_rate <= 0 or self.iterations < 0:
-            raise ValueError("learning rate must be positive, iterations >= 0")
-        if self.lambda_energy < 0 or self.lambda_balance < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not 0 < self.beta_start <= self.beta_end < np.inf:  # NaN fails too
+            raise ValueError("beta endpoints must be positive and finite, and "
+                             "the schedule monotone non-decreasing")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite")
+        if not is_count(self.iterations):
+            raise ValueError("iterations must be an integer >= 0")
+        for name in ("lambda_energy", "lambda_balance"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
     def beta(self, iteration: int) -> float:
         """Sharpness at `iteration`; beta_end for runs under 2 iterations."""

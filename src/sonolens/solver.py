@@ -1,148 +1,31 @@
 """Steady-state single-frequency propagation through voxelized media.
 
-Split-step spatial marching: for each axial step the field is advanced by
-a spectral diffraction kernel exp(i*kz*dz) with kz = sqrt(k0^2 - kx^2 - ky^2)
-(evanescent bins decay as exp(-|kz|*dz); bins beyond angular_cutoff*k0 are
-zeroed, so the default cutoff of 1 keeps propagating content only),
-then corrected in the spatial domain by a heterogeneity phase screen
-exp(i*k0*(c_ref/c - 1)*dz), an absorption screen exp(-a*dz) (a in Np/m),
-and a pressure transmission factor t wherever the impedance Z = rho*c
-changes between slices. Interface reflections are recorded and swept in
-the opposite direction, recursively up to the configured reflection
-order; the total field is the coherent sum over all sweeps.
+Split-step angular-spectrum marching along z: each step diffracts the
+field across one slice, then multiplies it by the step's multiplier,
+the screen of the slice it enters times the transmission coefficient of
+an interface. Interfaces reflect sources into sweeps the other way, up
+to the configured reflection order; the field sums all sweeps, and the
+adjoint transposes every step. Each mechanism is described once, where
+it is implemented:
 
-Each interface (slice pair k, k+1 whose impedance differs somewhere) is
-one plane, r = (Z2-Z1)/(Z1+Z2) toward +z: -r toward -z, and t = 1 + r
-toward +z, 1 - r toward -z (Brekhovskikh, Waves in Layered Media). Pairs
-of equal impedance across the whole plane have no plane and skip the
-interface work, except in a lens run: every pair touching the slab keeps
-its plane, zero or not, so that the adjoint applies dr/dZ there. A
-step across pair k toward direction d is one product u = a*v by its
-multiplier a = trans[d][k], which carries the field across the pair and
-through the screen of the slice it steps into: where the pair has r,
-its transmission plane (`_transmitted`), (1 + r)*screen[k+1] toward +z
-and (1 - r)*screen[k] toward -z, and its reflected source is r*v;
-elsewhere, that screen itself. `prepare` forms both directions' lists
-for the base medium by that one rule; a lens run replaces the entries
-of its slab pairs with its own r and transmission planes toward the
-directions its sweeps take, one block pass each, and its cache keeps
-them for the adjoint.
-
-H is zero beyond angular_cutoff*k0, on all but br rows and bc columns
-of the FFT grid (21 of 64 each on a 64x64 grid at 125 um and 2 MHz). A
-diffraction step is therefore evaluated on that passband only, as two
-dense matrix products into it and two back out (`_Passband`; the matrix
-Fourier transform of Soummer et al., Opt. Express 15, 15935, 2007): the
-same linear map as ifft2(H * fft2(u)), with matrices that `prepare`
-builds once. H depends on kx and ky through kx**2 and ky**2 only, so
-the transform is real along both axes, with cos and sin rows and
-columns (Bracewell, JOSA 73, 1832, 1983): every product is one real
-GEMM on float views, (nx, 2*ny) for an (nx, ny) complex plane, the x
-matrices on the left and the y matrices R on the right as kron(R, I2),
-which acts on the interleaved complex axis as R on the plane. A step
-costs 4*br*nx*ny + 8*br*bc*ny real multiply-adds (570k at 64x64).
-
-A multiplier that takes one value across the plane, a screen with no
-interface, is stored as that scalar, every other one as its (nx, ny)
-plane; the products broadcast either. A step whose multiplier is a
-scalar and into a slice where nothing is injected is homogeneous: u_s
-= a * ifft2(H * fft2(u_prev)) is diagonal in the spectral domain and
-exact over any number of such slices (angular-spectrum propagation
-through a homogeneous layer; Zeng and McGough, J. Acoust. Soc. Am.
-123, 2008). So every diffraction goes through segments, each ending at
-a step that is not homogeneous or at the sweep's last slice: one
-transform into the passband on entry, one broadcast product by the
-segment's spectral multipliers C_j = H^j * a_1 * ... * a_j into its
-slices' (br, bc) spectra, one block product of them back to their
-planes, and its last slice's step in space: u = a*v, the reflected
-source r*v when the pair has r and the sweep collects reflections, the
-injection there, and the add into the total. A step that is not
-homogeneous is a one-slice segment, whose four products run inline.
-A sweep's plan (`_plan`), the slices it visits from its first injected
-one (the field is zero before it), its segments and their multipliers,
-is made once per prepared medium, direction, injected slices and lens
-or none, and shared by `with_lens` copies; the march walks it, the
-cache keeps it and the adjoint replays it backwards. A slab pair's
-multiplier is a plane, so it ends a segment, as its per-pair sums need
-the spatial planes. Only `prepare` makes scalars, so a lens embedded
-into the medium and the same lens run on a prepared slab march the
-same segments, but for a slab pair of equal impedance into a uniform
-screen, where the slab run ends one: the fields differ at rounding.
-
-`prepare` builds a `PreparedMedium` once per medium: the diffraction
-kernel, the source plane, the interface planes and both directions'
-multipliers of the base medium, on the lens slab too (each screen
-plane at most once), and the impedance and screen of the slice on
-either side of the slab (z0-1 and z0+n_v). With a lens occupancy, a run
-(`propagate_with_lens`) redoes only the slab's properties, screens and
-impedance and the planes of the pairs that touch it, which the slab
-gradients read; the base medium is never copied. Without one, a run
-marches the base medium, bitwise as on a medium prepared without a
-slab.
-The lens slab is slice-major like the field: its occupancy (`lensmap`),
-the prepared slab properties and lens-minus-base deltas, a run's slab
-properties and the adjoint's gradients are stored (n_v, nx, ny) and
-handed out as their (nx, ny, n_v) views, and a run's slab impedance, r
-and transmission planes are slice-major blocks (`_Slab`). A run takes
-an occupancy in any other layout slice-major once, with no copy when
-it already is.
-`propagate` is a run on a medium prepared without a slab. The returned
-cache carries the run's multipliers and r planes, so the adjoint
-recomputes none of them. A run's first sweep marches its `sources`, {slice:
-plane}, as each later sweep marches the reflected sources r*v of the
-last. That sweep went the other way, and toward -z the reflection
-coefficient is -r: a later sweep toward +z subtracts its sources.
-
-The total field is slice-major: stored as (nz, nx, ny), so that a
-slice is one contiguous plane, and handed out as its (nx, ny, nz) view.
-A sweep writes each slice's post-diffraction field into its plane of
-one (nz + 1, nx, ny) plane stack with products into preallocated
-buffers. The first sweep writes each slice's contribution into the
-total field as it goes, and zeroes only the slices before its first
-injected one; every later sweep forms its contributions in the stack's
-last plane and adds them. Every run marches all its sweeps through one
-stack, which it takes from the prepared medium and gives back as it
-returns. In `PreparedMedium.run` each sweep writes what the adjoint
-reads, the post-diffraction fields at the slab's slices and the slice
-on either side of it (none without a lens), into planes of its cache,
-not of the stack. So a later run changes none of a cache's planes.
-`PreparedMedium.field_only` returns the same field without a cache. The
-returned field is always a fresh array.
-
-Every operation in the chain is complex-linear in the field, so the exact
-reverse-mode gradient is obtained by transposing each step; the
-passband products transpose to the transposed matrices. The adjoint
-reads the loss cotangent slice by slice, slice-major as the field. It
-always returns the source-plane cotangent. When the forward run embedded a
-lens with linearly interpolated properties, it also returns the gradients
-with respect to the per-voxel properties on the lens slab and, through
-them, with respect to the lens occupancy; property gradients outside the
-slab are not computed. A step's field cotangent is vbar = a*ub +-
-r*refl_cot[prev], on the forward's multipliers, which the cache keeps
-for the slab pairs too. The reverse sweeps only add, per slab
-pair (prev, s), the products ub*v and, where a reflection cotangent
-exists, Re(refl_cot[prev]*v) into one (pairs, nx, ny) block per
-direction; one pass over those blocks after the last sweep applies the
-screen derivative and dt/dZ, dr/dZ (`_slab_gradients`), the two
-directions of a pair sharing one impedance chain. The blocks and that
-pass's scratch lie on the prepared medium's spare plane stack, which no
-run uses meanwhile, so that the adjoint allocates little beyond the
-gradients it returns.
-
-Precision: `prepare(..., dtype=)` sets one complex dtype, complex128 by
-default or complex64, for every array a run and its adjoint march: the
-passband's H, powers and scratch (its matrices of the real type), the
-multipliers, the source planes (cast to it, C-contiguous), the r planes
-(r + 0j: no product mixes a real plane with a complex one), the plane
-stack, the field, the cache's planes and the adjoint's cotangents. The
-full-grid base medium is computed in double (cos and sin of the screens
-in the real type, `_per_slice`) and stored so. The lens slab is of the
-real type, float32 in a complex64 run: its prepared properties and
-deltas and a run's occupancy, properties, screens, impedances and r and
-its gradients, computed in that type; edge impedances stay float64.
-
-Gradient pairing convention: an upstream cotangent g satisfies
-dL = Re(sum(g * dP)) (plain product, no conjugation inside the sum).
+- Diffraction: `_diffraction_kernel`; the step on its passband as real
+  matrix products, `_Passband`, `_cos_sin`, `_into_band`, `_out_of_band`.
+- Slices and interfaces: screens and impedances, `_per_slice`; the
+  reflection plane, `_interface`; the transmission plane, `_transmitted`.
+- Set-up once per medium and the precision of a run: `prepare`; the
+  medium it returns and its fields, `PreparedMedium`; a copy for another
+  lens material, `PreparedMedium.with_lens`.
+- A run: `PreparedMedium.run` and `PreparedMedium.field_only`, through
+  `PreparedMedium._forward` (sweeps, plane stack, plans); a lens run's
+  slab, `PreparedMedium._lens_slab` and `_Slab`.
+- A sweep: slices, segments and spectral multipliers, `_plan`, `_Plan`;
+  the march along them, `_march`.
+- What a run keeps for the adjoint: `SliceCache`, `_Sweep`.
+- The adjoint and the gradient pairing convention: `propagate_adjoint`;
+  one reverse sweep, `_sweep_adjoint`; the slab's gradients,
+  `_slab_gradients`; scratch on the spare plane stack, `_borrow`.
+- Functional entry points: `propagate`, `propagate_with_lens`,
+  `backproject`.
 """
 
 from __future__ import annotations
@@ -152,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridSpec, MaterialProperties
+from .grid import GridSpec, MaterialProperties, is_count
 from .medium import AcousticMedium
 
 
@@ -162,8 +45,8 @@ class SolverConfig:
     angular_cutoff: float = 1.0     # fraction of k0; > 1 keeps evanescent bins
 
     def __post_init__(self):
-        if not 0 <= self.reflection_order <= 8:
-            raise ValueError("reflection_order must lie in [0, 8]")
+        if not is_count(self.reflection_order) or self.reflection_order > 8:
+            raise ValueError("reflection_order must be an integer in [0, 8]")
         if not self.angular_cutoff > 0:     # NaN fails too
             raise ValueError("angular_cutoff must be positive")
 
@@ -233,36 +116,29 @@ _BLOCK = 8
 
 @dataclass(eq=False)
 class _Passband:
-    """The diffraction step on the kernel's passband, the rows and
-    columns of the FFT grid where H has a nonzero entry.
-
-    H depends on kx and ky only through kx**2 and ky**2
-    (`_diffraction_kernel` is even in each), so the step has an exact
-    real form along both axes: with (A, Ai, rows) the real DFT
-    `_cos_sin` of x on H's live rows and (B.T, Bi.T, cols) that of y on
-    its live columns, and H on the band H[rows, cols] (H[k, c] on every
-    cos and sin row and column of k and c), the step
-    v = ifft2(H * fft2(u)) is v = Ai @ (H_band * (A @ u @ B)) @ Bi.
-    into and back are the (left, right) matrices of the first product and
-    of the last; into_t and back_t those of the transposed step, (Ai.T,
-    Bi.T) and (A.T, B.T), which the adjoint runs. Every matrix is of the
-    dtype's real type and every product one real GEMM on float views: a
-    left matrix acts on a plane's float view, (nx, 2*ny) for an (nx, ny)
-    complex plane, and a right matrix R is stored as kron(R, I2), which
-    acts on the complex axis of a float view as R on the plane. H on the
-    band, its powers (`_plan`), tmp and spectra are of the dtype. tmp is
-    the intermediate of `_into_band`, `_out_of_band` and the march's
-    one-slice steps, _BLOCK (br, ny) planes, and spectra holds a
-    segment's spectra, in march order; every run and adjoint of the
-    prepared medium uses both in turn.
+    """The diffraction step on the kernel's passband, the br rows and bc
+    columns of the FFT grid where H is nonzero (21 of 64 each at 64x64,
+    125 um and 2 MHz): two matrix products into the band and two back
+    out, the matrix Fourier transform of Soummer et al. (Opt. Express
+    15, 15935, 2007). H is even in kx and ky (`_diffraction_kernel`), so
+    with (A, Ai, rows) the real DFT `_cos_sin` of x on H's live rows and
+    (B.T, Bi.T, cols) that of y on its live columns, ifft2(H * fft2(u))
+    = Ai @ (H[rows, cols] * (A @ u @ B)) @ Bi (H[k, c] on every cos and
+    sin row and column of k and c): 4*br*nx*ny + 8*br*bc*ny real
+    multiply-adds, 570k at 64x64. The matrices are of the dtype's real
+    type and each product is one real GEMM on float views: a left matrix
+    acts on an (nx, ny) complex plane's (nx, 2*ny) float view, and a
+    right matrix R is stored as kron(R, I2), which acts there as R. H,
+    powers, tmp (the products' intermediate) and spectra (a segment's,
+    in march order) are of the dtype, scratch that runs use in turn.
     """
 
     H: np.ndarray                       # H on the passband, (br, bc)
-    into: tuple                         # (A, B)
-    back: tuple                         # (Ai, Bi)
-    into_t: tuple                       # (Ai.T, Bi.T)
-    back_t: tuple                       # (A.T, B.T)
-    tmp: np.ndarray
+    into: tuple                         # (A, B): the first product's (L, R)
+    back: tuple                         # (Ai, Bi): the last product's
+    into_t: tuple                       # (Ai.T, Bi.T) and (A.T, B.T): those
+    back_t: tuple                       # of the adjoint's transposed step
+    tmp: np.ndarray                     # _BLOCK (br, ny) planes
     powers: np.ndarray                  # H**1 .. H**n on the passband
     spectra: np.ndarray                 # n passband spectra, scratch
 
@@ -342,12 +218,9 @@ class _Plan:
 
 @dataclass
 class _Sweep:
-    """One sweep of a cached run, built by `_kept` as it is marched:
-    u holds only the first visited slice's contribution, its injected
-    plane, and v only the post-diffraction fields at the slab's slices
-    and the slice on either side; inject keeps the injected slices, not
-    their planes. plan is the plan the sweep marched, which its adjoint
-    replays."""
+    """One sweep of a cached run, as its adjoint reads it: v holds the
+    cache's planes of the field after diffraction at the far slice of
+    each slab pair, and plan the plan the sweep marched."""
 
     direction: int                      # +1 or -1 along z
     u: list                             # per-slice contribution (None but one)
@@ -358,15 +231,12 @@ class _Sweep:
 
 @dataclass
 class _Slab:
-    """A lens run's slab pairs as slice-major blocks, built once by the
-    forward run: the range of n slices `slices` (the slab and the slice
-    on either side where the grid has one) and the n - 1 pairs between
-    them. Z (n, nx, ny) is the slices' impedance (of the real type), r the
-    pairs' r and trans maps each direction of the run's sweeps to the
-    pairs' transmission planes toward it, (n - 1, nx, ny) each, which
-    alone carry the slab slices' screens. The run's coeff and trans view
-    these blocks. medium is the prepared medium that made the run, whose
-    spare plane stack the adjoint borrows for its slab sums."""
+    """A lens run's slab pairs as slice-major blocks: slices, n slices of
+    the slab and the slice on either side within the grid, and the slab
+    pairs, the n - 1 pairs between them. Z (n, nx, ny) is the slices'
+    impedance, r the pairs' r planes and trans[d] their transmission
+    planes toward d, which alone carry the slab slices' screens. medium
+    made the run; the adjoint borrows its spare plane stack."""
 
     slices: range
     Z: np.ndarray
@@ -377,32 +247,13 @@ class _Slab:
 
 @dataclass
 class SliceCache:
-    """Forward-run state retained for the adjoint sweep.
-
-    Only `PreparedMedium.run` makes one. Its sweeps (see `_Sweep`) hold
-    what `propagate_adjoint` reads: the plan each sweep marched, the
-    inject keys and the v planes at the slab's slices (`_Slab.slices`),
-    one block per sweep that the cache owns. Each also keeps u at its
-    first visited slice, its injected plane.
-
-    band is the prepared medium's passband step (`_Passband`), which the
-    adjoint transposes; H is the full kernel it was cut from. coeff
-    holds one entry per slice pair k, k+1: its plane of r
-    (`_interface`), or None where the impedance does not change. trans
-    maps each direction d of the run's sweeps (+1, -1) to one multiplier
-    per pair: trans[d][k] multiplies the field after diffracting across
-    pair k toward d, the pair's transmission plane (`_transmitted`)
-    where it has r, the screen of the slice it steps into elsewhere (a
-    NumPy scalar where that screen is the same across the plane, its
-    (nx, ny) plane otherwise). Both are the prepared medium's, except on
-    the pairs that touch the lens slab, where this run's (always planes)
-    replace them. slab holds the blocks that those entries view and the
-    run's impedance on the slab's slices and the slice on either side
-    (`_Slab`), which the slab gradients read; None without a lens. A
-    slab pair is a pair between two of `slab.slices`. c, rho and att_np
-    are this run's properties on the lens slab only, (nx, ny, n_v) views
-    of slice-major (n_v, nx, ny) arrays; (nx, ny, 0) for a run without a
-    lens occupancy.
+    """Forward-run state retained for the adjoint by `PreparedMedium.run`:
+    one `_Sweep` per sweep, the prepared medium's step band and kernel H,
+    and the run's r planes and multipliers coeff and trans (see
+    `PreparedMedium`; trans for its sweeps' directions only), whose slab
+    pairs' entries view this run's blocks in slab (`_Slab`; None without
+    a lens). c, rho and att_np are the run's properties on the lens slab,
+    (nx, ny, n_v) views of slice-major arrays, (nx, ny, 0) without one.
     """
 
     grid: GridSpec
@@ -426,14 +277,12 @@ class SliceCache:
 class AdjointResult:
     """Gradients from a reverse sweep.
 
-    occupancy: dL/d(lens occupancy), present only for lens-embedded runs
     source_plane: holomorphic cotangent of the complex source plane
         (summed over the planes of a run with several sources)
-    c, rho, att_np: (nx, ny, n_v) gradients w.r.t. the raw properties on
-        the lens slab (slices z_offset .. z_offset + n_v - 1); (nx, ny, 0)
-        for a run without a lens
-    All four are (nx, ny, n_v) views of slice-major (n_v, nx, ny) arrays,
-    as the lens occupancy of `lensmap`.
+    c, rho, att_np: gradients w.r.t. the raw properties on the lens slab
+        (slices z_offset .. z_offset + n_v - 1); (nx, ny, 0) without a lens
+    occupancy: dL/d(lens occupancy), present only for lens runs
+    All four are (nx, ny, n_v) views of slice-major (n_v, nx, ny) arrays.
     """
 
     source_plane: np.ndarray
@@ -451,21 +300,17 @@ _SCREENS = 16
 def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
                att_np: np.ndarray, dtype, Z: np.ndarray | None = None,
                out: np.ndarray | None = None) -> tuple:
-    """Screens and impedances of (nx, ny, k) properties, one per slice
-    (the sweeps read them slice by slice), computed in the properties'
-    real type. The impedances are one slice-major (k, nx, ny) product,
-    into Z where given. A screen, the phase and absorption screen
-    exp(i*phi - a*dz) with phi = k0*(c_ref/c - 1)*dz, is computed as
-    exp(-a*dz)*cos(phi) and exp(-a*dz)*sin(phi), _SCREENS slices at a
-    time, into the real and imaginary parts of a slice-major block of
-    `dtype`: cos and sin of phi rounded to the dtype's real type in that
-    type, and each part rounded once from its product with exp(-a*dz).
-    With `out`, a (k, nx, ny) block of `dtype`, that block
-    is filled and returned as the screens. Without, one reduction over
-    each block finds its uniform slices, and the screens are a list: the
-    one value a screen takes across the whole plane, or its contiguous
-    (nx, ny) plane where it varies, a view of the block, or a copy where
-    the block has a uniform slice, whose plane is then freed."""
+    """Screens and impedances Z = rho*c of (nx, ny, k) properties, one per
+    slice, in the properties' real type; Z is one slice-major (k, nx, ny)
+    product, into Z where given. The phase and absorption screen
+    exp(i*phi - a*dz), phi = k0*(c_ref/c - 1)*dz and a in Np/m, is formed
+    _SCREENS slices at a time in the real and imaginary parts of a
+    slice-major block of `dtype`: phi rounded to the dtype's real type,
+    its cos and sin taken there, and each part rounded once from its
+    product with exp(-a*dz). With `out`, a (k, nx, ny) block of `dtype`,
+    that block is filled and returned as the screens; without, a list:
+    the one value of a screen uniform across the plane, else its plane of
+    the block."""
     k0, dz = float(grid.k0), float(grid.dz)
     f = np.finfo(dtype).dtype
     screen = []
@@ -491,80 +336,64 @@ def _per_slice(grid: GridSpec, c: np.ndarray, rho: np.ndarray,
         # bitwise equal to the plane's first value, on an integer view
         w = block.view(np.int64).reshape(len(block), -1, block.itemsize // 8)
         uniform = np.all(w == w[:, :1], axis=(1, 2))
-        copy = uniform.any()
-        screen += [scr.flat[0] if u else scr.copy() if copy else scr
-                   for scr, u in zip(block, uniform)]
+        screen += [scr.flat[0] if u else scr for scr, u in zip(block, uniform)]
     return screen if out is None else out, Z
 
 
-def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype, slab: bool = False,
-               scratch: tuple = (None, None)) -> np.ndarray | None:
-    """r = (Z2-Z1)/(Z1+Z2) toward +z between impedance planes Z1 (slice k)
-    and Z2 (slice k+1), or blocks of them, stored as the complex `dtype`
-    (r + 0j; the quotient is taken in the impedances' type and rounded
-    once); None where the impedance is the same across the whole plane
-    (r = 0), unless `slab`: a lens-slab pair keeps its plane. scratch,
-    two arrays of Z1's shape and type, takes the difference and the
-    sum."""
-    if not slab and not np.any(Z2 != Z1):
-        return None
+def _interface(Z1: np.ndarray, Z2: np.ndarray, dtype,
+               scratch: tuple = (None, None)) -> np.ndarray:
+    """The reflection coefficient r = (Z2-Z1)/(Z1+Z2) toward +z between
+    impedance planes Z1 (slice k) and Z2 (slice k+1), or blocks of them;
+    toward -z it is -r (Brekhovskikh, Waves in Layered Media). Stored as
+    the complex `dtype`, r + 0j, so that no product mixes a real plane
+    with a complex one; the quotient is taken in the impedances' type
+    and rounded once. scratch, two arrays of Z1's shape and type, takes
+    the difference and the sum."""
     r = np.subtract(Z2, Z1, out=scratch[0])
     r /= np.add(Z1, Z2, out=scratch[1])
     return r.astype(dtype)
 
 
-def _transmitted(r: np.ndarray, screen, k: int,
+def _transmitted(r: np.ndarray, before, after,
                  direction: int) -> np.ndarray:
-    """The plane a that carries the field across pair k, k+1 with plane r
-    (`_interface`) and into its screen: (1 + r)*screen[k+1] toward +z,
-    (1 - r)*screen[k] toward -z. A block of pairs takes screen as the
-    two blocks of their screens, (before, after), and k = 0."""
+    """The multiplier a of a step across a pair with r plane r
+    (`_interface`), or a block of pairs: the pressure transmission
+    coefficient t = 1 + r toward +z and 1 - r toward -z, times the
+    screen of the slice stepped into, `after` (slice k+1) toward +z and
+    `before` (slice k) toward -z."""
     if direction > 0:
         a = np.add(1.0, r)
-        a *= screen[k + 1]
+        a *= after
     else:
         a = np.subtract(1.0, r)
-        a *= screen[k]
+        a *= before
     return a
 
 
 @dataclass
 class PreparedMedium:
-    """A medium set up once for any number of forward runs.
+    """A medium set up once by `prepare` for any number of forward runs.
 
-    Holds the diffraction kernel and its passband step (`_Passband`:
-    the DFT matrices restricted to H's nonzero rows and columns, built
-    by `prepare` and shared with every copy and cache), the default
-    source plane and the interface planes and multipliers toward both
-    directions of the base medium (coeff and trans; see SliceCache),
-    which a run without a lens occupancy marches; a lens run replaces
-    the entries of the pairs that touch the slab.
-    With a lens slab (slices z_offset .. z_offset + n_v - 1) it also holds
-    the base properties there, the lens material and the lens-minus-base
-    deltas, each an (nx, ny, n_v) view of a slice-major array, and, in
-    edge, the impedance and the screen (a scalar where it is uniform) of
-    each slice just outside the slab, so that a run with a lens
-    recomputes only the slab and the pairs that touch it. Built by
-    `prepare`, whose lens material and deltas come from `with_lens`;
-    `with_lens` also gives the copy for another lens material, which
-    shares every array but the deltas, so a sweep over materials
-    prepares the medium once. Nothing it holds is modified by a run,
-    except the spare plane stack of nz + 1 planes (`_spare`, None until
-    the first run), which each run takes and puts back (a lens run and
-    its adjoint also borrow it as scratch for the slab's blocks), the
-    spare planes of the reflected sources its runs have added
-    (`_spent`), which the next reflected sources fill, the passband's
-    scratch, which runs and adjoints use in turn, and the plans of its
-    sweeps (`_plans`, see `_plan`). A pickle carries no spare planes
-    and no plans; a `with_lens` copy shares them. Kept from run to run,
-    these planes also keep their place on the heap, which glibc would
-    otherwise trim for the next run to fault back in.
-    Its `dtype`, the band's, is the one complex dtype of its multipliers,
-    edge screens, source plane, r planes and passband (matrices: its
-    real type) and of every plane its runs and their adjoints march, and
-    its real type that of the slab's properties and deltas; a
-    `with_lens` copy and a pickle keep it. H, the full kernel, stays
-    complex128.
+    H is the full kernel (complex128) and band its step (`_Passband`).
+    coeff holds one entry per slice pair k, k+1 of the base medium: its
+    r plane (`_interface`), or None where the impedance is the same
+    across the whole plane. trans[d][k] multiplies the field after it
+    diffracts across pair k toward d (+1 or -1): the pair's transmission
+    plane (`_transmitted`) where it has r, else the screen of the slice
+    it enters, k + 1 toward +z and k toward -z (a NumPy scalar where
+    that screen is uniform). The lens slab is slices z_offset ..
+    z_offset + n_v - 1: c, rho and att_np are the base properties there
+    and dc, drho and datt the deltas to lens_mat, (nx, ny, n_v) views of
+    slice-major arrays of the real type. edge holds the impedance
+    (float64) and screen of each slice just outside the slab.
+
+    A run changes only scratch: the spare stack of nz + 1 planes
+    (_spare), which runs take and put back and lens runs and adjoints
+    borrow for the slab's blocks; spare reflected-source planes
+    (_spent); the band's tmp and spectra; and the plans (_plans). Kept
+    from run to run, the planes keep their place on the heap, which glibc
+    would otherwise trim for the next run to fault back in. A pickle
+    carries no spare planes or plans; a `with_lens` copy shares them.
     """
 
     grid: GridSpec
@@ -572,7 +401,7 @@ class PreparedMedium:
     H: np.ndarray
     band: _Passband                     # the step on H's passband
     source_plane: np.ndarray
-    coeff: list                         # coeff, trans: see SliceCache
+    coeff: list
     trans: dict
     edge: dict                          # {slice: (Z, screen)} by the slab
     z_offset: int
@@ -595,16 +424,16 @@ class PreparedMedium:
 
     @property
     def dtype(self) -> np.dtype:
-        """The complex dtype of the arrays its runs and their adjoints
-        march, set by `prepare`."""
+        """The complex dtype its runs and adjoints march, set by `prepare`;
+        a `with_lens` copy and a pickle keep it."""
         return self.band.H.dtype
 
     def with_lens(self, lens_mat: MaterialProperties) -> "PreparedMedium":
-        """A copy whose runs relax a lens of `lens_mat` into the slab: only
-        the lens-minus-base deltas are new, every other array is shared
-        with this medium (the spare plane stack too: run one at a time).
-        The deltas keep the slice-major layout of the base properties, as
-        a ufunc's result keeps its operand's."""
+        """A copy whose runs relax a lens of `lens_mat` into the slab; it
+        shares every array but the lens-minus-base deltas with this medium
+        (the spare stack too: run one at a time), so a sweep over
+        materials prepares once. The deltas keep the base properties'
+        slice-major layout, as a ufunc's result keeps its operand's."""
         f = self.c.dtype
         copy = replace(
             self,
@@ -627,12 +456,10 @@ class PreparedMedium:
     ) -> tuple[ComplexField, SliceCache]:
         """One forward run: the total field and the cache for the adjoint.
 
-        occupancy (nx, ny, n_v) relaxes the lens into the slab of a medium
-        prepared with a lens material; without one the base medium runs
-        and the cache carries no slab. sources, {slice: plane} (default:
-        the prepared plane at slice 0), are cast to C-contiguous planes of
-        the prepared dtype and marched toward +z (direction +1) or -z
-        (-1). The cache owns its planes: later runs leave it unchanged.
+        occupancy (nx, ny, n_v), in any layout, relaxes the lens into the
+        slab; without one the base medium runs. sources, {slice: plane}
+        (default: the prepared plane at slice 0), are marched toward +z
+        (direction +1) or -z (-1). Later runs leave the cache unchanged.
         """
         return self._forward(occupancy, sources, direction, keep=True)
 
@@ -649,11 +476,16 @@ class PreparedMedium:
 
     def _forward(self, occupancy, sources, direction,
                  keep: bool) -> tuple[ComplexField, SliceCache | None]:
-        """The sweeps of `run` (keep: the cache too) or of `field_only`,
-        all through the prepared medium's spare stack. The first sweep
-        writes its slices into the total as it marches, each later one
-        adds into it; with keep, the planes the adjoint reads are copied
-        into the cache after each sweep."""
+        """The sweeps of `run` (keep: the cache too) or of `field_only`:
+        the sources, then each sweep's reflected sources the other way
+        (`_march`), up to the reflection order or a sweep that reflects
+        nothing. The field is stored slice-major (nz, nx, ny) and returned
+        as its fresh (nx, ny, nz) view. All sweeps march through one stack
+        of nz + 1 planes, taken from the prepared medium and given back.
+        A plan (`_plan`) is made once per prepared medium, direction,
+        injected slices and lens or none, and shared by `with_lens`
+        copies. With keep, the v planes the adjoint reads go to planes of
+        the cache, which no later run changes."""
         grid = self.grid
         if occupancy is not None and self.dc is None:
             raise ValueError("a lens occupancy was passed to a medium "
@@ -719,9 +551,12 @@ class PreparedMedium:
                           inject, plan, n < self.cfg.reflection_order, stack,
                           total, n == 0, held, hold,
                           [] if keep else self._spent)
-            if keep:
-                cache.sweeps.append(_kept(grid.nz, direction, inject, plan,
-                                          held, hold))
+            if keep:    # u stays at its first slice, which no run writes
+                u, v = [None] * grid.nz, [None] * grid.nz
+                u[plan.order[0]] = inject[plan.order[0]]
+                v[held.start : held.stop] = hold
+                cache.sweeps.append(_Sweep(direction, u, v,
+                                           dict.fromkeys(inject), plan))
             if not refl:
                 break
             inject = refl
@@ -730,16 +565,18 @@ class PreparedMedium:
         return ComplexField(total.transpose(1, 2, 0), grid), cache
 
     def _lens_slab(self, occ: np.ndarray, directions: tuple):
-        """A lens run's slab, from its slice-major (n_v, nx, ny) occupancy:
-        its properties (views of slice-major arrays), the run's coeff and
-        trans lists (the prepared medium's, with the slab pairs' entries
-        replaced), and the `_Slab` blocks those entries view. The slab
-        pairs' r and their transmission planes toward `directions` are
-        formed in one pass over the block each; the slab slices' screens
-        live on in those planes only, as every step into a slab slice
-        crosses a slab pair. The block the screens are computed in and
-        r's temporaries lie on the spare plane stack, which the run's
-        march takes only afterwards."""
+        """A lens run's slab from its slice-major (n_v, nx, ny) occupancy:
+        its properties, linear in the occupancy between base and lens
+        material (a straight-through relaxation of the hard embedding),
+        the run's coeff and trans (the prepared medium's, the slab pairs'
+        entries replaced) and the `_Slab` blocks those entries view. Every
+        slab pair keeps its r plane, zero or not, so that the adjoint
+        applies dr/dZ there, and a plane multiplier, which ends a segment
+        (`_plan`): the same lens embedded into the medium marches the same
+        segments but for a slab pair of equal impedance into a uniform
+        screen, and the fields differ at rounding. The screens' block and
+        r's temporaries lie on the spare stack, which the march takes only
+        afterwards."""
         grid, dtype, f = self.grid, self.dtype, occ.dtype
         z0, n_v = self.z_offset, len(occ)
         c, rho, att = (np.multiply(occ, delta.transpose(2, 0, 1)) for delta in
@@ -759,8 +596,8 @@ class PreparedMedium:
         _per_slice(grid, c, rho, att, dtype, Zs[i : i + n_v], scr[i : i + n_v])
         for s, (Z_s, screen) in self.edge.items():
             Zs[s - first], scr[s - first] = Z_s, screen
-        r = _interface(Zs[:-1], Zs[1:], dtype, True, scratch)
-        a = {d: _transmitted(r, (scr[:-1], scr[1:]), 0, d) for d in directions}
+        r = _interface(Zs[:-1], Zs[1:], dtype, scratch)
+        a = {d: _transmitted(r, scr[:-1], scr[1:], d) for d in directions}
         pairs = slice(first, first + n - 1)
         coeff = list(self.coeff)
         coeff[pairs] = r
@@ -769,18 +606,6 @@ class PreparedMedium:
             steps[pairs] = a[d]
         return (c, rho, att, coeff, trans,
                 _Slab(range(first, first + n), Zs, r, a, self))
-
-
-def _kept(nz: int, direction: int, inject: dict, plan: _Plan, held: range,
-          hold) -> _Sweep:
-    """What the adjoint reads of the sweep just marched: its plan, the v
-    planes at the slab slices `held`, which the march wrote into `hold`
-    (each entry a view of it), and the injected slices. u stays at the
-    first slice only, its injected plane, which no run writes."""
-    u, v = [None] * nz, [None] * nz
-    u[plan.order[0]] = inject[plan.order[0]]
-    v[held.start : held.stop] = hold
-    return _Sweep(direction, u, v, dict.fromkeys(inject), plan)
 
 
 def prepare(
@@ -793,19 +618,20 @@ def prepare(
     dtype=np.complex128,
 ) -> PreparedMedium:
     """Set up `medium` for repeated forward runs from `source_plane`, the
-    complex (nx, ny) pressure at slice 0 (`grid.disk_source`,
-    `grid.full_plane_source`).
+    complex (nx, ny) pressure at slice 0 (`grid.disk_source`): the
+    kernel's step and the base medium's r planes and multipliers
+    (`PreparedMedium`), each screen plane held at most once; only here
+    is a multiplier a scalar. With `lens_mat`, runs relax a lens of n_v
+    slices at z_offset into the medium and redo only the slab; a run
+    without an occupancy marches the base medium, bitwise as on a
+    medium prepared without a slab. No reference to `medium` is kept.
 
-    With `lens_mat`, runs relax a lens of n_v slices at z_offset into the
-    medium (see `propagate_with_lens`); the full-grid multipliers and
-    the interface planes are computed here once, and each lens run
-    redoes only the slab; a run without an occupancy marches the base
-    medium. The result keeps no reference to `medium`:
-    a caller that needs only runs can release it, and gets a slab for
-    another lens material from `PreparedMedium.with_lens`.
-
-    `dtype` (complex128 or complex64) is the precision of every array
-    the runs and their adjoints march; see the module docstring.
+    `dtype`, complex128 or complex64, is the one complex dtype of every
+    array that runs and their adjoints march (matrices: its real type):
+    the band, multipliers, sources, r planes, plane stack, field, cache
+    planes and cotangents. The full-grid base medium is computed in
+    double and stored so; the lens slab is of the real type, but for the
+    float64 edge impedances.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -826,7 +652,8 @@ def prepare(
     att_np = medium.attenuation_np_per_m()
     H = _diffraction_kernel(grid, cfg.angular_cutoff, grid.dz)
     screen, Z = _per_slice(grid, medium.c, medium.rho, att_np, dtype)
-    coeff = [_interface(Z[k], Z[k + 1], dtype) for k in range(grid.nz - 1)]
+    coeff = [_interface(Z[k], Z[k + 1], dtype) if np.any(Z[k + 1] != Z[k])
+             else None for k in range(grid.nz - 1)]
     edge = {s: Z[s].copy() for s in (z_offset - 1, z_offset + n_v)
             if n_v and 0 <= s < grid.nz}
     # the full-grid attenuation goes before the transmission planes are
@@ -840,7 +667,8 @@ def prepare(
         np.ascontiguousarray(a[:, :, z_offset : z_offset + n_v]
                              .transpose(2, 0, 1), dtype=f).transpose(1, 2, 0)
         for a in (medium.c, medium.rho, att_np))
-    trans = {d: [None if r is None else _transmitted(r, screen, k, d)
+    trans = {d: [None if r is None
+                 else _transmitted(r, screen[k], screen[k + 1], d)
                  for k, r in enumerate(coeff)] for d in (1, -1)}
     # a screen plane between two interfaces lives on in their transmission
     # planes only; the others are copied out of their blocks once
@@ -848,8 +676,6 @@ def prepare(
               if s not in edge and all(coeff[k] is not None for k in (s - 1, s)
                                        if 0 <= k < grid.nz - 1)
               else scr.copy() for s, scr in enumerate(screen)]
-    # a step across a pair without an interface takes the screen of the
-    # slice it steps into: k + 1 toward +z, k toward -z
     trans = {d: [screen[k + (d > 0)] if a is None else a
                  for k, a in enumerate(steps)] for d, steps in trans.items()}
     # a segment crosses at most the longest run of scalar multipliers,
@@ -882,18 +708,17 @@ def _plan(trans: list, inject: dict, direction: int,
 
     order runs from the sweep's first injected slice (the highest toward
     -z, the lowest toward +z) to the grid's end: the field is zero before
-    it. segments are (first, last) index pairs into order that tile
-    order[1:]. One ends at the sweep's last slice and at every step prev
-    -> s that is not homogeneous. A step is homogeneous when its
-    multiplier a = trans[min(prev, s)] (see SliceCache) is a scalar and
-    nothing is injected at s: across such steps u_s = a *
-    diffract(u_prev) in every bin, so a segment continues through them.
-    A segment entered with spectrum U that crosses homogeneous slices
-    with multipliers a_1 .. a_m has spectra C_j * U at those slices and
-    C_m+1 * U at its last, C_j = H^j * a_1 * ... * a_j and C_m+1 = H *
-    C_m. ops holds each segment's C, (m + 1, br, bc) in march order:
-    powers[:m + 1] itself where every a is 1 (water), else formed in
-    double from those powers and rounded once.
+    it. segments, (first, last) index pairs into order, tile order[1:]
+    and end at the last slice and at every step prev -> s whose
+    multiplier a = trans[min(prev, s)] is a plane or that injects at s.
+    Across the other, homogeneous steps u_s = a*diffract(u_prev) is
+    diagonal in the spectral domain (Zeng and McGough, J. Acoust. Soc.
+    Am. 123, 2008): a segment entered with spectrum U whose homogeneous
+    slices have multipliers a_1 .. a_m has spectra C_j * U there and
+    C_m+1 * U at its last slice, C_j = H^j * a_1 * ... * a_j and C_m+1 =
+    H * C_m. ops holds each segment's C, (m + 1, br, bc) in march order
+    (None for a one-slice segment): powers[:m + 1] where every a is 1
+    (water), else formed in double and rounded once.
     """
     if direction < 0:
         order = range(max(inject), -1, -1)
@@ -933,35 +758,26 @@ def _march(
     hold,
     spent: list,
 ) -> dict:
-    """One directional sweep along its plan (`_plan`) into the slice-major
-    `total` (nz, nx, ny); returns its reflected sources r*v.
+    """One sweep along its plan (`_plan`) into the slice-major total (nz,
+    nx, ny); returns its reflected sources r*v, keyed by the slice where
+    the next sweep injects them.
 
     The first sweep of a run writes each slice it visits into total, a
-    later one adds into it. A later sweep's sources are the reflected
-    sources of the sweep before it, which went the other way; toward -z
-    the reflection coefficient is -r, so a later sweep toward +z
-    subtracts its sources instead of adding them (the sign rides with
-    the field it marches). Each injected plane but the first, which the
-    first visited slice contributes, is set to None in `inject` once
-    added; a later sweep's, a reflected source of this run, goes to
-    `spent`, whose planes take the reflected sources r*v this sweep
-    forms.
+    later one adds into it; as toward -z the reflection coefficient is
+    -r, a later sweep toward +z subtracts its sources. Each injected
+    plane but the first is set to None in `inject` once added; a
+    reflected source's plane goes to `spent`, for later ones to fill.
 
-    Each segment takes the field entering it into the passband (`band`)
-    and ends at its last slice s. A one-slice segment runs its four
-    products inline on float views, with the spectrum in the head of the
-    work plane (the stack's last) and its post-diffraction field v in
-    that plane, or in hold[s - held.start] where s is `held` (the slices
-    whose v the cache keeps). A longer one takes the entering spectrum U
-    to the passband's spectra, where its slices' spectra C * U (the
-    plan's ops, in march order) are one broadcast copy and one product,
-    then returns them to space in one block product: the homogeneous
-    slices' contributions and v, into total on the first sweep (v in
-    total[s] unless s is held) and into the stack otherwise, v copied to
-    its hold plane where s is held. The last step, across
-    pair k, forms r*v, the reflected source, where coeff[k] = r is a
-    plane, then the contribution a*v, a = trans[k] (see SliceCache), in
-    total[s] (first sweep) or in the work plane, and the injection there.
+    A one-slice segment runs its four products inline, its spectrum in
+    the head of the work plane (the stack's last) and its v, the field
+    after diffraction, in that plane or, where its last slice s is
+    `held`, in hold[s - held.start]. A longer one forms its slices'
+    spectra C * U (the plan's ops) in the band's spectra and returns
+    them in one block product, into total on the first sweep and into
+    the stack otherwise. The last step, across pair k, forms the
+    reflected source r*v where coeff[k] is a plane, then a*v, a =
+    trans[k], plus the injection, in total[s] on the first sweep and in
+    the work plane otherwise.
     """
     f = band.into[0].dtype              # the real type, of float views
     A, B = band.into
@@ -1050,19 +866,15 @@ def propagate(
 def propagate_adjoint(cache: SliceCache, upstream: np.ndarray) -> AdjointResult:
     """Exact reverse-mode sweep through the cached forward chain.
 
-    upstream is dL/dP over the full grid in the pairing dL = Re(sum(g*dP)).
-    Property gradients cover the lens slab only (empty without a lens).
-    The multipliers and r planes are the forward run's, read from the
-    cache. The sweeps add, per direction, into one slice-major block over
-    the slab pairs (`_Slab`); `_slab_gradients` turns those sums into
-    property and occupancy gradients in one pass after the last sweep. The blocks and that
-    pass's scratch lie on the prepared medium's spare plane stack, which
-    no run uses meanwhile (fresh arrays where it is too small), so that
-    only the returned gradients are new arrays.
-    The sweeps read upstream slice by slice: an (nx, ny, nz) view of a
-    slice-major array of the run's dtype, as `optim.loss_and_gradient`
-    returns, is read in place, any other layout or dtype is copied into
-    one first.
+    Every step is complex-linear in the field, so each runs transposed
+    (not conjugate-transposed), backwards (`_sweep_adjoint`), on the
+    forward's multipliers and r planes. upstream g is dL/dP over the
+    full grid in the pairing dL = Re(sum(g * dP)), a plain product; an
+    (nx, ny, nz) view of a slice-major array of the run's dtype, as
+    `optim.loss_and_gradient` returns, is read in place, any other
+    copied into one first. Property gradients cover the lens slab only
+    (`_slab_gradients`); their sums and scratch lie on the prepared
+    medium's spare plane stack (fresh arrays where it is too small).
     """
     grid = cache.grid
     if upstream.shape != grid.shape:
@@ -1129,24 +941,14 @@ def _sweep_adjoint(cache, sweep: _Sweep, upstream, refl_cot, sums, crossed,
                    scratch, K):
     """Reverse one sweep; returns cotangents of its consumed injections.
 
-    upstream is slice-major (nz, nx, ny). The field cotangent is carried
-    through every pair. On slab pairs (both slices in `_Slab.slices`) it
-    adds ub*v, and Re(refl_cot[prev]*v) where a reflection cotangent
-    exists, to the pair's plane of the sweep direction's blocks in sums,
-    through the third scratch plane, or writes ub*v there in one product
-    where `crossed` has no term of that plane yet; other pairs skip that
-    work. Each entry of refl_cot is dropped once used, so that it is
-    freed while the returned cotangents fill up; the ub of an injected
-    slice is its returned cotangent.
-
-    The segments the forward recorded are replayed from the last: its
-    last step is transposed in space, and vbar enters the passband, Ai.T
-    @ vbar @ Bi.T, after the upstream planes of its homogeneous slices
-    (one block product), in march order in the passband's spectra; K,
-    the sum of that block times the segment's multipliers C (`_plan`),
-    or H times vbar's spectrum for a one-slice segment, returns to space
-    as A.T @ K @ B.T. That is the transpose (not the conjugate
-    transpose) of the segment.
+    The plan's segments are replayed from the last. Its last step is
+    transposed in space, and vbar enters the passband, Ai.T @ vbar @
+    Bi.T, after the upstream planes of its homogeneous slices, in march
+    order; K, the sum of that block times the segment's C (`_plan`), or
+    H times vbar's spectrum for a one-slice segment, returns to space as
+    A.T @ K @ B.T. A slab pair adds ub*v and Re(refl_cot[prev]*v) to its
+    plane of the direction's blocks in sums (writes ub*v where `crossed`
+    has no term of it yet). Each refl_cot entry is dropped once used.
     """
     band, coeff, slab = cache.band, cache.coeff, cache.slab
     trans = cache.trans[sweep.direction]
@@ -1213,10 +1015,9 @@ def _slab_gradients(cache, sums, W, G, t):
     sums maps each direction to its blocks (S, R) over the slab pairs: S
     the sum of ub*v and R that of Re(refl_cot[prev]*v) (None without
     reflections) over the sweeps that crossed the pair that way, prev ->
-    s. The step is u = a*v with a = t*screen[s], t = 1 +- r. The screen
-    derivative goes to slice s: W[s], one slot per slice, sums S*a over
-    the pairs stepping into s, and with d screen/dc = -i*k0*c_ref*dz/c^2
-    * screen and d screen/da = -dz * screen,
+    s. The step is u = a*v with a = t*screen[s], t = 1 +- r. W[s] sums
+    S*a over the pairs stepping into s, and with d screen/dc =
+    -i*k0*c_ref*dz/c^2 * screen and d screen/da = -dz * screen,
         gc = gZ*rho + Im(W)*k0*c_ref*dz/c^2,  grho = gZ*c,
         gatt = -dz*Re(W).
     dL/dt = Re(S*screen[s]) = Re(S*a)/t, and dr/dZ = dt/dZ = -+2*Z_other
@@ -1226,12 +1027,9 @@ def _slab_gradients(cache, sums, W, G, t):
     -= G*Z[k+1] and gZ[k+1] += G*Z[k]. The occupancy gradient is gc*dc +
     grho*drho + gatt*datt.
 
-    The pass runs in place: on the sums (consumed), on W, (n, nx, ny) of
-    the run's dtype, and on G and t, (n - 1, nx, ny) of its real type,
-    none of which it reads before writing; W's real view holds (Z_k +
-    Z_k+1)^2 and then gZ once W is read. The four gradients are of the
-    real type, slice-major (n_v, nx, ny), returned as their (nx, ny, n_v)
-    views.
+    The pass runs in place on the sums, on W (n, nx, ny) and on G and t
+    (n - 1, nx, ny, real); W's real view holds (Z_k + Z_k+1)^2, then gZ.
+    The gradients are (nx, ny, n_v) views of slice-major arrays.
     """
     slab, grid = cache.slab, cache.grid
     c, rho, dc, drho, datt = (a.transpose(2, 0, 1) for a in (
@@ -1284,14 +1082,9 @@ def _slab_gradients(cache, sums, W, G, t):
 def propagate_with_lens(
     prepared: PreparedMedium, occupancy: np.ndarray
 ) -> tuple[ComplexField, SliceCache]:
-    """Differentiable forward run with a lens relaxed into the medium.
-
-    Properties inside the lens slab of `prepared` interpolate linearly in
-    occupancy between the background and the lens material (a
-    straight-through relaxation of the hard embedding threshold), so the
-    returned cache yields exact occupancy gradients via
-    `propagate_adjoint`.
-    """
+    """Differentiable forward run with a lens relaxed into the slab of
+    `prepared` (`PreparedMedium.run`), whose cache yields exact occupancy
+    gradients via `propagate_adjoint`."""
     return prepared.run(occupancy)
 
 
@@ -1301,12 +1094,10 @@ def backproject(
     distances,
     cfg: SolverConfig | None = None,
 ) -> np.ndarray:
-    """Angular-spectrum backprojection of a measured complex plane.
-
-    Applies the march's passband step (`_Passband`) over minus each
-    requested distance (positive = toward the source) assuming homogeneous
-    water. Returns an (nx, ny, len(distances)) view of a slice-major volume.
-    """
+    """Angular-spectrum backprojection of a measured complex plane: the
+    passband step (`_Passband`) over minus each distance (positive =
+    toward the source) in homogeneous water. Returns an (nx, ny,
+    len(distances)) view of a slice-major volume."""
     if cfg is None:
         cfg = SolverConfig()
     plane = np.ascontiguousarray(plane, dtype=np.complex128)

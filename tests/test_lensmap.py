@@ -96,6 +96,18 @@ class TestMapThickness:
             DesignField(np.zeros((4, 4)), fab_cutoff=fab_cutoff)
         assert DesignField(np.zeros((4, 4)), fab_cutoff=1.0).fab_cutoff == 1.0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", np.nan, "alpha"),
+        ("alpha", np.inf, "alpha"),
+        ("v_max", np.inf, "v_max"),
+        ("fab_cutoff", np.inf, "fab_cutoff"),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value, message):
+        # a NaN alpha used to build an all-NaN thickness map, and an
+        # infinite v_max or fab_cutoff to fail later in n_v or printer_blur
+        with pytest.raises(ValueError, match=message):
+            DesignField(np.zeros((4, 4)), **{field: value})
+
 
 class TestSmoothThickness:
     def test_constant_unchanged(self):

@@ -564,6 +564,22 @@ class TestOptimConfig:
         with pytest.raises(ValueError, match="monotone"):
             OptimConfig(iterations=100, beta_start=20.0, beta_end=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("beta_start", np.nan), ("beta_end", np.nan), ("beta_end", np.inf),
+        ("lambda_energy", np.nan), ("lambda_balance", np.nan),
+        ("lambda_energy", np.inf),
+        ("iterations", 2.5), ("iterations", 3.0), ("iterations", True),
+        ("iterations", -1),
+    ])
+    def test_non_finite_or_non_integral_settings_rejected(self, field,
+                                                          value):
+        # NaN settings used to pass every comparison, and a fractional
+        # iteration count to run
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            OptimConfig(**{field: value})
+        assert OptimConfig(iterations=np.int64(3)).iterations == 3
+
     @pytest.mark.parametrize("iterations", [0, 1])
     def test_beta_of_a_short_run_is_beta_end(self, iterations):
         cfg = OptimConfig(iterations=iterations, beta_end=7.0)

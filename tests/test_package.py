@@ -99,3 +99,17 @@ def test_benchmark_tracer_installs():
                      "import tracer; tracer.install(tracer.Tracer('t'))",
                      perfbench)
     assert run.returncode == 0, run.stderr
+
+
+def test_solver_map_names_resolve():
+    # the solver's module docstring is a map of where each mechanism is
+    # described: every name it quotes is an attribute of the module,
+    # dotted through its classes, so that a rename breaks here
+    from sonolens import solver
+    names = re.findall(r"`([^`]+)`", solver.__doc__)
+    assert names
+    for name in names:
+        obj = solver
+        for part in name.split("."):
+            assert hasattr(obj, part), f"`{name}` does not resolve"
+            obj = getattr(obj, part)

@@ -277,6 +277,14 @@ class TestPropagate:
         with pytest.raises(ValueError):
             SolverConfig(reflection_order=9)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, -1, np.nan, "2"])
+    def test_reflection_order_is_an_integer(self, order):
+        # 2.5 used to pass and fail in range() at the first run, and True
+        # to run as order 1
+        with pytest.raises(ValueError, match="reflection_order"):
+            SolverConfig(reflection_order=order)
+        assert SolverConfig(reflection_order=np.int64(2)).reflection_order == 2
+
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
     def test_cutoff_must_be_positive(self, cutoff):
         # a NaN cutoff used to pass and zero no bin of the kernel
@@ -1032,8 +1040,8 @@ class TestPreparedMedium:
                         continue
                     assert a.dtype == dtype
                     np.testing.assert_array_equal(a, (1 + d * r) * scr)
-                    np.testing.assert_array_equal(
-                        solver._transmitted(r, screen, k, d), a)
+                    np.testing.assert_array_equal(solver._transmitted(
+                        r, screen[k], screen[k + 1], d), a)
             assert prepared.coeff[13] is not None       # bone at slice 14
             # the slab slices' screens, which the cache keeps in these
             # planes only
@@ -1045,8 +1053,8 @@ class TestPreparedMedium:
                         assert a is not prepared.trans[d][k]
                         assert a.dtype == dtype
                         np.testing.assert_array_equal(
-                            a, solver._transmitted(cache.coeff[k], screen,
-                                                   k, d))
+                            a, solver._transmitted(cache.coeff[k], screen[k],
+                                                   screen[k + 1], d))
                     else:
                         assert a is prepared.trans[d][k]
 
@@ -1520,8 +1528,8 @@ class TestStepPlanes:
                     if r is None:
                         assert_bitwise(a, screens[k + (d > 0)])
                     else:
-                        assert_bitwise(
-                            a, solver._transmitted(r, screens, k, d))
+                        assert_bitwise(a, solver._transmitted(
+                            r, screens[k], screens[k + 1], d))
                     kinds.add((r is None, np.ndim(a)))
         # scalars, screen planes and transmission planes
         assert kinds == {(True, 0), (True, 2), (False, 2)}
