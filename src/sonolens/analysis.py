@@ -1,5 +1,11 @@
 """Quantitative field evaluation, thermal post-processing, fabrication errors.
 
+The focal report takes |p| once, in the field's own storage order: for
+a run's field, the slice-major (nz, nx, ny) array behind its (nx, ny,
+nz) view (`_amplitude`, `_storage`). Only the seeds' -6 dB components
+are found, each grown outward from its seed (`_grow`); the rest of the
+grid is not labelled.
+
 The bioheat model splits the medium into bone (sound speed at or above
 BONE_SPEED_THRESHOLD) and soft tissue, each with a fixed conductivity and
 heat capacity; `ThermalConfig` holds only the pulse protocol.
@@ -75,87 +81,106 @@ def cross_domain_psnr(p_opt, p_fab) -> float:
     peak = a.max()
     if peak == 0.0:
         raise ValueError("reference field is identically zero")
-    a = a / peak
+    # in place on the two amplitude volumes: no third full-grid array
+    a /= peak
     if b.max() > 0:
-        b = b / b.max()
-    mse = np.mean((a - b) ** 2)
+        b /= b.max()
+    a -= b
+    mse = np.mean(np.square(a, out=a))
     if mse == 0.0:
         return PSNR_CAP_DB
     return float(min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
 def _amplitude(p) -> np.ndarray:
-    """|p| in C order. A field's values are the (nx, ny, nz) view of
-    slice-major storage: over |p| in that layout every flat index, take
-    and mask would copy the grid first."""
-    return np.abs(p.values if isinstance(p, ComplexField) else p, order="C")
+    """|p| in the field's own storage order (a ufunc keeps the layout of
+    its input): for a run's field, the (nx, ny, nz) view of a slice-major
+    array."""
+    return np.abs(p.values if isinstance(p, ComplexField) else p)
 
 
-def _component_labels(idx: np.ndarray, shape: tuple) -> np.ndarray:
-    """6-connected component of each voxel of a sorted flat-index set.
+def _storage(amp: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(axes, a): amp's axes from the slowest to the fastest in memory and
+    a = amp.transpose(axes), C-contiguous, so that a's flat index is the
+    storage order. An amp in no such layout is copied to C order."""
+    axes = tuple(sorted(range(amp.ndim), key=lambda k: -amp.strides[k]))
+    a = amp.transpose(axes)
+    if not a.flags.c_contiguous:
+        axes, a = tuple(range(amp.ndim)), np.ascontiguousarray(amp)
+    return axes, a
 
-    Returns, for each position in idx, the position of the smallest voxel
-    of its component. Neighbour pairs are found along each axis by
-    searchsorted; the roots of every pair's trees hook onto the smaller
-    one and pointer jumping flattens the trees, until no pair joins two
-    trees. Work and memory scale with idx.size, not with the grid.
-    """
-    coords = np.unravel_index(idx, shape)
-    pairs_a, pairs_b = [], []
-    stride = 1
-    for axis in reversed(range(len(shape))):
-        a = np.flatnonzero(coords[axis] < shape[axis] - 1)
-        nb = idx[a] + stride
-        b = np.minimum(np.searchsorted(idx, nb), idx.size - 1)
-        hit = idx[b] == nb
-        pairs_a.append(a[hit])
-        pairs_b.append(b[hit])
-        stride *= shape[axis]
-    a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
 
-    label = np.arange(idx.size)
-    while a.size:
-        la, lb = label[a], label[b]
-        joins = la != lb  # pairs already in one tree stay so
-        a, b, la, lb = a[joins], b[joins], la[joins], lb[joins]
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
-    return label
+def _grow(flat: np.ndarray, level, start: int, shape: tuple,
+          mask: np.ndarray) -> None:
+    """Set in mask (flat, like flat) the 6-connected component of the
+    voxels with flat >= level that holds start, on the flat indices of a
+    C-contiguous array of `shape`; a voxel's neighbours are +- the stride
+    of each axis on which its coordinate leaves room. While fewer than 16
+    voxels wait to be expanded (all of a focus of a few voxels), they are
+    expanded one at a time; the rest of a larger component breadth first,
+    one frontier per round of array operations."""
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    axes = list(zip(strides.tolist(), shape))
+    frontier = [start]
+    mask[start] = True
+    while 0 < len(frontier) < 16:
+        i = frontier.pop()
+        for st, n in axes:
+            c = i // st % n
+            for j, room in ((i + st, c + 1 < n), (i - st, c > 0)):
+                if room and not mask[j] and flat[j] >= level:
+                    mask[j] = True
+                    frontier.append(j)
+
+    size, strides = np.asarray(shape)[:, None], strides[:, None]
+    steps = np.concatenate([strides, -strides])
+    frontier = np.array(frontier, dtype=np.intp)
+    while frontier.size:
+        coord = frontier // strides % size
+        room = np.concatenate([coord < size - 1, coord > 0])
+        nb = (frontier + steps)[room]
+        nb = nb[~mask[nb]]
+        nb = nb[flat[nb] >= level]
+        if not nb.size:
+            return
+        nb.sort()       # a voxel reached from two sides enters once
+        frontier = nb[np.append(True, nb[1:] != nb[:-1])]
+        mask[frontier] = True
 
 
 def segment_foci(p, seeds, *, amp=None) -> list[np.ndarray]:
     """-6 dB connected regions around each seed.
 
-    The amplitude volume is thresholded relative to its global peak and
-    the voxels above it are split into 6-connected components
-    (`_component_labels`, which works on their flat indices only); each
-    seed gets the component that contains it. Seeds falling below
-    threshold yield an empty mask, and seeds in one component get equal
-    masks. Returns one boolean mask per seed; the result is invariant to
-    global field scaling. amp is |p|, passed by a caller that has it
-    already (C-ordered, as `_amplitude` makes it, or any layout).
+    The level is relative to the global peak of |p|. Each seed's region
+    is its 6-connected component of the voxels at or above that level,
+    grown outward from the seed (`_grow`) over flat indices in |p|'s
+    storage order (`_storage`); the rest of the grid is neither
+    thresholded nor labelled. Seeds below the level yield an empty mask,
+    and seeds in one component get equal masks. Returns one boolean
+    (nx, ny, nz) mask per seed, a view of an array in that storage order;
+    the result is invariant to global field scaling. amp is |p|, passed
+    by a caller that has it already (`_amplitude`, or any layout).
     """
     if amp is None:
         amp = _amplitude(p)
     shape = amp.shape
-    thr = amp.max() * 10.0 ** (FOCUS_THRESHOLD_DB / 20.0)
-    idx = np.flatnonzero(amp >= thr)
-    label = _component_labels(idx, shape)
+    axes, a = _storage(amp)
+    back = tuple(int(k) for k in np.argsort(axes))
+    flat = a.reshape(-1)
+    level = flat.max() * 10.0 ** (FOCUS_THRESHOLD_DB / 20.0)
 
-    masks = []
+    masks, grown = [], []
     for seed in seeds:
         seed = tuple(int(v) for v in seed)
         if any(not 0 <= s < n for s, n in zip(seed, shape)):
             raise ValueError(f"seed {seed} is outside the grid")
-        flat = np.ravel_multi_index(seed, shape)
-        pos = np.searchsorted(idx, flat)
-        mask = np.zeros(shape, dtype=bool)
-        if pos < idx.size and idx[pos] == flat:
-            mask.flat[idx[label == label[pos]]] = True
-        masks.append(mask)
+        start = int(np.ravel_multi_index([seed[k] for k in axes], a.shape))
+        held = next((m for m in grown if m[start]), None)
+        m = np.zeros(flat.size, dtype=bool) if held is None else held.copy()
+        if held is None and flat[start] >= level:
+            _grow(flat, level, start, a.shape, m)
+        grown.append(m)
+        masks.append(m.reshape(a.shape).transpose(back))
     return masks
 
 
@@ -184,27 +209,35 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,
     """Per-focus size/pressure metrics and global confinement metrics.
 
     leakage = mean amplitude outside all segments / mean inside;
-    uniformity = min/max of per-focus peak intensities. amp is |p|, passed
-    by a caller that has it already (C-ordered, as `_amplitude` makes it,
-    or any layout). The means are taken over the segments' flat indices:
-    the inside sum over their union, the outside one as the grid's total
-    minus it, both summed in float64.
+    uniformity = min/max of per-focus peak intensities. Everything is
+    read from |p| in its storage order (`_storage`), at each segment's
+    flat indices in that order: a focus peaks at the first of its
+    maxima in C order, and the means are the sum over the segments'
+    union and the grid's total minus it, both summed in float64. amp is
+    |p|, passed by a caller that has it already (`_amplitude`, or any
+    layout).
     """
     if amp is None:
         amp = _amplitude(p)
+    axes, a = _storage(amp)
+    flat = a.reshape(-1)
     grid = p.grid
 
     foci = []
     peaks = []
     inside = []
     for label, mask in enumerate(segments):
-        idx = np.flatnonzero(mask)
-        if not idx.size:
+        mask = mask.transpose(axes)
+        if not mask.any():
             continue
+        idx = np.flatnonzero(mask)
         inside.append(idx)
         # first maximum in C order, as argmax over the whole grid finds it
-        peak_idx = tuple(int(v) for v in np.unravel_index(
-            idx[np.argmax(amp.take(idx))], amp.shape))
+        values = flat.take(idx)
+        top = np.unravel_index(idx[values == values.max()], a.shape)
+        top = [top[axes.index(k)] for k in range(amp.ndim)]
+        first = np.argmin(np.ravel_multi_index(top, amp.shape))
+        peak_idx = tuple(int(v[first]) for v in top)
         peak = amp[peak_idx]
         peaks.append(peak**2)
         px, py, pz = peak_idx
@@ -226,10 +259,10 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,
     # their union (np.unique would import numpy.ma, 15 ms, on first use)
     inside = np.sort(np.concatenate(inside))
     inside = inside[np.append(True, inside[1:] != inside[:-1])]
-    inside_sum = amp.take(inside).sum(dtype=np.float64)
+    inside_sum = flat.take(inside).sum(dtype=np.float64)
     inside_mean = inside_sum / inside.size
-    outside = amp.size - inside.size
-    outside_mean = ((amp.sum(dtype=np.float64) - inside_sum) / outside
+    outside = flat.size - inside.size
+    outside_mean = ((flat.sum(dtype=np.float64) - inside_sum) / outside
                     if outside else 0.0)
     leakage = float(outside_mean / inside_mean) if inside_mean > 0 else np.inf
     uniformity = float(min(peaks) / max(peaks))
@@ -240,12 +273,13 @@ def focal_report(p: ComplexField, seeds) -> FocalReport:
     """Segment the foci around `seeds` and measure them.
 
     Returns an empty report (no foci, leakage and uniformity None) when
-    no seed reaches the -6 dB level. |p| is computed once, in C order
-    (`_amplitude`), for both steps.
+    no seed reaches the -6 dB level. |p| is taken once, in the field's
+    storage order (`_amplitude`), for both steps; a seed's mask is empty
+    unless it holds the seed.
     """
     amp = _amplitude(p)
     segments = segment_foci(p, seeds, amp=amp)
-    if not any(m.any() for m in segments):
+    if not any(m[tuple(int(v) for v in s)] for m, s in zip(segments, seeds)):
         return FocalReport([], None, None, 0)
     return focal_metrics(p, segments, amp=amp)
 

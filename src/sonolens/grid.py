@@ -115,12 +115,13 @@ class MaterialProperties:
     attenuation_power: float = 1.0
 
     def __post_init__(self):
-        if not self.sound_speed > 0:
-            raise ValueError("sound_speed must be positive")
-        if not self.density > 0:
-            raise ValueError("density must be positive")
-        if not self.attenuation_coeff >= 0:     # NaN fails too
-            raise ValueError("attenuation_coeff must be non-negative")
+        if not 0 < self.sound_speed < np.inf:     # NaN fails too
+            raise ValueError("sound_speed must be positive and finite")
+        if not 0 < self.density < np.inf:
+            raise ValueError("density must be positive and finite")
+        if not 0 <= self.attenuation_coeff < np.inf:
+            raise ValueError("attenuation_coeff must be non-negative and "
+                             "finite")
         if not 0.5 <= self.attenuation_power <= 2.0:
             raise ValueError("attenuation_power must lie in [0.5, 2]")
 

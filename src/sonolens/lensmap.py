@@ -75,6 +75,8 @@ class DesignField:
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 2:
             raise ValueError("theta must be 2D")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("theta must be finite")
         if not 0 < self.alpha < np.inf:     # NaN fails too
             raise ValueError("alpha must be positive and finite")
         if self.v_min < 1.0:

@@ -197,6 +197,118 @@ class TestSegmentFociAgainstLabel:
         assert masks[0].all() and masks[1].all()
 
 
+def field_values(amp, dtype, layout, seed=0):
+    """Complex values with |values| == amp (rounded to the dtype), in C
+    order or as the (nx, ny, nz) view of slice-major storage that the
+    solver hands out; each voxel's phase is one of 1, i, -1, -i."""
+    rng = np.random.default_rng(seed)
+    phase = np.array([1, 1j, -1, -1j])[rng.integers(4, size=amp.shape)]
+    values = (amp * phase).astype(dtype)
+    if layout == "slice-major":
+        values = np.ascontiguousarray(
+            values.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return values
+
+
+CORNERS = [(x, y, z) for x in (0, -1) for y in (0, -1) for z in (0, -1)]
+FACES = [(0, .5, .5), (-1, .5, .5), (.5, 0, .5), (.5, -1, .5), (.5, .5, 0),
+         (.5, .5, -1)]
+
+
+def on_grid(points, shape):
+    """Voxels of points given as 0, -1 (the first or last index) or a
+    fraction of each axis."""
+    return [tuple(int(v * (n - 1)) if 0 < v < 1 else v % n
+                  for v, n in zip(point, shape)) for point in points]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("layout", ["C", "slice-major"])
+class TestSegmentFociOnFields:
+    """segment_foci on a field's values against `scipy.ndimage.label` of
+    their amplitude: the components grow over flat indices in the
+    field's storage order, z-rows in C order and y-rows slice-major."""
+
+    def assert_matches_label(self, values, seeds):
+        masks = segment_foci(values, seeds)
+        assert len(masks) == len(seeds)
+        for seed, mask, labelled in zip(seeds, masks,
+                                        label_segment(np.abs(values), seeds)):
+            assert mask.dtype == bool and mask.shape == values.shape
+            assert np.array_equal(mask, labelled), seed
+        return masks
+
+    @pytest.mark.parametrize("shape", [(7, 9, 11), (6, 5, 8), (2, 9, 3)])
+    def test_seeds_in_every_corner_and_on_every_face(self, dtype, layout,
+                                                     shape):
+        rng = np.random.default_rng(sum(shape))
+        seeds = on_grid(CORNERS + FACES, shape)
+        for trial in range(8):
+            amp = np.where(rng.random(shape) < rng.uniform(0.3, 0.7),
+                           rng.uniform(0.5, 1.0, shape),
+                           rng.uniform(0.0, 0.45, shape))
+            for i, seed in enumerate(seeds):  # about half above the level
+                amp[seed] = 1.0 if (i + trial) % 2 else 0.1
+            self.assert_matches_label(field_values(amp, dtype, layout,
+                                                   trial), seeds)
+
+    def test_random_amplitudes(self, dtype, layout):
+        rng = np.random.default_rng(11)
+        shape = (9, 8, 12)
+        for trial in range(10):
+            amp = rng.random(shape) ** rng.uniform(0.5, 3.0)
+            seeds = [tuple(int(rng.integers(n)) for n in shape)
+                     for _ in range(4)]
+            self.assert_matches_label(field_values(amp, dtype, layout,
+                                                   trial), seeds)
+
+    def test_components_across_row_ends(self, dtype, layout):
+        # the last voxel of a row and the first of the next are adjacent
+        # in flat index but not in space, in both storage orders: lines
+        # along x at y = ny - 1 and at y = 0 (y-row ends slice-major), and
+        # at z = nz - 1 and z = 0 (z-row ends in C order), stay four
+        # components; a y-z block (contiguous in C order) and an x-y
+        # block (contiguous slice-major) cross the row ends of their
+        # rows and are one component each
+        nx, ny, nz = 6, 5, 7
+        amp = np.full((nx, ny, nz), 0.1)
+        amp[:, ny - 1, 3] = amp[:, 0, 1] = 1.0
+        amp[:, 2, nz - 1] = amp[:, 2, 0] = 1.0
+        lines = [(0, ny - 1, 3), (0, 0, 1), (0, 2, nz - 1), (0, 2, 0)]
+        masks = self.assert_matches_label(field_values(amp, dtype, layout),
+                                          lines)
+        assert [m.sum() for m in masks] == [nx] * 4
+        amp = np.full((nx, ny, nz), 0.1)
+        amp[1, :, :4] = 1.0
+        amp[3:, :, 5] = 1.0
+        masks = self.assert_matches_label(field_values(amp, dtype, layout),
+                                          [(1, 0, 3), (1, ny - 1, 0),
+                                           (nx - 1, 0, 5)])
+        assert [m.sum() for m in masks] == [ny * 4, ny * 4, (nx - 3) * ny]
+
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_serpentine_component(self, dtype, layout, axes):
+        # one snake through three boustrophedon layers joined at
+        # alternating corners, turned so that its rows run along each
+        # axis in turn: a path of 215 voxels that a breadth-first growth
+        # follows one voxel per round
+        n = 11
+        layer = np.zeros((n, n), dtype=bool)
+        layer[::2, :] = True
+        layer[1::4, -1] = True
+        layer[3::4, 0] = True
+        amp = np.full((n, n, 5), 0.2)
+        amp[:, :, 0] = amp[:, :, 2] = amp[:, :, 4] = np.where(layer, 1.0, 0.2)
+        amp[n - 1, n - 1, 1] = amp[0, 0, 3] = 1.0
+        amp = np.ascontiguousarray(amp.transpose(axes))
+        ends = [tuple(np.array(v)[list(axes)])
+                for v in ((0, 0, 0), (n - 1, 0, 4))]
+        masks = self.assert_matches_label(field_values(amp, dtype, layout),
+                                          ends)
+        assert masks[0].sum() == 3 * layer.sum() + 2
+        assert np.array_equal(masks[0], masks[1])
+
+
 class TestFocalMetrics:
     def test_gaussian_fwhm(self):
         # oracle: FWHM of a Gaussian = 2*sqrt(2*ln 2)*sigma = 2.3548*sigma
@@ -311,6 +423,19 @@ class TestFocalMetrics:
             masked = np.where(segments[focus.label], amp, -np.inf)
             assert focus.peak_index == np.unravel_index(np.argmax(masked),
                                                         g.shape)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("layout", ["C", "slice-major"])
+    def test_tied_peak_is_the_first_in_c_order(self, dtype, layout):
+        # two tied maxima in one focus: (2, 3, 6) comes first in C order,
+        # (3, 3, 4) first in slice-major storage, where z is slowest
+        g = make_grid(8, 8, 8)
+        amp = np.full(g.shape, 0.1)
+        amp[2, 3, 4:7] = amp[3, 3, 4] = 0.9
+        amp[2, 3, 6] = amp[3, 3, 4] = 1.0
+        p = ComplexField(field_values(amp, dtype, layout), g)
+        (focus,) = focal_report(p, [(2, 3, 5)]).foci
+        assert focus.peak_index == (2, 3, 6) and focus.voxel_count == 4
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("layout", ["C", "slice-major"])

@@ -1063,6 +1063,25 @@ class TestEvaluateCommand:
         report = json.loads((ev / "report.json").read_text())
         assert report["psnr_cross_domain"] == 300.0
 
+    def test_report_of_a_recorded_field_is_the_designs(self, tmp_path):
+        # design measures its field as the solver hands it out, the
+        # (nx, ny, nz) view of slice-major complex64; evaluate reads the
+        # saved field from disk in C order. The foci must be the same
+        # figures, bit for bit (a disk source focuses at the target).
+        cfg = write_config(tmp_path, base_config(
+            source={"aperture_diameter_mm": 2.5},
+            target={"focus_centers_mm": [[1.5, 1.5, 2.5]], "radius_um": 200}))
+        out, ev = tmp_path / "d", tmp_path / "ev"
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 0
+        field = out / "field_fabrication"
+        assert io.load_field(field).values.flags.c_contiguous
+        assert run(["evaluate", "--config", cfg, "--out", str(ev),
+                    "--field", str(field)]) == 0
+        design, evaluated = (json.loads((d / "report.json").read_text())
+                             for d in (out, ev))
+        assert design["foci"] and evaluated["foci"] == design["foci"]
+        assert (ev / "foci.csv").read_bytes() == (out / "foci.csv").read_bytes()
+
     def test_foci_rows_match_seed_count(self, tmp_path):
         cfg_dict = base_config()
         cfg_dict["target"]["focus_centers_mm"] = [[1.0, 1.5, 3.0],

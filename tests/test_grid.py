@@ -86,6 +86,16 @@ class TestMaterialProperties:
         with pytest.raises(ValueError):
             MaterialProperties(1500.0, 1000.0, 1.0, 2.5)
 
+    @pytest.mark.parametrize("field", ["sound_speed", "density",
+                                       "attenuation_coeff"])
+    def test_infinite_property_rejected(self, field):
+        # passed the `> 0` and `>= 0` checks: an infinite density built
+        # an infinite impedance
+        values = {"sound_speed": 1500.0, "density": 1000.0,
+                  "attenuation_coeff": 0.5, field: np.inf}
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            MaterialProperties(**values)
+
 
 class TestSourcePlanes:
     @pytest.mark.parametrize("nx, ny, diameter, amplitude", [

@@ -108,6 +108,14 @@ class TestMapThickness:
         with pytest.raises(ValueError, match=message):
             DesignField(np.zeros((4, 4)), **{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, value):
+        # a NaN entry used to give an all-NaN thickness map from forward
+        theta = np.zeros((4, 4))
+        theta[1, 2] = value
+        with pytest.raises(ValueError, match="theta must be finite"):
+            DesignField(theta)
+
 
 class TestSmoothThickness:
     def test_constant_unchanged(self):
