@@ -114,27 +114,14 @@ def _grow(flat: np.ndarray, level, start: int, shape: tuple,
           mask: np.ndarray) -> None:
     """Set in mask (flat, like flat) the 6-connected component of the
     voxels with flat >= level that holds start, on the flat indices of a
-    C-contiguous array of `shape`; a voxel's neighbours are +- the stride
-    of each axis on which its coordinate leaves room. While fewer than 16
-    voxels wait to be expanded (all of a focus of a few voxels), they are
-    expanded one at a time; the rest of a larger component breadth first,
-    one frontier per round of array operations."""
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    axes = list(zip(strides.tolist(), shape))
-    frontier = [start]
-    mask[start] = True
-    while 0 < len(frontier) < 16:
-        i = frontier.pop()
-        for st, n in axes:
-            c = i // st % n
-            for j, room in ((i + st, c + 1 < n), (i - st, c > 0)):
-                if room and not mask[j] and flat[j] >= level:
-                    mask[j] = True
-                    frontier.append(j)
-
-    size, strides = np.asarray(shape)[:, None], strides[:, None]
+    C-contiguous array of `shape`: breadth first, one frontier per round
+    of array operations, a voxel's neighbours being +- the stride of each
+    axis on which its coordinate leaves room."""
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1][:, None]
+    size = np.asarray(shape)[:, None]
     steps = np.concatenate([strides, -strides])
-    frontier = np.array(frontier, dtype=np.intp)
+    frontier = np.array([start], dtype=np.intp)
+    mask[start] = True
     while frontier.size:
         coord = frontier // strides % size
         room = np.concatenate([coord < size - 1, coord > 0])
@@ -227,10 +214,9 @@ def focal_metrics(p: ComplexField, segments: list[np.ndarray], *,
     peaks = []
     inside = []
     for label, mask in enumerate(segments):
-        mask = mask.transpose(axes)
-        if not mask.any():
+        idx = np.flatnonzero(mask.transpose(axes))
+        if not idx.size:
             continue
-        idx = np.flatnonzero(mask)
         inside.append(idx)
         # first maximum in C order, as argmax over the whole grid finds it
         values = flat.take(idx)

@@ -57,7 +57,7 @@ from .grid import (
 from .lensmap import DesignField, LensVolume
 from .medium import make_homogeneous, make_skull_phantom, ingest_hu_volume
 from .optim import OptimConfig, TargetSpec
-from .solver import ComplexField, SolverConfig, backproject, prepare
+from .solver import SolverConfig, backproject, prepare
 # unused here: bound only for perfbench/tracer.py until ROADMAP item 5(e)
 from .solver import propagate
 
@@ -659,10 +659,7 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     h = write_snapshot(out, cfg, grid, _seed(args, cfg))
-    # the foci in the precision the file records (complex64): those that
-    # `design` wrote for the field it saved
-    _write_report(out, ComplexField(p.values.astype(np.complex64), p.grid),
-                  target.focus_centers, psnr)
+    _write_report(out, p, target.focus_centers, psnr)
     if "thermal" in cfg:
         dT = analysis.bioheat_simulate(p, medium, tcfg,
                                        normalize_mask=target.omega)

@@ -94,8 +94,11 @@ def save_field(prefix, field: ComplexField, extra: dict | None = None) -> None:
 
 
 def load_field(prefix) -> ComplexField:
+    """The field in the precision its file records: complex64 for the
+    interleaved float32 pairs that `save_field` writes."""
     header, values = _read(prefix)
-    return ComplexField(values.astype(np.complex128), _grid_from_header(header))
+    values = values.astype(np.result_type(values, np.complex64), copy=False)
+    return ComplexField(values, _grid_from_header(header))
 
 
 def save_plane(prefix, plane: np.ndarray, grid: GridSpec,

@@ -1082,6 +1082,22 @@ class TestEvaluateCommand:
         assert design["foci"] and evaluated["foci"] == design["foci"]
         assert (ev / "foci.csv").read_bytes() == (out / "foci.csv").read_bytes()
 
+    def test_psnr_of_recorded_fields_is_the_designs(self, tmp_path):
+        # evaluate reads both fields in the complex64 they are recorded
+        # in, as design measured them: the same PSNR, bit for bit
+        cfg = write_config(tmp_path, base_config(
+            source={"aperture_diameter_mm": 2.5},
+            target={"focus_centers_mm": [[1.5, 1.5, 2.5]], "radius_um": 200}))
+        out, ev = tmp_path / "d", tmp_path / "ev"
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 0
+        assert run(["evaluate", "--config", cfg, "--out", str(ev),
+                    "--field", str(out / "field_optimization"),
+                    "--field2", str(out / "field_fabrication")]) == 0
+        design, evaluated = (json.loads((d / "report.json").read_text())
+                             for d in (out, ev))
+        assert design["psnr_cross_domain"] < analysis.PSNR_CAP_DB
+        assert evaluated["psnr_cross_domain"] == design["psnr_cross_domain"]
+
     def test_foci_rows_match_seed_count(self, tmp_path):
         cfg_dict = base_config()
         cfg_dict["target"]["focus_centers_mm"] = [[1.0, 1.5, 3.0],

@@ -217,7 +217,7 @@ class TestFieldRoundTrip:
         io.save_field(tmp_path / "f", ComplexField(v, g))
         back = io.load_field(tmp_path / "f")
         assert np.allclose(back.values, v, rtol=1e-6, atol=1e-7)
-        assert back.values.dtype == np.complex128
+        assert back.values.dtype == np.complex64
 
     def test_slice_major_run_field_writes_c_order_bytes(self, tmp_path):
         # a run stores its field slice-major and hands out an (nx, ny, nz)
@@ -233,6 +233,20 @@ class TestFieldRoundTrip:
                 == (tmp_path / "copy.raw").read_bytes())
         back = io.load_field(tmp_path / "run")
         assert np.array_equal(back.values, p.values.astype(np.complex64))
+
+    def test_complex128_header_keeps_its_precision(self, tmp_path):
+        # a file whose header names complex128 is not cut to complex64
+        g = make_grid()
+        rng = np.random.default_rng(2)
+        v = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        io.save_field(tmp_path / "f", ComplexField(v, g))
+        header = json.loads((tmp_path / "f.json").read_text())
+        header["dtype"] = "complex128"
+        (tmp_path / "f.json").write_text(json.dumps(header))
+        v.astype("<c16").tofile(tmp_path / "f.raw")
+        back = io.load_field(tmp_path / "f")
+        assert back.values.dtype == np.complex128
+        assert np.array_equal(back.values, v)
 
     def test_interleaved_layout(self, tmp_path):
         # first two float32 words are (re, im) of the first voxel
